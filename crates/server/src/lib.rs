@@ -5,7 +5,10 @@
 //! plan-based dataflow engine and its reified lineage DAGs.
 //!
 //! The server speaks **newline-delimited JSON** over TCP ([`protocol`]).
-//! Named graphs are loaded from a dataset directory once and shared across
+//! One connection layer ([`eventloop`]: reactors, pipelined batches,
+//! backpressure) moves the bytes; [`server`] dispatches each request line
+//! and is the same code whether a line arrives over a socket or through
+//! [`Server::handle_line`]. Named graphs are loaded from a dataset directory once and shared across
 //! all sessions via the storage layer's [`GraphPool`]; zoom requests parse
 //! into `tgraph-query` pipelines and execute on one shared dataflow
 //! [`Runtime`]. Three mechanisms make it a serving system rather than a
@@ -48,7 +51,7 @@ pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use json::Json;
 pub use metrics::{Histogram, ServerMetrics};
 pub use protocol::{parse_request, BadRequest, Request, Step, ZoomRequest};
-pub use server::{serialize_tgraph, ServeLoop, Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
+pub use server::{serialize_tgraph, Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
 
 #[doc(no_inline)]
 pub use tgraph_storage::GraphPool;

@@ -1,6 +1,8 @@
-//! The server proper: TCP accept loop, per-connection NDJSON dispatch, and
+//! The server proper: shared state, per-line NDJSON request dispatch, and
 //! the zoom execution path (cache → admission → cancellable execution →
-//! serialize → memoize).
+//! serialize → memoize). Client connections are read and written by
+//! [`crate::eventloop`] only; the sockets opened here are the coordinator's
+//! outbound calls to its peer shards.
 
 use crate::admission::{Admission, AdmitError};
 use crate::cache::{CacheKey, ResultCache};
@@ -8,7 +10,7 @@ use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{parse_request, IngestRequest, Request, Step, ZoomRequest};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,37 +28,10 @@ use tgraph_query::Session;
 use tgraph_repr::{AnyGraph, ReprKind};
 use tgraph_storage::{GraphLoader, GraphPool, SharedGraph, SortOrder};
 
-/// Which connection layer [`Server::serve`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeLoop {
-    /// Resolve from `TGRAPH_SERVE_LOOP` (`threads` | `epoll`); defaults to
-    /// [`ServeLoop::Threads`] when unset or unrecognized.
-    Auto,
-    /// Thread-per-connection with blocking reads (the original path).
-    Threads,
-    /// Readiness-driven reactors with pipelining and backpressure (see
-    /// [`crate::eventloop`]). The name pins the API family: on non-Linux
-    /// Unixes the vendored shim backs it with `poll(2)` instead.
-    Epoll,
-}
-
-impl ServeLoop {
-    /// The concrete mode to run, consulting the environment for `Auto`.
-    pub fn resolve(self) -> ServeLoop {
-        match self {
-            ServeLoop::Auto => match std::env::var("TGRAPH_SERVE_LOOP").as_deref() {
-                Ok("epoll") => ServeLoop::Epoll,
-                _ => ServeLoop::Threads,
-            },
-            pinned => pinned,
-        }
-    }
-}
-
-/// Default cap on a single NDJSON request line (overridable via
-/// `TGRAPH_SERVE_MAX_LINE` or [`ServerConfig::max_line_bytes`]). Without a
-/// cap, one client streaming bytes that never contain `\n` grows the
-/// server-side line buffer without bound — a one-connection OOM.
+/// Default cap on a single NDJSON request line (see
+/// [`ServerConfig::max_line_bytes`]). Without a cap, one client streaming
+/// bytes that never contain `\n` grows the server-side line buffer without
+/// bound — a one-connection OOM.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server configuration.
@@ -92,12 +67,8 @@ pub struct ServerConfig {
     /// Every shard's *serve* address, in shard order. The coordinator uses
     /// these to broadcast `shard_exec` to its peers; required on shard 0.
     pub serve_peers: Vec<String>,
-    /// Which connection layer to serve with. Tests pin this directly so
-    /// parallel tests never race on the process environment.
-    pub serve_loop: ServeLoop,
-    /// Cap on one request line in bytes; `0` resolves from
-    /// `TGRAPH_SERVE_MAX_LINE`, falling back to
-    /// [`DEFAULT_MAX_LINE_BYTES`].
+    /// Cap on one request line in bytes: a longer line is answered with a
+    /// typed `line_too_large` error and the connection closes.
     pub max_line_bytes: usize,
     /// Fault injection for tests only: commit ingests locally but skip the
     /// `shard_ingest` broadcast, simulating a lost replication message so
@@ -122,15 +93,15 @@ impl Default for ServerConfig {
             exchange_addr: String::new(),
             exchange_peers: Vec::new(),
             serve_peers: Vec::new(),
-            serve_loop: ServeLoop::Auto,
-            max_line_bytes: 0,
+            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             drop_ingest_broadcast: false,
         }
     }
 }
 
 /// The shared server state plus its listener. All request handling is
-/// `&self`; connections run on their own threads.
+/// `&self`; the connection layer ([`crate::eventloop`]) calls it from its
+/// dispatcher threads.
 pub struct Server {
     pub(crate) config: ServerConfig,
     pub(crate) listener: TcpListener,
@@ -141,9 +112,7 @@ pub struct Server {
     pub(crate) metrics: ServerMetrics,
     shutdown: AtomicBool,
     started: Instant,
-    /// Resolved request-line cap in bytes (see [`ServerConfig::max_line_bytes`]).
-    pub(crate) max_line: usize,
-    /// Pollers the serve loops are blocked in; [`Server::request_shutdown`]
+    /// Pollers the serve loop's threads are blocked in; [`Server::request_shutdown`]
     /// notifies each so accept/reactor threads wake without a poll interval.
     pub(crate) loop_pollers: Mutex<Vec<Arc<polling::Poller>>>,
     /// Monotonic exchange-epoch counter (coordinator only): each sharded
@@ -228,15 +197,6 @@ impl Server {
             rt.governor(),
             config.query_reserve_bytes,
         );
-        let max_line = if config.max_line_bytes > 0 {
-            config.max_line_bytes
-        } else {
-            std::env::var("TGRAPH_SERVE_MAX_LINE")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(DEFAULT_MAX_LINE_BYTES)
-        };
         Ok(Server {
             rt,
             pool: GraphPool::new(&config.data_dir),
@@ -245,7 +205,6 @@ impl Server {
             metrics: ServerMetrics::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            max_line,
             loop_pollers: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
             shard_lock: Mutex::new(()),
@@ -291,167 +250,10 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Accepts and serves connections until shutdown is requested, with the
-    /// connection layer picked by [`ServerConfig::serve_loop`]: blocking
-    /// thread-per-connection handlers, or the readiness-driven event loop
-    /// (which falls back to threads if no poller backend exists on this
-    /// platform). Both layers produce byte-identical response streams.
+    /// Accepts and serves connections until shutdown is requested (the
+    /// connection layer is [`crate::eventloop`]).
     pub fn serve(self: &Arc<Self>) -> std::io::Result<()> {
-        if self.config.serve_loop.resolve() == ServeLoop::Epoll {
-            match crate::eventloop::serve_epoll(self) {
-                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {}
-                done => return done,
-            }
-        }
-        self.serve_threads()
-    }
-
-    /// The thread-per-connection accept loop. Transient accept failures —
-    /// fd exhaustion (`EMFILE`/`ENFILE`), connections aborted in the backlog,
-    /// interrupted syscalls — are retried with capped backoff instead of
-    /// tearing the server down; a genuinely fatal listener error sets the
-    /// shutdown flag *before* returning so live handlers drain rather than
-    /// leak parked in their read loops.
-    fn serve_threads(self: &Arc<Self>) -> std::io::Result<()> {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut backoff = ACCEPT_BACKOFF_FLOOR;
-        let mut fatal: Option<std::io::Error> = None;
-        while !self.is_shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    backoff = ACCEPT_BACKOFF_FLOOR;
-                    let server = Arc::clone(self);
-                    let spawned = std::thread::Builder::new()
-                        .name("tgraph-serve-conn".to_string())
-                        .spawn(move || server.handle_connection(stream));
-                    match spawned {
-                        Ok(handle) => handlers.push(handle),
-                        Err(_) => {
-                            // Thread exhaustion is transient like EMFILE:
-                            // shed this connection (dropping the stream
-                            // closes it) and back off.
-                            ServerMetrics::bump(&self.metrics.accept_errors);
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_CEIL);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if accept_error_is_transient(&e) => {
-                    ServerMetrics::bump(&self.metrics.accept_errors);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_CEIL);
-                }
-                Err(e) => {
-                    // Fatal (EBADF, ENOTSOCK, …): stop accepting, but shut
-                    // down first so every handler unparks and drains below —
-                    // returning without the flag leaked them all.
-                    ServerMetrics::bump(&self.metrics.accept_errors);
-                    self.request_shutdown();
-                    fatal = Some(e);
-                    break;
-                }
-            }
-            handlers.retain(|h| !h.is_finished());
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn handle_connection(&self, stream: TcpStream) {
-        let peer = stream.peer_addr().ok();
-        // A read timeout lets idle connections notice shutdown; without it,
-        // `serve()` would block joining a handler parked in `read_line`.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        // Request/response over small lines: Nagle + delayed ACK would add
-        // ~40ms per roundtrip otherwise.
-        let _ = stream.set_nodelay(true);
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut writer = stream;
-        let send = |writer: &mut TcpStream, response: &str| -> bool {
-            let mut framed = response.to_string();
-            framed.push('\n');
-            writer.write_all(framed.as_bytes()).is_ok() && writer.flush().is_ok()
-        };
-        let mut line = String::new();
-        loop {
-            line.clear();
-            // On timeout, `read_line` may have consumed a partial line into
-            // `line`; keep appending until the newline arrives. The `take`
-            // wrapper caps how much a single line may buffer: a client
-            // streaming newline-free bytes is answered with a typed error
-            // and disconnected instead of growing the buffer without bound.
-            loop {
-                let budget = (self.max_line + 1 - line.len()) as u64;
-                match (&mut reader).take(budget).read_line(&mut line) {
-                    Ok(0) => return, // disconnected
-                    Ok(_) if line.ends_with('\n') => break,
-                    Ok(_) => {
-                        if line.len() > self.max_line {
-                            ServerMetrics::bump(&self.metrics.lines_over_cap);
-                            send(&mut writer, &line_too_large_response(self.max_line));
-                            return;
-                        }
-                        // EOF mid-line: the client vanished, nothing to say.
-                        return;
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if self.is_shutting_down() {
-                            return;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        // A complete line arrived but is not UTF-8 (the
-                        // invalid bytes were consumed through the newline):
-                        // answer with a typed error instead of silently
-                        // closing, and keep the connection usable.
-                        ServerMetrics::bump(&self.metrics.bad_requests);
-                        debug_log_peer(peer, "request line is not valid UTF-8");
-                        if !send(&mut writer, &invalid_utf8_response()) {
-                            return;
-                        }
-                        line.clear();
-                    }
-                    Err(e) => {
-                        debug_log_peer(peer, &format!("read failed mid-line: {e}"));
-                        return;
-                    }
-                }
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut io_failed = false;
-            self.handle_line_to(line.trim(), &mut |response: &str| {
-                if io_failed {
-                    return;
-                }
-                // Each emitted line is flushed immediately: `shard_exec`
-                // acks must reach the coordinator *before* this shard
-                // blocks in its first exchange wave.
-                if !send(&mut writer, response) {
-                    io_failed = true;
-                }
-            });
-            if io_failed || self.is_shutting_down() {
-                return;
-            }
-        }
+        crate::eventloop::serve(self)
     }
 
     /// Handles one request line and returns the response text (no trailing
@@ -1771,60 +1573,6 @@ pub(crate) fn error_response(kind: &str, message: &str) -> String {
         ("error", Json::str(message)),
     ])
     .to_string()
-}
-
-/// First retry delay after a transient accept failure.
-pub(crate) const ACCEPT_BACKOFF_FLOOR: Duration = Duration::from_millis(1);
-/// Backoff cap: under sustained fd exhaustion the loop retries 10×/s, which
-/// keeps the listener responsive the moment descriptors free up.
-pub(crate) const ACCEPT_BACKOFF_CEIL: Duration = Duration::from_millis(100);
-
-/// Whether an `accept(2)` failure is transient — worth backing off and
-/// retrying — rather than a dead listener. Transient causes: descriptor
-/// exhaustion (`EMFILE`/`ENFILE`), a connection that was reset or aborted
-/// while still in the backlog, an interrupted syscall, or momentary kernel
-/// memory pressure. Everything else (e.g. `EBADF`, `EINVAL`) means the
-/// listening socket itself is gone.
-pub(crate) fn accept_error_is_transient(e: &std::io::Error) -> bool {
-    if matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::TimedOut
-    ) {
-        return true;
-    }
-    // Raw errnos with no stable `ErrorKind` mapping (Linux numbering):
-    // ENOMEM(12), ENFILE(23), EMFILE(24), EPROTO(71), ENOBUFS(105).
-    matches!(e.raw_os_error(), Some(12 | 23 | 24 | 71 | 105))
-}
-
-/// The typed refusal for a request line over the size cap.
-pub(crate) fn line_too_large_response(cap: usize) -> String {
-    error_response(
-        "line_too_large",
-        &format!("request line exceeds the {cap}-byte cap"),
-    )
-}
-
-/// The typed refusal for a request line that is not valid UTF-8.
-pub(crate) fn invalid_utf8_response() -> String {
-    error_response("bad_request", "request line is not valid UTF-8")
-}
-
-/// Logs peer-level protocol noise (malformed lines, mid-line disconnects)
-/// to stderr when `TGRAPH_SERVE_DEBUG` is set. Off by default: a hostile
-/// client must not be able to flood the server's log.
-pub(crate) fn debug_log_peer(peer: Option<std::net::SocketAddr>, msg: &str) {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if !*ENABLED.get_or_init(|| std::env::var_os("TGRAPH_SERVE_DEBUG").is_some()) {
-        return;
-    }
-    match peer {
-        Some(p) => eprintln!("tgraph-serve debug: peer {p}: {msg}"),
-        None => eprintln!("tgraph-serve debug: peer <unknown>: {msg}"),
-    }
 }
 
 /// Composes a zoom response. `result` is ALWAYS the final field and its

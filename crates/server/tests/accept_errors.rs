@@ -2,7 +2,7 @@
 //! `accept(2)` must not tear the server down. Before the fix, `serve()`
 //! returned on any non-`WouldBlock` accept error without even setting the
 //! shutdown flag, so one fd-exhaustion blip killed the listener and leaked
-//! every handler thread.
+//! every thread serving a connection.
 //!
 //! The test provokes a real `EMFILE`: it pre-creates a client socket fd
 //! while the fd rlimit is high, lowers `RLIMIT_NOFILE` to the next unused
@@ -19,7 +19,7 @@ use std::net::TcpStream;
 use std::os::fd::FromRawFd;
 use std::sync::Arc;
 use std::time::Duration;
-use tgraph_serve::{ServeLoop, Server, ServerConfig};
+use tgraph_serve::{Server, ServerConfig};
 
 #[repr(C)]
 #[derive(Clone, Copy)]
@@ -116,68 +116,65 @@ fn field_i64(response: &str, path: &[&str]) -> i64 {
     v.as_i64().unwrap_or_else(|| panic!("{path:?} not an int"))
 }
 
-/// One `#[test]` covering both serve loops sequentially: the fd rlimit is
-/// process-wide state, so the two scenarios must not run concurrently.
+/// The fd rlimit is process-wide state: this file holds one `#[test]` so
+/// nothing else in the binary runs while the limit is lowered.
 #[test]
-fn emfile_on_accept_is_survived_in_both_modes() {
-    for mode in [ServeLoop::Threads, ServeLoop::Epoll] {
-        let server = Arc::new(
-            Server::bind(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                data_dir: std::env::temp_dir().join("tgraph-accept-errors"),
-                workers: 1,
-                partitions: 1,
-                max_inflight: 1,
-                max_queue: 4,
-                cache_bytes: 1 << 20,
-                serve_loop: mode,
-                ..ServerConfig::default()
-            })
-            .expect("bind"),
-        );
-        let addr = server.local_addr().expect("addr");
-        let handle = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.serve())
-        };
+fn emfile_on_accept_is_survived() {
+    let server = Arc::new(
+        Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            data_dir: std::env::temp_dir().join("tgraph-accept-errors"),
+            workers: 1,
+            partitions: 1,
+            max_inflight: 1,
+            max_queue: 4,
+            cache_bytes: 1 << 20,
+            ..ServerConfig::default()
+        })
+        .expect("bind"),
+    );
+    let addr = server.local_addr().expect("addr");
+    let handle = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve())
+    };
 
-        // Sanity roundtrip so the accept path is demonstrably live first.
-        let mut warm = TcpStream::connect(addr).expect("warm connect");
-        assert_eq!(ping(&mut warm), r#"{"ok":true,"pong":true}"#, "({mode:?})");
+    // Sanity roundtrip so the accept path is demonstrably live first.
+    let mut warm = TcpStream::connect(addr).expect("warm connect");
+    assert_eq!(ping(&mut warm), r#"{"ok":true,"pong":true}"#);
 
-        let saved = nofile_limit();
-        // The client socket that will trigger EMFILE, created while fds
-        // are still plentiful.
-        let trigger_fd = raw_tcp_socket();
-        // The next unused fd number becomes the lowered cap, so any
-        // subsequent fd allocation (the server's accept) fails.
-        let probe = raw_tcp_socket();
-        let cap = probe as u64;
-        unsafe { close(probe) };
+    let saved = nofile_limit();
+    // The client socket that will trigger EMFILE, created while fds
+    // are still plentiful.
+    let trigger_fd = raw_tcp_socket();
+    // The next unused fd number becomes the lowered cap, so any
+    // subsequent fd allocation (the server's accept) fails.
+    let probe = raw_tcp_socket();
+    let cap = probe as u64;
+    unsafe { close(probe) };
 
-        set_nofile_cur(saved, cap);
-        connect_raw(trigger_fd, addr);
-        // Give the server time to hit accept() -> EMFILE and retry.
-        std::thread::sleep(Duration::from_millis(80));
-        set_nofile_cur(saved, saved.rlim_cur);
+    set_nofile_cur(saved, cap);
+    connect_raw(trigger_fd, addr);
+    // Give the server time to hit accept() -> EMFILE and retry.
+    std::thread::sleep(Duration::from_millis(80));
+    set_nofile_cur(saved, saved.rlim_cur);
 
-        // The handshake completed in the backlog; once fds are available
-        // again the server accepts it and serves it normally.
-        let mut survivor = unsafe { TcpStream::from_raw_fd(trigger_fd) };
-        assert_eq!(
-            ping(&mut survivor),
-            r#"{"ok":true,"pong":true}"#,
-            "({mode:?}) pre-EMFILE connection served after recovery"
-        );
+    // The handshake completed in the backlog; once fds are available
+    // again the server accepts it and serves it normally.
+    let mut survivor = unsafe { TcpStream::from_raw_fd(trigger_fd) };
+    assert_eq!(
+        ping(&mut survivor),
+        r#"{"ok":true,"pong":true}"#,
+        "pre-EMFILE connection served after recovery"
+    );
 
-        // And brand-new connections work too: the listener survived.
-        let mut fresh = TcpStream::connect(addr).expect("post-EMFILE connect");
-        stream_stats_and_shutdown(&mut fresh, mode);
-        handle.join().expect("serve thread").expect("serve loop");
-    }
+    // And brand-new connections work too: the listener survived.
+    let mut fresh = TcpStream::connect(addr).expect("post-EMFILE connect");
+    stream_stats_and_shutdown(&mut fresh);
+    handle.join().expect("serve thread").expect("serve loop");
 }
 
-fn stream_stats_and_shutdown(stream: &mut TcpStream, mode: ServeLoop) {
+fn stream_stats_and_shutdown(stream: &mut TcpStream) {
     stream.set_nodelay(true).expect("nodelay");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -194,8 +191,8 @@ fn stream_stats_and_shutdown(stream: &mut TcpStream, mode: ServeLoop) {
     let stats = roundtrip(r#"{"op":"stats"}"#);
     assert!(
         field_i64(&stats, &["server", "accept_errors"]) >= 1,
-        "({mode:?}) EMFILE counted: {stats}"
+        "EMFILE counted: {stats}"
     );
     let bye = roundtrip(r#"{"op":"shutdown"}"#);
-    assert!(bye.contains("\"shutting_down\":true"), "({mode:?}) {bye}");
+    assert!(bye.contains("\"shutting_down\":true"), "{bye}");
 }

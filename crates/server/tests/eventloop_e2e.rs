@@ -1,31 +1,23 @@
-//! End-to-end tests for the event-loop serving core: pipelining answers in
-//! order, partial frames reassemble across timeouts, the `threads` and
-//! `epoll` connection layers produce byte-identical response streams, the
-//! request-line cap answers with a typed error, and malformed input gets a
-//! typed `bad_request` instead of a silent close.
+//! End-to-end tests for the connection layer: pipelining answers in order,
+//! partial frames reassemble across poll wakeups, the TCP response stream
+//! is byte-identical to the in-process `Server::handle_line` dispatch path,
+//! the request-line cap answers with a typed error, and malformed input
+//! gets a typed `bad_request` instead of a silent close.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use tgraph_core::graph::figure1_graph_stable_ids;
-use tgraph_serve::{ServeLoop, Server, ServerConfig};
+use tgraph_serve::{Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
 use tgraph_storage::write_dataset;
 
-fn spawn_server(
-    dirname: &str,
-    graph: &str,
-    mode: ServeLoop,
-    max_line_bytes: usize,
-) -> (
-    Arc<Server>,
-    std::net::SocketAddr,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
+/// Binds a server over a fresh Figure-1 dataset, without serving yet.
+fn bind_server(dirname: &str, graph: &str, max_line_bytes: usize) -> Arc<Server> {
     let dir = std::env::temp_dir().join(dirname);
     let _ = std::fs::remove_dir_all(&dir); // stale epochs from prior runs skew ingest
     write_dataset(&dir, graph, &figure1_graph_stable_ids()).expect("write dataset");
-    let server = Arc::new(
+    Arc::new(
         Server::bind(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             data_dir: dir,
@@ -34,12 +26,23 @@ fn spawn_server(
             max_inflight: 2,
             max_queue: 8,
             cache_bytes: 4 << 20,
-            serve_loop: mode,
             max_line_bytes,
             ..ServerConfig::default()
         })
         .expect("bind"),
-    );
+    )
+}
+
+fn spawn_server(
+    dirname: &str,
+    graph: &str,
+    max_line_bytes: usize,
+) -> (
+    Arc<Server>,
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let server = bind_server(dirname, graph, max_line_bytes);
     let addr = server.local_addr().expect("addr");
     let handle = {
         let server = Arc::clone(&server);
@@ -149,7 +152,8 @@ fn shutdown(client: &mut Client, handle: std::thread::JoinHandle<std::io::Result
 /// and answered, strictly in request order.
 #[test]
 fn pipelined_requests_in_one_segment_answer_in_order() {
-    let (_server, addr, handle) = spawn_server("tgraph-el-pipeline", "fig1", ServeLoop::Epoll, 0);
+    let (_server, addr, handle) =
+        spawn_server("tgraph-el-pipeline", "fig1", DEFAULT_MAX_LINE_BYTES);
 
     // Reference responses, gathered one-at-a-time on a separate connection.
     // Result bytes are cache-backed and deterministic, so the pipelined
@@ -202,128 +206,107 @@ fn pipelined_requests_in_one_segment_answer_in_order() {
     shutdown(&mut client, handle);
 }
 
-/// (b) A request dripped a few bytes at a time — across multiple poll
-/// wakeups and read timeouts — reassembles into one frame in both modes.
+/// (b) A request dripped a few bytes at a time — across many poll wakeups
+/// and partial-frame reads — reassembles into one frame.
 #[test]
-fn dripped_request_bytes_reassemble_in_both_modes() {
-    for (mode, dirname, graph) in [
-        (ServeLoop::Epoll, "tgraph-el-drip-e", "fig1"),
-        (ServeLoop::Threads, "tgraph-el-drip-t", "fig1"),
-    ] {
-        let (_server, addr, handle) = spawn_server(dirname, graph, mode, 0);
-        let mut client = Client::connect(addr);
+fn dripped_request_bytes_reassemble() {
+    let (_server, addr, handle) = spawn_server("tgraph-el-drip", "fig1", DEFAULT_MAX_LINE_BYTES);
+    let mut client = Client::connect(addr);
 
-        let line = format!("{}\n", zoom_line(graph, 3));
-        let bytes = line.as_bytes();
-        for (i, chunk) in bytes.chunks(3).enumerate() {
-            client.send_raw(chunk);
-            if i % 8 == 0 {
-                // Straddle the threads path's 50ms read timeout and force
-                // the event loop through many partial-frame reads.
-                std::thread::sleep(Duration::from_millis(12));
-            }
+    let line = format!("{}\n", zoom_line("fig1", 3));
+    for (i, chunk) in line.as_bytes().chunks(3).enumerate() {
+        client.send_raw(chunk);
+        if i % 8 == 0 {
+            // Let the reactor wake, read the fragment and park again.
+            std::thread::sleep(Duration::from_millis(12));
         }
-        let response = client.recv_line();
-        assert!(response.contains("\"ok\":true"), "({mode:?}) {response}");
-        assert!(
-            response.contains("\"result\":"),
-            "({mode:?}) drip reassembled into a full zoom: {response}"
-        );
-        shutdown(&mut client, handle);
     }
+    let response = client.recv_line();
+    assert!(response.contains("\"ok\":true"), "{response}");
+    assert!(
+        response.contains("\"result\":"),
+        "drip reassembled into a full zoom: {response}"
+    );
+    shutdown(&mut client, handle);
 }
 
-/// (c) The `threads` and `epoll` layers produce byte-identical response
-/// streams over a mixed zoom/ingest/stats script (timing fields blanked;
-/// stats lines checked structurally — their counters are layer-specific).
+/// (c) The response stream a client reads over TCP is byte-identical to
+/// what `Server::handle_line` returns in process for the same mixed
+/// zoom/hit/bad-JSON/ingest/patch/stats script (timing fields blanked;
+/// stats lines checked structurally — the connection layer's own counters
+/// only move when a socket is involved). The in-process dispatch path is
+/// the oracle: the connection layer may move bytes, never change them.
 #[test]
-fn threads_and_epoll_response_streams_are_byte_identical() {
-    let run_script = |mode: ServeLoop, dirname: &str| -> Vec<String> {
-        let (_server, addr, handle) = spawn_server(dirname, "figx", mode, 0);
-        let mut client = Client::connect(addr);
-        let mut transcript: Vec<String> = Vec::new();
-        let script: Vec<String> = vec![
-            r#"{"op":"ping"}"#.to_string(),
-            zoom_line("figx", 3),
-            zoom_line("figx", 3), // cache hit replay
-            zoom_line("figx", 5),
-            "definitely not json".to_string(),
-            ingest_line("figx"),
-            zoom_line("figx", 3), // patched or re-executed after ingest
-            r#"{"op":"stats"}"#.to_string(),
-            zoom_line("figx", 5),
-        ];
-        for line in &script {
-            transcript.push(client.roundtrip(line));
-        }
-        shutdown(&mut client, handle);
-        transcript
-    };
+fn tcp_transcript_matches_in_process_dispatch() {
+    let script: Vec<String> = vec![
+        r#"{"op":"ping"}"#.to_string(),
+        zoom_line("figx", 3),
+        zoom_line("figx", 3), // cache hit replay
+        zoom_line("figx", 5),
+        "definitely not json".to_string(),
+        ingest_line("figx"),
+        zoom_line("figx", 3), // patched or re-executed after ingest
+        r#"{"op":"stats"}"#.to_string(),
+        zoom_line("figx", 5),
+    ];
 
-    let threads = run_script(ServeLoop::Threads, "tgraph-el-ident-t");
-    let epoll = run_script(ServeLoop::Epoll, "tgraph-el-ident-e");
-    assert_eq!(threads.len(), epoll.len());
-    for (i, (t, e)) in threads.iter().zip(epoll.iter()).enumerate() {
-        if t.contains("\"uptime_ms\"") {
-            // The stats line: counters differ by design between layers
-            // (pipelining metrics, poll wakeups). Structure only.
-            assert!(e.contains("\"uptime_ms\""), "line {i}: {e}");
-            assert!(t.contains("\"ok\":true") && e.contains("\"ok\":true"));
+    // Each side gets its own dataset: the ingest mutates it.
+    let oracle = bind_server("tgraph-el-ident-inproc", "figx", DEFAULT_MAX_LINE_BYTES);
+    let in_process: Vec<String> = script.iter().map(|l| oracle.handle_line(l)).collect();
+
+    let (_server, addr, handle) =
+        spawn_server("tgraph-el-ident-tcp", "figx", DEFAULT_MAX_LINE_BYTES);
+    let mut client = Client::connect(addr);
+    let over_tcp: Vec<String> = script.iter().map(|l| client.roundtrip(l)).collect();
+    shutdown(&mut client, handle);
+
+    assert_eq!(in_process.len(), over_tcp.len());
+    for (i, (p, t)) in in_process.iter().zip(over_tcp.iter()).enumerate() {
+        if p.contains("\"uptime_ms\"") {
+            assert!(t.contains("\"uptime_ms\""), "line {i}: {t}");
+            assert!(p.contains("\"ok\":true") && t.contains("\"ok\":true"));
             continue;
         }
         assert_eq!(
+            normalize_timings(p),
             normalize_timings(t),
-            normalize_timings(e),
-            "line {i} diverged between serve loops"
+            "line {i} diverged between handle_line and the socket"
         );
     }
 }
 
-/// The request-line cap answers a typed `line_too_large` and closes, in
-/// both modes — after first answering everything already pipelined ahead
-/// of the oversized line.
+/// The request-line cap answers a typed `line_too_large` and closes — after
+/// first answering everything already pipelined ahead of the oversized
+/// line.
 #[test]
 fn oversized_request_line_is_refused_with_a_typed_error() {
-    for (mode, dirname) in [
-        (ServeLoop::Epoll, "tgraph-el-cap-e"),
-        (ServeLoop::Threads, "tgraph-el-cap-t"),
-    ] {
-        let (_server, addr, handle) = spawn_server(dirname, "fig1", mode, 256);
-        let mut client = Client::connect(addr);
+    let (_server, addr, handle) = spawn_server("tgraph-el-cap", "fig1", 256);
+    let mut client = Client::connect(addr);
 
-        // An in-cap request still works.
-        assert_eq!(
-            client.roundtrip(r#"{"op":"ping"}"#),
-            r#"{"ok":true,"pong":true}"#,
-            "({mode:?})"
-        );
+    // An in-cap request still works.
+    assert_eq!(
+        client.roundtrip(r#"{"op":"ping"}"#),
+        r#"{"ok":true,"pong":true}"#
+    );
 
-        // A ping pipelined ahead of a newline-free flood: the ping is
-        // answered first, then the typed refusal, then the close.
-        let mut burst = Vec::new();
-        burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
-        burst.extend_from_slice(&vec![b'x'; 4096]);
-        client.send_raw(&burst);
-        assert_eq!(
-            client.recv_line(),
-            r#"{"ok":true,"pong":true}"#,
-            "({mode:?})"
-        );
-        let refusal = client.recv_line();
-        assert!(
-            refusal.contains("\"kind\":\"line_too_large\""),
-            "({mode:?}) {refusal}"
-        );
-        client.expect_eof();
+    // A ping pipelined ahead of a newline-free flood: the ping is
+    // answered first, then the typed refusal, then the close.
+    let mut burst = Vec::new();
+    burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
+    burst.extend_from_slice(&vec![b'x'; 4096]);
+    client.send_raw(&burst);
+    assert_eq!(client.recv_line(), r#"{"ok":true,"pong":true}"#);
+    let refusal = client.recv_line();
+    assert!(refusal.contains("\"kind\":\"line_too_large\""), "{refusal}");
+    client.expect_eof();
 
-        let mut control = Client::connect(addr);
-        let stats = control.roundtrip(r#"{"op":"stats"}"#);
-        assert!(
-            field_i64(&stats, &["server", "lines_over_cap"]) >= 1,
-            "({mode:?}) {stats}"
-        );
-        shutdown(&mut control, handle);
-    }
+    let mut control = Client::connect(addr);
+    let stats = control.roundtrip(r#"{"op":"stats"}"#);
+    assert!(
+        field_i64(&stats, &["server", "lines_over_cap"]) >= 1,
+        "{stats}"
+    );
+    shutdown(&mut control, handle);
 }
 
 /// Invalid UTF-8 gets a typed `bad_request` response (not a silent close),
@@ -331,51 +314,39 @@ fn oversized_request_line_is_refused_with_a_typed_error() {
 /// connection usable.
 #[test]
 fn invalid_utf8_line_gets_a_typed_bad_request() {
-    for (mode, dirname) in [
-        (ServeLoop::Epoll, "tgraph-el-utf8-e"),
-        (ServeLoop::Threads, "tgraph-el-utf8-t"),
-    ] {
-        let (_server, addr, handle) = spawn_server(dirname, "fig1", mode, 0);
-        let mut client = Client::connect(addr);
+    let (_server, addr, handle) = spawn_server("tgraph-el-utf8", "fig1", DEFAULT_MAX_LINE_BYTES);
+    let mut client = Client::connect(addr);
 
-        let mut burst = Vec::new();
-        burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
-        burst.extend_from_slice(&[0xff, 0xfe, 0x80, b'\n']);
-        burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
-        client.send_raw(&burst);
+    let mut burst = Vec::new();
+    burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
+    burst.extend_from_slice(&[0xff, 0xfe, 0x80, b'\n']);
+    burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
+    client.send_raw(&burst);
 
-        assert_eq!(
-            client.recv_line(),
-            r#"{"ok":true,"pong":true}"#,
-            "({mode:?})"
-        );
-        let refusal = client.recv_line();
-        assert!(
-            refusal.contains("\"kind\":\"bad_request\""),
-            "({mode:?}) {refusal}"
-        );
-        assert!(refusal.contains("UTF-8"), "({mode:?}) {refusal}");
-        assert_eq!(
-            client.recv_line(),
-            r#"{"ok":true,"pong":true}"#,
-            "({mode:?}) connection stays usable"
-        );
+    assert_eq!(client.recv_line(), r#"{"ok":true,"pong":true}"#);
+    let refusal = client.recv_line();
+    assert!(refusal.contains("\"kind\":\"bad_request\""), "{refusal}");
+    assert!(refusal.contains("UTF-8"), "{refusal}");
+    assert_eq!(
+        client.recv_line(),
+        r#"{"ok":true,"pong":true}"#,
+        "connection stays usable"
+    );
 
-        let stats = client.roundtrip(r#"{"op":"stats"}"#);
-        assert!(
-            field_i64(&stats, &["server", "bad_requests"]) >= 1,
-            "({mode:?}) {stats}"
-        );
-        shutdown(&mut client, handle);
-    }
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert!(
+        field_i64(&stats, &["server", "bad_requests"]) >= 1,
+        "{stats}"
+    );
+    shutdown(&mut client, handle);
 }
 
-/// Idle epoll connections park without any poll-interval wakeups: with a
+/// Idle connections park without any poll-interval wakeups: with a
 /// crowd of idle connections open, a request on one of them still answers
 /// promptly (the reactor was blocked in `wait`, not sleeping in a loop).
 #[test]
 fn idle_connections_do_not_starve_active_ones() {
-    let (_server, addr, handle) = spawn_server("tgraph-el-idle", "fig1", ServeLoop::Epoll, 0);
+    let (_server, addr, handle) = spawn_server("tgraph-el-idle", "fig1", DEFAULT_MAX_LINE_BYTES);
     let _idlers: Vec<Client> = (0..64).map(|_| Client::connect(addr)).collect();
     std::thread::sleep(Duration::from_millis(50));
     let mut active = Client::connect(addr);

@@ -4,8 +4,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tgraph_core::graph::figure1_graph_stable_ids;
+use tgraph_dataflow::lock_unpoisoned;
 use tgraph_serve::{Server, ServerConfig};
 use tgraph_storage::write_dataset;
 
@@ -23,13 +24,22 @@ fn roundtrip(addr: std::net::SocketAddr, line: &str) -> String {
     response.trim_end().to_string()
 }
 
-/// Reserves an ephemeral localhost port by binding and dropping a listener.
-/// The tiny reuse race is acceptable for a test; listeners that never
-/// accepted have no TIME_WAIT state.
+/// Reserves an ephemeral localhost port by binding and dropping a listener
+/// (one that never accepted leaves no TIME_WAIT state). Until the shard
+/// binds it the number is free again, so the caller holds [`PORTS`] from
+/// here to its last `Server::bind`.
 fn reserve_port() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("reserve");
     format!("127.0.0.1:{}", listener.local_addr().expect("addr").port())
 }
+
+/// Serialises every listener bind in this binary, whose tests run in
+/// parallel: unserialised, one test's `:0` bind (a serve listener, or its
+/// own reservation) could be handed a port another test had reserved and
+/// not yet bound, and that test's shard then fails to bind.
+/// (Locked unpoisoned: a test that failed while binding must not fail the
+/// others.)
+static PORTS: Mutex<()> = Mutex::new(());
 
 fn result_suffix(response: &str) -> &str {
     let at = response.find("\"result\":").expect("result field");
@@ -44,6 +54,7 @@ fn two_shard_deployment_answers_byte_identically_to_single_process() {
     write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
 
     // Single-process baseline over the same dataset and partition count.
+    let ports = lock_unpoisoned(&PORTS);
     let single = Arc::new(
         Server::bind(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -92,6 +103,7 @@ fn two_shard_deployment_answers_byte_identically_to_single_process() {
         })
         .expect("bind shard 0"),
     );
+    drop(ports);
     let addr0 = shard0.local_addr().expect("addr0");
     let threads = [&shard0, &shard1].map(|s| {
         let s = Arc::clone(s);
@@ -148,6 +160,7 @@ fn sharded_ingest_replicates_the_epoch_to_peers() {
     std::fs::create_dir_all(&dir).expect("create data dir");
     write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
 
+    let ports = lock_unpoisoned(&PORTS);
     let exchange = vec![reserve_port(), reserve_port()];
     let shard1 = Arc::new(
         Server::bind(ServerConfig {
@@ -179,6 +192,7 @@ fn sharded_ingest_replicates_the_epoch_to_peers() {
         })
         .expect("bind shard 0"),
     );
+    drop(ports);
     let addr0 = shard0.local_addr().expect("addr0");
     let threads = [&shard0, &shard1].map(|s| {
         let s = Arc::clone(s);
@@ -205,6 +219,7 @@ fn sharded_ingest_replicates_the_epoch_to_peers() {
     let after = roundtrip(addr0, ZOOM);
     assert!(after.contains("\"cache\":\"miss\""), "{after}");
     assert_ne!(result_suffix(&before), result_suffix(&after));
+    let ports = lock_unpoisoned(&PORTS);
     let single = Arc::new(
         Server::bind(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -215,6 +230,7 @@ fn sharded_ingest_replicates_the_epoch_to_peers() {
         })
         .expect("bind single"),
     );
+    drop(ports);
     let baseline = single.handle_line(ZOOM);
     assert_eq!(result_suffix(&baseline), result_suffix(&after));
 
@@ -243,6 +259,7 @@ fn stale_peer_epoch_is_rejected_replicated_and_retried() {
     std::fs::create_dir_all(&dir).expect("create data dir");
     write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
 
+    let ports = lock_unpoisoned(&PORTS);
     let exchange = vec![reserve_port(), reserve_port()];
     let shard1 = Arc::new(
         Server::bind(ServerConfig {
@@ -278,6 +295,7 @@ fn stale_peer_epoch_is_rejected_replicated_and_retried() {
         })
         .expect("bind shard 0"),
     );
+    drop(ports);
     let addr0 = shard0.local_addr().expect("addr0");
     let threads = [&shard0, &shard1].map(|s| {
         let s = Arc::clone(s);
@@ -307,6 +325,7 @@ fn stale_peer_epoch_is_rejected_replicated_and_retried() {
         result_suffix(&after),
         "stale pre-ingest facts served"
     );
+    let ports = lock_unpoisoned(&PORTS);
     let single = Arc::new(
         Server::bind(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -317,6 +336,7 @@ fn stale_peer_epoch_is_rejected_replicated_and_retried() {
         })
         .expect("bind single"),
     );
+    drop(ports);
     let baseline = single.handle_line(ZOOM);
     assert_eq!(result_suffix(&baseline), result_suffix(&after));
 

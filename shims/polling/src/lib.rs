@@ -21,8 +21,8 @@
 //!
 //! Backends: `epoll(7)` on Linux (wakeups via `eventfd`), `poll(2)` on other
 //! Unixes (wakeups via a self-pipe). Non-Unix targets get a stub whose
-//! `Poller::new` returns `Unsupported`, so callers can fall back to a
-//! threaded path.
+//! `Poller::new` returns `Unsupported`, which `Server::serve` reports
+//! before accepting anything.
 
 #![warn(missing_docs)]
 
@@ -521,8 +521,7 @@ mod sys {
 #[cfg(not(unix))]
 mod sys {
     #![allow(missing_docs)] // backend impls are documented at the crate root
-    //! Stub for non-Unix targets: construction fails with `Unsupported`, so
-    //! callers fall back to threaded serving.
+    //! Stub for non-Unix targets: construction fails with `Unsupported`.
 
     use super::{Event, Events};
     use std::io;
