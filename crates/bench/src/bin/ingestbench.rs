@@ -9,8 +9,9 @@
 //! Phase 1 sweeps (history length × delta size): a synthetic evolving graph
 //! is written to disk, a delta appended as an epoch segment, and the same
 //! pipeline timed two ways — a cold recompute (full scan + full pipeline)
-//! and the patch path (`plan → load_suffix → pipeline over the suffix →
-//! stitch`, the exact sequence `tgraph-serve` runs). Byte-identity of the
+//! and the patch path (`tgraph_ingest::patch_from_storage`: plan → suffix
+//! read → pipeline over the suffix → stitch, the call `tgraph-serve` makes).
+//! Byte-identity of the
 //! two results is asserted on every cell via the serve layer's canonical
 //! serialization, and the scan counters show the suffix read is bounded by
 //! the delta, not the history.
@@ -30,9 +31,8 @@ use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::{AZoomSpec, AggSpec, Quantifier, WZoomSpec};
 use tgraph_dataflow::Runtime;
-use tgraph_ingest::{
-    execute_steps, load_suffix, plan, stitch, MaintenanceDecision, SnapshotDelta, ZoomStep,
-};
+use tgraph_ingest::{patch_from_storage, SnapshotDelta};
+use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
 use tgraph_serve::{serialize_tgraph, Server, ServerConfig};
 use tgraph_storage::{append_epoch, write_dataset, GraphLoader, SortOrder};
@@ -151,15 +151,14 @@ fn delta_of(n: u64, d: u64, since: Time) -> SnapshotDelta {
     }
 }
 
-fn pipeline() -> Vec<ZoomStep> {
-    vec![
-        ZoomStep::AZoom(AZoomSpec::by_property(
+fn pipeline() -> Pipeline {
+    Pipeline::new()
+        .azoom(AZoomSpec::by_property(
             "school",
             "school",
             vec![AggSpec::count("students")],
-        )),
-        ZoomStep::WZoom(WZoomSpec::points(2, Quantifier::Exists, Quantifier::Exists)),
-    ]
+        ))
+        .wzoom(WZoomSpec::points(2, Quantifier::Exists, Quantifier::Exists))
 }
 
 /// One sweep cell: returns `(cold_us, patch_us, rows_full, rows_suffix)`.
@@ -177,10 +176,11 @@ fn run_cell(
     write_dataset(&dir, "bench", &base).map_err(|e| format!("write dataset: {e}"))?;
     let loader = GraphLoader::new(&dir, "bench");
     let steps = pipeline();
+    let run_cold = |g: &TGraph| steps.collect(rt, AnyGraph::load(rt, g, repr));
 
     // The retained result the patch path maintains (untimed: it is the
     // pre-ingest answer the serve layer already holds).
-    let cached = execute_steps(rt, AnyGraph::load(rt, &base, repr), &steps).to_tgraph(rt);
+    let cached = run_cold(&base);
 
     let delta = delta_of(n, d, boundary);
     delta.validate().map_err(|e| format!("delta: {e}"))?;
@@ -192,29 +192,20 @@ fn run_cell(
     let (full, full_scan) = loader
         .load_flat(SortOrder::Structural, None)
         .map_err(|e| format!("full load: {e}"))?;
-    let cold = execute_steps(rt, AnyGraph::load(rt, &full, repr), &steps).to_tgraph(rt);
+    let cold = run_cold(&full);
     let cold_us = t0.elapsed().as_micros();
 
     // Patch: plan → suffix read (chunk-skipped) → pipeline over the suffix →
-    // stitch. The exact sequence `tgraph-serve` runs after an ingest.
+    // stitch. The call `tgraph-serve` makes after an ingest.
     let t1 = Instant::now();
-    let cut = match plan(full.lifespan, boundary, &steps) {
-        MaintenanceDecision::Patch { cut } => cut,
-        MaintenanceDecision::Recompute { reason } => {
-            return Err(format!("planner refused to patch: {reason}"))
-        }
-    };
-    let (mut suffix, suffix_scan) =
-        load_suffix(&loader, cut).map_err(|e| format!("suffix load: {e}"))?;
-    suffix.lifespan = Interval::new(cut, full.lifespan.end);
-    let out = execute_steps(rt, AnyGraph::load(rt, &suffix, repr), &steps).to_tgraph(rt);
-    let patched = stitch(&cached, &out, cut);
+    let patched = patch_from_storage(rt, &loader, full.lifespan, repr, &steps, &cached, boundary)
+        .map_err(|e| e.to_string())?;
     let patch_us = t1.elapsed().as_micros();
 
     // Byte-identity on every cell, not just in checked mode: the bench is
     // only meaningful if the fast path is indistinguishable from the slow
     // one.
-    if serialize_tgraph(&patched) != serialize_tgraph(&cold) {
+    if serialize_tgraph(&patched.result) != serialize_tgraph(&cold) {
         return Err(format!(
             "patched result diverged from cold recompute (history {n}, delta {d})"
         ));
@@ -224,7 +215,7 @@ fn run_cell(
         cold_us,
         patch_us,
         full_scan.rows_read,
-        suffix_scan.rows_read,
+        patched.scan.rows_read,
     ))
 }
 

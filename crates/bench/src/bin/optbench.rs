@@ -42,7 +42,8 @@ use tgraph_core::zoom::azoom::{AZoomSpec, AggSpec};
 use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
 use tgraph_core::TGraph;
 use tgraph_dataflow::Runtime;
-use tgraph_optimize::{ChoiceSource, GraphFeatures, Optimizer, PlanStep};
+use tgraph_optimize::{ChoiceSource, GraphFeatures, Optimizer};
+use tgraph_query::{CoalescePolicy, Pipeline};
 use tgraph_repr::{AnyGraph, ReprKind};
 
 struct Args {
@@ -95,46 +96,28 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// One pipeline step of a sweep cell: the executable spec plus its cost-model
-/// projection.
-enum BStep {
-    A(AZoomSpec),
-    W(WZoomSpec, u64),
-}
-
-impl BStep {
-    fn plan(&self) -> PlanStep {
-        match self {
-            BStep::A(_) => PlanStep::AZoom,
-            BStep::W(_, n) => PlanStep::WZoom { window: *n },
-        }
-    }
-}
-
 /// One cell of the sweep: a workload whose measured winner EXPERIMENTS.md
 /// pins down, with the tolerance documented there (winners separated by
 /// narrow margins get loose tolerances; blowout cells get tight ones).
 struct SweepCell {
     name: &'static str,
     graph: TGraph,
-    steps: Vec<BStep>,
+    /// What is both costed by the optimizer and executed by `run_cell`.
+    pipeline: Pipeline,
     /// Full-mode acceptance: `t(static choice) ≤ tolerance × t(winner)`.
     tolerance: f64,
 }
 
-fn azoom_step(group: &str) -> BStep {
-    BStep::A(AZoomSpec::by_property(
+fn azoom(group: &str) -> Pipeline {
+    Pipeline::new().azoom(AZoomSpec::by_property(
         group,
         group,
         vec![AggSpec::count("members")],
     ))
 }
 
-fn wzoom_step(points: u64) -> BStep {
-    BStep::W(
-        WZoomSpec::points(points, Quantifier::Exists, Quantifier::Exists),
-        points,
-    )
+fn wspec(points: u64) -> WZoomSpec {
+    WZoomSpec::points(points, Quantifier::Exists, Quantifier::Exists)
 }
 
 fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
@@ -151,7 +134,7 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
             // unbeatable at the left edge of the axis.
             name: "F11-2snap-azoom",
             graph: datasets::wikitalk_months(scale, 2),
-            steps: vec![azoom_step(wiki_group)],
+            pipeline: azoom(wiki_group),
             tolerance: 1.5,
         },
         SweepCell {
@@ -159,7 +142,7 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
             // (tuple-bounded) win and sit within ~20% of each other.
             name: "F11-60snap-azoom",
             graph: datasets::wikitalk_months(scale, wiki_many),
-            steps: vec![azoom_step(wiki_group)],
+            pipeline: azoom(wiki_group),
             tolerance: 1.25,
         },
         SweepCell {
@@ -167,14 +150,14 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
             // stays local.
             name: "F13-churn-azoom",
             graph: datasets::ngrams_years(scale, ngrams_years),
-            steps: vec![azoom_step(ngrams_group)],
+            pipeline: azoom(ngrams_group),
             tolerance: 2.0,
         },
         SweepCell {
             // Fig. 14: wZoom — OGC's compiled windows win outright.
             name: "F14-wzoom-w6",
             graph: datasets::snb(scale),
-            steps: vec![wzoom_step(6)],
+            pipeline: Pipeline::new().wzoom(wspec(6)),
             tolerance: 3.0,
         },
         SweepCell {
@@ -182,7 +165,7 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
             // penalty is at its worst; OGC stays window-insensitive.
             name: "F15-wzoom-w2",
             graph: datasets::snb(scale),
-            steps: vec![wzoom_step(2)],
+            pipeline: Pipeline::new().wzoom(wspec(2)),
             tolerance: 2.0,
         },
         SweepCell {
@@ -190,7 +173,7 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
             // switching plan and VE.
             name: "F16-chain-azoom-wzoom6",
             graph: datasets::snb(scale),
-            steps: vec![azoom_step(snb_group), wzoom_step(6)],
+            pipeline: azoom(snb_group).wzoom(wspec(6)),
             tolerance: 1.2,
         },
     ]
@@ -200,13 +183,11 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
 /// materialize), the same span the paper's §5 measurements cover.
 fn run_cell(rt: &Runtime, cell: &SweepCell, kind: ReprKind) -> Duration {
     let t0 = Instant::now();
-    let mut cur = AnyGraph::load(rt, &cell.graph, kind);
-    for step in &cell.steps {
-        cur = match step {
-            BStep::A(spec) => cur.azoom(rt, spec),
-            BStep::W(spec, _) => cur.wzoom(rt, spec),
-        };
-    }
+    let cur = cell.pipeline.execute(
+        rt,
+        AnyGraph::load(rt, &cell.graph, kind),
+        CoalescePolicy::Lazy,
+    );
     let _rows = match &cur {
         AnyGraph::Rg(g) => g.total_vertex_tuples(rt) + g.total_edge_tuples(rt),
         AnyGraph::Ve(g) => g.vertex_tuple_count(rt) + g.edge_tuple_count(rt),
@@ -247,8 +228,7 @@ fn main() -> ExitCode {
     );
     for cell in sweep(args.scale, args.smoke) {
         let features = GraphFeatures::from_tgraph(&cell.graph);
-        let plan: Vec<PlanStep> = cell.steps.iter().map(BStep::plan).collect();
-        let Some(decision) = optimizer.choose(cell.name, &features, &plan) else {
+        let Some(decision) = optimizer.choose(cell.name, &features, &cell.pipeline) else {
             eprintln!("FAIL {}: optimizer produced no decision", cell.name);
             failures += 1;
             continue;
@@ -286,7 +266,7 @@ fn main() -> ExitCode {
         // Adaptive pass: with every candidate observed, the choice must
         // flip to the measured winner regardless of what the model thought.
         let adaptive = optimizer
-            .choose(cell.name, &features, &plan)
+            .choose(cell.name, &features, &cell.pipeline)
             .expect("adaptive decision");
         adaptive_total += time_of(adaptive.chosen);
         let times: Vec<String> = measured

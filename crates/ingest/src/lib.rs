@@ -11,17 +11,20 @@
 //! * [`AnyGraph::append_epoch`](tgraph_repr::AnyGraph::append_epoch) — the
 //!   in-memory O(delta) extension of a resident representation, used by
 //!   [`GraphPool::advance`](tgraph_storage::GraphPool::advance).
-//! * [`patch`] — incremental result maintenance: `plan → suffix → execute →
-//!   stitch`, byte-identical to a cold recompute (the property suite in
-//!   `tests/` pins this across all four representations, steal and spill
-//!   modes).
+//! * [`patch`] — incremental result maintenance over a
+//!   [`tgraph_query::Pipeline`]: `plan → suffix → execute → stitch`,
+//!   byte-identical to a cold recompute. The pipeline says which window
+//!   grids constrain the cut and [`Pipeline::execute`](tgraph_query::Pipeline::execute)
+//!   runs both the cold and the suffix side, so the property suite in
+//!   `tests/` (all four representations, steal and spill modes) checks the
+//!   loop `tgraph-serve` runs.
 
 pub mod delta;
 pub mod patch;
 
 pub use delta::{DeltaError, SnapshotDelta};
 pub use patch::{
-    apply_delta, execute_steps, load_suffix, maintain, plan, stitch, suffix_input, window_specs,
-    MaintenanceOutcome, ZoomStep,
+    apply_delta, maintain, patch_from_storage, stitch, suffix_input, MaintenanceOutcome, NoPatch,
+    Patched,
 };
 pub use tgraph_core::zoom::maintenance::MaintenanceDecision;

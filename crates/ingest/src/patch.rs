@@ -31,57 +31,11 @@ use crate::delta::SnapshotDelta;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::maintenance::{decide, MaintenanceDecision};
-use tgraph_core::zoom::{AZoomSpec, WZoomSpec, WindowSpec};
 use tgraph_dataflow::Runtime;
+use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
 use tgraph_storage::format::{ScanStats, SortOrder, StorageError};
 use tgraph_storage::GraphLoader;
-
-/// One step of a zoom pipeline, as maintenance sees it. Mirrors the serve
-/// layer's request steps; kept here so every consumer (server, benches,
-/// property tests) patches through one code path.
-#[derive(Clone, Debug)]
-pub enum ZoomStep {
-    /// Attribute-based zoom.
-    AZoom(AZoomSpec),
-    /// Window-based zoom.
-    WZoom(WZoomSpec),
-    /// Representation switch.
-    Switch(ReprKind),
-}
-
-/// Executes a pipeline over a graph — the same semantics as the serve
-/// layer's step loop.
-pub fn execute_steps(rt: &Runtime, mut g: AnyGraph, steps: &[ZoomStep]) -> AnyGraph {
-    for step in steps {
-        g = match step {
-            ZoomStep::AZoom(spec) => g.azoom(rt, spec),
-            ZoomStep::WZoom(spec) => g.wzoom(rt, spec),
-            ZoomStep::Switch(kind) => g.switch_to(rt, *kind),
-        };
-    }
-    g
-}
-
-/// The window specs a pipeline applies, in order — the alignment constraints
-/// [`decide`] must respect.
-pub fn window_specs(steps: &[ZoomStep]) -> Vec<WindowSpec> {
-    steps
-        .iter()
-        .filter_map(|s| match s {
-            ZoomStep::WZoom(spec) => Some(spec.window),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Whether a pipeline can be patched after an ingest at `boundary`, given
-/// the *input graph's* post-ingest lifespan. Thin wrapper over
-/// [`tgraph_core::zoom::maintenance::decide`] that extracts the window
-/// constraints from the steps.
-pub fn plan(lifespan: Interval, boundary: Time, steps: &[ZoomStep]) -> MaintenanceDecision {
-    decide(lifespan, boundary, &window_specs(steps))
-}
 
 /// The updated graph restricted to `[cut, ∞)`, with the lifespan **forced**
 /// to start at `cut` even when no fact starts exactly there — window grids
@@ -118,25 +72,6 @@ pub fn suffix_input(full: &TGraph, cut: Time) -> TGraph {
         vertices,
         edges,
     }
-}
-
-/// Reads the suffix `[cut, ∞)` of a dataset from disk: the structurally
-/// sorted base file plus every epoch segment, with the range pushed into
-/// each file's chunk statistics — chunks wholly before the cut are skipped,
-/// which is what keeps the patch path O(delta + live-at-cut) instead of
-/// O(history). `read_tgc` clips intervals to the range, so the returned
-/// lifespan already starts at the cut.
-pub fn load_suffix(loader: &GraphLoader, cut: Time) -> Result<(TGraph, ScanStats), StorageError> {
-    let (mut g, stats) =
-        loader.load_flat(SortOrder::Structural, Some(Interval::new(cut, Time::MAX)))?;
-    // An empty suffix scan yields an empty lifespan; force the anchor so
-    // window grids stay aligned regardless.
-    if g.lifespan.is_empty() {
-        g.lifespan = Interval::point(cut);
-    } else {
-        g.lifespan = Interval::new(cut, g.lifespan.end);
-    }
-    Ok((g, stats))
 }
 
 /// Stitches a cached result with the suffix recompute: cached states
@@ -201,29 +136,98 @@ pub enum MaintenanceOutcome {
 ///
 /// This is the reference implementation the property suite checks against a
 /// cold recompute; the serve layer runs the same `plan → suffix → execute →
-/// stitch` sequence with the suffix read from disk ([`load_suffix`]).
+/// stitch` sequence with the suffix read from disk ([`patch_from_storage`]).
 pub fn maintain(
     rt: &Runtime,
     full: &TGraph,
     repr: ReprKind,
-    steps: &[ZoomStep],
+    pipeline: &Pipeline,
     cached: &TGraph,
     boundary: Time,
 ) -> (TGraph, MaintenanceOutcome) {
-    match plan(full.lifespan, boundary, steps) {
+    match decide(full.lifespan, boundary, &pipeline.window_grids()) {
         MaintenanceDecision::Patch { cut } => {
-            let suffix = suffix_input(full, cut);
-            let out = execute_steps(rt, AnyGraph::load(rt, &suffix, repr), steps).to_tgraph(rt);
+            let suffix = AnyGraph::load(rt, &suffix_input(full, cut), repr);
+            let out = pipeline.collect(rt, suffix);
             (
                 stitch(cached, &out, cut),
                 MaintenanceOutcome::Patched { cut },
             )
         }
-        MaintenanceDecision::Recompute { reason } => {
-            let out = execute_steps(rt, AnyGraph::load(rt, full, repr), steps).to_tgraph(rt);
-            (out, MaintenanceOutcome::Recomputed { reason })
+        MaintenanceDecision::Recompute { reason } => (
+            pipeline.collect(rt, AnyGraph::load(rt, full, repr)),
+            MaintenanceOutcome::Recomputed { reason },
+        ),
+    }
+}
+
+/// A result [`patch_from_storage`] brought up to date.
+#[derive(Clone, Debug)]
+pub struct Patched {
+    /// The stitched result, byte-identical to a cold recompute.
+    pub result: TGraph,
+    /// The stitch point.
+    pub cut: Time,
+    /// What the suffix read decoded and skipped.
+    pub scan: ScanStats,
+}
+
+/// Why [`patch_from_storage`] produced no patch; the caller runs cold.
+#[derive(Debug)]
+pub enum NoPatch {
+    /// The planner ruled the pipeline out.
+    Recompute {
+        /// Why patching was not applicable.
+        reason: &'static str,
+    },
+    /// The suffix could not be read.
+    Storage(StorageError),
+}
+
+impl std::fmt::Display for NoPatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NoPatch::Recompute { reason } => write!(f, "planner refused to patch: {reason}"),
+            NoPatch::Storage(e) => write!(f, "suffix load: {e}"),
         }
     }
+}
+
+/// Maintenance against a stored dataset, the whole `plan → suffix → execute
+/// → stitch` sequence: `cached` is the pipeline's result as of `boundary`
+/// (the lifespan end it was computed at) and `lifespan` the dataset's
+/// lifespan now.
+///
+/// The suffix `[cut, ∞)` is read from the structurally sorted base file plus
+/// every epoch segment, with the range pushed into each file's chunk
+/// statistics — chunks wholly before the cut are skipped, which is what
+/// keeps the patch path O(delta + live-at-cut) instead of O(history).
+/// `read_tgc` clips intervals to the range; the suffix lifespan is forced to
+/// `[cut, lifespan.end)` (an empty scan included) because window grids and
+/// the stitch both key off the full dataset lifespan.
+pub fn patch_from_storage(
+    rt: &Runtime,
+    loader: &GraphLoader,
+    lifespan: Interval,
+    repr: ReprKind,
+    pipeline: &Pipeline,
+    cached: &TGraph,
+    boundary: Time,
+) -> Result<Patched, NoPatch> {
+    let cut = match decide(lifespan, boundary, &pipeline.window_grids()) {
+        MaintenanceDecision::Patch { cut } => cut,
+        MaintenanceDecision::Recompute { reason } => return Err(NoPatch::Recompute { reason }),
+    };
+    let (mut suffix, scan) = loader
+        .load_flat(SortOrder::Structural, Some(Interval::new(cut, Time::MAX)))
+        .map_err(NoPatch::Storage)?;
+    suffix.lifespan = Interval::new(cut, lifespan.end);
+    let out = pipeline.collect(rt, AnyGraph::load(rt, &suffix, repr));
+    Ok(Patched {
+        result: stitch(cached, &out, cut),
+        cut,
+        scan,
+    })
 }
 
 /// Applies a validated delta to a logical graph — the "what the dataset

@@ -16,9 +16,8 @@ use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::{AZoomSpec, AggSpec, Quantifier, ResolveFn, WZoomSpec};
 use tgraph_dataflow::Runtime;
-use tgraph_ingest::{
-    apply_delta, execute_steps, maintain, MaintenanceOutcome, SnapshotDelta, ZoomStep,
-};
+use tgraph_ingest::{apply_delta, maintain, MaintenanceOutcome, SnapshotDelta};
+use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
 
 const SCHOOLS: [&str; 3] = ["MIT", "CMU", "ETH"];
@@ -147,33 +146,28 @@ fn arb_case() -> impl Strategy<Value = (TGraph, SnapshotDelta)> {
     })
 }
 
-fn pipelines() -> Vec<(&'static str, Vec<ZoomStep>)> {
-    let azoom = || {
-        ZoomStep::AZoom(AZoomSpec::by_property(
-            "school",
-            "school",
-            vec![AggSpec::count("students")],
-        ))
-    };
-    let wzoom =
-        |n: u64| ZoomStep::WZoom(WZoomSpec::points(n, Quantifier::Exists, Quantifier::Exists));
+fn pipelines() -> Vec<(&'static str, Pipeline)> {
+    let azoom = || AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]);
+    let wzoom = |n: u64| WZoomSpec::points(n, Quantifier::Exists, Quantifier::Exists);
     let wzoom_most = |n: u64| {
-        ZoomStep::WZoom(
-            WZoomSpec::points(n, Quantifier::Most, Quantifier::Exists)
-                .with_resolve(ResolveFn::Last, ResolveFn::First),
-        )
+        WZoomSpec::points(n, Quantifier::Most, Quantifier::Exists)
+            .with_resolve(ResolveFn::Last, ResolveFn::First)
     };
+    let p = Pipeline::new;
     vec![
-        ("w2", vec![wzoom(2)]),
-        ("w3-most", vec![wzoom_most(3)]),
-        ("a", vec![azoom()]),
-        ("a-w2", vec![azoom(), wzoom(2)]),
-        ("w2-w3", vec![wzoom(2), wzoom_most(3)]),
-        (
-            "w2-switch-og",
-            vec![wzoom(2), ZoomStep::Switch(ReprKind::Og)],
-        ),
+        ("w2", p().wzoom(wzoom(2))),
+        ("w3-most", p().wzoom(wzoom_most(3))),
+        ("a", p().azoom(azoom())),
+        ("a-w2", p().azoom(azoom()).wzoom(wzoom(2))),
+        ("w2-w3", p().wzoom(wzoom(2)).wzoom(wzoom_most(3))),
+        ("w2-switch-og", p().wzoom(wzoom(2)).switch_to(ReprKind::Og)),
     ]
+}
+
+/// A cold run through `Pipeline::execute`, the loop `tgraph-serve` answers a
+/// miss with.
+fn run_cold(rt: &Runtime, g: &TGraph, repr: ReprKind, pipeline: &Pipeline) -> TGraph {
+    pipeline.collect(rt, AnyGraph::load(rt, g, repr))
 }
 
 /// Record-set form of a result: what the canonical serialization hashes.
@@ -189,12 +183,12 @@ fn check_patch_matches_cold(rt: &Runtime, base: &TGraph, delta: &SnapshotDelta) 
     for (name, steps) in pipelines() {
         for repr in ReprKind::all() {
             // aZoom is undefined for the topology-only OGC representation.
-            if repr == ReprKind::Ogc && steps.iter().any(|s| matches!(s, ZoomStep::AZoom(_))) {
+            if steps.first_unsupported(repr).is_some() {
                 continue;
             }
-            let cached = execute_steps(rt, AnyGraph::load(rt, base, repr), &steps).to_tgraph(rt);
+            let cached = run_cold(rt, base, repr, &steps);
             let (patched, _outcome) = maintain(rt, &full, repr, &steps, &cached, delta.since);
-            let cold = execute_steps(rt, AnyGraph::load(rt, &full, repr), &steps).to_tgraph(rt);
+            let cold = run_cold(rt, &full, repr, &steps);
             assert_eq!(
                 canonical(patched),
                 canonical(cold),
@@ -282,20 +276,16 @@ fn patch_path_is_taken_and_identical() {
     };
     delta.validate().unwrap();
     let full = apply_delta(&base, &delta);
-    let steps = vec![ZoomStep::WZoom(WZoomSpec::points(
-        2,
-        Quantifier::Exists,
-        Quantifier::Exists,
-    ))];
+    let steps = Pipeline::new().wzoom(WZoomSpec::points(2, Quantifier::Exists, Quantifier::Exists));
     for repr in ReprKind::all() {
-        let cached = execute_steps(&rt, AnyGraph::load(&rt, &base, repr), &steps).to_tgraph(&rt);
+        let cached = run_cold(&rt, &base, repr, &steps);
         let (patched, outcome) = maintain(&rt, &full, repr, &steps, &cached, delta.since);
         assert_eq!(
             outcome,
             MaintenanceOutcome::Patched { cut: 8 },
             "{repr}: aligned boundary must patch"
         );
-        let cold = execute_steps(&rt, AnyGraph::load(&rt, &full, repr), &steps).to_tgraph(&rt);
+        let cold = run_cold(&rt, &full, repr, &steps);
         assert_eq!(canonical(patched), canonical(cold), "{repr}");
     }
 }
@@ -310,13 +300,8 @@ fn empty_delta_patches_to_the_same_result() {
     let delta = SnapshotDelta::empty(6);
     let full = apply_delta(&base, &delta);
     assert_eq!(full.lifespan, base.lifespan);
-    let steps = vec![ZoomStep::WZoom(WZoomSpec::points(
-        3,
-        Quantifier::Exists,
-        Quantifier::Exists,
-    ))];
-    let cached =
-        execute_steps(&rt, AnyGraph::load(&rt, &base, ReprKind::Ve), &steps).to_tgraph(&rt);
+    let steps = Pipeline::new().wzoom(WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists));
+    let cached = run_cold(&rt, &base, ReprKind::Ve, &steps);
     let (patched, _) = maintain(&rt, &full, ReprKind::Ve, &steps, &cached, delta.since);
     assert_eq!(canonical(patched), canonical(cached.clone()));
 }
@@ -334,7 +319,7 @@ fn changes_windows_recompute() {
     let full = apply_delta(&base, &delta);
     // Changes-based windows depend on the global change-point list; they are
     // never patched.
-    let steps = vec![ZoomStep::WZoom(WZoomSpec {
+    let steps = Pipeline::new().wzoom(WZoomSpec {
         window: WindowSpec::Changes(2),
         vertex_quantifier: Quantifier::Exists,
         edge_quantifier: Quantifier::Exists,
@@ -342,11 +327,10 @@ fn changes_windows_recompute() {
         edge_resolve: ResolveFn::Any,
         vertex_overrides: Vec::new(),
         edge_overrides: Vec::new(),
-    })];
-    let cached =
-        execute_steps(&rt, AnyGraph::load(&rt, &base, ReprKind::Ve), &steps).to_tgraph(&rt);
+    });
+    let cached = run_cold(&rt, &base, ReprKind::Ve, &steps);
     let (patched, outcome) = maintain(&rt, &full, ReprKind::Ve, &steps, &cached, delta.since);
     assert!(matches!(outcome, MaintenanceOutcome::Recomputed { .. }));
-    let cold = execute_steps(&rt, AnyGraph::load(&rt, &full, ReprKind::Ve), &steps).to_tgraph(&rt);
+    let cold = run_cold(&rt, &full, ReprKind::Ve, &steps);
     assert_eq!(canonical(patched), canonical(cold));
 }

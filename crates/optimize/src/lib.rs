@@ -1,6 +1,7 @@
 //! # tgraph-optimize
 //!
-//! Cost-based representation & plan optimizer. Given a zoom pipeline and a
+//! Cost-based representation & plan optimizer. Given a zoom pipeline (a
+//! [`tgraph_query::Pipeline`], the same value the server executes) and a
 //! graph's storage statistics, predicts abstract work for each physical
 //! representation (RG / VE / OG / OGC) and picks the cheapest valid one —
 //! the piece that turns four hand-picked engines into one system.
@@ -34,7 +35,9 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
+use tgraph_core::zoom::WindowSpec;
 use tgraph_dataflow::lock_unpoisoned;
+use tgraph_query::{Pipeline, Step};
 use tgraph_repr::ReprKind;
 use tgraph_storage::{ChunkStats, TgcStats};
 
@@ -71,23 +74,6 @@ const WZOOM_REDUCE: f64 = 0.5;
 /// Fraction of rows OG moves during an aZoom shuffle (group exchange only;
 /// the history arrays themselves stay put).
 const OG_SHUFFLE_FRACTION: f64 = 0.25;
-
-/// A zoom pipeline step as the optimizer sees it — just the cost-relevant
-/// shape, not the full aggregation spec (figure 12: group-by cardinality
-/// does not move the needle, so the model ignores it).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PlanStep {
-    /// Attribute zoom: group entities, aggregate, rebuild a smaller graph.
-    AZoom,
-    /// Window zoom with an explicit window length in time units.
-    WZoom {
-        /// Window length in time units (0 = change-driven windows, costed
-        /// at the evolution rate).
-        window: u64,
-    },
-    /// Explicit representation switch requested by the pipeline.
-    Switch(ReprKind),
-}
 
 /// Free cardinality/evolution features of a stored graph, extracted from
 /// header-only `.tgc` chunk statistics or from an in-memory [`TGraph`].
@@ -189,38 +175,41 @@ fn chunk_avg_span<'a>(chunks: impl Iterator<Item = &'a ChunkStats>, lifespan: u6
     }
 }
 
-/// Predicted abstract work for running `steps` starting in `first`, or
+/// Predicted abstract work for running `pipeline` starting in `first`, or
 /// `None` when the pipeline is invalid in that representation (an aZoom
 /// reached while the current representation is OGC, which stores topology
 /// only). Representation switches inside the pipeline are honored.
-pub fn predicted_work(f: &GraphFeatures, steps: &[PlanStep], first: ReprKind) -> Option<f64> {
-    let mut repr = first;
+///
+/// Only the plan *shape* is costed: aggregate functions, quantifiers and
+/// resolve policies touch every surviving row regardless of representation
+/// (figure 12: group-by cardinality does not move the needle). The one spec
+/// field read is the `wZoom^T` window length.
+pub fn predicted_work(f: &GraphFeatures, pipeline: &Pipeline, first: ReprKind) -> Option<f64> {
+    if pipeline.first_unsupported(first).is_some() {
+        return None;
+    }
     let mut rows = (f.rows() as f64).max(1.0);
     let churn = f.churn();
     // An empty pipeline is a pure load-and-serialize; cost it as one
     // baseline pass so representations still differentiate by row count.
     let mut work = rows * 0.1;
-    for step in steps {
-        match *step {
-            PlanStep::AZoom => {
-                if !repr.supports_azoom() {
-                    return None;
-                }
+    for (repr, step) in pipeline.steps_with_repr(first) {
+        match step {
+            Step::AZoom(_) => {
                 work += rows
                     * match repr {
                         ReprKind::Rg => RG_PER_SNAPSHOT * f.snapshots as f64,
                         ReprKind::Ve => TUPLE_BASE + VE_SHUFFLE_CHURN * churn,
                         ReprKind::Og => TUPLE_BASE + OG_LOCAL_CHURN * churn,
-                        ReprKind::Ogc => return None,
+                        ReprKind::Ogc => unreachable!("checked by first_unsupported"),
                     };
                 rows = (rows * AZOOM_REDUCE).max(1.0);
             }
-            PlanStep::WZoom { window } => {
-                // Change-driven windows advance at the evolution rate.
-                let window = if window == 0 {
-                    f.avg_span.max(1.0)
-                } else {
-                    window as f64
+            Step::WZoom(spec) => {
+                let window = match spec.window {
+                    WindowSpec::Points(n) => n as f64,
+                    // Change-driven windows advance at the evolution rate.
+                    WindowSpec::Changes(_) => f.avg_span.max(1.0),
                 };
                 work += rows
                     * match repr {
@@ -231,10 +220,9 @@ pub fn predicted_work(f: &GraphFeatures, steps: &[PlanStep], first: ReprKind) ->
                     };
                 rows = (rows * WZOOM_REDUCE).max(1.0);
             }
-            PlanStep::Switch(to) => {
-                if to != repr {
+            Step::Switch(to) => {
+                if *to != repr {
                     work += rows * SWITCH_PER_ROW;
-                    repr = to;
                 }
             }
         }
@@ -242,17 +230,16 @@ pub fn predicted_work(f: &GraphFeatures, steps: &[PlanStep], first: ReprKind) ->
     Some(work)
 }
 
-/// Predicted bytes crossing the exchange for `steps` starting in `first` —
-/// the shuffle-strategy side of the decision, surfaced in EXPLAIN. VE
+/// Predicted bytes crossing the exchange for `pipeline` starting in `first`
+/// — the shuffle-strategy side of the decision, surfaced in EXPLAIN. VE
 /// shuffles every surviving tuple per aZoom; OG only exchanges group
 /// assignments; RG re-partitions each snapshot's rows; OGC never aZooms.
-pub fn predicted_shuffle_bytes(f: &GraphFeatures, steps: &[PlanStep], first: ReprKind) -> u64 {
-    let mut repr = first;
+pub fn predicted_shuffle_bytes(f: &GraphFeatures, pipeline: &Pipeline, first: ReprKind) -> u64 {
     let mut rows = (f.rows() as f64).max(1.0);
     let mut moved = 0.0f64;
-    for step in steps {
-        match *step {
-            PlanStep::AZoom => {
+    for (repr, step) in pipeline.steps_with_repr(first) {
+        match step {
+            Step::AZoom(_) => {
                 moved += rows
                     * match repr {
                         ReprKind::Rg => 1.0,
@@ -262,13 +249,12 @@ pub fn predicted_shuffle_bytes(f: &GraphFeatures, steps: &[PlanStep], first: Rep
                     };
                 rows = (rows * AZOOM_REDUCE).max(1.0);
             }
-            PlanStep::WZoom { .. } => {
+            Step::WZoom(_) => {
                 rows = (rows * WZOOM_REDUCE).max(1.0);
             }
-            PlanStep::Switch(to) => {
-                if to != repr {
+            Step::Switch(to) => {
+                if *to != repr {
                     moved += rows;
-                    repr = to;
                 }
             }
         }
@@ -394,23 +380,23 @@ impl Optimizer {
         }
     }
 
-    /// Picks the cheapest valid representation for `steps` over a graph
+    /// Picks the cheapest valid representation for `pipeline` over a graph
     /// with features `f`. Candidates with a measured run time on file are
     /// compared by that number; the rest are compared by their prediction,
     /// calibrated by the mean observed-per-predicted ratio so µs and work
     /// units live on one scale. Returns `None` only if no representation
     /// can run the pipeline.
-    pub fn choose(&self, shape: &str, f: &GraphFeatures, steps: &[PlanStep]) -> Option<Decision> {
+    pub fn choose(&self, shape: &str, f: &GraphFeatures, pipeline: &Pipeline) -> Option<Decision> {
         let table = lock_unpoisoned(&self.observed);
         let mut rows: Vec<CandidateRow> = ReprKind::all()
             .into_iter()
             .filter_map(|repr| {
-                let predicted_work = predicted_work(f, steps, repr)?;
+                let predicted_work = predicted_work(f, pipeline, repr)?;
                 let observed_us = table.get(&(shape.to_string(), repr)).map(|e| e.value);
                 Some(CandidateRow {
                     repr,
                     predicted_work,
-                    predicted_shuffle_bytes: predicted_shuffle_bytes(f, steps, repr),
+                    predicted_shuffle_bytes: predicted_shuffle_bytes(f, pipeline, repr),
                     observed_us,
                     effective: 0.0,
                 })
@@ -455,6 +441,11 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::zoom::AZoomSpec;
+
+    fn azoom() -> Pipeline {
+        Pipeline::new().azoom(AZoomSpec::by_property("k", "k", Vec::new()))
+    }
 
     fn features(rows: u64, snapshots: u64, lifespan: u64, avg_span: f64) -> GraphFeatures {
         GraphFeatures {
@@ -469,8 +460,10 @@ mod tests {
     #[test]
     fn azoom_on_ogc_is_invalid_without_a_preceding_switch() {
         let f = features(1000, 60, 60, 30.0);
-        assert!(predicted_work(&f, &[PlanStep::AZoom], ReprKind::Ogc).is_none());
-        let switched = [PlanStep::Switch(ReprKind::Ve), PlanStep::AZoom];
+        assert!(predicted_work(&f, &azoom(), ReprKind::Ogc).is_none());
+        let switched = Pipeline::new()
+            .switch_to(ReprKind::Ve)
+            .azoom(AZoomSpec::by_property("k", "k", Vec::new()));
         assert!(predicted_work(&f, &switched, ReprKind::Ogc).is_some());
     }
 
@@ -486,10 +479,7 @@ mod tests {
     fn observation_wins_over_prediction_for_its_candidate() {
         let f = features(1000, 60, 60, 30.0);
         let opt = Optimizer::new();
-        let cold = opt
-            .choose("s", &f, &[PlanStep::AZoom])
-            .map(|d| d.chosen)
-            .unwrap();
+        let cold = opt.choose("s", &f, &azoom()).map(|d| d.chosen).unwrap();
         // The chosen repr runs (and measures slow); a rival's explicit
         // request measures fast: the next decision must flip to the rival.
         let runner_up = ReprKind::all()
@@ -498,7 +488,7 @@ mod tests {
             .unwrap();
         opt.observe("s", cold, 100_000);
         opt.observe("s", runner_up, 1);
-        let d = opt.choose("s", &f, &[PlanStep::AZoom]).unwrap();
+        let d = opt.choose("s", &f, &azoom()).unwrap();
         assert_eq!(d.chosen, runner_up);
         assert_eq!(d.source, ChoiceSource::Observed);
         assert_eq!(opt.stats().observed_pairs, 2);

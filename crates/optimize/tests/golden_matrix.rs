@@ -8,7 +8,9 @@
 //! are acceptable choices for that cell). The optimizer must land in the
 //! acceptable set; cells with a single clear winner have a singleton set.
 
-use tgraph_optimize::{predicted_work, ChoiceSource, GraphFeatures, Optimizer, PlanStep};
+use tgraph_core::zoom::{AZoomSpec, AggSpec, Quantifier, WZoomSpec};
+use tgraph_optimize::{predicted_work, ChoiceSource, GraphFeatures, Optimizer};
+use tgraph_query::Pipeline;
 use tgraph_repr::ReprKind;
 
 /// One EXPERIMENTS.md matrix cell: a workload shape over dataset features,
@@ -16,12 +18,25 @@ use tgraph_repr::ReprKind;
 struct Cell {
     name: &'static str,
     features: GraphFeatures,
-    steps: Vec<PlanStep>,
+    steps: Pipeline,
     /// Representations whose measured time was within `tolerance` of the
     /// measured winner.
     acceptable: &'static [ReprKind],
     /// The documented tolerance factor that produced `acceptable`.
     tolerance: f64,
+}
+
+/// The aggregation spec is not a cost feature (F12); any one will do.
+fn azoom() -> Pipeline {
+    Pipeline::new().azoom(AZoomSpec::by_property("k", "k", Vec::new()))
+}
+
+fn wspec(window: u64) -> WZoomSpec {
+    WZoomSpec::points(window, Quantifier::Exists, Quantifier::Exists)
+}
+
+fn wzoom(window: u64) -> Pipeline {
+    Pipeline::new().wzoom(wspec(window))
 }
 
 fn features(rows: u64, snapshots: u64, lifespan: u64, avg_span: f64) -> GraphFeatures {
@@ -43,7 +58,7 @@ fn matrix() -> Vec<Cell> {
         Cell {
             name: "F11 aZoom, 2 snapshots (WikiTalk-2)",
             features: features(40_000, 2, 2, 1.0),
-            steps: vec![PlanStep::AZoom],
+            steps: azoom(),
             acceptable: &[ReprKind::Rg],
             tolerance: 1.5,
         },
@@ -53,7 +68,7 @@ fn matrix() -> Vec<Cell> {
         Cell {
             name: "F11 aZoom, 60 snapshots (WikiTalk-60)",
             features: features(40_000, 60, 60, 30.0),
-            steps: vec![PlanStep::AZoom],
+            steps: azoom(),
             acceptable: &[ReprKind::Ve, ReprKind::Og],
             tolerance: 1.25,
         },
@@ -63,7 +78,7 @@ fn matrix() -> Vec<Cell> {
         Cell {
             name: "F13 aZoom, high attribute churn (SNB period-1)",
             features: features(20_000, 60, 60, 2.0),
-            steps: vec![PlanStep::AZoom],
+            steps: azoom(),
             acceptable: &[ReprKind::Og],
             tolerance: 2.0,
         },
@@ -72,7 +87,7 @@ fn matrix() -> Vec<Cell> {
         Cell {
             name: "F14 wZoom, 60 snapshots",
             features: features(40_000, 60, 60, 30.0),
-            steps: vec![PlanStep::WZoom { window: 6 }],
+            steps: wzoom(6),
             acceptable: &[ReprKind::Ogc],
             tolerance: 3.0,
         },
@@ -82,7 +97,7 @@ fn matrix() -> Vec<Cell> {
         Cell {
             name: "F15 wZoom, window 2 (SNB growth-only)",
             features: features(20_000, 60, 60, 30.0),
-            steps: vec![PlanStep::WZoom { window: 2 }],
+            steps: wzoom(2),
             acceptable: &[ReprKind::Ogc],
             tolerance: 2.0,
         },
@@ -91,7 +106,7 @@ fn matrix() -> Vec<Cell> {
         Cell {
             name: "F16 aZoom-then-wZoom chain (SNB window-6)",
             features: features(20_000, 60, 60, 30.0),
-            steps: vec![PlanStep::AZoom, PlanStep::WZoom { window: 6 }],
+            steps: azoom().wzoom(wspec(6)),
             acceptable: &[ReprKind::Og],
             tolerance: 1.2,
         },
@@ -123,7 +138,7 @@ fn optimizer_choice_matches_the_measured_winner_on_every_cell() {
 /// before the 60-snapshot endpoint.
 #[test]
 fn rg_work_grows_linearly_with_snapshots_while_tuple_reprs_stay_flat() {
-    let az = [PlanStep::AZoom];
+    let az = azoom();
     let mut last_rg = 0.0;
     for snaps in [2u64, 12, 30, 60] {
         let f = features(40_000, snaps, 60, 30.0);
@@ -148,7 +163,7 @@ fn rg_work_grows_linearly_with_snapshots_while_tuple_reprs_stay_flat() {
 /// OG — the shuffle-vs-local churn asymmetry.
 #[test]
 fn attribute_churn_hits_ve_harder_than_og() {
-    let az = [PlanStep::AZoom];
+    let az = azoom();
     let calm = features(20_000, 60, 60, 30.0);
     let churned = features(20_000, 60, 60, 2.0);
     let ve_blowup = predicted_work(&churned, &az, ReprKind::Ve).unwrap()
@@ -166,18 +181,18 @@ fn attribute_churn_hits_ve_harder_than_og() {
 #[test]
 fn ve_small_window_penalty_fades_with_larger_windows() {
     let f = features(20_000, 60, 60, 30.0);
-    let small = predicted_work(&f, &[PlanStep::WZoom { window: 2 }], ReprKind::Ve).unwrap();
-    let large = predicted_work(&f, &[PlanStep::WZoom { window: 24 }], ReprKind::Ve).unwrap();
+    let small = predicted_work(&f, &wzoom(2), ReprKind::Ve).unwrap();
+    let large = predicted_work(&f, &wzoom(24), ReprKind::Ve).unwrap();
     assert!(small / large > 3.0, "SNB measured a 3.8x spread");
     for repr in [ReprKind::Og, ReprKind::Ogc] {
         assert_eq!(
-            predicted_work(&f, &[PlanStep::WZoom { window: 2 }], repr).unwrap(),
-            predicted_work(&f, &[PlanStep::WZoom { window: 24 }], repr).unwrap(),
+            predicted_work(&f, &wzoom(2), repr).unwrap(),
+            predicted_work(&f, &wzoom(24), repr).unwrap(),
             "{repr:?} must be window-insensitive"
         );
     }
     // VE at window 2 must also lose to OG outright (the measured SNB gap).
-    assert!(small > predicted_work(&f, &[PlanStep::WZoom { window: 2 }], ReprKind::Og).unwrap());
+    assert!(small > predicted_work(&f, &wzoom(2), ReprKind::Og).unwrap());
 }
 
 /// F16's headline: pure OG beats both switching plans — the conversion is
@@ -185,29 +200,16 @@ fn ve_small_window_penalty_fades_with_larger_windows() {
 #[test]
 fn pure_og_beats_switching_chains() {
     let f = features(20_000, 60, 60, 30.0);
-    let pure = predicted_work(
-        &f,
-        &[PlanStep::AZoom, PlanStep::WZoom { window: 6 }],
-        ReprKind::Og,
-    )
-    .unwrap();
+    let pure = predicted_work(&f, &azoom().wzoom(wspec(6)), ReprKind::Og).unwrap();
     let og_ve = predicted_work(
         &f,
-        &[
-            PlanStep::AZoom,
-            PlanStep::Switch(ReprKind::Ve),
-            PlanStep::WZoom { window: 6 },
-        ],
+        &azoom().switch_to(ReprKind::Ve).wzoom(wspec(6)),
         ReprKind::Og,
     )
     .unwrap();
     let ve_og = predicted_work(
         &f,
-        &[
-            PlanStep::AZoom,
-            PlanStep::Switch(ReprKind::Og),
-            PlanStep::WZoom { window: 6 },
-        ],
+        &azoom().switch_to(ReprKind::Og).wzoom(wspec(6)),
         ReprKind::Ve,
     )
     .unwrap();
@@ -221,8 +223,13 @@ fn pure_og_beats_switching_chains() {
 fn group_by_cardinality_is_not_a_feature() {
     let f = features(40_000, 60, 60, 30.0);
     // Identical features => identical predictions, whatever the agg spec.
-    let a = predicted_work(&f, &[PlanStep::AZoom], ReprKind::Ve).unwrap();
-    let b = predicted_work(&f, &[PlanStep::AZoom], ReprKind::Ve).unwrap();
+    let counted = Pipeline::new().azoom(AZoomSpec::by_property(
+        "school",
+        "school",
+        vec![AggSpec::count("students")],
+    ));
+    let a = predicted_work(&f, &azoom(), ReprKind::Ve).unwrap();
+    let b = predicted_work(&f, &counted, ReprKind::Ve).unwrap();
     assert_eq!(a, b);
 }
 
@@ -276,11 +283,7 @@ fn features_from_tgc_stats_match_the_stored_graph() {
     assert!(from_stats.avg_span >= 1.0);
     // Both feature vectors drive the same choice on the same pipeline.
     let opt = Optimizer::new();
-    let a = opt
-        .choose("k1", &from_stats, &[PlanStep::AZoom])
-        .expect("choice");
-    let b = opt
-        .choose("k2", &exact, &[PlanStep::AZoom])
-        .expect("choice");
+    let a = opt.choose("k1", &from_stats, &azoom()).expect("choice");
+    let b = opt.choose("k2", &exact, &azoom()).expect("choice");
     assert_eq!(a.chosen, b.chosen);
 }

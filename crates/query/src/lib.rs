@@ -31,5 +31,5 @@
 pub mod pipeline;
 pub mod session;
 
-pub use pipeline::{coalesce_any, CoalescePolicy, Op, Pipeline};
+pub use pipeline::{coalesce_any, CoalescePolicy, Pipeline, Step};
 pub use session::Session;

@@ -2,21 +2,22 @@
 //! §4, for users who want to zoom interactively rather than build explicit
 //! [`Pipeline`] values.
 
-use crate::pipeline::{coalesce_any, CoalescePolicy, Op, Pipeline};
+use crate::pipeline::{coalesce_any, CoalescePolicy, Pipeline, Step};
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::maintenance::{decide, MaintenanceDecision};
-use tgraph_core::zoom::{AZoomSpec, WZoomSpec, WindowSpec};
+use tgraph_core::zoom::{AZoomSpec, WZoomSpec};
 use tgraph_core::TGraph;
 use tgraph_dataflow::Runtime;
 use tgraph_repr::{AnyGraph, ReprKind};
 
 /// A live query session holding a graph in some physical representation and
-/// applying operators eagerly while honoring the lazy-coalescing rule.
+/// applying operators eagerly, one [`Step::apply`] at a time, while honoring
+/// the lazy-coalescing rule.
 pub struct Session<'rt> {
     rt: &'rt Runtime,
     graph: AnyGraph,
     policy: CoalescePolicy,
-    trace: Vec<Op>,
+    trace: Pipeline,
     /// Lifespan of the *input* graph, captured at load — the anchor and
     /// boundary the maintenance planner reasons about.
     input_lifespan: Interval,
@@ -29,7 +30,7 @@ impl<'rt> Session<'rt> {
             rt,
             graph: AnyGraph::load(rt, g, kind),
             policy: CoalescePolicy::Lazy,
-            trace: Vec::new(),
+            trace: Pipeline::new(),
             input_lifespan: g.lifespan,
         }
     }
@@ -41,7 +42,7 @@ impl<'rt> Session<'rt> {
             rt,
             graph,
             policy: CoalescePolicy::Lazy,
-            trace: Vec::new(),
+            trace: Pipeline::new(),
             input_lifespan,
         }
     }
@@ -52,32 +53,25 @@ impl<'rt> Session<'rt> {
         self
     }
 
-    /// Applies attribute-based zoom.
-    pub fn azoom(mut self, spec: &AZoomSpec) -> Self {
-        self.trace.push(Op::AZoom(spec.clone()));
-        self.graph = self.graph.azoom(self.rt, spec);
-        if self.policy == CoalescePolicy::Eager {
-            self.graph = coalesce_any(self.rt, self.graph);
-        }
+    fn step(mut self, step: Step) -> Self {
+        self.graph = step.apply(self.rt, self.graph, self.policy);
+        self.trace.push(step);
         self
+    }
+
+    /// Applies attribute-based zoom.
+    pub fn azoom(self, spec: &AZoomSpec) -> Self {
+        self.step(Step::AZoom(spec.clone()))
     }
 
     /// Applies window-based zoom (coalescing first, as correctness requires).
-    pub fn wzoom(mut self, spec: &WZoomSpec) -> Self {
-        self.trace.push(Op::WZoom(spec.clone()));
-        self.graph = coalesce_any(self.rt, self.graph);
-        self.graph = self.graph.wzoom(self.rt, spec);
-        if self.policy == CoalescePolicy::Eager {
-            self.graph = coalesce_any(self.rt, self.graph);
-        }
-        self
+    pub fn wzoom(self, spec: &WZoomSpec) -> Self {
+        self.step(Step::WZoom(spec.clone()))
     }
 
     /// Switches the physical representation.
-    pub fn switch_to(mut self, kind: ReprKind) -> Self {
-        self.trace.push(Op::Switch(kind));
-        self.graph = self.graph.switch_to(self.rt, kind);
-        self
+    pub fn switch_to(self, kind: ReprKind) -> Self {
+        self.step(Step::Switch(kind))
     }
 
     /// Current representation.
@@ -85,8 +79,8 @@ impl<'rt> Session<'rt> {
         self.graph.kind()
     }
 
-    /// The operators applied so far (for plan display / debugging).
-    pub fn trace(&self) -> &[Op] {
+    /// The operators applied so far, replayable as a [`Pipeline`].
+    pub fn trace(&self) -> &Pipeline {
         &self.trace
     }
 
@@ -106,21 +100,13 @@ impl<'rt> Session<'rt> {
     /// date after an ingest at `boundary` (every new fact at or after it):
     /// patched from the suffix, or recomputed cold, and why.
     pub fn maintenance_plan(&self, boundary: Time) -> MaintenanceDecision {
-        let windows: Vec<WindowSpec> = self
-            .trace
-            .iter()
-            .filter_map(|op| match op {
-                Op::WZoom(s) => Some(s.window),
-                _ => None,
-            })
-            .collect();
         // The post-ingest lifespan extends at least to the boundary; the
         // anchor (start) never moves under the append invariant.
         let lifespan = Interval::new(
             self.input_lifespan.start,
             self.input_lifespan.end.max(boundary),
         );
-        decide(lifespan, boundary, &windows)
+        decide(lifespan, boundary, &self.trace.window_grids())
     }
 
     /// EXPLAIN rendering of the plan DAGs backing the current graph, one
@@ -169,20 +155,6 @@ impl<'rt> Session<'rt> {
             })
             .collect()
     }
-
-    /// Replays the recorded trace as a reusable [`Pipeline`].
-    pub fn to_pipeline(&self) -> Pipeline {
-        let mut p = Pipeline::new();
-        for op in &self.trace {
-            p = match op {
-                Op::AZoom(s) => p.azoom(s.clone()),
-                Op::WZoom(s) => p.wzoom(s.clone()),
-                Op::Switch(k) => p.switch_to(*k),
-                Op::Coalesce => p.coalesce(),
-            };
-        }
-        p
-    }
 }
 
 #[cfg(test)]
@@ -221,9 +193,8 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let aspec = AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]);
         let session = Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec);
-        assert_eq!(session.trace().len(), 1);
-        let pipeline = session.to_pipeline();
-        assert_eq!(pipeline.ops().len(), 1);
+        let pipeline = session.trace().clone();
+        assert_eq!(pipeline.steps().len(), 1);
         let replayed = pipeline
             .execute(
                 &rt,

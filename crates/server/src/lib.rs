@@ -50,7 +50,7 @@ pub use admission::{Admission, AdmissionStats, AdmitError, Permit};
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use json::Json;
 pub use metrics::{Histogram, ServerMetrics};
-pub use protocol::{parse_request, BadRequest, Request, Step, ZoomRequest};
+pub use protocol::{parse_request, BadRequest, Request, ZoomRequest};
 pub use server::{serialize_tgraph, Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
 
 #[doc(no_inline)]

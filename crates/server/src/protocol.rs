@@ -1,5 +1,7 @@
 //! The serving protocol: newline-delimited JSON requests and the mapping
-//! from wire shape to `tgraph-query` pipeline steps.
+//! from wire shape to a [`tgraph_query::Pipeline`] — the value the server
+//! executes, the optimizer costs and the maintenance planner reads; there is
+//! no protocol-side step type.
 //!
 //! One request per line; one JSON response per line. Request kinds:
 //!
@@ -31,6 +33,7 @@ use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::{AZoomSpec, AggFn, AggSpec, Skolem};
 use tgraph_core::zoom::wzoom::{Quantifier, ResolveFn, WZoomSpec, WindowSpec};
+use tgraph_query::{Pipeline, Step};
 use tgraph_repr::ReprKind;
 
 /// A parsed request line.
@@ -84,17 +87,6 @@ pub enum Request {
     },
 }
 
-/// One pipeline step of a zoom query.
-#[derive(Clone, Debug)]
-pub enum Step {
-    /// Attribute-based zoom.
-    AZoom(AZoomSpec),
-    /// Window-based zoom.
-    WZoom(WZoomSpec),
-    /// Representation switch.
-    Switch(ReprKind),
-}
-
 /// A fully validated zoom query.
 #[derive(Clone, Debug)]
 pub struct ZoomRequest {
@@ -108,8 +100,8 @@ pub struct ZoomRequest {
     pub auto_repr: bool,
     /// Optional date-range filter pushed into the load.
     pub range: Option<Interval>,
-    /// Pipeline steps, applied in order.
-    pub steps: Vec<Step>,
+    /// The zoom chain, applied in order.
+    pub pipeline: Pipeline,
     /// Per-request deadline in milliseconds (admission wait + execution).
     pub deadline_ms: Option<u64>,
     /// Bypass the result cache (for load-test cold runs).
@@ -564,15 +556,15 @@ fn parse_zoom_request(v: &Json) -> Result<ZoomRequest, BadRequest> {
             Some(Interval::new(start, end))
         }
     };
-    let steps = match v.get("steps") {
-        None => Vec::new(),
-        Some(s) => s
+    let mut pipeline = Pipeline::new();
+    if let Some(steps) = v.get("steps") {
+        for step in steps
             .as_arr()
             .ok_or_else(|| bad("'steps' must be an array"))?
-            .iter()
-            .map(parse_step)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+        {
+            pipeline.push(parse_step(step)?);
+        }
+    }
     let deadline_ms = match v.get("deadline_ms") {
         None | Some(Json::Null) => None,
         Some(d) => Some(
@@ -589,7 +581,7 @@ fn parse_zoom_request(v: &Json) -> Result<ZoomRequest, BadRequest> {
         repr,
         auto_repr,
         range,
-        steps,
+        pipeline,
         deadline_ms,
         no_cache,
         explain,
@@ -599,23 +591,16 @@ fn parse_zoom_request(v: &Json) -> Result<ZoomRequest, BadRequest> {
 }
 
 impl ZoomRequest {
-    /// Static validation that needs no data: tracks the representation
-    /// through switches and rejects `azoom` on OGC (it stores no attributes,
-    /// §3.1) *before* admission, so invalid plans never consume pool slots.
+    /// Static validation that needs no data: rejects an `azoom` that would
+    /// run on OGC (it stores no attributes, §3.1), switches tracked, *before*
+    /// admission, so invalid plans never consume pool slots.
     pub fn validate(&self) -> Result<(), BadRequest> {
-        let mut kind = self.repr;
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
-                Step::Switch(k) => kind = *k,
-                Step::AZoom(_) if !kind.supports_azoom() => {
-                    return Err(bad(format!(
-                        "step {i}: azoom unsupported on {kind} (no attributes stored)"
-                    )));
-                }
-                _ => {}
-            }
+        match self.pipeline.first_unsupported(self.repr) {
+            Some((i, kind)) => Err(bad(format!(
+                "step {i}: azoom unsupported on {kind} (no attributes stored)"
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// A canonical, whitespace-free description of the query — identical for
@@ -626,43 +611,32 @@ impl ZoomRequest {
     /// Deliberately excludes `deadline_ms` and `no_cache`: they affect
     /// scheduling, not the result.
     pub fn canonical(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(s, "graph={};repr={}", self.graph, self.repr);
+        self.describe(Some(self.repr))
+    }
+
+    /// The representation-independent shape of the query: what
+    /// [`ZoomRequest::canonical`] says minus the representation. Observed
+    /// run times are keyed by shape, so an `"auto"` request and an explicit
+    /// request with the identical pipeline feed (and read) the same
+    /// adaptation rows.
+    pub fn shape(&self) -> String {
+        self.describe(None)
+    }
+
+    /// The graph name needs no quoting: [`parse_graph_name`] admits only
+    /// `[A-Za-z0-9_-]`. Everything else a client typed is in the pipeline
+    /// text, which quotes it.
+    fn describe(&self, repr: Option<ReprKind>) -> String {
+        let mut s = format!("graph={}", self.graph);
+        if let Some(repr) = repr {
+            let _ = write!(s, ";repr={repr}");
+        }
         if let Some(r) = self.range {
             let _ = write!(s, ";range=[{},{})", r.start, r.end);
         }
-        for step in &self.steps {
+        if !self.pipeline.steps().is_empty() {
             s.push(';');
-            match step {
-                Step::Switch(k) => {
-                    let _ = write!(s, "switch({k})");
-                }
-                Step::AZoom(a) => {
-                    let _ = write!(s, "azoom(skolem={:?},type={}", a.skolem, a.new_type);
-                    for agg in a.aggs.iter() {
-                        let _ = write!(s, ",{}={:?}", agg.output, agg.f);
-                    }
-                    s.push(')');
-                }
-                Step::WZoom(w) => {
-                    let _ = write!(
-                        s,
-                        "wzoom(window={:?},vq={:?},eq={:?},rv={:?},re={:?}",
-                        w.window,
-                        w.vertex_quantifier,
-                        w.edge_quantifier,
-                        w.vertex_resolve,
-                        w.edge_resolve
-                    );
-                    for (k, f) in &w.vertex_overrides {
-                        let _ = write!(s, ",v.{k}={f:?}");
-                    }
-                    for (k, f) in &w.edge_overrides {
-                        let _ = write!(s, ",e.{k}={f:?}");
-                    }
-                    s.push(')');
-                }
-            }
+            s.push_str(&self.pipeline.canonical());
         }
         s
     }
@@ -692,8 +666,8 @@ mod tests {
         assert_eq!(req.repr, ReprKind::Ve);
         assert_eq!(req.range, Some(Interval::new(0, 24)));
         assert_eq!(req.deadline_ms, Some(500));
-        assert_eq!(req.steps.len(), 3);
-        match &req.steps[2] {
+        assert_eq!(req.pipeline.steps().len(), 3);
+        match &req.pipeline.steps()[2] {
             Step::WZoom(w) => {
                 assert_eq!(w.window, WindowSpec::Points(3));
                 assert_eq!(w.vertex_quantifier, Quantifier::AtLeast(0.5));

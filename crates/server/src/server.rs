@@ -8,7 +8,7 @@ use crate::admission::{Admission, AdmitError};
 use crate::cache::{CacheKey, ResultCache};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{parse_request, IngestRequest, Request, Step, ZoomRequest};
+use crate::protocol::{parse_request, IngestRequest, Request, ZoomRequest};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -19,13 +19,11 @@ use std::time::{Duration, Instant};
 use tgraph_core::graph::TGraph;
 use tgraph_core::props::{Props, Value};
 use tgraph_core::time::{Interval, Time};
-use tgraph_core::zoom::wzoom::WindowSpec;
 use tgraph_dataflow::lock_unpoisoned;
 use tgraph_dataflow::{CancelToken, Runtime, ShardLayout, TcpExchange};
-use tgraph_ingest::{load_suffix, plan, stitch, MaintenanceDecision, SnapshotDelta, ZoomStep};
-use tgraph_optimize::{ChoiceSource, Decision, GraphFeatures, Optimizer, PlanStep};
-use tgraph_query::Session;
-use tgraph_repr::{AnyGraph, ReprKind};
+use tgraph_ingest::{patch_from_storage, SnapshotDelta};
+use tgraph_optimize::{ChoiceSource, Decision, GraphFeatures, Optimizer};
+use tgraph_repr::ReprKind;
 use tgraph_storage::{GraphLoader, GraphPool, SharedGraph, SortOrder};
 
 /// Default cap on a single NDJSON request line (see
@@ -359,7 +357,7 @@ impl Server {
         // Resolve `"repr":"auto"` *before* the pool load and cache probe so
         // an auto request resolved to (say) VE shares pool residents and
         // cache entries with an explicit `"repr":"ve"` request.
-        let shape = shape_key(req);
+        let shape = req.shape();
         let was_auto = req.auto_repr;
         let mut resolved_req;
         let (req, decision) = if req.auto_repr {
@@ -379,7 +377,7 @@ impl Server {
             // without overriding the caller's pinned choice.
             let d = self
                 .graph_features(&req.graph, req.range)
-                .and_then(|f| self.optimizer.choose(&shape, &f, &plan_steps(&req.steps)));
+                .and_then(|f| self.optimizer.choose(&shape, &f, &req.pipeline));
             (req, d)
         } else {
             (req, None)
@@ -398,7 +396,10 @@ impl Server {
                 );
             }
         };
-        let key = cache_key(&shared, req);
+        // The one canonical text of this request: cache key, maintenance
+        // seed key and divergence report all read this string.
+        let canonical = req.canonical();
+        let key = cache_key(&shared, &canonical);
         if !req.no_cache {
             if let Some(bytes) = self.cache.get(&key) {
                 ServerMetrics::bump(&self.metrics.zoom_cache_hits);
@@ -452,7 +453,7 @@ impl Server {
                     self.execute_steps_sharded(&shared, req, line)
                         .map(|(result, replies)| (result, replies, false))
                 } else {
-                    let (result, patched) = self.execute_or_patch(&shared, req);
+                    let (result, patched) = self.execute_or_patch(&shared, req, &canonical);
                     Ok((result, Vec::new(), patched))
                 }
             })
@@ -527,8 +528,7 @@ impl Server {
         let Some(features) = self.graph_features(&req.graph, req.range) else {
             return (resolved, None);
         };
-        let steps = plan_steps(&req.steps);
-        match self.optimizer.choose(shape, &features, &steps) {
+        match self.optimizer.choose(shape, &features, &req.pipeline) {
             Some(decision) => {
                 resolved.repr = decision.chosen;
                 (resolved, Some(decision))
@@ -1040,23 +1040,12 @@ impl Server {
         .to_string()
     }
 
+    /// The one executor every path shares: cold runs here, suffix re-runs
+    /// inside [`patch_from_storage`], both through `tgraph_query`'s
+    /// `Pipeline::execute` — which is what makes a patched result
+    /// byte-identical to a recompute.
     fn execute_steps(&self, shared: &SharedGraph, req: &ZoomRequest) -> TGraph {
-        self.run_pipeline((*shared.graph).clone(), req)
-    }
-
-    /// The one executor every path shares — cold runs and suffix re-runs go
-    /// through the identical `Session` step loop, which is what makes the
-    /// patched result byte-identical to a recompute.
-    fn run_pipeline(&self, graph: AnyGraph, req: &ZoomRequest) -> TGraph {
-        let mut session = Session::from_graph(&self.rt, graph);
-        for step in &req.steps {
-            session = match step {
-                Step::AZoom(spec) => session.azoom(spec),
-                Step::WZoom(spec) => session.wzoom(spec),
-                Step::Switch(kind) => session.switch_to(*kind),
-            };
-        }
-        session.collect()
+        req.pipeline.collect(&self.rt, (*shared.graph).clone())
     }
 
     /// Unsharded execution with incremental maintenance: when a prior result
@@ -1065,13 +1054,18 @@ impl Server {
     /// suffix `[cut, ∞)` only and stitch — O(delta + live-at-cut) instead of
     /// O(history). Falls back to a cold run otherwise, and records the fresh
     /// result as the seed for the next ingest. Returns `(result, patched)`.
-    fn execute_or_patch(&self, shared: &SharedGraph, req: &ZoomRequest) -> (TGraph, bool) {
+    fn execute_or_patch(
+        &self,
+        shared: &SharedGraph,
+        req: &ZoomRequest,
+        canonical: &str,
+    ) -> (TGraph, bool) {
         // Range-restricted residents are not full history (the stitch
         // invariant needs all of it) and `no_cache` requests promise cold
         // semantics, so both bypass maintenance entirely.
         let eligible = req.range.is_none() && !req.no_cache;
         let attempt = if eligible {
-            self.try_patch(shared, req)
+            self.try_patch(shared, req, canonical)
         } else {
             None
         };
@@ -1079,8 +1073,7 @@ impl Server {
         let result = attempt.unwrap_or_else(|| self.execute_steps(shared, req));
         if eligible {
             let mut patches = lock_unpoisoned(&self.patches);
-            let canonical = req.canonical();
-            if patches.len() >= PATCH_STORE_CAP && !patches.contains_key(&canonical) {
+            if patches.len() >= PATCH_STORE_CAP && !patches.contains_key(canonical) {
                 // Bounded store: drop an arbitrary seed; the evicted query
                 // simply recomputes cold after its next ingest.
                 if let Some(victim) = patches.keys().next().cloned() {
@@ -1088,7 +1081,7 @@ impl Server {
                 }
             }
             patches.insert(
-                canonical,
+                canonical.to_string(),
                 PatchEntry {
                     epoch: shared.epoch,
                     boundary: shared.graph.lifespan().end,
@@ -1103,42 +1096,42 @@ impl Server {
     /// recompute / suffix unreadable" — the caller runs cold. In checked
     /// mode (`TGRAPH_CHECKED=1`) the patched bytes are verified against a
     /// full cold recompute and any divergence fails the query loudly.
-    fn try_patch(&self, shared: &SharedGraph, req: &ZoomRequest) -> Option<TGraph> {
-        let entry = lock_unpoisoned(&self.patches)
-            .get(&req.canonical())
-            .cloned()?;
+    fn try_patch(
+        &self,
+        shared: &SharedGraph,
+        req: &ZoomRequest,
+        canonical: &str,
+    ) -> Option<TGraph> {
+        let entry = lock_unpoisoned(&self.patches).get(canonical).cloned()?;
         // Same epoch: the cached seed is already current (the result cache
         // answered or will answer); newer epoch on the seed cannot happen
         // under the single-writer ingest lock, but guard anyway.
         if entry.epoch >= shared.epoch {
             return None;
         }
-        let steps = ingest_steps(&req.steps);
-        let cut = match plan(shared.graph.lifespan(), entry.boundary, &steps) {
-            MaintenanceDecision::Patch { cut } => cut,
-            MaintenanceDecision::Recompute { .. } => return None,
-        };
-        let loader = GraphLoader::new(&self.config.data_dir, &req.graph);
-        let (mut suffix, _scan) = load_suffix(&loader, cut).ok()?;
-        // Anchor the suffix lifespan to the resident's end: window grids and
-        // the stitch both key off the full dataset lifespan.
-        suffix.lifespan = Interval::new(cut, shared.graph.lifespan().end);
-        let out = self.run_pipeline(AnyGraph::load(&self.rt, &suffix, req.repr), req);
-        let result = stitch(&entry.result, &out, cut);
+        let patched = patch_from_storage(
+            &self.rt,
+            &GraphLoader::new(&self.config.data_dir, &req.graph),
+            shared.graph.lifespan(),
+            req.repr,
+            &req.pipeline,
+            &entry.result,
+            entry.boundary,
+        )
+        .ok()?;
         if self.rt.checked() {
             let cold = self.execute_steps(shared, req);
-            let (patched_bytes, cold_bytes) = (serialize_tgraph(&result), serialize_tgraph(&cold));
             assert_eq!(
-                patched_bytes,
-                cold_bytes,
-                "maintenance divergence: patched result (cut={cut}, seed epoch {}) \
-                 differs from cold recompute at epoch {} for {}",
+                serialize_tgraph(&patched.result),
+                serialize_tgraph(&cold),
+                "maintenance divergence: patched result (cut={}, seed epoch {}) \
+                 differs from cold recompute at epoch {} for {canonical}",
+                patched.cut,
                 entry.epoch,
                 shared.epoch,
-                req.canonical()
             );
         }
-        Some(result)
+        Some(patched.result)
     }
 
     fn stats_response(&self) -> String {
@@ -1239,51 +1232,6 @@ impl Server {
         ])
         .to_string()
     }
-}
-
-/// Protocol steps as the maintenance planner sees them.
-fn ingest_steps(steps: &[Step]) -> Vec<ZoomStep> {
-    steps
-        .iter()
-        .map(|s| match s {
-            Step::AZoom(spec) => ZoomStep::AZoom(spec.clone()),
-            Step::WZoom(spec) => ZoomStep::WZoom(spec.clone()),
-            Step::Switch(kind) => ZoomStep::Switch(*kind),
-        })
-        .collect()
-}
-
-/// Protocol steps as the cost model sees them: only the plan *shape*
-/// matters for costing — aggregate functions, quantifiers, and resolve
-/// policies all touch every surviving row regardless of representation.
-/// Change-driven windows cost as one average-lifespan-wide window
-/// (`window: 0` sentinel, resolved inside the model).
-fn plan_steps(steps: &[Step]) -> Vec<PlanStep> {
-    steps
-        .iter()
-        .map(|s| match s {
-            Step::AZoom(_) => PlanStep::AZoom,
-            Step::WZoom(spec) => PlanStep::WZoom {
-                window: match spec.window {
-                    WindowSpec::Points(n) => n,
-                    WindowSpec::Changes(_) => 0,
-                },
-            },
-            Step::Switch(kind) => PlanStep::Switch(*kind),
-        })
-        .collect()
-}
-
-/// The request's representation-independent shape: the canonical query
-/// text minus its `repr=` field. Observed run times are keyed by shape, so
-/// an `"auto"` request and an explicit request with the identical pipeline
-/// feed (and read) the same adaptation rows.
-fn shape_key(req: &ZoomRequest) -> String {
-    req.canonical()
-        .split(';')
-        .filter(|part| !part.starts_with("repr="))
-        .collect::<Vec<_>>()
-        .join(";")
 }
 
 /// Lowercase wire spelling of a representation (`Display` is uppercase;
@@ -1474,7 +1422,7 @@ impl std::fmt::Debug for Server {
 /// graph's per-dataset plan fingerprints plus the canonical query string.
 /// The canonical text (prefixed with the lineage digests) rides along in the
 /// key, making lookups immune to 64-bit collisions.
-fn cache_key(shared: &SharedGraph, req: &ZoomRequest) -> CacheKey {
+fn cache_key(shared: &SharedGraph, query: &str) -> CacheKey {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
@@ -1496,9 +1444,8 @@ fn cache_key(shared: &SharedGraph, req: &ZoomRequest) -> CacheKey {
         write(&fp.to_le_bytes());
         canonical.push_str(&format!("{name}={fp:#018x};"));
     }
-    let query = req.canonical();
     write(query.as_bytes());
-    canonical.push_str(&query);
+    canonical.push_str(query);
     CacheKey { hash, canonical }
 }
 
@@ -1699,6 +1646,42 @@ mod tests {
         assert!(first.contains("\"cache\":\"miss\""), "{first}");
         assert!(second.contains("\"cache\":\"miss\""), "{second}");
         assert!(server.cache.is_empty());
+    }
+
+    /// Client strings are quoted in the canonical text, so no choice of
+    /// names makes two different queries share a cache entry (or a
+    /// maintenance seed): here the second query's type label spells out the
+    /// first one's aggregation.
+    #[test]
+    fn client_strings_cannot_forge_another_querys_cache_key() {
+        let server = server_over_figure1("unit-forge");
+        let zoom = |azoom: &str| {
+            server.handle_line(&format!(
+                r#"{{"op":"zoom","graph":"unit-forge","repr":"ve","steps":[{{"azoom":{azoom}}}]}}"#
+            ))
+        };
+        let counted =
+            zoom(r#"{"by_type":true,"new_type":"t","aggs":[{"output":"x","fn":"count"}]}"#);
+        assert!(counted.contains("\"cache\":\"miss\""), "{counted}");
+        let forged = zoom(r#"{"by_type":true,"new_type":"t,x=Count"}"#);
+        assert!(forged.contains("\"cache\":\"miss\""), "{forged}");
+        assert_ne!(result_of(&counted), result_of(&forged));
+    }
+
+    /// The optimizer's observation rows are keyed by the query's shape; a
+    /// group-by key that contains `;repr=` is part of that shape, not a
+    /// field to strip, so two such pipelines keep one row each.
+    #[test]
+    fn shape_key_keeps_a_group_key_containing_repr_marker() {
+        let server = server_over_figure1("unit-shape");
+        for by in ["school;repr=a", "school;repr=b"] {
+            let resp = server.handle_line(&format!(
+                r#"{{"op":"zoom","graph":"unit-shape","repr":"ve","steps":[{{"azoom":{{"by":"{by}"}}}}]}}"#
+            ));
+            assert!(resp.contains("\"cache\":\"miss\""), "{resp}");
+        }
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"observed_pairs\":2"), "{stats}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! socket against the serve loop and checks that what a client reads is
 //! byte-identical to `Server::handle_line` run in process on the same
 //! script. The in-process dispatch path is the oracle: the connection layer
-//! may move bytes, never change them.
+//! may move bytes, never change them. A second case ingests over the socket
+//! and checks the patched answer against a cold recompute.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -44,6 +45,53 @@ fn normalize_timings(line: &str) -> String {
     out
 }
 
+/// One client connection to a serve loop running on its own thread.
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+type ServeThread = std::thread::JoinHandle<std::io::Result<()>>;
+
+fn serve_and_connect(server: Arc<Server>) -> (Client, ServeThread) {
+    let addr = server.local_addr().expect("addr");
+    let serve_thread = std::thread::spawn(move || server.serve());
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    (
+        Client {
+            reader,
+            writer: stream,
+        },
+        serve_thread,
+    )
+}
+
+impl Client {
+    fn roundtrip(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut response = String::new();
+        self.reader.read_line(&mut response).expect("receive");
+        assert!(!response.is_empty(), "connection closed mid-script");
+        response.trim_end().to_string()
+    }
+
+    fn shutdown(mut self, serve_thread: ServeThread) {
+        let bye = self.roundtrip(r#"{"op":"shutdown"}"#);
+        assert!(bye.contains("\"shutting_down\":true"), "{bye}");
+        serve_thread
+            .join()
+            .expect("serve thread")
+            .expect("serve loop");
+    }
+}
+
 #[test]
 fn tcp_transcript_matches_in_process_dispatch() {
     let zoom = r#"{"op":"zoom","graph":"fig1","repr":"ve","steps":[{"azoom":{"by":"school","new_type":"school","aggs":[{"output":"students","fn":"count"}]}},{"switch":"og"},{"wzoom":{"window":{"points":3},"vq":"exists","eq":"exists"}}]}"#;
@@ -68,41 +116,46 @@ fn tcp_transcript_matches_in_process_dispatch() {
         in_process[3]
     );
 
-    let server = bind_server("tgraph-tier1-serve-tcp");
-    let addr = server.local_addr().expect("addr");
-    let serve_thread = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve())
-    };
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
-    let mut roundtrip = |line: &str| -> String {
-        writer
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("send");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("receive");
-        assert!(!response.is_empty(), "connection closed mid-script");
-        response.trim_end().to_string()
-    };
+    let (mut client, serve_thread) = serve_and_connect(bind_server("tgraph-tier1-serve-tcp"));
 
     for (i, (line, expected)) in script.iter().zip(&in_process).enumerate() {
         assert_eq!(
-            normalize_timings(&roundtrip(line)),
+            normalize_timings(&client.roundtrip(line)),
             normalize_timings(expected),
             "line {i} diverged between handle_line and the socket"
         );
     }
 
-    let bye = roundtrip(r#"{"op":"shutdown"}"#);
-    assert!(bye.contains("\"shutting_down\":true"), "{bye}");
-    serve_thread
-        .join()
-        .expect("serve thread")
-        .expect("serve loop");
+    client.shutdown(serve_thread);
+}
+
+/// Zoom, ingest, same zoom, all over the socket: the third answer comes down
+/// the O(delta) patch path and its `result` equals a cache-bypassing cold
+/// recompute byte for byte.
+#[test]
+fn ingest_over_the_socket_patches_byte_identically_to_a_recompute() {
+    let zoom = |extra: &str| {
+        format!(
+            r#"{{"op":"zoom","graph":"fig1","repr":"ve",{extra}"steps":[{{"azoom":{{"by":"school","new_type":"school","aggs":[{{"output":"students","fn":"count"}}]}}}},{{"wzoom":{{"window":{{"points":2}}}}}}]}}"#
+        )
+    };
+    // Figure 1 ends at 9: Cat stays at MIT, Eli arrives at ETH.
+    let ingest = r#"{"op":"ingest","graph":"fig1","since":9,"vertices":[{"id":3,"interval":[9,12],"props":{"type":"person","school":"MIT","name":"Cat"}},{"id":7,"interval":[9,11],"props":{"type":"person","school":"ETH","name":"Eli"}}]}"#;
+    let result_of = |response: &str| {
+        let at = response.find("\"result\":").expect("result field");
+        response[at..].to_string()
+    };
+
+    let (mut client, serve_thread) = serve_and_connect(bind_server("tgraph-tier1-serve-ingest"));
+    let before = client.roundtrip(&zoom(""));
+    assert!(before.contains("\"cache\":\"miss\""), "{before}");
+    let committed = client.roundtrip(ingest);
+    assert!(committed.contains("\"epoch\":1"), "{committed}");
+    let patched = client.roundtrip(&zoom(""));
+    assert!(patched.contains("\"cache\":\"patch\""), "{patched}");
+    assert_ne!(result_of(&before), result_of(&patched));
+    let recomputed = client.roundtrip(&zoom(r#""no_cache":true,"#));
+    assert!(recomputed.contains("\"cache\":\"miss\""), "{recomputed}");
+    assert_eq!(result_of(&patched), result_of(&recomputed));
+    client.shutdown(serve_thread);
 }
