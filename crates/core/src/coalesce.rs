@@ -11,14 +11,29 @@ use crate::time::Interval;
 use std::collections::HashMap;
 use std::hash::Hash;
 
+/// Whether the facts of one entity are already in coalesced form: non-empty,
+/// sorted by `(start, end)`, and no neighbouring pair value-equivalent and
+/// mergeable. [`coalesce_group`] maps exactly these inputs to themselves.
+pub fn is_coalesced_run<V: Eq>(facts: &[(Interval, V)]) -> bool {
+    facts.iter().all(|(iv, _)| !iv.is_empty())
+        && facts.windows(2).all(|w| {
+            let ((a, va), (b, vb)) = (&w[0], &w[1]);
+            (a.start, a.end) <= (b.start, b.end) && !(va == vb && a.mergeable(b))
+        })
+}
+
 /// Coalesces a group of `(interval, value)` facts that all belong to the same
-/// entity key. Returns maximal-length facts sorted by start time.
+/// entity key. Returns maximal-length facts sorted by start time; input that
+/// is already coalesced (history arrays, loader output) is returned as is.
 ///
 /// Overlapping intervals with *different* values are invalid input (an entity
 /// exists at most once per time point); this function resolves them
 /// deterministically by letting the later-starting tuple clip the earlier
 /// one, but validation (see [`crate::validate`]) rejects such graphs.
-pub fn coalesce_group<V: Eq + Clone>(mut facts: Vec<(Interval, V)>) -> Vec<(Interval, V)> {
+pub fn coalesce_group<V: Eq>(mut facts: Vec<(Interval, V)>) -> Vec<(Interval, V)> {
+    if is_coalesced_run(&facts) {
+        return facts;
+    }
     facts.retain(|(iv, _)| !iv.is_empty());
     facts.sort_by_key(|(iv, _)| (iv.start, iv.end));
     let mut out: Vec<(Interval, V)> = Vec::with_capacity(facts.len());
@@ -113,39 +128,56 @@ pub fn coalesce_graph(g: &TGraph) -> TGraph {
 
 /// Whether a keyed temporal relation is already coalesced: no two
 /// value-equivalent facts of the same key are adjacent or overlapping.
-pub fn is_coalesced<K, V>(facts: &[(K, Interval, V)]) -> bool
+///
+/// A relation sorted by `(key, start, end)` — what the loader emits — is
+/// checked in one pass over neighbouring facts; any other order falls back
+/// to grouping by key.
+pub fn is_coalesced<'a, K, V>(facts: impl Iterator<Item = (K, Interval, &'a V)> + Clone) -> bool
 where
-    K: Eq + Hash + Clone,
-    V: Eq + Clone,
+    K: Ord + Hash,
+    V: Eq + 'a,
 {
-    let mut groups: HashMap<K, Vec<(Interval, V)>> = HashMap::new();
+    let mut coalesced = true;
+    let mut prev: Option<(K, Interval, &V)> = None;
+    let sorted = facts.clone().all(|(k, iv, v)| {
+        coalesced &= !iv.is_empty();
+        let in_order = match &prev {
+            None => true,
+            Some((pk, piv, pv)) => match pk.cmp(&k) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Equal => {
+                    coalesced &= !(*pv == v && piv.mergeable(&iv));
+                    (piv.start, piv.end) <= (iv.start, iv.end)
+                }
+                std::cmp::Ordering::Greater => false,
+            },
+        };
+        prev = Some((k, iv, v));
+        in_order
+    });
+    if sorted {
+        return coalesced;
+    }
+    let mut groups: HashMap<K, Vec<(Interval, &V)>> = HashMap::new();
     for (k, iv, v) in facts {
-        groups.entry(k.clone()).or_default().push((*iv, v.clone()));
+        groups.entry(k).or_default().push((iv, v));
     }
-    for (_, group) in groups {
-        let n = group.len();
-        if coalesce_group(group).len() != n {
-            return false;
-        }
-    }
-    true
+    groups.into_values().all(|mut group| {
+        group.sort_by_key(|(iv, _)| (iv.start, iv.end));
+        is_coalesced_run(&group)
+    })
 }
 
 /// Whether an entire graph is coalesced.
 pub fn graph_is_coalesced(g: &TGraph) -> bool {
-    is_coalesced(
-        &g.vertices
-            .iter()
-            .map(|v| (v.vid, v.interval, v.props.clone()))
-            .collect::<Vec<_>>(),
-    ) && is_coalesced(
+    is_coalesced(g.vertices.iter().map(|v| (v.vid, v.interval, &v.props)))
         // Edge identity includes the endpoints: aZoom^T can re-point the
         // same eid to different group nodes over time.
-        &g.edges
-            .iter()
-            .map(|e| ((e.eid, e.src, e.dst), e.interval, e.props.clone()))
-            .collect::<Vec<_>>(),
-    )
+        && is_coalesced(
+            g.edges
+                .iter()
+                .map(|e| ((e.eid, e.src, e.dst), e.interval, &e.props)),
+        )
 }
 
 #[cfg(test)]

@@ -9,12 +9,20 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The required `type` property label carried by every node and edge.
 pub const TYPE_KEY: &str = "type";
 
-/// A property label (key). Cheap to clone; interned per graph in practice.
+/// [`TYPE_KEY`] as a shared [`Key`]: stamping a type label bumps a reference
+/// count instead of allocating the label again.
+pub fn type_key() -> Key {
+    static KEY: OnceLock<Key> = OnceLock::new();
+    KEY.get_or_init(|| Arc::from(TYPE_KEY)).clone()
+}
+
+/// A property label (key). Cheap to clone; interned per chunk by the storage
+/// decoder, so the rows of a loaded graph share one allocation per label.
 pub type Key = Arc<str>;
 
 /// A property value.
@@ -206,7 +214,7 @@ impl Props {
 
     /// Convenience constructor for an entity that only carries a type label.
     pub fn typed(type_label: &str) -> Self {
-        Props::from_pairs([(TYPE_KEY, type_label)])
+        Props::new().with(type_key(), type_label)
     }
 
     /// Looks up a property value by key.
@@ -240,13 +248,20 @@ impl Props {
     /// Returns a new property set with `key` set to `value`.
     pub fn with(&self, key: impl Into<Key>, value: impl Into<Value>) -> Self {
         let key = key.into();
-        let value = value.into();
-        let mut v: Vec<(Key, Value)> = self.0.to_vec();
-        match v.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => v[i].1 = value,
-            Err(i) => v.insert(i, (key, value)),
-        }
-        Props(Arc::from(v))
+        let (at, replaced) = match self.0.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => (i, 1),
+            Err(i) => (i, 0),
+        };
+        // Chains of slice iterators and `once` report their exact length, so
+        // collecting into the `Arc` allocates the result once.
+        Props(
+            self.0[..at]
+                .iter()
+                .cloned()
+                .chain(std::iter::once((key, value.into())))
+                .chain(self.0[at + replaced..].iter().cloned())
+                .collect(),
+        )
     }
 
     /// Returns a new property set without `key`.
@@ -271,16 +286,24 @@ impl Props {
         Props(Arc::from(v))
     }
 
-    /// Merges `other` into `self`; keys in `other` win on conflict.
-    pub fn merged_with(&self, other: &Props) -> Self {
-        let mut v: Vec<(Key, Value)> = self.0.to_vec();
-        for (k, val) in other.iter() {
-            match v.binary_search_by(|(key, _)| key.cmp(k)) {
-                Ok(i) => v[i].1 = val.clone(),
-                Err(i) => v.insert(i, (k.clone(), val.clone())),
+    /// Returns a new property set with every `(key, value)` of `sets`
+    /// written, later pairs winning: one build however many pairs.
+    pub fn with_all<'a>(&self, sets: impl IntoIterator<Item = (&'a Key, Value)>) -> Self {
+        let sets = sets.into_iter();
+        let mut v = Vec::with_capacity(self.0.len() + sets.size_hint().1.unwrap_or(0));
+        v.extend_from_slice(&self.0);
+        for (key, value) in sets {
+            match v.binary_search_by(|(k, _)| k.cmp(key)) {
+                Ok(i) => v[i].1 = value,
+                Err(i) => v.insert(i, (key.clone(), value)),
             }
         }
         Props(Arc::from(v))
+    }
+
+    /// Merges `other` into `self`; keys in `other` win on conflict.
+    pub fn merged_with(&self, other: &Props) -> Self {
+        self.with_all(other.iter().map(|(k, v)| (k, v.clone())))
     }
 }
 

@@ -10,7 +10,7 @@
 //! temporally coalesced (point semantics).
 
 use crate::graph::VertexId;
-use crate::props::{Key, Props, Value};
+use crate::props::{type_key, Key, Props, Value, TYPE_KEY};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -18,6 +18,8 @@ use std::sync::Arc;
 
 /// A user-providable Skolem function: maps a vertex (id + properties) to the
 /// identity of its group node and the base properties the group node carries.
+/// The base belongs to the group: every member state of one group must
+/// return the same one, since it is built from whichever member is met first.
 ///
 /// Returning `None` excludes the vertex from the zoomed graph in that state
 /// (e.g. Bob before he has a `school`); edges incident to excluded states are
@@ -57,45 +59,61 @@ impl fmt::Debug for Skolem {
     }
 }
 
-/// Stable (process-independent) hash used to mint group node ids.
-fn stable_hash(parts: &[&Value]) -> u64 {
+/// Stable (process-independent) hash used to mint group node ids; `None` if
+/// any part is missing.
+fn stable_hash<'a>(parts: impl IntoIterator<Item = Option<&'a Value>>) -> Option<u64> {
     // DefaultHasher with fixed keys is stable within a build; good enough for
     // deterministic ids across snapshots and workers in one run.
     let mut h = DefaultHasher::new();
     for p in parts {
-        p.hash(&mut h);
+        p?.hash(&mut h);
     }
-    h.finish()
+    Some(h.finish())
 }
 
 impl Skolem {
+    /// The identity half of `f_s`: the group a vertex state belongs to, or
+    /// `None` if it is excluded. Builds no property set — edge redirection
+    /// and the shuffle's map side read only the id.
+    pub fn group_id(&self, vid: VertexId, props: &Props) -> Option<u64> {
+        match self {
+            Skolem::ByProperty(key) => stable_hash([props.get(key)]),
+            Skolem::ByProperties(keys) => stable_hash(keys.iter().map(|k| props.get(k))),
+            Skolem::ByType => stable_hash([props.get(TYPE_KEY)]),
+            Skolem::Custom { f, .. } => f(vid, props).map(|(id, _)| id),
+        }
+    }
+
+    /// The other half of `f_s`: the base properties of the group a vertex
+    /// state belongs to (`None` if it is excluded), without minting the id.
+    /// `stamp` is written onto the base in the same build, winning over a
+    /// grouping property of its label.
+    fn base(&self, vid: VertexId, props: &Props, stamp: Option<(Key, Value)>) -> Option<Props> {
+        let keys = match self {
+            Skolem::ByProperty(key) => std::slice::from_ref(key),
+            Skolem::ByProperties(keys) => keys.as_slice(),
+            Skolem::ByType => return props.get(TYPE_KEY).map(|_| Props::from_pairs(stamp)),
+            Skolem::Custom { f, .. } => {
+                let (_, base) = f(vid, props)?;
+                return Some(match stamp {
+                    Some((k, v)) => base.with(k, v),
+                    None => base,
+                });
+            }
+        };
+        let carried = keys
+            .iter()
+            .map(|k| Some((k.clone(), props.get(k)?.clone())))
+            .chain(stamp.map(Some));
+        carried.collect::<Option<Vec<_>>>().map(Props::from_pairs)
+    }
+
     /// Applies `f_s` to a vertex state: `Some((group_id, base_props))` if the
     /// vertex participates in a group, `None` otherwise.
     pub fn apply(&self, vid: VertexId, props: &Props) -> Option<(u64, Props)> {
         match self {
-            Skolem::ByProperty(key) => {
-                let v = props.get(key)?;
-                let id = stable_hash(&[v]);
-                Some((id, Props::from_pairs([(key.clone(), v.clone())])))
-            }
-            Skolem::ByProperties(keys) => {
-                let mut vals = Vec::with_capacity(keys.len());
-                for k in keys {
-                    vals.push(props.get(k)?);
-                }
-                let id = stable_hash(&vals);
-                let base = Props::from_pairs(
-                    keys.iter()
-                        .zip(vals.iter())
-                        .map(|(k, v)| (k.clone(), (*v).clone())),
-                );
-                Some((id, base))
-            }
-            Skolem::ByType => {
-                let t = props.get(crate::props::TYPE_KEY)?;
-                Some((stable_hash(&[t]), Props::new()))
-            }
             Skolem::Custom { f, .. } => f(vid, props),
+            _ => Some((self.group_id(vid, props)?, self.base(vid, props, None)?)),
         }
     }
 
@@ -269,21 +287,69 @@ impl AggAccumulator {
         }
     }
 
-    /// Finishes aggregation, writing computed attributes onto `base`.
-    pub fn finish(&self, base: Props) -> Props {
-        let mut out = base;
-        for (spec, state) in self.specs.iter().zip(self.states.iter()) {
-            let value: Option<Value> = match state {
-                AggState::Count(n) => Some(Value::Int(*n as i64)),
-                AggState::Sum(s, seen) => seen.then_some(Value::Float(*s)),
-                AggState::Min(m) | AggState::Max(m) | AggState::Any(m) => m.clone(),
-                AggState::Avg { sum, n } => (*n > 0).then(|| Value::Float(*sum / *n as f64)),
-            };
-            if let Some(v) = value {
-                out = out.with(spec.output.clone(), v);
+    /// [`update`](AggAccumulator::update) for a sweep over time, where members
+    /// join in start order rather than member order. Returns `false` — with
+    /// the state then unspecified — if joining out of order could change the
+    /// result (a float sum that already holds a term): the caller re-folds
+    /// the live members in member order.
+    pub fn insert(&mut self, member: &Props) -> bool {
+        let order_free =
+            self.specs
+                .iter()
+                .zip(&self.states)
+                .all(|(spec, state)| match (&spec.f, state) {
+                    (AggFn::Sum(k), AggState::Sum(_, true))
+                    | (AggFn::Avg(k), AggState::Avg { n: 1.., .. }) => {
+                        member.get(k).and_then(Value::as_f64).is_none()
+                    }
+                    _ => true,
+                });
+        self.update(member);
+        order_free
+    }
+
+    /// Takes one member's contribution back out. Returns `false` — with the
+    /// state then unspecified — if that cannot be done exactly (a float sum,
+    /// or an extreme this member may have been the last to hold): the caller
+    /// re-folds the surviving members.
+    pub fn retract(&mut self, member: &Props) -> bool {
+        let mut exact = true;
+        for (spec, state) in self.specs.iter().zip(self.states.iter_mut()) {
+            match (&spec.f, state) {
+                (AggFn::Count, AggState::Count(n)) => *n -= 1,
+                (AggFn::Sum(k), _) | (AggFn::Avg(k), _) => {
+                    exact &= member.get(k).and_then(Value::as_f64).is_none();
+                }
+                (AggFn::Min(k), AggState::Min(m))
+                | (AggFn::Max(k), AggState::Max(m))
+                | (AggFn::Any(k), AggState::Any(m)) => {
+                    exact &= member.get(k).is_none_or(|v| m.as_ref() != Some(v));
+                }
+                _ => unreachable!("accumulator state out of sync with specs"),
             }
         }
-        out
+        exact
+    }
+
+    /// Finishes aggregation, writing every computed attribute onto `base` in
+    /// one build.
+    pub fn finish(&self, base: &Props) -> Props {
+        base.with_all(
+            self.specs
+                .iter()
+                .zip(&self.states)
+                .filter_map(|(spec, state)| {
+                    let value = match state {
+                        AggState::Count(n) => Value::Int(*n as i64),
+                        AggState::Sum(s, seen) => seen.then_some(Value::Float(*s))?,
+                        AggState::Min(m) | AggState::Max(m) | AggState::Any(m) => m.clone()?,
+                        AggState::Avg { sum, n } => {
+                            (*n > 0).then(|| Value::Float(*sum / *n as f64))?
+                        }
+                    };
+                    Some((&spec.output, value))
+                }),
+        )
     }
 }
 
@@ -319,13 +385,26 @@ impl AZoomSpec {
         }
     }
 
+    /// The group a vertex state belongs to: the id [`AZoomSpec::skolemize`]
+    /// assigns, without building the group node's properties. What the
+    /// kernels call per record.
+    pub fn group_id(&self, vid: VertexId, props: &Props) -> Option<u64> {
+        self.skolem.group_id(vid, props)
+    }
+
+    /// The properties a group node starts from — the Skolem base with the
+    /// new type label stamped on — for a member state [`group_id`] accepted.
+    /// What the kernels call once per group; the id they already have.
+    ///
+    /// [`group_id`]: AZoomSpec::group_id
+    pub fn group_base(&self, vid: VertexId, props: &Props) -> Option<Props> {
+        let type_label = (type_key(), Value::Str(self.new_type.clone()));
+        self.skolem.base(vid, props, Some(type_label))
+    }
+
     /// Applies the Skolem function and stamps the group node's type label.
     pub fn skolemize(&self, vid: VertexId, props: &Props) -> Option<(u64, Props)> {
-        let (id, base) = self.skolem.apply(vid, props)?;
-        Some((
-            id,
-            base.with(crate::props::TYPE_KEY, Value::Str(self.new_type.clone())),
-        ))
+        Some((self.group_id(vid, props)?, self.group_base(vid, props)?))
     }
 
     /// Aggregates a complete group of member property sets into the group
@@ -335,13 +414,71 @@ impl AZoomSpec {
         for m in members {
             acc.update(&m);
         }
-        acc.finish(base)
+        acc.finish(&base)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The id-only path, the base-only path and `skolemize` agree with
+        /// the definition of a group id — the stable hash of the grouping
+        /// values in key order — and exclude exactly the same states.
+        #[test]
+        fn group_id_is_the_id_skolemize_assigns(
+            vid in 0u64..50,
+            school in prop::collection::vec(0u8..3, 0..2),
+            year in prop::collection::vec(0i64..3, 0..2),
+            kind in 0usize..5,
+        ) {
+            let mut props = Props::typed(if vid % 2 == 0 { "person" } else { "bot" });
+            if let Some(s) = school.first() {
+                props = props.with("school", format!("s{s}"));
+            }
+            if let Some(y) = year.first() {
+                props = props.with("year", *y);
+            }
+            let hashed = |keys: &[&str]| {
+                let mut h = DefaultHasher::new();
+                for k in keys {
+                    props.get(k)?.hash(&mut h);
+                }
+                Some(h.finish())
+            };
+            let (skolem, expected) = match kind {
+                0 => (Skolem::by_property("school"), hashed(&["school"])),
+                1 => (
+                    Skolem::ByProperties(vec![Arc::from("school"), Arc::from("year")]),
+                    hashed(&["school", "year"]),
+                ),
+                2 => (
+                    Skolem::ByProperties(vec![Arc::from("type"), Arc::from("year")]),
+                    hashed(&["type", "year"]),
+                ),
+                3 => (Skolem::ByType, hashed(&["type"])),
+                _ => (
+                    Skolem::Custom {
+                        name: "even_with_year",
+                        f: Arc::new(|vid, p| {
+                            let year = p.get("year")?.clone();
+                            (vid.0 % 2 == 0).then(|| (vid.0 / 10, Props::new().with("year", year)))
+                        }),
+                    },
+                    (vid % 2 == 0 && !year.is_empty()).then_some(vid / 10),
+                ),
+            };
+            let spec = AZoomSpec { skolem, new_type: Arc::from("group"), aggs: Arc::from(vec![]) };
+            let vid = VertexId(vid);
+            prop_assert_eq!(spec.group_id(vid, &props), expected);
+            prop_assert_eq!(spec.skolemize(vid, &props).map(|(id, _)| id), expected);
+            let base = spec.group_base(vid, &props);
+            prop_assert_eq!(base.is_some(), expected.is_some());
+            prop_assert_eq!(base.as_ref().and_then(Props::type_label), expected.map(|_| "group"));
+        }
+    }
 
     fn person(school: Option<&str>, edits: i64) -> Props {
         let p = Props::typed("person").with("editCount", edits);
@@ -447,7 +584,7 @@ mod tests {
         }
         left.merge(&right);
 
-        assert_eq!(seq.finish(Props::new()), left.finish(Props::new()));
+        assert_eq!(seq.finish(&Props::new()), left.finish(&Props::new()));
     }
 
     #[test]
@@ -508,7 +645,7 @@ mod tests {
         for m in &members {
             whole.update(m);
         }
-        let expected = whole.finish(Props::typed("school"));
+        let expected = whole.finish(&Props::typed("school"));
         for split in [1, 4, 7, 12] {
             let mut a = AggAccumulator::new(specs.clone());
             let mut b = AggAccumulator::new(specs.clone());
@@ -523,8 +660,16 @@ mod tests {
             tgraph_dataflow::Decomposable::merge(&mut ab, &b);
             let mut ba = b.clone();
             tgraph_dataflow::Decomposable::merge(&mut ba, &a);
-            assert_eq!(ab.finish(Props::typed("school")), expected, "split {split}");
-            assert_eq!(ba.finish(Props::typed("school")), expected, "split {split}");
+            assert_eq!(
+                ab.finish(&Props::typed("school")),
+                expected,
+                "split {split}"
+            );
+            assert_eq!(
+                ba.finish(&Props::typed("school")),
+                expected,
+                "split {split}"
+            );
         }
         // Associativity across a three-way split, via merge_states (which
         // folds left) against a right-folded merge.
@@ -540,12 +685,12 @@ mod tests {
             .collect();
         let left = tgraph_dataflow::merge_states(thirds.clone())
             .expect("non-empty")
-            .finish(Props::typed("school"));
+            .finish(&Props::typed("school"));
         let mut right = thirds[1].clone();
         tgraph_dataflow::Decomposable::merge(&mut right, &thirds[2]);
         let mut first = thirds[0].clone();
         tgraph_dataflow::Decomposable::merge(&mut first, &right);
         assert_eq!(left, expected);
-        assert_eq!(first.finish(Props::typed("school")), expected);
+        assert_eq!(first.finish(&Props::typed("school")), expected);
     }
 }

@@ -275,38 +275,19 @@ pub fn window_relation(
     }
 }
 
-/// Maps an entity's covered parts within windows: given the entity's fact
-/// interval and the window relation parameters, yields
-/// `(window_index, window, covered)` triples. Used by all representations.
+/// Maps an entity's covered parts within windows: for every window of the
+/// relation (as [`window_relation`] returns it: sorted, gap-free) that `fact`
+/// overlaps, yields `(window_index, window, covered)`. Used by the
+/// representations that shuffle one copy per overlapped window.
 pub fn windows_of(
     fact: Interval,
-    lifespan: Interval,
     windows: &[Interval],
-    spec: WindowSpec,
-) -> Vec<(usize, Interval, Interval)> {
-    match spec {
-        WindowSpec::Points(n) => align_to_windows(&fact, lifespan.start, n)
-            .into_iter()
-            .map(|(window, covered)| {
-                let idx = ((window.start - lifespan.start) / n as i64) as usize;
-                debug_assert_eq!(windows.get(idx), Some(&window));
-                (idx, window, covered)
-            })
-            .collect(),
-        WindowSpec::Changes(_) => {
-            // Windows are irregular: binary-search each overlap.
-            let mut out = Vec::new();
-            for (idx, w) in windows.iter().enumerate() {
-                if let Some(covered) = fact.intersect(w) {
-                    out.push((idx, *w, covered));
-                }
-                if w.start >= fact.end {
-                    break;
-                }
-            }
-            out
-        }
-    }
+) -> impl Iterator<Item = (usize, Interval, Interval)> + '_ {
+    let first = windows.partition_point(|w| w.end <= fact.start);
+    windows[first..]
+        .iter()
+        .enumerate()
+        .map_while(move |(i, w)| Some((first + i, *w, fact.intersect(w)?)))
 }
 
 #[cfg(test)]
@@ -380,12 +361,7 @@ mod tests {
         let lifespan = Interval::new(1, 10);
         let windows = window_relation(lifespan, &[], WindowSpec::Points(3));
         // Bob [2,9): partial W0, full W1, partial W2.
-        let got = windows_of(
-            Interval::new(2, 9),
-            lifespan,
-            &windows,
-            WindowSpec::Points(3),
-        );
+        let got: Vec<_> = windows_of(Interval::new(2, 9), &windows).collect();
         assert_eq!(
             got,
             vec![
@@ -398,14 +374,8 @@ mod tests {
 
     #[test]
     fn windows_of_changes() {
-        let lifespan = Interval::new(1, 9);
         let windows = vec![Interval::new(1, 5), Interval::new(5, 9)];
-        let got = windows_of(
-            Interval::new(2, 7),
-            lifespan,
-            &windows,
-            WindowSpec::Changes(2),
-        );
+        let got: Vec<_> = windows_of(Interval::new(2, 7), &windows).collect();
         assert_eq!(
             got,
             vec![

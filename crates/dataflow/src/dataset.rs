@@ -6,8 +6,9 @@
 //! The chain is **fused into a single pass** over each partition when an
 //! action (`collect`, `count`, `fold`, …) or a shuffle boundary (any keyed
 //! operator) forces it — one task wave total, no intermediate partition
-//! allocations. Elements flow through the fused chain by reference; only
-//! survivors are cloned, at the materialization boundary.
+//! allocations. Sources lend their elements to the fused chain; `map` and
+//! `flat_map` give theirs away (see [`Sink`]), so a consumer that keeps an
+//! element clones it only if it still belongs to a source.
 //!
 //! Every dataset carries a [`Partitioning`] tag. Hash shuffles stamp their
 //! output `HashByKey`; tag-preserving operators (`filter`,
@@ -24,8 +25,18 @@ use crate::exchange::{ExchangeError, Frame, ShardLayout};
 use crate::lineage::{OpKind, PlanNode};
 use crate::runtime::Runtime;
 use crate::spill::{Spill, SpillReader};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Where a fused chain delivers its elements. The ownership rule of fused
+/// chains: a materialized source lends (`Cow::Borrowed` — its partitions are
+/// shared and outlive the pass), every operator that builds a fresh value
+/// gives it away (`Cow::Owned`), and `filter` passes on what it was handed.
+/// A consumer that keeps elements (`collect`, a shuffle bucket, a
+/// `map_partitions` buffer) calls `into_owned`, which moves a given value
+/// and clones only a lent one: one copy per exchange, at most.
+pub(crate) type Sink<'a, T> = dyn FnMut(Cow<'_, T>) + 'a;
 
 /// How a dataset's records are distributed across partitions.
 ///
@@ -114,14 +125,14 @@ impl Locality {
 
 /// The deferred execution plan behind a dataset.
 #[derive(Clone)]
-enum Plan<T> {
+enum Plan<T: Clone> {
     /// Materialized partitions, shared by reference.
     Source(Arc<Vec<Arc<Vec<T>>>>),
     /// A fused chain of narrow transformations: for partition `i`, the
-    /// producer pushes each element (by reference) into the sink.
+    /// producer pushes each element into the sink.
     Lazy {
         parts: usize,
-        producer: Arc<dyn Fn(usize, &mut dyn FnMut(&T)) + Send + Sync>,
+        producer: Arc<dyn Fn(usize, &mut Sink<'_, T>) + Send + Sync>,
         /// Morsel capability: present when the chain is element-wise all the
         /// way down to its source, so any source row range can be run
         /// independently (see [`SplitCap`]). `None` for whole-partition
@@ -144,14 +155,14 @@ enum Plan<T> {
 /// relies on. Ranges always index **source** rows of partition `i`
 /// (pre-filter, pre-flat-map), which is what makes morsel cuts well-defined
 /// without running the chain.
-pub(crate) struct SplitCap<T> {
+pub(crate) struct SplitCap<T: Clone> {
     /// Source rows of partition `i` — the space morsel ranges are cut from.
     pub rows: Arc<dyn Fn(usize) -> usize + Send + Sync>,
     /// Streams the chain's output for source rows `range` of partition `i`.
-    pub produce_range: Arc<dyn Fn(usize, Range<usize>, &mut dyn FnMut(&T)) + Send + Sync>,
+    pub produce_range: Arc<dyn Fn(usize, Range<usize>, &mut Sink<'_, T>) + Send + Sync>,
 }
 
-impl<T> Clone for SplitCap<T> {
+impl<T: Clone> Clone for SplitCap<T> {
     fn clone(&self) -> Self {
         SplitCap {
             rows: Arc::clone(&self.rows),
@@ -162,7 +173,7 @@ impl<T> Clone for SplitCap<T> {
 
 /// An immutable partitioned collection with a lazy narrow-operator plan.
 #[derive(Clone)]
-pub struct Dataset<T> {
+pub struct Dataset<T: Clone> {
     plan: Plan<T>,
     partitioning: Partitioning,
     lineage: Arc<PlanNode>,
@@ -378,11 +389,11 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
 
     /// Streams partition `i` through `sink`, running the fused narrow chain.
     /// This is the single point where deferred plans execute.
-    pub(crate) fn produce(&self, i: usize, sink: &mut dyn FnMut(&T)) {
+    pub(crate) fn produce(&self, i: usize, sink: &mut Sink<'_, T>) {
         match &self.plan {
             Plan::Source(parts) => {
                 for x in parts[i].iter() {
-                    sink(x);
+                    sink(Cow::Borrowed(x));
                 }
             }
             Plan::Lazy { producer, .. } => producer(i, sink),
@@ -403,7 +414,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                     rows: Arc::new(move |i| sizes[i].len()),
                     produce_range: Arc::new(move |i, range: Range<usize>, sink| {
                         for x in &slices[i][range] {
-                            sink(x);
+                            sink(Cow::Borrowed(x));
                         }
                     }),
                 })
@@ -493,7 +504,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                 return rt
                     .run_morsels(&sizes, move |i, range| {
                         let mut out = Vec::new();
-                        produce_range(i, range, &mut |x| out.push(x.clone()));
+                        produce_range(i, range, &mut |x| out.push(x.into_owned()));
                         out
                     })
                     .into_iter()
@@ -503,7 +514,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         }
         self.run_per_partition(rt, |i, d| {
             let mut out = Vec::new();
-            d.produce(i, &mut |x| out.push(x.clone()));
+            d.produce(i, &mut |x| out.push(x.into_owned()));
             out
         })
     }
@@ -524,7 +535,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         let local: Vec<Vec<T>> = self.run_per_partition(rt, move |i, d| {
             let mut out = Vec::new();
             if mask_task[i] {
-                d.produce(i, &mut |x| out.push(x.clone()));
+                d.produce(i, &mut |x| out.push(x.into_owned()));
             }
             out
         });
@@ -673,10 +684,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             SplitCap {
                 rows: Arc::clone(&cap.rows),
                 produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                    (cap.produce_range)(i, range, &mut |x| {
-                        let u = f(x);
-                        sink(&u);
-                    });
+                    (cap.produce_range)(i, range, &mut |x| sink(Cow::Owned(f(&x))));
                 }),
             }
         });
@@ -684,10 +692,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             plan: Plan::Lazy {
                 parts: self.num_partitions(),
                 producer: Arc::new(move |i, sink| {
-                    up.produce(i, &mut |x| {
-                        let u = f(x);
-                        sink(&u);
-                    });
+                    up.produce(i, &mut |x| sink(Cow::Owned(f(&x))));
                 }),
                 split,
             },
@@ -697,12 +702,25 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Element-to-many transformation (narrow, deferred).
+    /// Element-to-many transformation (narrow, deferred). The closure may
+    /// return anything iterable — an `Option`, an adapter chain — and no
+    /// intermediate collection is built.
     pub fn flat_map<U, I, F>(&self, f: F) -> Dataset<U>
     where
         U: Clone + Send + Sync + 'static,
         I: IntoIterator<Item = U>,
         F: Fn(&T) -> I + Send + Sync + 'static,
+    {
+        self.flat_map_into(move |x, emit| f(x).into_iter().for_each(emit))
+    }
+
+    /// [`flat_map`](Dataset::flat_map) for closures whose outputs borrow from
+    /// the element or from captured state (which a returned iterator cannot):
+    /// `f` hands each output to `emit` instead of returning them.
+    pub fn flat_map_into<U, F>(&self, f: F) -> Dataset<U>
+    where
+        U: Clone + Send + Sync + 'static,
+        F: Fn(&T, &mut dyn FnMut(U)) + Send + Sync + 'static,
     {
         let up = self.clone();
         let f = Arc::new(f);
@@ -720,11 +738,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             SplitCap {
                 rows: Arc::clone(&cap.rows),
                 produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                    (cap.produce_range)(i, range, &mut |x| {
-                        for u in f(x) {
-                            sink(&u);
-                        }
-                    });
+                    (cap.produce_range)(i, range, &mut |x| f(&x, &mut |u| sink(Cow::Owned(u))));
                 }),
             }
         });
@@ -732,11 +746,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             plan: Plan::Lazy {
                 parts: self.num_partitions(),
                 producer: Arc::new(move |i, sink| {
-                    up.produce(i, &mut |x| {
-                        for u in f(x) {
-                            sink(&u);
-                        }
-                    });
+                    up.produce(i, &mut |x| f(&x, &mut |u| sink(Cow::Owned(u))));
                 }),
                 split,
             },
@@ -770,7 +780,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                 rows: Arc::clone(&cap.rows),
                 produce_range: Arc::new(move |i, range: Range<usize>, sink| {
                     (cap.produce_range)(i, range, &mut |x| {
-                        if f(x) {
+                        if f(&x) {
                             sink(x);
                         }
                     });
@@ -782,7 +792,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                 parts: self.num_partitions(),
                 producer: Arc::new(move |i, sink| {
                     up.produce(i, &mut |x| {
-                        if f(x) {
+                        if f(&x) {
                             sink(x);
                         }
                     });
@@ -822,12 +832,12 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                         Plan::Source(parts) => f(&parts[i]),
                         Plan::Lazy { .. } => {
                             let mut buf = Vec::new();
-                            up.produce(i, &mut |x| buf.push(x.clone()));
+                            up.produce(i, &mut |x| buf.push(x.into_owned()));
                             f(&buf)
                         }
                     };
-                    for u in &out {
-                        sink(u);
+                    for u in out {
+                        sink(Cow::Owned(u));
                     }
                 }),
                 // Whole-partition closures see all rows at once: no morsel
@@ -930,7 +940,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                     // an engine bug, not user input.
                     // lint:allow(expect): move-in/out accumulator invariant
                     let prev = acc.take().expect("fold accumulator");
-                    acc = Some(fold(prev, x));
+                    acc = Some(fold(prev, &x));
                 });
             }
             // lint:allow(expect): same invariant as above
@@ -1064,7 +1074,7 @@ impl<T: Clone + Send + Sync + 'static> FromIterator<T> for Dataset<T> {
     }
 }
 
-impl<T> std::fmt::Debug for Dataset<T> {
+impl<T: Clone> std::fmt::Debug for Dataset<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.plan {
             Plan::Source(parts) => write!(

@@ -219,11 +219,18 @@ impl Drop for MemCharge {
     }
 }
 
-/// One map output inside a governed exchange: still in memory, or spilled
+/// One map output inside a governed exchange: still in memory — each bucket
+/// behind its own lock, for the one reduce task that takes it — or spilled
 /// to a run file.
 enum GovernedSource<K, V> {
-    Mem(Vec<Vec<(K, V)>>),
+    Mem(Vec<Mutex<Vec<(K, V)>>>),
     Spilled(RunHandle),
+}
+
+impl<K, V> GovernedSource<K, V> {
+    fn mem(buckets: Vec<Vec<(K, V)>>) -> Self {
+        GovernedSource::Mem(buckets.into_iter().map(Mutex::new).collect())
+    }
 }
 
 /// A shuffle exchange under governor control: the map outputs (in map
@@ -259,7 +266,7 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
             // Unlimited: no estimation pass, no charge, no spills — the
             // governed exchange is exactly the ungoverned one.
             return Arc::new(GovernedBuckets {
-                sources: bucketed.into_iter().map(GovernedSource::Mem).collect(),
+                sources: bucketed.into_iter().map(GovernedSource::mem).collect(),
                 counts,
                 _charge: None,
             });
@@ -267,7 +274,7 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
         let estimates: Vec<u64> = bucketed.iter().map(|src| estimate_source(src)).collect();
         let mut charge = gov.charge(estimates.iter().sum());
         let mut sources: Vec<GovernedSource<K, V>> =
-            bucketed.into_iter().map(GovernedSource::Mem).collect();
+            bucketed.into_iter().map(GovernedSource::mem).collect();
         let mut remaining = estimates;
         while gov.over_budget() {
             // Largest still-in-memory map output first: fewest files for the
@@ -304,21 +311,33 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
         })
     }
 
-    /// Appends output partition `p`'s records to `merged`, walking map
-    /// outputs in index order — the order-preserving streaming merge.
+    /// Takes output partition `p`'s records, walking map outputs in index
+    /// order — the order-preserving streaming merge. In-memory buckets are
+    /// moved out, so each partition can be taken once; every reduce task
+    /// takes its own.
     ///
     /// # Panics
     /// Raises a typed [`SpillError`] payload if a run read fails, and (in
     /// checked mode) panics if the merged record count disagrees with the
     /// counts recorded at admission.
-    pub fn append_bucket(&self, p: usize, merged: &mut Vec<(K, V)>)
-    where
-        K: Clone,
-        V: Clone,
-    {
+    pub fn take_bucket(&self, p: usize) -> Vec<(K, V)> {
+        // Sized once for what is in memory, in the reducing thread's own
+        // arena: growing a buffer a map task allocated would contend for
+        // that task's arena. (Run files size themselves as they decode.)
+        let resident: usize = self
+            .sources
+            .iter()
+            .map(|src| match src {
+                GovernedSource::Mem(buckets) => lock_unpoisoned(&buckets[p]).len(),
+                GovernedSource::Spilled(_) => 0,
+            })
+            .sum();
+        let mut merged = Vec::with_capacity(resident);
         for (i, src) in self.sources.iter().enumerate() {
             match src {
-                GovernedSource::Mem(buckets) => merged.extend_from_slice(&buckets[p]),
+                GovernedSource::Mem(buckets) => {
+                    merged.append(&mut std::mem::take(&mut *lock_unpoisoned(&buckets[p])));
+                }
                 GovernedSource::Spilled(run) => {
                     if let Some(counts) = self.counts.get(i) {
                         // Checked mode: the run's own metadata must agree with
@@ -331,7 +350,7 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
                             counts[p]
                         );
                     }
-                    if let Err(e) = run.read_bucket(p, merged) {
+                    if let Err(e) = run.read_bucket(p, &mut merged) {
                         std::panic::panic_any(e);
                     }
                 }
@@ -346,6 +365,7 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
                 merged.len()
             );
         }
+        merged
     }
 
     /// How many map outputs were spilled (for tests).
@@ -385,11 +405,11 @@ fn estimate_source<K: Spill, V: Spill>(buckets: &[Vec<(K, V)>]) -> u64 {
 /// Writes one map output's buckets to a fresh run file.
 fn spill_source<K: Spill, V: Spill>(
     gov: &MemGovernor,
-    buckets: &[Vec<(K, V)>],
+    buckets: &[Mutex<Vec<(K, V)>>],
 ) -> Result<RunHandle, SpillError> {
     let mut w = RunWriter::create(gov.next_run_path()?)?;
     for bucket in buckets {
-        w.write_bucket(bucket)?;
+        w.write_bucket(&lock_unpoisoned(bucket))?;
     }
     w.finish()
 }
@@ -506,16 +526,14 @@ mod tests {
         // Unlimited: nothing spills.
         let ex = GovernedBuckets::admit(&rt, bucketed.clone());
         assert_eq!(ex.spilled_sources(), 0);
-        let mut plain0 = Vec::new();
-        ex.append_bucket(0, &mut plain0);
+        let plain0 = ex.take_bucket(0);
         // One-byte budget: everything spillable spills.
         rt.set_mem_budget(1);
         let ex2 = GovernedBuckets::admit(&rt, bucketed);
         assert_eq!(ex2.spilled_sources(), 2);
         assert!(rt.governor().bytes_spilled() > 0);
         assert_eq!(rt.governor().spill_files(), 2);
-        let mut spilled0 = Vec::new();
-        ex2.append_bucket(0, &mut spilled0);
+        let spilled0 = ex2.take_bucket(0);
         assert_eq!(spilled0, plain0, "merge must be byte-identical");
     }
 

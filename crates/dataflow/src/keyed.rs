@@ -166,7 +166,7 @@ where
             rt.run_morsels(&sizes, move |i, range| {
                 let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
                 produce_range(i, range, &mut |kv| {
-                    buckets[bucket_of(&kv.0, parts)].push(kv.clone());
+                    buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
                 });
                 buckets
             })
@@ -188,7 +188,7 @@ where
                 let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
                 if mask_task.as_ref().is_none_or(|m| m[i]) {
                     d.produce(i, &mut |kv| {
-                        buckets[bucket_of(&kv.0, parts)].push(kv.clone());
+                        buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
                     });
                 }
                 buckets
@@ -202,7 +202,8 @@ where
     rt.note_shuffle(moved, moved * std::mem::size_of::<(K, V)>() as u64);
     let out = if exchange.in_process() {
         // Typed fast path (the single-process default): bucket vectors move
-        // by reference, byte-for-byte as before the exchange layer existed.
+        // from the map output that filled them to the reduce task that owns
+        // their partition, never copied.
         //
         // Exchange residency passes under the memory governor: the charge is
         // recorded here, and over-budget map outputs are written out as run
@@ -210,14 +211,10 @@ where
         // budget in force this is a no-op pass-through.
         let governed = GovernedBuckets::admit(rt, bucketed);
         // Reduce side: partition `p` concatenates bucket `p` of every map
-        // output, in map-partition order — from memory or, for spilled
+        // output, in map-partition order — taken from memory or, for spilled
         // outputs, streamed back from their run files. Identical bytes
         // either way.
-        rt.run_indexed(parts, move |p| {
-            let mut merged = Vec::new();
-            governed.append_bucket(p, &mut merged);
-            Arc::new(merged)
-        })
+        rt.run_indexed(parts, move |p| Arc::new(governed.take_bucket(p)))
     } else {
         // Frame path: every non-empty bucket is encoded into a wire frame
         // and routed to its owner; the reduce side decodes the returned
@@ -296,7 +293,7 @@ where
 }
 
 /// Extension trait providing the wide operators on key–value datasets.
-pub trait KeyedDataset<K, V> {
+pub trait KeyedDataset<K: Clone, V: Clone> {
     /// Transforms values while keeping keys — and therefore the partitioning
     /// tag — intact (narrow, deferred). The lazy-plan counterpart of Spark's
     /// `mapValues`, which preserves the partitioner where `map` cannot.
@@ -437,11 +434,12 @@ where
         shuffle(rt, self)
             .map_partitions(move |part| {
                 // First-seen key order, for cross-run and cross-shard
-                // determinism (see `combine_partition`).
-                let mut index: HashMap<K, usize> = HashMap::new();
+                // determinism (see `combine_partition`). The index borrows
+                // its keys: one hash per record, one key clone per group.
+                let mut index: HashMap<&K, usize> = HashMap::new();
                 let mut out: Vec<(K, Vec<V>)> = Vec::new();
                 for (k, v) in part {
-                    match index.entry(k.clone()) {
+                    match index.entry(k) {
                         Entry::Occupied(e) => out[*e.get()].1.push(v.clone()),
                         Entry::Vacant(e) => {
                             e.insert(out.len());
@@ -619,17 +617,30 @@ where
         let left_parts = left.parts(rt);
         let right_parts = right.parts(rt);
         let out = rt.run_indexed(parts, move |p| {
-            // Build on the right, probe with the left (co-partitioned).
-            let mut table: HashMap<&K, Vec<&W>> = HashMap::new();
-            for (k, w) in right_parts[p].iter() {
-                table.entry(k).or_default().push(w);
+            // Build on the right, probe with the left (co-partitioned). The
+            // right rows of one key form a chain in arrival order — `chains`
+            // holds each key's first and last row, `next` the links — so the
+            // build allocates twice per partition, not once per key.
+            let right = &right_parts[p];
+            let mut chains: HashMap<&K, (usize, usize)> = HashMap::with_capacity(right.len());
+            let mut next: Vec<Option<usize>> = vec![None; right.len()];
+            for (i, (k, _)) in right.iter().enumerate() {
+                match chains.entry(k) {
+                    Entry::Occupied(mut e) => {
+                        let last = std::mem::replace(&mut e.get_mut().1, i);
+                        next[last] = Some(i);
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert((i, i));
+                    }
+                }
             }
             let mut out = Vec::new();
             for (k, v) in left_parts[p].iter() {
-                if let Some(ws) = table.get(k) {
-                    for w in ws {
-                        out.push((k.clone(), (v.clone(), (*w).clone())));
-                    }
+                let mut row = chains.get(k).map(|(first, _)| *first);
+                while let Some(i) = row {
+                    out.push((k.clone(), (v.clone(), right[i].1.clone())));
+                    row = next[i];
                 }
             }
             Arc::new(out)
@@ -818,6 +829,45 @@ mod tests {
         assert_eq!(groups[0].0, 1);
         assert_eq!(sorted(groups[0].1.clone()), vec!["a", "c", "d"]);
         assert_eq!(groups[1].1, vec!["b"]);
+    }
+
+    /// The one-copy-per-exchange invariant: a record a `map` built moves
+    /// into its shuffle bucket, moves to its reduce partition, and is
+    /// cloned exactly once — out of the shared shuffle output into its
+    /// group. Collecting the groups moves them.
+    #[test]
+    fn an_exchange_clones_each_record_at_most_once() {
+        use crate::spill::{HeapSize, SpillError, SpillReader};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Debug, PartialEq)]
+        struct Counted(u64);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Ordering::Relaxed);
+                Counted(self.0)
+            }
+        }
+        impl HeapSize for Counted {}
+        impl Spill for Counted {
+            fn spill(&self, out: &mut Vec<u8>) {
+                self.0.spill(out);
+            }
+            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+                u64::unspill(r).map(Counted)
+            }
+        }
+        let rt = rt();
+        let records = 1000;
+        let source = Dataset::from_vec(&rt, (0..records as u64).collect::<Vec<_>>());
+        let grouped = source.map(|i| (i % 17, Counted(*i))).group_by_key(&rt);
+        let groups = grouped.collect(&rt);
+        assert_eq!(groups.iter().map(|(_, g)| g.len()).sum::<usize>(), records);
+        assert!(
+            CLONES.load(Ordering::Relaxed) <= records,
+            "{} clones of {records} records across one exchange",
+            CLONES.load(Ordering::Relaxed)
+        );
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   per-partition closure chain. The chain executes as a *single* pass per
 //!   partition — one task wave, no intermediate partition allocations — when
 //!   an action (`collect`, `count`, `fold`) or a shuffle boundary forces it.
-//!   Elements flow through the fused chain by reference and are cloned only
-//!   at the materialization boundary.
+//!   Sources lend their elements to the chain and operators give theirs
+//!   away, so a consumer that keeps an element clones it only if a source
+//!   still owns it (DESIGN.md §5).
 //! * **Wide (keyed) transformations are the fusion boundaries.** They
 //!   perform a real hash shuffle with per-partition bucket exchange, whose
 //!   map side fuses with the pending narrow chain. The engine therefore

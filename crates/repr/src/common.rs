@@ -1,24 +1,68 @@
 //! Helpers shared by the physical representations' operator plans.
 
-use tgraph_core::coalesce::coalesce_group;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use tgraph_core::coalesce::{coalesce_group, is_coalesced_run};
+use tgraph_core::graph::VertexId;
 use tgraph_core::props::Props;
-use tgraph_core::splitter::splitter;
-use tgraph_core::time::Interval;
+use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::{AZoomSpec, AggAccumulator};
-use tgraph_core::zoom::wzoom::WZoomSpec;
+use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
+use tgraph_dataflow::lock_unpoisoned;
 
 /// A temporal state: a validity interval plus the property assignment held
 /// during it. The unit of history arrays (OG) and of per-window resolution.
 pub type State = (Interval, Props);
 
 /// Coalesces a list of states of one entity (merging value-equivalent
-/// adjacent/overlapping intervals) and returns them sorted by start.
-pub fn coalesce_states(states: Vec<State>) -> Vec<State> {
-    coalesce_group(states)
+/// adjacent/overlapping intervals) and returns them sorted by start. States
+/// already in that form — history arrays, window clips of one — are lent
+/// back untouched.
+pub fn coalesce_states(states: &[State]) -> Cow<'_, [State]> {
+    if is_coalesced_run(states) {
+        Cow::Borrowed(states)
+    } else {
+        Cow::Owned(coalesce_group(states.to_vec()))
+    }
 }
 
-/// Computes the zoomed history of one `aZoom^T` group node from its members'
-/// states.
+/// The base properties of `aZoom^T` group nodes where one group is met many
+/// times (by every OG edge that touches it, in every RG snapshot it lives
+/// through): a base belongs to the group, so it is built the first time the
+/// group is met and shared — one allocation, however many copies — after.
+pub struct GroupBases {
+    spec: Arc<AZoomSpec>,
+    /// Sharded by group id, so the dataflow workers rarely meet on one lock.
+    built: [Mutex<HashMap<u64, Props>>; 16],
+}
+
+impl GroupBases {
+    /// An empty set of bases for the groups of `spec`.
+    pub fn new(spec: Arc<AZoomSpec>) -> Self {
+        GroupBases {
+            spec,
+            built: Default::default(),
+        }
+    }
+
+    /// The base of group `gid`, built from the member state `(vid, props)`
+    /// if this is the first time the group is met. `None` only if the Skolem
+    /// function refuses a state whose group id it minted.
+    pub fn of(&self, gid: u64, vid: VertexId, props: &Props) -> Option<Props> {
+        let mut shard = lock_unpoisoned(&self.built[gid as usize % self.built.len()]);
+        if let Some(base) = shard.get(&gid) {
+            return Some(base.clone());
+        }
+        let base = self.spec.group_base(vid, props)?;
+        shard.insert(gid, base.clone());
+        Some(base)
+    }
+}
+
+/// Computes the zoomed history of one `aZoom^T` group node from its member
+/// states `(vertex, state)`. The group node's base properties come from the
+/// first member, once per group.
 ///
 /// The members' intervals are split at every boundary (the temporal-splitter
 /// technique of Algorithm 2); within each elementary interval the group
@@ -26,23 +70,65 @@ pub fn coalesce_states(states: Vec<State>) -> Vec<State> {
 /// members alive in it; finally value-equivalent adjacent intervals coalesce,
 /// which is exactly the per-snapshot evaluation + coalescing that point
 /// semantics prescribe.
-pub fn aggregate_group_history(spec: &AZoomSpec, base: &Props, members: &[State]) -> Vec<State> {
-    let splits = splitter(members.iter().map(|(iv, _)| iv));
-    let mut out: Vec<State> = Vec::with_capacity(splits.len());
-    for s in splits {
-        let mut acc = AggAccumulator::new(spec.aggs.clone());
-        let mut alive = false;
-        for (iv, props) in members {
-            if iv.overlaps(&s) {
-                acc.update(props);
-                alive = true;
-            }
-        }
-        if alive {
-            out.push((s, acc.finish(base.clone())));
+///
+/// Runs as one sweep over the sorted interval ends, carrying the aggregate
+/// from one elementary interval to the next; only where a member's
+/// contribution cannot be put in or taken out exactly are the live members
+/// folded again.
+pub fn aggregate_group_history(spec: &AZoomSpec, members: &[(VertexId, State)]) -> Vec<State> {
+    let Some(base) = members
+        .first()
+        .and_then(|(vid, (_, props))| spec.group_base(*vid, props))
+    else {
+        return Vec::new();
+    };
+    // (time, joins, member): at equal times leavers sort before joiners.
+    let mut ends: Vec<(Time, bool, usize)> = Vec::with_capacity(2 * members.len());
+    for (i, (_, (iv, _))) in members.iter().enumerate() {
+        if !iv.is_empty() {
+            ends.push((iv.start, true, i));
+            ends.push((iv.end, false, i));
         }
     }
-    coalesce_states(out)
+    ends.sort_unstable();
+
+    let mut out: Vec<State> = Vec::new();
+    let mut acc = AggAccumulator::new(spec.aggs.clone());
+    let (mut alive, mut exact) = (0usize, true);
+    let mut k = 0;
+    while k < ends.len() {
+        let t = ends[k].0;
+        while let Some(&(_, joins, i)) = ends.get(k).filter(|e| e.0 == t) {
+            let props = &members[i].1 .1;
+            if joins {
+                alive += 1;
+                exact &= acc.insert(props);
+            } else {
+                alive -= 1;
+                exact &= acc.retract(props);
+            }
+            k += 1;
+        }
+        let Some(&(next, ..)) = ends.get(k) else {
+            break;
+        };
+        if !exact || alive == 0 {
+            acc = AggAccumulator::new(spec.aggs.clone());
+            exact = true;
+            if alive == 0 {
+                continue;
+            }
+            for (_, (_, props)) in members.iter().filter(|(_, (iv, _))| iv.contains(t)) {
+                acc.update(props);
+            }
+        }
+        let props = acc.finish(&base);
+        match out.last_mut() {
+            Some((last, held)) if last.end == t && *held == props => last.end = next,
+            _ => out.push((Interval::new(t, next), props)),
+        }
+    }
+    out
 }
 
 /// Applies the window quantifier + resolve step of `wZoom^T` to one entity's
@@ -53,8 +139,8 @@ pub fn aggregate_group_history(spec: &AZoomSpec, base: &Props, members: &[State]
 /// properties if the entity's total coverage of `window` satisfies `quant`.
 pub fn window_reduce(
     window: Interval,
-    states: Vec<State>,
-    quant: &tgraph_core::zoom::wzoom::Quantifier,
+    states: &[State],
+    quant: &Quantifier,
     resolve: impl FnOnce(&[State]) -> Props,
 ) -> Option<Props> {
     // Coalesce first so coverage counts each time point once and resolve
@@ -64,6 +150,50 @@ pub fn window_reduce(
     let covered: u64 = states.iter().map(|(iv, _)| iv.len()).sum();
     let r = covered as f64 / window.len() as f64;
     quant.satisfied(r).then(|| resolve(&states))
+}
+
+/// `wZoom^T` of one history array: a single walk of the sorted, coalesced
+/// `history` against the sorted window relation, emitting one state per
+/// window the entity's coverage satisfies `quant` in, coalesced.
+pub fn rezoom_history(
+    history: &[State],
+    windows: &[Interval],
+    quant: &Quantifier,
+    resolve: impl Fn(&[State]) -> Props,
+) -> Vec<State> {
+    let mut out: Vec<State> = Vec::new();
+    let mut clipped: Vec<State> = Vec::new();
+    let (mut h, mut w) = (0, 0);
+    while h < history.len() && w < windows.len() {
+        let window = windows[w];
+        if history[h].0.end <= window.start {
+            h += 1;
+            continue;
+        }
+        if history[h].0.start >= window.end {
+            // Nothing of the entity in this window: jump to the one its next
+            // state starts in.
+            w += windows[w..].partition_point(|x| x.end <= history[h].0.start);
+            continue;
+        }
+        clipped.clear();
+        clipped.extend(
+            history[h..]
+                .iter()
+                .map_while(|(iv, props)| Some((iv.intersect(&window)?, props.clone()))),
+        );
+        // Clips of a coalesced history are coalesced: no sort, no merge.
+        if let Some(props) = window_reduce(window, &clipped, quant, &resolve) {
+            match out.last_mut() {
+                Some((last, held)) if last.end == window.start && *held == props => {
+                    last.end = window.end;
+                }
+                _ => out.push((window, props)),
+            }
+        }
+        w += 1;
+    }
+    out
 }
 
 /// Vertex-side resolve honoring per-attribute overrides of the spec.
@@ -79,16 +209,25 @@ pub fn resolve_edge_states(spec: &WZoomSpec, states: &[State]) -> Props {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgraph_core::zoom::azoom::AggSpec;
-    use tgraph_core::zoom::wzoom::Quantifier;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+    use tgraph_core::splitter::splitter;
+    use tgraph_core::zoom::azoom::{AggFn, AggSpec};
     use tgraph_core::Value;
+
+    fn members_of(states: Vec<State>) -> Vec<(VertexId, State)> {
+        states
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| (VertexId(i as u64), s))
+            .collect()
+    }
 
     #[test]
     fn group_history_counts_members_over_time() {
         // Two members: [1,7) and [1,9) → count 2 during [1,7), 1 during [7,9).
         let spec = AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]);
-        let base = Props::typed("school").with("school", "MIT");
-        let members = vec![
+        let members = members_of(vec![
             (
                 Interval::new(1, 7),
                 Props::typed("person").with("school", "MIT"),
@@ -97,11 +236,12 @@ mod tests {
                 Interval::new(1, 9),
                 Props::typed("person").with("school", "MIT"),
             ),
-        ];
-        let history = aggregate_group_history(&spec, &base, &members);
+        ]);
+        let history = aggregate_group_history(&spec, &members);
         assert_eq!(history.len(), 2);
         assert_eq!(history[0].0, Interval::new(1, 7));
         assert_eq!(history[0].1.get("students"), Some(&Value::Int(2)));
+        assert_eq!(history[0].1.get("school"), Some(&Value::from("MIT")));
         assert_eq!(history[1].0, Interval::new(7, 9));
         assert_eq!(history[1].1.get("students"), Some(&Value::Int(1)));
     }
@@ -110,14 +250,95 @@ mod tests {
     fn group_history_coalesces_equal_counts() {
         // Members with a shared boundary but constant count coalesce.
         let spec = AZoomSpec::by_property("g", "group", vec![AggSpec::count("n")]);
-        let base = Props::typed("group");
         let p = Props::typed("x").with("g", "a");
-        let members = vec![
+        let members = members_of(vec![
             (Interval::new(0, 4), p.clone()),
             (Interval::new(4, 8), p.clone()),
-        ];
-        let history = aggregate_group_history(&spec, &base, &members);
-        assert_eq!(history, vec![(Interval::new(0, 8), base.with("n", 1i64))]);
+        ]);
+        let history = aggregate_group_history(&spec, &members);
+        let expected = Props::typed("group").with("g", "a").with("n", 1i64);
+        assert_eq!(history, vec![(Interval::new(0, 8), expected)]);
+    }
+
+    /// The definition the sweep must reproduce: every elementary interval
+    /// folds, in member order, the members overlapping it.
+    fn history_by_rescan(spec: &AZoomSpec, members: &[(VertexId, State)]) -> Vec<State> {
+        let Some((_, base)) = members
+            .first()
+            .and_then(|(vid, (_, props))| spec.skolemize(*vid, props))
+        else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for s in splitter(members.iter().map(|(_, (iv, _))| iv)) {
+            let alive: Vec<Props> = members
+                .iter()
+                .filter(|(_, (iv, _))| iv.overlaps(&s))
+                .map(|(_, (_, props))| props.clone())
+                .collect();
+            if !alive.is_empty() {
+                out.push((s, spec.aggregate(base.clone(), alive)));
+            }
+        }
+        coalesce_group(out)
+    }
+
+    fn every_agg() -> Vec<AggSpec> {
+        let x: Arc<str> = Arc::from("x");
+        vec![
+            AggSpec::count("n"),
+            AggSpec::new("total", AggFn::Sum(x.clone())),
+            AggSpec::new("lo", AggFn::Min(x.clone())),
+            AggSpec::new("hi", AggFn::Max(x.clone())),
+            AggSpec::new("mean", AggFn::Avg(x.clone())),
+            AggSpec::new("pick", AggFn::Any(x)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn sweep_equals_rescan_of_every_elementary_interval(
+            raw in prop::collection::vec((0i64..24, 1i64..9, 0u8..6), 1..40),
+            only_count in prop::bool::ANY,
+        ) {
+            let aggs = if only_count { vec![AggSpec::count("n")] } else { every_agg() };
+            let spec = AZoomSpec::by_property("g", "group", aggs);
+            let members = members_of(raw.iter().map(|&(start, len, x)| {
+                let props = Props::typed("p").with("g", "a");
+                // Some members lack the aggregated property; values are not
+                // exactly representable sums, so fold order shows.
+                let props = if x == 0 { props } else { props.with("x", f64::from(x) * 0.1) };
+                (Interval::new(start, start + len), props)
+            }).collect());
+            prop_assert_eq!(
+                aggregate_group_history(&spec, &members),
+                history_by_rescan(&spec, &members)
+            );
+        }
+    }
+
+    #[test]
+    fn one_group_of_five_thousand_members() {
+        // The few-group shape (`by_type`): every vertex in one group, each
+        // leaving at the instant a later one joins.
+        let spec = AZoomSpec {
+            skolem: tgraph_core::zoom::Skolem::ByType,
+            new_type: Arc::from("all"),
+            aggs: Arc::from(vec![AggSpec::count("members")]),
+        };
+        let members = members_of(
+            (0..5000i64)
+                .map(|i| (Interval::new(i, i + 2500), Props::typed("person")))
+                .collect(),
+        );
+        let history = aggregate_group_history(&spec, &members);
+        assert_eq!(history, history_by_rescan(&spec, &members));
+        assert_eq!(history.first().map(|(iv, _)| iv.start), Some(0));
+        let peak = history
+            .iter()
+            .filter_map(|(_, p)| p.get("members")?.as_int())
+            .max();
+        assert_eq!(peak, Some(2500));
     }
 
     #[test]
@@ -125,8 +346,8 @@ mod tests {
         let w = Interval::new(0, 4);
         let p = Props::typed("x");
         let half = vec![(Interval::new(0, 2), p.clone())];
-        assert!(window_reduce(w, half.clone(), &Quantifier::All, |s| s[0].1.clone()).is_none());
-        assert!(window_reduce(w, half, &Quantifier::Exists, |s| s[0].1.clone()).is_some());
+        assert!(window_reduce(w, &half, &Quantifier::All, |s| s[0].1.clone()).is_none());
+        assert!(window_reduce(w, &half, &Quantifier::Exists, |s| s[0].1.clone()).is_some());
     }
 
     #[test]
@@ -139,6 +360,33 @@ mod tests {
             (Interval::new(1, 4), p.clone()),
         ];
         // Union covers the window fully → `all` passes.
-        assert!(window_reduce(w, dup, &Quantifier::All, |s| s[0].1.clone()).is_some());
+        assert!(window_reduce(w, &dup, &Quantifier::All, |s| s[0].1.clone()).is_some());
+    }
+
+    #[test]
+    fn rezoom_walks_gaps_and_straddling_states() {
+        let a = Props::typed("x").with("v", 1i64);
+        let b = Props::typed("x").with("v", 2i64);
+        let windows: Vec<Interval> = (0..5).map(|d| Interval::new(d * 3, d * 3 + 3)).collect();
+        // [1,4) a | gap | [10,14) b: windows 0,1 see a, window 2 nothing,
+        // windows 3 and 4 see b.
+        let history = vec![
+            (Interval::new(1, 4), a.clone()),
+            (Interval::new(10, 14), b.clone()),
+        ];
+        let any = |s: &[State]| s[0].1.clone();
+        assert_eq!(
+            rezoom_history(&history, &windows, &Quantifier::Exists, any),
+            vec![(Interval::new(0, 6), a), (Interval::new(9, 15), b.clone())]
+        );
+        // No window is covered entirely.
+        assert!(rezoom_history(&history, &windows, &Quantifier::All, any).is_empty());
+        assert_eq!(
+            rezoom_history(&history, &windows, &Quantifier::Most, any),
+            vec![
+                (Interval::new(0, 3), history[0].1.clone()),
+                (Interval::new(9, 15), b)
+            ]
+        );
     }
 }

@@ -29,7 +29,7 @@ pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
         .group_by_key(rt)
         .map(|(vid, states)| OgVertex {
             vid: *vid,
-            history: coalesce_states(states.clone()),
+            history: coalesce_states(states).into_owned(),
         });
 
     let e_grouped: Dataset<(
@@ -61,7 +61,7 @@ pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
             eid: k.0,
             src: src.clone(),
             dst: dst.clone(),
-            history: coalesce_states(states.clone()),
+            history: coalesce_states(states).into_owned(),
         });
 
     OgGraph {
@@ -73,29 +73,25 @@ pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
 
 /// OG → VE: split history arrays back into flat tuples (no shuffle).
 pub fn og_to_ve(_rt: &Runtime, og: &OgGraph) -> VeGraph {
-    let vertices: Dataset<VertexRecord> = og.vertices.flat_map(|v| {
-        let vid = v.vid;
-        v.history
-            .iter()
-            .map(move |(interval, props)| VertexRecord {
-                vid,
+    let vertices: Dataset<VertexRecord> = og.vertices.flat_map_into(|v, emit| {
+        for (interval, props) in &v.history {
+            emit(VertexRecord {
+                vid: v.vid,
                 interval: *interval,
                 props: props.clone(),
-            })
-            .collect::<Vec<_>>()
+            });
+        }
     });
-    let edges: Dataset<EdgeRecord> = og.edges.flat_map(|e| {
-        let (eid, src, dst) = (e.eid, e.src.vid, e.dst.vid);
-        e.history
-            .iter()
-            .map(move |(interval, props)| EdgeRecord {
-                eid,
-                src,
-                dst,
+    let edges: Dataset<EdgeRecord> = og.edges.flat_map_into(|e, emit| {
+        for (interval, props) in &e.history {
+            emit(EdgeRecord {
+                eid: e.eid,
+                src: e.src.vid,
+                dst: e.dst.vid,
                 interval: *interval,
                 props: props.clone(),
-            })
-            .collect::<Vec<_>>()
+            });
+        }
     });
     // Histories are coalesced per entity by construction.
     VeGraph {

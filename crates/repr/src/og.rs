@@ -9,16 +9,17 @@
 //! representation for `aZoom^T` and competitive everywhere (§5.4).
 
 use crate::common::{
-    aggregate_group_history, coalesce_states, resolve_edge_states, resolve_vertex_states,
-    window_reduce, State,
+    aggregate_group_history, resolve_edge_states, resolve_vertex_states, rezoom_history,
+    GroupBases, State,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use tgraph_core::coalesce::coalesce_graph;
-use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
+use tgraph_core::coalesce::{coalesce_graph, coalesce_group};
+use tgraph_core::graph::{EdgeId, TGraph, VertexId};
+use tgraph_core::props::Props;
 use tgraph_core::time::Interval;
 use tgraph_core::zoom::azoom::AZoomSpec;
-use tgraph_core::zoom::wzoom::{window_relation, windows_of, WZoomSpec};
+use tgraph_core::zoom::wzoom::{window_relation, WZoomSpec};
 use tgraph_dataflow::{Dataset, KeyedDataset, Runtime};
 
 /// A vertex with its full attribute history (sorted by start, coalesced).
@@ -74,7 +75,7 @@ pub fn clip_history(history: &[State], mask: &[Interval]) -> Vec<State> {
             }
         }
     }
-    coalesce_states(out)
+    coalesce_group(out)
 }
 
 impl OgGraph {
@@ -101,7 +102,7 @@ impl OgGraph {
                     vid,
                     OgVertex {
                         vid,
-                        history: coalesce_states(states),
+                        history: coalesce_group(states),
                     },
                 )
             })
@@ -130,7 +131,7 @@ impl OgGraph {
                     .get(&dst)
                     .cloned()
                     .unwrap_or_else(|| placeholder(dst)),
-                history: coalesce_states(states),
+                history: coalesce_group(states),
             })
             .collect();
 
@@ -147,40 +148,12 @@ impl OgGraph {
 
     /// Materializes the logical graph (coalesced, deterministically sorted).
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
-        let vertices: Vec<VertexRecord> = self
-            .vertices
-            .flat_map(|v| {
-                let vid = v.vid;
-                v.history
-                    .iter()
-                    .map(move |(interval, props)| VertexRecord {
-                        vid,
-                        interval: *interval,
-                        props: props.clone(),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect(rt);
-        let edges: Vec<EdgeRecord> = self
-            .edges
-            .flat_map(|e| {
-                let (eid, src, dst) = (e.eid, e.src.vid, e.dst.vid);
-                e.history
-                    .iter()
-                    .map(move |(interval, props)| EdgeRecord {
-                        eid,
-                        src,
-                        dst,
-                        interval: *interval,
-                        props: props.clone(),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect(rt);
+        // History arrays laid flat are the OG → VE conversion.
+        let flat = crate::convert::og_to_ve(rt, self);
         coalesce_graph(&TGraph {
             lifespan: self.lifespan,
-            vertices,
-            edges,
+            vertices: flat.vertices.collect(rt),
+            edges: flat.edges.collect(rt),
         })
     }
 
@@ -203,94 +176,86 @@ impl OgGraph {
     /// endpoint vertices, so `recompute_history` derives the redirected
     /// history from local data.
     pub fn azoom(&self, rt: &Runtime, spec: &AZoomSpec) -> OgGraph {
-        let spec_v = Arc::new(spec.clone());
+        let spec = Arc::new(spec.clone());
 
         // V' ← V.flatMap(split history).groupBy(vid).reduce(f_agg)
-        let spec1 = Arc::clone(&spec_v);
-        let split: Dataset<(u64, (tgraph_core::Props, State))> = self.vertices.flat_map(move |v| {
-            v.history
-                .iter()
-                .filter_map(|(iv, attr)| {
-                    spec1
-                        .skolemize(v.vid, attr)
-                        .map(|(gid, base)| (gid, (base, (*iv, attr.clone()))))
-                })
-                .collect::<Vec<_>>()
-        });
-        let spec2 = Arc::clone(&spec_v);
+        let spec1 = Arc::clone(&spec);
+        let split: Dataset<(u64, (VertexId, State))> =
+            self.vertices.flat_map_into(move |v, emit| {
+                for (iv, attr) in &v.history {
+                    if let Some(gid) = spec1.group_id(v.vid, attr) {
+                        emit((gid, (v.vid, (*iv, attr.clone()))));
+                    }
+                }
+            });
+        let spec2 = Arc::clone(&spec);
         let vertices: Dataset<OgVertex> = split.group_by_key(rt).flat_map(move |(gid, members)| {
-            let base = &members[0].0;
-            let states: Vec<State> = members.iter().map(|(_, s)| s.clone()).collect();
-            let history = aggregate_group_history(&spec2, base, &states);
-            if history.is_empty() {
-                Vec::new()
-            } else {
-                vec![OgVertex {
-                    vid: VertexId(*gid),
-                    history,
-                }]
-            }
+            let history = aggregate_group_history(&spec2, members);
+            (!history.is_empty()).then_some(OgVertex {
+                vid: VertexId(*gid),
+                history,
+            })
         });
 
         // E' ← E.map(recompute_history ∘ copyWithVids): all local.
-        let spec3 = Arc::clone(&spec_v);
-        let edges: Dataset<OgEdge> = self.edges.flat_map(move |e| {
+        //
+        // Endpoint copies carry the Skolem base of their group: shared by
+        // every edge that touches the group.
+        let bases = GroupBases::new(Arc::clone(&spec));
+        let edges: Dataset<OgEdge> = self.edges.flat_map_into(move |e, emit| {
             // For every (edge-state × src-state × dst-state) overlap, derive
             // the redirected piece; group pieces by the endpoint-group pair.
-            let mut by_pair: HashMap<(u64, u64), Vec<State>> = HashMap::new();
-            let mut pair_base: HashMap<(u64, u64), (tgraph_core::Props, tgraph_core::Props)> =
-                HashMap::new();
+            // An edge sees a handful of pairs at most: a list, not a map.
+            let mut pairs: Vec<((u64, u64), (Props, Props), Vec<State>)> = Vec::new();
             for (eiv, eprops) in &e.history {
                 for (siv, sprops) in &e.src.history {
                     let Some(es) = eiv.intersect(siv) else {
                         continue;
                     };
-                    let Some((gs, sbase)) = spec3.skolemize(e.src.vid, sprops) else {
+                    let Some(gs) = spec.group_id(e.src.vid, sprops) else {
                         continue;
                     };
                     for (div, dprops) in &e.dst.history {
                         let Some(esd) = es.intersect(div) else {
                             continue;
                         };
-                        let Some((gd, dbase)) = spec3.skolemize(e.dst.vid, dprops) else {
+                        let Some(gd) = spec.group_id(e.dst.vid, dprops) else {
                             continue;
                         };
-                        by_pair
-                            .entry((gs, gd))
-                            .or_default()
-                            .push((esd, eprops.clone()));
-                        pair_base.entry((gs, gd)).or_insert((sbase.clone(), dbase));
+                        let piece = (esd, eprops.clone());
+                        match pairs.iter_mut().find(|(pair, ..)| *pair == (gs, gd)) {
+                            Some((.., pieces)) => pieces.push(piece),
+                            None => {
+                                // `group_id` accepted both states, so both
+                                // bases exist; a Skolem function that says
+                                // otherwise drops the pair.
+                                let bases = bases
+                                    .of(gs, e.src.vid, sprops)
+                                    .zip(bases.of(gd, e.dst.vid, dprops));
+                                if let Some(bases) = bases {
+                                    pairs.push(((gs, gd), bases, vec![piece]));
+                                }
+                            }
+                        }
                     }
                 }
             }
-            let eid = e.eid;
-            let mut out: Vec<OgEdge> = by_pair
-                .into_iter()
-                .filter_map(|((gs, gd), pieces)| {
-                    let history = coalesce_states(pieces);
-                    // Every (gs, gd) key was inserted alongside its base pair;
-                    // a missing entry would be an upstream grouping bug, and
-                    // skipping the pair is safer than panicking mid-zoom.
-                    let (sbase, dbase) = pair_base.remove(&(gs, gd))?;
-                    let mask: Vec<Interval> = history.iter().map(|(iv, _)| *iv).collect();
-                    Some(OgEdge {
-                        eid,
-                        // Endpoint copies carry the Skolem base attributes;
-                        // aggregated attributes live on the vertex relation.
-                        src: OgVertex {
-                            vid: VertexId(gs),
-                            history: mask.iter().map(|iv| (*iv, sbase.clone())).collect(),
-                        },
-                        dst: OgVertex {
-                            vid: VertexId(gd),
-                            history: mask.iter().map(|iv| (*iv, dbase.clone())).collect(),
-                        },
-                        history,
-                    })
-                })
-                .collect();
-            out.sort_by_key(|e| (e.src.vid, e.dst.vid));
-            out
+            pairs.sort_by_key(|(pair, ..)| *pair);
+            for ((gs, gd), (sbase, dbase), pieces) in pairs {
+                let history = coalesce_group(pieces);
+                // Endpoint copies carry the Skolem base attributes;
+                // aggregated attributes live on the vertex relation.
+                let copy = |vid: u64, base: Props| OgVertex {
+                    vid: VertexId(vid),
+                    history: history.iter().map(|(iv, _)| (*iv, base.clone())).collect(),
+                };
+                emit(OgEdge {
+                    eid: e.eid,
+                    src: copy(gs, sbase),
+                    dst: copy(gd, dbase),
+                    history,
+                });
+            }
         });
 
         OgGraph {
@@ -320,81 +285,49 @@ impl OgGraph {
                 edges: Dataset::empty(),
             };
         }
-        let lifespan = self.lifespan;
-        let wspec = spec.window;
         let spec = Arc::new(spec.clone());
 
-        // Recompute one history array against the window relation.
-        let recompute = {
-            let windows = Arc::clone(&windows);
-            move |history: &[State],
-                  quant: &tgraph_core::zoom::wzoom::Quantifier,
-                  resolve: &dyn Fn(&[State]) -> tgraph_core::Props|
-                  -> Vec<State> {
-                // History arrays are coalesced by construction (correctness
-                // precondition of §3.2 holds per-record in OG).
-                let mut per_window: HashMap<usize, Vec<State>> = HashMap::new();
-                for (iv, props) in history {
-                    for (idx, _w, covered) in windows_of(*iv, lifespan, &windows, wspec) {
-                        per_window
-                            .entry(idx)
-                            .or_default()
-                            .push((covered, props.clone()));
-                    }
-                }
-                let mut out: Vec<State> = Vec::new();
-                for (idx, states) in per_window {
-                    let window = windows[idx];
-                    if let Some(props) = window_reduce(window, states, quant, |s| resolve(s)) {
-                        out.push((window, props));
-                    }
-                }
-                coalesce_states(out)
-            }
+        // History arrays are coalesced by construction (the correctness
+        // precondition of §3.2 holds per record in OG), so each is recomputed
+        // by one walk against the window relation.
+        let ws = Arc::clone(&windows);
+        let spec_v = Arc::clone(&spec);
+        let rezoom_vertex = move |history: &[State]| {
+            rezoom_history(history, &ws, &spec_v.vertex_quantifier, |s| {
+                resolve_vertex_states(&spec_v, s)
+            })
         };
 
-        let rc = recompute.clone();
-        let spec_v = Arc::clone(&spec);
+        let rz = rezoom_vertex.clone();
         let vertices: Dataset<OgVertex> = self.vertices.flat_map(move |v| {
-            let resolve = |s: &[State]| resolve_vertex_states(&spec_v, s);
-            let history = rc(&v.history, &spec_v.vertex_quantifier, &resolve);
-            if history.is_empty() {
-                Vec::new()
-            } else {
-                vec![OgVertex {
-                    vid: v.vid,
-                    history,
-                }]
-            }
+            let history = rz(&v.history);
+            (!history.is_empty()).then_some(OgVertex {
+                vid: v.vid,
+                history,
+            })
         });
 
-        let rc = recompute.clone();
+        let ws = Arc::clone(&windows);
         let spec_e = Arc::clone(&spec);
         let edges: Dataset<OgEdge> = self.edges.flat_map(move |e| {
-            let resolve = |s: &[State]| resolve_edge_states(&spec_e, s);
-            let history = rc(&e.history, &spec_e.edge_quantifier, &resolve);
-            if history.is_empty() {
-                Vec::new()
-            } else {
-                // Refresh the endpoint copies by zooming them locally with the
-                // same (pure) per-vertex computation the vertex relation uses,
-                // so chained operators see post-zoom endpoint histories.
-                let v_resolve = |s: &[State]| resolve_vertex_states(&spec_e, s);
-                let src_hist = rc(&e.src.history, &spec_e.vertex_quantifier, &v_resolve);
-                let dst_hist = rc(&e.dst.history, &spec_e.vertex_quantifier, &v_resolve);
-                vec![OgEdge {
-                    eid: e.eid,
-                    src: OgVertex {
-                        vid: e.src.vid,
-                        history: src_hist,
-                    },
-                    dst: OgVertex {
-                        vid: e.dst.vid,
-                        history: dst_hist,
-                    },
-                    history,
-                }]
-            }
+            let history = rezoom_history(&e.history, &ws, &spec_e.edge_quantifier, |s| {
+                resolve_edge_states(&spec_e, s)
+            });
+            // Refresh the endpoint copies by zooming them locally with the
+            // same (pure) per-vertex computation the vertex relation uses,
+            // so chained operators see post-zoom endpoint histories.
+            (!history.is_empty()).then(|| OgEdge {
+                eid: e.eid,
+                src: OgVertex {
+                    vid: e.src.vid,
+                    history: rezoom_vertex(&e.src.history),
+                },
+                dst: OgVertex {
+                    vid: e.dst.vid,
+                    history: rezoom_vertex(&e.dst.history),
+                },
+                history,
+            })
         });
 
         // Dangling-edge removal (lines 9–15).
@@ -406,12 +339,9 @@ impl OgGraph {
             let by_src: Dataset<(VertexId, OgEdge)> = edges.map(|e| (e.src.vid, e.clone()));
             let clipped_src: Dataset<(VertexId, OgEdge)> =
                 by_src.join(rt, &v_by_id).flat_map(|(_, (e, v))| {
-                    let mask = v.existence();
-                    let history = clip_history(&e.history, &mask);
-                    if history.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![(
+                    let history = clip_history(&e.history, &v.existence());
+                    (!history.is_empty()).then(|| {
+                        (
                             e.dst.vid,
                             OgEdge {
                                 eid: e.eid,
@@ -419,22 +349,17 @@ impl OgGraph {
                                 dst: e.dst.clone(),
                                 history,
                             },
-                        )]
-                    }
+                        )
+                    })
                 });
             clipped_src.join(rt, &v_by_id).flat_map(|(_, (e, v))| {
-                let mask = v.existence();
-                let history = clip_history(&e.history, &mask);
-                if history.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![OgEdge {
-                        eid: e.eid,
-                        src: e.src.clone(),
-                        dst: v.clone(),
-                        history,
-                    }]
-                }
+                let history = clip_history(&e.history, &v.existence());
+                (!history.is_empty()).then(|| OgEdge {
+                    eid: e.eid,
+                    src: e.src.clone(),
+                    dst: v.clone(),
+                    history,
+                })
             })
         } else {
             edges
@@ -452,7 +377,7 @@ impl OgGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgraph_core::graph::figure1_graph_stable_ids;
+    use tgraph_core::graph::{figure1_graph_stable_ids, EdgeRecord, VertexRecord};
     use tgraph_core::reference::{azoom_reference, wzoom_reference};
     use tgraph_core::zoom::azoom::AggSpec;
     use tgraph_core::zoom::wzoom::{Quantifier, ResolveFn};

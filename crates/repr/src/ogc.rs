@@ -142,37 +142,31 @@ impl OgcGraph {
         let elems = Arc::clone(&self.intervals);
         let vertices: Vec<VertexRecord> = self
             .vertices
-            .flat_map(move |v| {
+            .flat_map_into(move |v, emit| {
                 let props = Props::typed(&v.vtype);
-                let vid = v.vid;
-                let elems = Arc::clone(&elems);
-                v.intervals
-                    .iter_ones()
-                    .map(move |i| VertexRecord {
-                        vid,
+                for i in v.intervals.iter_ones() {
+                    emit(VertexRecord {
+                        vid: v.vid,
                         interval: elems[i],
                         props: props.clone(),
-                    })
-                    .collect::<Vec<_>>()
+                    });
+                }
             })
             .collect(rt);
         let elems = Arc::clone(&self.intervals);
         let edges: Vec<EdgeRecord> = self
             .edges
-            .flat_map(move |e| {
+            .flat_map_into(move |e, emit| {
                 let props = Props::typed(&e.etype);
-                let (eid, src, dst) = (e.eid, e.src, e.dst);
-                let elems = Arc::clone(&elems);
-                e.intervals
-                    .iter_ones()
-                    .map(move |i| EdgeRecord {
-                        eid,
-                        src,
-                        dst,
+                for i in e.intervals.iter_ones() {
+                    emit(EdgeRecord {
+                        eid: e.eid,
+                        src: e.src,
+                        dst: e.dst,
                         interval: elems[i],
                         props: props.clone(),
-                    })
-                    .collect::<Vec<_>>()
+                    });
+                }
             })
             .collect(rt);
         coalesce_graph(&TGraph {
@@ -216,40 +210,34 @@ impl OgcGraph {
             };
         }
 
-        // Precompute, for every elementary interval, how many of its points
-        // fall into each window it overlaps: (window index, points).
-        let overlap: Arc<Vec<Vec<(usize, u64)>>> = Arc::new(
-            self.intervals
-                .iter()
-                .map(|elem| {
-                    windows
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, w)| elem.intersect(w).map(|x| (i, x.len())))
-                        .collect()
-                })
-                .collect(),
-        );
-
-        // Rewrites one presence bitset from elementary intervals to windows.
+        // Rewrites one presence bitset from elementary intervals to windows:
+        // set bits and windows are both in time order, so one forward walk
+        // sums each window's covered points and gates it on the quantifier.
         let rewrite = {
             let windows = Arc::clone(&windows);
-            let overlap = Arc::clone(&overlap);
-            let quant_points: Vec<u64> = Vec::new();
-            let _ = quant_points;
+            let elems = Arc::clone(&self.intervals);
             move |bits: &Bitset, quant: &tgraph_core::zoom::wzoom::Quantifier| -> Bitset {
-                let mut covered = vec![0u64; windows.len()];
-                for i in bits.iter_ones() {
-                    for (w, pts) in &overlap[i] {
-                        covered[*w] += pts;
-                    }
-                }
                 let mut out = Bitset::new(windows.len());
-                for (w, c) in covered.iter().enumerate() {
-                    let r = *c as f64 / windows[w].len() as f64;
-                    if quant.satisfied(r) {
+                let mut close = |w: usize, covered: u64| {
+                    if quant.satisfied(covered as f64 / windows[w].len() as f64) {
                         out.set(w);
                     }
+                };
+                // `covered`: points of window `w` present so far.
+                let (mut w, mut covered) = (0, 0u64);
+                for i in bits.iter_ones() {
+                    let elem = elems[i];
+                    while w < windows.len() && windows[w].start < elem.end {
+                        covered += elem.intersect(&windows[w]).map_or(0, |x| x.len());
+                        if windows[w].end > elem.end {
+                            break; // later intervals may cover more of it
+                        }
+                        close(w, covered);
+                        (w, covered) = (w + 1, 0);
+                    }
+                }
+                for w in w..windows.len() {
+                    close(w, std::mem::take(&mut covered));
                 }
                 out
             }
@@ -260,31 +248,22 @@ impl OgcGraph {
         let rw = rewrite.clone();
         let vertices: Dataset<OgcVertex> = self.vertices.flat_map(move |v| {
             let bits = rw(&v.intervals, &vq);
-            if bits.none() {
-                Vec::new()
-            } else {
-                vec![OgcVertex {
-                    vid: v.vid,
-                    vtype: v.vtype.clone(),
-                    intervals: bits,
-                }]
-            }
+            (!bits.none()).then(|| OgcVertex {
+                vid: v.vid,
+                vtype: v.vtype.clone(),
+                intervals: bits,
+            })
         });
 
-        let rw = rewrite.clone();
         let edges: Dataset<OgcEdge> = self.edges.flat_map(move |e| {
-            let bits = rw(&e.intervals, &eq);
-            if bits.none() {
-                Vec::new()
-            } else {
-                vec![OgcEdge {
-                    eid: e.eid,
-                    src: e.src,
-                    dst: e.dst,
-                    etype: e.etype.clone(),
-                    intervals: bits,
-                }]
-            }
+            let bits = rewrite(&e.intervals, &eq);
+            (!bits.none()).then(|| OgcEdge {
+                eid: e.eid,
+                src: e.src,
+                dst: e.dst,
+                etype: e.etype.clone(),
+                intervals: bits,
+            })
         });
 
         // Dangling-edge removal: edge.bits &= src.bits & dst.bits. Always
@@ -299,20 +278,12 @@ impl OgcGraph {
             by_src.join(rt, &v_bits).flat_map(|(_, (e, bits))| {
                 let mut out = e.clone();
                 out.intervals.and_with(bits);
-                if out.intervals.none() {
-                    Vec::new()
-                } else {
-                    vec![(out.dst, out)]
-                }
+                (!out.intervals.none()).then_some((out.dst, out))
             });
         let edges: Dataset<OgcEdge> = anded_src.join(rt, &v_bits).flat_map(|(_, (e, bits))| {
             let mut out = e.clone();
             out.intervals.and_with(bits);
-            if out.intervals.none() {
-                Vec::new()
-            } else {
-                vec![out]
-            }
+            (!out.intervals.none()).then_some(out)
         });
 
         let lifespan = Interval::hull_of(&windows);

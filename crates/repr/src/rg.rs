@@ -9,9 +9,7 @@
 //! why the paper finds RG to be the slowest representation on every workload
 //! (§5) — behaviour this implementation reproduces by construction.
 
-use crate::common::{
-    coalesce_states, resolve_edge_states, resolve_vertex_states, window_reduce, State,
-};
+use crate::common::{resolve_edge_states, resolve_vertex_states, window_reduce, GroupBases, State};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tgraph_core::coalesce::coalesce_graph;
@@ -102,32 +100,28 @@ impl RgGraph {
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
         let vertices: Vec<VertexRecord> = self
             .snapshots
-            .flat_map(|s| {
-                let interval = s.interval;
-                s.vertices
-                    .iter()
-                    .map(move |(vid, props)| VertexRecord {
+            .flat_map_into(|s, emit| {
+                for (vid, props) in &s.vertices {
+                    emit(VertexRecord {
                         vid: *vid,
-                        interval,
+                        interval: s.interval,
                         props: props.clone(),
-                    })
-                    .collect::<Vec<_>>()
+                    });
+                }
             })
             .collect(rt);
         let edges: Vec<EdgeRecord> = self
             .snapshots
-            .flat_map(|s| {
-                let interval = s.interval;
-                s.edges
-                    .iter()
-                    .map(move |(eid, src, dst, props)| EdgeRecord {
+            .flat_map_into(|s, emit| {
+                for (eid, src, dst, props) in &s.edges {
+                    emit(EdgeRecord {
                         eid: *eid,
                         src: *src,
                         dst: *dst,
-                        interval,
+                        interval: s.interval,
                         props: props.clone(),
-                    })
-                    .collect::<Vec<_>>()
+                    });
+                }
             })
             .collect(rt);
         coalesce_graph(&TGraph {
@@ -171,59 +165,54 @@ impl RgGraph {
         let spec = Arc::new(spec.clone());
 
         // V' ← V.map(copyWithVid(f_s)).groupBy(vid).reduce(f_agg), keyed by
-        // snapshot. The same flatMap also yields the vid → group mapping the
+        // snapshot. The same Skolem ids yield the vid → group mapping the
         // edge redirection joins against.
         let spec1 = Arc::clone(&spec);
-        let skolemized: Dataset<((Time, u64), (Interval, Props, Props))> =
-            self.snapshots.flat_map(move |s| {
-                let snap = s.interval.start;
-                let interval = s.interval;
-                s.vertices
-                    .iter()
-                    .filter_map(|(vid, props)| {
-                        spec1
-                            .skolemize(*vid, props)
-                            .map(|(gid, base)| ((snap, gid), (interval, base, props.clone())))
-                    })
-                    .collect::<Vec<_>>()
+        let skolemized: Dataset<((Time, u64), (Interval, VertexId, Props))> =
+            self.snapshots.flat_map_into(move |s, emit| {
+                for (vid, props) in &s.vertices {
+                    if let Some(gid) = spec1.group_id(*vid, props) {
+                        emit(((s.interval.start, gid), (s.interval, *vid, props.clone())));
+                    }
+                }
             });
-        let spec2 = Arc::clone(&spec);
+        let aggs = Arc::clone(&spec.aggs);
+        // A group recurs in every snapshot it lives through; its base is
+        // built in the first and shared by the rest.
+        let bases = GroupBases::new(Arc::clone(&spec));
         let grouped: Dataset<(Time, (VertexId, Interval, Props))> = skolemized
             .group_by_key(rt)
             .map(move |((snap, gid), members)| {
-                let mut acc = AggAccumulator::new(spec2.aggs.clone());
+                // `group_id` accepted the first member; a Skolem function
+                // that now refuses it leaves the node without base attributes.
+                let (interval, vid, props) = &members[0];
+                let base = bases.of(*gid, *vid, props).unwrap_or_default();
+                let mut acc = AggAccumulator::new(Arc::clone(&aggs));
                 for (_, _, props) in members {
                     acc.update(props);
                 }
-                let (interval, base, _) = &members[0];
-                (*snap, (VertexId(*gid), *interval, acc.finish(base.clone())))
+                (*snap, (VertexId(*gid), *interval, acc.finish(&base)))
             });
 
         // Edge redirection: join each edge with the snapshot-local vertex →
         // group mapping on v1, then on v2 (the triplet view's vertex lookup
         // expressed as dataflow joins).
-        let spec3 = Arc::clone(&spec);
-        let mapping: Dataset<((Time, VertexId), u64)> = self.snapshots.flat_map(move |s| {
-            let snap = s.interval.start;
-            s.vertices
-                .iter()
-                .filter_map(|(vid, props)| {
-                    spec3
-                        .skolemize(*vid, props)
-                        .map(|(gid, _)| ((snap, *vid), gid))
-                })
-                .collect::<Vec<_>>()
-        });
+        let mapping: Dataset<((Time, VertexId), u64)> =
+            self.snapshots.flat_map_into(move |s, emit| {
+                for (vid, props) in &s.vertices {
+                    if let Some(gid) = spec.group_id(*vid, props) {
+                        emit(((s.interval.start, *vid), gid));
+                    }
+                }
+            });
         let edges_by_src: Dataset<((Time, VertexId), (EdgeId, VertexId, Interval, Props))> =
-            self.snapshots.flat_map(|s| {
-                let snap = s.interval.start;
-                let interval = s.interval;
-                s.edges
-                    .iter()
-                    .map(|(eid, src, dst, props)| {
-                        ((snap, *src), (*eid, *dst, interval, props.clone()))
-                    })
-                    .collect::<Vec<_>>()
+            self.snapshots.flat_map_into(|s, emit| {
+                for (eid, src, dst, props) in &s.edges {
+                    emit((
+                        (s.interval.start, *src),
+                        (*eid, *dst, s.interval, props.clone()),
+                    ));
+                }
             });
         let redirected: Dataset<(Time, (EdgeId, VertexId, VertexId, Interval, Props))> =
             edges_by_src
@@ -270,48 +259,40 @@ impl RgGraph {
                 snapshots: Dataset::empty(),
             };
         }
-        let lifespan = self.lifespan;
-        let wspec = spec.window;
         let spec = Arc::new(spec.clone());
 
         // Map snapshot-local entities onto windows (lines 3–9 / 14–15): one
         // record per entity per snapshot copy — RG pays for its replication
         // in this shuffle.
         let ws = Arc::clone(&windows);
-        let aligned_v: Dataset<((usize, VertexId), State)> = self.snapshots.flat_map(move |s| {
-            let mut out = Vec::with_capacity(s.vertices.len());
-            for (idx, _w, covered) in windows_of(s.interval, lifespan, &ws, wspec) {
-                for (vid, props) in &s.vertices {
-                    out.push(((idx, *vid), (covered, props.clone())));
+        let aligned_v: Dataset<((usize, VertexId), State)> =
+            self.snapshots.flat_map_into(move |s, emit| {
+                for (idx, _w, covered) in windows_of(s.interval, &ws) {
+                    for (vid, props) in &s.vertices {
+                        emit(((idx, *vid), (covered, props.clone())));
+                    }
                 }
-            }
-            out
-        });
+            });
         let ws = Arc::clone(&windows);
         let spec_v = Arc::clone(&spec);
         let kept: Dataset<((usize, VertexId), Props)> =
             aligned_v
                 .group_by_key(rt)
                 .flat_map(move |((idx, vid), states)| {
-                    let window = ws[*idx];
-                    window_reduce(window, states.clone(), &spec_v.vertex_quantifier, |s| {
+                    window_reduce(ws[*idx], states, &spec_v.vertex_quantifier, |s| {
                         resolve_vertex_states(&spec_v, s)
                     })
                     .map(|props| ((*idx, *vid), props))
-                    .into_iter()
-                    .collect::<Vec<_>>()
                 });
 
         let ws = Arc::clone(&windows);
         let aligned_e: Dataset<((usize, EdgeId, VertexId, VertexId), State)> =
-            self.snapshots.flat_map(move |s| {
-                let mut out = Vec::with_capacity(s.edges.len());
-                for (idx, _w, covered) in windows_of(s.interval, lifespan, &ws, wspec) {
+            self.snapshots.flat_map_into(move |s, emit| {
+                for (idx, _w, covered) in windows_of(s.interval, &ws) {
                     for (eid, src, dst, props) in &s.edges {
-                        out.push(((idx, *eid, *src, *dst), (covered, props.clone())));
+                        emit(((idx, *eid, *src, *dst), (covered, props.clone())));
                     }
                 }
-                out
             });
         let ws = Arc::clone(&windows);
         let spec_e = Arc::clone(&spec);
@@ -319,13 +300,10 @@ impl RgGraph {
             aligned_e
                 .group_by_key(rt)
                 .flat_map(move |((idx, eid, src, dst), states)| {
-                    let window = ws[*idx];
-                    window_reduce(window, states.clone(), &spec_e.edge_quantifier, |s| {
+                    window_reduce(ws[*idx], states, &spec_e.edge_quantifier, |s| {
                         resolve_edge_states(&spec_e, s)
                     })
                     .map(|props| ((*idx, *src), (*eid, *src, *dst, props)))
-                    .into_iter()
-                    .collect::<Vec<_>>()
                 });
 
         // Dangling-edge removal against the retained vertex set (merge step
@@ -455,11 +433,6 @@ fn regroup_snapshots(
         .union(&e_parts)
         .group_by_key(rt)
         .map(|(interval, parts)| build_snapshot(*interval, parts))
-}
-
-/// Coalesces the states used for resolve functions — exposed for tests.
-pub fn coalesced_states(states: Vec<State>) -> Vec<State> {
-    coalesce_states(states)
 }
 
 #[cfg(test)]

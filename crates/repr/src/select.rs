@@ -198,7 +198,7 @@ impl OgGraph {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let history = crate::common::coalesce_states(history);
+            let history = tgraph_core::coalesce::coalesce_group(history);
             if history.is_empty() {
                 Vec::new()
             } else {

@@ -14,7 +14,6 @@ use crate::common::{
 use std::sync::Arc;
 use tgraph_core::coalesce::{coalesce_edges, coalesce_vertices};
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
-use tgraph_core::props::Props;
 use tgraph_core::time::Interval;
 use tgraph_core::zoom::azoom::AZoomSpec;
 use tgraph_core::zoom::wzoom::{window_relation, windows_of, WZoomSpec};
@@ -91,38 +90,19 @@ impl VeGraph {
             .vertices
             .map(|v| (v.vid, (v.interval, v.props.clone())))
             .group_by_key(rt)
-            .flat_map(|(vid, states)| {
-                let vid = *vid;
-                coalesce_states(states.clone())
-                    .into_iter()
-                    .map(move |(interval, props)| VertexRecord {
-                        vid,
-                        interval,
-                        props,
-                    })
-                    .collect::<Vec<_>>()
-            });
-        let edges = self
-            .edges
-            .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())))
-            .group_by_key(rt)
-            .flat_map(|((eid, src, dst), states)| {
-                let (eid, src, dst) = (*eid, *src, *dst);
-                coalesce_states(states.clone())
-                    .into_iter()
-                    .map(move |(interval, props)| EdgeRecord {
-                        eid,
-                        src,
-                        dst,
-                        interval,
-                        props,
-                    })
-                    .collect::<Vec<_>>()
+            .flat_map_into(|(vid, states), emit| {
+                for (interval, props) in coalesce_states(states).iter() {
+                    emit(VertexRecord {
+                        vid: *vid,
+                        interval: *interval,
+                        props: props.clone(),
+                    });
+                }
             });
         VeGraph {
             lifespan: self.lifespan,
             vertices,
-            edges,
+            edges: coalesced_edges(rt, &self.edges),
             coalesced: true,
         }
     }
@@ -135,31 +115,26 @@ impl VeGraph {
     /// Edges are redirected by joining with the vertex relation on `vid1`
     /// and `vid2` (VE stores only foreign keys) and recomputing intervals.
     pub fn azoom(&self, rt: &Runtime, spec: &AZoomSpec) -> VeGraph {
-        let spec_v = Arc::new(spec.clone());
+        let spec = Arc::new(spec.clone());
 
         // --- Vertex aggregation (lines 1–12). ---
-        let spec1 = Arc::clone(&spec_v);
-        let grouped: Dataset<(u64, (Props, State))> = self.vertices.flat_map(move |v| {
+        let spec1 = Arc::clone(&spec);
+        let grouped: Dataset<(u64, (VertexId, State))> = self.vertices.flat_map(move |v| {
             spec1
-                .skolemize(v.vid, &v.props)
-                .map(|(gid, base)| (gid, (base, (v.interval, v.props.clone()))))
-                .into_iter()
-                .collect::<Vec<_>>()
+                .group_id(v.vid, &v.props)
+                .map(|gid| (gid, (v.vid, (v.interval, v.props.clone()))))
         });
-        let spec2 = Arc::clone(&spec_v);
+        let spec2 = Arc::clone(&spec);
         let vertices: Dataset<VertexRecord> =
             grouped.group_by_key(rt).flat_map(move |(gid, members)| {
-                let base = &members[0].0;
-                let states: Vec<State> = members.iter().map(|(_, s)| s.clone()).collect();
                 let vid = VertexId(*gid);
-                aggregate_group_history(&spec2, base, &states)
-                    .into_iter()
-                    .map(move |(interval, props)| VertexRecord {
+                aggregate_group_history(&spec2, members).into_iter().map(
+                    move |(interval, props)| VertexRecord {
                         vid,
                         interval,
                         props,
-                    })
-                    .collect::<Vec<_>>()
+                    },
+                )
             });
 
         // --- Edge redirection (lines 13–18): two joins on the vertex FK. ---
@@ -168,73 +143,36 @@ impl VeGraph {
         // hash-partition it once so the second join elides its shuffle.
         let v_by_id: Dataset<(VertexId, VertexRecord)> =
             tgraph_dataflow::shuffle(rt, &self.vertices.map(|v| (v.vid, v.clone())));
-        let spec3 = Arc::clone(&spec_v);
+        let spec3 = Arc::clone(&spec);
         let joined_src: Dataset<(VertexId, (EdgeRecord, (u64, Interval)))> =
             by_src.join(rt, &v_by_id).flat_map(move |(_, (e, v))| {
                 // recomputeInterval part 1: clip to the src state's validity.
-                match (
-                    e.interval.intersect(&v.interval),
-                    spec3.skolemize(v.vid, &v.props),
-                ) {
-                    (Some(iv), Some((gid, _))) => vec![(e.dst, (e.clone(), (gid, iv)))],
-                    _ => vec![],
-                }
+                let iv = e.interval.intersect(&v.interval)?;
+                let gid = spec3.group_id(v.vid, &v.props)?;
+                Some((e.dst, (e.clone(), (gid, iv))))
             });
-        let spec4 = Arc::clone(&spec_v);
         let edges: Dataset<EdgeRecord> =
             joined_src
                 .join(rt, &v_by_id)
                 .flat_map(move |(_, ((e, (gid1, iv1)), v2))| {
-                    match (
-                        iv1.intersect(&v2.interval),
-                        spec4.skolemize(v2.vid, &v2.props),
-                    ) {
-                        (Some(interval), Some((gid2, _))) => vec![EdgeRecord {
-                            eid: e.eid,
-                            src: VertexId(*gid1),
-                            dst: VertexId(gid2),
-                            interval,
-                            props: e.props.clone(),
-                        }],
-                        _ => vec![],
-                    }
-                });
-        // Output of snapshot-wise evaluation is coalesced lazily; mark dirty.
-        let out = VeGraph {
-            lifespan: self.lifespan,
-            vertices,
-            edges,
-            coalesced: false,
-        };
-        out.coalesce_edges_only(rt)
-    }
-
-    /// Edges produced by redirection may contain adjacent value-equivalent
-    /// pieces (one per endpoint-state combination); vertices from
-    /// `aggregate_group_history` are already coalesced per group. Coalescing
-    /// the edge relation keeps the representation compact.
-    fn coalesce_edges_only(&self, rt: &Runtime) -> VeGraph {
-        let edges = self
-            .edges
-            .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())))
-            .group_by_key(rt)
-            .flat_map(|((eid, src, dst), states)| {
-                let (eid, src, dst) = (*eid, *src, *dst);
-                coalesce_states(states.clone())
-                    .into_iter()
-                    .map(move |(interval, props)| EdgeRecord {
-                        eid,
-                        src,
-                        dst,
+                    let interval = iv1.intersect(&v2.interval)?;
+                    let gid2 = spec.group_id(v2.vid, &v2.props)?;
+                    Some(EdgeRecord {
+                        eid: e.eid,
+                        src: VertexId(*gid1),
+                        dst: VertexId(gid2),
                         interval,
-                        props,
+                        props: e.props.clone(),
                     })
-                    .collect::<Vec<_>>()
-            });
+                });
+        // Edges produced by redirection may contain adjacent value-equivalent
+        // pieces (one per endpoint-state combination); vertices from
+        // `aggregate_group_history` are already coalesced per group.
+        // Coalescing the edge relation keeps the representation compact.
         VeGraph {
             lifespan: self.lifespan,
-            vertices: self.vertices.clone(),
-            edges,
+            vertices,
+            edges: coalesced_edges(rt, &edges),
             coalesced: true,
         }
     }
@@ -265,54 +203,43 @@ impl VeGraph {
                 coalesced: true,
             };
         }
-        let lifespan = g.lifespan;
-        let wspec = spec.window;
         let spec = Arc::new(spec.clone());
 
         // --- Vertex aggregation for new intervals (lines 3–9). ---
         let ws = Arc::clone(&windows);
-        let aligned_v: Dataset<((usize, VertexId), State)> = g.vertices.flat_map(move |v| {
-            let props = v.props.clone();
-            let vid = v.vid;
-            windows_of(v.interval, lifespan, &ws, wspec)
-                .into_iter()
-                .map(move |(idx, _w, covered)| ((idx, vid), (covered, props.clone())))
-                .collect::<Vec<_>>()
-        });
+        let aligned_v: Dataset<((usize, VertexId), State)> =
+            g.vertices.flat_map_into(move |v, emit| {
+                for (idx, _w, covered) in windows_of(v.interval, &ws) {
+                    emit(((idx, v.vid), (covered, v.props.clone())));
+                }
+            });
         let ws = Arc::clone(&windows);
         let spec_v = Arc::clone(&spec);
         let kept_vertices: Dataset<((usize, VertexId), VertexRecord)> = aligned_v
             .group_by_key(rt)
             .flat_map(move |((idx, vid), states)| {
                 let window = ws[*idx];
-                window_reduce(window, states.clone(), &spec_v.vertex_quantifier, |s| {
+                let props = window_reduce(window, states, &spec_v.vertex_quantifier, |s| {
                     resolve_vertex_states(&spec_v, s)
-                })
-                .map(|props| {
-                    (
-                        (*idx, *vid),
-                        VertexRecord {
-                            vid: *vid,
-                            interval: window,
-                            props,
-                        },
-                    )
-                })
-                .into_iter()
-                .collect::<Vec<_>>()
+                })?;
+                Some((
+                    (*idx, *vid),
+                    VertexRecord {
+                        vid: *vid,
+                        interval: window,
+                        props,
+                    },
+                ))
             });
         let vertices: Dataset<VertexRecord> = kept_vertices.map(|(_, v)| v.clone());
 
         // --- Edge aggregation (lines 10–16). ---
         let ws = Arc::clone(&windows);
         let aligned_e: Dataset<((usize, EdgeId, VertexId, VertexId), State)> =
-            g.edges.flat_map(move |e| {
-                let props = e.props.clone();
-                let (eid, src, dst) = (e.eid, e.src, e.dst);
-                windows_of(e.interval, lifespan, &ws, wspec)
-                    .into_iter()
-                    .map(move |(idx, _w, covered)| ((idx, eid, src, dst), (covered, props.clone())))
-                    .collect::<Vec<_>>()
+            g.edges.flat_map_into(move |e, emit| {
+                for (idx, _w, covered) in windows_of(e.interval, &ws) {
+                    emit(((idx, e.eid, e.src, e.dst), (covered, e.props.clone())));
+                }
             });
         let ws = Arc::clone(&windows);
         let spec_e = Arc::clone(&spec);
@@ -321,23 +248,19 @@ impl VeGraph {
                 .group_by_key(rt)
                 .flat_map(move |((idx, eid, src, dst), states)| {
                     let window = ws[*idx];
-                    window_reduce(window, states.clone(), &spec_e.edge_quantifier, |s| {
+                    let props = window_reduce(window, states, &spec_e.edge_quantifier, |s| {
                         resolve_edge_states(&spec_e, s)
-                    })
-                    .map(|props| {
-                        (
-                            (*idx, *src),
-                            EdgeRecord {
-                                eid: *eid,
-                                src: *src,
-                                dst: *dst,
-                                interval: window,
-                                props,
-                            },
-                        )
-                    })
-                    .into_iter()
-                    .collect::<Vec<_>>()
+                    })?;
+                    Some((
+                        (*idx, *src),
+                        EdgeRecord {
+                            eid: *eid,
+                            src: *src,
+                            dst: *dst,
+                            interval: window,
+                            props,
+                        },
+                    ))
                 });
 
         // --- Dangling-edge removal (lines 17–19): only when r_v > r_e. ---
@@ -364,6 +287,25 @@ impl VeGraph {
         // Point semantics: the final result is coalesced.
         out.coalesce(rt)
     }
+}
+
+/// Coalesces an edge relation: group by edge identity (endpoints included),
+/// fold each group's states.
+fn coalesced_edges(rt: &Runtime, edges: &Dataset<EdgeRecord>) -> Dataset<EdgeRecord> {
+    edges
+        .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())))
+        .group_by_key(rt)
+        .flat_map_into(|((eid, src, dst), states), emit| {
+            for (interval, props) in coalesce_states(states).iter() {
+                emit(EdgeRecord {
+                    eid: *eid,
+                    src: *src,
+                    dst: *dst,
+                    interval: *interval,
+                    props: props.clone(),
+                });
+            }
+        })
 }
 
 /// Rebuilds a [`VeGraph`] from already-collected records (used by loaders).

@@ -6,7 +6,9 @@
 //! `u32` byte-length prefix. A property set is a `u16` pair count followed by
 //! `(key, tagged value)` pairs in key order.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
+use std::collections::HashMap;
+use std::sync::Arc;
 use tgraph_core::props::{Props, Value};
 use tgraph_core::time::Interval;
 
@@ -86,6 +88,14 @@ fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
     }
 }
 
+/// Splits the next `n` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
+    need(buf, n)?;
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
 /// Validates a string's byte length against the `u32` length prefix.
 /// Factored out so the boundary is testable without allocating a 4 GiB
 /// string.
@@ -111,15 +121,6 @@ pub fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), EncodeError> {
     Ok(())
 }
 
-/// Reads a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut Bytes) -> Result<String, DecodeError> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len)?;
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
-}
-
 /// Writes a tagged property value.
 pub fn put_value(buf: &mut BytesMut, v: &Value) -> Result<(), EncodeError> {
     match v {
@@ -143,27 +144,6 @@ pub fn put_value(buf: &mut BytesMut, v: &Value) -> Result<(), EncodeError> {
     Ok(())
 }
 
-/// Reads a tagged property value.
-pub fn get_value(buf: &mut Bytes) -> Result<Value, DecodeError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => {
-            need(buf, 1)?;
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        1 => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        2 => {
-            need(buf, 8)?;
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        3 => Ok(Value::Str(get_str(buf)?.into())),
-        t => Err(DecodeError::BadValueTag(t)),
-    }
-}
-
 /// Writes a property set, refusing sets whose pair count does not fit the
 /// `u16` count field.
 pub fn put_props(buf: &mut BytesMut, props: &Props) -> Result<(), EncodeError> {
@@ -175,17 +155,84 @@ pub fn put_props(buf: &mut BytesMut, props: &Props) -> Result<(), EncodeError> {
     Ok(())
 }
 
-/// Reads a property set.
-pub fn get_props(buf: &mut Bytes) -> Result<Props, DecodeError> {
-    need(buf, 2)?;
-    let n = buf.get_u16_le() as usize;
-    let mut pairs: Vec<(String, Value)> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = get_str(buf)?;
-        let v = get_value(buf)?;
-        pairs.push((k, v));
+/// Reads the property sets of one chunk payload.
+///
+/// Rows of a chunk repeat themselves: the same few labels on every row, the
+/// same type and group strings on most, and — sorted by entity — often the
+/// very same property set as the row before. Each distinct string is
+/// therefore validated and allocated once per chunk and shared from then on,
+/// and a row whose encoded bytes equal the previous row's gets its `Props`
+/// back as a reference-count bump. The bytes on disk are what they were.
+#[derive(Default)]
+pub struct PropsDecoder<'a> {
+    /// Every distinct string of the chunk so far, by its encoded bytes.
+    strings: HashMap<&'a [u8], Arc<str>>,
+    /// The previous row's encoded property set and what it decoded to.
+    last: Option<(&'a [u8], Props)>,
+}
+
+impl<'a> PropsDecoder<'a> {
+    /// Reads a length-prefixed UTF-8 string.
+    fn get_str(&mut self, buf: &mut &'a [u8]) -> Result<Arc<str>, DecodeError> {
+        need(buf, 4)?;
+        let len = buf.get_u32_le() as usize;
+        let raw = take(buf, len)?;
+        if let Some(s) = self.strings.get(raw) {
+            return Ok(Arc::clone(s));
+        }
+        let s: Arc<str> = std::str::from_utf8(raw)
+            .map_err(|_| DecodeError::InvalidUtf8)?
+            .into();
+        self.strings.insert(raw, Arc::clone(&s));
+        Ok(s)
     }
-    Ok(Props::from_pairs(pairs))
+
+    /// Reads a tagged property value.
+    pub fn get_value(&mut self, buf: &mut &'a [u8]) -> Result<Value, DecodeError> {
+        need(buf, 1)?;
+        match buf.get_u8() {
+            0 => {
+                need(buf, 1)?;
+                Ok(Value::Bool(buf.get_u8() != 0))
+            }
+            1 => {
+                need(buf, 8)?;
+                Ok(Value::Int(buf.get_i64_le()))
+            }
+            2 => {
+                need(buf, 8)?;
+                Ok(Value::Float(buf.get_f64_le()))
+            }
+            3 => Ok(Value::Str(self.get_str(buf)?)),
+            t => Err(DecodeError::BadValueTag(t)),
+        }
+    }
+
+    /// Reads a property set.
+    pub fn get_props(&mut self, buf: &mut &'a [u8]) -> Result<Props, DecodeError> {
+        // A property set's encoding delimits itself, so a buffer that starts
+        // with the previous row's bytes decodes to the previous row's set.
+        if let Some((raw, props)) = &self.last {
+            if buf.starts_with(raw) {
+                *buf = &buf[raw.len()..];
+                return Ok(props.clone());
+            }
+        }
+        let start = *buf;
+        need(buf, 2)?;
+        let n = buf.get_u16_le() as usize;
+        // A pair takes at least six bytes: the count cannot reserve more
+        // than the payload could hold.
+        let mut pairs = Vec::with_capacity(n.min(buf.len() / 6));
+        for _ in 0..n {
+            let k = self.get_str(buf)?;
+            let v = self.get_value(buf)?;
+            pairs.push((k, v));
+        }
+        let props = Props::from_pairs(pairs);
+        self.last = Some((&start[..start.len() - buf.len()], props.clone()));
+        Ok(props)
+    }
 }
 
 /// Writes an interval as two fixed i64 columns (the "UNIX timestamp as long"
@@ -196,7 +243,7 @@ pub fn put_interval(buf: &mut BytesMut, iv: &Interval) {
 }
 
 /// Reads an interval.
-pub fn get_interval(buf: &mut Bytes) -> Result<Interval, DecodeError> {
+pub fn get_interval(buf: &mut impl Buf) -> Result<Interval, DecodeError> {
     need(buf, 16)?;
     let start = buf.get_i64_le();
     let end = buf.get_i64_le();
@@ -216,8 +263,7 @@ mod tests {
     fn roundtrip_props(p: &Props) -> Props {
         let mut buf = BytesMut::new();
         put_props(&mut buf, p).unwrap();
-        let mut bytes = buf.freeze();
-        get_props(&mut bytes).unwrap()
+        PropsDecoder::default().get_props(&mut &buf[..]).unwrap()
     }
 
     #[test]
@@ -228,6 +274,34 @@ mod tests {
             .with("score", 1.5f64)
             .with("active", true);
         assert_eq!(roundtrip_props(&p), p);
+    }
+
+    #[test]
+    fn repeated_rows_and_strings_share_their_allocations() {
+        let ann = Props::typed("person").with("name", "Ann");
+        let bob = Props::typed("person").with("name", "Bob");
+        let mut buf = BytesMut::new();
+        for p in [&ann, &ann, &bob, &ann] {
+            put_props(&mut buf, p).unwrap();
+        }
+        let mut rest = &buf[..];
+        let mut decoder = PropsDecoder::default();
+        let rows: Vec<Props> = (0..4)
+            .map(|_| decoder.get_props(&mut rest).unwrap())
+            .collect();
+        assert!(rest.is_empty());
+        assert_eq!(rows, [ann.clone(), ann.clone(), bob, ann]);
+        let key_of = |p: &Props, k: &str| p.iter().find(|(key, _)| &***key == k).unwrap().0.clone();
+        // Same label, different rows: one allocation.
+        assert!(Arc::ptr_eq(
+            &key_of(&rows[0], "name"),
+            &key_of(&rows[2], "name")
+        ));
+        let type_of = |p: &Props| match p.get("type") {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("type label missing: {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&type_of(&rows[0]), &type_of(&rows[3])));
     }
 
     #[test]
@@ -245,8 +319,7 @@ mod tests {
         ] {
             let mut buf = BytesMut::new();
             put_value(&mut buf, &v).unwrap();
-            let mut bytes = buf.freeze();
-            assert_eq!(get_value(&mut bytes).unwrap(), v);
+            assert_eq!(PropsDecoder::default().get_value(&mut &buf[..]).unwrap(), v);
         }
     }
 
@@ -254,17 +327,18 @@ mod tests {
     fn interval_roundtrip() {
         let mut buf = BytesMut::new();
         put_interval(&mut buf, &Interval::new(-5, 99));
-        let mut bytes = buf.freeze();
-        assert_eq!(get_interval(&mut bytes).unwrap(), Interval::new(-5, 99));
+        assert_eq!(get_interval(&mut &buf[..]).unwrap(), Interval::new(-5, 99));
     }
 
     #[test]
     fn truncated_buffer_errors() {
         let mut buf = BytesMut::new();
         put_str(&mut buf, "hello").unwrap();
-        let full = buf.freeze();
-        let mut truncated = full.slice(0..full.len() - 2);
-        assert_eq!(get_str(&mut truncated), Err(DecodeError::UnexpectedEof));
+        let mut truncated = &buf[..buf.len() - 2];
+        assert_eq!(
+            PropsDecoder::default().get_str(&mut truncated),
+            Err(DecodeError::UnexpectedEof)
+        );
     }
 
     #[test]
@@ -324,8 +398,10 @@ mod tests {
     fn bad_tag_errors() {
         let mut buf = BytesMut::new();
         buf.put_u8(9);
-        let mut bytes = buf.freeze();
-        assert_eq!(get_value(&mut bytes), Err(DecodeError::BadValueTag(9)));
+        assert_eq!(
+            PropsDecoder::default().get_value(&mut &buf[..]),
+            Err(DecodeError::BadValueTag(9))
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   ~30% faster this way).
 
 use crate::encode::{
-    checked_count, checksum, get_interval, get_props, put_interval, put_props, DecodeError,
-    EncodeError,
+    checked_count, checksum, get_interval, put_interval, put_props, DecodeError, EncodeError,
+    PropsDecoder,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
@@ -324,7 +324,8 @@ pub fn read_tgc(
                 return Err(DecodeError::ChecksumMismatch.into());
             }
             stats.chunks_read += 1;
-            let mut bytes = Bytes::from(payload);
+            let mut bytes = &payload[..];
+            let mut decoder = PropsDecoder::default();
             for _ in 0..header.stats.rows {
                 if is_vertex {
                     if bytes.remaining() < 8 {
@@ -332,7 +333,7 @@ pub fn read_tgc(
                     }
                     let vid = bytes.get_u64_le();
                     let interval = get_interval(&mut bytes)?;
-                    let props = get_props(&mut bytes)?;
+                    let props = decoder.get_props(&mut bytes)?;
                     stats.rows_read += 1;
                     let clipped = match &range {
                         Some(r) => interval.intersect(r),
@@ -349,7 +350,7 @@ pub fn read_tgc(
                     let src = bytes.get_u64_le();
                     let dst = bytes.get_u64_le();
                     let interval = get_interval(&mut bytes)?;
-                    let props = get_props(&mut bytes)?;
+                    let props = decoder.get_props(&mut bytes)?;
                     stats.rows_read += 1;
                     let clipped = match &range {
                         Some(r) => interval.intersect(r),

@@ -177,18 +177,6 @@ impl GraphLoader {
         range: Option<Interval>,
     ) -> Result<(OgGraph, ScanStats), StorageError> {
         let (lifespan, v_rows, e_rows, stats, epoch) = self.load_nested(range)?;
-        let vertex_index: std::collections::HashMap<u64, OgVertex> = v_rows
-            .iter()
-            .map(|r| {
-                (
-                    r.id,
-                    OgVertex {
-                        vid: VertexId(r.id),
-                        history: r.history.clone(),
-                    },
-                )
-            })
-            .collect();
         let vertices: Vec<OgVertex> = v_rows
             .into_iter()
             .map(|r| OgVertex {
@@ -196,22 +184,22 @@ impl GraphLoader {
                 history: r.history,
             })
             .collect();
-        let placeholder = |vid: u64| OgVertex {
-            vid: VertexId(vid),
-            history: Vec::new(),
+        let vertex_index: std::collections::HashMap<u64, &OgVertex> =
+            vertices.iter().map(|v| (v.vid.0, v)).collect();
+        // An endpoint outside the loaded range has no history to copy.
+        let copy_of = |vid: u64| match vertex_index.get(&vid) {
+            Some(v) => (*v).clone(),
+            None => OgVertex {
+                vid: VertexId(vid),
+                history: Vec::new(),
+            },
         };
         let edges: Vec<OgEdge> = e_rows
             .into_iter()
             .map(|r| OgEdge {
                 eid: EdgeId(r.id),
-                src: vertex_index
-                    .get(&r.src)
-                    .cloned()
-                    .unwrap_or_else(|| placeholder(r.src)),
-                dst: vertex_index
-                    .get(&r.dst)
-                    .cloned()
-                    .unwrap_or_else(|| placeholder(r.dst)),
+                src: copy_of(r.src),
+                dst: copy_of(r.dst),
                 history: r.history,
             })
             .collect();

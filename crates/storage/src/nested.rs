@@ -10,7 +10,7 @@
 //! on those, restoring pushdown.
 
 use crate::encode::{
-    checked_count, checksum, get_interval, get_props, put_interval, put_props, DecodeError,
+    checked_count, checksum, get_interval, put_interval, put_props, DecodeError, PropsDecoder,
 };
 use crate::format::{ScanStats, StorageError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -177,7 +177,8 @@ fn read_rows<R: Read>(
             return Err(DecodeError::ChecksumMismatch.into());
         }
         stats.chunks_read += 1;
-        let mut bytes = Bytes::from(payload);
+        let mut bytes = &payload[..];
+        let mut decoder = PropsDecoder::default();
         for _ in 0..rows {
             if bytes.remaining() < 44 {
                 return Err(DecodeError::UnexpectedEof.into());
@@ -191,7 +192,7 @@ fn read_rows<R: Read>(
             let mut history = Vec::with_capacity(n);
             for _ in 0..n {
                 let iv = get_interval(&mut bytes)?;
-                let props = get_props(&mut bytes)?;
+                let props = decoder.get_props(&mut bytes)?;
                 match &range {
                     Some(r) => {
                         if let Some(clipped) = iv.intersect(r) {

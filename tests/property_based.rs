@@ -169,6 +169,50 @@ proptest! {
     }
 
     #[test]
+    fn wzoom_kernels_agree_with_the_reference(
+        g in arb_tgraph(),
+        n in 1u64..6,
+        by_changes in prop::bool::ANY,
+        quantifiers in 0usize..4,
+    ) {
+        // VE reduces each (window, entity) group, OG walks each history
+        // against the window relation, OGC walks each bitset: all three must
+        // give what the point-semantics evaluator gives — for windows that
+        // straddle the lifespan end (n up to 5 over a horizon of 10), for
+        // windows counted in changes, and with dangling-edge removal
+        // (`all` vertices under `exists` edges).
+        let (vq, eq) = [
+            (Quantifier::Exists, Quantifier::Exists),
+            (Quantifier::All, Quantifier::All),
+            (Quantifier::All, Quantifier::Exists),
+            (Quantifier::Most, Quantifier::AtLeast(0.25)),
+        ][quantifiers];
+        let mut spec = WZoomSpec::points(n, vq, eq);
+        if by_changes {
+            spec.window = WindowSpec::Changes(n);
+        }
+        let rt = Runtime::with_partitions(2, 3);
+        let canon = |g: &TGraph| {
+            let c = coalesce_graph(g);
+            (c.vertices, c.edges)
+        };
+        let expected = canon(&wzoom_reference(&g, &spec));
+        for kind in [ReprKind::Ve, ReprKind::Og] {
+            let got = AnyGraph::load(&rt, &g, kind).wzoom(&rt, &spec).to_tgraph(&rt);
+            prop_assert_eq!(canon(&got), expected.clone(), "{} {:?}", kind, spec);
+        }
+        // OGC keeps topology and type only: compare on that projection
+        // (coalesced, so its elementary intervals are the change points).
+        let mut topology = g.clone();
+        for v in &mut topology.vertices {
+            v.props = Props::typed("node");
+        }
+        let topology = coalesce_graph(&topology);
+        let got = AnyGraph::load(&rt, &topology, ReprKind::Ogc).wzoom(&rt, &spec).to_tgraph(&rt);
+        prop_assert_eq!(canon(&got), canon(&wzoom_reference(&topology, &spec)), "OGC {:?}", spec);
+    }
+
+    #[test]
     fn storage_roundtrip(g in arb_tgraph()) {
         let dir = std::env::temp_dir().join("tgraph-proptest");
         std::fs::create_dir_all(&dir).unwrap();
