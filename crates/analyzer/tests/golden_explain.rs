@@ -128,55 +128,6 @@ fn wzoom_on_og_golden() {
     );
 }
 
-/// The work-stealing scheduler is plan-invisible: running the same zoom
-/// under the barrier and morsel schedulers must yield identical lineage
-/// fingerprints and identical analysis (shuffle counts, elisions, EXPLAIN
-/// text). Morsel execution is a dispatch-time concern — it must never leak
-/// into plan structure or the partitioning proofs the analyzer checks.
-#[test]
-fn steal_mode_is_plan_invisible() {
-    use tgraph_dataflow::fingerprint;
-
-    let rt = rt();
-    let g = figure1_graph_stable_ids();
-
-    let run = |stealing: bool| {
-        rt.set_stealing(stealing);
-        let before = rt.stats();
-        let session = Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec());
-        assert_eq!(session.verify(), Vec::<String>::new());
-        let lineages = session.finish().lineages();
-        let fps: Vec<(String, u64)> = lineages
-            .iter()
-            .map(|(name, root)| (name.to_string(), fingerprint(root)))
-            .collect();
-        let renders: Vec<String> = lineages
-            .iter()
-            .map(|(_, root)| {
-                let a = analyze(root);
-                assert!(a.is_sound(), "steal-mode plan must analyze clean");
-                a.render()
-            })
-            .collect();
-        (fps, renders, rt.stats().since(&before))
-    };
-
-    let (fp_barrier, an_barrier, d_barrier) = run(false);
-    let (fp_steal, an_steal, d_steal) = run(true);
-    rt.set_stealing(false);
-
-    assert_eq!(
-        fp_barrier, fp_steal,
-        "fingerprints must not see the scheduler"
-    );
-    assert_eq!(an_barrier, an_steal, "analysis must not see the scheduler");
-    assert_eq!(d_barrier.morsels, 0, "barrier run must not execute morsels");
-    assert!(
-        d_steal.morsels > 0,
-        "steal run must actually have executed morsels"
-    );
-}
-
 /// The exchange layer is plan-invisible: running the same zoom with buckets
 /// moved through the typed in-process path and through the framed wire codec
 /// must yield identical lineage fingerprints and identical analysis. How

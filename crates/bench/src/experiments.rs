@@ -77,12 +77,6 @@ fn movement_note(rt: &Runtime, before: &tgraph_dataflow::RuntimeStats) -> String
         d.tasks,
         d.waves
     );
-    if d.morsels > 0 {
-        note.push_str(&format!(
-            "\n  stolen: {} morsels ({} steals), longest unit {} us of {} us wall",
-            d.morsels, d.steals, d.max_task_us, d.wave_us
-        ));
-    }
     if d.shuffles_estimated > 0 {
         note.push_str(&format!(
             "\n  predicted: ~{} records, ~{} over {}/{} estimated exchanges",

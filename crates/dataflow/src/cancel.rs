@@ -10,12 +10,6 @@
 //! query's queued partitions drain off the worker pool in microseconds
 //! instead of finishing their (now pointless) work.
 //!
-//! Under the work-stealing scheduler
-//! ([`Runtime::stealing`](crate::Runtime::stealing)) the check is finer
-//! still: steal-loop drivers observe the token **between morsels**, so a
-//! deadline interrupts a hot partition after at most one morsel's worth of
-//! work (a few thousand rows) rather than after the partition's whole task.
-//!
 //! Cancellation surfaces as a typed unwind ([`Cancelled`]) that `scope`
 //! converts into `Err(Cancelled)` at the boundary — operator code in between
 //! needs no `Result` plumbing, mirroring how Spark propagates job

@@ -26,7 +26,6 @@ use crate::lineage::{OpKind, PlanNode};
 use crate::runtime::Runtime;
 use crate::spill::{Spill, SpillReader};
 use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Where a fused chain delivers its elements. The ownership rule of fused
@@ -133,42 +132,7 @@ enum Plan<T: Clone> {
     Lazy {
         parts: usize,
         producer: Arc<dyn Fn(usize, &mut Sink<'_, T>) + Send + Sync>,
-        /// Morsel capability: present when the chain is element-wise all the
-        /// way down to its source, so any source row range can be run
-        /// independently (see [`SplitCap`]). `None` for whole-partition
-        /// operators (`map_partitions`), which pins the plan to the barrier
-        /// scheduler.
-        split: Option<SplitCap<T>>,
     },
-}
-
-/// The capability that lets the work-stealing scheduler split a plan's
-/// partitions into row-range morsels.
-///
-/// A plan is *splittable* when its fused chain is element-wise (each output
-/// element depends on exactly one source element, order preserved): `map`,
-/// `filter`, `flat_map`, and `union` of splittable sides qualify;
-/// `map_partitions` does not. For a splittable chain, running
-/// `produce_range` over consecutive ranges covering `0..rows(i)` and
-/// concatenating the outputs yields exactly what one full-partition pass
-/// produces — the order-preserving-merge invariant the morsel scheduler
-/// relies on. Ranges always index **source** rows of partition `i`
-/// (pre-filter, pre-flat-map), which is what makes morsel cuts well-defined
-/// without running the chain.
-pub(crate) struct SplitCap<T: Clone> {
-    /// Source rows of partition `i` — the space morsel ranges are cut from.
-    pub rows: Arc<dyn Fn(usize) -> usize + Send + Sync>,
-    /// Streams the chain's output for source rows `range` of partition `i`.
-    pub produce_range: Arc<dyn Fn(usize, Range<usize>, &mut Sink<'_, T>) + Send + Sync>,
-}
-
-impl<T: Clone> Clone for SplitCap<T> {
-    fn clone(&self) -> Self {
-        SplitCap {
-            rows: Arc::clone(&self.rows),
-            produce_range: Arc::clone(&self.produce_range),
-        }
-    }
 }
 
 /// An immutable partitioned collection with a lazy narrow-operator plan.
@@ -400,29 +364,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// The plan's morsel capability, if it is splittable (see [`SplitCap`]).
-    /// Materialized sources are trivially splittable (a range is a slice);
-    /// lazy chains carry the capability built up by their element-wise
-    /// operators, or `None` once a whole-partition operator joined the
-    /// chain.
-    pub(crate) fn split_cap(&self) -> Option<SplitCap<T>> {
-        match &self.plan {
-            Plan::Source(parts) => {
-                let sizes = Arc::clone(parts);
-                let slices = Arc::clone(parts);
-                Some(SplitCap {
-                    rows: Arc::new(move |i| sizes[i].len()),
-                    produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                        for x in &slices[i][range] {
-                            sink(Cow::Borrowed(x));
-                        }
-                    }),
-                })
-            }
-            Plan::Lazy { split, .. } => split.clone(),
-        }
-    }
-
     /// Runs the plan (one fused task wave) and returns a source-backed
     /// dataset sharing the same partitioning tag. No-op when already
     /// materialized.
@@ -483,12 +424,8 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         rt.run_indexed(self.num_partitions(), move |i| f(i, &d))
     }
 
-    /// Runs each partition's fused chain into an owned `Vec`, using the
-    /// work-stealing morsel scheduler when the runtime has it on *and* the
-    /// plan is splittable; otherwise one barrier task per partition.
-    /// Concatenating morsel outputs in range order reproduces the
-    /// full-partition pass exactly (see [`SplitCap`]), so both schedulers
-    /// return byte-identical partitions.
+    /// Runs each partition's fused chain into an owned `Vec`, one task per
+    /// partition (an all-gather when the dataset is sharded).
     fn gather_partitions(&self, rt: &Runtime) -> Vec<Vec<T>>
     where
         T: Spill,
@@ -496,21 +433,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         let layout = rt.layout();
         if layout.is_sharded() && !self.locality.is_replicated() {
             return self.all_gather(rt, &layout);
-        }
-        if rt.stealing() {
-            if let Some(cap) = self.split_cap() {
-                let sizes: Vec<usize> = (0..self.num_partitions()).map(|i| (cap.rows)(i)).collect();
-                let produce_range = Arc::clone(&cap.produce_range);
-                return rt
-                    .run_morsels(&sizes, move |i, range| {
-                        let mut out = Vec::new();
-                        produce_range(i, range, &mut |x| out.push(x.into_owned()));
-                        out
-                    })
-                    .into_iter()
-                    .map(|morsels| morsels.into_iter().flatten().collect())
-                    .collect();
-            }
         }
         self.run_per_partition(rt, |i, d| {
             let mut out = Vec::new();
@@ -557,23 +479,10 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                 payload,
             });
         }
-        let got = match rt.exchange().gather(seq, frames) {
-            Ok(f) => f,
-            Err(e) => std::panic::panic_any(e),
-        };
-        let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        let mut seen = vec![false; n];
-        for f in got {
-            let i = f.src as usize;
-            if i >= n || seen[i] {
-                std::panic::panic_any(ExchangeError::Frame {
-                    detail: format!("gather: duplicate or out-of-range partition {i} of {n}"),
-                });
-            }
-            seen[i] = true;
-            out[i] = decode_records::<T>(&f);
-        }
-        out
+        gather_by_partition(rt, "gather", seq, frames, n)
+            .iter()
+            .map(|f| f.as_ref().map_or_else(Vec::new, decode_records::<T>))
+            .collect()
     }
 
     /// Total number of elements. Runs the fused chain without materializing
@@ -608,33 +517,11 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                     payload: Vec::new(),
                 })
                 .collect();
-            let got = match rt.exchange().gather(seq, frames) {
-                Ok(f) => f,
-                Err(e) => std::panic::panic_any(e),
-            };
-            let mut per = vec![0u64; n];
-            for f in got {
-                let i = f.src as usize;
-                if i < n {
-                    per[i] = f.records;
-                }
-            }
-            return per.iter().sum::<u64>() as usize;
-        }
-        if rt.stealing() {
-            if let Some(cap) = self.split_cap() {
-                let sizes: Vec<usize> = (0..self.num_partitions()).map(|i| (cap.rows)(i)).collect();
-                let produce_range = Arc::clone(&cap.produce_range);
-                return rt
-                    .run_morsels(&sizes, move |i, range| {
-                        let mut n = 0usize;
-                        produce_range(i, range, &mut |_x| n += 1);
-                        n
-                    })
-                    .into_iter()
-                    .flatten()
-                    .sum();
-            }
+            return gather_by_partition(rt, "count", seq, frames, n)
+                .iter()
+                .flatten()
+                .map(|f| f.records)
+                .sum::<u64>() as usize;
         }
         self.run_per_partition(rt, |i, d| {
             let mut n = 0usize;
@@ -669,7 +556,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         F: Fn(&T) -> U + Send + Sync + 'static,
     {
         let up = self.clone();
-        let f = Arc::new(f);
         let lineage = PlanNode::new(
             "map",
             OpKind::Map,
@@ -679,22 +565,12 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             std::mem::size_of::<U>() as u64,
             vec![Arc::clone(&self.lineage)],
         );
-        let split = up.split_cap().map(|cap| {
-            let f = Arc::clone(&f);
-            SplitCap {
-                rows: Arc::clone(&cap.rows),
-                produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                    (cap.produce_range)(i, range, &mut |x| sink(Cow::Owned(f(&x))));
-                }),
-            }
-        });
         Dataset {
             plan: Plan::Lazy {
                 parts: self.num_partitions(),
                 producer: Arc::new(move |i, sink| {
                     up.produce(i, &mut |x| sink(Cow::Owned(f(&x))));
                 }),
-                split,
             },
             partitioning: Partitioning::Unknown,
             lineage,
@@ -723,7 +599,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         F: Fn(&T, &mut dyn FnMut(U)) + Send + Sync + 'static,
     {
         let up = self.clone();
-        let f = Arc::new(f);
         let lineage = PlanNode::new(
             "flat_map",
             OpKind::FlatMap,
@@ -733,22 +608,12 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             std::mem::size_of::<U>() as u64,
             vec![Arc::clone(&self.lineage)],
         );
-        let split = up.split_cap().map(|cap| {
-            let f = Arc::clone(&f);
-            SplitCap {
-                rows: Arc::clone(&cap.rows),
-                produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                    (cap.produce_range)(i, range, &mut |x| f(&x, &mut |u| sink(Cow::Owned(u))));
-                }),
-            }
-        });
         Dataset {
             plan: Plan::Lazy {
                 parts: self.num_partitions(),
                 producer: Arc::new(move |i, sink| {
                     up.produce(i, &mut |x| f(&x, &mut |u| sink(Cow::Owned(u))));
                 }),
-                split,
             },
             partitioning: Partitioning::Unknown,
             lineage,
@@ -764,7 +629,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         F: Fn(&T) -> bool + Send + Sync + 'static,
     {
         let up = self.clone();
-        let f = Arc::new(f);
         let lineage = PlanNode::new(
             "filter",
             OpKind::Filter,
@@ -774,19 +638,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             std::mem::size_of::<T>() as u64,
             vec![Arc::clone(&self.lineage)],
         );
-        let split = up.split_cap().map(|cap| {
-            let f = Arc::clone(&f);
-            SplitCap {
-                rows: Arc::clone(&cap.rows),
-                produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                    (cap.produce_range)(i, range, &mut |x| {
-                        if f(&x) {
-                            sink(x);
-                        }
-                    });
-                }),
-            }
-        });
         Dataset {
             plan: Plan::Lazy {
                 parts: self.num_partitions(),
@@ -797,7 +648,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                         }
                     });
                 }),
-                split,
             },
             partitioning: self.partitioning,
             lineage,
@@ -840,10 +690,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                         sink(Cow::Owned(u));
                     }
                 }),
-                // Whole-partition closures see all rows at once: no morsel
-                // cut can be proven output-equivalent, so the chain loses
-                // its split capability here.
-                split: None,
             },
             partitioning: Partitioning::Unknown,
             lineage,
@@ -870,24 +716,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             std::mem::size_of::<T>() as u64,
             vec![Arc::clone(&self.lineage), Arc::clone(&other.lineage)],
         );
-        let split_cap = match (left.split_cap(), right.split_cap()) {
-            // Union appends partition lists, so the capability dispatches on
-            // the partition index: both sides stay splittable independently.
-            (Some(l), Some(r)) => Some(SplitCap {
-                rows: {
-                    let (l, r) = (Arc::clone(&l.rows), Arc::clone(&r.rows));
-                    Arc::new(move |i| if i < split { l(i) } else { r(i - split) })
-                },
-                produce_range: Arc::new(move |i, range: Range<usize>, sink| {
-                    if i < split {
-                        (l.produce_range)(i, range, sink);
-                    } else {
-                        (r.produce_range)(i - split, range, sink);
-                    }
-                }),
-            }),
-            _ => None,
-        };
         Dataset {
             plan: Plan::Lazy {
                 parts: split + right.num_partitions(),
@@ -898,7 +726,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                         right.produce(i - split, sink);
                     }
                 }),
-                split: split_cap,
             },
             partitioning: Partitioning::Unknown,
             lineage,
@@ -967,33 +794,20 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                 }
             })
             .collect();
-        let got = match rt.exchange().gather(seq, frames) {
-            Ok(f) => f,
-            Err(e) => std::panic::panic_any(e),
-        };
         // Every shard decodes all partials (its own included) and combines
         // them in global index order — the exact partial sequence a single
         // process folds.
-        let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-        for f in got {
-            let i = f.src as usize;
-            if i >= n || slots[i].is_some() {
-                std::panic::panic_any(ExchangeError::Frame {
-                    detail: format!("fold: duplicate or out-of-range partial {i} of {n}"),
-                });
-            }
-            let mut r = SpillReader::new(&f.payload);
-            let a = match A::unspill(&mut r) {
-                Ok(a) => a,
-                Err(e) => std::panic::panic_any(ExchangeError::Frame {
-                    detail: format!("fold partial: {e}"),
-                }),
-            };
-            slots[i] = Some(a);
-        }
-        slots
+        gather_by_partition(rt, "fold", seq, frames, n)
             .into_iter()
-            .map(|s| s.unwrap_or_else(|| init.clone()))
+            .map(|slot| match slot {
+                None => init.clone(),
+                Some(f) => match A::unspill(&mut SpillReader::new(&f.payload)) {
+                    Ok(a) => a,
+                    Err(e) => std::panic::panic_any(ExchangeError::Frame {
+                        detail: format!("fold partial: {e}"),
+                    }),
+                },
+            })
             .fold(init.clone(), combine)
     }
 
@@ -1040,6 +854,35 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         );
         out
     }
+}
+
+/// All-gathers `frames` and slots what comes back by source partition: slot
+/// `i` of the `n`-wide result holds the one frame whose `src` is `i`, or
+/// `None` if no shard contributed that partition. A `src` outside `0..n` or
+/// one seen twice is a peer speaking a different plan; it raises a typed
+/// [`ExchangeError::Frame`] (as does a failed exchange) rather than letting a
+/// gather, count or fold answer from a corrupt contribution set.
+fn gather_by_partition(
+    rt: &Runtime,
+    op: &str,
+    seq: u64,
+    frames: Vec<Frame>,
+    n: usize,
+) -> Vec<Option<Frame>> {
+    let got = match rt.exchange().gather(seq, frames) {
+        Ok(f) => f,
+        Err(e) => std::panic::panic_any(e),
+    };
+    let mut slots: Vec<Option<Frame>> = (0..n).map(|_| None).collect();
+    for f in got {
+        match usize::try_from(f.src).ok().filter(|&i| i < n) {
+            Some(i) if slots[i].is_none() => slots[i] = Some(f),
+            _ => std::panic::panic_any(ExchangeError::Frame {
+                detail: format!("{op}: duplicate or out-of-range partition {} of {n}", f.src),
+            }),
+        }
+    }
+    slots
 }
 
 /// Decodes a frame's payload back into its typed records. Codec violations
@@ -1140,10 +983,6 @@ mod tests {
     #[test]
     fn narrow_chain_is_deferred_and_fuses_into_one_wave() {
         let rt = rt();
-        // This test asserts barrier-scheduler task accounting; pin the mode
-        // so it holds under TGRAPH_STEAL=1 too (steal-mode accounting is
-        // covered by steal_mode_matches_barrier_results).
-        rt.set_stealing(false);
         let d = Dataset::from_vec(&rt, (0..1000).collect::<Vec<i64>>());
         let before = rt.stats();
         let chained = d.map(|x| x + 1).filter(|x| x % 3 == 0).map(|x| x * 10);
@@ -1294,67 +1133,62 @@ mod tests {
         assert!(!root.exact);
     }
 
-    #[test]
-    fn steal_mode_matches_barrier_results() {
+    /// A two-shard exchange whose peer's contribution to every gather is
+    /// scripted by the test.
+    struct ScriptedPeer(Vec<Frame>);
+
+    impl crate::exchange::Exchange for ScriptedPeer {
+        fn layout(&self) -> ShardLayout {
+            ShardLayout::new(0, 2)
+        }
+        fn in_process(&self) -> bool {
+            false
+        }
+        fn route(&self, _: u64, _: Vec<Frame>, _: usize) -> Result<Vec<Frame>, ExchangeError> {
+            unreachable!("count never shuffles")
+        }
+        fn gather(&self, _: u64, mut own: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
+            own.extend(self.0.iter().cloned());
+            Ok(own)
+        }
+    }
+
+    /// Counts a 4-partition dataset of which this shard owns partitions 0-1
+    /// (2 + 1 rows), with the peer contributing `peer` count frames.
+    fn sharded_count(peer: Vec<(u64, u64)>) -> Result<usize, ExchangeError> {
         let rt = rt();
-        rt.set_morsel_rows(16); // many morsels over the skewed partition
-        let mut parts: Vec<Vec<i64>> = vec![(0..500).collect()]; // hot: 500 of ~800 rows
-        parts.extend((0..3).map(|p| (0..100).map(|x| x + 1000 * (p + 1)).collect()));
-        let d = Dataset::from_partitions(parts);
-        let chain = |d: &Dataset<i64>| {
-            d.map(|x| x * 3)
-                .filter(|x| x % 2 == 0)
-                .flat_map(|x| [*x, -*x])
+        let frame = |(src, records)| Frame {
+            seq: 0,
+            src,
+            bucket: src,
+            records,
+            payload: Vec::new(),
         };
-        rt.set_stealing(false);
-        let barrier = chain(&d).collect(&rt);
-        let barrier_count = chain(&d).count(&rt);
-        rt.set_stealing(true);
-        let before = rt.stats();
-        let stolen = chain(&d).collect(&rt);
-        let stolen_count = chain(&d).count(&rt);
-        rt.set_stealing(false);
-        assert_eq!(stolen, barrier, "schedulers must agree byte-for-byte");
-        assert_eq!(stolen_count, barrier_count);
-        let delta = rt.stats().since(&before);
-        assert!(delta.morsels > 0, "steal mode must execute morsels");
-        assert_eq!(delta.tasks, 0, "steal mode bypasses barrier tasks");
+        rt.set_exchange(Arc::new(ScriptedPeer(
+            peer.into_iter().map(frame).collect(),
+        )));
+        let d = Dataset::from_partitions(vec![vec![1, 2], vec![3], vec![], vec![]])
+            .with_locality(Locality::Owned(Arc::new(vec![true, true, false, false])));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.count(&rt))).map_err(|payload| {
+            *payload
+                .downcast::<ExchangeError>()
+                .expect("count must fail with a typed ExchangeError")
+        })
     }
 
     #[test]
-    fn map_partitions_loses_split_capability() {
-        let rt = rt();
-        let d = Dataset::from_vec(&rt, (0..64).collect::<Vec<i32>>());
-        assert!(d.map(|x| x + 1).split_cap().is_some());
-        assert!(d.union(&d).split_cap().is_some());
-        let pinned = d.map_partitions(|p| p.to_vec());
-        assert!(pinned.split_cap().is_none());
-        assert!(
-            pinned.map(|x| *x).split_cap().is_none(),
-            "capability cannot reappear downstream of a whole-partition op"
-        );
-        // With stealing on, a non-splittable plan falls back to the barrier
-        // scheduler — and still returns the right answer.
-        rt.set_stealing(true);
-        let before = rt.stats();
-        assert_eq!(pinned.collect(&rt), (0..64).collect::<Vec<_>>());
-        rt.set_stealing(false);
-        let delta = rt.stats().since(&before);
-        assert_eq!(delta.morsels, 0);
-        assert!(delta.tasks > 0, "fallback runs as barrier tasks");
-    }
-
-    #[test]
-    fn steal_mode_union_splits_both_sides() {
-        let rt = rt();
-        rt.set_morsel_rows(8);
-        let a = Dataset::from_vec(&rt, (0..100i64).collect());
-        let b = Dataset::from_vec(&rt, (100..150i64).collect());
-        let u = a.map(|x| x * 2).union(&b.map(|x| x * 2));
-        rt.set_stealing(true);
-        let got = u.collect(&rt);
-        rt.set_stealing(false);
-        assert_eq!(got, (0..150i64).map(|x| x * 2).collect::<Vec<_>>());
+    fn sharded_count_rejects_duplicate_and_out_of_range_frames() {
+        assert_eq!(sharded_count(vec![(2, 5), (3, 7)]).unwrap(), 15);
+        // A duplicate used to overwrite (3 + 9 = 12), an out-of-range `src`
+        // used to be dropped (3 + 5 = 8): both silently wrong counts.
+        for bad in [vec![(2, 5), (2, 9)], vec![(2, 5), (4, 7)]] {
+            match sharded_count(bad) {
+                Err(ExchangeError::Frame { detail }) => {
+                    assert!(detail.contains("duplicate or out-of-range"), "{detail}")
+                }
+                other => panic!("expected a typed frame error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

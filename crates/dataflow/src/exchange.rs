@@ -7,7 +7,7 @@
 //! * [`InProcessExchange`] — the single-process default. In its normal mode
 //!   the shuffle path bypasses frames entirely and runs the same typed,
 //!   governed exchange as before this layer existed (byte-for-byte: elision,
-//!   morsel stealing, spill, and cancellation are untouched). In *framed*
+//!   spill, and cancellation are untouched). In *framed*
 //!   mode (`TGRAPH_EXCHANGE=framed`) every bucket is encoded into a wire
 //!   [`Frame`], routed through the loopback, and decoded back — the frame
 //!   codec and merge path are exercised by the whole test suite without a

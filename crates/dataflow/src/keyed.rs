@@ -138,11 +138,7 @@ where
         rt.note_shuffle_predicted(rows, rows * std::mem::size_of::<(K, V)>() as u64);
     }
     // Map side: one fused pass splits every input partition into `parts`
-    // buckets, running any pending narrow chain in the same wave. Under the
-    // work-stealing scheduler (and a splittable chain) the pass runs as
-    // row-range morsels instead: each morsel builds its own bucket set, and
-    // the sets are merged bucket-wise in morsel (row) order, so every bucket
-    // holds its records in exactly the order the barrier pass produces.
+    // buckets, running any pending narrow chain in the same wave.
     //
     // Under a sharded layout each shard maps only the input partitions it
     // contributes (its locality mask): owned data exists nowhere else, and
@@ -150,51 +146,16 @@ where
     // partition is mapped by exactly one shard.
     let exchange = rt.exchange();
     let layout = exchange.layout();
-    let mask = input.shard_mask(&layout).map(Arc::new);
-    let bucketed: Vec<Vec<Vec<(K, V)>>> = match (rt.stealing(), input.split_cap()) {
-        (true, Some(cap)) => {
-            let sizes: Vec<usize> = (0..input.num_partitions())
-                .map(|i| match &mask {
-                    // Masked-out partitions hold another shard's share:
-                    // zero rows here means the morsel scheduler never
-                    // touches them.
-                    Some(m) if !m[i] => 0,
-                    _ => (cap.rows)(i),
-                })
-                .collect();
-            let produce_range = Arc::clone(&cap.produce_range);
-            rt.run_morsels(&sizes, move |i, range| {
-                let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
-                produce_range(i, range, &mut |kv| {
-                    buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
-                });
-                buckets
-            })
-            .into_iter()
-            .map(|morsels| {
-                let mut merged: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
-                for morsel_buckets in morsels {
-                    for (b, mut bucket) in morsel_buckets.into_iter().enumerate() {
-                        merged[b].append(&mut bucket);
-                    }
-                }
-                merged
-            })
-            .collect()
+    let mask = input.shard_mask(&layout);
+    let bucketed: Vec<Vec<Vec<(K, V)>>> = input.run_per_partition(rt, move |i, d| {
+        let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
+        if mask.as_ref().is_none_or(|m| m[i]) {
+            d.produce(i, &mut |kv| {
+                buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
+            });
         }
-        _ => {
-            let mask_task = mask.clone();
-            input.run_per_partition(rt, move |i, d| {
-                let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
-                if mask_task.as_ref().is_none_or(|m| m[i]) {
-                    d.produce(i, &mut |kv| {
-                        buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
-                    });
-                }
-                buckets
-            })
-        }
-    };
+        buckets
+    });
     let moved: u64 = bucketed
         .iter()
         .map(|p| p.iter().map(|b| b.len() as u64).sum::<u64>())
@@ -1081,77 +1042,6 @@ mod tests {
         assert_eq!(delta.shuffles_estimated, 1);
         assert_eq!(delta.predicted_shuffled_records, delta.shuffled_records);
         assert_eq!(delta.predicted_shuffled_bytes, delta.shuffled_bytes);
-    }
-
-    #[test]
-    fn shuffle_is_byte_identical_across_schedulers() {
-        // The shuffle map side morselizes under stealing; the bucket-wise
-        // morsel merge must reproduce the barrier pass exactly — not just up
-        // to reordering.
-        let rt = rt();
-        rt.set_morsel_rows(32);
-        let mut skewed: Vec<Vec<(u64, u64)>> = vec![(0..600).map(|i| (i % 17, i)).collect()];
-        skewed.extend((1..4u64).map(|p| (0..100).map(|i| (i % 17, i + 1000 * p)).collect()));
-        let d = Dataset::from_partitions(skewed);
-        rt.set_stealing(false);
-        let barrier: Vec<Vec<(u64, u64)>> = shuffle(&rt, &d)
-            .parts(&rt)
-            .iter()
-            .map(|p| p.as_ref().clone())
-            .collect();
-        rt.set_stealing(true);
-        let before = rt.stats();
-        let stolen: Vec<Vec<(u64, u64)>> = shuffle(&rt, &d)
-            .parts(&rt)
-            .iter()
-            .map(|p| p.as_ref().clone())
-            .collect();
-        rt.set_stealing(false);
-        assert_eq!(stolen, barrier, "per-partition shuffle outputs must match");
-        let delta = rt.stats().since(&before);
-        assert!(delta.morsels > 0, "map side must have run as morsels");
-    }
-
-    #[test]
-    fn reduce_by_key_matches_across_schedulers() {
-        let rt = rt();
-        rt.set_morsel_rows(16);
-        let data: Vec<(u32, u64)> = (0..2000).map(|i| (i % 11, i as u64)).collect();
-        let d = Dataset::from_vec(&rt, data);
-        rt.set_stealing(false);
-        let barrier = sorted(d.reduce_by_key(&rt, |a, b| a + b).collect(&rt));
-        rt.set_stealing(true);
-        let stolen = sorted(d.reduce_by_key(&rt, |a, b| a + b).collect(&rt));
-        rt.set_stealing(false);
-        assert_eq!(stolen, barrier);
-    }
-
-    #[test]
-    fn elided_reduce_stays_per_partition_under_stealing() {
-        // ISSUE invariant: elided-shuffle waves still execute per-partition —
-        // the local combine is a map_partitions stage, which is not
-        // splittable, so stealing must not morselize it (and the elision
-        // accounting is unchanged).
-        let rt = rt();
-        let d = Dataset::from_vec(&rt, (0..500u64).map(|i| (i % 13, i)).collect::<Vec<_>>());
-        let s = shuffle(&rt, &d);
-        rt.set_stealing(true);
-        let before = rt.stats();
-        let got = sorted(s.reduce_by_key(&rt, |a, b| a + b).collect(&rt));
-        rt.set_stealing(false);
-        let delta = rt.stats().since(&before);
-        assert_eq!(delta.shuffles, 0);
-        assert_eq!(delta.shuffles_elided, 1);
-        assert_eq!(
-            delta.morsels, 0,
-            "local combine is whole-partition: no morsels"
-        );
-        assert!(delta.tasks > 0, "combine ran as barrier tasks");
-        let mut expected: HashMap<u64, u64> = HashMap::new();
-        for i in 0..500u64 {
-            *expected.entry(i % 13).or_default() += i;
-        }
-        assert_eq!(got, sorted(expected.into_iter().collect()));
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub mod pool;
 pub mod protocol;
 pub mod runtime;
 pub mod spill;
-mod steal;
 pub mod sync;
 
 pub use cancel::{CancelToken, Cancelled};

@@ -72,8 +72,8 @@ impl ThreadPool {
     /// Total number of batch tasks executed since creation. Counts every
     /// [`run_batch`](ThreadPool::run_batch) task — including single-task
     /// batches run inline on the caller thread — but not raw
-    /// [`execute`](ThreadPool::execute) jobs (those are scheduler plumbing,
-    /// e.g. morsel-wave drivers, not logical tasks).
+    /// [`execute`](ThreadPool::execute) jobs (those are plumbing, not logical
+    /// tasks).
     pub fn tasks_run(&self) -> u64 {
         self.tasks_run.load(Ordering::Relaxed)
     }

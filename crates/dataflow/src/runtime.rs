@@ -5,10 +5,8 @@ use crate::cancel;
 use crate::exchange::{self, Exchange, ExchangeCounters, InProcessExchange, ShardLayout};
 use crate::governor::MemGovernor;
 use crate::pool::ThreadPool;
-use crate::steal;
 use crate::sync::lock_unpoisoned;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -51,16 +49,9 @@ pub struct RuntimeStats {
     /// Tasks that observed a tripped token at start and exited without
     /// running their partition.
     pub tasks_cancelled: u64,
-    /// Morsels (row-range sub-tasks) executed by work-stealing waves. Zero
-    /// unless [`Runtime::stealing`] is on; morsel waves do not bump `tasks`.
-    pub morsels: u64,
-    /// Morsels executed by a worker other than the one whose deque they were
-    /// seeded on — the work-stealing scheduler's skew-absorption counter.
-    pub steals: u64,
-    /// Sum over waves of that wave's longest scheduled unit (task or
-    /// morsel), in µs. A wave's wall time can never be below its longest
-    /// unit, so `max_task_us / wave_us` close to 1 means waves were
-    /// straggler-bound (the skew the morsel scheduler exists to fix).
+    /// Sum over waves of that wave's longest task, in µs. A wave's wall
+    /// time can never be below its longest task, so `max_task_us / wave_us`
+    /// close to 1 means waves were straggler-bound (partition skew).
     pub max_task_us: u64,
     /// Sum of wave wall-clock times, in µs.
     pub wave_us: u64,
@@ -107,8 +98,6 @@ impl RuntimeStats {
                 - earlier.predicted_shuffled_bytes,
             waves_cancelled: self.waves_cancelled - earlier.waves_cancelled,
             tasks_cancelled: self.tasks_cancelled - earlier.tasks_cancelled,
-            morsels: self.morsels - earlier.morsels,
-            steals: self.steals - earlier.steals,
             max_task_us: self.max_task_us - earlier.max_task_us,
             wave_us: self.wave_us - earlier.wave_us,
             bytes_spilled: self.bytes_spilled - earlier.bytes_spilled,
@@ -177,13 +166,9 @@ pub struct Runtime {
     predicted_shuffled_bytes: AtomicU64,
     waves_cancelled: AtomicU64,
     tasks_cancelled: AtomicU64,
-    morsels: AtomicU64,
-    steals: AtomicU64,
     max_task_us: AtomicU64,
     wave_us: AtomicU64,
     checked: AtomicBool,
-    stealing: AtomicBool,
-    morsel_rows: AtomicUsize,
     governor: Arc<MemGovernor>,
     exchange: Mutex<Arc<dyn Exchange>>,
     exchange_counters: Arc<ExchangeCounters>,
@@ -213,13 +198,9 @@ impl Runtime {
             predicted_shuffled_bytes: AtomicU64::new(0),
             waves_cancelled: AtomicU64::new(0),
             tasks_cancelled: AtomicU64::new(0),
-            morsels: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             max_task_us: AtomicU64::new(0),
             wave_us: AtomicU64::new(0),
             checked: AtomicBool::new(checked_from_env()),
-            stealing: AtomicBool::new(stealing_from_env()),
-            morsel_rows: AtomicUsize::new(morsel_rows_from_env()),
             governor: Arc::new(MemGovernor::from_env()),
             exchange: Mutex::new(Arc::new(InProcessExchange::new(
                 exchange::framed_from_env(),
@@ -319,53 +300,6 @@ impl Runtime {
         }
     }
 
-    /// Runs one wave of morsel-granular work under the work-stealing
-    /// scheduler: partition `i` (of `sizes[i]` rows) is split into row-range
-    /// morsels of at most [`Runtime::morsel_rows`] rows, and `f(i, range)`
-    /// is invoked once per morsel. Results come back per partition, in row
-    /// order, so concatenating partition `i`'s entries reproduces exactly
-    /// what one task over `0..sizes[i]` would have produced for any
-    /// range-distributive `f` (the element-wise narrow chains the dataset
-    /// layer feeds in).
-    ///
-    /// Cancellation mirrors [`run_indexed`](Runtime::run_indexed) but is
-    /// finer-grained: drivers observe the installed
-    /// [`CancelToken`](crate::CancelToken) between morsels, so a hot
-    /// partition stops mid-way instead of running its full task.
-    pub fn run_morsels<R, F>(&self, sizes: &[usize], f: F) -> Vec<Vec<R>>
-    where
-        R: Send + 'static,
-        F: Fn(usize, Range<usize>) -> R + Send + Sync + 'static,
-    {
-        let token = cancel::current();
-        if let Some(t) = &token {
-            if t.is_cancelled() {
-                self.waves_cancelled.fetch_add(1, Ordering::Relaxed);
-                cancel::abort();
-            }
-        }
-        if sizes.iter().any(|&s| s > 0) {
-            self.waves.fetch_add(1, Ordering::Relaxed);
-        }
-        let wave_start = Instant::now();
-        let result = steal::run_wave(&self.pool, sizes, self.morsel_rows(), token, Arc::new(f));
-        self.wave_us
-            .fetch_add(elapsed_us(wave_start), Ordering::Relaxed);
-        self.morsels.fetch_add(result.executed, Ordering::Relaxed);
-        self.steals.fetch_add(result.steals, Ordering::Relaxed);
-        self.max_task_us
-            .fetch_add(result.max_morsel_us, Ordering::Relaxed);
-        match result.outcome {
-            steal::WaveOutcome::Completed => result.per_partition,
-            steal::WaveOutcome::Cancelled => {
-                self.tasks_cancelled
-                    .fetch_add(result.skipped, Ordering::Relaxed);
-                cancel::abort()
-            }
-            steal::WaveOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
     /// Records shuffle volume (called by keyed operators).
     pub(crate) fn note_shuffle(&self, records: u64, bytes: u64) {
         self.shuffles.fetch_add(1, Ordering::Relaxed);
@@ -400,35 +334,6 @@ impl Runtime {
     /// Turns checked execution mode on or off.
     pub fn set_checked(&self, on: bool) {
         self.checked.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the work-stealing morsel scheduler is on: actions over
-    /// splittable (element-wise) plans and shuffle map sides run as
-    /// row-range morsels with idle workers stealing from busy ones, instead
-    /// of one barrier task per partition. Enabled at construction when the
-    /// environment variable `TGRAPH_STEAL` is `1` or `true`, or explicitly
-    /// via [`Runtime::set_stealing`]. Off by default until the skew benches
-    /// have confirmed it across workloads.
-    pub fn stealing(&self) -> bool {
-        self.stealing.load(Ordering::Relaxed)
-    }
-
-    /// Turns the work-stealing morsel scheduler on or off.
-    pub fn set_stealing(&self, on: bool) {
-        self.stealing.store(on, Ordering::Relaxed);
-    }
-
-    /// Maximum rows per morsel for the work-stealing scheduler (default
-    /// 4096, overridable via `TGRAPH_MORSEL_ROWS`). Small enough that a hot
-    /// partition splits into many stealable units, large enough that the
-    /// per-morsel dispatch cost is amortized over thousands of rows.
-    pub fn morsel_rows(&self) -> usize {
-        self.morsel_rows.load(Ordering::Relaxed)
-    }
-
-    /// Sets the morsel granularity (floor 1 row).
-    pub fn set_morsel_rows(&self, rows: usize) {
-        self.morsel_rows.store(rows.max(1), Ordering::Relaxed);
     }
 
     /// The runtime's [memory governor](MemGovernor): the shared byte-budget
@@ -508,8 +413,6 @@ impl Runtime {
             predicted_shuffled_bytes: self.predicted_shuffled_bytes.load(Ordering::Relaxed),
             waves_cancelled: self.waves_cancelled.load(Ordering::Relaxed),
             tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             max_task_us: self.max_task_us.load(Ordering::Relaxed),
             wave_us: self.wave_us.load(Ordering::Relaxed),
             bytes_spilled: self.governor.bytes_spilled(),
@@ -544,22 +447,6 @@ fn checked_from_env() -> bool {
         std::env::var("TGRAPH_CHECKED").as_deref(),
         Ok("1") | Ok("true")
     )
-}
-
-/// Reads the `TGRAPH_STEAL` environment gate (`1`/`true` → on).
-fn stealing_from_env() -> bool {
-    matches!(
-        std::env::var("TGRAPH_STEAL").as_deref(),
-        Ok("1") | Ok("true")
-    )
-}
-
-/// Reads `TGRAPH_MORSEL_ROWS` (rows per morsel; default 4096, floor 1).
-fn morsel_rows_from_env() -> usize {
-    std::env::var("TGRAPH_MORSEL_ROWS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(4096, |n| n.max(1))
 }
 
 /// Microseconds elapsed since `start`, saturating at `u64::MAX`.
@@ -733,101 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn morsel_wave_reassembles_per_partition() {
-        let rt = Runtime::new(4);
-        rt.set_morsel_rows(4);
-        let out = rt.run_morsels(&[10, 0, 5], |part, range| (part, range.start, range.end));
-        assert_eq!(
-            out,
-            vec![
-                vec![(0, 0, 4), (0, 4, 8), (0, 8, 10)],
-                vec![],
-                vec![(2, 0, 4), (2, 4, 5)],
-            ]
-        );
-        let s = rt.stats();
-        assert_eq!(s.morsels, 5);
-        assert_eq!(s.waves, 1, "a morsel wave is one wave");
-        assert_eq!(s.tasks, 0, "morsel waves do not bump the task counter");
-    }
-
-    #[test]
-    fn morsel_wave_skew_is_stolen() {
-        // One hot partition: with 4 workers and 1-row morsels, idle workers
-        // must steal from the hot deque, and the counters must show it.
-        let rt = Runtime::new(4);
-        rt.set_morsel_rows(1);
-        let out = rt.run_morsels(&[128, 0, 0, 0], |_, range| {
-            let mut acc = range.start as u64;
-            for i in 0..20_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            acc
-        });
-        assert_eq!(out[0].len(), 128);
-        let s = rt.stats();
-        assert_eq!(s.morsels, 128);
-        assert!(s.steals > 0, "skewed wave must record steals");
-        assert!(s.wave_us > 0 && s.max_task_us > 0);
-    }
-
-    #[test]
-    fn morsel_wave_cancellation_skips_remaining() {
-        use crate::cancel::CancelToken;
-        let rt = Runtime::with_partitions(1, 1); // sequential drivers
-        rt.set_morsel_rows(1);
-        let token = CancelToken::new();
-        let result = {
-            let t = token.clone();
-            token.scope(move || {
-                rt.run_morsels(&[32], move |_, range| {
-                    if range.start == 0 {
-                        t.cancel();
-                    }
-                    range.start
-                })
-            })
-        };
-        assert_eq!(result, Err(crate::cancel::Cancelled));
-    }
-
-    #[test]
-    fn morsel_wave_panic_propagates_after_drain() {
-        let rt = Runtime::new(2);
-        rt.set_morsel_rows(1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run_morsels(&[16], |_, range| {
-                if range.start == 3 {
-                    panic!("morsel failed");
-                }
-                range.start
-            })
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn stealing_gate_toggles() {
-        let rt = Runtime::new(1);
-        let initial = rt.stealing();
-        rt.set_stealing(true);
-        assert!(rt.stealing());
-        rt.set_stealing(false);
-        assert!(!rt.stealing());
-        rt.set_stealing(initial);
-    }
-
-    #[test]
-    fn morsel_rows_floor_is_one() {
-        let rt = Runtime::new(1);
-        rt.set_morsel_rows(0);
-        assert_eq!(rt.morsel_rows(), 1);
-        rt.set_morsel_rows(100);
-        assert_eq!(rt.morsel_rows(), 100);
-    }
-
-    #[test]
-    fn barrier_waves_record_timing_skew() {
+    fn waves_record_timing_skew() {
         let rt = Runtime::new(2);
         rt.run_indexed(4, |i| {
             std::thread::sleep(std::time::Duration::from_millis(1 + i as u64));

@@ -16,7 +16,7 @@
 //!   byte-identical to a cold recompute. The pipeline says which window
 //!   grids constrain the cut and [`Pipeline::execute`](tgraph_query::Pipeline::execute)
 //!   runs both the cold and the suffix side, so the property suite in
-//!   `tests/` (all four representations, steal and spill modes) checks the
+//!   `tests/` (all four representations, with and without spilling) checks the
 //!   loop `tgraph-serve` runs.
 
 pub mod delta;

@@ -1214,9 +1214,6 @@ impl Server {
                     ("shuffled_bytes", Json::Int(rt.shuffled_bytes as i64)),
                     ("waves_cancelled", Json::Int(rt.waves_cancelled as i64)),
                     ("tasks_cancelled", Json::Int(rt.tasks_cancelled as i64)),
-                    ("stealing", Json::Bool(self.rt.stealing())),
-                    ("morsels", Json::Int(rt.morsels as i64)),
-                    ("steals", Json::Int(rt.steals as i64)),
                     ("max_task_us", Json::Int(rt.max_task_us as i64)),
                     ("wave_us", Json::Int(rt.wave_us as i64)),
                     ("mem_budget", Json::Int(self.rt.mem_budget() as i64)),

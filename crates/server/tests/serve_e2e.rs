@@ -115,24 +115,11 @@ fn serves_zooms_with_cache_deadlines_and_stats_over_tcp() {
     assert_eq!(field_i64(&stats_after, &["cache", "insertions"]), 1);
     assert!(field_i64(&stats_after, &["server", "latency", "total", "count"]) >= 3);
 
-    // Scheduler counters are surfaced: under the barrier scheduler the
-    // morsel counters stay zero; under TGRAPH_STEAL=1 the executed zoom
-    // must have run morsels. Either way the fields exist and are coherent.
-    let morsels = field_i64(&stats_after, &["runtime", "morsels"]);
-    let steals = field_i64(&stats_after, &["runtime", "steals"]);
-    assert!(morsels >= 0 && steals >= 0, "{stats_after}");
-    if stats_after.contains("\"stealing\":true") {
-        assert!(
-            morsels > 0,
-            "steal mode must execute morsels: {stats_after}"
-        );
-    } else {
-        assert_eq!(morsels, 0, "barrier mode runs no morsels: {stats_after}");
-    }
+    // Wave timing is surfaced and coherent.
     assert!(
         field_i64(&stats_after, &["runtime", "wave_us"])
             >= field_i64(&stats_after, &["runtime", "max_task_us"]),
-        "wall time bounds the longest unit: {stats_after}"
+        "wall time bounds the longest task: {stats_after}"
     );
 
     // Clean shutdown.

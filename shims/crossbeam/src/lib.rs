@@ -1,6 +1,5 @@
 //! Offline stand-in for the `crossbeam` crate, exposing only the
-//! `channel::{unbounded, Sender, Receiver}` MPMC subset and the
-//! `deque::{Worker, Stealer, Steal}` work-stealing subset the workspace uses.
+//! `channel::{unbounded, Sender, Receiver}` MPMC subset the workspace uses.
 //!
 //! The build environment has no registry access, so external dependencies are
 //! vendored as minimal source-compatible shims (see `shims/README.md`).
@@ -240,178 +239,6 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(rx);
             assert!(tx.send(1).is_err());
-        }
-    }
-}
-
-/// Work-stealing double-ended queues, API-compatible with the
-/// `crossbeam-deque` subset the dataflow scheduler uses.
-///
-/// The real crate is lock-free; this shim guards each deque with a `Mutex`.
-/// That is adequate here because the units queued are *morsels* (thousands
-/// of rows each), so queue operations are orders of magnitude rarer than the
-/// work they schedule. `Steal::Retry` is kept in the API for source
-/// compatibility but never produced by the shim.
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// The owner side of a FIFO work queue: the owning worker pushes to the
-    /// back and pops from the front; thieves steal from the back (the tail).
-    pub struct Worker<T> {
-        shared: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// A handle for stealing items from another worker's queue.
-    pub struct Stealer<T> {
-        shared: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// Outcome of a steal attempt.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One item was stolen.
-        Success(T),
-        /// The attempt lost a race and may be retried (never produced by the
-        /// shim; present for API compatibility).
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// The stolen item, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// Creates a FIFO queue (owner pops oldest first).
-        pub fn new_fifo() -> Self {
-            Worker {
-                shared: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Enqueues an item at the back.
-        pub fn push(&self, item: T) {
-            self.shared
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(item);
-        }
-
-        /// Dequeues the item at the front (oldest), if any.
-        pub fn pop(&self) -> Option<T> {
-            self.shared
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.shared
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-        }
-
-        /// Number of queued items.
-        pub fn len(&self) -> usize {
-            self.shared.lock().unwrap_or_else(|e| e.into_inner()).len()
-        }
-
-        /// Creates a stealing handle for this queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals the item at the back of the queue (the tail — the newest,
-        /// opposite the owner's pop end, minimizing contention).
-        pub fn steal(&self) -> Steal<T> {
-            match self
-                .shared
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_back()
-            {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.shared
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::thread;
-
-        #[test]
-        fn owner_pops_fifo_thief_steals_lifo() {
-            let w = Worker::new_fifo();
-            let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            w.push(3);
-            assert_eq!(w.pop(), Some(1), "owner pops the front");
-            assert_eq!(s.steal(), Steal::Success(3), "thief steals the tail");
-            assert_eq!(w.pop(), Some(2));
-            assert_eq!(w.pop(), None);
-            assert_eq!(s.steal(), Steal::Empty);
-        }
-
-        #[test]
-        fn concurrent_stealers_drain_everything() {
-            let w = Worker::new_fifo();
-            for i in 0..1000 {
-                w.push(i);
-            }
-            let thieves: Vec<_> = (0..4)
-                .map(|_| {
-                    let s = w.stealer();
-                    thread::spawn(move || {
-                        let mut got = Vec::new();
-                        while let Steal::Success(v) = s.steal() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut all: Vec<i32> = thieves
-                .into_iter()
-                .flat_map(|h| h.join().expect("thief panicked"))
-                .collect();
-            while let Some(v) = w.pop() {
-                all.push(v);
-            }
-            all.sort_unstable();
-            assert_eq!(all, (0..1000).collect::<Vec<_>>());
         }
     }
 }

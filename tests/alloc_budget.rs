@@ -76,9 +76,8 @@ fn zoom_kernels_stay_inside_their_allocation_budget() {
     }
     .generate();
     let rt = Runtime::with_partitions(2, 4);
-    // The budget is for the default scheduler without audit waves, whatever
-    // the environment of the test run says.
-    rt.set_stealing(false);
+    // The budget is for execution without audit waves, whatever the
+    // environment of the test run says.
     rt.set_checked(false);
     let by_name = AZoomSpec::by_property("name", "group", vec![AggSpec::count("members")]);
     let half_years = WZoomSpec::points(6, Quantifier::Exists, Quantifier::Exists);

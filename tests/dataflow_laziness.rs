@@ -88,16 +88,9 @@ proptest! {
         let n = chained.count(&rt);
         let delta = rt.stats().since(&before);
         prop_assert_eq!(delta.waves, 1, "narrow chain + count took {} waves", delta.waves);
-        if rt.stealing() {
-            // Work-stealing mode (TGRAPH_STEAL=1): the wave runs as morsels,
-            // not barrier tasks.
-            prop_assert_eq!(delta.tasks, 0);
-            prop_assert!(delta.morsels > 0, "the wave must have executed morsels");
-        } else {
-            // Barrier mode: one task per partition — including single-task
-            // batches, which run inline on the caller but are still counted.
-            prop_assert_eq!(delta.tasks, parts as u64);
-        }
+        // One task per partition — including single-task batches, which run
+        // inline on the caller but are still counted.
+        prop_assert_eq!(delta.tasks, parts as u64);
         let _ = n;
     }
 

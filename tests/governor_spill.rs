@@ -64,21 +64,19 @@ fn budgeted_spilling_run_is_byte_identical_to_in_memory() {
     assert_eq!(spilled, reference, "spilling must not change any byte");
 }
 
+/// The spill-smoke CI job runs this suite and the dataflow suite under
+/// `TGRAPH_MEM_BYTES=64k`; that is only a budgeted run if the variable
+/// reaches a fresh runtime's governor.
 #[test]
-fn spilling_under_work_stealing_is_byte_identical() {
-    let data = keyed_input(12_000, 8);
-    let rt = runtime_with_spill_dir("steal");
-
-    rt.set_stealing(false);
-    rt.set_mem_budget(0);
-    let reference = run_workload(&rt, &data);
-
-    rt.set_stealing(true);
-    rt.set_mem_budget(24 << 10);
-    let before = rt.stats();
-    let spilled = run_workload(&rt, &data);
-    assert!(rt.stats().since(&before).bytes_spilled > 0);
-    assert_eq!(spilled, reference);
+fn env_budget_reaches_a_fresh_runtime() {
+    let Ok(v) = std::env::var("TGRAPH_MEM_BYTES") else {
+        return;
+    };
+    let rt = Runtime::new(1);
+    assert!(
+        rt.mem_budget() > 0,
+        "TGRAPH_MEM_BYTES={v} left a fresh runtime unbudgeted"
+    );
 }
 
 #[test]
