@@ -22,7 +22,8 @@
 //!
 //! * **`lock-order`** — a lock-acquisition-order graph is extracted from
 //!   the masked sources of the protocol-adjacent files
-//!   ([`LOCK_ORDER_FILES`]: `exchange.rs`, `runtime.rs`, `server.rs`),
+//!   ([`LOCK_ORDER_FILES`]: the exchange, the runtime and every server
+//!   module that takes a lock; a listed path that is missing is a finding),
 //!   unioned across them, and checked for cycles: two code paths acquiring
 //!   the same pair of locks in opposite orders is a latent deadlock even
 //!   when each path is individually correct. Opt out per acquisition with
@@ -70,12 +71,21 @@ const LIB_CRATES: &[&str] = &[
 const HARNESS_CRATES: &[&str] = &["bench"];
 
 /// Files whose lock-acquisition graphs are unioned for the cross-file
-/// `lock-order` check: the distributed exchange protocol and the two
-/// layers that hold locks around it.
+/// `lock-order` check: the distributed exchange protocol, the runtime that
+/// holds locks around it, and every server module that takes a lock. A
+/// listed file that does not exist is itself a finding — a rename must not
+/// silently shrink the rule's coverage.
 pub const LOCK_ORDER_FILES: &[&str] = &[
     "crates/dataflow/src/exchange.rs",
     "crates/dataflow/src/runtime.rs",
-    "crates/server/src/server.rs",
+    "crates/server/src/admission.rs",
+    "crates/server/src/cache.rs",
+    "crates/server/src/eventloop.rs",
+    "crates/server/src/handoff.rs",
+    "crates/server/src/ingest.rs",
+    "crates/server/src/reactor.rs",
+    "crates/server/src/shard.rs",
+    "crates/server/src/zoom.rs",
 ];
 
 /// Unbounded blocking calls forbidden inside `*_loop` reader/acceptor
@@ -1046,10 +1056,16 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// the union — even spanning files — is a `lock-order` finding. Findings
 /// use workspace-relative paths.
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
+    lint_workspace_with(root, LOCK_ORDER_FILES)
+}
+
+/// [`lint_workspace`] with the lock-order file list as a parameter.
+fn lint_workspace_with(root: &Path, lock_order_files: &[&str]) -> Vec<Finding> {
     let mut files = Vec::new();
     rust_files(&root.join("crates"), &mut files);
     let mut findings = Vec::new();
     let mut lock_edges: Vec<LockEdge> = Vec::new();
+    let mut seen: Vec<String> = Vec::new();
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         let Some(rules) = rules_for(&rel) else {
@@ -1059,10 +1075,23 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
             continue;
         };
         let rel_s = rel.to_string_lossy().replace('\\', "/");
-        if LOCK_ORDER_FILES.contains(&rel_s.as_str()) {
+        if lock_order_files.contains(&rel_s.as_str()) {
             lock_edges.extend(lock_order_edges(&rel, &src));
+            seen.push(rel_s);
         }
         findings.extend(lint_source(&rel, &src, rules));
+    }
+    for listed in lock_order_files {
+        if !seen.iter().any(|s| s == listed) {
+            findings.push(Finding {
+                file: PathBuf::from(listed),
+                line: 1,
+                rule: "lock-order",
+                message: "listed in LOCK_ORDER_FILES but not found (or not readable) in the \
+                          workspace: the rule no longer covers it; fix the list"
+                    .to_string(),
+            });
+        }
     }
     findings.extend(lock_order_findings(&lock_edges));
     findings
@@ -1444,5 +1473,26 @@ mod tests {
         // Each file alone is acyclic.
         assert!(lock_order_findings(&lock_order_edges(Path::new("a.rs"), file_a)).is_empty());
         assert!(lock_order_findings(&lock_order_edges(Path::new("b.rs"), file_b)).is_empty());
+    }
+
+    /// A listed lock-order file that is not in the tree is reported, not
+    /// skipped: a rename must not silently shrink the rule's coverage.
+    #[test]
+    fn a_listed_lock_order_file_that_is_missing_is_a_finding() {
+        let root = std::env::temp_dir().join(format!("tgraph-lint-missing-{}", std::process::id()));
+        let src = root.join("crates/core/src");
+        std::fs::create_dir_all(&src).expect("create tree");
+        std::fs::write(src.join("here.rs"), "fn f() {}\n").expect("write source");
+        let listed = ["crates/core/src/here.rs", "crates/core/src/gone.rs"];
+        let f = lint_workspace_with(&root, &listed);
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "lock-order");
+        assert_eq!(f[0].file, Path::new("crates/core/src/gone.rs"));
+        assert!(
+            f[0].message.contains("LOCK_ORDER_FILES"),
+            "{}",
+            f[0].message
+        );
     }
 }

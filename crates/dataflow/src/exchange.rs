@@ -523,24 +523,6 @@ impl Exchange for InProcessExchange {
     }
 }
 
-/// Reads `TGRAPH_EXCHANGE`: `framed` forces the loopback frame path;
-/// anything else (or unset) keeps the typed in-process fast path.
-pub fn framed_from_env() -> bool {
-    matches!(
-        std::env::var("TGRAPH_EXCHANGE").as_deref(),
-        Ok("framed") | Ok("FRAMED")
-    )
-}
-
-/// Reads `TGRAPH_EXCHANGE_TIMEOUT_MS` (default 10 000, floor 1).
-pub fn timeout_from_env() -> Duration {
-    let ms = std::env::var("TGRAPH_EXCHANGE_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(10_000, |n| n.max(1));
-    Duration::from_millis(ms)
-}
-
 /// Shared mailbox the acceptor's reader threads deposit inbound frames
 /// into, keyed by exchange sequence number. All protocol decisions —
 /// dedup, FIN counting, death-vs-FIN precedence, poison — live in the pure
@@ -1361,11 +1343,5 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn env_parsing() {
-        // Not set in the test environment: defaults hold.
-        assert!(timeout_from_env() >= Duration::from_millis(1));
     }
 }

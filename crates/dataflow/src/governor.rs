@@ -46,17 +46,17 @@ pub struct MemGovernor {
 }
 
 impl MemGovernor {
-    /// A governor configured from the environment: `TGRAPH_MEM_BYTES` (plain
-    /// bytes, or with a `k`/`m`/`g` suffix; absent or unparsable → unlimited)
-    /// and `TGRAPH_SPILL_DIR` (default: `<tmp>/tgraph-spill`).
-    pub fn from_env() -> Self {
+    /// A governor with a starting byte `budget` (`0` = unlimited) that
+    /// writes its spill runs under `spill_dir`. A [`Runtime`](crate::Runtime)
+    /// builds its own from its [`EngineConfig`](crate::EngineConfig).
+    pub fn new(budget: u64, spill_dir: PathBuf) -> Self {
         MemGovernor {
-            budget: AtomicU64::new(mem_bytes_from_env()),
+            budget: AtomicU64::new(budget),
             used: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             bytes_spilled: AtomicU64::new(0),
             spill_files: AtomicU64::new(0),
-            spill_dir: Mutex::new(spill_dir_from_env()),
+            spill_dir: Mutex::new(spill_dir),
             seq: AtomicU64::new(0),
         }
     }
@@ -414,41 +414,15 @@ fn spill_source<K: Spill, V: Spill>(
     w.finish()
 }
 
-/// Reads `TGRAPH_MEM_BYTES`: plain bytes or `k`/`m`/`g`-suffixed (base
-/// 1024); `0`, absent, or unparsable → unlimited.
-fn mem_bytes_from_env() -> u64 {
-    std::env::var("TGRAPH_MEM_BYTES")
-        .ok()
-        .and_then(|v| parse_bytes(&v))
-        .unwrap_or(0)
-}
-
-fn parse_bytes(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let (num, shift) = match s.as_bytes().last()? {
-        b'k' | b'K' => (&s[..s.len() - 1], 10),
-        b'm' | b'M' => (&s[..s.len() - 1], 20),
-        b'g' | b'G' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
-    };
-    num.trim().parse::<u64>().ok()?.checked_shl(shift)
-}
-
-/// Reads `TGRAPH_SPILL_DIR` (default `<tmp>/tgraph-spill`).
-fn spill_dir_from_env() -> PathBuf {
-    std::env::var_os("TGRAPH_SPILL_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("tgraph-spill"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn gov(budget: u64) -> Arc<MemGovernor> {
-        let g = Arc::new(MemGovernor::from_env());
-        g.set_budget(budget);
-        g
+        Arc::new(MemGovernor::new(
+            budget,
+            crate::EngineConfig::default().spill_dir,
+        ))
     }
 
     #[test]
@@ -492,17 +466,6 @@ mod tests {
         let r = free.try_reserve(u64::MAX).expect("unlimited");
         assert_eq!(r.bytes(), 0);
         assert_eq!(free.used(), 0);
-    }
-
-    #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("64k"), Some(64 << 10));
-        assert_eq!(parse_bytes("3M"), Some(3 << 20));
-        assert_eq!(parse_bytes("2g"), Some(2 << 30));
-        assert_eq!(parse_bytes(" 8K "), Some(8 << 10));
-        assert_eq!(parse_bytes("nope"), None);
-        assert_eq!(parse_bytes(""), None);
     }
 
     fn unique_dir(tag: &str) -> PathBuf {

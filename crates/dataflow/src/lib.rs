@@ -60,6 +60,7 @@
 #![allow(clippy::type_complexity)]
 
 pub mod cancel;
+pub mod config;
 pub mod dataset;
 pub mod decompose;
 pub mod exchange;
@@ -74,6 +75,7 @@ pub mod spill;
 pub mod sync;
 
 pub use cancel::{CancelToken, Cancelled};
+pub use config::EngineConfig;
 pub use dataset::{Dataset, Partitioning};
 pub use decompose::{merge_states, Decomposable};
 pub use exchange::{

@@ -2,7 +2,8 @@
 //! statistics.
 
 use crate::cancel;
-use crate::exchange::{self, Exchange, ExchangeCounters, InProcessExchange, ShardLayout};
+use crate::config::EngineConfig;
+use crate::exchange::{Exchange, ExchangeCounters, InProcessExchange, ShardLayout};
 use crate::governor::MemGovernor;
 use crate::pool::ThreadPool;
 use crate::sync::lock_unpoisoned;
@@ -168,6 +169,7 @@ pub struct Runtime {
     tasks_cancelled: AtomicU64,
     max_task_us: AtomicU64,
     wave_us: AtomicU64,
+    config: EngineConfig,
     checked: AtomicBool,
     governor: Arc<MemGovernor>,
     exchange: Mutex<Arc<dyn Exchange>>,
@@ -185,6 +187,7 @@ impl Runtime {
     /// Creates a runtime with an explicit default partition count.
     pub fn with_partitions(workers: usize, partitions: usize) -> Self {
         let exchange_counters = Arc::new(ExchangeCounters::default());
+        let config = EngineConfig::from_env();
         Runtime {
             pool: ThreadPool::new(workers),
             partitions: partitions.max(1),
@@ -200,12 +203,13 @@ impl Runtime {
             tasks_cancelled: AtomicU64::new(0),
             max_task_us: AtomicU64::new(0),
             wave_us: AtomicU64::new(0),
-            checked: AtomicBool::new(checked_from_env()),
-            governor: Arc::new(MemGovernor::from_env()),
+            checked: AtomicBool::new(config.checked),
+            governor: Arc::new(MemGovernor::new(config.mem_bytes, config.spill_dir.clone())),
             exchange: Mutex::new(Arc::new(InProcessExchange::new(
-                exchange::framed_from_env(),
+                config.framed_exchange,
                 Arc::clone(&exchange_counters),
             ))),
+            config,
             exchange_counters,
             exchange_seq: AtomicU64::new(0),
         }
@@ -223,6 +227,12 @@ impl Runtime {
             .map(|n| n.get())
             .unwrap_or(4);
         Self::new(cores)
+    }
+
+    /// The environment settings this runtime was built from: parsed once,
+    /// here, and read by every layer above instead of the environment.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
     }
 
     /// Default number of partitions for new datasets and shuffles.
@@ -439,14 +449,6 @@ impl Runtime {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot { base: self.stats() }
     }
-}
-
-/// Reads the `TGRAPH_CHECKED` environment gate (`1`/`true` → on).
-fn checked_from_env() -> bool {
-    matches!(
-        std::env::var("TGRAPH_CHECKED").as_deref(),
-        Ok("1") | Ok("true")
-    )
 }
 
 /// Microseconds elapsed since `start`, saturating at `u64::MAX`.

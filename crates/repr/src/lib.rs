@@ -76,3 +76,37 @@ impl std::fmt::Display for ReprKind {
         f.write_str(s)
     }
 }
+
+impl std::str::FromStr for ReprKind {
+    type Err = String;
+
+    /// Case-insensitive: `Display` prints uppercase, the serving protocol
+    /// prints lowercase, and both spellings read back.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "rg" => Ok(ReprKind::Rg),
+            "ve" => Ok(ReprKind::Ve),
+            "og" => Ok(ReprKind::Og),
+            "ogc" => Ok(ReprKind::Ogc),
+            other => Err(format!("unknown repr '{other}' (expected rg|ve|og|ogc)")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ReprKind;
+
+    #[test]
+    fn repr_kind_reads_back_in_either_case() {
+        for kind in ReprKind::all() {
+            let upper = kind.to_string();
+            assert_eq!(upper.parse::<ReprKind>(), Ok(kind));
+            assert_eq!(upper.to_ascii_lowercase().parse::<ReprKind>(), Ok(kind));
+        }
+        assert_eq!(
+            "XG".parse::<ReprKind>(),
+            Err("unknown repr 'xg' (expected rg|ve|og|ogc)".to_string())
+        );
+    }
+}

@@ -246,37 +246,25 @@ impl Admission {
                 // Slot free but the budget is full: wait like a slot-blocked
                 // waiter — a permit drop releases both.
             }
-            match deadline {
-                None => {
-                    if self.governor.is_some() {
-                        // Governed waiters poll: the dataflow runtime can
-                        // release budget (an exchange finishing) without
-                        // signalling this condvar.
-                        let (guard, _timeout) = self
-                            .cv
-                            .wait_timeout(state, GOVERNOR_POLL)
-                            .unwrap_or_else(|e| e.into_inner());
-                        state = guard;
-                    } else {
-                        state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        break Err(AdmitError::DeadlineExpired);
-                    }
-                    let mut dur = d - now;
-                    if self.governor.is_some() {
-                        dur = dur.min(GOVERNOR_POLL);
-                    }
-                    let (guard, _timeout) = self
-                        .cv
-                        .wait_timeout(state, dur)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                break Err(AdmitError::DeadlineExpired);
             }
+            // Park until the deadline at most. Governed waiters also poll:
+            // the dataflow runtime can release budget (an exchange
+            // finishing) without signalling this condvar.
+            let until_deadline = deadline.map(|d| d - now);
+            let park = match self.governor {
+                Some(_) => Some(until_deadline.map_or(GOVERNOR_POLL, |d| d.min(GOVERNOR_POLL))),
+                None => until_deadline,
+            };
+            state = match park {
+                Some(dur) => {
+                    let woken = self.cv.wait_timeout(state, dur);
+                    woken.unwrap_or_else(|e| e.into_inner()).0
+                }
+                None => self.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
+            };
         };
         state.waiting -= 1;
         drop(state);
@@ -440,9 +428,10 @@ mod tests {
     }
 
     fn governor_with_budget(bytes: u64) -> Arc<MemGovernor> {
-        let gov = Arc::new(MemGovernor::from_env());
-        gov.set_budget(bytes);
-        gov
+        Arc::new(MemGovernor::new(
+            bytes,
+            tgraph_dataflow::EngineConfig::default().spill_dir,
+        ))
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * `--data-dir DIR`        dataset directory (GraphLoader layout)
 //! * `--graphs a:ve,b:og`    preload graphs (name:repr) before accepting
 //! * `--workers N`           dataflow worker threads (default 4)
-//! * `--partitions N`        dataflow partitions (default = workers)
+//! * `--partitions N`        dataflow partitions (default `max(4, workers)`;
+//!   an explicit value wins wherever it appears on the command line)
 //! * `--max-inflight N`      concurrent zoom executions (default 2)
 //! * `--max-queue N`         admission queue capacity (default 64)
 //! * `--cache-mb N`          result-cache budget in MiB (default 64)
@@ -42,109 +43,74 @@ struct Args {
     gen_demo: Option<String>,
 }
 
-fn parse_repr(s: &str) -> Result<ReprKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "rg" => Ok(ReprKind::Rg),
-        "ve" => Ok(ReprKind::Ve),
-        "og" => Ok(ReprKind::Og),
-        "ogc" => Ok(ReprKind::Ogc),
-        other => Err(format!("unknown repr '{other}'")),
-    }
+const USAGE: &str = "usage: tgraph-serve --addr HOST:PORT --data-dir DIR \
+                     [--graphs name:repr,...] [--workers N] [--partitions N] \
+                     [--max-inflight N] [--max-queue N] [--cache-mb N] \
+                     [--query-reserve-mb N] [--gen-demo NAME] \
+                     [--shard I --shards N --exchange-addr H:P \
+                     --exchange-peers a,b --serve-peers a,b]";
+
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn list(value: String) -> Vec<String> {
+    value
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut config = ServerConfig::default();
+    let mut partitions = None;
     let mut preload = Vec::new();
     let mut gen_demo = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
+        let flag = flag.as_str();
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--data-dir" => config.data_dir = value("--data-dir")?.into(),
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                config.partitions = config.partitions.max(config.workers);
-            }
-            "--partitions" => {
-                config.partitions = value("--partitions")?
-                    .parse()
-                    .map_err(|e| format!("--partitions: {e}"))?
-            }
-            "--max-inflight" => {
-                config.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| format!("--max-inflight: {e}"))?
-            }
-            "--max-queue" => {
-                config.max_queue = value("--max-queue")?
-                    .parse()
-                    .map_err(|e| format!("--max-queue: {e}"))?
-            }
-            "--cache-mb" => {
-                let mb: u64 = value("--cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--cache-mb: {e}"))?;
-                config.cache_bytes = mb << 20;
-            }
+        match flag {
+            "--addr" => config.addr = value()?,
+            "--data-dir" => config.data_dir = value()?.into(),
+            "--workers" => config.workers = number(flag, value()?)?,
+            "--partitions" => partitions = Some(number(flag, value()?)?),
+            "--max-inflight" => config.max_inflight = number(flag, value()?)?,
+            "--max-queue" => config.max_queue = number(flag, value()?)?,
+            "--cache-mb" => config.cache_bytes = number::<u64>(flag, value()?)? << 20,
             "--query-reserve-mb" => {
-                let mb: u64 = value("--query-reserve-mb")?
-                    .parse()
-                    .map_err(|e| format!("--query-reserve-mb: {e}"))?;
-                config.query_reserve_bytes = mb << 20;
+                config.query_reserve_bytes = number::<u64>(flag, value()?)? << 20
             }
             "--graphs" => {
-                for part in value("--graphs")?.split(',').filter(|p| !p.is_empty()) {
+                for part in list(value()?) {
                     let (name, repr) = part
                         .split_once(':')
                         .ok_or_else(|| format!("--graphs entry '{part}' must be name:repr"))?;
-                    preload.push((name.to_string(), parse_repr(repr)?));
+                    preload.push((name.to_string(), repr.parse()?));
                 }
             }
-            "--gen-demo" => gen_demo = Some(value("--gen-demo")?),
-            "--shard" => {
-                config.shard = value("--shard")?
-                    .parse()
-                    .map_err(|e| format!("--shard: {e}"))?
-            }
-            "--shards" => {
-                config.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--exchange-addr" => config.exchange_addr = value("--exchange-addr")?,
-            "--exchange-peers" => {
-                config.exchange_peers = value("--exchange-peers")?
-                    .split(',')
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--serve-peers" => {
-                config.serve_peers = value("--serve-peers")?
-                    .split(',')
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--help" | "-h" => {
-                return Err("usage: tgraph-serve --addr HOST:PORT --data-dir DIR \
-                            [--graphs name:repr,...] [--workers N] [--partitions N] \
-                            [--max-inflight N] [--max-queue N] [--cache-mb N] \
-                            [--query-reserve-mb N] [--gen-demo NAME] \
-                            [--shard I --shards N --exchange-addr H:P \
-                            --exchange-peers a,b --serve-peers a,b]"
-                    .to_string())
-            }
+            "--gen-demo" => gen_demo = Some(value()?),
+            "--shard" => config.shard = number(flag, value()?)?,
+            "--shards" => config.shards = number(flag, value()?)?,
+            "--exchange-addr" => config.exchange_addr = value()?,
+            "--exchange-peers" => config.exchange_peers = list(value()?),
+            "--serve-peers" => config.serve_peers = list(value()?),
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
     }
+    // Resolved after the loop so flag order cannot matter: an explicit
+    // `--partitions` wins; otherwise one partition per worker, and never
+    // fewer than the default.
+    config.partitions = partitions.unwrap_or(config.partitions.max(config.workers));
     Ok(Args {
         config,
         preload,
@@ -201,5 +167,43 @@ fn main() -> ExitCode {
             eprintln!("tgraph-serve: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn partitions(argv: &[&str]) -> usize {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv).expect("parse").config.partitions
+    }
+
+    #[test]
+    fn explicit_partitions_win_in_either_flag_order() {
+        assert_eq!(partitions(&["--partitions", "2", "--workers", "8"]), 2);
+        assert_eq!(partitions(&["--workers", "8", "--partitions", "2"]), 2);
+    }
+
+    #[test]
+    fn default_partitions_are_one_per_worker_and_at_least_four() {
+        assert_eq!(partitions(&[]), 4);
+        assert_eq!(partitions(&["--workers", "2"]), 4);
+        assert_eq!(partitions(&["--workers", "8"]), 8);
+    }
+
+    #[test]
+    fn preload_reprs_parse_case_insensitively_and_reject_unknown_ones() {
+        let argv = |graphs: &str| vec!["--graphs".to_string(), graphs.to_string()];
+        let args = parse_args(&argv("a:ve,b:OGC")).expect("parse");
+        assert_eq!(
+            args.preload,
+            vec![
+                ("a".to_string(), ReprKind::Ve),
+                ("b".to_string(), ReprKind::Ogc)
+            ]
+        );
+        let err = parse_args(&argv("a:xx")).err().expect("unknown repr");
+        assert!(err.contains("unknown repr 'xx'"), "{err}");
     }
 }

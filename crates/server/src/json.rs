@@ -56,6 +56,11 @@ impl Json {
         }
     }
 
+    /// Non-negative integer payload.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|v| u64::try_from(v).ok())
+    }
+
     /// Numeric payload widened to `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -147,6 +152,14 @@ impl Json {
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
     }
+}
+
+/// Object fields for a run of counters, in the given order.
+pub(crate) fn counters(fields: &[(&str, u64)]) -> Vec<(String, Json)> {
+    fields
+        .iter()
+        .map(|(k, v)| (k.to_string(), Json::Int(*v as i64)))
+        .collect()
 }
 
 /// Compact, deterministic serialization; `to_string()` comes with it.

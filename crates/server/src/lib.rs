@@ -7,7 +7,9 @@
 //! The server speaks **newline-delimited JSON** over TCP ([`protocol`]).
 //! One connection layer ([`eventloop`]: reactors, pipelined batches,
 //! backpressure) moves the bytes; [`server`] dispatches each request line
-//! and is the same code whether a line arrives over a socket or through
+//! to the role module that handles it (zoom path, ingest writer, shard
+//! coordination, rendering; each owns the state it locks) and is the same
+//! code whether a line arrives over a socket or through
 //! [`Server::handle_line`]. Named graphs are loaded from a dataset directory once and shared across
 //! all sessions via the storage layer's [`GraphPool`]; zoom requests parse
 //! into `tgraph-query` pipelines and execute on one shared dataflow
@@ -41,17 +43,24 @@
 pub mod admission;
 pub mod cache;
 pub mod eventloop;
+mod handoff;
+mod ingest;
 pub mod json;
 pub mod metrics;
 pub mod protocol;
+mod reactor;
+mod render;
 pub mod server;
+mod shard;
+mod zoom;
 
 pub use admission::{Admission, AdmissionStats, AdmitError, Permit};
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use json::Json;
 pub use metrics::{Histogram, ServerMetrics};
 pub use protocol::{parse_request, BadRequest, Request, ZoomRequest};
-pub use server::{serialize_tgraph, Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
+pub use render::serialize_tgraph;
+pub use server::{Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
 
 #[doc(no_inline)]
 pub use tgraph_storage::GraphPool;

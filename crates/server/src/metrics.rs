@@ -9,7 +9,7 @@
 //! saturated final bucket is reported as the observed maximum rather than a
 //! fictitious power-of-two "upper bound" that would under-report it.
 
-use crate::json::Json;
+use crate::json::{counters, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -176,85 +176,36 @@ impl ServerMetrics {
 
     /// Counter snapshot as a deterministic JSON object.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "requests",
-                Json::Int(self.requests.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "zoom_cache_hits",
-                Json::Int(self.zoom_cache_hits.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "zoom_executed",
-                Json::Int(self.zoom_executed.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "zoom_patched",
-                Json::Int(self.zoom_patched.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "ingests",
-                Json::Int(self.ingests.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "zoom_rejected",
-                Json::Int(self.zoom_rejected.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "zoom_cancelled",
-                Json::Int(self.zoom_cancelled.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "bad_requests",
-                Json::Int(self.bad_requests.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "auto_chosen",
-                Json::Int(self.auto_chosen.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "auto_by_observed",
-                Json::Int(self.auto_by_observed.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "shard_stale_retries",
-                Json::Int(self.shard_stale_retries.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "accept_errors",
-                Json::Int(self.accept_errors.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "lines_over_cap",
-                Json::Int(self.lines_over_cap.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "pipelined_batches",
-                Json::Int(self.pipelined_batches.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "pipelined_lines",
-                Json::Int(self.pipelined_lines.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "admission_reuses",
-                Json::Int(self.admission_reuses.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "backpressure_pauses",
-                Json::Int(self.backpressure_pauses.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "latency",
-                Json::obj(vec![
-                    ("total", self.total_latency.to_json()),
-                    ("admission_wait", self.admission_wait.to_json()),
-                    ("exec", self.exec_latency.to_json()),
-                    ("cache_hit", self.hit_latency.to_json()),
-                ]),
-            ),
-        ])
+        let n = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let mut fields = counters(&[
+            ("requests", n(&self.requests)),
+            ("zoom_cache_hits", n(&self.zoom_cache_hits)),
+            ("zoom_executed", n(&self.zoom_executed)),
+            ("zoom_patched", n(&self.zoom_patched)),
+            ("ingests", n(&self.ingests)),
+            ("zoom_rejected", n(&self.zoom_rejected)),
+            ("zoom_cancelled", n(&self.zoom_cancelled)),
+            ("bad_requests", n(&self.bad_requests)),
+            ("auto_chosen", n(&self.auto_chosen)),
+            ("auto_by_observed", n(&self.auto_by_observed)),
+            ("shard_stale_retries", n(&self.shard_stale_retries)),
+            ("accept_errors", n(&self.accept_errors)),
+            ("lines_over_cap", n(&self.lines_over_cap)),
+            ("pipelined_batches", n(&self.pipelined_batches)),
+            ("pipelined_lines", n(&self.pipelined_lines)),
+            ("admission_reuses", n(&self.admission_reuses)),
+            ("backpressure_pauses", n(&self.backpressure_pauses)),
+        ]);
+        fields.push((
+            "latency".to_string(),
+            Json::obj(vec![
+                ("total", self.total_latency.to_json()),
+                ("admission_wait", self.admission_wait.to_json()),
+                ("exec", self.exec_latency.to_json()),
+                ("cache_hit", self.hit_latency.to_json()),
+            ]),
+        ));
+        Json::Obj(fields)
     }
 }
 

@@ -87,6 +87,21 @@ pub enum Request {
     },
 }
 
+impl Request {
+    /// The wire name of this request's `op`.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::Stats => "stats",
+            Request::Shutdown => "shutdown",
+            Request::Zoom(_) => "zoom",
+            Request::Ingest(_) => "ingest",
+            Request::ShardExec { .. } => "shard_exec",
+            Request::ShardIngest { .. } => "shard_ingest",
+        }
+    }
+}
+
 /// A fully validated zoom query.
 #[derive(Clone, Debug)]
 pub struct ZoomRequest {
@@ -152,16 +167,22 @@ fn bad(msg: impl Into<String>) -> BadRequest {
     BadRequest(msg.into())
 }
 
+/// `v[field]` read by `read`, with an absent field or an explicit `null`
+/// as `None`; a field that is present but unreadable is `expected`'s error.
+fn optional<'a, T>(
+    v: &'a Json,
+    field: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, BadRequest> {
+    v.get(field)
+        .filter(|given| **given != Json::Null)
+        .map(|given| read(given).ok_or_else(|| bad(expected)))
+        .transpose()
+}
+
 fn parse_repr(s: &str) -> Result<ReprKind, BadRequest> {
-    match s.to_ascii_lowercase().as_str() {
-        "rg" => Ok(ReprKind::Rg),
-        "ve" => Ok(ReprKind::Ve),
-        "og" => Ok(ReprKind::Og),
-        "ogc" => Ok(ReprKind::Ogc),
-        other => Err(bad(format!(
-            "unknown repr '{other}' (expected rg|ve|og|ogc)"
-        ))),
-    }
+    s.parse().map_err(BadRequest)
 }
 
 fn parse_quantifier(v: &Json) -> Result<Quantifier, BadRequest> {
@@ -373,18 +394,10 @@ fn parse_fact_interval(v: &Json) -> Result<Interval, BadRequest> {
 
 fn parse_ingest_request(v: &Json) -> Result<IngestRequest, BadRequest> {
     let graph = parse_graph_name(v)?;
-    let since = match v.get("since") {
-        None | Some(Json::Null) => None,
-        Some(s) => Some(
-            s.as_i64()
-                .ok_or_else(|| bad("'since' must be an integer"))?,
-        ),
-    };
+    let since = optional(v, "since", Json::as_i64, "'since' must be an integer")?;
     let id_of = |rec: &Json, what: &str| -> Result<u64, BadRequest> {
         rec.get(what)
-            .and_then(Json::as_i64)
-            .filter(|n| *n >= 0)
-            .map(|n| n as u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| bad(format!("fact needs non-negative integer field '{what}'")))
     };
     let records = |field: &str| -> Result<Vec<&Json>, BadRequest> {
@@ -465,41 +478,35 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
         "shard_exec" => {
             let epoch = v
                 .get("epoch")
-                .and_then(Json::as_i64)
-                .filter(|e| *e >= 0)
-                .ok_or_else(|| bad("shard_exec needs non-negative integer field 'epoch'"))?
-                as u64;
-            let dataset_epoch = match v.get("dataset_epoch") {
-                None | Some(Json::Null) => 0,
-                Some(d) => d
-                    .as_i64()
-                    .filter(|d| *d >= 0)
-                    .ok_or_else(|| bad("'dataset_epoch' must be a non-negative integer"))?
-                    as u64,
-            };
-            let repr_override = match v.get("repr") {
-                None | Some(Json::Null) => None,
-                Some(r) => Some(parse_repr(r.as_str().ok_or_else(|| {
-                    bad("shard_exec 'repr' override must be a repr string")
-                })?)?),
-            };
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad("shard_exec needs non-negative integer field 'epoch'"))?;
+            let dataset_epoch = optional(
+                &v,
+                "dataset_epoch",
+                Json::as_u64,
+                "'dataset_epoch' must be a non-negative integer",
+            )?;
+            let repr_override = optional(
+                &v,
+                "repr",
+                Json::as_str,
+                "shard_exec 'repr' override must be a repr string",
+            )?;
             let zoom = v
                 .get("zoom")
                 .ok_or_else(|| bad("shard_exec needs object field 'zoom'"))?;
             Ok(Request::ShardExec {
                 epoch,
-                dataset_epoch,
-                repr_override,
+                dataset_epoch: dataset_epoch.unwrap_or(0),
+                repr_override: repr_override.map(parse_repr).transpose()?,
                 zoom: Box::new(parse_zoom_request(zoom)?),
             })
         }
         "shard_ingest" => {
             let epoch = v
                 .get("epoch")
-                .and_then(Json::as_i64)
-                .filter(|e| *e >= 0)
-                .ok_or_else(|| bad("shard_ingest needs non-negative integer field 'epoch'"))?
-                as u64;
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad("shard_ingest needs non-negative integer field 'epoch'"))?;
             let since = v
                 .get("since")
                 .and_then(Json::as_i64)
@@ -524,18 +531,15 @@ fn parse_zoom_request(v: &Json) -> Result<ZoomRequest, BadRequest> {
     // `repr` omitted or "auto" delegates the choice to the optimizer. The
     // placeholder is VE (supports every step), so static validation below
     // still catches switch-introduced violations.
-    let (repr, auto_repr) = match v.get("repr") {
-        None | Some(Json::Null) => (ReprKind::Ve, true),
-        Some(r) => {
-            let s = r
-                .as_str()
-                .ok_or_else(|| bad("'repr' must be a string (rg|ve|og|ogc|auto)"))?;
-            if s.eq_ignore_ascii_case("auto") {
-                (ReprKind::Ve, true)
-            } else {
-                (parse_repr(s)?, false)
-            }
-        }
+    let repr = optional(
+        v,
+        "repr",
+        Json::as_str,
+        "'repr' must be a string (rg|ve|og|ogc|auto)",
+    )?;
+    let (repr, auto_repr) = match repr {
+        Some(s) if !s.eq_ignore_ascii_case("auto") => (parse_repr(s)?, false),
+        _ => (ReprKind::Ve, true),
     };
     let range = match v.get("range") {
         None | Some(Json::Null) => None,
@@ -565,15 +569,12 @@ fn parse_zoom_request(v: &Json) -> Result<ZoomRequest, BadRequest> {
             pipeline.push(parse_step(step)?);
         }
     }
-    let deadline_ms = match v.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(d) => Some(
-            d.as_i64()
-                .filter(|d| *d >= 0)
-                .ok_or_else(|| bad("'deadline_ms' must be a non-negative integer"))?
-                as u64,
-        ),
-    };
+    let deadline_ms = optional(
+        v,
+        "deadline_ms",
+        Json::as_u64,
+        "'deadline_ms' must be a non-negative integer",
+    )?;
     let no_cache = v.get("no_cache").and_then(Json::as_bool).unwrap_or(false);
     let explain = v.get("explain").and_then(Json::as_bool).unwrap_or(false);
     let req = ZoomRequest {

@@ -1,0 +1,347 @@
+//! Every byte the server writes: result graphs, zoom / error / stats
+//! responses, and the ingest bodies re-sent to a lagging peer. Rendering is
+//! deterministic (fixed field order, sorted records and property keys),
+//! because byte-identical replay is what the result cache, the patch path
+//! and the cross-shard agreement check all compare.
+
+use crate::cache::CacheKey;
+use crate::json::{counters, Json};
+use crate::protocol::ZoomRequest;
+use crate::server::Server;
+use std::time::Duration;
+use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
+use tgraph_core::props::{Props, Value};
+use tgraph_core::time::Interval;
+use tgraph_dataflow::EngineConfig;
+use tgraph_optimize::Decision;
+use tgraph_repr::ReprKind;
+
+fn interval_json(i: Interval) -> Json {
+    Json::Arr(vec![Json::Int(i.start), Json::Int(i.end)])
+}
+
+fn props_json(p: &Props) -> Json {
+    Json::Obj(
+        p.iter()
+            .map(|(k, v)| {
+                let value = match v {
+                    Value::Bool(b) => Json::Bool(*b),
+                    Value::Int(i) => Json::Int(*i),
+                    Value::Float(f) => Json::Float(*f),
+                    Value::Str(s) => Json::Str(s.to_string()),
+                };
+                (k.to_string(), value)
+            })
+            .collect(),
+    )
+}
+
+/// The one record renderer: results and ingest bodies spell a vertex or an
+/// edge the same way, which is also the shape `parse_ingest_request` reads.
+fn vertices_json<'a>(vertices: impl IntoIterator<Item = &'a VertexRecord>) -> Json {
+    let one = |v: &VertexRecord| {
+        Json::obj(vec![
+            ("id", Json::Int(v.vid.0 as i64)),
+            ("interval", interval_json(v.interval)),
+            ("props", props_json(&v.props)),
+        ])
+    };
+    Json::Arr(vertices.into_iter().map(one).collect())
+}
+
+fn edges_json<'a>(edges: impl IntoIterator<Item = &'a EdgeRecord>) -> Json {
+    let one = |e: &EdgeRecord| {
+        Json::obj(vec![
+            ("id", Json::Int(e.eid.0 as i64)),
+            ("src", Json::Int(e.src.0 as i64)),
+            ("dst", Json::Int(e.dst.0 as i64)),
+            ("interval", interval_json(e.interval)),
+            ("props", props_json(&e.props)),
+        ])
+    };
+    Json::Arr(edges.into_iter().map(one).collect())
+}
+
+/// Serializes a logical graph result deterministically: records sorted by
+/// (id, interval), object fields in fixed order, properties in `Props`'s
+/// sorted key order. Identical results → identical bytes, the invariant the
+/// result cache's byte-identical replay relies on.
+pub fn serialize_tgraph(g: &TGraph) -> String {
+    let mut vertices: Vec<_> = g.vertices.iter().collect();
+    vertices.sort_by_key(|v| (v.vid, v.interval));
+    let mut edges: Vec<_> = g.edges.iter().collect();
+    edges.sort_by_key(|e| (e.eid, e.interval));
+    Json::obj(vec![
+        ("lifespan", interval_json(g.lifespan)),
+        ("vertices", vertices_json(vertices)),
+        ("edges", edges_json(edges)),
+    ])
+    .to_string()
+}
+
+/// Renders a delta graph as an ingest request body — the inverse of
+/// `parse_ingest_request`'s fact schema. Used to re-replicate committed
+/// epochs to a peer that reported `stale_epoch` (the original request
+/// lines are gone by then; the facts come back out of storage).
+pub(crate) fn ingest_json(graph: &str, delta: &TGraph) -> String {
+    Json::obj(vec![
+        ("op", Json::str("ingest")),
+        ("graph", Json::str(graph)),
+        ("vertices", vertices_json(&delta.vertices)),
+        ("edges", edges_json(&delta.edges)),
+    ])
+    .to_string()
+}
+
+pub(crate) fn error_response(kind: &str, message: &str) -> String {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("kind", Json::str(kind)),
+        ("error", Json::str(message)),
+    ])
+    .to_string()
+}
+
+/// Composes a zoom response. `result` is ALWAYS the final field and its
+/// bytes are spliced in verbatim, so clients (and the smoke test) can
+/// extract everything after `"result":` up to the closing brace and compare
+/// replays byte-for-byte. The optional `optimizer` block (auto-choice /
+/// EXPLAIN) is spliced immediately before it.
+pub(crate) fn zoom_response(
+    cache: &str,
+    total: Duration,
+    exec: Duration,
+    key: &CacheKey,
+    optimizer: Option<&Json>,
+    result: &[u8],
+) -> String {
+    let mut out = Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("cache", Json::str(cache)),
+        ("fingerprint", Json::str(format!("{:#018x}", key.hash))),
+        ("total_us", Json::Int(total.as_micros() as i64)),
+        ("exec_us", Json::Int(exec.as_micros() as i64)),
+    ])
+    .to_string();
+    out.pop(); // strip the closing '}' to splice the trailing fields in
+    if let Some(block) = optimizer {
+        out.push_str(",\"optimizer\":");
+        out.push_str(&block.to_string());
+    }
+    out.push_str(",\"result\":");
+    out.push_str(std::str::from_utf8(result).unwrap_or("null"));
+    out.push('}');
+    out
+}
+
+/// Lowercase wire spelling of a representation (`Display` is uppercase;
+/// the protocol accepts either but emits lowercase, matching requests).
+fn repr_wire(kind: ReprKind) -> String {
+    kind.to_string().to_ascii_lowercase()
+}
+
+/// The `"optimizer"` response block: present for `"repr":"auto"` requests
+/// and for any request with `"explain":true`. Shows the requested vs
+/// chosen representation and the choice's provenance; under EXPLAIN the
+/// full candidate table rides along — each representation's predicted
+/// work, predicted shuffle bytes, observed mean run time (null until the
+/// server has executed that candidate for this shape), and the effective
+/// score the decision ranked by.
+pub(crate) fn optimizer_json(
+    req: &ZoomRequest,
+    was_auto: bool,
+    decision: Option<&Decision>,
+) -> Option<Json> {
+    if !was_auto && !req.explain {
+        return None;
+    }
+    let requested = if was_auto {
+        "auto".to_string()
+    } else {
+        repr_wire(req.repr)
+    };
+    // Auto with unreadable stats falls back to the default representation;
+    // EXPLAIN without a decision ditto.
+    let source = decision.map_or("fallback", |d| d.source.as_str());
+    let mut fields = vec![
+        ("requested", Json::str(requested)),
+        ("chosen", Json::str(repr_wire(req.repr))),
+        ("source", Json::str(source)),
+    ];
+    if let Some(d) = decision {
+        if d.chosen != req.repr {
+            // The request pinned a representation the optimizer disagrees
+            // with (only possible under EXPLAIN-on-explicit).
+            fields.push(("would_choose", Json::str(repr_wire(d.chosen))));
+        }
+        if req.explain {
+            let row = |c: &tgraph_optimize::CandidateRow| {
+                Json::obj(vec![
+                    ("repr", Json::str(repr_wire(c.repr))),
+                    ("predicted_work", Json::Float(c.predicted_work)),
+                    (
+                        "predicted_shuffle_bytes",
+                        Json::Int(c.predicted_shuffle_bytes as i64),
+                    ),
+                    ("observed_us", c.observed_us.map_or(Json::Null, Json::Float)),
+                    ("effective", Json::Float(c.effective)),
+                ])
+            };
+            fields.push((
+                "candidates",
+                Json::Arr(d.candidates.iter().map(row).collect()),
+            ));
+        }
+    }
+    Some(Json::obj(fields))
+}
+
+/// Best-effort rendering of a panic payload. Exchange and spill failures
+/// travel as typed payloads through `panic_any`; surfacing "peer 1 died
+/// mid-wave" beats a bare "execution panicked".
+pub(crate) fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(e) = panic.downcast_ref::<tgraph_dataflow::ExchangeError>() {
+        e.to_string()
+    } else if let Some(e) = panic.downcast_ref::<tgraph_dataflow::SpillError>() {
+        e.to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        "opaque payload; see server log".to_string()
+    }
+}
+
+/// The runtime's data-movement, cancellation, spill and exchange counters.
+fn runtime_json(server: &Server) -> Json {
+    let rt = server.rt.stats();
+    Json::Obj(counters(&[
+        ("workers", server.rt.workers() as u64),
+        ("partitions", server.rt.partitions() as u64),
+        ("tasks", rt.tasks),
+        ("waves", rt.waves),
+        ("shuffles", rt.shuffles),
+        ("shuffles_elided", rt.shuffles_elided),
+        ("shuffled_records", rt.shuffled_records),
+        ("shuffled_bytes", rt.shuffled_bytes),
+        ("waves_cancelled", rt.waves_cancelled),
+        ("tasks_cancelled", rt.tasks_cancelled),
+        ("max_task_us", rt.max_task_us),
+        ("wave_us", rt.wave_us),
+        ("mem_budget", server.rt.mem_budget()),
+        ("peak_bytes", rt.peak_bytes),
+        ("bytes_spilled", rt.bytes_spilled),
+        ("spill_files", rt.spill_files),
+        ("bytes_exchanged", rt.bytes_exchanged),
+        ("frames_sent", rt.frames_sent),
+        ("frames_received", rt.frames_received),
+        ("exchange_stalls", rt.exchange_stalls),
+    ]))
+}
+
+/// What the six `TGRAPH_*` variables parsed to when the runtime was built.
+fn config_json(config: &EngineConfig) -> Json {
+    let spill_dir = config.spill_dir.to_string_lossy().into_owned();
+    let timeout_ms = config.exchange_timeout.as_millis() as i64;
+    Json::obj(vec![
+        ("checked", Json::Bool(config.checked)),
+        ("framed_exchange", Json::Bool(config.framed_exchange)),
+        ("exchange_timeout_ms", Json::Int(timeout_ms)),
+        ("mem_bytes", Json::Int(config.mem_bytes as i64)),
+        ("serve_debug", Json::Bool(config.serve_debug)),
+        ("spill_dir", Json::str(spill_dir)),
+    ])
+}
+
+/// The `stats` response: every layer's counters, then the engine
+/// configuration the process was started with.
+pub(crate) fn stats_response(server: &Server) -> String {
+    let uptime_ms = server.net.bound_at.elapsed().as_millis();
+    let cache = server.cache.stats();
+    let admission = server.admission.stats();
+    let pool = server.pool.stats();
+    let optimizer = server.chooser.optimizer_stats();
+    let object = |fields: &[(&str, u64)]| Json::Obj(counters(fields));
+    Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("uptime_ms", Json::Int(uptime_ms as i64)),
+        ("shard", Json::Int(server.config.shard as i64)),
+        ("shards", Json::Int(server.config.shards as i64)),
+        ("server", server.metrics.to_json()),
+        (
+            "cache",
+            object(&[
+                ("hits", cache.hits),
+                ("misses", cache.misses),
+                ("insertions", cache.insertions),
+                ("evictions", cache.evictions),
+                ("invalidations", cache.invalidations),
+                ("bytes_used", cache.bytes_used),
+                ("byte_budget", cache.byte_budget),
+            ]),
+        ),
+        (
+            "admission",
+            object(&[
+                ("admitted", admission.admitted),
+                ("rejected_queue_full", admission.rejected_queue_full),
+                ("rejected_deadline", admission.rejected_deadline),
+                ("wait_us_total", admission.wait_us_total),
+                ("memory_stalls", admission.memory_stalls),
+                ("release_underflows", admission.release_underflows),
+                ("inflight", admission.inflight as u64),
+                ("queue_depth", admission.queue_depth as u64),
+                ("max_inflight", server.config.max_inflight as u64),
+                ("max_queue", server.config.max_queue as u64),
+            ]),
+        ),
+        (
+            "pool",
+            object(&[
+                ("hits", pool.hits),
+                ("misses", pool.misses),
+                ("loads", pool.loads),
+                ("epoch_upgrades", pool.epoch_upgrades),
+            ]),
+        ),
+        (
+            "optimizer",
+            object(&[
+                ("observed_pairs", optimizer.observed_pairs),
+                ("observations", optimizer.observations),
+            ]),
+        ),
+        ("runtime", runtime_json(server)),
+        ("config", config_json(server.rt.config())),
+    ])
+    .to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tgraph_core::graph::figure1_graph_stable_ids;
+
+    #[test]
+    fn serialization_is_deterministic_for_a_fixed_graph() {
+        let g = figure1_graph_stable_ids();
+        assert_eq!(serialize_tgraph(&g), serialize_tgraph(&g));
+        assert!(serialize_tgraph(&g).starts_with("{\"lifespan\":["));
+    }
+
+    /// An ingest body is the result rendering minus the lifespan and the
+    /// sort: the records themselves are spelled identically.
+    #[test]
+    fn ingest_bodies_and_results_spell_records_the_same_way() {
+        let g = figure1_graph_stable_ids();
+        let body = ingest_json("g", &g);
+        let vertex = vertices_json(g.vertices.iter().take(1)).to_string();
+        let edge = edges_json(g.edges.iter().take(1)).to_string();
+        for record in [&vertex[1..vertex.len() - 1], &edge[1..edge.len() - 1]] {
+            assert!(body.contains(record), "{record} not in {body}");
+            assert!(serialize_tgraph(&g).contains(record));
+        }
+        assert!(body.starts_with(r#"{"op":"ingest","graph":"g","vertices":["#));
+    }
+}

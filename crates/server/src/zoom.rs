@@ -1,0 +1,561 @@
+//! The zoom request path, as a driver over named stages: resolve the
+//! representation → load from the pool → probe the cache → admit →
+//! execute (cold, patched, or across shards) → serialize → respond. The
+//! stage boundaries are where per-request spans go (ROADMAP item 4).
+//!
+//! [`ReprChooser`] owns the optimizer and its per-graph feature cache (and
+//! that cache's lock); nothing outside this module touches them.
+
+use crate::admission::{AdmitError, Permit};
+use crate::cache::CacheKey;
+use crate::json::Json;
+use crate::metrics::ServerMetrics;
+use crate::protocol::ZoomRequest;
+use crate::render::{
+    error_response, optimizer_json, panic_detail, serialize_tgraph, zoom_response,
+};
+use crate::server::Server;
+use crate::shard::PeerReply;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+use tgraph_core::graph::TGraph;
+use tgraph_core::time::Interval;
+use tgraph_dataflow::{lock_unpoisoned, CancelToken, Runtime};
+use tgraph_optimize::{ChoiceSource, Decision, GraphFeatures, Optimizer, OptimizerStats};
+use tgraph_repr::ReprKind;
+use tgraph_storage::{GraphLoader, SharedGraph, SortOrder};
+
+/// The cost-based representation optimizer — static model plus the
+/// per-shape observed-run-time table that cold executions feed — and the
+/// storage features it costs against.
+#[derive(Default)]
+pub(crate) struct ReprChooser {
+    optimizer: Optimizer,
+    /// Header-only storage features per graph, cached with the dataset
+    /// epoch they were read at (an ingest invalidates by epoch mismatch).
+    features: Mutex<HashMap<String, (u64, GraphFeatures)>>,
+}
+
+impl ReprChooser {
+    pub(crate) fn optimizer_stats(&self) -> OptimizerStats {
+        self.optimizer.stats()
+    }
+
+    /// The optimizer's decision for `req`: header-only storage features
+    /// feed the cost model, the per-shape observed table feeds adaptive
+    /// re-optimization. `None` when the dataset's statistics are unreadable
+    /// (the pool load will surface the real error) or no representation can
+    /// run the pipeline.
+    fn choose(&self, data_dir: &Path, req: &ZoomRequest, shape: &str) -> Option<Decision> {
+        let features = self.graph_features(data_dir, &req.graph, req.range)?;
+        self.optimizer.choose(shape, &features, &req.pipeline)
+    }
+
+    /// Free cardinality/evolution features of `graph`, read from `.tgc`
+    /// chunk headers (O(chunks), no row decode). Full-history features are
+    /// cached per dataset epoch; range-restricted requests recompute, since
+    /// the pushdown changes the row estimates.
+    fn graph_features(
+        &self,
+        data_dir: &Path,
+        graph: &str,
+        range: Option<Interval>,
+    ) -> Option<GraphFeatures> {
+        let loader = GraphLoader::new(data_dir, graph);
+        let epoch = loader.current_epoch().ok()?;
+        if range.is_none() {
+            if let Some((cached_epoch, f)) = lock_unpoisoned(&self.features).get(graph) {
+                if *cached_epoch == epoch {
+                    return Some(*f);
+                }
+            }
+        }
+        let stats = loader.flat_stats(SortOrder::Temporal).ok()?;
+        let features = GraphFeatures::from_tgc_stats(&stats, range.as_ref());
+        if range.is_none() {
+            lock_unpoisoned(&self.features).insert(graph.to_string(), (epoch, features));
+        }
+        Some(features)
+    }
+}
+
+/// `req` with its representation fixed to `kind`.
+pub(crate) fn pinned(req: &ZoomRequest, kind: ReprKind) -> ZoomRequest {
+    let mut pinned = req.clone();
+    pinned.repr = kind;
+    pinned.auto_repr = false;
+    pinned
+}
+
+/// The one executor every path shares: cold runs here, suffix re-runs
+/// inside `patch_from_storage`, both through `tgraph_query`'s
+/// `Pipeline::execute` — which is what makes a patched result
+/// byte-identical to a recompute.
+pub(crate) fn execute_steps(rt: &Runtime, shared: &SharedGraph, req: &ZoomRequest) -> TGraph {
+    req.pipeline.collect(rt, (*shared.graph).clone())
+}
+
+/// Builds the cache key for a request over a loaded graph: FNV-1a over the
+/// graph's per-dataset plan fingerprints plus the canonical query string.
+/// The canonical text (prefixed with the lineage digests) rides along in the
+/// key, making lookups immune to 64-bit collisions.
+fn cache_key(shared: &SharedGraph, query: &str) -> CacheKey {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    let mut write = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(PRIME);
+        }
+    };
+    let mut canonical = String::new();
+    // Generation stamp: an ingest advances the dataset epoch, so results
+    // computed before it can never be replayed after it — even if a lineage
+    // fingerprint ever collided across epochs.
+    write(&shared.epoch.to_le_bytes());
+    canonical.push_str(&format!("epoch={};", shared.epoch));
+    for (name, lineage) in shared.graph.lineages() {
+        let fp = tgraph_dataflow::lineage::fingerprint(&lineage);
+        write(name.as_bytes());
+        write(&fp.to_le_bytes());
+        canonical.push_str(&format!("{name}={fp:#018x};"));
+    }
+    write(query.as_bytes());
+    canonical.push_str(query);
+    CacheKey { hash, canonical }
+}
+
+/// What the execute stage hands to the serialize stage.
+struct Executed {
+    result: TGraph,
+    /// Peer digests to cross-check (empty unless sharded).
+    replies: Vec<PeerReply>,
+    patched: bool,
+}
+
+impl Server {
+    /// Answers one zoom. `line` is the raw request text: the coordinator
+    /// embeds it verbatim in the `shard_exec` broadcast so every shard
+    /// parses the identical query. `permit_slot` optionally carries an
+    /// already-held admission permit between the zooms of one pipelined
+    /// batch (see [`Server::handle_line_batched`]).
+    pub(crate) fn handle_zoom(
+        &self,
+        req: &ZoomRequest,
+        line: &str,
+        permit_slot: &mut Option<Permit>,
+    ) -> String {
+        let t0 = Instant::now();
+        let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
+        // An already-expired deadline is rejected before any graph load,
+        // cache probe, or task wave.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return self.reject("deadline", "deadline expired before execution");
+        }
+        // Resolve `"repr":"auto"` *before* the pool load and cache probe so
+        // an auto request resolved to (say) VE shares pool residents and
+        // cache entries with an explicit `"repr":"ve"` request.
+        let shape = req.shape();
+        let (req, optimizer_block) = self.resolve_repr(req, &shape);
+        let block = optimizer_block.as_ref();
+        let shared = match self.load_graph(&req) {
+            Ok(g) => g,
+            Err(message) => return self.reject("not_found", &message),
+        };
+        // The one canonical text of this request: cache key, maintenance
+        // seed key and divergence report all read this string.
+        let canonical = req.canonical();
+        let key = cache_key(&shared, &canonical);
+        if let Some(bytes) = self.probe_cache(&req, &key) {
+            self.metrics.hit_latency.record(t0.elapsed());
+            self.metrics.total_latency.record(t0.elapsed());
+            return zoom_response("hit", t0.elapsed(), Duration::ZERO, &key, block, &bytes);
+        }
+        let permit = match self.admit(deadline, permit_slot) {
+            Ok(permit) => permit,
+            Err(refusal) => return refusal,
+        };
+        let exec0 = Instant::now();
+        let outcome = self.execute(&shared, &req, line, &canonical, deadline);
+        // A deadline-free permit parks in the slot for the next zoom of the
+        // batch (the caller drops the slot when the batch ends); any other
+        // permit releases immediately.
+        if deadline.is_none() {
+            *permit_slot = Some(permit);
+        } else {
+            drop(permit);
+        }
+        let exec = exec0.elapsed();
+        let done = match outcome {
+            Ok(done) => done,
+            Err(refusal) => return refusal,
+        };
+        let bytes = match self.serialize(&done, &req, &key) {
+            Ok(bytes) => bytes,
+            Err(divergence) => return divergence,
+        };
+        self.record_execution(&shape, req.repr, done.patched, exec);
+        self.metrics.total_latency.record(t0.elapsed());
+        let tag = if done.patched { "patch" } else { "miss" };
+        zoom_response(tag, t0.elapsed(), exec, &key, block, &bytes)
+    }
+
+    /// A counted zoom refusal.
+    fn reject(&self, kind: &str, message: &str) -> String {
+        ServerMetrics::bump(&self.metrics.zoom_rejected);
+        error_response(kind, message)
+    }
+
+    /// Stage 1: the request with a concrete representation, and the
+    /// `optimizer` response block if the request earns one. An `"auto"`
+    /// request takes the optimizer's choice (or keeps the VE placeholder
+    /// when there is no decision); EXPLAIN on an explicit representation
+    /// still consults the optimizer so the response can show what it
+    /// *would* pick, without overriding the caller's pinned choice.
+    fn resolve_repr<'r>(
+        &self,
+        req: &'r ZoomRequest,
+        shape: &str,
+    ) -> (Cow<'r, ZoomRequest>, Option<Json>) {
+        if !req.auto_repr && !req.explain {
+            return (Cow::Borrowed(req), None);
+        }
+        let decision = self.chooser.choose(&self.config.data_dir, req, shape);
+        let resolved = if req.auto_repr {
+            if let Some(d) = &decision {
+                ServerMetrics::bump(&self.metrics.auto_chosen);
+                if d.source == ChoiceSource::Observed {
+                    ServerMetrics::bump(&self.metrics.auto_by_observed);
+                }
+            }
+            let chosen = decision.as_ref().map_or(req.repr, |d| d.chosen);
+            Cow::Owned(pinned(req, chosen))
+        } else {
+            Cow::Borrowed(req)
+        };
+        let block = optimizer_json(&resolved, req.auto_repr, decision.as_ref());
+        (resolved, block)
+    }
+
+    /// Stage 2: the graph from the pool, or the `not_found` message. The
+    /// load runs *outside* the cancel scope on purpose: a cancellation
+    /// unwinding through the pool's single-flight section would strand
+    /// other waiters on the in-flight marker.
+    pub(crate) fn load_graph(&self, req: &ZoomRequest) -> Result<SharedGraph, String> {
+        self.pool
+            .get(&self.rt, &req.graph, req.repr, req.range)
+            .map_err(|e| format!("cannot load graph '{}' as {}: {e}", req.graph, req.repr))
+    }
+
+    /// Stage 3: the memoized bytes, unless the request opted out.
+    fn probe_cache(&self, req: &ZoomRequest, key: &CacheKey) -> Option<Arc<[u8]>> {
+        if req.no_cache {
+            return None;
+        }
+        let bytes = self.cache.get(key)?;
+        ServerMetrics::bump(&self.metrics.zoom_cache_hits);
+        Some(bytes)
+    }
+
+    /// Stage 4: an admission permit, or the typed refusal. Only
+    /// deadline-free requests reuse a carried permit — a deadline must flow
+    /// through `admit` so queue-full and expiry rejections keep their
+    /// semantics.
+    fn admit(
+        &self,
+        deadline: Option<Instant>,
+        permit_slot: &mut Option<Permit>,
+    ) -> Result<Permit, String> {
+        match permit_slot.take() {
+            Some(permit) if deadline.is_none() => {
+                ServerMetrics::bump(&self.metrics.admission_reuses);
+                Ok(permit)
+            }
+            carried => {
+                // A deadline request releases any carried permit first:
+                // holding a slot while queueing for a second would deadlock
+                // a max_inflight=1 gate against itself.
+                drop(carried);
+                let permit = self.admission.admit(deadline).map_err(|e| {
+                    let kind = match e {
+                        AdmitError::QueueFull => "queue_full",
+                        AdmitError::DeadlineExpired => "deadline",
+                    };
+                    self.reject(kind, &e.to_string())
+                })?;
+                self.metrics.admission_wait.record(permit.waited);
+                Ok(permit)
+            }
+        }
+    }
+
+    /// Stage 5: runs the pipeline under the request's cancel scope — across
+    /// the shards, or locally with incremental maintenance — and turns
+    /// every way that can fail into its typed refusal.
+    fn execute(
+        &self,
+        shared: &SharedGraph,
+        req: &ZoomRequest,
+        line: &str,
+        canonical: &str,
+        deadline: Option<Instant>,
+    ) -> Result<Executed, String> {
+        let token = match deadline {
+            Some(d) => CancelToken::with_deadline(d),
+            None => CancelToken::new(),
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            token.scope(|| {
+                if self.shards.is_sharded() {
+                    let (result, replies) = self.execute_sharded(shared, req, line)?;
+                    return Ok(Executed {
+                        result,
+                        replies,
+                        patched: false,
+                    });
+                }
+                let (result, patched) = self.ingest.patches.execute_or_patch(
+                    &self.rt,
+                    &self.config.data_dir,
+                    shared,
+                    req,
+                    canonical,
+                );
+                Ok(Executed {
+                    result,
+                    replies: Vec::new(),
+                    patched,
+                })
+            })
+        }));
+        match outcome {
+            Err(panic) => {
+                let detail = panic_detail(&*panic);
+                Err(self.reject("internal", &format!("execution panicked: {detail}")))
+            }
+            Ok(Err(_cancelled)) => {
+                ServerMetrics::bump(&self.metrics.zoom_cancelled);
+                Err(error_response(
+                    "cancelled",
+                    "deadline expired during execution",
+                ))
+            }
+            Ok(Ok(Err((kind, message)))) => Err(self.reject(&kind, &message)),
+            Ok(Ok(Ok(done))) => Ok(done),
+        }
+    }
+
+    /// Stage 6: the result's bytes, cross-checked against every peer's
+    /// digest and memoized. The error is the `shard_divergence` refusal.
+    fn serialize(
+        &self,
+        done: &Executed,
+        req: &ZoomRequest,
+        key: &CacheKey,
+    ) -> Result<Arc<[u8]>, String> {
+        let bytes: Arc<[u8]> = serialize_tgraph(&done.result).into_bytes().into();
+        if let Some(divergence) = self.check_shard_agreement(&bytes, &done.replies) {
+            return Err(divergence);
+        }
+        if !req.no_cache {
+            self.cache.insert(key, Arc::clone(&bytes));
+        }
+        Ok(bytes)
+    }
+
+    /// Books a finished execution. Adaptive feedback: only cold executions
+    /// measure the representation itself (hits measure the cache and
+    /// patches measure the delta), so only they feed the optimizer's
+    /// observed-run-time table.
+    fn record_execution(&self, shape: &str, repr: ReprKind, patched: bool, exec: Duration) {
+        ServerMetrics::bump(&self.metrics.zoom_executed);
+        if patched {
+            ServerMetrics::bump(&self.metrics.zoom_patched);
+        } else {
+            self.chooser
+                .optimizer
+                .observe(shape, repr, exec.as_micros() as u64);
+        }
+        self.metrics.exec_latency.record(exec);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::server::testutil::{fresh_server, result_of, server_over_figure1, zoom_line};
+    use tgraph_repr::ReprKind;
+
+    #[test]
+    fn zoom_executes_then_replays_from_cache_byte_identically() {
+        let server = server_over_figure1("unit1");
+        let line = zoom_line("unit1", "");
+        let first = server.handle_line(&line);
+        assert!(first.contains("\"ok\":true"), "{first}");
+        assert!(first.contains("\"cache\":\"miss\""), "{first}");
+        let second = server.handle_line(&line);
+        assert!(second.contains("\"cache\":\"hit\""), "{second}");
+        assert_eq!(
+            result_of(&first),
+            result_of(&second),
+            "byte-identical replay"
+        );
+        // The result actually contains the zoomed group node.
+        assert!(first.contains("\"students\":"), "{first}");
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"zoom_cache_hits\":1"), "{stats}");
+        assert!(stats.contains("\"zoom_executed\":1"), "{stats}");
+    }
+
+    #[test]
+    fn expired_deadline_rejected_without_any_task_wave() {
+        let server = server_over_figure1("unit2");
+        // Preload so the load's own waves don't confound the assertion.
+        server.preload("unit2", ReprKind::Ve).expect("preload");
+        let before = server.runtime().snapshot();
+        let line = zoom_line("unit2", "\"deadline_ms\":0,");
+        let resp = server.handle_line(&line);
+        assert!(resp.contains("\"ok\":false"), "{resp}");
+        assert!(resp.contains("\"kind\":\"deadline\""), "{resp}");
+        let delta = before.delta(server.runtime());
+        assert_eq!(delta.waves, 0, "no task wave executed");
+        assert_eq!(delta.tasks, 0);
+    }
+
+    #[test]
+    fn no_cache_requests_bypass_the_result_cache() {
+        let server = server_over_figure1("unit4");
+        let line = zoom_line("unit4", "\"no_cache\":true,");
+        let first = server.handle_line(&line);
+        let second = server.handle_line(&line);
+        assert!(first.contains("\"cache\":\"miss\""), "{first}");
+        assert!(second.contains("\"cache\":\"miss\""), "{second}");
+        assert!(server.cache.is_empty());
+    }
+
+    /// Client strings are quoted in the canonical text, so no choice of
+    /// names makes two different queries share a cache entry (or a
+    /// maintenance seed): here the second query's type label spells out the
+    /// first one's aggregation.
+    #[test]
+    fn client_strings_cannot_forge_another_querys_cache_key() {
+        let server = server_over_figure1("unit-forge");
+        let zoom = |azoom: &str| {
+            server.handle_line(&format!(
+                r#"{{"op":"zoom","graph":"unit-forge","repr":"ve","steps":[{{"azoom":{azoom}}}]}}"#
+            ))
+        };
+        let counted =
+            zoom(r#"{"by_type":true,"new_type":"t","aggs":[{"output":"x","fn":"count"}]}"#);
+        assert!(counted.contains("\"cache\":\"miss\""), "{counted}");
+        let forged = zoom(r#"{"by_type":true,"new_type":"t,x=Count"}"#);
+        assert!(forged.contains("\"cache\":\"miss\""), "{forged}");
+        assert_ne!(result_of(&counted), result_of(&forged));
+    }
+
+    /// The optimizer's observation rows are keyed by the query's shape; a
+    /// group-by key that contains `;repr=` is part of that shape, not a
+    /// field to strip, so two such pipelines keep one row each.
+    #[test]
+    fn shape_key_keeps_a_group_key_containing_repr_marker() {
+        let server = server_over_figure1("unit-shape");
+        for by in ["school;repr=a", "school;repr=b"] {
+            let resp = server.handle_line(&format!(
+                r#"{{"op":"zoom","graph":"unit-shape","repr":"ve","steps":[{{"azoom":{{"by":"{by}"}}}}]}}"#
+            ));
+            assert!(resp.contains("\"cache\":\"miss\""), "{resp}");
+        }
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"observed_pairs\":2"), "{stats}");
+    }
+
+    /// A zero-step pipeline is the identity zoom — load the graph, apply
+    /// nothing, serialize. It must behave like any other query in every
+    /// representation: deterministic within a representation, cacheable
+    /// (miss → hit byte-identically), and consistent with a cache-bypassing
+    /// cold run.
+    #[test]
+    fn zero_step_zoom_is_identity_in_every_representation() {
+        let server = fresh_server("tgraph-serve-identity1", "id1");
+        server.runtime().set_checked(true);
+        for kind in ReprKind::all() {
+            let line = format!(r#"{{"op":"zoom","graph":"id1","repr":"{kind}","steps":[]}}"#);
+            let first = server.handle_line(&line);
+            assert!(first.contains("\"ok\":true"), "{kind}: {first}");
+            assert!(first.contains("\"cache\":\"miss\""), "{kind}: {first}");
+            let replay = server.handle_line(&line);
+            assert!(replay.contains("\"cache\":\"hit\""), "{kind}: {replay}");
+            assert_eq!(
+                result_of(&first),
+                result_of(&replay),
+                "{kind}: identity replay must be byte-identical"
+            );
+            let cold = server.handle_line(&format!(
+                r#"{{"op":"zoom","graph":"id1","repr":"{kind}","no_cache":true,"steps":[]}}"#
+            ));
+            assert_eq!(
+                result_of(&first),
+                result_of(&cold),
+                "{kind}: identity zoom must be deterministic"
+            );
+            // The identity result carries the original facts: figure 1 has
+            // vertices 1..=6 in [1,9).
+            assert!(first.contains("\"lifespan\":[1,9]"), "{kind}: {first}");
+        }
+    }
+
+    /// `"repr":"auto"` resolves to a concrete representation via the cost
+    /// model, reports the decision in the `optimizer` response block,
+    /// shares cache entries with the equivalent explicit request, and
+    /// EXPLAIN exposes the candidate table with predicted vs observed.
+    #[test]
+    fn auto_repr_resolves_and_explains() {
+        let server = server_over_figure1("unit-auto");
+        let auto_line = r#"{"op":"zoom","graph":"unit-auto","explain":true,"steps":[]}"#;
+        let first = server.handle_line(auto_line);
+        assert!(first.contains("\"ok\":true"), "{first}");
+        assert!(first.contains("\"requested\":\"auto\""), "{first}");
+        assert!(first.contains("\"source\":\"predicted\""), "{first}");
+        assert!(first.contains("\"candidates\":["), "{first}");
+        assert!(first.contains("\"predicted_work\":"), "{first}");
+        // No candidate has run yet: all observed_us are null on the very
+        // first request (observation happens after execution).
+        assert!(first.contains("\"observed_us\":null"), "{first}");
+        let chosen_at = first.find("\"chosen\":\"").expect("chosen field") + 10;
+        let chosen = &first[chosen_at..first[chosen_at..].find('"').unwrap() + chosen_at];
+        // The auto request shares the cache entry of the explicit spelling.
+        let explicit = server.handle_line(&format!(
+            r#"{{"op":"zoom","graph":"unit-auto","repr":"{chosen}","steps":[]}}"#
+        ));
+        assert!(
+            explicit.contains("\"cache\":\"hit\""),
+            "auto and explicit {chosen} must share a cache entry: {explicit}"
+        );
+        // A later explained request sees the observation recorded by the
+        // first execution.
+        let second = server.handle_line(auto_line);
+        assert!(second.contains("\"cache\":\"hit\""), "{second}");
+        let with_obs = second
+            .find("\"observed_us\":")
+            .map(|at| !second[at + 14..].starts_with("null"))
+            .unwrap_or(false)
+            || second.matches("\"observed_us\":null").count() < 4;
+        assert!(
+            with_obs,
+            "at least one candidate must carry an observation: {second}"
+        );
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"auto_chosen\":2"), "{stats}");
+        assert!(stats.contains("\"observed_pairs\":1"), "{stats}");
+        // EXPLAIN on an explicit representation reports the dissenting
+        // choice without overriding it.
+        let pinned = server.handle_line(
+            r#"{"op":"zoom","graph":"unit-auto","repr":"ogc","explain":true,"steps":[]}"#,
+        );
+        assert!(pinned.contains("\"requested\":\"ogc\""), "{pinned}");
+        assert!(pinned.contains("\"chosen\":\"ogc\""), "{pinned}");
+    }
+}

@@ -115,19 +115,6 @@ fn parse_resolve(s: &str) -> ResolveFn {
     }
 }
 
-fn parse_repr(s: &str) -> ReprKind {
-    match s {
-        "rg" => ReprKind::Rg,
-        "ve" => ReprKind::Ve,
-        "og" => ReprKind::Og,
-        "ogc" => ReprKind::Ogc,
-        _ => {
-            eprintln!("invalid representation: {s}");
-            usage()
-        }
-    }
-}
-
 fn print_summary(label: &str, g: &TGraph) {
     let s = graph_stats(g);
     println!(
@@ -259,7 +246,7 @@ fn cmd_validate(args: &Args, rt: &Runtime) {
 
 fn cmd_azoom(args: &Args, rt: &Runtime) {
     let key = args.require("by").to_string();
-    let repr = parse_repr(args.flag("repr").unwrap_or("og"));
+    let repr = args.parse_flag("repr", ReprKind::Og);
     if !repr.supports_azoom() {
         eprintln!("representation {repr} does not support aZoom^T");
         exit(2);
@@ -288,7 +275,7 @@ fn cmd_wzoom(args: &Args, rt: &Runtime) {
     let vq = parse_quantifier(args.flag("vq").unwrap_or("exists"));
     let eq = parse_quantifier(args.flag("eq").unwrap_or("exists"));
     let resolve = parse_resolve(args.flag("resolve").unwrap_or("any"));
-    let repr = parse_repr(args.flag("repr").unwrap_or("ogc"));
+    let repr = args.parse_flag("repr", ReprKind::Ogc);
     let spec = WZoomSpec::points(window, vq, eq).with_resolve(resolve, resolve);
     let g = load(args, rt, repr);
     let (result, elapsed) = {

@@ -286,13 +286,13 @@ fn key_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
     }
 }
 
-fn pin(label: &str, response: &str) -> String {
+/// The golden line for one response; `text` is its normalised form.
+fn pin(label: &str, response: &str, text: &str) -> String {
     if label == "stats" {
         let mut keys = Vec::new();
         key_paths(&json::parse(response).expect("stats json"), "", &mut keys);
         return format!("keys:{} {label}", keys.join(","));
     }
-    let text = normalize(response);
     format!(
         "{}:{:016x} {label}",
         text.len(),
@@ -314,8 +314,8 @@ fn responses_match_the_golden_transcript() {
                 *tags.entry(tag).or_default() += 1;
             }
         }
-        actual.push(pin(label, &response));
         let normalized = normalize(&response);
+        actual.push(pin(label, &response, &normalized));
         heads.push(normalized.chars().take(600).collect::<String>());
     }
     // The script exercises what it says it does, whatever the golden holds.
