@@ -1,7 +1,7 @@
 //! # tgraph-analyze
 //!
 //! The correctness layer over the lazy dataflow engine: a **static plan
-//! verifier** plus a **workspace source linter**.
+//! verifier** plus a **protocol model checker**.
 //!
 //! PR 1 made keyed operators elide shuffles whenever a
 //! [`Partitioning::HashByKey`](tgraph_dataflow::Partitioning) tag claims the
@@ -20,11 +20,6 @@
 //!   [`Runtime::checked`](tgraph_dataflow::Runtime::checked)) verifies the
 //!   same claims dynamically, record by record, at every elision point — and
 //!   representation switches validate their TGraph against Definition 2.1.
-//! * [`lint`] enforces repo-level source invariants (`no-unwrap`,
-//!   `no-eager-collect`, `no-raw-retag`, and the concurrency rules
-//!   `lock-order`, `condvar-wait-in-loop`, `no-blocking-in-reader`,
-//!   `no-inline-poison-recovery`) via the `tgraph-lint` binary:
-//!   `cargo run -p tgraph-analyze --bin tgraph-lint`.
 //! * [`model`] is a deterministic **protocol model checker** for the
 //!   distributed exchange layer: it drives the real
 //!   [`ProtocolCore`](tgraph_dataflow::ProtocolCore) transition logic
@@ -32,15 +27,19 @@
 //!   and checks deadlock-freedom, frame conservation, typed failure, and
 //!   clean-FIN invariants at every state, printing replayable
 //!   counterexample traces. Run it via the `tgraph-model` binary.
+//!
+//! Source-level rules are not this crate's business: `unwrap`/`expect` in
+//! library crates and poison recovery outside `tgraph_dataflow::sync` are
+//! clippy errors (crate-root `deny`s and the root `clippy.toml`), raw
+//! re-tagging and eager collects inside operators are rustc errors.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod lint;
 pub mod model;
 pub mod verify;
 
-pub use lint::{lint_source, lint_workspace, Finding, RuleSet};
 pub use model::{
     explore, mutant_suite, replay, Counterexample, Exploration, ModelConfig, ModelOp,
     MutantOutcome, Violation,

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Dataflow operator signatures nest tuples and Arcs deeply by design.
 #![allow(clippy::type_complexity)]
 

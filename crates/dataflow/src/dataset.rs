@@ -550,6 +550,18 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     }
 
     /// Element-wise transformation (narrow, deferred).
+    ///
+    /// Operator closures are `'static`, so one cannot hold the `&Runtime` an
+    /// action needs: materializing a dataset from inside another's operator
+    /// (an eager collect per element) is a borrow error, not a review note.
+    ///
+    /// ```compile_fail,E0521
+    /// use tgraph_dataflow::{Dataset, Runtime};
+    ///
+    /// fn eager(rt: &Runtime, outer: &Dataset<u64>, inner: Dataset<u64>) -> Dataset<usize> {
+    ///     outer.map(move |_| inner.collect(rt).len())
+    /// }
+    /// ```
     pub fn map<U, F>(&self, f: F) -> Dataset<U>
     where
         U: Clone + Send + Sync + 'static,
@@ -759,18 +771,17 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         });
         let init2 = init.clone();
         let mask_task = Arc::clone(&mask);
+        // Accumulator is re-Some'd on every iteration; None here is an
+        // engine bug, not user input.
+        #[expect(clippy::expect_used, reason = "move-in/out accumulator invariant")]
         let partials = self.run_per_partition(rt, move |i, d| {
             let mut acc = Some(init2.clone());
             if mask_task[i] {
                 d.produce(i, &mut |x| {
-                    // Accumulator is re-Some'd on every iteration; None here is
-                    // an engine bug, not user input.
-                    // lint:allow(expect): move-in/out accumulator invariant
                     let prev = acc.take().expect("fold accumulator");
                     acc = Some(fold(prev, &x));
                 });
             }
-            // lint:allow(expect): same invariant as above
             acc.expect("fold accumulator")
         });
         if !sharded {

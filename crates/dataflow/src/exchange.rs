@@ -51,7 +51,7 @@
 
 use crate::protocol::{PollOutcome, ProtocolCore};
 use crate::spill::{checksum, SpillError, SpillReader};
-use crate::sync::lock_unpoisoned;
+use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -600,11 +600,7 @@ impl Inbox {
                 stalled = true;
                 counters.note_stall();
             }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
+            st = wait_timeout_unpoisoned(&self.cond, st, deadline - now);
         }
     }
 }
@@ -699,8 +695,7 @@ impl TcpExchange {
         if slot.is_none() {
             *slot = Some(self.connect(link)?);
         }
-        // Slot was just filled above if empty.
-        // lint:allow(expect): guarded by the fill right before
+        #[expect(clippy::expect_used, reason = "guarded by the fill right before")]
         let stream = slot.as_mut().expect("outbound stream present");
         if let Err(e) = stream.write_all(bytes).and_then(|()| stream.flush()) {
             *slot = None; // poisoned link: reconnect on the next wave

@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Dataflow operator signatures nest tuples and Arcs deeply by design.
 #![allow(clippy::type_complexity)]
 
@@ -64,7 +65,6 @@ pub mod config;
 pub mod dataset;
 pub mod decompose;
 pub mod exchange;
-pub mod extra;
 pub mod governor;
 pub mod keyed;
 pub mod lineage;
@@ -81,11 +81,10 @@ pub use decompose::{merge_states, Decomposable};
 pub use exchange::{
     Exchange, ExchangeCounters, ExchangeError, Frame, InProcessExchange, ShardLayout, TcpExchange,
 };
-pub use extra::{broadcast_join, broadcast_semi_join, cogroup, count_by_key, take};
 pub use governor::{MemCharge, MemGovernor};
 pub use keyed::{bucket_of, distinct, shuffle, KeyedDataset};
 pub use lineage::{fingerprint, fingerprint_hex, OpKind, PlanNode};
 pub use protocol::{Mutation, PollOutcome, ProtocolCore};
 pub use runtime::{Runtime, RuntimeStats, StatsSnapshot};
 pub use spill::{charged_size, checksum, HeapSize, Spill, SpillError, SpillReader};
-pub use sync::lock_unpoisoned;
+pub use sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};

@@ -1,4 +1,4 @@
-//! A persistent worker thread pool built on crossbeam channels.
+//! A persistent worker thread pool over one shared job queue.
 //!
 //! The pool plays the role of Spark's executor set: every dataflow operator
 //! submits one task per partition and waits for all of them to finish. Tasks
@@ -11,12 +11,49 @@
 //! task has reported back — a failed wave can never leave stragglers racing
 //! a subsequent wave's work on the pool.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// An unbounded FIFO for any number of producers and consumers: a deque
+/// under a mutex, one `notify_one` per push. Whichever idle worker the
+/// kernel runs first takes the next job. (A `std::sync::mpsc::Receiver`
+/// behind a mutex does not have that property: the idle worker parked in
+/// `recv` holds the lock, so when it is woken but not yet scheduled nobody
+/// else can take the job either; EXPERIMENTS.md, PR 18, has the numbers.)
+struct Queue<T> {
+    items: Mutex<VecDeque<T>>,
+    ready: Condvar,
+}
+
+impl<T> Queue<T> {
+    fn new() -> Self {
+        Queue {
+            items: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn push(&self, item: T) {
+        lock_unpoisoned(&self.items).push_back(item);
+        self.ready.notify_one();
+    }
+
+    /// Takes the oldest item, blocking while there is none.
+    fn pop(&self) -> T {
+        let mut items = lock_unpoisoned(&self.items);
+        loop {
+            if let Some(item) = items.pop_front() {
+                return item;
+            }
+            items = wait_unpoisoned(&self.ready, items);
+        }
+    }
+}
 
 /// What one task of a batch reported back.
 enum TaskReport<R> {
@@ -30,7 +67,9 @@ enum TaskReport<R> {
 
 /// A fixed-size pool of worker threads executing submitted jobs.
 pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
+    /// `None` tells the worker that takes it to exit (`Drop` pushes one per
+    /// worker, behind every job already queued).
+    jobs: Arc<Queue<Option<Job>>>,
     workers: Vec<JoinHandle<()>>,
     size: usize,
     tasks_run: Arc<AtomicU64>,
@@ -40,24 +79,27 @@ impl ThreadPool {
     /// Spawns a pool with `size` workers (at least one).
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = unbounded();
+        let jobs = Arc::new(Queue::<Option<Job>>::new());
         let tasks_run = Arc::new(AtomicU64::new(0));
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn failure at pool construction is fatal"
+        )]
         let workers = (0..size)
             .map(|i| {
-                let rx = receiver.clone();
+                let jobs = Arc::clone(&jobs);
                 std::thread::Builder::new()
                     .name(format!("tgraph-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = jobs.pop() {
                             job();
                         }
                     })
-                    // lint:allow(expect): thread spawn failure at pool construction is fatal
                     .expect("failed to spawn worker thread")
             })
             .collect();
         ThreadPool {
-            sender: Some(sender),
+            jobs,
             workers,
             size,
             tasks_run,
@@ -80,13 +122,7 @@ impl ThreadPool {
 
     /// Submits one fire-and-forget job.
     pub fn execute(&self, job: Job) {
-        self.sender
-            .as_ref()
-            // lint:allow(expect): sender only dropped in Drop; execute-after-drop is an engine bug
-            .expect("pool is shut down")
-            .send(job)
-            // lint:allow(expect): workers outlive the sender by construction
-            .expect("worker channel closed");
+        self.jobs.push(Some(job));
     }
 
     /// Runs a batch of result-producing tasks, blocking until all complete,
@@ -110,27 +146,27 @@ impl ThreadPool {
         // inline fast path used to bypass the counter, undercounting
         // `RuntimeStats.tasks` on single-partition plans).
         if n == 1 {
-            // lint:allow(unwrap): n == 1 checked on the line above
+            #[expect(clippy::unwrap_used, reason = "n == 1 checked on the line above")]
             let task = tasks.into_iter().next().unwrap();
             self.tasks_run.fetch_add(1, Ordering::Relaxed);
             return vec![task()];
         }
         let abort = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = unbounded::<(usize, TaskReport<R>)>();
+        let reports = Arc::new(Queue::<(usize, TaskReport<R>)>::new());
         for (idx, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
+            let reports = Arc::clone(&reports);
             let abort = Arc::clone(&abort);
             let counter = Arc::clone(&self.tasks_run);
             self.execute(Box::new(move || {
                 if abort.load(Ordering::Acquire) {
                     // A sibling already panicked: skip the body, but still
                     // report so the caller's drain loop completes.
-                    let _ = tx.send((idx, TaskReport::Skipped));
+                    reports.push((idx, TaskReport::Skipped));
                     return;
                 }
                 // Count before running: the job's completion signal (its
-                // result-channel send) must not be observable before the
-                // counter reflects the task.
+                // report) must not be observable before the counter
+                // reflects the task.
                 counter.fetch_add(1, Ordering::Relaxed);
                 let report = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
                     Ok(r) => TaskReport::Done(r),
@@ -139,15 +175,14 @@ impl ThreadPool {
                         TaskReport::Panicked(payload)
                     }
                 };
-                let _ = tx.send((idx, report));
+                reports.push((idx, report));
             }));
         }
-        drop(tx);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut first_panic: Option<Box<dyn std::any::Any + Send + 'static>> = None;
         for _ in 0..n {
-            // lint:allow(expect): each task sends exactly once; a closed channel means a worker died
-            let (idx, report) = rx.recv().expect("task result channel closed early");
+            // Each task reports exactly once, panicking or not.
+            let (idx, report) = reports.pop();
             match report {
                 TaskReport::Done(r) => slots[idx] = Some(r),
                 TaskReport::Skipped => {}
@@ -163,18 +198,24 @@ impl ThreadPool {
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
-        slots
+        #[expect(
+            clippy::expect_used,
+            reason = "every slot filled by the recv loop above"
+        )]
+        let results = slots
             .into_iter()
-            // lint:allow(expect): every slot filled by the recv loop above
             .map(|s| s.expect("missing task result"))
-            .collect()
+            .collect();
+        results
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Closing the channel lets workers drain and exit.
-        drop(self.sender.take());
+        // Behind every queued job: the workers drain, then exit.
+        for _ in 0..self.workers.len() {
+            self.jobs.push(None);
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

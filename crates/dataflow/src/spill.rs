@@ -216,17 +216,6 @@ impl Spill for bool {
     }
 }
 
-impl HeapSize for char {}
-impl Spill for char {
-    fn spill(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as u32).to_le_bytes());
-    }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        let v = r.u32()?;
-        char::from_u32(v).ok_or_else(|| corrupt(format!("bad char scalar {v:#x}")))
-    }
-}
-
 impl HeapSize for f64 {}
 impl Spill for f64 {
     fn spill(&self, out: &mut Vec<u8>) {
@@ -234,16 +223,6 @@ impl Spill for f64 {
     }
     fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
         Ok(f64::from_bits(r.u64()?))
-    }
-}
-
-impl HeapSize for f32 {}
-impl Spill for f32 {
-    fn spill(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        Ok(f32::from_bits(r.u32()?))
     }
 }
 
@@ -361,20 +340,6 @@ impl<T: Spill> Spill for Option<T> {
             1 => Ok(Some(T::unspill(r)?)),
             t => Err(corrupt(format!("bad Option tag {t}"))),
         }
-    }
-}
-
-impl<T: HeapSize> HeapSize for Box<T> {
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<T>() + self.as_ref().heap_bytes()
-    }
-}
-impl<T: Spill> Spill for Box<T> {
-    fn spill(&self, out: &mut Vec<u8>) {
-        self.as_ref().spill(out);
-    }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        Ok(Box::new(T::unspill(r)?))
     }
 }
 
@@ -572,7 +537,6 @@ mod tests {
         roundtrip(-42i64);
         roundtrip(usize::MAX);
         roundtrip(true);
-        roundtrip('é');
         roundtrip(1.5f64);
         roundtrip(f64::NEG_INFINITY);
         roundtrip(());
@@ -582,7 +546,6 @@ mod tests {
         roundtrip(Vec::<String>::new());
         roundtrip(Some(7u32));
         roundtrip(Option::<String>::None);
-        roundtrip(Box::new(9i32));
         roundtrip((1u64, "k".to_string(), vec![2i64]));
         roundtrip(vec![((), ()), ((), ())]);
     }

@@ -19,6 +19,8 @@
 //!   `tests/` (all four representations, with and without spilling) checks the
 //!   loop `tgraph-serve` runs.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod delta;
 pub mod patch;
 

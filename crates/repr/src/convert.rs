@@ -12,7 +12,6 @@ use crate::ogc::OgcGraph;
 use crate::rg::RgGraph;
 use crate::ve::VeGraph;
 use crate::{common::coalesce_states, ReprKind};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tgraph_core::graph::{EdgeId, EdgeRecord, VertexId, VertexRecord};
 use tgraph_dataflow::{Dataset, KeyedDataset, PlanNode, Runtime};
@@ -100,36 +99,6 @@ pub fn og_to_ve(_rt: &Runtime, og: &OgGraph) -> VeGraph {
         edges,
         coalesced: true,
     }
-}
-
-/// VE → RG: materialize the snapshot sequence.
-pub fn ve_to_rg(rt: &Runtime, ve: &VeGraph) -> RgGraph {
-    RgGraph::from_tgraph(rt, &ve.to_tgraph(rt))
-}
-
-/// RG → VE: flatten snapshots into tuples and coalesce.
-pub fn rg_to_ve(rt: &Runtime, rg: &RgGraph) -> VeGraph {
-    VeGraph::from_tgraph(rt, &rg.to_tgraph(rt))
-}
-
-/// VE → OGC: drop attributes, keep topology bitsets.
-pub fn ve_to_ogc(rt: &Runtime, ve: &VeGraph) -> OgcGraph {
-    OgcGraph::from_tgraph(rt, &ve.to_tgraph(rt))
-}
-
-/// OGC → VE: expand bitsets into type-only tuples.
-pub fn ogc_to_ve(rt: &Runtime, ogc: &OgcGraph) -> VeGraph {
-    VeGraph::from_tgraph(rt, &ogc.to_tgraph(rt))
-}
-
-/// OG → RG via the logical graph.
-pub fn og_to_rg(rt: &Runtime, og: &OgGraph) -> RgGraph {
-    RgGraph::from_tgraph(rt, &og.to_tgraph(rt))
-}
-
-/// RG → OG via the logical graph.
-pub fn rg_to_og(rt: &Runtime, rg: &RgGraph) -> OgGraph {
-    OgGraph::from_tgraph(rt, &rg.to_tgraph(rt))
 }
 
 /// A TGraph held in any of the four physical representations — the value the
@@ -263,15 +232,6 @@ impl AnyGraph {
             AnyGraph::Ogc(g) => AnyGraph::Ogc(g.wzoom(rt, spec)),
         }
     }
-}
-
-/// Builds a vid → history map from a collected OG vertex set (test helper).
-pub fn history_index(rt: &Runtime, og: &OgGraph) -> HashMap<VertexId, OgVertex> {
-    og.vertices
-        .collect(rt)
-        .into_iter()
-        .map(|v| (v.vid, v))
-        .collect()
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tgraph_dataflow::lock_unpoisoned;
+use tgraph_dataflow::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use tgraph_dataflow::{MemCharge, MemGovernor};
 
 /// How often a governed waiter re-polls the budget: exchange charges are
@@ -259,11 +259,8 @@ impl Admission {
                 None => until_deadline,
             };
             state = match park {
-                Some(dur) => {
-                    let woken = self.cv.wait_timeout(state, dur);
-                    woken.unwrap_or_else(|e| e.into_inner()).0
-                }
-                None => self.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
+                Some(dur) => wait_timeout_unpoisoned(&self.cv, state, dur),
+                None => wait_unpoisoned(&self.cv, state),
             };
         };
         state.waiting -= 1;

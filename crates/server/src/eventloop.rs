@@ -198,7 +198,7 @@ fn accept_loop(
             break Ok(());
         }
         // The listener is nonblocking; the loop parks in `poller` and
-        // re-checks the flag above on every pass. lint:allow(blocking)
+        // re-checks the flag above on every pass.
         match server.net.listener.accept() {
             Ok((stream, _peer)) => {
                 backoff = ACCEPT_BACKOFF_FLOOR;

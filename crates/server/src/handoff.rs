@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use tgraph_dataflow::lock_unpoisoned;
+use tgraph_dataflow::{lock_unpoisoned, wait_unpoisoned};
 
 /// The reactor→dispatcher hand-off: a batch goes to the most recently idle
 /// dispatcher and queues only when none is idle ([`crate::eventloop`]'s docs say why
@@ -72,7 +72,7 @@ impl<J> HandOff<J> {
             if st.closed {
                 return None;
             }
-            st = self.wake_cv[me].wait(st).unwrap_or_else(|e| e.into_inner());
+            st = wait_unpoisoned(&self.wake_cv[me], st);
         }
     }
 

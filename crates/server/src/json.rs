@@ -7,7 +7,7 @@
 //! identical results serialize to identical bytes (the property the result
 //! cache's byte-identical replay depends on).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value. Objects preserve insertion order (`Vec`, not a map):
 /// serialization is deterministic and cheap for the small objects the
@@ -94,46 +94,39 @@ impl Json {
         }
     }
 
-    /// Serializes into `out`.
-    pub fn write(&self, out: &mut String) {
+    /// Serializes into `out`; fails only if `out` does.
+    pub fn write<W: Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // `{f:?}` always includes a fractional part or exponent,
-                    // keeping floats distinguishable from ints on re-parse.
-                    let _ = write!(out, "{f:?}");
-                } else {
-                    out.push_str("null"); // JSON has no Inf/NaN
-                }
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
+            Json::Int(v) => write!(out, "{v}"),
+            // `{f:?}` always includes a fractional part or exponent,
+            // keeping floats distinguishable from ints on re-parse.
+            Json::Float(f) if f.is_finite() => write!(out, "{f:?}"),
+            Json::Float(_) => out.write_str("null"), // JSON has no Inf/NaN
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -163,30 +156,36 @@ pub(crate) fn counters(fields: &[(&str, u64)]) -> Vec<(String, Json)> {
 }
 
 /// Compact, deterministic serialization; `to_string()` comes with it.
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+fn write_escaped<W: Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs escaping is ASCII, so the text between two of
+    // them is a valid slice and goes out in one call.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "", // no short form: `\u00XX` below
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match escape {
+            "" => write!(out, "\\u{b:04x}")?,
+            e => out.write_str(e)?,
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A parse failure: message plus byte offset.
@@ -198,19 +197,25 @@ pub struct ParseError {
     pub offset: usize,
 }
 
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at byte {}", self.message, self.offset)
     }
 }
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts (a full zoom request
+/// nests 6 deep). The parser recurses once per level, and a stack overflow
+/// is a process abort, not a panic the per-line containment could catch.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -224,6 +229,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -262,10 +269,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -481,6 +501,8 @@ mod tests {
             "{\"a\":\"line\\nbreak \\\"quoted\\\"\",\"b\":-7,\"c\":1.5}"
         );
         assert_eq!(v.to_string(), s, "same bytes every time");
+        // A control byte next to a multi-byte scalar: runs split on bytes.
+        assert_eq!(Json::str("é\u{1}é").to_string(), "\"é\\u0001é\"");
         assert_eq!(parse(&s).unwrap(), v);
     }
 
@@ -498,6 +520,20 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "tru", "1 2", "{'a':1}"] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.to_string(), "nesting deeper than 64 at byte 64");
+        // Objects count too, and siblings do not accumulate.
+        let obj = format!("{}1{}", "{\"a\":".repeat(65), "}".repeat(65));
+        assert!(parse(&obj).is_err());
+        assert!(parse(&format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","))).is_ok());
+        // What used to overflow the stack: unclosed, far past the cap.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

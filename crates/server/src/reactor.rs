@@ -452,7 +452,7 @@ fn reactor_flush(conn: &mut Conn) -> bool {
         }
         // The write is nonblocking, so holding the state lock across it is
         // bounded; dispatchers appending concurrently wait at most one
-        // syscall. lint:allow(reactor) — `write`, not `write_all`.
+        // syscall: `write`, not `write_all`.
         match (&conn.stream).write(&st.out[st.out_pos..]) {
             Ok(0) => return false,
             Ok(n) => {

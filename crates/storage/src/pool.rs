@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
-use tgraph_dataflow::lock_unpoisoned;
 use tgraph_dataflow::Runtime;
+use tgraph_dataflow::{lock_unpoisoned, wait_unpoisoned};
 use tgraph_repr::{AnyGraph, ReprKind};
 
 /// A cheaply cloneable handle to a loaded graph: the graph behind an `Arc`
@@ -143,7 +143,7 @@ impl GraphPool {
                 }
                 if inner.loading.contains(&key) {
                     // Another thread is loading this key; wait for it.
-                    inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
+                    inner = wait_unpoisoned(&self.cv, inner);
                     continue;
                 }
                 inner.loading.insert(key.clone());

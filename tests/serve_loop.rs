@@ -3,7 +3,8 @@
 //! byte-identical to `Server::handle_line` run in process on the same
 //! script. The in-process dispatch path is the oracle: the connection layer
 //! may move bytes, never change them. A second case ingests over the socket
-//! and checks the patched answer against a cold recompute.
+//! and checks the patched answer against a cold recompute; a third sends a
+//! hostile line and checks the server is still there afterwards.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -126,6 +127,22 @@ fn tcp_transcript_matches_in_process_dispatch() {
         );
     }
 
+    client.shutdown(serve_thread);
+}
+
+/// 100 000 `[` is a tenth of the line cap, and used to overflow the
+/// dispatcher's stack in the JSON parser: the whole process died, not the
+/// request. It is a typed refusal, and the connection keeps answering.
+#[test]
+fn deeply_nested_json_is_a_bad_request_and_the_server_lives() {
+    let (mut client, serve_thread) = serve_and_connect(bind_server("tgraph-tier1-serve-nesting"));
+    let refused = client.roundtrip(&"[".repeat(100_000));
+    assert_eq!(
+        refused,
+        r#"{"ok":false,"kind":"bad_request","error":"invalid json: nesting deeper than 64 at byte 64"}"#
+    );
+    let pong = client.roundtrip(r#"{"op":"ping"}"#);
+    assert_eq!(pong, r#"{"ok":true,"pong":true}"#);
     client.shutdown(serve_thread);
 }
 
