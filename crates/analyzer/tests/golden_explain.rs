@@ -129,24 +129,21 @@ fn wzoom_on_og_golden() {
 }
 
 /// The exchange layer is plan-invisible: running the same zoom with buckets
-/// moved through the typed in-process path and through the framed wire codec
+/// moved as typed vectors and through the wire codec on a `Loopback`
 /// must yield identical lineage fingerprints and identical analysis. How
 /// bytes move between map and reduce sides is a transport concern — it must
 /// never leak into plan structure, row counts, or the partitioning proofs.
 #[test]
 fn exchange_is_plan_invisible() {
     use std::sync::Arc;
-    use tgraph_dataflow::{fingerprint, InProcessExchange};
+    use tgraph_dataflow::{fingerprint, Loopback};
 
     let g = figure1_graph_stable_ids();
 
     let run = |framed: bool| {
         let rt = rt();
         if framed {
-            rt.set_exchange(Arc::new(InProcessExchange::new(
-                true,
-                rt.exchange_counters(),
-            )));
+            rt.set_exchange(Arc::new(Loopback::new(rt.exchange_counters())));
         }
         let before = rt.stats();
         let session = Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec());

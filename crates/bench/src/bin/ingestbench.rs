@@ -279,7 +279,7 @@ fn expect(cond: bool, what: &str, response: &str) -> Result<(), String> {
 /// In-process serve check: checked mode makes the server verify the patched
 /// bytes against a cold recompute internally; the `no_cache` run re-verifies
 /// end to end here.
-fn serve_in_process() -> Result<(), String> {
+fn serve_unsharded() -> Result<(), String> {
     let dir = std::env::temp_dir().join("tgraph-ingestbench-serve");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("create dir: {e}"))?;
@@ -440,7 +440,7 @@ fn main() -> ExitCode {
         }
     };
     let outcome = sweep(&args)
-        .and_then(|()| serve_in_process())
+        .and_then(|()| serve_unsharded())
         .and_then(|()| serve_sharded());
     match outcome {
         Ok(()) => {

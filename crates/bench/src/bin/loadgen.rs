@@ -363,8 +363,8 @@ fn run_smoke(args: &Args) -> Result<(), String> {
         &stats_after,
     )?;
     println!("smoke: spilled {spilled} bytes in {spill_files} run files (budget {budget})");
-    // Exchange counters must be surfaced too (zero on the default typed
-    // path; TGRAPH_EXCHANGE=framed on the server moves real frames).
+    // Exchange counters must be surfaced too (zero on a single-process
+    // server, which installs no exchange; a sharded one moves real frames).
     let exchanged = field_i64(&stats_after, &["runtime", "bytes_exchanged"])?;
     let frames = field_i64(&stats_after, &["runtime", "frames_sent"])?;
     field_i64(&stats_after, &["runtime", "frames_received"])?;

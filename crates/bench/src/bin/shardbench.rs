@@ -188,9 +188,9 @@ fn run(data: &[(u64, u64)], parts: usize, shards: usize, placement: Placement) -
     let placed = place(data, parts, placement);
     if shards == 1 {
         let rt = Runtime::with_partitions(2, parts);
-        rt.set_exchange(std::sync::Arc::new(
-            tgraph_dataflow::InProcessExchange::new(true, rt.exchange_counters()),
-        ));
+        rt.set_exchange(std::sync::Arc::new(tgraph_dataflow::Loopback::new(
+            rt.exchange_counters(),
+        )));
         let start = Instant::now();
         let (collected, _, _) = count_per_school(&rt, placed);
         let secs = start.elapsed().as_secs_f64();

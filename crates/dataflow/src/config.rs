@@ -1,6 +1,6 @@
 //! The engine's environment settings, parsed once.
 //!
-//! Six `TGRAPH_*` variables tune the engine and the server on top of it.
+//! Five `TGRAPH_*` variables tune the engine and the server on top of it.
 //! They are read in exactly one place — [`EngineConfig::from_env`], called
 //! by [`Runtime`](crate::Runtime) construction — and every consumer reads
 //! the parsed value off the runtime ([`Runtime::config`](crate::Runtime::config))
@@ -19,10 +19,6 @@ pub struct EngineConfig {
     /// execution mode ([`Runtime::set_checked`](crate::Runtime::set_checked)
     /// still toggles it).
     pub checked: bool,
-    /// `TGRAPH_EXCHANGE` is `framed`/`FRAMED`: the in-process exchange
-    /// encodes every bucket into wire frames instead of moving typed
-    /// vectors.
-    pub framed_exchange: bool,
     /// `TGRAPH_EXCHANGE_TIMEOUT_MS` (default 10 000, floor 1): how long a
     /// sharded wave waits on a peer, and the dial/reply timeout of the
     /// coordinator's calls to its peer shards.
@@ -45,15 +41,11 @@ impl EngineConfig {
         Self::parse(|name| std::env::var_os(name))
     }
 
-    /// Parses the six variables out of `lookup` (`None` = unset).
+    /// Parses the five variables out of `lookup` (`None` = unset).
     pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Self {
         let text = |name: &str| lookup(name).and_then(|v| v.into_string().ok());
         EngineConfig {
             checked: matches!(text("TGRAPH_CHECKED").as_deref(), Some("1" | "true")),
-            framed_exchange: matches!(
-                text("TGRAPH_EXCHANGE").as_deref(),
-                Some("framed" | "FRAMED")
-            ),
             exchange_timeout: Duration::from_millis(
                 text("TGRAPH_EXCHANGE_TIMEOUT_MS")
                     .and_then(|v| v.parse::<u64>().ok())
@@ -103,7 +95,7 @@ mod tests {
     #[test]
     fn an_empty_environment_gives_the_documented_defaults() {
         let c = EngineConfig::default();
-        assert!(!c.checked && !c.framed_exchange && !c.serve_debug);
+        assert!(!c.checked && !c.serve_debug);
         assert_eq!(c.exchange_timeout, Duration::from_millis(10_000));
         assert_eq!(c.mem_bytes, 0);
         assert_eq!(c.spill_dir, std::env::temp_dir().join("tgraph-spill"));
@@ -122,15 +114,6 @@ mod tests {
         assert_eq!(budget("lots"), 0);
         assert_eq!(budget("k"), 0);
         assert_eq!(budget(""), 0);
-    }
-
-    #[test]
-    fn exchange_mode_is_framed_only_when_spelled_so() {
-        let framed = |v: &str| parsed(&[("TGRAPH_EXCHANGE", v)]).framed_exchange;
-        assert!(framed("framed"));
-        assert!(framed("FRAMED"));
-        assert!(!framed("Framed"));
-        assert!(!framed("tcp"));
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! what executes; the lineage is what the static verifier in
 //! `tgraph-analyze` walks to prove elisions sound and estimate movement.
 
-use crate::exchange::{ExchangeError, Frame, ShardLayout};
+use crate::exchange::{raise, Exchange, ExchangeError, Frame, ShardLayout};
 use crate::lineage::{OpKind, PlanNode};
 use crate::runtime::Runtime;
-use crate::spill::{Spill, SpillReader};
+use crate::spill::Spill;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -424,65 +424,84 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         rt.run_indexed(self.num_partitions(), move |i| f(i, &d))
     }
 
+    /// The installed exchange when this dataset's actions must rendezvous
+    /// through it: the layout is sharded and the partitions are not already
+    /// replicated on every shard. `None` means the action is purely local.
+    fn rendezvous(&self, rt: &Runtime) -> Option<Arc<dyn Exchange>> {
+        rt.exchange()
+            .filter(|ex| ex.layout().is_sharded() && !self.locality.is_replicated())
+    }
+
+    /// The sharded half of `collect`, `count` and `fold`: runs `partial` over
+    /// the partitions this shard contributes (its locality mask), all-gathers
+    /// one `frame(seq, partition, partial)` each, and slots what comes back
+    /// by source partition - slot `i` holds the one frame whose `src` is `i`,
+    /// or `None` if no shard contributed that partition. Every shard decodes
+    /// every contribution (its own included), so all shards traverse the
+    /// identical path. A `src` outside the partition range or one seen twice
+    /// is a peer speaking a different plan; it raises a typed
+    /// [`ExchangeError::Frame`] (as does a failed exchange) rather than
+    /// letting a gather, count or fold answer from a corrupt contribution
+    /// set.
+    fn gather_partials<R, P, F>(
+        &self,
+        rt: &Runtime,
+        exchange: &dyn Exchange,
+        op: &str,
+        partial: P,
+        frame: F,
+    ) -> Vec<Option<Frame>>
+    where
+        R: Send + 'static,
+        P: Fn(usize, &Dataset<T>) -> R + Send + Sync + 'static,
+        F: Fn(u64, usize, R) -> Frame,
+    {
+        let n = self.num_partitions();
+        let mask = self.locality.mask(&exchange.layout(), n);
+        let partials: Vec<Option<R>> =
+            self.run_per_partition(rt, move |i, d| mask[i].then(|| partial(i, d)));
+        let seq = rt.next_exchange_seq();
+        let frames = partials
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.map(|r| frame(seq, i, r)))
+            .collect();
+        let got = raise(exchange.gather(seq, frames));
+        let mut slots: Vec<Option<Frame>> = (0..n).map(|_| None).collect();
+        for f in got {
+            match usize::try_from(f.src).ok().filter(|&i| i < n) {
+                Some(i) if slots[i].is_none() => slots[i] = Some(f),
+                _ => std::panic::panic_any(ExchangeError::Frame {
+                    detail: format!("{op}: duplicate or out-of-range partition {} of {n}", f.src),
+                }),
+            }
+        }
+        slots
+    }
+
     /// Runs each partition's fused chain into an owned `Vec`, one task per
-    /// partition (an all-gather when the dataset is sharded).
+    /// partition. For a sharded dataset this is an all-gather: each shard
+    /// runs its chain over the partitions it contributes and broadcasts them
+    /// as frames keyed by global partition index, which yields the same full
+    /// vector everywhere.
     fn gather_partitions(&self, rt: &Runtime) -> Vec<Vec<T>>
     where
         T: Spill,
     {
-        let layout = rt.layout();
-        if layout.is_sharded() && !self.locality.is_replicated() {
-            return self.all_gather(rt, &layout);
-        }
-        self.run_per_partition(rt, |i, d| {
+        let produce = |i: usize, d: &Dataset<T>| {
             let mut out = Vec::new();
             d.produce(i, &mut |x| out.push(x.into_owned()));
             out
+        };
+        let Some(exchange) = self.rendezvous(rt) else {
+            return self.run_per_partition(rt, produce);
+        };
+        self.gather_partials(rt, exchange.as_ref(), "gather", produce, |seq, i, p| {
+            Frame::of_records(seq, i, i, &p)
         })
-    }
-
-    /// Reassembles the full global partition vector by exchanging owned
-    /// partitions with every peer shard: each shard runs its fused chain
-    /// over the partitions it contributes, encodes them as frames keyed by
-    /// global partition index, and broadcasts; decoding every shard's
-    /// contribution (its own included, so all shards traverse the identical
-    /// decode path) yields the same full vector everywhere.
-    fn all_gather(&self, rt: &Runtime, layout: &ShardLayout) -> Vec<Vec<T>>
-    where
-        T: Spill,
-    {
-        let n = self.num_partitions();
-        let mask = Arc::new(self.locality.mask(layout, n));
-        let mask_task = Arc::clone(&mask);
-        let local: Vec<Vec<T>> = self.run_per_partition(rt, move |i, d| {
-            let mut out = Vec::new();
-            if mask_task[i] {
-                d.produce(i, &mut |x| out.push(x.into_owned()));
-            }
-            out
-        });
-        let seq = rt.next_exchange_seq();
-        let mut frames = Vec::with_capacity(local.len());
-        for (i, p) in local.iter().enumerate() {
-            if !mask[i] {
-                continue;
-            }
-            let mut payload = Vec::new();
-            for x in p {
-                x.spill(&mut payload);
-            }
-            frames.push(Frame {
-                seq,
-                src: i as u64,
-                bucket: i as u64,
-                records: p.len() as u64,
-                payload,
-            });
-        }
-        gather_by_partition(rt, "gather", seq, frames, n)
-            .iter()
-            .map(|f| f.as_ref().map_or_else(Vec::new, decode_records::<T>))
-            .collect()
+        .iter()
+        .map(|slot| slot.as_ref().map_or_else(Vec::new, |f| raise(f.records())))
+        .collect()
     }
 
     /// Total number of elements. Runs the fused chain without materializing
@@ -492,44 +511,19 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     /// partitions locally and sums per-partition counts exchanged as
     /// zero-payload frames.
     pub fn count(&self, rt: &Runtime) -> usize {
-        let layout = rt.layout();
-        if layout.is_sharded() && !self.locality.is_replicated() {
-            let n = self.num_partitions();
-            let mask = Arc::new(self.locality.mask(&layout, n));
-            let mask_task = Arc::clone(&mask);
-            let counts: Vec<u64> = self.run_per_partition(rt, move |i, d| {
-                let mut c = 0u64;
-                if mask_task[i] {
-                    d.produce(i, &mut |_x| c += 1);
-                }
-                c
-            });
-            let seq = rt.next_exchange_seq();
-            let frames: Vec<Frame> = counts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask[*i])
-                .map(|(i, c)| Frame {
-                    seq,
-                    src: i as u64,
-                    bucket: i as u64,
-                    records: *c,
-                    payload: Vec::new(),
-                })
-                .collect();
-            return gather_by_partition(rt, "count", seq, frames, n)
-                .iter()
-                .flatten()
-                .map(|f| f.records)
-                .sum::<u64>() as usize;
-        }
-        self.run_per_partition(rt, |i, d| {
-            let mut n = 0usize;
+        let count = |i: usize, d: &Dataset<T>| {
+            let mut n = 0u64;
             d.produce(i, &mut |_x| n += 1);
             n
-        })
-        .into_iter()
-        .sum()
+        };
+        let Some(exchange) = self.rendezvous(rt) else {
+            return self.run_per_partition(rt, count).into_iter().sum::<u64>() as usize;
+        };
+        self.gather_partials(rt, exchange.as_ref(), "count", count, Frame::count)
+            .iter()
+            .flatten()
+            .map(|f| f.records)
+            .sum::<u64>() as usize
     }
 
     /// Materializes all elements in partition order. Partitions are gathered
@@ -762,64 +756,45 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         F: Fn(A, &T) -> A + Send + Sync + 'static,
         G: Fn(A, A) -> A + Send + Sync + 'static,
     {
-        let layout = rt.layout();
-        let sharded = layout.is_sharded() && !self.locality.is_replicated();
-        let mask = Arc::new(if sharded {
-            self.locality.mask(&layout, self.num_partitions())
-        } else {
-            vec![true; self.num_partitions()]
-        });
         let init2 = init.clone();
-        let mask_task = Arc::clone(&mask);
         // Accumulator is re-Some'd on every iteration; None here is an
         // engine bug, not user input.
         #[expect(clippy::expect_used, reason = "move-in/out accumulator invariant")]
-        let partials = self.run_per_partition(rt, move |i, d| {
+        let fold_partition = move |i: usize, d: &Dataset<T>| {
             let mut acc = Some(init2.clone());
-            if mask_task[i] {
-                d.produce(i, &mut |x| {
-                    let prev = acc.take().expect("fold accumulator");
-                    acc = Some(fold(prev, &x));
-                });
-            }
+            d.produce(i, &mut |x| {
+                let prev = acc.take().expect("fold accumulator");
+                acc = Some(fold(prev, &x));
+            });
             acc.expect("fold accumulator")
-        });
-        if !sharded {
-            return partials.into_iter().fold(init, combine);
-        }
-        let n = partials.len();
-        let seq = rt.next_exchange_seq();
-        let frames: Vec<Frame> = partials
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask[*i])
-            .map(|(i, a)| {
-                let mut payload = Vec::new();
-                a.spill(&mut payload);
-                Frame {
-                    seq,
-                    src: i as u64,
-                    bucket: i as u64,
-                    records: 1,
-                    payload,
-                }
-            })
-            .collect();
+        };
+        let Some(exchange) = self.rendezvous(rt) else {
+            return self
+                .run_per_partition(rt, fold_partition)
+                .into_iter()
+                .fold(init, combine);
+        };
         // Every shard decodes all partials (its own included) and combines
         // them in global index order — the exact partial sequence a single
         // process folds.
-        gather_by_partition(rt, "fold", seq, frames, n)
-            .into_iter()
-            .map(|slot| match slot {
-                None => init.clone(),
-                Some(f) => match A::unspill(&mut SpillReader::new(&f.payload)) {
-                    Ok(a) => a,
-                    Err(e) => std::panic::panic_any(ExchangeError::Frame {
-                        detail: format!("fold partial: {e}"),
-                    }),
-                },
-            })
-            .fold(init.clone(), combine)
+        self.gather_partials(
+            rt,
+            exchange.as_ref(),
+            "fold",
+            fold_partition,
+            |seq, i, a| Frame::of_records(seq, i, i, &[a]),
+        )
+        .into_iter()
+        .map(|slot| match slot.map(|f| raise(f.records::<A>())) {
+            None => init.clone(),
+            Some(mut one) => match (one.pop(), one.is_empty()) {
+                (Some(a), true) => a,
+                _ => std::panic::panic_any(ExchangeError::Frame {
+                    detail: "fold: a partial frame must hold exactly one record".into(),
+                }),
+            },
+        })
+        .fold(init.clone(), combine)
     }
 
     /// Collects into a single-partition dataset sorted by a key (used to
@@ -865,59 +840,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         );
         out
     }
-}
-
-/// All-gathers `frames` and slots what comes back by source partition: slot
-/// `i` of the `n`-wide result holds the one frame whose `src` is `i`, or
-/// `None` if no shard contributed that partition. A `src` outside `0..n` or
-/// one seen twice is a peer speaking a different plan; it raises a typed
-/// [`ExchangeError::Frame`] (as does a failed exchange) rather than letting a
-/// gather, count or fold answer from a corrupt contribution set.
-fn gather_by_partition(
-    rt: &Runtime,
-    op: &str,
-    seq: u64,
-    frames: Vec<Frame>,
-    n: usize,
-) -> Vec<Option<Frame>> {
-    let got = match rt.exchange().gather(seq, frames) {
-        Ok(f) => f,
-        Err(e) => std::panic::panic_any(e),
-    };
-    let mut slots: Vec<Option<Frame>> = (0..n).map(|_| None).collect();
-    for f in got {
-        match usize::try_from(f.src).ok().filter(|&i| i < n) {
-            Some(i) if slots[i].is_none() => slots[i] = Some(f),
-            _ => std::panic::panic_any(ExchangeError::Frame {
-                detail: format!("{op}: duplicate or out-of-range partition {} of {n}", f.src),
-            }),
-        }
-    }
-    slots
-}
-
-/// Decodes a frame's payload back into its typed records. Codec violations
-/// (truncated or trailing payload bytes) surface as typed
-/// [`ExchangeError`] panic payloads, mirroring the spill-path discipline.
-pub(crate) fn decode_records<T: Spill>(f: &Frame) -> Vec<T> {
-    let mut r = SpillReader::new(&f.payload);
-    // Cap the pre-allocation: `records` is wire data and must not be able
-    // to force an arbitrary allocation before decode proves it out.
-    let mut out = Vec::with_capacity(f.records.min(1 << 20) as usize);
-    for k in 0..f.records {
-        match T::unspill(&mut r) {
-            Ok(x) => out.push(x),
-            Err(e) => std::panic::panic_any(ExchangeError::Frame {
-                detail: format!("record {k} of {}: {e}", f.records),
-            }),
-        }
-    }
-    if r.remaining() != 0 {
-        std::panic::panic_any(ExchangeError::Frame {
-            detail: format!("{} trailing payload bytes after decode", r.remaining()),
-        });
-    }
-    out
 }
 
 impl<T: Clone + Send + Sync + 'static> FromIterator<T> for Dataset<T> {
@@ -1152,9 +1074,6 @@ mod tests {
         fn layout(&self) -> ShardLayout {
             ShardLayout::new(0, 2)
         }
-        fn in_process(&self) -> bool {
-            false
-        }
         fn route(&self, _: u64, _: Vec<Frame>, _: usize) -> Result<Vec<Frame>, ExchangeError> {
             unreachable!("count never shuffles")
         }
@@ -1166,15 +1085,9 @@ mod tests {
 
     /// Counts a 4-partition dataset of which this shard owns partitions 0-1
     /// (2 + 1 rows), with the peer contributing `peer` count frames.
-    fn sharded_count(peer: Vec<(u64, u64)>) -> Result<usize, ExchangeError> {
+    fn sharded_count(peer: Vec<(usize, u64)>) -> Result<usize, ExchangeError> {
         let rt = rt();
-        let frame = |(src, records)| Frame {
-            seq: 0,
-            src,
-            bucket: src,
-            records,
-            payload: Vec::new(),
-        };
+        let frame = |(src, records)| Frame::count(0, src, records);
         rt.set_exchange(Arc::new(ScriptedPeer(
             peer.into_iter().map(frame).collect(),
         )));

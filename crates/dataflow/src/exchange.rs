@@ -1,22 +1,22 @@
 //! The pluggable exchange layer: how shuffle buckets and gathered
 //! partitions move between participants of a wave.
 //!
-//! Every wide operator and every gather routes data through the runtime's
-//! installed [`Exchange`]. Two implementations ship:
+//! A [`Runtime`](crate::Runtime) has no exchange installed by default: a
+//! shuffle then moves its typed bucket vectors from the map side straight to
+//! the reduce side. With an [`Exchange`] installed, the same shuffle encodes
+//! each non-empty bucket into a wire [`Frame`], routes the frames, and
+//! decodes what comes back into the same bucket slots - frames are a
+//! transport detail between one map side and one governed reduce side.
+//! Two implementations ship:
 //!
-//! * [`InProcessExchange`] — the single-process default. In its normal mode
-//!   the shuffle path bypasses frames entirely and runs the same typed,
-//!   governed exchange as before this layer existed (byte-for-byte: elision,
-//!   spill, and cancellation are untouched). In *framed*
-//!   mode (`TGRAPH_EXCHANGE=framed`) every bucket is encoded into a wire
-//!   [`Frame`], routed through the loopback, and decoded back — the frame
-//!   codec and merge path are exercised by the whole test suite without a
-//!   network.
 //! * [`TcpExchange`] — the multi-node exchange. N shards each own a
 //!   contiguous range of the global partition space ([`ShardLayout`]);
 //!   shuffle buckets travel peer-to-peer over length-prefixed, checksummed
 //!   frames whose payloads use the [`Spill`](crate::Spill) codec (the PR 5
 //!   run-file format) as the wire format.
+//! * [`Loopback`] — the same frame path without a network: one shard, every
+//!   frame handed straight back, counted. Tests and benches install it to
+//!   run (and measure) the codec single-process.
 //!
 //! # Wire format
 //!
@@ -50,7 +50,7 @@
 //! frames, outbound connections) is drained by RAII.
 
 use crate::protocol::{PollOutcome, ProtocolCore};
-use crate::spill::{checksum, SpillError, SpillReader};
+use crate::spill::{checksum, Spill, SpillError, SpillReader};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -147,6 +147,15 @@ impl std::error::Error for ExchangeError {}
 fn frame_err(detail: impl Into<String>) -> ExchangeError {
     ExchangeError::Frame {
         detail: detail.into(),
+    }
+}
+
+/// Unwraps an exchange result inside a wave: a failure aborts the wave with
+/// the error as its typed panic payload (the failure model above).
+pub(crate) fn raise<T>(result: Result<T, ExchangeError>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(e) => std::panic::panic_any(e),
     }
 }
 
@@ -264,6 +273,58 @@ impl Frame {
             payload: Vec::new(),
         }
     }
+
+    /// A data frame carrying `records` (encoded with the
+    /// [`Spill`](crate::Spill) codec) from global map partition `src` to
+    /// global partition `bucket`.
+    pub fn of_records<T: Spill>(seq: u64, src: usize, bucket: usize, records: &[T]) -> Frame {
+        let mut payload = Vec::new();
+        for r in records {
+            r.spill(&mut payload);
+        }
+        Frame {
+            seq,
+            src: src as u64,
+            bucket: bucket as u64,
+            records: records.len() as u64,
+            payload,
+        }
+    }
+
+    /// A payload-free frame whose `records` field is the datum: partition
+    /// `part` holds `n` elements (how sharded counts rendezvous).
+    pub fn count(seq: u64, part: usize, n: u64) -> Frame {
+        Frame {
+            seq,
+            src: part as u64,
+            bucket: part as u64,
+            records: n,
+            payload: Vec::new(),
+        }
+    }
+
+    /// Decodes the payload back into its typed records. A payload that is
+    /// truncated, or longer than its `records` count accounts for, is a
+    /// typed [`ExchangeError::Frame`].
+    pub fn records<T: Spill>(&self) -> Result<Vec<T>, ExchangeError> {
+        let mut r = SpillReader::new(&self.payload);
+        // Cap the pre-allocation: `records` is wire data and must not be able
+        // to force an arbitrary allocation before decode proves it out.
+        let mut out = Vec::with_capacity(self.records.min(1 << 20) as usize);
+        for k in 0..self.records {
+            out.push(
+                T::unspill(&mut r)
+                    .map_err(|e| frame_err(format!("record {k} of {}: {e}", self.records)))?,
+            );
+        }
+        if r.remaining() != 0 {
+            return Err(frame_err(format!(
+                "{} trailing payload bytes after decode",
+                r.remaining()
+            )));
+        }
+        Ok(out)
+    }
 }
 
 /// Appends the wire encoding of `frame` to `out`.
@@ -278,67 +339,104 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     out.extend_from_slice(&frame.payload);
 }
 
-/// Decodes one frame from the start of `buf`, returning it and the bytes
-/// consumed. Fails typed — never panics — on truncation, bad magic,
-/// oversized length prefixes, or checksum mismatch.
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), ExchangeError> {
-    if buf.len() < HEADER_BYTES {
-        return Err(frame_err(format!(
-            "truncated header: {} of {HEADER_BYTES} bytes",
-            buf.len()
-        )));
-    }
-    let mut r = SpillReader::new(&buf[..HEADER_BYTES]);
-    let magic = r.u32().map_err(spill_to_frame)?;
-    if magic != FRAME_MAGIC {
-        return Err(frame_err(format!("bad frame magic {magic:#x}")));
-    }
-    let seq = r.u64().map_err(spill_to_frame)?;
-    let src = r.u64().map_err(spill_to_frame)?;
-    let bucket = r.u64().map_err(spill_to_frame)?;
-    let records = r.u64().map_err(spill_to_frame)?;
-    let len = r.u64().map_err(spill_to_frame)?;
-    let sum = r.u64().map_err(spill_to_frame)?;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(frame_err(format!(
-            "payload length {len} exceeds cap {MAX_FRAME_PAYLOAD}"
-        )));
-    }
-    let len = len as usize;
-    let rest = &buf[HEADER_BYTES..];
-    if rest.len() < len {
-        return Err(frame_err(format!(
-            "truncated payload: {} of {len} bytes",
-            rest.len()
-        )));
-    }
-    let payload = &rest[..len];
-    let actual = checksum(payload);
-    if actual != sum {
-        return Err(frame_err(format!(
-            "checksum mismatch: stored {sum:#x}, computed {actual:#x}"
-        )));
-    }
-    Ok((
-        Frame {
+/// A frame header as read off the wire, its payload not yet seen.
+struct Header {
+    seq: u64,
+    src: u64,
+    bucket: u64,
+    records: u64,
+    len: usize,
+    sum: u64,
+}
+
+impl Header {
+    /// The one reader of the header's field sequence, under both
+    /// [`decode_frame`] and [`read_frame`] (which wrap the `Err` detail in
+    /// their own error types): rejects a bad magic and a length prefix beyond
+    /// [`MAX_FRAME_PAYLOAD`].
+    fn parse(bytes: &[u8; HEADER_BYTES]) -> Result<Header, String> {
+        let field = |e: SpillError| e.to_string();
+        let mut r = SpillReader::new(bytes);
+        let magic = r.u32().map_err(field)?;
+        if magic != FRAME_MAGIC {
+            return Err(format!("bad frame magic {magic:#x}"));
+        }
+        let seq = r.u64().map_err(field)?;
+        let src = r.u64().map_err(field)?;
+        let bucket = r.u64().map_err(field)?;
+        let records = r.u64().map_err(field)?;
+        let len = r.u64().map_err(field)?;
+        let sum = r.u64().map_err(field)?;
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(format!(
+                "payload length {len} exceeds cap {MAX_FRAME_PAYLOAD}"
+            ));
+        }
+        Ok(Header {
             seq,
             src,
             bucket,
             records,
-            payload: payload.to_vec(),
-        },
-        HEADER_BYTES + len,
-    ))
+            len: len as usize,
+            sum,
+        })
+    }
+
+    /// Checks `payload` against the header's checksum and assembles the
+    /// frame.
+    fn seal(self, payload: Vec<u8>) -> Result<Frame, String> {
+        let actual = checksum(&payload);
+        if actual != self.sum {
+            return Err(format!(
+                "checksum mismatch: stored {:#x}, computed {actual:#x}",
+                self.sum
+            ));
+        }
+        Ok(Frame {
+            seq: self.seq,
+            src: self.src,
+            bucket: self.bucket,
+            records: self.records,
+            payload,
+        })
+    }
 }
 
-fn spill_to_frame(e: SpillError) -> ExchangeError {
-    frame_err(e.to_string())
+/// Decodes one frame from the start of `buf`, returning it and the bytes
+/// consumed. Fails typed — never panics — on truncation, bad magic,
+/// oversized length prefixes, or checksum mismatch.
+pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), ExchangeError> {
+    let Some(header) = buf.first_chunk::<HEADER_BYTES>() else {
+        return Err(frame_err(format!(
+            "truncated header: {} of {HEADER_BYTES} bytes",
+            buf.len()
+        )));
+    };
+    let header = Header::parse(header).map_err(frame_err)?;
+    let rest = &buf[HEADER_BYTES..];
+    let Some(payload) = rest.get(..header.len) else {
+        return Err(frame_err(format!(
+            "truncated payload: {} of {} bytes",
+            rest.len(),
+            header.len
+        )));
+    };
+    let used = HEADER_BYTES + header.len;
+    let frame = header.seal(payload.to_vec()).map_err(frame_err)?;
+    Ok((frame, used))
 }
+
+/// Largest step by which [`read_frame`] grows its payload buffer. The length
+/// prefix is wire data from a peer that has only passed a 28-byte handshake:
+/// memory follows bytes received, never bytes promised.
+const PAYLOAD_STEP: usize = 64 << 10;
 
 /// Reads one frame from a stream. `Ok(None)` means a clean EOF at a frame
-/// boundary; EOF mid-frame is a typed [`ExchangeError::Frame`].
+/// boundary; EOF mid-frame is `UnexpectedEof`, and a header or checksum
+/// [`decode_frame`] would reject is `InvalidData` carrying the same detail.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, std::io::Error> {
     use std::io::ErrorKind;
+    let invalid = |detail: String| std::io::Error::new(ErrorKind::InvalidData, detail);
     let mut header = [0u8; HEADER_BYTES];
     let mut got = 0usize;
     while got < HEADER_BYTES {
@@ -361,30 +459,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, std::io::Error> {
             Err(e) => return Err(e),
         }
     }
-    let mut hr = SpillReader::new(&header);
-    let to_io = |e: SpillError| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-    let magic = hr.u32().map_err(to_io)?;
-    if magic != FRAME_MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad frame magic {magic:#x}"),
-        ));
-    }
-    let seq = hr.u64().map_err(to_io)?;
-    let src = hr.u64().map_err(to_io)?;
-    let bucket = hr.u64().map_err(to_io)?;
-    let records = hr.u64().map_err(to_io)?;
-    let len = hr.u64().map_err(to_io)?;
-    let sum = hr.u64().map_err(to_io)?;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("payload length {len} exceeds cap {MAX_FRAME_PAYLOAD}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let header = Header::parse(&header).map_err(invalid)?;
+    let len = header.len;
+    let mut payload = Vec::new();
     let mut got = 0usize;
-    while got < payload.len() {
+    while got < len {
+        if got == payload.len() {
+            payload.resize(len.min(got + PAYLOAD_STEP), 0);
+        }
         match r.read(&mut payload[got..]) {
             Ok(0) => {
                 return Err(std::io::Error::new(
@@ -402,25 +484,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, std::io::Error> {
             Err(e) => return Err(e),
         }
     }
-    let actual = checksum(&payload);
-    if actual != sum {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("checksum mismatch: stored {sum:#x}, computed {actual:#x}"),
-        ));
-    }
-    Ok(Some(Frame {
-        seq,
-        src,
-        bucket,
-        records,
-        payload,
-    }))
+    header.seal(payload).map(Some).map_err(invalid)
 }
 
 /// Monotonic exchange counters, shared between the runtime's stats and the
-/// installed exchange. Loopback routing counts too (in framed mode), so the
-/// codec path is observable even single-process.
+/// installed exchange. A [`Loopback`] counts too, so the codec path is
+/// observable single-process.
 #[derive(Debug, Default)]
 pub struct ExchangeCounters {
     /// Payload bytes that crossed the exchange (sent side).
@@ -448,20 +517,12 @@ impl ExchangeCounters {
     }
 }
 
-/// The routing abstraction every wide operator and gather goes through.
-///
-/// Implementations operate on encoded [`Frame`]s so the trait stays
-/// object-safe; the typed fast path is preserved by [`Exchange::in_process`]
-/// — when it returns `true`, the shuffle path skips frames entirely and runs
-/// the pre-exchange-layer governed path, byte-for-byte.
+/// The routing abstraction a shuffle or sharded gather goes through when one
+/// is installed on the [`Runtime`](crate::Runtime). Implementations operate
+/// on encoded [`Frame`]s so the trait stays object-safe.
 pub trait Exchange: Send + Sync {
     /// This participant's slice of the global partition space.
     fn layout(&self) -> ShardLayout;
-
-    /// `true` when shuffles may bypass the frame codec (single-process,
-    /// unframed). The loopback in framed mode and every networked exchange
-    /// return `false`.
-    fn in_process(&self) -> bool;
 
     /// Routes shuffle frames: each data frame travels to the owner of its
     /// `bucket` (of `total_buckets` global buckets). Returns every frame
@@ -478,29 +539,32 @@ pub trait Exchange: Send + Sync {
     fn gather(&self, seq: u64, frames: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError>;
 }
 
-/// The single-process exchange. Routing is the identity; in framed mode the
-/// shuffle path still encodes and decodes every bucket through the wire
-/// codec, which is what makes the `exchange-smoke` CI job meaningful.
-pub struct InProcessExchange {
-    framed: bool,
+/// The single-shard exchange: every frame comes straight back, counted.
+/// Installing it makes shuffles encode and decode every bucket through the
+/// wire codec without a network - what the golden tests compare against the
+/// typed move and `shardbench` measures as its 1-shard row.
+pub struct Loopback {
     counters: Arc<ExchangeCounters>,
 }
 
-impl InProcessExchange {
-    /// An in-process exchange; `framed` forces the frame codec onto the
-    /// loopback path.
-    pub fn new(framed: bool, counters: Arc<ExchangeCounters>) -> Self {
-        InProcessExchange { framed, counters }
+impl Loopback {
+    /// A loopback counting into `counters` (the installing runtime's
+    /// [`exchange_counters`](crate::Runtime::exchange_counters)).
+    pub fn new(counters: Arc<ExchangeCounters>) -> Self {
+        Loopback { counters }
+    }
+
+    fn echo(&self, frames: Vec<Frame>) -> Vec<Frame> {
+        let bytes: u64 = frames.iter().map(|f| f.payload.len() as u64).sum();
+        self.counters.note_sent(frames.len() as u64, bytes);
+        self.counters.note_received(frames.len() as u64);
+        frames
     }
 }
 
-impl Exchange for InProcessExchange {
+impl Exchange for Loopback {
     fn layout(&self) -> ShardLayout {
         ShardLayout::single()
-    }
-
-    fn in_process(&self) -> bool {
-        !self.framed
     }
 
     fn route(
@@ -509,17 +573,11 @@ impl Exchange for InProcessExchange {
         frames: Vec<Frame>,
         _total_buckets: usize,
     ) -> Result<Vec<Frame>, ExchangeError> {
-        let bytes: u64 = frames.iter().map(|f| f.payload.len() as u64).sum();
-        self.counters.note_sent(frames.len() as u64, bytes);
-        self.counters.note_received(frames.len() as u64);
-        Ok(frames)
+        Ok(self.echo(frames))
     }
 
     fn gather(&self, _seq: u64, frames: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
-        let bytes: u64 = frames.iter().map(|f| f.payload.len() as u64).sum();
-        self.counters.note_sent(frames.len() as u64, bytes);
-        self.counters.note_received(frames.len() as u64);
-        Ok(frames)
+        Ok(self.echo(frames))
     }
 }
 
@@ -820,10 +878,6 @@ impl Exchange for TcpExchange {
         self.layout
     }
 
-    fn in_process(&self) -> bool {
-        false
-    }
-
     fn route(
         &self,
         seq: u64,
@@ -1088,6 +1142,9 @@ mod tests {
         assert!(read_frame(&mut cursor).expect("eof").is_none());
     }
 
+    /// Every corruption case runs through both decoders, which must agree:
+    /// the slice decoder's typed detail is the stream reader's `InvalidData`
+    /// text, and a truncation is the stream's `UnexpectedEof`.
     #[test]
     fn decode_rejects_corruption_typed() {
         let f = Frame {
@@ -1099,61 +1156,99 @@ mod tests {
         };
         let mut buf = Vec::new();
         encode_frame(&f, &mut buf);
-        // Truncated header.
-        assert!(matches!(
-            decode_frame(&buf[..10]),
-            Err(ExchangeError::Frame { .. })
-        ));
-        // Truncated payload.
-        assert!(matches!(
-            decode_frame(&buf[..buf.len() - 1]),
-            Err(ExchangeError::Frame { .. })
-        ));
-        // Bad magic.
-        let mut bad = buf.clone();
-        bad[0] ^= 0xff;
-        assert!(matches!(
-            decode_frame(&bad),
-            Err(ExchangeError::Frame { .. })
-        ));
+        let mut bad_magic = buf.clone();
+        bad_magic[0] ^= 0xff;
         // Flipped payload bit → checksum mismatch.
         let mut flipped = buf.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 1;
-        assert!(matches!(
-            decode_frame(&flipped),
-            Err(ExchangeError::Frame { .. })
-        ));
-        // Oversized length prefix.
         let mut oversized = buf.clone();
         let len_off = 4 + 4 * 8;
         oversized[len_off..len_off + 8].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
-        assert!(matches!(
-            decode_frame(&oversized),
-            Err(ExchangeError::Frame { .. })
-        ));
+        let cases: [(&str, &[u8]); 5] = [
+            ("truncated header", &buf[..10]),
+            ("truncated payload", &buf[..buf.len() - 1]),
+            ("bad magic", &bad_magic),
+            ("checksum mismatch", &flipped),
+            ("oversized length prefix", &oversized),
+        ];
+        for (name, bytes) in cases {
+            let Err(ExchangeError::Frame { detail }) = decode_frame(bytes) else {
+                panic!("{name}: decode_frame must fail typed");
+            };
+            let err = read_frame(&mut std::io::Cursor::new(bytes))
+                .expect_err("read_frame must reject what decode_frame rejects");
+            match err.kind() {
+                std::io::ErrorKind::InvalidData => assert_eq!(err.to_string(), detail, "{name}"),
+                std::io::ErrorKind::UnexpectedEof => {
+                    assert!(detail.starts_with("truncated"), "{name}: {detail} vs {err}")
+                }
+                other => panic!("{name}: unexpected error kind {other:?}"),
+            }
+        }
+    }
+
+    /// A reader that serves `data` and records the largest buffer it was
+    /// ever asked to fill.
+    struct Offered<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Offered<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
     }
 
     #[test]
-    fn in_process_route_is_identity_and_counts() {
+    fn a_promised_gigabyte_is_not_allocated_before_it_arrives() {
+        let mut wire = Vec::new();
+        encode_frame(&Frame::of_records(3, 0, 1, &[7u64]), &mut wire);
+        let len_off = 4 + 4 * 8;
+        wire[len_off..len_off + 8].copy_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+        let mut r = Offered {
+            data: &wire,
+            largest: 0,
+        };
+        let err = read_frame(&mut r).expect_err("EOF long before the promised payload");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest <= PAYLOAD_STEP,
+            "asked the stream to fill {} bytes on the strength of a length prefix",
+            r.largest
+        );
+    }
+
+    #[test]
+    fn records_roundtrip_and_reject_a_lying_count() {
+        let rows: Vec<(u64, String)> = vec![(1, "a".into()), (2, "bc".into())];
+        let mut f = Frame::of_records(5, 3, 1, &rows);
+        assert_eq!((f.seq, f.src, f.bucket, f.records), (5, 3, 1, 2));
+        assert_eq!(f.records::<(u64, String)>().expect("decode"), rows);
+        f.records = 3;
+        assert!(matches!(
+            f.records::<(u64, String)>(),
+            Err(ExchangeError::Frame { .. })
+        ));
+        f.records = 1;
+        assert!(
+            matches!(f.records::<(u64, String)>(), Err(ExchangeError::Frame { detail }) if detail.contains("trailing"))
+        );
+    }
+
+    #[test]
+    fn loopback_route_is_identity_and_counts() {
         let counters = Arc::new(ExchangeCounters::default());
-        let ex = InProcessExchange::new(true, Arc::clone(&counters));
-        assert!(!ex.in_process());
-        let frames = vec![Frame {
-            seq: 0,
-            src: 0,
-            bucket: 1,
-            records: 1,
-            payload: vec![0; 8],
-        }];
+        let ex = Loopback::new(Arc::clone(&counters));
+        assert!(!ex.layout().is_sharded());
+        let frames = vec![Frame::of_records(0, 0, 1, &[0u64])];
         let out = ex.route(0, frames.clone(), 4).expect("loopback");
         assert_eq!(out, frames);
         assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 1);
         assert_eq!(counters.frames_received.load(Ordering::Relaxed), 1);
         assert_eq!(counters.bytes_exchanged.load(Ordering::Relaxed), 8);
-        // Unframed mode keeps the typed fast path.
-        let fast = InProcessExchange::new(false, counters);
-        assert!(fast.in_process());
     }
 
     fn start_pair(timeout: Duration) -> (Arc<TcpExchange>, Arc<TcpExchange>) {

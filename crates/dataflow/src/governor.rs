@@ -7,8 +7,8 @@
 //!    the exchange estimates its residency with the cheap
 //!    [`HeapSize`](crate::HeapSize) model (`size_of::<(K, V)>()` per record
 //!    plus owned heap bytes) and charges the governor. `group_by_key` /
-//!    `reduce_by_key` / `aggregate_by_key` local state charges the same way
-//!    for the lifetime of the combine pass.
+//!    `reduce_by_key` local state charges the same way for the lifetime of
+//!    the combine pass.
 //! 2. **Spill.** While the governor is over budget, the exchange picks its
 //!    *largest still-in-memory map output* and writes it to a run file under
 //!    the spill directory ([`spill`](crate::spill) module), releasing that
@@ -379,8 +379,8 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
 }
 
 /// Records the residency of a keyed operator's per-partition state (the
-/// grouped/combined rows `group_by_key`, `reduce_by_key`, and
-/// `aggregate_by_key` hold while their pass runs) against the governor's
+/// grouped/combined rows `group_by_key` and `reduce_by_key` hold while
+/// their pass runs) against the governor's
 /// peak accounting. The state cannot be spilled — it is live operator
 /// output — so the charge is recorded and immediately released: it moves
 /// `peak_bytes` (and pushes concurrent exchanges toward spilling) without

@@ -1,6 +1,6 @@
 //! Keyed (wide) operators: the shuffle-based second-order functions the
-//! paper's algorithms are written in — `groupBy`, `reduceByKey`,
-//! `aggregateByKey`, `join`, `semijoin`, and `distinct`.
+//! paper's algorithms are written in — `groupBy`, `reduceByKey`, `join`, and
+//! `semijoin`.
 //!
 //! Every wide operator hash-partitions records by key across the output
 //! partitions (a real shuffle with per-partition bucket exchange), so the
@@ -16,8 +16,8 @@
 //! on the input, so `map → filter → reduce_by_key` reads its input exactly
 //! once.
 
-use crate::dataset::{decode_records, Dataset, Locality, Partitioning};
-use crate::exchange::Frame;
+use crate::dataset::{Dataset, Locality, Partitioning};
+use crate::exchange::{raise, Exchange, ExchangeError, Frame};
 use crate::governor::GovernedBuckets;
 use crate::lineage::OpKind;
 use crate::runtime::Runtime;
@@ -144,10 +144,9 @@ where
     // contributes (its locality mask): owned data exists nowhere else, and
     // replicated data is split by the layout's range so every global
     // partition is mapped by exactly one shard.
-    let exchange = rt.exchange();
-    let layout = exchange.layout();
+    let layout = rt.layout();
     let mask = input.shard_mask(&layout);
-    let bucketed: Vec<Vec<Vec<(K, V)>>> = input.run_per_partition(rt, move |i, d| {
+    let mut bucketed: Vec<Vec<Vec<(K, V)>>> = input.run_per_partition(rt, move |i, d| {
         let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
         if mask.as_ref().is_none_or(|m| m[i]) {
             d.produce(i, &mut |kv| {
@@ -161,80 +160,29 @@ where
         .map(|p| p.iter().map(|b| b.len() as u64).sum::<u64>())
         .sum();
     rt.note_shuffle(moved, moved * std::mem::size_of::<(K, V)>() as u64);
-    let out = if exchange.in_process() {
-        // Typed fast path (the single-process default): bucket vectors move
-        // from the map output that filled them to the reduce task that owns
-        // their partition, never copied.
-        //
-        // Exchange residency passes under the memory governor: the charge is
-        // recorded here, and over-budget map outputs are written out as run
-        // files (order preserved) before the reduce side starts. With no
-        // budget in force this is a no-op pass-through.
-        let governed = GovernedBuckets::admit(rt, bucketed);
-        // Reduce side: partition `p` concatenates bucket `p` of every map
-        // output, in map-partition order — taken from memory or, for spilled
-        // outputs, streamed back from their run files. Identical bytes
-        // either way.
-        rt.run_indexed(parts, move |p| Arc::new(governed.take_bucket(p)))
-    } else {
-        // Frame path: every non-empty bucket is encoded into a wire frame
-        // and routed to its owner; the reduce side decodes the returned
-        // frames in global map-partition order, reproducing the in-process
-        // merge byte-for-byte (absent frames are empty buckets, which
-        // contribute nothing to the concatenation).
-        let seq = rt.next_exchange_seq();
-        let mut frames = Vec::new();
-        for (i, buckets) in bucketed.into_iter().enumerate() {
-            for (b, bucket) in buckets.into_iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let mut payload = Vec::new();
-                for kv in &bucket {
-                    kv.spill(&mut payload);
-                }
-                frames.push(Frame {
-                    seq,
-                    src: i as u64,
-                    bucket: b as u64,
-                    records: bucket.len() as u64,
-                    payload,
-                });
-            }
-        }
-        let got = match exchange.route(seq, frames, parts) {
-            Ok(f) => f,
-            Err(e) => std::panic::panic_any(e),
-        };
-        // Received payload bytes are resident until the reduce side decodes
-        // them; charge the governor for the window (transient, like combine
-        // state).
-        let gov = rt.governor();
-        let received_bytes: u64 = got.iter().map(|f| f.payload.len() as u64).sum();
-        let charge = gov.enabled().then(|| gov.charge(received_bytes));
-        let mut by_bucket: HashMap<usize, Vec<Frame>> = HashMap::new();
-        for f in got {
-            by_bucket.entry(f.bucket as usize).or_default().push(f);
-        }
-        for frames in by_bucket.values_mut() {
-            frames.sort_by_key(|f| f.src);
-        }
-        let owned = layout.range_mask(parts);
-        let by_bucket = Arc::new(by_bucket);
-        let out = rt.run_indexed(parts, move |p| {
-            let mut merged: Vec<(K, V)> = Vec::new();
-            if owned[p] {
-                if let Some(frames) = by_bucket.get(&p) {
-                    for f in frames {
-                        merged.append(&mut decode_records::<(K, V)>(f));
-                    }
-                }
-            }
-            Arc::new(merged)
-        });
-        drop(charge);
-        out
-    };
+    // With no exchange installed (the single-process default) the bucket
+    // vectors move from the map output that filled them to the reduce task
+    // that owns their partition, never copied. With one, frames are the
+    // transport in between and nothing more.
+    if let Some(exchange) = rt.exchange() {
+        raise(exchange_buckets(
+            rt,
+            exchange.as_ref(),
+            &mut bucketed,
+            parts,
+        ));
+    }
+    // Exchange residency passes under the memory governor, however the
+    // buckets arrived: the charge is recorded here, and over-budget map
+    // outputs are written out as run files (order preserved) before the
+    // reduce side starts. With no budget in force this is a no-op
+    // pass-through.
+    let governed = GovernedBuckets::admit(rt, bucketed);
+    // Reduce side: partition `p` concatenates bucket `p` of every map
+    // output, in map-partition order — taken from memory or, for spilled
+    // outputs, streamed back from their run files. Identical bytes
+    // either way.
+    let out = rt.run_indexed(parts, move |p| Arc::new(governed.take_bucket(p)));
     let node = crate::lineage::PlanNode::new(
         "shuffle",
         OpKind::Shuffle { parts },
@@ -246,11 +194,51 @@ where
     );
     let shuffled =
         Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node);
-    if layout.is_sharded() {
-        shuffled.with_locality(Locality::Owned(Arc::new(layout.range_mask(parts))))
-    } else {
-        shuffled
+    stamp_wide_locality(rt, shuffled)
+}
+
+/// Moves a shuffle's map output through `exchange`: every non-empty bucket
+/// leaves its `bucketed[src][bucket]` slot as a wire frame and is routed to
+/// the owner of its bucket; what comes back - own frames and peers' - is
+/// decoded into the slots the local map side left empty. Every global map
+/// partition is mapped by exactly one shard, so the slots are disjoint, and
+/// absent frames are empty buckets. A frame naming a slot outside the map
+/// output, a bucket this shard does not own, or a slot already filled is a
+/// peer running a different plan: a typed [`ExchangeError::Frame`], never a
+/// silently dropped or doubled bucket.
+fn exchange_buckets<K: Spill, V: Spill>(
+    rt: &Runtime,
+    exchange: &dyn Exchange,
+    bucketed: &mut [Vec<Vec<(K, V)>>],
+    parts: usize,
+) -> Result<(), ExchangeError> {
+    let seq = rt.next_exchange_seq();
+    let mut frames = Vec::new();
+    for (i, buckets) in bucketed.iter_mut().enumerate() {
+        for (b, bucket) in buckets.iter_mut().enumerate() {
+            if !bucket.is_empty() {
+                frames.push(Frame::of_records(seq, i, b, &std::mem::take(bucket)));
+            }
+        }
     }
+    let layout = exchange.layout();
+    for f in exchange.route(seq, frames, parts)? {
+        let in_range = f.src < bucketed.len() as u64 && f.bucket < parts as u64;
+        let (i, b) = (f.src as usize, f.bucket as usize);
+        if !in_range || !layout.owns(b, parts) || !bucketed[i][b].is_empty() {
+            return Err(ExchangeError::Frame {
+                detail: format!(
+                    "shuffle: frame (src {}, bucket {}) is duplicate, unowned or outside \
+                     {} map partitions x {parts} buckets",
+                    f.src,
+                    f.bucket,
+                    bucketed.len()
+                ),
+            });
+        }
+        bucketed[i][b] = f.records()?;
+    }
+    Ok(())
 }
 
 /// Extension trait providing the wide operators on key–value datasets.
@@ -262,14 +250,6 @@ pub trait KeyedDataset<K: Clone, V: Clone> {
     where
         W: Clone + Send + Sync + 'static,
         F: Fn(&V) -> W + Send + Sync + 'static;
-
-    /// Like [`map_values`](KeyedDataset::map_values) but the closure also
-    /// sees the key (which it cannot change) — for value updates that depend
-    /// on the key, e.g. per-key rank recomputation in iterative analytics.
-    fn map_values_with_key<W, F>(&self, f: F) -> Dataset<(K, W)>
-    where
-        W: Clone + Send + Sync + 'static,
-        F: Fn(&K, &V) -> W + Send + Sync + 'static;
 
     /// Groups values by key: `groupBy` of the paper's algorithms.
     ///
@@ -289,23 +269,6 @@ pub trait KeyedDataset<K: Clone, V: Clone> {
         K: Spill,
         V: Spill,
         F: Fn(&V, &V) -> V + Send + Sync + 'static;
-
-    /// Aggregates values per key into an accumulator type, with map-side
-    /// combine (`aggregateByKey`). `update` folds a value into an
-    /// accumulator, `merge` combines two accumulators.
-    fn aggregate_by_key<A, I, U, M>(
-        &self,
-        rt: &Runtime,
-        init: I,
-        update: U,
-        merge: M,
-    ) -> Dataset<(K, A)>
-    where
-        K: Spill,
-        A: Clone + Send + Sync + Spill + 'static,
-        I: Fn() -> A + Send + Sync + 'static,
-        U: Fn(&mut A, &V) + Send + Sync + 'static,
-        M: Fn(&mut A, &A) + Send + Sync + 'static;
 
     /// Inner hash join on the key.
     fn join<W>(&self, rt: &Runtime, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))>
@@ -370,19 +333,6 @@ where
         let tag = self.partitioning();
         self.map(move |(k, v)| (k.clone(), f(v)))
             .relabel_op("map_values", OpKind::MapValues, tag)
-    }
-
-    fn map_values_with_key<W, F>(&self, f: F) -> Dataset<(K, W)>
-    where
-        W: Clone + Send + Sync + 'static,
-        F: Fn(&K, &V) -> W + Send + Sync + 'static,
-    {
-        let tag = self.partitioning();
-        self.map(move |(k, v)| (k.clone(), f(k, v))).relabel_op(
-            "map_values",
-            OpKind::MapValues,
-            tag,
-        )
     }
 
     fn group_by_key(&self, rt: &Runtime) -> Dataset<(K, Vec<V>)>
@@ -476,90 +426,6 @@ where
             })
             .relabel_op(
                 "reduce_by_key",
-                OpKind::LocalCombine,
-                Partitioning::HashByKey { parts },
-            )
-    }
-
-    fn aggregate_by_key<A, I, U, M>(
-        &self,
-        rt: &Runtime,
-        init: I,
-        update: U,
-        merge: M,
-    ) -> Dataset<(K, A)>
-    where
-        K: Spill,
-        A: Clone + Send + Sync + Spill + 'static,
-        I: Fn() -> A + Send + Sync + 'static,
-        U: Fn(&mut A, &V) + Send + Sync + 'static,
-        M: Fn(&mut A, &A) + Send + Sync + 'static,
-    {
-        let parts = rt.partitions();
-        let gov = rt.governor();
-        let gov1 = Arc::clone(&gov);
-        let fold_partition = move |part: &[(K, V)]| {
-            // First-seen key order (see `combine_partition`).
-            let mut index: HashMap<K, usize> = HashMap::new();
-            let mut out: Vec<(K, A)> = Vec::new();
-            for (k, v) in part {
-                let slot = match index.entry(k.clone()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        e.insert(out.len());
-                        out.push((k.clone(), init()));
-                        out.len() - 1
-                    }
-                };
-                update(&mut out[slot].1, v);
-            }
-            crate::governor::note_state(&gov1, &out);
-            out
-        };
-        if hashed_by_key(self.partitioning(), parts) {
-            // Keys are co-located: fold each partition once, done.
-            rt.note_shuffle_elided();
-            audit_elision(rt, self, parts);
-            return self
-                .clone()
-                .wrap_op(
-                    "shuffle(elided)",
-                    OpKind::ElidedShuffle { parts },
-                    Partitioning::HashByKey { parts },
-                )
-                .map_partitions(fold_partition)
-                .relabel_op(
-                    "aggregate_by_key",
-                    OpKind::LocalCombine,
-                    Partitioning::HashByKey { parts },
-                );
-        }
-        // Map-side: fold values into per-key accumulators (deferred, fused).
-        let partials = self.map_partitions(fold_partition).relabel_op(
-            "combine(map-side)",
-            OpKind::LocalCombine,
-            self.partitioning(),
-        );
-        // Reduce-side: merge accumulators.
-        shuffle(rt, &partials)
-            .map_partitions(move |part| {
-                // First-seen key order (see `combine_partition`).
-                let mut index: HashMap<K, usize> = HashMap::new();
-                let mut out: Vec<(K, A)> = Vec::new();
-                for (k, a) in part {
-                    match index.entry(k.clone()) {
-                        Entry::Occupied(e) => merge(&mut out[*e.get()].1, a),
-                        Entry::Vacant(e) => {
-                            e.insert(out.len());
-                            out.push((k.clone(), a.clone()));
-                        }
-                    }
-                }
-                crate::governor::note_state(&gov, &out);
-                out
-            })
-            .relabel_op(
-                "aggregate_by_key",
                 OpKind::LocalCombine,
                 Partitioning::HashByKey { parts },
             )
@@ -675,15 +541,6 @@ fn stamp_wide_locality<T: Clone + Send + Sync + 'static>(
     } else {
         out
     }
-}
-
-/// Removes duplicate elements (by `Eq`/`Hash`) via a shuffle.
-pub fn distinct<T>(rt: &Runtime, input: &Dataset<T>) -> Dataset<T>
-where
-    T: Hash + Eq + Clone + Send + Sync + Spill + 'static,
-{
-    let keyed: Dataset<(T, ())> = input.map(|x| (x.clone(), ()));
-    keyed.reduce_by_key(rt, |_, _| ()).map(|(k, _)| k.clone())
 }
 
 #[cfg(test)]
@@ -860,30 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_by_key_counts() {
-        let rt = rt();
-        let d = Dataset::from_vec(&rt, (0..50).map(|i| (i % 5, i)).collect::<Vec<_>>());
-        let a = d.aggregate_by_key(&rt, || 0usize, |acc, _| *acc += 1, |a, b| *a += b);
-        let mut got = a.collect(&rt);
-        got.sort();
-        assert_eq!(got, (0..5).map(|k| (k, 10)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn aggregate_by_key_elides_on_prepartitioned_input() {
-        let rt = rt();
-        let d = Dataset::from_vec(&rt, (0..50).map(|i| (i % 5, i)).collect::<Vec<_>>());
-        let s = shuffle(&rt, &d);
-        let before = rt.stats();
-        let a = s.aggregate_by_key(&rt, || 0usize, |acc, _| *acc += 1, |a, b| *a += b);
-        let got = sorted(a.collect(&rt));
-        let delta = rt.stats().since(&before);
-        assert_eq!(delta.shuffles, 0);
-        assert_eq!(delta.shuffles_elided, 1);
-        assert_eq!(got, (0..5).map(|k| (k, 10)).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn join_inner_multiplicity() {
         let rt = rt();
         let left = Dataset::from_vec(&rt, vec![(1, "l1"), (1, "l2"), (2, "l3"), (3, "l4")]);
@@ -926,13 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_dedups() {
-        let rt = rt();
-        let d = Dataset::from_vec(&rt, vec![3, 1, 3, 2, 1, 1]);
-        assert_eq!(sorted(distinct(&rt, &d).collect(&rt)), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn wide_ops_on_empty_input() {
         let rt = rt();
         let d: Dataset<(u32, u32)> = Dataset::empty();
@@ -941,6 +767,55 @@ mod tests {
         let other: Dataset<(u32, u32)> = Dataset::from_vec(&rt, vec![(1, 1)]);
         assert_eq!(d.join(&rt, &other).count(&rt), 0);
         assert_eq!(other.join(&rt, &d).count(&rt), 0);
+    }
+
+    /// A single-shard exchange that hands a shuffle's own frames back and
+    /// slips in one more: a copy of the first with its bucket rewritten by
+    /// the test.
+    struct Tampering(fn(u64) -> u64);
+
+    impl Exchange for Tampering {
+        fn layout(&self) -> crate::ShardLayout {
+            crate::ShardLayout::single()
+        }
+        fn route(
+            &self,
+            _: u64,
+            mut own: Vec<Frame>,
+            _: usize,
+        ) -> Result<Vec<Frame>, ExchangeError> {
+            let mut extra = own[0].clone();
+            extra.bucket = (self.0)(extra.bucket);
+            own.push(extra);
+            Ok(own)
+        }
+        fn gather(&self, _: u64, _: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
+            unreachable!("a shuffle never gathers")
+        }
+    }
+
+    /// A returned frame naming bucket `parts` used to be dropped without a
+    /// word, and the same `(src, bucket)` twice used to be appended twice.
+    #[test]
+    fn shuffle_rejects_out_of_range_and_duplicate_frames() {
+        for (tamper, what) in [
+            ((|_| 4) as fn(u64) -> u64, "bucket == parts"),
+            (|b| b, "same (src, bucket) twice"),
+        ] {
+            let rt = rt();
+            rt.set_exchange(Arc::new(Tampering(tamper)));
+            let d = Dataset::from_vec(&rt, (0..100u64).map(|i| (i % 10, i)).collect::<Vec<_>>());
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                shuffle(&rt, &d);
+            }))
+            .expect_err(what);
+            match payload.downcast_ref::<ExchangeError>() {
+                Some(ExchangeError::Frame { detail }) => {
+                    assert!(detail.contains("duplicate, unowned or outside"), "{detail}")
+                }
+                other => panic!("{what}: expected a typed frame error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

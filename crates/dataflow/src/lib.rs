@@ -79,10 +79,10 @@ pub use config::EngineConfig;
 pub use dataset::{Dataset, Partitioning};
 pub use decompose::{merge_states, Decomposable};
 pub use exchange::{
-    Exchange, ExchangeCounters, ExchangeError, Frame, InProcessExchange, ShardLayout, TcpExchange,
+    Exchange, ExchangeCounters, ExchangeError, Frame, Loopback, ShardLayout, TcpExchange,
 };
 pub use governor::{MemCharge, MemGovernor};
-pub use keyed::{bucket_of, distinct, shuffle, KeyedDataset};
+pub use keyed::{bucket_of, shuffle, KeyedDataset};
 pub use lineage::{fingerprint, fingerprint_hex, OpKind, PlanNode};
 pub use protocol::{Mutation, PollOutcome, ProtocolCore};
 pub use runtime::{Runtime, RuntimeStats, StatsSnapshot};

@@ -3,7 +3,7 @@
 
 use crate::cancel;
 use crate::config::EngineConfig;
-use crate::exchange::{Exchange, ExchangeCounters, InProcessExchange, ShardLayout};
+use crate::exchange::{Exchange, ExchangeCounters, ShardLayout};
 use crate::governor::MemGovernor;
 use crate::pool::ThreadPool;
 use crate::sync::lock_unpoisoned;
@@ -68,9 +68,9 @@ pub struct RuntimeStats {
     /// [`since`](RuntimeStats::since) carries the current value through
     /// instead of subtracting.
     pub peak_bytes: u64,
-    /// Payload bytes handed to the [`Exchange`] for routing. Zero on the
-    /// default in-process fast path; counts loopback traffic in framed mode
-    /// (`TGRAPH_EXCHANGE=framed`) and wire traffic under a
+    /// Payload bytes handed to the [`Exchange`] for routing. Zero with no
+    /// exchange installed; counts loopback traffic under a
+    /// [`Loopback`](crate::Loopback) and wire traffic under a
     /// [`TcpExchange`](crate::TcpExchange).
     pub bytes_exchanged: u64,
     /// Data frames handed to the exchange for routing.
@@ -172,7 +172,7 @@ pub struct Runtime {
     config: EngineConfig,
     checked: AtomicBool,
     governor: Arc<MemGovernor>,
-    exchange: Mutex<Arc<dyn Exchange>>,
+    exchange: Mutex<Option<Arc<dyn Exchange>>>,
     exchange_counters: Arc<ExchangeCounters>,
     exchange_seq: AtomicU64,
 }
@@ -186,7 +186,6 @@ impl Runtime {
 
     /// Creates a runtime with an explicit default partition count.
     pub fn with_partitions(workers: usize, partitions: usize) -> Self {
-        let exchange_counters = Arc::new(ExchangeCounters::default());
         let config = EngineConfig::from_env();
         Runtime {
             pool: ThreadPool::new(workers),
@@ -205,12 +204,9 @@ impl Runtime {
             wave_us: AtomicU64::new(0),
             checked: AtomicBool::new(config.checked),
             governor: Arc::new(MemGovernor::new(config.mem_bytes, config.spill_dir.clone())),
-            exchange: Mutex::new(Arc::new(InProcessExchange::new(
-                config.framed_exchange,
-                Arc::clone(&exchange_counters),
-            ))),
+            exchange: Mutex::new(None),
             config,
-            exchange_counters,
+            exchange_counters: Arc::new(ExchangeCounters::default()),
             exchange_seq: AtomicU64::new(0),
         }
     }
@@ -366,11 +362,11 @@ impl Runtime {
         self.governor.set_budget(bytes);
     }
 
-    /// The installed [`Exchange`]: the routing layer every shuffle and
-    /// sharded gather goes through. Defaults to an [`InProcessExchange`]
-    /// (framed when `TGRAPH_EXCHANGE=framed`).
-    pub fn exchange(&self) -> Arc<dyn Exchange> {
-        Arc::clone(&lock_unpoisoned(&self.exchange))
+    /// The installed [`Exchange`], if any. `None` (the default) means
+    /// shuffles move typed buckets from map side to reduce side directly;
+    /// with one installed they encode, route and decode frames in between.
+    pub fn exchange(&self) -> Option<Arc<dyn Exchange>> {
+        lock_unpoisoned(&self.exchange).clone()
     }
 
     /// Installs an exchange implementation (e.g. a
@@ -378,7 +374,7 @@ impl Runtime {
     /// [`exchange_counters`](Runtime::exchange_counters)). Swapping the
     /// exchange while a wave is in flight is a logic error.
     pub fn set_exchange(&self, ex: Arc<dyn Exchange>) {
-        *lock_unpoisoned(&self.exchange) = ex;
+        *lock_unpoisoned(&self.exchange) = Some(ex);
     }
 
     /// The counters a custom exchange should share so its traffic shows up
@@ -387,10 +383,11 @@ impl Runtime {
         Arc::clone(&self.exchange_counters)
     }
 
-    /// This participant's slice of the global partition space (from the
-    /// installed exchange).
+    /// This participant's slice of the global partition space: the installed
+    /// exchange's, or the single-process layout when there is none.
     pub fn layout(&self) -> ShardLayout {
-        self.exchange().layout()
+        self.exchange()
+            .map_or_else(ShardLayout::single, |ex| ex.layout())
     }
 
     /// Allocates the next exchange-operation sequence number. Sharded

@@ -1,7 +1,8 @@
 //! Golden byte-identity tests for the pluggable exchange layer: the same
-//! workload must produce **byte-identical** results whether buckets move
-//! through the in-process typed path, the framed loopback codec, or a real
-//! TCP exchange across 2 or 4 shards.
+//! workload must produce **byte-identical** results whether buckets move as
+//! typed vectors (no exchange installed), through the [`Loopback`] frame
+//! codec, or over a real TCP exchange across 2 or 4 shards - with or without
+//! a byte budget forcing the reduce side to spill.
 //!
 //! Each shard runs in its own thread with its own [`Runtime`] and a
 //! [`TcpExchange`] wired to its peers over localhost. Because collects
@@ -11,63 +12,53 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tgraph_dataflow::{
-    Dataset, InProcessExchange, KeyedDataset, Runtime, ShardLayout, Spill, TcpExchange,
+    Dataset, KeyedDataset, Loopback, Runtime, RuntimeStats, ShardLayout, Spill, TcpExchange,
 };
 
-/// A representative workload: two chained shuffles (the second elided), a
-/// shuffle join, a count, and a fold. Returns everything unsorted — collect
-/// order itself is part of the byte-identity contract.
-#[allow(clippy::type_complexity)]
-fn workload(
-    rt: &Runtime,
-) -> (
-    Vec<(u64, u64)>,
-    Vec<(u64, u64)>,
-    Vec<(u64, (u64, u64))>,
-    usize,
-    u64,
-) {
-    let data: Vec<(u64, u64)> = (0..2000).map(|i| (i % 37, i)).collect();
+/// A representative workload over all five wide operators: two chained
+/// reduces (the second elided), a shuffle join, a group, a semijoin, a count,
+/// and a fold. Returns the results spill-encoded, unsorted, so
+/// "byte-identical" is literal — collect order itself is part of the
+/// contract.
+fn workload(rt: &Runtime) -> Vec<u8> {
+    let data: Vec<(u64, u64)> = (0..20_000).map(|i| (i % 37, i)).collect();
     let d = Dataset::from_vec(rt, data);
     let reduced = d.reduce_by_key(rt, |a, b| a + b);
-    let r1 = reduced.collect(rt);
+    let mut out = Vec::new();
+    reduced.collect(rt).spill(&mut out);
     // Re-reducing hash-partitioned data elides the shuffle; still must agree.
-    let r2 = reduced.reduce_by_key(rt, |a, b| a + b).collect(rt);
+    let rereduced = reduced.reduce_by_key(rt, |a, b| a + b);
+    rereduced.collect(rt).spill(&mut out);
     let small: Vec<(u64, u64)> = (0..37)
         .filter(|k| k % 3 == 0)
         .map(|k| (k, k * 10))
         .collect();
     let s = Dataset::from_vec(rt, small);
-    let joined = reduced.join(rt, &s).collect(rt);
-    let n = reduced.count(rt);
-    let total = reduced
+    reduced.join(rt, &s).collect(rt).spill(&mut out);
+    d.group_by_key(rt).collect(rt).spill(&mut out);
+    d.semi_join(rt, &s).collect(rt).spill(&mut out);
+    (reduced.count(rt) as u64).spill(&mut out);
+    reduced
         .map(|(_, v)| *v)
-        .fold(rt, 0u64, |a, b| a + b, |a, b| a + b);
-    (r1, r2, joined, n, total)
+        .fold(rt, 0u64, |a, b| a + b, |a, b| a + b)
+        .spill(&mut out);
+    out
 }
 
-type WorkloadOut = (
-    Vec<(u64, u64)>,
-    Vec<(u64, u64)>,
-    Vec<(u64, (u64, u64))>,
-    usize,
-    u64,
-);
-
-/// Spill-encodes a workload result so "byte-identical" is literal.
-fn encode(out: &WorkloadOut) -> Vec<u8> {
-    let mut buf = Vec::new();
-    out.0.spill(&mut buf);
-    out.1.spill(&mut buf);
-    out.2.spill(&mut buf);
-    (out.3 as u64).spill(&mut buf);
-    out.4.spill(&mut buf);
-    buf
+/// The workload with no exchange installed: the bytes every transport must
+/// reproduce.
+fn typed_move() -> Vec<u8> {
+    workload(&Runtime::with_partitions(4, 8))
 }
 
-/// Runs the workload on `shards` cooperating runtimes joined by TcpExchange
-/// over localhost, asserts all shards agree, and returns shard 0's result.
-fn run_sharded(shards: usize, parts: usize) -> WorkloadOut {
+/// Runs the workload on `shards` cooperating runtimes (each prepared by
+/// `configure`) joined by TcpExchange over localhost, asserts all shards
+/// agree, and returns shard 0's bytes with every shard's counters.
+fn run_sharded(
+    shards: usize,
+    parts: usize,
+    configure: fn(&Runtime),
+) -> (Vec<u8>, Vec<RuntimeStats>) {
     let mut listeners = Vec::new();
     let mut addrs = Vec::new();
     for _ in 0..shards {
@@ -82,6 +73,7 @@ fn run_sharded(shards: usize, parts: usize) -> WorkloadOut {
             let addrs = addrs.clone();
             std::thread::spawn(move || {
                 let rt = Runtime::with_partitions(2, parts);
+                configure(&rt);
                 let layout = ShardLayout::new(s, shards);
                 let ex = TcpExchange::start(
                     listener,
@@ -92,55 +84,82 @@ fn run_sharded(shards: usize, parts: usize) -> WorkloadOut {
                 )
                 .expect("start exchange");
                 rt.set_exchange(ex);
-                let out = workload(&rt);
-                let stats = rt.stats();
-                (out, stats.frames_sent, stats.bytes_exchanged)
+                (workload(&rt), rt.stats())
             })
         })
         .collect();
-    let results: Vec<_> = handles
+    let (outs, stats): (Vec<_>, Vec<_>) = handles
         .into_iter()
         .map(|h| h.join().expect("shard thread"))
-        .collect();
-    for (s, (out, frames, bytes)) in results.iter().enumerate() {
-        assert_eq!(
-            encode(out),
-            encode(&results[0].0),
-            "shard {s} disagrees with shard 0"
-        );
-        assert!(*frames > 0, "shard {s} sent no frames");
-        assert!(*bytes > 0, "shard {s} exchanged no bytes");
+        .unzip();
+    for (s, (out, st)) in outs.iter().zip(&stats).enumerate() {
+        assert!(out == &outs[0], "shard {s} disagrees with shard 0");
+        assert!(st.frames_sent > 0, "shard {s} sent no frames");
+        assert!(st.bytes_exchanged > 0, "shard {s} exchanged no bytes");
     }
-    results.into_iter().next().unwrap().0
+    (outs.into_iter().next().unwrap(), stats)
 }
 
 #[test]
-fn framed_loopback_is_byte_identical_to_in_process() {
-    let base = workload(&Runtime::with_partitions(4, 8));
+fn loopback_is_byte_identical_to_the_typed_move() {
     let rt = Runtime::with_partitions(4, 8);
-    rt.set_exchange(Arc::new(InProcessExchange::new(
-        true,
-        rt.exchange_counters(),
-    )));
-    let framed = workload(&rt);
-    assert_eq!(encode(&framed), encode(&base));
-    let stats = rt.stats();
-    assert!(stats.frames_sent > 0, "framed mode must move real frames");
-    assert!(stats.bytes_exchanged > 0);
+    rt.set_exchange(Arc::new(Loopback::new(rt.exchange_counters())));
+    assert!(workload(&rt) == typed_move());
+    assert_eq!(traffic(&[rt.stats()]), [(218, 645_152)]);
+}
+
+/// Framed shuffles share the governed reduce side, so checked mode's merge
+/// audit (per-bucket counts recorded at admission, verified at the merge)
+/// covers them, spilled or not.
+#[test]
+fn loopback_shuffles_pass_the_checked_merge_audit() {
+    let base = typed_move();
+    for budget in [0, 64 << 10] {
+        let rt = Runtime::with_partitions(4, 8);
+        rt.set_exchange(Arc::new(Loopback::new(rt.exchange_counters())));
+        rt.set_checked(true);
+        rt.set_mem_budget(budget);
+        assert!(workload(&rt) == base, "budget {budget}");
+        assert_eq!(rt.stats().spill_files > 0, budget > 0, "budget {budget}");
+    }
+}
+
+/// Per shard, `(frames_sent, bytes_exchanged)`: *what* is framed is pinned
+/// along with the result bytes, so a change to the reduce side cannot quietly
+/// change the traffic.
+fn traffic(stats: &[RuntimeStats]) -> Vec<(u64, u64)> {
+    stats
+        .iter()
+        .map(|st| (st.frames_sent, st.bytes_exchanged))
+        .collect()
 }
 
 #[test]
-fn two_shard_tcp_is_byte_identical_to_in_process() {
-    let base = workload(&Runtime::with_partitions(4, 8));
-    let sharded = run_sharded(2, 8);
-    assert_eq!(encode(&sharded), encode(&base));
+fn two_shard_tcp_is_byte_identical_to_the_typed_move() {
+    let (out, stats) = run_sharded(2, 8, |_| ());
+    assert!(out == typed_move());
+    assert_eq!(traffic(&stats), [(88, 301_056), (84, 296_680)]);
 }
 
 #[test]
-fn four_shard_tcp_is_byte_identical_to_in_process() {
-    let base = workload(&Runtime::with_partitions(4, 8));
-    let sharded = run_sharded(4, 8);
-    assert_eq!(encode(&sharded), encode(&base));
+fn four_shard_tcp_is_byte_identical_to_the_typed_move() {
+    let (out, stats) = run_sharded(4, 8, |_| ());
+    assert!(out == typed_move());
+    assert_eq!(
+        traffic(&stats),
+        [(92, 318_648), (90, 309_832), (88, 353_504), (86, 327_416)]
+    );
+}
+
+/// A sharded shuffle's received buckets pass under the byte budget like any
+/// other: every shard spills, and the bytes do not change.
+#[test]
+fn two_shard_tcp_spills_under_a_byte_budget_and_stays_byte_identical() {
+    let (out, stats) = run_sharded(2, 8, |rt| rt.set_mem_budget(64 << 10));
+    assert!(out == typed_move());
+    for (s, st) in stats.iter().enumerate() {
+        assert!(st.spill_files > 0, "shard {s} never spilled: {st:?}");
+    }
 }
 
 #[test]

@@ -21,7 +21,6 @@
 // Dataflow operator signatures nest tuples and Arcs deeply by design.
 #![allow(clippy::type_complexity)]
 
-pub mod analytics;
 pub mod append;
 pub mod common;
 pub mod convert;

@@ -245,13 +245,12 @@ fn runtime_json(server: &Server) -> Json {
     ]))
 }
 
-/// What the six `TGRAPH_*` variables parsed to when the runtime was built.
+/// What the five `TGRAPH_*` variables parsed to when the runtime was built.
 fn config_json(config: &EngineConfig) -> Json {
     let spill_dir = config.spill_dir.to_string_lossy().into_owned();
     let timeout_ms = config.exchange_timeout.as_millis() as i64;
     Json::obj(vec![
         ("checked", Json::Bool(config.checked)),
-        ("framed_exchange", Json::Bool(config.framed_exchange)),
         ("exchange_timeout_ms", Json::Int(timeout_ms)),
         ("mem_bytes", Json::Int(config.mem_bytes as i64)),
         ("serve_debug", Json::Bool(config.serve_debug)),
