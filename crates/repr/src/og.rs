@@ -95,18 +95,9 @@ impl OgGraph {
                 .or_default()
                 .push((v.interval, v.props.clone()));
         }
-        let vertices_map: HashMap<VertexId, OgVertex> = v_hist
+        let vertices = v_hist
             .into_iter()
-            .map(|(vid, states)| {
-                (
-                    vid,
-                    OgVertex {
-                        vid,
-                        history: coalesce_group(states),
-                    },
-                )
-            })
-            .collect();
+            .map(|(vid, states)| (vid, coalesce_group(states)));
 
         let mut e_hist: HashMap<(EdgeId, VertexId, VertexId), Vec<State>> = HashMap::new();
         for e in &g.edges {
@@ -115,32 +106,48 @@ impl OgGraph {
                 .or_default()
                 .push((e.interval, e.props.clone()));
         }
-        let placeholder = |vid: VertexId| OgVertex {
-            vid,
-            history: Vec::new(),
-        };
-        let edges: Vec<OgEdge> = e_hist
+        let edges = e_hist
             .into_iter()
-            .map(|((eid, src, dst), states)| OgEdge {
+            .map(|((eid, src, dst), states)| (eid, src, dst, coalesce_group(states)));
+        Self::from_histories(rt, g.lifespan, vertices, edges, epoch)
+    }
+
+    /// Builds OG from per-entity histories, each sorted by start and
+    /// coalesced: every edge `(id, source, destination, history)` receives
+    /// copies of its endpoints, rows are put in id order, and the source
+    /// lineage leaves are stamped with `epoch`. An endpoint without a vertex
+    /// row — a date-range load can leave one outside the range — is copied
+    /// with an empty history.
+    pub fn from_histories(
+        rt: &Runtime,
+        lifespan: Interval,
+        vertices: impl Iterator<Item = (VertexId, Vec<State>)>,
+        edges: impl Iterator<Item = (EdgeId, VertexId, VertexId, Vec<State>)>,
+        epoch: u64,
+    ) -> Self {
+        let mut vertices: Vec<OgVertex> = vertices
+            .map(|(vid, history)| OgVertex { vid, history })
+            .collect();
+        vertices.sort_by_key(|v| v.vid);
+        let by_id: HashMap<VertexId, &OgVertex> = vertices.iter().map(|v| (v.vid, v)).collect();
+        let copy_of = |vid: VertexId| match by_id.get(&vid) {
+            Some(v) => (*v).clone(),
+            None => OgVertex {
+                vid,
+                history: Vec::new(),
+            },
+        };
+        let mut edges: Vec<OgEdge> = edges
+            .map(|(eid, src, dst, history)| OgEdge {
                 eid,
-                src: vertices_map
-                    .get(&src)
-                    .cloned()
-                    .unwrap_or_else(|| placeholder(src)),
-                dst: vertices_map
-                    .get(&dst)
-                    .cloned()
-                    .unwrap_or_else(|| placeholder(dst)),
-                history: coalesce_group(states),
+                src: copy_of(src),
+                dst: copy_of(dst),
+                history,
             })
             .collect();
-
-        let mut vertices: Vec<OgVertex> = vertices_map.into_values().collect();
-        vertices.sort_by_key(|v| v.vid);
-        let mut edges = edges;
         edges.sort_by_key(|e| (e.eid, e.src.vid, e.dst.vid));
         OgGraph {
-            lifespan: g.lifespan,
+            lifespan,
             vertices: Dataset::from_vec_tagged(rt, vertices, epoch),
             edges: Dataset::from_vec_tagged(rt, edges, epoch),
         }

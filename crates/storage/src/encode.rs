@@ -1,12 +1,16 @@
-//! Binary row encoding for the `.tgc` columnar format, built on the `bytes`
-//! crate (no external serialization framework — the format is small enough
-//! to specify exactly).
+//! Binary row encoding for the `.tgc` and `.tgo` formats, on nothing but the
+//! standard library (the format is small enough to specify exactly).
 //!
 //! All integers are little-endian fixed width. Strings are UTF-8 with a
 //! `u32` byte-length prefix. A property set is a `u16` pair count followed by
 //! `(key, tagged value)` pairs in key order.
+//!
+//! Encoding appends to a `Vec<u8>`. Decoding reads from the front of a
+//! `&mut &[u8]` through `get` (fixed width) and `take` (a length read from
+//! the buffer), so a buffer that ends early is
+//! [`DecodeError::UnexpectedEof`] by construction: there is no bounds guard
+//! to remember at a decode site.
 
-use bytes::{Buf, BufMut, BytesMut};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tgraph_core::props::{Props, Value};
@@ -80,20 +84,22 @@ impl std::fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::UnexpectedEof)
-    } else {
-        Ok(())
-    }
-}
-
 /// Splits the next `n` bytes off the front of `buf`.
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
-    need(buf, n)?;
-    let (head, rest) = buf.split_at(n);
+    let (head, rest) = buf.split_at_checked(n).ok_or(DecodeError::UnexpectedEof)?;
     *buf = rest;
     Ok(head)
+}
+
+/// Reads a little-endian fixed-width value off the front of `buf`, as in
+/// `get(buf, u64::from_le_bytes)`.
+pub(crate) fn get<const N: usize, T>(
+    buf: &mut &[u8],
+    from_le_bytes: fn([u8; N]) -> T,
+) -> Result<T, DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::UnexpectedEof)?;
+    *buf = rest;
+    Ok(from_le_bytes(*head))
 }
 
 /// Validates a string's byte length against the `u32` length prefix.
@@ -115,29 +121,26 @@ pub fn checked_count(n: usize) -> Result<u32, EncodeError> {
 
 /// Writes a length-prefixed UTF-8 string, refusing strings whose length
 /// does not fit the prefix.
-pub fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), EncodeError> {
-    buf.put_u32_le(checked_str_len(s.len())?);
-    buf.put_slice(s.as_bytes());
+pub fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<(), EncodeError> {
+    buf.extend_from_slice(&checked_str_len(s.len())?.to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
     Ok(())
 }
 
 /// Writes a tagged property value.
-pub fn put_value(buf: &mut BytesMut, v: &Value) -> Result<(), EncodeError> {
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) -> Result<(), EncodeError> {
     match v {
-        Value::Bool(b) => {
-            buf.put_u8(0);
-            buf.put_u8(*b as u8);
-        }
+        Value::Bool(b) => buf.extend_from_slice(&[0, *b as u8]),
         Value::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
+            buf.push(1);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Float(x) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*x);
+            buf.push(2);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(3);
+            buf.push(3);
             put_str(buf, s)?;
         }
     }
@@ -146,8 +149,8 @@ pub fn put_value(buf: &mut BytesMut, v: &Value) -> Result<(), EncodeError> {
 
 /// Writes a property set, refusing sets whose pair count does not fit the
 /// `u16` count field.
-pub fn put_props(buf: &mut BytesMut, props: &Props) -> Result<(), EncodeError> {
-    buf.put_u16_le(checked_prop_count(props.len())?);
+pub fn put_props(buf: &mut Vec<u8>, props: &Props) -> Result<(), EncodeError> {
+    buf.extend_from_slice(&checked_prop_count(props.len())?.to_le_bytes());
     for (k, v) in props.iter() {
         put_str(buf, k)?;
         put_value(buf, v)?;
@@ -174,8 +177,7 @@ pub struct PropsDecoder<'a> {
 impl<'a> PropsDecoder<'a> {
     /// Reads a length-prefixed UTF-8 string.
     fn get_str(&mut self, buf: &mut &'a [u8]) -> Result<Arc<str>, DecodeError> {
-        need(buf, 4)?;
-        let len = buf.get_u32_le() as usize;
+        let len = get(buf, u32::from_le_bytes)? as usize;
         let raw = take(buf, len)?;
         if let Some(s) = self.strings.get(raw) {
             return Ok(Arc::clone(s));
@@ -189,20 +191,10 @@ impl<'a> PropsDecoder<'a> {
 
     /// Reads a tagged property value.
     pub fn get_value(&mut self, buf: &mut &'a [u8]) -> Result<Value, DecodeError> {
-        need(buf, 1)?;
-        match buf.get_u8() {
-            0 => {
-                need(buf, 1)?;
-                Ok(Value::Bool(buf.get_u8() != 0))
-            }
-            1 => {
-                need(buf, 8)?;
-                Ok(Value::Int(buf.get_i64_le()))
-            }
-            2 => {
-                need(buf, 8)?;
-                Ok(Value::Float(buf.get_f64_le()))
-            }
+        match get(buf, u8::from_le_bytes)? {
+            0 => Ok(Value::Bool(get(buf, u8::from_le_bytes)? != 0)),
+            1 => Ok(Value::Int(get(buf, i64::from_le_bytes)?)),
+            2 => Ok(Value::Float(get(buf, f64::from_le_bytes)?)),
             3 => Ok(Value::Str(self.get_str(buf)?)),
             t => Err(DecodeError::BadValueTag(t)),
         }
@@ -219,8 +211,7 @@ impl<'a> PropsDecoder<'a> {
             }
         }
         let start = *buf;
-        need(buf, 2)?;
-        let n = buf.get_u16_le() as usize;
+        let n = get(buf, u16::from_le_bytes)? as usize;
         // A pair takes at least six bytes: the count cannot reserve more
         // than the payload could hold.
         let mut pairs = Vec::with_capacity(n.min(buf.len() / 6));
@@ -237,16 +228,20 @@ impl<'a> PropsDecoder<'a> {
 
 /// Writes an interval as two fixed i64 columns (the "UNIX timestamp as long"
 /// convention of §4, which is what makes min/max pushdown possible).
-pub fn put_interval(buf: &mut BytesMut, iv: &Interval) {
-    buf.put_i64_le(iv.start);
-    buf.put_i64_le(iv.end);
+pub fn put_interval(buf: &mut Vec<u8>, iv: &Interval) {
+    buf.extend_from_slice(&iv.start.to_le_bytes());
+    buf.extend_from_slice(&iv.end.to_le_bytes());
 }
 
-/// Reads an interval.
-pub fn get_interval(buf: &mut impl Buf) -> Result<Interval, DecodeError> {
-    need(buf, 16)?;
-    let start = buf.get_i64_le();
-    let end = buf.get_i64_le();
+/// Reads an interval. One that ends before it starts is not something any
+/// writer produced (and `Interval::new` would panic on it): the file is
+/// reported as not being in this format.
+pub fn get_interval(buf: &mut &[u8]) -> Result<Interval, DecodeError> {
+    let start = get(buf, i64::from_le_bytes)?;
+    let end = get(buf, i64::from_le_bytes)?;
+    if start > end {
+        return Err(DecodeError::BadMagic);
+    }
     Ok(Interval::new(start, end))
 }
 
@@ -261,7 +256,7 @@ mod tests {
     use super::*;
 
     fn roundtrip_props(p: &Props) -> Props {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_props(&mut buf, p).unwrap();
         PropsDecoder::default().get_props(&mut &buf[..]).unwrap()
     }
@@ -280,7 +275,7 @@ mod tests {
     fn repeated_rows_and_strings_share_their_allocations() {
         let ann = Props::typed("person").with("name", "Ann");
         let bob = Props::typed("person").with("name", "Bob");
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for p in [&ann, &ann, &bob, &ann] {
             put_props(&mut buf, p).unwrap();
         }
@@ -317,7 +312,7 @@ mod tests {
             Value::Float(f64::NAN),
             Value::Str("héllo".into()),
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_value(&mut buf, &v).unwrap();
             assert_eq!(PropsDecoder::default().get_value(&mut &buf[..]).unwrap(), v);
         }
@@ -325,14 +320,14 @@ mod tests {
 
     #[test]
     fn interval_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_interval(&mut buf, &Interval::new(-5, 99));
         assert_eq!(get_interval(&mut &buf[..]).unwrap(), Interval::new(-5, 99));
     }
 
     #[test]
     fn truncated_buffer_errors() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_str(&mut buf, "hello").unwrap();
         let mut truncated = &buf[..buf.len() - 2];
         assert_eq!(
@@ -396,10 +391,8 @@ mod tests {
 
     #[test]
     fn bad_tag_errors() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(9);
         assert_eq!(
-            PropsDecoder::default().get_value(&mut &buf[..]),
+            PropsDecoder::default().get_value(&mut &[9u8][..]),
             Err(DecodeError::BadValueTag(9))
         );
     }

@@ -24,12 +24,12 @@
 //! segments. There is one writer by design (the serve layer's ingest lock);
 //! this module adds crash-atomicity, not multi-writer coordination.
 
-use crate::format::{write_tgc, SortOrder, StorageError, DEFAULT_CHUNK_ROWS};
-use crate::nested::write_tgo;
+use crate::format::{SortOrder, StorageError};
+use crate::loader::{flat_path, write_stem};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use tgraph_core::graph::TGraph;
-use tgraph_core::time::{Interval, Time};
+use tgraph_core::time::Time;
 
 /// One committed epoch of a dataset, as recorded in the manifest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,11 +105,6 @@ pub fn read_epochs(dir: &Path, name: &str) -> Result<Vec<EpochEntry>, StorageErr
     Ok(entries)
 }
 
-/// The dataset's current epoch number: 0 for a base-only dataset.
-pub fn current_epoch(dir: &Path, name: &str) -> Result<u64, StorageError> {
-    Ok(read_epochs(dir, name)?.last().map_or(0, |e| e.epoch))
-}
-
 /// The dataset's current lifespan end, combining the base file's declared
 /// lifespan with every committed epoch. This is the boundary the next
 /// ingested delta must start at or after.
@@ -117,7 +112,7 @@ pub fn current_end(dir: &Path, name: &str) -> Result<Time, StorageError> {
     if let Some(last) = read_epochs(dir, name)?.last() {
         return Ok(last.end);
     }
-    let stats = crate::read_tgc_stats(&dir.join(format!("{name}.temporal.tgc")))?;
+    let stats = crate::read_tgc_stats(&flat_path(dir, name, SortOrder::Temporal))?;
     Ok(stats.lifespan.end)
 }
 
@@ -164,20 +159,7 @@ pub fn append_epoch(dir: &Path, name: &str, delta: &TGraph) -> Result<EpochEntry
 
     // Segments first, manifest last: a crash between the two leaves orphan
     // segment files the manifest never names — invisible to readers.
-    let stem = segment_stem(name, epoch);
-    write_tgc(
-        &dir.join(format!("{stem}.temporal.tgc")),
-        delta,
-        SortOrder::Temporal,
-        DEFAULT_CHUNK_ROWS,
-    )?;
-    write_tgc(
-        &dir.join(format!("{stem}.structural.tgc")),
-        delta,
-        SortOrder::Structural,
-        DEFAULT_CHUNK_ROWS,
-    )?;
-    write_tgo(&dir.join(format!("{stem}.tgo")), delta, DEFAULT_CHUNK_ROWS)?;
+    write_stem(dir, &segment_stem(name, epoch), delta)?;
 
     let entry = EpochEntry {
         epoch,
@@ -197,20 +179,13 @@ pub fn append_epoch(dir: &Path, name: &str, delta: &TGraph) -> Result<EpochEntry
     Ok(entry)
 }
 
-/// The lifespan the dataset would report after all committed epochs: the base
-/// lifespan hulled with every epoch's end.
-pub fn current_lifespan(dir: &Path, name: &str) -> Result<Interval, StorageError> {
-    let base = crate::read_tgc_stats(&dir.join(format!("{name}.temporal.tgc")))?.lifespan;
-    let end = current_end(dir, name)?;
-    Ok(Interval::new(base.start, base.end.max(end)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loader::write_dataset;
     use tgraph_core::graph::{figure1_graph_stable_ids, VertexId, VertexRecord};
     use tgraph_core::props::Props;
+    use tgraph_core::time::Interval;
 
     fn setup(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("tgc-epoch-tests");
@@ -233,7 +208,6 @@ mod tests {
     #[test]
     fn base_dataset_reads_as_epoch_zero() {
         let dir = setup("e1");
-        assert_eq!(current_epoch(&dir, "e1").unwrap(), 0);
         assert!(read_epochs(&dir, "e1").unwrap().is_empty());
         // Figure 1's lifespan ends at 9.
         assert_eq!(current_end(&dir, "e1").unwrap(), 9);
@@ -244,7 +218,6 @@ mod tests {
         let dir = setup("e2");
         let entry = append_epoch(&dir, "e2", &delta_at(9)).unwrap();
         assert_eq!((entry.epoch, entry.since, entry.end), (1, 9, 11));
-        assert_eq!(current_epoch(&dir, "e2").unwrap(), 1);
         assert_eq!(current_end(&dir, "e2").unwrap(), 11);
         // The segment trio exists with truthful headers.
         let stats = crate::read_tgc_stats(&dir.join("e2.e1.temporal.tgc")).unwrap();
@@ -261,7 +234,10 @@ mod tests {
             Err(StorageError::Epoch(msg)) => assert!(msg.contains("before")),
             other => panic!("expected epoch error, got {:?}", other.map(|_| ())),
         }
-        assert_eq!(current_epoch(&dir, "e3").unwrap(), 0, "nothing committed");
+        assert!(
+            read_epochs(&dir, "e3").unwrap().is_empty(),
+            "nothing committed"
+        );
     }
 
     #[test]

@@ -4,29 +4,32 @@
 //!
 //! A file holds a vertex section and an edge section. Each section is a
 //! sequence of *chunks* (row groups); every chunk records min/max statistics
-//! over its `start` and `end` time columns and over the entity id column, so
-//! a reader with a time-range predicate skips whole chunks — Parquet's
-//! filter pushdown. Pushdown only prunes effectively if rows are sorted by
-//! the filtered column, which is why the writer supports both sort orders:
+//! over its `start` and `end` time columns, so a reader with a time-range
+//! predicate skips whole chunks — Parquet's filter pushdown. Pushdown only
+//! prunes effectively if rows are sorted by the filtered column, which is
+//! why the writer supports both sort orders:
 //!
 //! * [`SortOrder::Temporal`] — by entity id, then start time: consecutive
 //!   states of one entity are adjacent (used for VE, §4).
 //! * [`SortOrder::Structural`] — by start time, then entity id: each
 //!   snapshot's rows are adjacent (used for RG; the paper found RG loads
 //!   ~30% faster this way).
+//!
+//! The nested `.tgo` format ([`crate::nested`]) is the same file with another
+//! row encoding (`Layout` lists the differences), so what both share lives
+//! here once: `create` and `write_chunks` write every file, and `Scan` —
+//! header parse, chunk walk, sizes checked against the file — reads them.
 
 use crate::encode::{
-    checked_count, checksum, get_interval, put_interval, put_props, DecodeError, EncodeError,
+    checked_count, checksum, get, get_interval, put_interval, put_props, DecodeError, EncodeError,
     PropsDecoder,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
-use tgraph_core::time::Interval;
+use tgraph_core::time::{Interval, Time};
 
-const MAGIC: &[u8; 4] = b"TGC1";
 /// Rows per chunk; small enough that pushdown skips matter on test data,
 /// large enough to amortize per-chunk overhead.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
@@ -130,77 +133,20 @@ impl ChunkStats {
     pub fn may_overlap(&self, range: &Interval) -> bool {
         self.min_start < range.end && self.max_end > range.start
     }
-}
 
-fn row_interval_stats(intervals: impl Iterator<Item = Interval>) -> ChunkStats {
-    let mut stats = ChunkStats {
-        min_start: i64::MAX,
-        max_start: i64::MIN,
-        min_end: i64::MAX,
-        max_end: i64::MIN,
-        rows: 0,
-    };
-    for iv in intervals {
-        stats.min_start = stats.min_start.min(iv.start);
-        stats.max_start = stats.max_start.max(iv.start);
-        stats.min_end = stats.min_end.min(iv.end);
-        stats.max_end = stats.max_end.max(iv.end);
-        stats.rows += 1;
+    /// Whether a scan filtered to `range` has to read the chunk (`None` =
+    /// full scan, every chunk).
+    fn in_scan(&self, range: Option<&Interval>) -> bool {
+        range.is_none_or(|r| self.may_overlap(r))
     }
-    stats
 }
 
 /// Validates a chunk payload length against the format's `u32` length
 /// field. A bare `as u32` cast here once truncated ≥ 4 GiB payloads into
 /// corrupt files whose declared length disagreed with their contents — the
 /// typed error turns that silent corruption into a refusal at write time.
-pub(crate) fn checked_chunk_len(len: usize) -> Result<u32, StorageError> {
+fn checked_chunk_len(len: usize) -> Result<u32, StorageError> {
     u32::try_from(len).map_err(|_| StorageError::ChunkTooLarge(len))
-}
-
-fn write_chunk<W: Write>(
-    out: &mut W,
-    stats: &ChunkStats,
-    payload: &[u8],
-) -> Result<(), StorageError> {
-    let len = checked_chunk_len(payload.len())?;
-    let mut head = BytesMut::with_capacity(56);
-    head.put_i64_le(stats.min_start);
-    head.put_i64_le(stats.max_start);
-    head.put_i64_le(stats.min_end);
-    head.put_i64_le(stats.max_end);
-    head.put_u32_le(stats.rows);
-    head.put_u32_le(len);
-    head.put_u64_le(checksum(payload));
-    out.write_all(&head)?;
-    out.write_all(payload)?;
-    Ok(())
-}
-
-struct ChunkHeader {
-    stats: ChunkStats,
-    len: u32,
-    checksum: u64,
-}
-
-fn read_chunk_header<R: Read>(input: &mut R) -> Result<ChunkHeader, StorageError> {
-    let mut head = [0u8; 48];
-    input.read_exact(&mut head)?;
-    let mut buf = &head[..];
-    let stats = ChunkStats {
-        min_start: buf.get_i64_le(),
-        max_start: buf.get_i64_le(),
-        min_end: buf.get_i64_le(),
-        max_end: buf.get_i64_le(),
-        rows: buf.get_u32_le(),
-    };
-    let len = buf.get_u32_le();
-    let checksum = buf.get_u64_le();
-    Ok(ChunkHeader {
-        stats,
-        len,
-        checksum,
-    })
 }
 
 /// Serialized statistics of a `.tgc` file, returned by readers so callers can
@@ -213,6 +159,274 @@ pub struct ScanStats {
     pub chunks_read: usize,
     /// Rows decoded (before residual filtering).
     pub rows_read: usize,
+}
+
+impl ScanStats {
+    /// Adds another file's scan to this one.
+    pub(crate) fn add(&mut self, other: ScanStats) {
+        self.chunks_skipped += other.chunks_skipped;
+        self.chunks_read += other.chunks_read;
+        self.rows_read += other.rows_read;
+    }
+}
+
+/// Which of the two file formats is being read or written. They are one
+/// format with three differences: the magic, a sort-order byte that only
+/// `.tgc` has after it, and the statistics columns that lead a chunk header
+/// — all four interval bounds in `.tgc` (a 48-byte header), only the outer
+/// two, first seen and last seen, in `.tgo` (32 bytes).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `.tgc`: one row per fact.
+    Flat,
+    /// `.tgo`: one row per entity.
+    Nested,
+}
+
+impl Layout {
+    pub(crate) fn magic(self) -> &'static [u8; 4] {
+        match self {
+            Layout::Flat => b"TGC1",
+            Layout::Nested => b"TGO1",
+        }
+    }
+}
+
+/// What a file says about itself before its first chunk.
+pub(crate) struct FileHeader {
+    /// Sort order of the rows. `.tgo` stores none — its rows are always
+    /// grouped by entity — and reads as `Temporal`.
+    pub order: SortOrder,
+    /// Declared lifespan of the stored graph.
+    pub lifespan: Interval,
+    /// Chunks in the vertex section and in the edge section after it.
+    pub chunks: [u32; 2],
+}
+
+/// Creates `path` and writes its file header: `lead` (the magic, and the
+/// sort-order byte of a `.tgc`), the lifespan, and the chunk counts of the
+/// vertex and edge sections, which will hold `rows` rows.
+pub(crate) fn create(
+    path: &Path,
+    lead: &[u8],
+    lifespan: &Interval,
+    rows: [usize; 2],
+    chunk_rows: usize,
+) -> Result<BufWriter<File>, StorageError> {
+    let mut bytes = lead.to_vec();
+    put_interval(&mut bytes, lifespan);
+    for section in rows {
+        let chunks = checked_count(section.div_ceil(chunk_rows))?;
+        bytes.extend_from_slice(&chunks.to_le_bytes());
+    }
+    let mut out = BufWriter::new(File::create(path)?);
+    out.write_all(&bytes)?;
+    Ok(out)
+}
+
+/// Writes one section: `rows` cut into chunks of `chunk_rows`, each chunk its
+/// statistics over the rows' `span`s (start, end), row count, payload length
+/// and checksum, then the payload `encode` produced.
+pub(crate) fn write_chunks<R>(
+    out: &mut impl Write,
+    layout: Layout,
+    rows: &[R],
+    chunk_rows: usize,
+    span: impl Fn(&R) -> (Time, Time),
+    encode: impl Fn(&mut Vec<u8>, &R) -> Result<(), EncodeError>,
+) -> Result<(), StorageError> {
+    for chunk in rows.chunks(chunk_rows) {
+        let (mut min_start, mut max_start) = (i64::MAX, i64::MIN);
+        let (mut min_end, mut max_end) = (i64::MAX, i64::MIN);
+        let mut payload = Vec::new();
+        for r in chunk {
+            let (start, end) = span(r);
+            min_start = min_start.min(start);
+            max_start = max_start.max(start);
+            min_end = min_end.min(end);
+            max_end = max_end.max(end);
+            encode(&mut payload, r)?;
+        }
+        let mut head = Vec::with_capacity(48);
+        let stats: &[i64] = match layout {
+            Layout::Flat => &[min_start, max_start, min_end, max_end],
+            Layout::Nested => &[min_start, max_end],
+        };
+        for column in stats {
+            head.extend_from_slice(&column.to_le_bytes());
+        }
+        head.extend_from_slice(&checked_count(chunk.len())?.to_le_bytes());
+        head.extend_from_slice(&checked_chunk_len(payload.len())?.to_le_bytes());
+        head.extend_from_slice(&checksum(&payload).to_le_bytes());
+        out.write_all(&head)?;
+        out.write_all(&payload)?;
+    }
+    Ok(())
+}
+
+/// A file being read front to back, with the bytes it has left. Every size a
+/// header announces — the file header itself, a chunk count, a payload
+/// length — is claimed against `left` before anything is read, skipped or
+/// reserved for it, so a file that lies about its sizes (or was cut short)
+/// is `DecodeError::UnexpectedEof` and never an allocation.
+pub(crate) struct Scan {
+    input: BufReader<File>,
+    left: u64,
+    layout: Layout,
+}
+
+/// Decodes one row off the front of a chunk payload: `None` when the row lies
+/// outside the range the scan is filtered to.
+pub(crate) type RowDecoder<T> = for<'a> fn(
+    &mut &'a [u8],
+    &mut PropsDecoder<'a>,
+    Option<&Interval>,
+) -> Result<Option<T>, DecodeError>;
+
+impl Scan {
+    /// Opens `path` and reads and validates its file header.
+    pub(crate) fn open(path: &Path, layout: Layout) -> Result<(Scan, FileHeader), StorageError> {
+        let file = File::open(path)?;
+        let left = file.metadata()?.len();
+        let mut scan = Scan {
+            input: BufReader::new(file),
+            left,
+            layout,
+        };
+        let mut bytes = [0u8; 29];
+        let bytes = match layout {
+            Layout::Flat => &mut bytes[..],
+            Layout::Nested => &mut bytes[..28],
+        };
+        scan.fill(bytes)?;
+        let mut buf = bytes
+            .strip_prefix(layout.magic())
+            .ok_or(DecodeError::BadMagic)?;
+        let order = match layout {
+            Layout::Flat => SortOrder::from_u8(get(&mut buf, u8::from_le_bytes)?)?,
+            Layout::Nested => SortOrder::Temporal,
+        };
+        let lifespan = get_interval(&mut buf)?;
+        let mut count = || get(&mut buf, u32::from_le_bytes);
+        let chunks = [count()?, count()?];
+        Ok((
+            scan,
+            FileHeader {
+                order,
+                lifespan,
+                chunks,
+            },
+        ))
+    }
+
+    /// Takes `n` bytes off what the file has left, or reports it short.
+    fn claim(&mut self, n: u64) -> Result<(), DecodeError> {
+        self.left = self.left.checked_sub(n).ok_or(DecodeError::UnexpectedEof)?;
+        Ok(())
+    }
+
+    /// Reads exactly `buf.len()` bytes.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.claim(buf.len() as u64)?;
+        self.input.read_exact(buf)?;
+        Ok(())
+    }
+
+    /// The chunk walk, over the next `chunks` chunks: read the chunk header;
+    /// if `keep` turns its statistics down, seek past the payload
+    /// (pushdown), else read the payload, verify its checksum and hand it,
+    /// with the header's row count, to `decode`.
+    pub(crate) fn walk(
+        &mut self,
+        chunks: u32,
+        scanned: &mut ScanStats,
+        mut keep: impl FnMut(&ChunkStats) -> bool,
+        mut decode: impl FnMut(u32, &[u8]) -> Result<(), DecodeError>,
+    ) -> Result<(), StorageError> {
+        let mut head = [0u8; 48];
+        let head = match self.layout {
+            Layout::Flat => &mut head[..],
+            Layout::Nested => &mut head[..32],
+        };
+        // A count the file has no room for the headers of is a lie: say so
+        // before looping on it.
+        if u64::from(chunks) * head.len() as u64 > self.left {
+            return Err(DecodeError::UnexpectedEof.into());
+        }
+        for _ in 0..chunks {
+            self.fill(head)?;
+            let mut buf = &*head;
+            let mut bound = || get(&mut buf, i64::from_le_bytes);
+            let min_start = bound()?;
+            // `.tgo` keeps the outer two bounds only; they are also the
+            // loosest true values of the inner two.
+            let (max_start, min_end, max_end) = match self.layout {
+                Layout::Flat => (bound()?, bound()?, bound()?),
+                Layout::Nested => {
+                    let max_end = bound()?;
+                    (max_end, min_start, max_end)
+                }
+            };
+            let stats = ChunkStats {
+                min_start,
+                max_start,
+                min_end,
+                max_end,
+                rows: get(&mut buf, u32::from_le_bytes)?,
+            };
+            let len = get(&mut buf, u32::from_le_bytes)?;
+            let sum = get(&mut buf, u64::from_le_bytes)?;
+            self.claim(u64::from(len))?;
+            if !keep(&stats) {
+                self.input.seek_relative(i64::from(len))?;
+                scanned.chunks_skipped += 1;
+                continue;
+            }
+            let mut payload = vec![0u8; len as usize];
+            self.input.read_exact(&mut payload)?;
+            if checksum(&payload) != sum {
+                return Err(DecodeError::ChecksumMismatch.into());
+            }
+            decode(stats.rows, &payload)?;
+            scanned.chunks_read += 1;
+            scanned.rows_read += stats.rows as usize;
+        }
+        Ok(())
+    }
+
+    /// Reads one section's rows through the walk: chunks that cannot overlap
+    /// `range` are skipped on their statistics, every other payload is
+    /// decoded row by row with `row`.
+    pub(crate) fn rows<T>(
+        &mut self,
+        chunks: u32,
+        range: Option<&Interval>,
+        scanned: &mut ScanStats,
+        row: RowDecoder<T>,
+    ) -> Result<Vec<T>, StorageError> {
+        let mut out = Vec::new();
+        self.walk(
+            chunks,
+            scanned,
+            |stats| stats.in_scan(range),
+            |rows, mut payload| {
+                let mut props = PropsDecoder::default();
+                for _ in 0..rows {
+                    out.extend(row(&mut payload, &mut props, range)?);
+                }
+                Ok(())
+            },
+        )?;
+        Ok(out)
+    }
+}
+
+/// `iv` cut down to `range`: `None` when nothing of it is left.
+pub(crate) fn clip(iv: Interval, range: Option<&Interval>) -> Option<Interval> {
+    match range {
+        Some(r) => iv.intersect(r),
+        None => Some(iv),
+    }
 }
 
 /// Writes a TGraph to `path` in the `.tgc` format with the given sort order
@@ -236,41 +450,60 @@ pub fn write_tgc(
             edges.sort_by_key(|e| (e.interval.start, e.eid, e.src, e.dst));
         }
     }
-
-    let file = File::create(path)?;
-    let mut out = BufWriter::new(file);
-    out.write_all(MAGIC)?;
-    out.write_all(&[order.to_u8()])?;
-    let mut head = BytesMut::with_capacity(32);
-    put_interval(&mut head, &g.lifespan);
-    head.put_u32_le(checked_count(vertices.len().div_ceil(chunk_rows))?);
-    head.put_u32_le(checked_count(edges.len().div_ceil(chunk_rows))?);
-    out.write_all(&head)?;
-
-    for chunk in vertices.chunks(chunk_rows) {
-        let stats = row_interval_stats(chunk.iter().map(|v| v.interval));
-        let mut payload = BytesMut::new();
-        for v in chunk {
-            payload.put_u64_le(v.vid.0);
-            put_interval(&mut payload, &v.interval);
-            put_props(&mut payload, &v.props)?;
-        }
-        write_chunk(&mut out, &stats, &payload)?;
-    }
-    for chunk in edges.chunks(chunk_rows) {
-        let stats = row_interval_stats(chunk.iter().map(|e| e.interval));
-        let mut payload = BytesMut::new();
-        for e in chunk {
-            payload.put_u64_le(e.eid.0);
-            payload.put_u64_le(e.src.0);
-            payload.put_u64_le(e.dst.0);
-            put_interval(&mut payload, &e.interval);
-            put_props(&mut payload, &e.props)?;
-        }
-        write_chunk(&mut out, &stats, &payload)?;
-    }
+    let lead = [Layout::Flat.magic().as_slice(), &[order.to_u8()]].concat();
+    let rows = [vertices.len(), edges.len()];
+    let mut out = create(path, &lead, &g.lifespan, rows, chunk_rows)?;
+    write_chunks(
+        &mut out,
+        Layout::Flat,
+        &vertices,
+        chunk_rows,
+        |v| (v.interval.start, v.interval.end),
+        |buf, v| {
+            buf.extend_from_slice(&v.vid.0.to_le_bytes());
+            put_interval(buf, &v.interval);
+            put_props(buf, &v.props)
+        },
+    )?;
+    write_chunks(
+        &mut out,
+        Layout::Flat,
+        &edges,
+        chunk_rows,
+        |e| (e.interval.start, e.interval.end),
+        |buf, e| {
+            for id in [e.eid.0, e.src.0, e.dst.0] {
+                buf.extend_from_slice(&id.to_le_bytes());
+            }
+            put_interval(buf, &e.interval);
+            put_props(buf, &e.props)
+        },
+    )?;
     out.flush()?;
     Ok(())
+}
+
+fn vertex_row<'a>(
+    buf: &mut &'a [u8],
+    props: &mut PropsDecoder<'a>,
+    range: Option<&Interval>,
+) -> Result<Option<VertexRecord>, DecodeError> {
+    let vid = get(buf, u64::from_le_bytes)?;
+    let interval = get_interval(buf)?;
+    let props = props.get_props(buf)?;
+    Ok(clip(interval, range).map(|interval| VertexRecord::new(vid, interval, props)))
+}
+
+fn edge_row<'a>(
+    buf: &mut &'a [u8],
+    props: &mut PropsDecoder<'a>,
+    range: Option<&Interval>,
+) -> Result<Option<EdgeRecord>, DecodeError> {
+    let mut id = || get(buf, u64::from_le_bytes);
+    let (eid, src, dst) = (id()?, id()?, id()?);
+    let interval = get_interval(buf)?;
+    let props = props.get_props(buf)?;
+    Ok(clip(interval, range).map(|interval| EdgeRecord::new(eid, src, dst, interval, props)))
 }
 
 /// Reads a `.tgc` file, applying time-range pushdown when `range` is given:
@@ -281,105 +514,20 @@ pub fn read_tgc(
     path: &Path,
     range: Option<Interval>,
 ) -> Result<(TGraph, SortOrder, ScanStats), StorageError> {
-    let file = File::open(path)?;
-    let mut input = BufReader::new(file);
-    let mut magic = [0u8; 5];
-    input.read_exact(&mut magic)?;
-    if &magic[..4] != MAGIC {
-        return Err(DecodeError::BadMagic.into());
-    }
-    let order = SortOrder::from_u8(magic[4])?;
-    let mut head = [0u8; 24];
-    input.read_exact(&mut head)?;
-    let mut buf = Bytes::copy_from_slice(&head);
-    let lifespan = get_interval(&mut buf)?;
-    let v_chunks = buf.get_u32_le();
-    let e_chunks = buf.get_u32_le();
-
-    let mut stats = ScanStats::default();
-    let mut vertices: Vec<VertexRecord> = Vec::new();
-    let mut edges: Vec<EdgeRecord> = Vec::new();
-
-    let mut read_section = |input: &mut BufReader<File>,
-                            chunks: u32,
-                            is_vertex: bool,
-                            vertices: &mut Vec<VertexRecord>,
-                            edges: &mut Vec<EdgeRecord>|
-     -> Result<(), StorageError> {
-        for _ in 0..chunks {
-            let header = read_chunk_header(input)?;
-            let skip = match &range {
-                Some(r) => !header.stats.may_overlap(r),
-                None => false,
-            };
-            if skip {
-                // Pushdown: seek past the payload without decoding.
-                std::io::copy(&mut input.take(header.len as u64), &mut std::io::sink())?;
-                stats.chunks_skipped += 1;
-                continue;
-            }
-            let mut payload = vec![0u8; header.len as usize];
-            input.read_exact(&mut payload)?;
-            if checksum(&payload) != header.checksum {
-                return Err(DecodeError::ChecksumMismatch.into());
-            }
-            stats.chunks_read += 1;
-            let mut bytes = &payload[..];
-            let mut decoder = PropsDecoder::default();
-            for _ in 0..header.stats.rows {
-                if is_vertex {
-                    if bytes.remaining() < 8 {
-                        return Err(DecodeError::UnexpectedEof.into());
-                    }
-                    let vid = bytes.get_u64_le();
-                    let interval = get_interval(&mut bytes)?;
-                    let props = decoder.get_props(&mut bytes)?;
-                    stats.rows_read += 1;
-                    let clipped = match &range {
-                        Some(r) => interval.intersect(r),
-                        None => Some(interval),
-                    };
-                    if let Some(interval) = clipped {
-                        vertices.push(VertexRecord::new(vid, interval, props));
-                    }
-                } else {
-                    if bytes.remaining() < 24 {
-                        return Err(DecodeError::UnexpectedEof.into());
-                    }
-                    let eid = bytes.get_u64_le();
-                    let src = bytes.get_u64_le();
-                    let dst = bytes.get_u64_le();
-                    let interval = get_interval(&mut bytes)?;
-                    let props = decoder.get_props(&mut bytes)?;
-                    stats.rows_read += 1;
-                    let clipped = match &range {
-                        Some(r) => interval.intersect(r),
-                        None => Some(interval),
-                    };
-                    if let Some(interval) = clipped {
-                        edges.push(EdgeRecord::new(eid, src, dst, interval, props));
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-
-    read_section(&mut input, v_chunks, true, &mut vertices, &mut edges)?;
-    read_section(&mut input, e_chunks, false, &mut vertices, &mut edges)?;
-
-    let lifespan = match range {
-        Some(r) => lifespan.intersect(&r).unwrap_or(Interval::empty()),
-        None => lifespan,
-    };
+    let (mut scan, head) = Scan::open(path, Layout::Flat)?;
+    let range = range.as_ref();
+    let mut scanned = ScanStats::default();
+    let vertices = scan.rows(head.chunks[0], range, &mut scanned, vertex_row)?;
+    let edges = scan.rows(head.chunks[1], range, &mut scanned, edge_row)?;
+    let lifespan = clip(head.lifespan, range).unwrap_or(Interval::empty());
     Ok((
         TGraph {
             lifespan,
             vertices,
             edges,
         },
-        order,
-        stats,
+        head.order,
+        scanned,
     ))
 }
 
@@ -417,7 +565,7 @@ impl TgcStats {
 pub fn estimate_rows(chunks: &[ChunkStats], range: Option<&Interval>) -> u64 {
     chunks
         .iter()
-        .filter(|c| range.is_none_or(|r| c.may_overlap(r)))
+        .filter(|c| c.in_scan(range))
         .map(|c| u64::from(c.rows))
         .sum()
 }
@@ -425,38 +573,21 @@ pub fn estimate_rows(chunks: &[ChunkStats], range: Option<&Interval>) -> u64 {
 /// Reads only the file header and chunk headers of a `.tgc` file, seeking
 /// past every payload — O(chunks), not O(rows).
 pub fn read_tgc_stats(path: &Path) -> Result<TgcStats, StorageError> {
-    let file = File::open(path)?;
-    let mut input = BufReader::new(file);
-    let mut magic = [0u8; 5];
-    input.read_exact(&mut magic)?;
-    if &magic[..4] != MAGIC {
-        return Err(DecodeError::BadMagic.into());
-    }
-    let order = SortOrder::from_u8(magic[4])?;
-    let mut head = [0u8; 24];
-    input.read_exact(&mut head)?;
-    let mut buf = Bytes::copy_from_slice(&head);
-    let lifespan = get_interval(&mut buf)?;
-    let v_chunks = buf.get_u32_le();
-    let e_chunks = buf.get_u32_le();
-
-    let read_headers =
-        |input: &mut BufReader<File>, chunks: u32| -> Result<Vec<ChunkStats>, StorageError> {
-            let mut out = Vec::with_capacity(chunks as usize);
-            for _ in 0..chunks {
-                let header = read_chunk_header(input)?;
-                std::io::copy(&mut input.take(header.len as u64), &mut std::io::sink())?;
-                out.push(header.stats);
-            }
-            Ok(out)
+    let (mut scan, head) = Scan::open(path, Layout::Flat)?;
+    let mut headers = |chunks: u32| -> Result<Vec<ChunkStats>, StorageError> {
+        let mut out = Vec::new();
+        let keep_none = |stats: &ChunkStats| {
+            out.push(*stats);
+            false
         };
-    let vertex_chunks = read_headers(&mut input, v_chunks)?;
-    let edge_chunks = read_headers(&mut input, e_chunks)?;
+        scan.walk(chunks, &mut ScanStats::default(), keep_none, |_, _| Ok(()))?;
+        Ok(out)
+    };
     Ok(TgcStats {
-        lifespan,
-        order,
-        vertex_chunks,
-        edge_chunks,
+        lifespan: head.lifespan,
+        order: head.order,
+        vertex_chunks: headers(head.chunks[0])?,
+        edge_chunks: headers(head.chunks[1])?,
     })
 }
 

@@ -13,7 +13,7 @@
 //!   physical representations from disk with an optional date-range filter.
 //! * [`pool`] — the load-once [`GraphPool`]: `Arc`-shared graph handles for
 //!   long-lived processes (the serving layer) with single-flight loading.
-//! * [`encode`] — the byte-level row encoding (hand-rolled on `bytes`).
+//! * [`encode`] — the byte-level row encoding (hand-rolled on `std`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,7 +27,7 @@ pub mod nested;
 pub mod pool;
 
 pub use encode::{DecodeError, EncodeError};
-pub use epochs::{append_epoch, current_end, current_epoch, read_epochs, EpochEntry};
+pub use epochs::{append_epoch, current_end, read_epochs, EpochEntry};
 pub use format::{
     estimate_rows, read_tgc, read_tgc_stats, write_tgc, ChunkStats, ScanStats, SortOrder,
     StorageError, TgcStats,

@@ -17,27 +17,36 @@ use std::path::{Path, PathBuf};
 use tgraph_core::coalesce::coalesce_group;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::time::Interval;
-use tgraph_dataflow::{Dataset, Runtime};
-use tgraph_repr::og::{OgEdge, OgGraph, OgVertex};
+use tgraph_dataflow::Runtime;
+use tgraph_repr::og::OgGraph;
 use tgraph_repr::{AnyGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
+
+/// `<stem>.temporal.tgc` or `<stem>.structural.tgc` under `dir`.
+pub(crate) fn flat_path(dir: &Path, stem: &str, order: SortOrder) -> PathBuf {
+    let suffix = match order {
+        SortOrder::Temporal => "temporal",
+        SortOrder::Structural => "structural",
+    };
+    dir.join(format!("{stem}.{suffix}.tgc"))
+}
+
+fn nested_path(dir: &Path, stem: &str) -> PathBuf {
+    dir.join(format!("{stem}.tgo"))
+}
+
+/// Writes the three encodings of `g` under one file-name stem: the
+/// dataset's name for the base, [`segment_stem`] for an epoch's segment.
+pub(crate) fn write_stem(dir: &Path, stem: &str, g: &TGraph) -> Result<(), StorageError> {
+    for order in [SortOrder::Temporal, SortOrder::Structural] {
+        write_tgc(&flat_path(dir, stem, order), g, order, DEFAULT_CHUNK_ROWS)?;
+    }
+    write_tgo(&nested_path(dir, stem), g, DEFAULT_CHUNK_ROWS)
+}
 
 /// Writes a dataset directory holding all on-disk encodings of a graph.
 pub fn write_dataset(dir: &Path, name: &str, g: &TGraph) -> Result<(), StorageError> {
     std::fs::create_dir_all(dir)?;
-    write_tgc(
-        &dir.join(format!("{name}.temporal.tgc")),
-        g,
-        SortOrder::Temporal,
-        DEFAULT_CHUNK_ROWS,
-    )?;
-    write_tgc(
-        &dir.join(format!("{name}.structural.tgc")),
-        g,
-        SortOrder::Structural,
-        DEFAULT_CHUNK_ROWS,
-    )?;
-    write_tgo(&dir.join(format!("{name}.tgo")), g, DEFAULT_CHUNK_ROWS)?;
-    Ok(())
+    write_stem(dir, name, g)
 }
 
 /// Loads TGraph datasets from disk into any physical representation.
@@ -45,6 +54,21 @@ pub fn write_dataset(dir: &Path, name: &str, g: &TGraph) -> Result<(), StorageEr
 pub struct GraphLoader {
     dir: PathBuf,
     name: String,
+}
+
+/// The nested files of a dataset read and merged: base rows with every
+/// epoch segment folded in.
+struct Nested {
+    lifespan: Interval,
+    vertices: Vec<NestedRow>,
+    edges: Vec<NestedRow>,
+    scan: ScanStats,
+}
+
+/// The epoch a load of the files `epochs` lists is stamped with (0 for a
+/// base-only dataset).
+pub(crate) fn last_epoch(epochs: &[EpochEntry]) -> u64 {
+    epochs.last().map_or(0, |e| e.epoch)
 }
 
 impl GraphLoader {
@@ -56,32 +80,6 @@ impl GraphLoader {
         }
     }
 
-    fn flat_path(&self, order: SortOrder) -> PathBuf {
-        let suffix = match order {
-            SortOrder::Temporal => "temporal",
-            SortOrder::Structural => "structural",
-        };
-        self.dir.join(format!("{}.{suffix}.tgc", self.name))
-    }
-
-    fn nested_path(&self) -> PathBuf {
-        self.dir.join(format!("{}.tgo", self.name))
-    }
-
-    fn segment_flat_path(&self, epoch: u64, order: SortOrder) -> PathBuf {
-        let suffix = match order {
-            SortOrder::Temporal => "temporal",
-            SortOrder::Structural => "structural",
-        };
-        self.dir
-            .join(format!("{}.{suffix}.tgc", segment_stem(&self.name, epoch)))
-    }
-
-    fn segment_nested_path(&self, epoch: u64) -> PathBuf {
-        self.dir
-            .join(format!("{}.tgo", segment_stem(&self.name, epoch)))
-    }
-
     /// The dataset's committed epoch list (empty for a base-only dataset).
     pub fn epochs(&self) -> Result<Vec<EpochEntry>, StorageError> {
         read_epochs(&self.dir, &self.name)
@@ -89,7 +87,7 @@ impl GraphLoader {
 
     /// The dataset's current epoch number (0 for a base-only dataset).
     pub fn current_epoch(&self) -> Result<u64, StorageError> {
-        Ok(self.epochs()?.last().map_or(0, |e| e.epoch))
+        Ok(last_epoch(&self.epochs()?))
     }
 
     /// Header-only chunk statistics of the flat file with the given sort
@@ -98,9 +96,10 @@ impl GraphLoader {
     /// Aggregates the base file with every committed epoch segment, so the
     /// estimate stays truthful after ingest.
     pub fn flat_stats(&self, order: SortOrder) -> Result<crate::TgcStats, StorageError> {
-        let mut stats = crate::read_tgc_stats(&self.flat_path(order))?;
+        let mut stats = crate::read_tgc_stats(&flat_path(&self.dir, &self.name, order))?;
         for entry in self.epochs()? {
-            let s = crate::read_tgc_stats(&self.segment_flat_path(entry.epoch, order))?;
+            let stem = segment_stem(&self.name, entry.epoch);
+            let s = crate::read_tgc_stats(&flat_path(&self.dir, &stem, order))?;
             stats.lifespan = stats.lifespan.hull(&s.lifespan);
             stats.vertex_chunks.extend(s.vertex_chunks);
             stats.edge_chunks.extend(s.edge_chunks);
@@ -117,12 +116,21 @@ impl GraphLoader {
         order: SortOrder,
         range: Option<Interval>,
     ) -> Result<(TGraph, ScanStats), StorageError> {
-        let (mut g, _, mut stats) = read_tgc(&self.flat_path(order), range)?;
-        for entry in self.epochs()? {
-            let (d, _, s) = read_tgc(&self.segment_flat_path(entry.epoch, order), range)?;
-            stats.chunks_skipped += s.chunks_skipped;
-            stats.chunks_read += s.chunks_read;
-            stats.rows_read += s.rows_read;
+        self.flat_at(order, range, &self.epochs()?)
+    }
+
+    /// [`GraphLoader::load_flat`] over the segments `epochs` lists.
+    fn flat_at(
+        &self,
+        order: SortOrder,
+        range: Option<Interval>,
+        epochs: &[EpochEntry],
+    ) -> Result<(TGraph, ScanStats), StorageError> {
+        let (mut g, _, mut stats) = read_tgc(&flat_path(&self.dir, &self.name, order), range)?;
+        for entry in epochs {
+            let stem = segment_stem(&self.name, entry.epoch);
+            let (d, _, s) = read_tgc(&flat_path(&self.dir, &stem, order), range)?;
+            stats.add(s);
             g.lifespan = g.lifespan.hull(&d.lifespan);
             g.vertices.extend(d.vertices);
             g.edges.extend(d.edges);
@@ -137,8 +145,42 @@ impl GraphLoader {
         epoch: u64,
         range: Option<Interval>,
     ) -> Result<(TGraph, ScanStats), StorageError> {
-        let (g, _, stats) = read_tgc(&self.segment_flat_path(epoch, SortOrder::Temporal), range)?;
+        let stem = segment_stem(&self.name, epoch);
+        let (g, _, stats) = read_tgc(&flat_path(&self.dir, &stem, SortOrder::Temporal), range)?;
         Ok((g, stats))
+    }
+
+    /// Reads the base nested file and folds in every epoch segment `epochs`
+    /// lists: per-entity histories concatenate and re-coalesce (a state
+    /// continuing across an epoch boundary merges back into one interval),
+    /// brand-new entities append, and the whole row set re-sorts by id for
+    /// determinism.
+    fn nested_at(
+        &self,
+        range: Option<Interval>,
+        epochs: &[EpochEntry],
+    ) -> Result<Nested, StorageError> {
+        let (lifespan, vertices, edges, scan) =
+            read_tgo(&nested_path(&self.dir, &self.name), range)?;
+        let mut n = Nested {
+            lifespan,
+            vertices,
+            edges,
+            scan,
+        };
+        for entry in epochs {
+            let stem = segment_stem(&self.name, entry.epoch);
+            let (ls, dv, de, s) = read_tgo(&nested_path(&self.dir, &stem), range)?;
+            n.lifespan = n.lifespan.hull(&ls);
+            n.scan.add(s);
+            merge_nested(&mut n.vertices, dv);
+            merge_nested(&mut n.edges, de);
+        }
+        if !epochs.is_empty() {
+            n.vertices.sort_by_key(|r| (r.id, r.src, r.dst));
+            n.edges.sort_by_key(|r| (r.id, r.src, r.dst));
+        }
+        Ok(n)
     }
 
     /// Loads VE from the temporally sorted flat file (the §4 choice: the
@@ -148,25 +190,17 @@ impl GraphLoader {
         rt: &Runtime,
         range: Option<Interval>,
     ) -> Result<(VeGraph, ScanStats), StorageError> {
-        let (g, stats) = self.load_flat(SortOrder::Temporal, range)?;
-        Ok((
-            VeGraph::from_tgraph_at(rt, &g, self.current_epoch()?),
-            stats,
-        ))
+        self.ve_at(rt, range, &self.epochs()?)
     }
 
-    /// Loads RG from the structurally sorted flat file (start-then-id order;
-    /// snapshot materialization reads contiguous runs).
-    pub fn load_rg(
+    fn ve_at(
         &self,
         rt: &Runtime,
         range: Option<Interval>,
-    ) -> Result<(RgGraph, ScanStats), StorageError> {
-        let (g, stats) = self.load_flat(SortOrder::Structural, range)?;
-        Ok((
-            RgGraph::from_tgraph_at(rt, &g, self.current_epoch()?),
-            stats,
-        ))
+        epochs: &[EpochEntry],
+    ) -> Result<(VeGraph, ScanStats), StorageError> {
+        let (g, scan) = self.flat_at(SortOrder::Temporal, range, epochs)?;
+        Ok((VeGraph::from_tgraph_at(rt, &g, last_epoch(epochs)), scan))
     }
 
     /// Loads OG from the nested file: history arrays come pre-grouped, so no
@@ -176,82 +210,23 @@ impl GraphLoader {
         rt: &Runtime,
         range: Option<Interval>,
     ) -> Result<(OgGraph, ScanStats), StorageError> {
-        let (lifespan, v_rows, e_rows, stats, epoch) = self.load_nested(range)?;
-        let vertices: Vec<OgVertex> = v_rows
-            .into_iter()
-            .map(|r| OgVertex {
-                vid: VertexId(r.id),
-                history: r.history,
-            })
-            .collect();
-        let vertex_index: std::collections::HashMap<u64, &OgVertex> =
-            vertices.iter().map(|v| (v.vid.0, v)).collect();
-        // An endpoint outside the loaded range has no history to copy.
-        let copy_of = |vid: u64| match vertex_index.get(&vid) {
-            Some(v) => (*v).clone(),
-            None => OgVertex {
-                vid: VertexId(vid),
-                history: Vec::new(),
-            },
-        };
-        let edges: Vec<OgEdge> = e_rows
-            .into_iter()
-            .map(|r| OgEdge {
-                eid: EdgeId(r.id),
-                src: copy_of(r.src),
-                dst: copy_of(r.dst),
-                history: r.history,
-            })
-            .collect();
-        Ok((
-            OgGraph {
-                lifespan,
-                vertices: Dataset::from_vec_tagged(rt, vertices, epoch),
-                edges: Dataset::from_vec_tagged(rt, edges, epoch),
-            },
-            stats,
-        ))
+        self.og_at(rt, range, &self.epochs()?)
     }
 
-    /// Loads OGC from the nested file (topology + type only).
-    pub fn load_ogc(
+    fn og_at(
         &self,
         rt: &Runtime,
         range: Option<Interval>,
-    ) -> Result<(OgcGraph, ScanStats), StorageError> {
-        let (lifespan, v_rows, e_rows, stats, epoch) = self.load_nested(range)?;
-        let g = nested_to_tgraph(lifespan, v_rows, e_rows);
-        Ok((OgcGraph::from_tgraph_at(rt, &g, epoch), stats))
-    }
-
-    /// Reads the base nested file and folds in every committed epoch
-    /// segment: per-entity histories concatenate and re-coalesce (a state
-    /// continuing across an epoch boundary merges back into one interval),
-    /// brand-new entities append, and the whole row set re-sorts by id for
-    /// determinism.
-    #[allow(clippy::type_complexity)]
-    fn load_nested(
-        &self,
-        range: Option<Interval>,
-    ) -> Result<(Interval, Vec<NestedRow>, Vec<NestedRow>, ScanStats, u64), StorageError> {
-        let (mut lifespan, mut v_rows, mut e_rows, mut stats) =
-            read_tgo(&self.nested_path(), range)?;
-        let epochs = self.epochs()?;
-        let epoch = epochs.last().map_or(0, |e| e.epoch);
-        for entry in &epochs {
-            let (ls, dv, de, s) = read_tgo(&self.segment_nested_path(entry.epoch), range)?;
-            lifespan = lifespan.hull(&ls);
-            stats.chunks_skipped += s.chunks_skipped;
-            stats.chunks_read += s.chunks_read;
-            stats.rows_read += s.rows_read;
-            merge_nested(&mut v_rows, dv);
-            merge_nested(&mut e_rows, de);
-        }
-        if !epochs.is_empty() {
-            v_rows.sort_by_key(|r| (r.id, r.src, r.dst));
-            e_rows.sort_by_key(|r| (r.id, r.src, r.dst));
-        }
-        Ok((lifespan, v_rows, e_rows, stats, epoch))
+        epochs: &[EpochEntry],
+    ) -> Result<(OgGraph, ScanStats), StorageError> {
+        let n = self.nested_at(range, epochs)?;
+        let vertices = n.vertices.into_iter().map(|r| (VertexId(r.id), r.history));
+        let edges = n
+            .edges
+            .into_iter()
+            .map(|r| (EdgeId(r.id), VertexId(r.src), VertexId(r.dst), r.history));
+        let og = OgGraph::from_histories(rt, n.lifespan, vertices, edges, last_epoch(epochs));
+        Ok((og, n.scan))
     }
 
     /// Loads any representation, using the file layout best suited to it.
@@ -261,22 +236,43 @@ impl GraphLoader {
         kind: ReprKind,
         range: Option<Interval>,
     ) -> Result<(AnyGraph, ScanStats), StorageError> {
+        self.load_at(rt, kind, range, &self.epochs()?)
+    }
+
+    /// [`GraphLoader::load`] from one reading of the manifest: `epochs`
+    /// decides both which segments are read and the epoch the lineage leaves
+    /// are stamped with, so the stamp cannot name a segment the load missed.
+    pub(crate) fn load_at(
+        &self,
+        rt: &Runtime,
+        kind: ReprKind,
+        range: Option<Interval>,
+        epochs: &[EpochEntry],
+    ) -> Result<(AnyGraph, ScanStats), StorageError> {
+        let epoch = last_epoch(epochs);
         Ok(match kind {
             ReprKind::Ve => {
-                let (g, s) = self.load_ve(rt, range)?;
+                let (g, s) = self.ve_at(rt, range, epochs)?;
                 (AnyGraph::Ve(g), s)
             }
+            // RG reads the structurally sorted file (start-then-id order;
+            // snapshot materialization reads contiguous runs).
             ReprKind::Rg => {
-                let (g, s) = self.load_rg(rt, range)?;
-                (AnyGraph::Rg(g), s)
+                let (g, s) = self.flat_at(SortOrder::Structural, range, epochs)?;
+                (AnyGraph::Rg(RgGraph::from_tgraph_at(rt, &g, epoch)), s)
             }
             ReprKind::Og => {
-                let (g, s) = self.load_og(rt, range)?;
+                let (g, s) = self.og_at(rt, range, epochs)?;
                 (AnyGraph::Og(g), s)
             }
+            // OGC reads the nested file too (topology + type only).
             ReprKind::Ogc => {
-                let (g, s) = self.load_ogc(rt, range)?;
-                (AnyGraph::Ogc(g), s)
+                let n = self.nested_at(range, epochs)?;
+                let g = nested_to_tgraph(n.lifespan, n.vertices, n.edges);
+                (
+                    AnyGraph::Ogc(OgcGraph::from_tgraph_at(rt, &g, epoch)),
+                    n.scan,
+                )
             }
         })
     }
@@ -308,37 +304,22 @@ fn merge_nested(rows: &mut Vec<NestedRow>, delta: Vec<NestedRow>) {
 }
 
 fn nested_to_tgraph(lifespan: Interval, v: Vec<NestedRow>, e: Vec<NestedRow>) -> TGraph {
-    let vertices = v
-        .into_iter()
-        .flat_map(|r| {
-            r.history
-                .into_iter()
-                .map(move |(interval, props)| VertexRecord {
-                    vid: VertexId(r.id),
-                    interval,
-                    props,
-                })
-        })
-        .collect();
-    let edges = e
-        .into_iter()
-        .flat_map(|r| {
-            r.history
-                .into_iter()
-                .map(move |(interval, props)| EdgeRecord {
-                    eid: EdgeId(r.id),
-                    src: VertexId(r.src),
-                    dst: VertexId(r.dst),
-                    interval,
-                    props,
-                })
-        })
-        .collect();
-    TGraph {
+    let mut g = TGraph {
         lifespan,
-        vertices,
-        edges,
+        vertices: Vec::new(),
+        edges: Vec::new(),
+    };
+    for r in v {
+        let states = r.history.into_iter();
+        g.vertices
+            .extend(states.map(|(iv, props)| VertexRecord::new(r.id, iv, props)));
     }
+    for r in e {
+        let states = r.history.into_iter();
+        g.edges
+            .extend(states.map(|(iv, props)| EdgeRecord::new(r.id, r.src, r.dst, iv, props)));
+    }
+    g
 }
 
 #[cfg(test)]

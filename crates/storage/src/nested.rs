@@ -10,18 +10,16 @@
 //! on those, restoring pushdown.
 
 use crate::encode::{
-    checked_count, checksum, get_interval, put_interval, put_props, DecodeError, PropsDecoder,
+    checked_count, get, get_interval, put_interval, put_props, DecodeError, EncodeError,
+    PropsDecoder,
 };
-use crate::format::{ScanStats, StorageError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use crate::format::{clip, create, write_chunks, Layout, Scan, ScanStats, StorageError};
+use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
-use tgraph_core::graph::{EdgeId, TGraph, VertexId};
+use tgraph_core::graph::TGraph;
 use tgraph_core::props::Props;
 use tgraph_core::time::Interval;
-
-const MAGIC: &[u8; 4] = b"TGO1";
 
 /// One nested entity row: identity columns, the first/last pushdown columns,
 /// and the history array.
@@ -44,87 +42,55 @@ pub struct NestedRow {
 /// Builds nested rows from a logical graph: one row per entity with its
 /// coalesced history.
 pub fn nest(g: &TGraph) -> (Vec<NestedRow>, Vec<NestedRow>) {
-    use std::collections::HashMap;
-    let mut v_hist: HashMap<VertexId, Vec<(Interval, Props)>> = HashMap::new();
-    for v in &g.vertices {
-        v_hist
-            .entry(v.vid)
-            .or_default()
-            .push((v.interval, v.props.clone()));
-    }
-    let mut vertices: Vec<NestedRow> = v_hist
-        .into_iter()
-        .map(|(vid, states)| {
-            let history = tgraph_core::coalesce::coalesce_group(states);
-            NestedRow {
-                id: vid.0,
-                src: 0,
-                dst: 0,
-                first: history.first().map(|(iv, _)| iv.start).unwrap_or(0),
-                last: history.last().map(|(iv, _)| iv.end).unwrap_or(0),
-                history,
-            }
-        })
-        .collect();
-    vertices.sort_by_key(|r| r.id);
-
-    let mut e_hist: HashMap<(EdgeId, VertexId, VertexId), Vec<(Interval, Props)>> = HashMap::new();
-    for e in &g.edges {
-        e_hist
-            .entry((e.eid, e.src, e.dst))
-            .or_default()
-            .push((e.interval, e.props.clone()));
-    }
-    let mut edges: Vec<NestedRow> = e_hist
-        .into_iter()
-        .map(|((eid, src, dst), states)| {
-            let history = tgraph_core::coalesce::coalesce_group(states);
-            NestedRow {
-                id: eid.0,
-                src: src.0,
-                dst: dst.0,
-                first: history.first().map(|(iv, _)| iv.start).unwrap_or(0),
-                last: history.last().map(|(iv, _)| iv.end).unwrap_or(0),
-                history,
-            }
-        })
-        .collect();
-    edges.sort_by_key(|r| (r.id, r.src, r.dst));
-    (vertices, edges)
+    let vertices = g
+        .vertices
+        .iter()
+        .map(|v| (v.vid.0, 0, 0, &v.interval, &v.props));
+    let edges = g
+        .edges
+        .iter()
+        .map(|e| (e.eid.0, e.src.0, e.dst.0, &e.interval, &e.props));
+    (nest_rows(vertices), nest_rows(edges))
 }
 
-fn write_rows<W: Write>(
-    out: &mut W,
-    rows: &[NestedRow],
-    chunk_rows: usize,
-) -> Result<(), StorageError> {
-    for chunk in rows.chunks(chunk_rows) {
-        let (mut min_first, mut max_last) = (i64::MAX, i64::MIN);
-        for r in chunk {
-            min_first = min_first.min(r.first);
-            max_last = max_last.max(r.last);
-        }
-        let mut payload = BytesMut::new();
-        for r in chunk {
-            payload.put_u64_le(r.id);
-            payload.put_u64_le(r.src);
-            payload.put_u64_le(r.dst);
-            payload.put_i64_le(r.first);
-            payload.put_i64_le(r.last);
-            payload.put_u32_le(checked_count(r.history.len())?);
-            for (iv, props) in &r.history {
-                put_interval(&mut payload, iv);
-                put_props(&mut payload, props)?;
+/// One row per `(id, src, dst)` with its states coalesced, in that order.
+fn nest_rows<'a>(
+    facts: impl Iterator<Item = (u64, u64, u64, &'a Interval, &'a Props)>,
+) -> Vec<NestedRow> {
+    let mut states: HashMap<(u64, u64, u64), Vec<(Interval, Props)>> = HashMap::new();
+    for (id, src, dst, interval, props) in facts {
+        let entity = states.entry((id, src, dst)).or_default();
+        entity.push((*interval, props.clone()));
+    }
+    let mut rows: Vec<NestedRow> = states
+        .into_iter()
+        .map(|((id, src, dst), states)| {
+            let history = tgraph_core::coalesce::coalesce_group(states);
+            NestedRow {
+                id,
+                src,
+                dst,
+                first: history.first().map(|(iv, _)| iv.start).unwrap_or(0),
+                last: history.last().map(|(iv, _)| iv.end).unwrap_or(0),
+                history,
             }
-        }
-        let mut head = BytesMut::with_capacity(32);
-        head.put_i64_le(min_first);
-        head.put_i64_le(max_last);
-        head.put_u32_le(checked_count(chunk.len())?);
-        head.put_u32_le(crate::format::checked_chunk_len(payload.len())?);
-        head.put_u64_le(checksum(&payload));
-        out.write_all(&head)?;
-        out.write_all(&payload)?;
+        })
+        .collect();
+    rows.sort_by_key(|r| (r.id, r.src, r.dst));
+    rows
+}
+
+fn put_row(buf: &mut Vec<u8>, r: &NestedRow) -> Result<(), EncodeError> {
+    for id in [r.id, r.src, r.dst] {
+        buf.extend_from_slice(&id.to_le_bytes());
+    }
+    for seen in [r.first, r.last] {
+        buf.extend_from_slice(&seen.to_le_bytes());
+    }
+    buf.extend_from_slice(&checked_count(r.history.len())?.to_le_bytes());
+    for (iv, props) in &r.history {
+        put_interval(buf, iv);
+        put_props(buf, props)?;
     }
     Ok(())
 }
@@ -133,100 +99,50 @@ fn write_rows<W: Write>(
 pub fn write_tgo(path: &Path, g: &TGraph, chunk_rows: usize) -> Result<(), StorageError> {
     let chunk_rows = chunk_rows.max(1);
     let (vertices, edges) = nest(g);
-    let file = File::create(path)?;
-    let mut out = BufWriter::new(file);
-    out.write_all(MAGIC)?;
-    let mut head = BytesMut::with_capacity(32);
-    put_interval(&mut head, &g.lifespan);
-    head.put_u32_le(checked_count(vertices.len().div_ceil(chunk_rows))?);
-    head.put_u32_le(checked_count(edges.len().div_ceil(chunk_rows))?);
-    out.write_all(&head)?;
-    write_rows(&mut out, &vertices, chunk_rows)?;
-    write_rows(&mut out, &edges, chunk_rows)?;
+    let rows = [vertices.len(), edges.len()];
+    let mut out = create(path, Layout::Nested.magic(), &g.lifespan, rows, chunk_rows)?;
+    for rows in [&vertices, &edges] {
+        // Pushdown statistics on the flat first/last columns.
+        let span = |r: &NestedRow| (r.first, r.last);
+        write_chunks(&mut out, Layout::Nested, rows, chunk_rows, span, put_row)?;
+    }
     out.flush()?;
     Ok(())
 }
 
-fn read_rows<R: Read>(
-    input: &mut R,
-    chunks: u32,
-    range: Option<Interval>,
-    stats: &mut ScanStats,
-    out: &mut Vec<NestedRow>,
-) -> Result<(), StorageError> {
-    for _ in 0..chunks {
-        let mut head = [0u8; 32];
-        input.read_exact(&mut head)?;
-        let mut buf = &head[..];
-        let min_first = buf.get_i64_le();
-        let max_last = buf.get_i64_le();
-        let rows = buf.get_u32_le();
-        let len = buf.get_u32_le();
-        let sum = buf.get_u64_le();
-        // Pushdown on the flat first/last columns.
-        if let Some(r) = &range {
-            if min_first >= r.end || max_last <= r.start {
-                std::io::copy(&mut input.take(len as u64), &mut std::io::sink())?;
-                stats.chunks_skipped += 1;
-                continue;
-            }
-        }
-        let mut payload = vec![0u8; len as usize];
-        input.read_exact(&mut payload)?;
-        if checksum(&payload) != sum {
-            return Err(DecodeError::ChecksumMismatch.into());
-        }
-        stats.chunks_read += 1;
-        let mut bytes = &payload[..];
-        let mut decoder = PropsDecoder::default();
-        for _ in 0..rows {
-            if bytes.remaining() < 44 {
-                return Err(DecodeError::UnexpectedEof.into());
-            }
-            let id = bytes.get_u64_le();
-            let src = bytes.get_u64_le();
-            let dst = bytes.get_u64_le();
-            let first = bytes.get_i64_le();
-            let last = bytes.get_i64_le();
-            let n = bytes.get_u32_le() as usize;
-            let mut history = Vec::with_capacity(n);
-            for _ in 0..n {
-                let iv = get_interval(&mut bytes)?;
-                let props = decoder.get_props(&mut bytes)?;
-                match &range {
-                    Some(r) => {
-                        if let Some(clipped) = iv.intersect(r) {
-                            history.push((clipped, props));
-                        }
-                    }
-                    None => history.push((iv, props)),
-                }
-            }
-            stats.rows_read += 1;
-            if history.is_empty() {
-                continue; // residual filter: entity entirely outside range
-            }
-            let first = if range.is_some() {
-                history.first().map(|(iv, _)| iv.start).unwrap_or(first)
-            } else {
-                first
-            };
-            let last = if range.is_some() {
-                history.last().map(|(iv, _)| iv.end).unwrap_or(last)
-            } else {
-                last
-            };
-            out.push(NestedRow {
-                id,
-                src,
-                dst,
-                first,
-                last,
-                history,
-            });
-        }
+fn get_row<'a>(
+    buf: &mut &'a [u8],
+    props: &mut PropsDecoder<'a>,
+    range: Option<&Interval>,
+) -> Result<Option<NestedRow>, DecodeError> {
+    let mut key = || get(buf, u64::from_le_bytes);
+    let (id, src, dst) = (key()?, key()?, key()?);
+    let mut seen = || get(buf, i64::from_le_bytes);
+    let (mut first, mut last) = (seen()?, seen()?);
+    let n = get(buf, u32::from_le_bytes)? as usize;
+    // A history item takes at least 18 bytes: the count cannot reserve more
+    // than the payload could hold.
+    let mut history = Vec::with_capacity(n.min(buf.len() / 18));
+    for _ in 0..n {
+        let iv = get_interval(buf)?;
+        let props = props.get_props(buf)?;
+        history.extend(clip(iv, range).map(|iv| (iv, props)));
     }
-    Ok(())
+    // Residual filter: an entity with no history inside the range is no row.
+    let (Some((head, _)), Some((tail, _))) = (history.first(), history.last()) else {
+        return Ok(None);
+    };
+    if range.is_some() {
+        (first, last) = (head.start, tail.end);
+    }
+    Ok(Some(NestedRow {
+        id,
+        src,
+        dst,
+        first,
+        last,
+        history,
+    }))
 }
 
 /// Reads a nested `.tgo` file with optional time-range pushdown.
@@ -234,30 +150,13 @@ pub fn read_tgo(
     path: &Path,
     range: Option<Interval>,
 ) -> Result<(Interval, Vec<NestedRow>, Vec<NestedRow>, ScanStats), StorageError> {
-    let file = File::open(path)?;
-    let mut input = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(DecodeError::BadMagic.into());
-    }
-    let mut head = [0u8; 24];
-    input.read_exact(&mut head)?;
-    let mut buf = Bytes::copy_from_slice(&head);
-    let lifespan = get_interval(&mut buf)?;
-    let v_chunks = buf.get_u32_le();
-    let e_chunks = buf.get_u32_le();
-
-    let mut stats = ScanStats::default();
-    let mut vertices = Vec::new();
-    let mut edges = Vec::new();
-    read_rows(&mut input, v_chunks, range, &mut stats, &mut vertices)?;
-    read_rows(&mut input, e_chunks, range, &mut stats, &mut edges)?;
-    let lifespan = match range {
-        Some(r) => lifespan.intersect(&r).unwrap_or(Interval::empty()),
-        None => lifespan,
-    };
-    Ok((lifespan, vertices, edges, stats))
+    let (mut scan, head) = Scan::open(path, Layout::Nested)?;
+    let range = range.as_ref();
+    let mut scanned = ScanStats::default();
+    let vertices = scan.rows(head.chunks[0], range, &mut scanned, get_row)?;
+    let edges = scan.rows(head.chunks[1], range, &mut scanned, get_row)?;
+    let lifespan = clip(head.lifespan, range).unwrap_or(Interval::empty());
+    Ok((lifespan, vertices, edges, scanned))
 }
 
 #[cfg(test)]

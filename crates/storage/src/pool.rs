@@ -15,7 +15,7 @@
 //! does the same disk read twice, and never holds its lock across I/O.
 
 use crate::format::{ScanStats, StorageError};
-use crate::loader::GraphLoader;
+use crate::loader::{last_epoch, GraphLoader};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,16 +50,16 @@ impl GraphLoader {
         kind: ReprKind,
         range: Option<Interval>,
     ) -> Result<SharedGraph, StorageError> {
-        // Epoch first: if an ingest lands between the two reads, the load
-        // sees at least the epoch's segments and carries an older stamp —
-        // the pool's floor check then reloads rather than serve a handle
-        // stamped newer than its contents could be the other way around.
-        let epoch = self.current_epoch()?;
-        let (graph, scan) = self.load(rt, kind, range)?;
+        // One reading of the manifest names the segments the load reads and
+        // the epoch on the handle. If an ingest lands afterwards the handle
+        // carries the older stamp and the pool's floor check reloads; a
+        // handle can never be stamped newer than its contents.
+        let epochs = self.epochs()?;
+        let (graph, scan) = self.load_at(rt, kind, range, &epochs)?;
         Ok(SharedGraph {
             graph: Arc::new(graph),
             scan,
-            epoch,
+            epoch: last_epoch(&epochs),
         })
     }
 }
