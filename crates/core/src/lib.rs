@@ -54,7 +54,6 @@
 // Dataflow operator signatures nest tuples and Arcs deeply by design.
 #![allow(clippy::type_complexity)]
 
-pub mod algebra;
 pub mod bitset;
 pub mod coalesce;
 pub mod graph;

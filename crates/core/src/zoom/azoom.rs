@@ -247,46 +247,6 @@ impl AggAccumulator {
         }
     }
 
-    /// Merges a sibling accumulator (map-side combine in the dataflow plans).
-    pub fn merge(&mut self, other: &AggAccumulator) {
-        debug_assert_eq!(self.specs.len(), other.specs.len());
-        for (mine, theirs) in self.states.iter_mut().zip(other.states.iter()) {
-            match (mine, theirs) {
-                (AggState::Count(a), AggState::Count(b)) => *a += b,
-                (AggState::Sum(a, sa), AggState::Sum(b, sb)) => {
-                    *a += b;
-                    *sa |= sb;
-                }
-                (AggState::Min(a), AggState::Min(b)) => {
-                    if let Some(bv) = b {
-                        if a.as_ref().is_none_or(|av| bv < av) {
-                            *a = Some(bv.clone());
-                        }
-                    }
-                }
-                (AggState::Max(a), AggState::Max(b)) => {
-                    if let Some(bv) = b {
-                        if a.as_ref().is_none_or(|av| bv > av) {
-                            *a = Some(bv.clone());
-                        }
-                    }
-                }
-                (AggState::Avg { sum: a, n: na }, AggState::Avg { sum: b, n: nb }) => {
-                    *a += b;
-                    *na += nb;
-                }
-                (AggState::Any(a), AggState::Any(b)) => {
-                    if let Some(bv) = b {
-                        if a.as_ref().is_none_or(|av| bv < av) {
-                            *a = Some(bv.clone());
-                        }
-                    }
-                }
-                _ => unreachable!("merging accumulators with different specs"),
-            }
-        }
-    }
-
     /// [`update`](AggAccumulator::update) for a sweep over time, where members
     /// join in start order rather than member order. Returns `false` — with
     /// the state then unspecified — if joining out of order could change the
@@ -350,17 +310,6 @@ impl AggAccumulator {
                     Some((&spec.output, value))
                 }),
         )
-    }
-}
-
-/// aZoom^T group aggregates are decomposable: partial accumulators over
-/// disjoint member slices (partitions, or epochs of an evolving graph)
-/// merge into the accumulator of the whole slice. This is the algebraic
-/// fact incremental zoom maintenance relies on — a delta's contribution to
-/// a group merges into the cached state without revisiting old members.
-impl tgraph_dataflow::Decomposable for AggAccumulator {
-    fn merge(&mut self, other: &Self) {
-        AggAccumulator::merge(self, other);
     }
 }
 
@@ -561,33 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_merge_equals_sequential_update() {
-        let specs: Arc<[AggSpec]> = Arc::from(vec![
-            AggSpec::count("n"),
-            AggSpec::new("mean", AggFn::Avg(Arc::from("editCount"))),
-            AggSpec::new("max", AggFn::Max(Arc::from("editCount"))),
-        ]);
-        let members: Vec<Props> = (0..10).map(|i| person(Some("MIT"), i)).collect();
-
-        let mut seq = AggAccumulator::new(specs.clone());
-        for m in &members {
-            seq.update(m);
-        }
-
-        let mut left = AggAccumulator::new(specs.clone());
-        let mut right = AggAccumulator::new(specs.clone());
-        for m in &members[..4] {
-            left.update(m);
-        }
-        for m in &members[4..] {
-            right.update(m);
-        }
-        left.merge(&right);
-
-        assert_eq!(seq.finish(&Props::new()), left.finish(&Props::new()));
-    }
-
-    #[test]
     fn aggregation_over_members_missing_property() {
         let spec = AZoomSpec::by_property(
             "school",
@@ -614,83 +536,5 @@ mod tests {
         assert_eq!(p.type_label(), Some("parity"));
         let (g1, _) = spec.skolemize(VertexId(3), &Props::typed("x")).unwrap();
         assert_eq!(g1, 1);
-    }
-
-    /// The [`tgraph_dataflow::Decomposable`] laws for aZoom^T accumulators:
-    /// splitting the member set at any point and merging the partial states
-    /// (in either order, with any association) finishes identically to one
-    /// sequential accumulation. This is the algebraic footing of both
-    /// per-partition combining and O(delta) incremental maintenance.
-    #[test]
-    fn accumulator_is_decomposable() {
-        let specs: Arc<[AggSpec]> = Arc::from(vec![
-            AggSpec::count("n"),
-            AggSpec::new("total", AggFn::Sum(Arc::from("gpa"))),
-            AggSpec::new("lo", AggFn::Min(Arc::from("gpa"))),
-            AggSpec::new("hi", AggFn::Max(Arc::from("gpa"))),
-            AggSpec::new("mean", AggFn::Avg(Arc::from("gpa"))),
-            AggSpec::new("pick", AggFn::Any(Arc::from("school"))),
-        ]);
-        let members: Vec<Props> = (0..13)
-            .map(|i| {
-                let p = Props::typed("person").with("gpa", (i as i64 % 5) as f64 + 0.25);
-                if i % 3 == 0 {
-                    p.with("school", if i % 2 == 0 { "MIT" } else { "CMU" })
-                } else {
-                    p
-                }
-            })
-            .collect();
-        let mut whole = AggAccumulator::new(specs.clone());
-        for m in &members {
-            whole.update(m);
-        }
-        let expected = whole.finish(&Props::typed("school"));
-        for split in [1, 4, 7, 12] {
-            let mut a = AggAccumulator::new(specs.clone());
-            let mut b = AggAccumulator::new(specs.clone());
-            for m in &members[..split] {
-                a.update(m);
-            }
-            for m in &members[split..] {
-                b.update(m);
-            }
-            // merge(a, b) == merge(b, a) == whole, through the trait.
-            let mut ab = a.clone();
-            tgraph_dataflow::Decomposable::merge(&mut ab, &b);
-            let mut ba = b.clone();
-            tgraph_dataflow::Decomposable::merge(&mut ba, &a);
-            assert_eq!(
-                ab.finish(&Props::typed("school")),
-                expected,
-                "split {split}"
-            );
-            assert_eq!(
-                ba.finish(&Props::typed("school")),
-                expected,
-                "split {split}"
-            );
-        }
-        // Associativity across a three-way split, via merge_states (which
-        // folds left) against a right-folded merge.
-        let thirds: Vec<AggAccumulator> = members
-            .chunks(5)
-            .map(|chunk| {
-                let mut acc = AggAccumulator::new(specs.clone());
-                for m in chunk {
-                    acc.update(m);
-                }
-                acc
-            })
-            .collect();
-        let left = tgraph_dataflow::merge_states(thirds.clone())
-            .expect("non-empty")
-            .finish(&Props::typed("school"));
-        let mut right = thirds[1].clone();
-        tgraph_dataflow::Decomposable::merge(&mut right, &thirds[2]);
-        let mut first = thirds[0].clone();
-        tgraph_dataflow::Decomposable::merge(&mut first, &right);
-        assert_eq!(left, expected);
-        assert_eq!(first.finish(&Props::typed("school")), expected);
     }
 }

@@ -14,9 +14,8 @@
 //! # Why a cut exists
 //!
 //! * `aZoom^T` is **snapshot-wise**: the zoomed graph at time `t` depends
-//!   only on the input snapshot at `t` (its group aggregates are
-//!   decomposable, `tgraph_dataflow::Decomposable`). It commutes with
-//!   slicing at any point, so `b` itself is a valid cut.
+//!   only on the input snapshot at `t`. It commutes with slicing at any
+//!   point, so `b` itself is a valid cut.
 //! * `wZoom^T` with [`WindowSpec::Points`]`(n)` windows is **grid-local**:
 //!   windows are `[L + k·n, L + (k+1)·n)` anchored at the input lifespan
 //!   start `L`, which the append never moves. A window before the cut sees

@@ -63,7 +63,6 @@
 pub mod cancel;
 pub mod config;
 pub mod dataset;
-pub mod decompose;
 pub mod exchange;
 pub mod governor;
 pub mod keyed;
@@ -77,7 +76,6 @@ pub mod sync;
 pub use cancel::{CancelToken, Cancelled};
 pub use config::EngineConfig;
 pub use dataset::{Dataset, Partitioning};
-pub use decompose::{merge_states, Decomposable};
 pub use exchange::{
     Exchange, ExchangeCounters, ExchangeError, Frame, Loopback, ShardLayout, TcpExchange,
 };

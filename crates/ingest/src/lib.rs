@@ -8,16 +8,17 @@
 //!   the dataset's current lifespan end, with typed rejection
 //!   ([`DeltaError`]) for empty intervals, out-of-order facts, and
 //!   conflicting duplicates.
-//! * [`AnyGraph::append_epoch`](tgraph_repr::AnyGraph::append_epoch) — the
-//!   in-memory O(delta) extension of a resident representation, used by
-//!   [`GraphPool::advance`](tgraph_storage::GraphPool::advance).
+//! * [`AnyGraph::append_epoch`](tgraph_repr::AnyGraph::append_epoch) — how
+//!   a resident representation reaches the next epoch without a reload
+//!   (VE and RG extend, OG and OGC are rebuilt through their constructors),
+//!   used by [`GraphPool::advance`](tgraph_storage::GraphPool::advance).
 //! * [`patch`] — incremental result maintenance over a
 //!   [`tgraph_query::Pipeline`]: `plan → suffix → execute → stitch`,
 //!   byte-identical to a cold recompute. The pipeline says which window
 //!   grids constrain the cut and [`Pipeline::execute`](tgraph_query::Pipeline::execute)
-//!   runs both the cold and the suffix side, so the property suite in
-//!   `tests/` (all four representations, with and without spilling) checks the
-//!   loop `tgraph-serve` runs.
+//!   runs both the cold and the suffix side; the property suite in `tests/`
+//!   (all four representations, with and without spilling) calls
+//!   [`patch_from_storage`], the function `tgraph-serve` calls.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -25,8 +26,5 @@ pub mod delta;
 pub mod patch;
 
 pub use delta::{DeltaError, SnapshotDelta};
-pub use patch::{
-    apply_delta, maintain, patch_from_storage, stitch, suffix_input, MaintenanceOutcome, NoPatch,
-    Patched,
-};
+pub use patch::{patch_from_storage, stitch, NoPatch, Patched};
 pub use tgraph_core::zoom::maintenance::MaintenanceDecision;

@@ -27,7 +27,6 @@
 //! O(history): the suffix read pushes `[c, ∞)` into the chunk statistics of
 //! the base file and every epoch segment.
 
-use crate::delta::SnapshotDelta;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::maintenance::{decide, MaintenanceDecision};
@@ -36,43 +35,6 @@ use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
 use tgraph_storage::format::{ScanStats, SortOrder, StorageError};
 use tgraph_storage::GraphLoader;
-
-/// The updated graph restricted to `[cut, ∞)`, with the lifespan **forced**
-/// to start at `cut` even when no fact starts exactly there — window grids
-/// anchor at the lifespan start, and the cut is by construction a point of
-/// every grid.
-pub fn suffix_input(full: &TGraph, cut: Time) -> TGraph {
-    let tail = Interval::new(cut, Time::MAX);
-    let vertices: Vec<VertexRecord> = full
-        .vertices
-        .iter()
-        .filter_map(|v| {
-            v.interval.intersect(&tail).map(|interval| VertexRecord {
-                vid: v.vid,
-                interval,
-                props: v.props.clone(),
-            })
-        })
-        .collect();
-    let edges: Vec<EdgeRecord> = full
-        .edges
-        .iter()
-        .filter_map(|e| {
-            e.interval.intersect(&tail).map(|interval| EdgeRecord {
-                eid: e.eid,
-                src: e.src,
-                dst: e.dst,
-                interval,
-                props: e.props.clone(),
-            })
-        })
-        .collect();
-    TGraph {
-        lifespan: Interval::new(cut, full.lifespan.end),
-        vertices,
-        edges,
-    }
-}
 
 /// Stitches a cached result with the suffix recompute: cached states
 /// truncated to `(-∞, cut)`, suffix states appended, both relations
@@ -110,54 +72,6 @@ pub fn stitch(cached: &TGraph, suffix: &TGraph, cut: Time) -> TGraph {
         lifespan: cached.lifespan.hull(&suffix.lifespan),
         vertices: tgraph_core::coalesce::coalesce_vertices(vertices),
         edges: tgraph_core::coalesce::coalesce_edges(edges),
-    }
-}
-
-/// How a result was brought up to date, with the counters the serve layer
-/// exports.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MaintenanceOutcome {
-    /// The cached result was patched at the given cut.
-    Patched {
-        /// The stitch point.
-        cut: Time,
-    },
-    /// The pipeline was recomputed from scratch.
-    Recomputed {
-        /// Why patching was not applicable.
-        reason: &'static str,
-    },
-}
-
-/// In-process maintenance: brings `cached` (the pipeline's result before the
-/// delta) up to date against `full` (the logical graph *after* the delta),
-/// patching when the decision allows and falling back to a cold recompute
-/// otherwise. Returns the fresh result and what was done.
-///
-/// This is the reference implementation the property suite checks against a
-/// cold recompute; the serve layer runs the same `plan → suffix → execute →
-/// stitch` sequence with the suffix read from disk ([`patch_from_storage`]).
-pub fn maintain(
-    rt: &Runtime,
-    full: &TGraph,
-    repr: ReprKind,
-    pipeline: &Pipeline,
-    cached: &TGraph,
-    boundary: Time,
-) -> (TGraph, MaintenanceOutcome) {
-    match decide(full.lifespan, boundary, &pipeline.window_grids()) {
-        MaintenanceDecision::Patch { cut } => {
-            let suffix = AnyGraph::load(rt, &suffix_input(full, cut), repr);
-            let out = pipeline.collect(rt, suffix);
-            (
-                stitch(cached, &out, cut),
-                MaintenanceOutcome::Patched { cut },
-            )
-        }
-        MaintenanceDecision::Recompute { reason } => (
-            pipeline.collect(rt, AnyGraph::load(rt, full, repr)),
-            MaintenanceOutcome::Recomputed { reason },
-        ),
     }
 }
 
@@ -228,18 +142,4 @@ pub fn patch_from_storage(
         cut,
         scan,
     })
-}
-
-/// Applies a validated delta to a logical graph — the "what the dataset
-/// looks like after ingest" half of [`maintain`], for in-process use and
-/// tests.
-pub fn apply_delta(base: &TGraph, delta: &SnapshotDelta) -> TGraph {
-    let mut vertices = base.vertices.clone();
-    vertices.extend(delta.vertices.iter().cloned());
-    let mut edges = base.edges.clone();
-    edges.extend(delta.edges.iter().cloned());
-    let mut g = TGraph::from_records(vertices, edges);
-    // An empty delta moves no time; keep the base lifespan.
-    g.lifespan = g.lifespan.hull(&base.lifespan);
-    g
 }

@@ -1,7 +1,10 @@
 //! The incremental-maintenance contract: `patch(cached, delta)` must be
 //! **indistinguishable** from a cold recompute over the post-ingest graph —
 //! same lifespan, same record set — for every representation (RG/VE/OG/OGC),
-//! every pipeline shape, with and without spilling. Record-set equality on
+//! every pipeline shape, with and without spilling. Every case goes through
+//! storage, as the server does: the base is written with `write_dataset`,
+//! the delta committed with `append_epoch`, and the patch is
+//! [`patch_from_storage`] reading the suffix back. Record-set equality on
 //! the deterministically sorted relations is exactly byte-identity under the
 //! serve layer's canonical serialization (which is a pure function of
 //! lifespan + sorted records).
@@ -11,14 +14,17 @@
 //! [`DeltaError`]s and never panic.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::{AZoomSpec, AggSpec, Quantifier, ResolveFn, WZoomSpec};
 use tgraph_dataflow::Runtime;
-use tgraph_ingest::{apply_delta, maintain, MaintenanceOutcome, SnapshotDelta};
+use tgraph_ingest::{patch_from_storage, NoPatch, Patched, SnapshotDelta};
 use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
+use tgraph_storage::{append_epoch, write_dataset, GraphLoader};
 
 const SCHOOLS: [&str; 3] = ["MIT", "CMU", "ETH"];
 
@@ -166,8 +172,8 @@ fn pipelines() -> Vec<(&'static str, Pipeline)> {
 
 /// A cold run through `Pipeline::execute`, the loop `tgraph-serve` answers a
 /// miss with.
-fn run_cold(rt: &Runtime, g: &TGraph, repr: ReprKind, pipeline: &Pipeline) -> TGraph {
-    pipeline.collect(rt, AnyGraph::load(rt, g, repr))
+fn run_cold(rt: &Runtime, g: AnyGraph, pipeline: &Pipeline) -> TGraph {
+    pipeline.collect(rt, g)
 }
 
 /// Record-set form of a result: what the canonical serialization hashes.
@@ -177,23 +183,81 @@ fn canonical(mut g: TGraph) -> (Interval, Vec<VertexRecord>, Vec<EdgeRecord>) {
     (g.lifespan, g.vertices, g.edges)
 }
 
+/// A dataset directory of its own, removed on drop, holding `base` with
+/// `delta` committed as epoch 1. Cases run on parallel threads, so no two
+/// share a directory.
+struct Stored {
+    dir: PathBuf,
+    loader: GraphLoader,
+}
+
+fn stored(base: &TGraph, delta: &SnapshotDelta) -> Stored {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "tgraph-patch-identity-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_dataset(&dir, "g", base).expect("write base");
+    append_epoch(&dir, "g", &delta.to_tgraph()).expect("append epoch");
+    let loader = GraphLoader::new(&dir, "g");
+    Stored { dir, loader }
+}
+
+impl Drop for Stored {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// One maintenance step as `tgraph-serve` runs it: the result cached before
+/// the ingest, what `patch_from_storage` makes of it, and the cold recompute
+/// over the stored post-ingest graph.
+struct Maintained {
+    cached: TGraph,
+    patched: Result<Patched, NoPatch>,
+    cold: TGraph,
+}
+
+fn maintain(
+    rt: &Runtime,
+    Stored { loader, .. }: &Stored,
+    base: &TGraph,
+    delta: &SnapshotDelta,
+    repr: ReprKind,
+    pipeline: &Pipeline,
+) -> Maintained {
+    let cached = run_cold(rt, AnyGraph::load(rt, base, repr), pipeline);
+    let (full, _) = loader.load(rt, repr, None).expect("load full");
+    let lifespan = full.lifespan();
+    let patched = patch_from_storage(rt, loader, lifespan, repr, pipeline, &cached, delta.since);
+    let cold = run_cold(rt, full, pipeline);
+    Maintained {
+        cached,
+        patched,
+        cold,
+    }
+}
+
 fn check_patch_matches_cold(rt: &Runtime, base: &TGraph, delta: &SnapshotDelta) {
     delta.validate().expect("generated delta must be valid");
-    let full = apply_delta(base, delta);
+    let stored = stored(base, delta);
     for (name, steps) in pipelines() {
         for repr in ReprKind::all() {
             // aZoom is undefined for the topology-only OGC representation.
             if steps.first_unsupported(repr).is_some() {
                 continue;
             }
-            let cached = run_cold(rt, base, repr, &steps);
-            let (patched, _outcome) = maintain(rt, &full, repr, &steps, &cached, delta.since);
-            let cold = run_cold(rt, &full, repr, &steps);
-            assert_eq!(
-                canonical(patched),
-                canonical(cold),
-                "pipeline {name} over {repr} diverged from cold recompute"
-            );
+            let m = maintain(rt, &stored, base, delta, repr, &steps);
+            // A planner refusal is answered cold; only a patch can diverge.
+            if let Ok(patched) = m.patched {
+                assert_eq!(
+                    canonical(patched.result),
+                    canonical(m.cold),
+                    "pipeline {name} over {repr} diverged from cold recompute"
+                );
+            }
         }
     }
 }
@@ -271,18 +335,13 @@ fn patch_path_is_taken_and_identical() {
         edges: vec![knows(1, 1, 2, 8, 11)],
     };
     delta.validate().unwrap();
-    let full = apply_delta(&base, &delta);
+    let stored = stored(&base, &delta);
     let steps = Pipeline::new().wzoom(WZoomSpec::points(2, Quantifier::Exists, Quantifier::Exists));
     for repr in ReprKind::all() {
-        let cached = run_cold(&rt, &base, repr, &steps);
-        let (patched, outcome) = maintain(&rt, &full, repr, &steps, &cached, delta.since);
-        assert_eq!(
-            outcome,
-            MaintenanceOutcome::Patched { cut: 8 },
-            "{repr}: aligned boundary must patch"
-        );
-        let cold = run_cold(&rt, &full, repr, &steps);
-        assert_eq!(canonical(patched), canonical(cold), "{repr}");
+        let m = maintain(&rt, &stored, &base, &delta, repr, &steps);
+        let patched = m.patched.unwrap_or_else(|e| panic!("{repr}: {e}"));
+        assert_eq!(patched.cut, 8, "{repr}: aligned boundary must patch");
+        assert_eq!(canonical(patched.result), canonical(m.cold), "{repr}");
     }
 }
 
@@ -294,12 +353,13 @@ fn empty_delta_patches_to_the_same_result() {
         vec![knows(1, 1, 2, 2, 5)],
     );
     let delta = SnapshotDelta::empty(6);
-    let full = apply_delta(&base, &delta);
-    assert_eq!(full.lifespan, base.lifespan);
+    let stored = stored(&base, &delta);
     let steps = Pipeline::new().wzoom(WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists));
-    let cached = run_cold(&rt, &base, ReprKind::Ve, &steps);
-    let (patched, _) = maintain(&rt, &full, ReprKind::Ve, &steps, &cached, delta.since);
-    assert_eq!(canonical(patched), canonical(cached.clone()));
+    let m = maintain(&rt, &stored, &base, &delta, ReprKind::Ve, &steps);
+    // An empty delta moves no time: the stored lifespan is the base's.
+    assert_eq!(m.cold.lifespan, m.cached.lifespan);
+    let patched = m.patched.expect("an empty delta patches");
+    assert_eq!(canonical(patched.result), canonical(m.cached));
 }
 
 #[test]
@@ -312,7 +372,7 @@ fn changes_windows_recompute() {
         vertices: vec![person(1, 7, 9, 0)],
         edges: Vec::new(),
     };
-    let full = apply_delta(&base, &delta);
+    let stored = stored(&base, &delta);
     // Changes-based windows depend on the global change-point list; they are
     // never patched.
     let steps = Pipeline::new().wzoom(WZoomSpec {
@@ -324,9 +384,12 @@ fn changes_windows_recompute() {
         vertex_overrides: Vec::new(),
         edge_overrides: Vec::new(),
     });
-    let cached = run_cold(&rt, &base, ReprKind::Ve, &steps);
-    let (patched, outcome) = maintain(&rt, &full, ReprKind::Ve, &steps, &cached, delta.since);
-    assert!(matches!(outcome, MaintenanceOutcome::Recomputed { .. }));
-    let cold = run_cold(&rt, &full, ReprKind::Ve, &steps);
-    assert_eq!(canonical(patched), canonical(cold));
+    let m = maintain(&rt, &stored, &base, &delta, ReprKind::Ve, &steps);
+    assert!(matches!(m.patched, Err(NoPatch::Recompute { .. })));
+    // The answer is then the cold run over what storage holds: the base's
+    // state and the delta's, one interval again.
+    let all = vec![person(1, 0, 9, 0)];
+    let direct = TGraph::from_records(all, Vec::new());
+    let expected = run_cold(&rt, AnyGraph::load(&rt, &direct, ReprKind::Ve), &steps);
+    assert_eq!(canonical(m.cold), canonical(expected));
 }

@@ -1,51 +1,46 @@
-//! In-memory epoch append: extends an already-loaded [`AnyGraph`] with the
-//! records of a freshly ingested epoch, without re-reading (or rebuilding)
-//! the resident history.
+//! In-memory epoch append: a resident [`AnyGraph`] reaches the next epoch
+//! through the same constructors a load uses, never through a second copy
+//! of a representation's layout.
 //!
 //! The delta obeys the **append invariant** (see
 //! `tgraph_core::zoom::maintenance`): every delta fact lies at or after the
-//! resident graph's lifespan end, so the resident structures never need to
-//! be *edited* — only extended:
+//! resident graph's lifespan end. Two representations extend, two rebuild:
 //!
 //! * **VE** — the delta tuples union onto the two relations (two `O(1)`
 //!   partition concatenations). The result is conservatively marked
 //!   uncoalesced: an entity whose state continues across the boundary now
 //!   has two mergeable tuples.
-//! * **RG** — the delta's snapshot sequence (built from the delta alone —
-//!   valid because no old fact is alive after the boundary) unions onto the
-//!   resident sequence. A fresh full build may also materialize empty gap
-//!   snapshots between the epochs; those emit no facts, so the logical
-//!   graph is unaffected.
-//! * **OG** — resident history arrays are extended in place (a narrow map):
-//!   per-entity delta states are appended and re-coalesced, including the
-//!   endpoint *copies* carried by edges; entirely new entities union on.
-//! * **OGC** — the delta's elementary intervals append to the shared
-//!   interval table (all of them sort after every resident interval), and
-//!   every bitset is re-sized to the new table; delta presence bits are set
-//!   at offset indices.
+//! * **RG** — the delta's snapshot sequence, built by
+//!   [`RgGraph::from_tgraph_at`] from the delta alone (no old fact is alive
+//!   after the boundary), unions onto the resident sequence. A fresh full
+//!   build may also materialize empty gap snapshots between the epochs;
+//!   those emit no facts, so the logical graph is unaffected.
+//! * **OG** — the resident's history arrays are collected, the delta's are
+//!   folded in ([`fold_histories`]) and [`OgGraph::from_histories`] builds
+//!   the graph again, endpoint copies included.
+//! * **OGC** — the resident's rows plus the delta's facts go through
+//!   [`OgcGraph::from_tgraph_at`], which lays out the interval table and
+//!   every bitset.
 //!
-//! In every case `append(load(base), delta) ≡ load(base ∪ delta)` *as a
-//! logical TGraph* — physical layouts (partition boundaries, gap snapshots,
-//! gap intervals) may differ, which downstream coalescing and the
-//! deterministic result serialization wash out. The ingest test-suite pins
-//! this with byte-identity checks across all four representations.
+//! An OG or OGC resident therefore stays what a load produces, a
+//! materialized source stamped with the epoch: its lineage does not deepen
+//! with the number of epochs and a later zoom re-executes no earlier
+//! append. The cost is one pass over the resident, like the collect the
+//! rebuild starts with. In every case `append(load(base), delta) ≡
+//! load(base ∪ delta)` *as a logical TGraph* — physical layouts (partition
+//! boundaries, gap snapshots) may differ, which downstream coalescing and
+//! the deterministic result serialization wash out; `tests/append_epochs.rs`
+//! pins this per representation, epoch after epoch.
 
-use crate::og::{OgEdge, OgGraph, OgVertex};
-use crate::ogc::{OgcEdge, OgcGraph, OgcVertex};
+use crate::common::{fold_histories, histories_of};
+use crate::og::{OgEdge, OgGraph};
+use crate::ogc::OgcGraph;
 use crate::rg::RgGraph;
 use crate::ve::VeGraph;
 use crate::AnyGraph;
-use std::collections::HashMap;
-use std::sync::Arc;
-use tgraph_core::bitset::Bitset;
-use tgraph_core::coalesce::coalesce_group;
-use tgraph_core::graph::{EdgeId, TGraph, VertexId};
-use tgraph_core::props::Props;
-use tgraph_core::splitter::splitter;
+use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
 use tgraph_dataflow::{Dataset, Runtime};
-
-type State = (Interval, Props);
 
 impl AnyGraph {
     /// The lifespan of the graph in its current representation.
@@ -59,9 +54,9 @@ impl AnyGraph {
     }
 
     /// Extends this graph with an ingested epoch's records (see the module
-    /// docs). `epoch` stamps the delta's source lineage leaves, so plans
-    /// over the appended graph fingerprint differently from pre-ingest
-    /// plans.
+    /// docs). `epoch` stamps the source lineage leaves the append creates,
+    /// so plans over the appended graph fingerprint differently from
+    /// pre-ingest plans.
     ///
     /// The caller guarantees the append invariant: every fact of `delta`
     /// starts at or after `self.lifespan().end`.
@@ -80,387 +75,46 @@ impl AnyGraph {
         );
         let lifespan = self.lifespan().hull(&delta.lifespan);
         match self {
-            AnyGraph::Ve(g) => AnyGraph::Ve(append_ve(rt, g, delta, lifespan, epoch)),
-            AnyGraph::Rg(g) => AnyGraph::Rg(append_rg(rt, g, delta, lifespan, epoch)),
-            AnyGraph::Og(g) => AnyGraph::Og(append_og(rt, g, delta, lifespan, epoch)),
-            AnyGraph::Ogc(g) => AnyGraph::Ogc(append_ogc(rt, g, delta, lifespan, epoch)),
-        }
-    }
-}
-
-fn append_ve(rt: &Runtime, g: &VeGraph, delta: &TGraph, lifespan: Interval, epoch: u64) -> VeGraph {
-    VeGraph {
-        lifespan,
-        vertices: g
-            .vertices
-            .union(&Dataset::from_vec_tagged(rt, delta.vertices.clone(), epoch)),
-        edges: g
-            .edges
-            .union(&Dataset::from_vec_tagged(rt, delta.edges.clone(), epoch)),
-        // A state continuing across the boundary is now two mergeable
-        // tuples; operators re-coalesce lazily.
-        coalesced: false,
-    }
-}
-
-fn append_rg(rt: &Runtime, g: &RgGraph, delta: &TGraph, lifespan: Interval, epoch: u64) -> RgGraph {
-    // Snapshots of the delta interval derive from the delta alone: nothing
-    // resident is alive after the boundary (the lifespan end is the hull of
-    // the resident facts' ends).
-    let tail = RgGraph::from_tgraph_at(rt, delta, epoch);
-    RgGraph {
-        lifespan,
-        snapshots: g.snapshots.union(&tail.snapshots),
-    }
-}
-
-fn append_og(rt: &Runtime, g: &OgGraph, delta: &TGraph, lifespan: Interval, epoch: u64) -> OgGraph {
-    // Per-entity delta states, grouped once.
-    let mut dv: HashMap<VertexId, Vec<State>> = HashMap::new();
-    for v in &delta.vertices {
-        dv.entry(v.vid)
-            .or_default()
-            .push((v.interval, v.props.clone()));
-    }
-    let mut de: HashMap<(EdgeId, VertexId, VertexId), Vec<State>> = HashMap::new();
-    for e in &delta.edges {
-        de.entry((e.eid, e.src, e.dst))
-            .or_default()
-            .push((e.interval, e.props.clone()));
-    }
-    let dv = Arc::new(dv);
-    let de = Arc::new(de);
-
-    // Resident entity keys (and vertex histories, for the endpoint copies of
-    // brand-new edges). One in-memory pass; no disk, no shuffle.
-    let old_vertices: HashMap<VertexId, Vec<State>> = g
-        .vertices
-        .collect(rt)
-        .into_iter()
-        .map(|v| (v.vid, v.history))
-        .collect();
-    let old_edge_keys: std::collections::HashSet<(EdgeId, VertexId, VertexId)> = g
-        .edges
-        .collect(rt)
-        .into_iter()
-        .map(|e| (e.eid, e.src.vid, e.dst.vid))
-        .collect();
-
-    let extend = |history: &[State], added: Option<&Vec<State>>| -> Vec<State> {
-        match added {
-            None => history.to_vec(),
-            Some(states) => {
-                let mut all = history.to_vec();
-                all.extend(states.iter().cloned());
-                coalesce_group(all)
+            AnyGraph::Ve(g) => AnyGraph::Ve(VeGraph {
+                lifespan,
+                vertices: g.vertices.union(&Dataset::from_vec_tagged(
+                    rt,
+                    delta.vertices.clone(),
+                    epoch,
+                )),
+                edges: g
+                    .edges
+                    .union(&Dataset::from_vec_tagged(rt, delta.edges.clone(), epoch)),
+                // A state continuing across the boundary is now two
+                // mergeable tuples; operators re-coalesce lazily.
+                coalesced: false,
+            }),
+            AnyGraph::Rg(g) => AnyGraph::Rg(RgGraph {
+                lifespan,
+                snapshots: g
+                    .snapshots
+                    .union(&RgGraph::from_tgraph_at(rt, delta, epoch).snapshots),
+            }),
+            AnyGraph::Og(g) => {
+                let (delta_vertices, delta_edges) = histories_of(delta);
+                let mut vertices = g.vertices.map(|v| (v.vid, v.history.clone())).collect(rt);
+                fold_histories(&mut vertices, delta_vertices);
+                // Only an edge's own history: its endpoint copies are made
+                // again from the folded vertex histories.
+                let keyed = |e: &OgEdge| ((e.eid, e.src.vid, e.dst.vid), e.history.clone());
+                let mut edges = g.edges.map(keyed).collect(rt);
+                fold_histories(&mut edges, delta_edges);
+                AnyGraph::Og(OgGraph::from_histories(
+                    rt, lifespan, vertices, edges, epoch,
+                ))
             }
-        }
-    };
-
-    // Resident vertices extend in place; new ones union on.
-    let dv_map = Arc::clone(&dv);
-    let vertices = g.vertices.map(move |v| OgVertex {
-        vid: v.vid,
-        history: match dv_map.get(&v.vid) {
-            None => v.history.clone(),
-            Some(states) => {
-                let mut all = v.history.clone();
-                all.extend(states.iter().cloned());
-                coalesce_group(all)
+            AnyGraph::Ogc(g) => {
+                let mut all = g.facts(rt);
+                all.lifespan = lifespan;
+                all.vertices.extend(delta.vertices.iter().cloned());
+                all.edges.extend(delta.edges.iter().cloned());
+                AnyGraph::Ogc(OgcGraph::from_tgraph_at(rt, &all, epoch))
             }
-        },
-    });
-    let mut new_vertices: Vec<OgVertex> = dv
-        .iter()
-        .filter(|(vid, _)| !old_vertices.contains_key(vid))
-        .map(|(vid, states)| OgVertex {
-            vid: *vid,
-            history: coalesce_group(states.clone()),
-        })
-        .collect();
-    new_vertices.sort_by_key(|v| v.vid);
-    let vertices = vertices.union(&Dataset::from_vec_tagged(rt, new_vertices, epoch));
-
-    // Resident edges extend their own history *and* their endpoint copies;
-    // new edges get endpoint copies with the full merged history.
-    let dv_map = Arc::clone(&dv);
-    let de_map = Arc::clone(&de);
-    let edges = g.edges.map(move |e| {
-        let extend_copy = |c: &OgVertex| -> OgVertex {
-            OgVertex {
-                vid: c.vid,
-                history: match dv_map.get(&c.vid) {
-                    None => c.history.clone(),
-                    Some(states) => {
-                        let mut all = c.history.clone();
-                        all.extend(states.iter().cloned());
-                        coalesce_group(all)
-                    }
-                },
-            }
-        };
-        OgEdge {
-            eid: e.eid,
-            src: extend_copy(&e.src),
-            dst: extend_copy(&e.dst),
-            history: match de_map.get(&(e.eid, e.src.vid, e.dst.vid)) {
-                None => e.history.clone(),
-                Some(states) => {
-                    let mut all = e.history.clone();
-                    all.extend(states.iter().cloned());
-                    coalesce_group(all)
-                }
-            },
-        }
-    });
-    let endpoint = |vid: VertexId| -> OgVertex {
-        OgVertex {
-            vid,
-            history: extend(
-                old_vertices.get(&vid).map(Vec::as_slice).unwrap_or(&[]),
-                dv.get(&vid),
-            ),
-        }
-    };
-    let mut new_edges: Vec<OgEdge> = de
-        .iter()
-        .filter(|(key, _)| !old_edge_keys.contains(key))
-        .map(|((eid, src, dst), states)| OgEdge {
-            eid: *eid,
-            src: endpoint(*src),
-            dst: endpoint(*dst),
-            history: coalesce_group(states.clone()),
-        })
-        .collect();
-    new_edges.sort_by_key(|e| (e.eid, e.src.vid, e.dst.vid));
-    let edges = edges.union(&Dataset::from_vec_tagged(rt, new_edges, epoch));
-
-    OgGraph {
-        lifespan,
-        vertices,
-        edges,
-    }
-}
-
-fn append_ogc(
-    rt: &Runtime,
-    g: &OgcGraph,
-    delta: &TGraph,
-    lifespan: Interval,
-    epoch: u64,
-) -> OgcGraph {
-    // The delta's elementary intervals all sort after every resident one
-    // (append invariant), so the shared table extends by concatenation.
-    let delta_ivs: Vec<Interval> = delta
-        .vertices
-        .iter()
-        .map(|v| v.interval)
-        .chain(delta.edges.iter().map(|e| e.interval))
-        .collect();
-    let tail = splitter(delta_ivs.iter());
-    let offset = g.intervals.len();
-    let mut intervals: Vec<Interval> = g.intervals.as_ref().clone();
-    intervals.extend(tail.iter().copied());
-    let intervals = Arc::new(intervals);
-    let new_len = intervals.len();
-
-    let index: HashMap<i64, usize> = tail
-        .iter()
-        .enumerate()
-        .map(|(i, iv)| (iv.start, i))
-        .collect();
-    let tail = Arc::new(tail);
-    let fill = {
-        let (index, tail) = (index, Arc::clone(&tail));
-        move |bits: &mut Bitset, iv: Interval| {
-            let mut t = iv.start;
-            while t < iv.end {
-                let i = index[&t];
-                bits.set(offset + i);
-                t = tail[i].end;
-            }
-        }
-    };
-
-    // Per-entity delta bitsets over the tail of the table.
-    let mut dv: HashMap<VertexId, (Arc<str>, Bitset)> = HashMap::new();
-    for v in &delta.vertices {
-        let label: Arc<str> = Arc::from(v.props.type_label().unwrap_or(""));
-        let entry = dv
-            .entry(v.vid)
-            .or_insert_with(|| (label, Bitset::new(new_len)));
-        fill(&mut entry.1, v.interval);
-    }
-    let mut de: HashMap<(EdgeId, VertexId, VertexId), (Arc<str>, Bitset)> = HashMap::new();
-    for e in &delta.edges {
-        let label: Arc<str> = Arc::from(e.props.type_label().unwrap_or(""));
-        let entry = de
-            .entry((e.eid, e.src, e.dst))
-            .or_insert_with(|| (label, Bitset::new(new_len)));
-        fill(&mut entry.1, e.interval);
-    }
-    let dv = Arc::new(dv);
-    let de = Arc::new(de);
-
-    let old_vids: std::collections::HashSet<VertexId> =
-        g.vertices.collect(rt).into_iter().map(|v| v.vid).collect();
-    let old_ekeys: std::collections::HashSet<(EdgeId, VertexId, VertexId)> = g
-        .edges
-        .collect(rt)
-        .into_iter()
-        .map(|e| (e.eid, e.src, e.dst))
-        .collect();
-
-    // Every resident bitset re-sizes to the new table; extended entities OR
-    // in their delta bits.
-    let dv_map = Arc::clone(&dv);
-    let vertices = g.vertices.map(move |v| {
-        let mut bits = Bitset::from_ones(new_len, v.intervals.iter_ones());
-        if let Some((_, added)) = dv_map.get(&v.vid) {
-            bits.or_with(added);
-        }
-        OgcVertex {
-            vid: v.vid,
-            vtype: v.vtype.clone(),
-            intervals: bits,
-        }
-    });
-    let mut new_vertices: Vec<OgcVertex> = dv
-        .iter()
-        .filter(|(vid, _)| !old_vids.contains(vid))
-        .map(|(vid, (vtype, bits))| OgcVertex {
-            vid: *vid,
-            vtype: vtype.clone(),
-            intervals: bits.clone(),
-        })
-        .collect();
-    new_vertices.sort_by_key(|v| v.vid);
-    let vertices = vertices.union(&Dataset::from_vec_tagged(rt, new_vertices, epoch));
-
-    let de_map = Arc::clone(&de);
-    let edges = g.edges.map(move |e| {
-        let mut bits = Bitset::from_ones(new_len, e.intervals.iter_ones());
-        if let Some((_, added)) = de_map.get(&(e.eid, e.src, e.dst)) {
-            bits.or_with(added);
-        }
-        OgcEdge {
-            eid: e.eid,
-            src: e.src,
-            dst: e.dst,
-            etype: e.etype.clone(),
-            intervals: bits,
-        }
-    });
-    let mut new_edges: Vec<OgcEdge> = de
-        .iter()
-        .filter(|(key, _)| !old_ekeys.contains(key))
-        .map(|((eid, src, dst), (etype, bits))| OgcEdge {
-            eid: *eid,
-            src: *src,
-            dst: *dst,
-            etype: etype.clone(),
-            intervals: bits.clone(),
-        })
-        .collect();
-    new_edges.sort_by_key(|e| (e.eid, e.src, e.dst));
-    let edges = edges.union(&Dataset::from_vec_tagged(rt, new_edges, epoch));
-
-    OgcGraph {
-        lifespan,
-        intervals,
-        vertices,
-        edges,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ReprKind;
-    use tgraph_core::coalesce::coalesce_graph;
-    use tgraph_core::graph::figure1_graph_stable_ids;
-    use tgraph_core::graph::{EdgeRecord, VertexRecord};
-
-    fn rt() -> Runtime {
-        Runtime::with_partitions(3, 3)
-    }
-
-    /// A delta extending Figure 1 past its lifespan end (9): Alice and the
-    /// Alice–Bob friendship continue, Dana appears.
-    fn delta() -> TGraph {
-        let g = figure1_graph_stable_ids();
-        let alice = g.vertices[0].clone();
-        let e1 = g.edges[0].clone();
-        TGraph::from_records(
-            vec![
-                VertexRecord {
-                    vid: alice.vid,
-                    interval: Interval::new(9, 13),
-                    props: alice.props.clone(),
-                },
-                VertexRecord {
-                    vid: VertexId(40),
-                    interval: Interval::new(10, 12),
-                    props: Props::typed("person").with("school", "MIT"),
-                },
-            ],
-            vec![EdgeRecord {
-                eid: e1.eid,
-                src: e1.src,
-                dst: e1.dst,
-                interval: Interval::new(9, 11),
-                props: e1.props.clone(),
-            }],
-        )
-    }
-
-    #[test]
-    fn append_matches_full_load_in_every_representation() {
-        let rt = rt();
-        let base = figure1_graph_stable_ids();
-        let d = delta();
-        let mut full = base.clone();
-        full.vertices.extend(d.vertices.clone());
-        full.edges.extend(d.edges.clone());
-        let full = TGraph::from_records(full.vertices, full.edges);
-        let expected = coalesce_graph(&full);
-        for kind in ReprKind::all() {
-            let appended = AnyGraph::load(&rt, &base, kind).append_epoch(&rt, &d, 1);
-            assert_eq!(appended.lifespan(), full.lifespan, "{kind}");
-            let got = coalesce_graph(&appended.to_tgraph(&rt));
-            let fresh = coalesce_graph(&AnyGraph::load(&rt, &full, kind).to_tgraph(&rt));
-            assert_eq!(got.vertices, fresh.vertices, "{kind}");
-            assert_eq!(got.edges, fresh.edges, "{kind}");
-            if kind != ReprKind::Ogc {
-                assert_eq!(got.vertices, expected.vertices, "{kind}");
-                assert_eq!(got.edges, expected.edges, "{kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_delta_is_identity() {
-        let rt = rt();
-        let base = figure1_graph_stable_ids();
-        let empty = TGraph::from_records(Vec::new(), Vec::new());
-        let g = AnyGraph::load(&rt, &base, ReprKind::Ve);
-        let out = g.append_epoch(&rt, &empty, 1);
-        assert_eq!(out.lifespan(), g.lifespan());
-        assert_eq!(out.to_tgraph(&rt).vertices, g.to_tgraph(&rt).vertices);
-    }
-
-    #[test]
-    fn append_changes_lineage_fingerprints() {
-        let rt = rt();
-        let base = figure1_graph_stable_ids();
-        let g = AnyGraph::load(&rt, &base, ReprKind::Ve);
-        let out = g.append_epoch(&rt, &delta(), 3);
-        for ((_, before), (_, after)) in g.lineages().iter().zip(out.lineages().iter()) {
-            assert_ne!(
-                tgraph_dataflow::lineage::fingerprint(before),
-                tgraph_dataflow::lineage::fingerprint(after),
-                "append must perturb the plan identity"
-            );
         }
     }
 }

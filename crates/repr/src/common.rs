@@ -2,9 +2,10 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 use tgraph_core::coalesce::{coalesce_group, is_coalesced_run};
-use tgraph_core::graph::VertexId;
+use tgraph_core::graph::{EdgeId, TGraph, VertexId};
 use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::{AZoomSpec, AggAccumulator};
@@ -24,6 +25,64 @@ pub fn coalesce_states(states: &[State]) -> Cow<'_, [State]> {
         Cow::Borrowed(states)
     } else {
         Cow::Owned(coalesce_group(states.to_vec()))
+    }
+}
+
+/// What identifies an edge entity: its id and its endpoint pair.
+pub type EdgeKey = (EdgeId, VertexId, VertexId);
+
+/// One relation as history arrays: one entry per entity, its states sorted
+/// by start and coalesced. What the OG constructor takes and what the nested
+/// `.tgo` file stores.
+pub type Histories<K> = Vec<(K, Vec<State>)>;
+
+/// The grouper: the facts of a logical graph as per-entity histories in key
+/// order, the vertex relation and the edge relation.
+pub fn histories_of(g: &TGraph) -> (Histories<VertexId>, Histories<EdgeKey>) {
+    let vertices = g
+        .vertices
+        .iter()
+        .map(|v| (v.vid, (v.interval, v.props.clone())));
+    let edges = g
+        .edges
+        .iter()
+        .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())));
+    (group_histories(vertices), group_histories(edges))
+}
+
+fn group_histories<K: Copy + Ord + Hash>(facts: impl Iterator<Item = (K, State)>) -> Histories<K> {
+    let mut by_key: HashMap<K, Vec<State>> = HashMap::new();
+    for (key, state) in facts {
+        by_key.entry(key).or_default().push(state);
+    }
+    let mut out: Histories<K> = by_key
+        .into_iter()
+        .map(|(key, states)| (key, coalesce_group(states)))
+        .collect();
+    out.sort_by_key(|(key, _)| *key);
+    out
+}
+
+/// The fold: extends `resident` with the histories of a later epoch. An
+/// entity present in both gets the epoch's states appended and is coalesced
+/// again (a state continuing across the epoch boundary merges back into one
+/// interval); untouched histories are not visited; new entities join at the
+/// end.
+pub fn fold_histories<K: Copy + Eq + Hash>(resident: &mut Histories<K>, epoch: Histories<K>) {
+    let index: HashMap<K, usize> = resident
+        .iter()
+        .enumerate()
+        .map(|(i, (key, _))| (*key, i))
+        .collect();
+    for (key, states) in epoch {
+        match index.get(&key) {
+            Some(&i) => {
+                let mut all = std::mem::take(&mut resident[i].1);
+                all.extend(states);
+                resident[i].1 = coalesce_group(all);
+            }
+            None => resident.push((key, states)),
+        }
     }
 }
 

@@ -27,9 +27,7 @@ pub mod convert;
 pub mod og;
 pub mod ogc;
 pub mod rg;
-pub mod select;
 pub mod spill;
-pub mod triplets;
 pub mod ve;
 
 pub use convert::AnyGraph;

@@ -9,8 +9,8 @@
 //! representation for `aZoom^T` and competitive everywhere (§5.4).
 
 use crate::common::{
-    aggregate_group_history, resolve_edge_states, resolve_vertex_states, rezoom_history,
-    GroupBases, State,
+    aggregate_group_history, histories_of, resolve_edge_states, resolve_vertex_states,
+    rezoom_history, EdgeKey, GroupBases, Histories, State,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,44 +88,24 @@ impl OgGraph {
     /// [`OgGraph::from_tgraph`] with the source lineage leaves stamped with
     /// the ingest epoch the records were loaded at (0 = base snapshot).
     pub fn from_tgraph_at(rt: &Runtime, g: &TGraph, epoch: u64) -> Self {
-        let mut v_hist: HashMap<VertexId, Vec<State>> = HashMap::new();
-        for v in &g.vertices {
-            v_hist
-                .entry(v.vid)
-                .or_default()
-                .push((v.interval, v.props.clone()));
-        }
-        let vertices = v_hist
-            .into_iter()
-            .map(|(vid, states)| (vid, coalesce_group(states)));
-
-        let mut e_hist: HashMap<(EdgeId, VertexId, VertexId), Vec<State>> = HashMap::new();
-        for e in &g.edges {
-            e_hist
-                .entry((e.eid, e.src, e.dst))
-                .or_default()
-                .push((e.interval, e.props.clone()));
-        }
-        let edges = e_hist
-            .into_iter()
-            .map(|((eid, src, dst), states)| (eid, src, dst, coalesce_group(states)));
+        let (vertices, edges) = histories_of(g);
         Self::from_histories(rt, g.lifespan, vertices, edges, epoch)
     }
 
     /// Builds OG from per-entity histories, each sorted by start and
-    /// coalesced: every edge `(id, source, destination, history)` receives
-    /// copies of its endpoints, rows are put in id order, and the source
-    /// lineage leaves are stamped with `epoch`. An endpoint without a vertex
-    /// row — a date-range load can leave one outside the range — is copied
-    /// with an empty history.
+    /// coalesced: every edge receives copies of its endpoints, rows are put
+    /// in id order, and the source lineage leaves are stamped with `epoch`.
+    /// An endpoint without a vertex row — a date-range load can leave one
+    /// outside the range — is copied with an empty history.
     pub fn from_histories(
         rt: &Runtime,
         lifespan: Interval,
-        vertices: impl Iterator<Item = (VertexId, Vec<State>)>,
-        edges: impl Iterator<Item = (EdgeId, VertexId, VertexId, Vec<State>)>,
+        vertices: Histories<VertexId>,
+        edges: Histories<EdgeKey>,
         epoch: u64,
     ) -> Self {
         let mut vertices: Vec<OgVertex> = vertices
+            .into_iter()
             .map(|(vid, history)| OgVertex { vid, history })
             .collect();
         vertices.sort_by_key(|v| v.vid);
@@ -138,7 +118,8 @@ impl OgGraph {
             },
         };
         let mut edges: Vec<OgEdge> = edges
-            .map(|(eid, src, dst, history)| OgEdge {
+            .into_iter()
+            .map(|((eid, src, dst), history)| OgEdge {
                 eid,
                 src: copy_of(src),
                 dst: copy_of(dst),

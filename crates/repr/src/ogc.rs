@@ -139,6 +139,12 @@ impl OgcGraph {
     /// Materializes the topology as a logical TGraph (entities carry only
     /// their `type` property), coalesced and deterministically sorted.
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
+        coalesce_graph(&self.facts(rt))
+    }
+
+    /// The rows as they are held: one fact per set bit, so every boundary of
+    /// the interval table is the start or end of some fact.
+    pub(crate) fn facts(&self, rt: &Runtime) -> TGraph {
         let elems = Arc::clone(&self.intervals);
         let vertices: Vec<VertexRecord> = self
             .vertices
@@ -169,11 +175,11 @@ impl OgcGraph {
                 }
             })
             .collect(rt);
-        coalesce_graph(&TGraph {
+        TGraph {
             lifespan: self.lifespan,
             vertices,
             edges,
-        })
+        }
     }
 
     /// Number of vertex records.

@@ -6,7 +6,6 @@
 use crate::og::{OgEdge, OgVertex};
 use crate::ogc::{OgcEdge, OgcVertex};
 use crate::rg::RgSnapshot;
-use crate::triplets::Triplet;
 use std::sync::Arc;
 use tgraph_core::bitset::Bitset;
 use tgraph_core::{EdgeId, Interval, Props, VertexId};
@@ -96,31 +95,6 @@ impl Spill for OgcEdge {
             dst: VertexId::unspill(r)?,
             etype: Arc::<str>::unspill(r)?,
             intervals: Bitset::unspill(r)?,
-        })
-    }
-}
-
-impl HeapSize for Triplet {
-    fn heap_bytes(&self) -> usize {
-        self.src.1.heap_bytes() + self.edge.heap_bytes() + self.dst.1.heap_bytes()
-    }
-}
-
-impl Spill for Triplet {
-    fn spill(&self, out: &mut Vec<u8>) {
-        self.eid.spill(out);
-        self.interval.spill(out);
-        self.src.spill(out);
-        self.edge.spill(out);
-        self.dst.spill(out);
-    }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        Ok(Triplet {
-            eid: EdgeId::unspill(r)?,
-            interval: Interval::unspill(r)?,
-            src: <(VertexId, Props)>::unspill(r)?,
-            edge: Props::unspill(r)?,
-            dst: <(VertexId, Props)>::unspill(r)?,
         })
     }
 }

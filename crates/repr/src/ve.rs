@@ -308,31 +308,6 @@ fn coalesced_edges(rt: &Runtime, edges: &Dataset<EdgeRecord>) -> Dataset<EdgeRec
         })
 }
 
-/// Rebuilds a [`VeGraph`] from already-collected records (used by loaders).
-pub fn ve_from_records(
-    rt: &Runtime,
-    lifespan: Interval,
-    vertices: Vec<VertexRecord>,
-    edges: Vec<EdgeRecord>,
-    coalesced: bool,
-) -> VeGraph {
-    // Loader-provided coalesced flags are trusted; verify in debug builds.
-    debug_assert!(
-        !coalesced
-            || tgraph_core::coalesce::graph_is_coalesced(&TGraph {
-                lifespan,
-                vertices: vertices.clone(),
-                edges: edges.clone()
-            })
-    );
-    VeGraph {
-        lifespan,
-        vertices: Dataset::from_vec(rt, vertices),
-        edges: Dataset::from_vec(rt, edges),
-        coalesced,
-    }
-}
-
 /// Convenience: coalesce a collected relation (used by tests).
 pub fn coalesce_collected(rt: &Runtime, g: &VeGraph) -> TGraph {
     let t = g.to_tgraph(rt);
@@ -444,7 +419,7 @@ mod tests {
             piece.interval = Interval::new(t, t + 1);
             g.vertices.push(piece);
         }
-        let ve = ve_from_records(&rt, g.lifespan, g.vertices.clone(), g.edges.clone(), false);
+        let ve = VeGraph::from_tgraph(&rt, &g);
         assert_eq!(ve.vertex_tuple_count(&rt), 11);
         let c = ve.coalesce(&rt);
         assert_eq!(c.vertex_tuple_count(&rt), 4);

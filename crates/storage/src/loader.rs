@@ -14,10 +14,10 @@ use crate::epochs::{read_epochs, segment_stem, EpochEntry};
 use crate::format::{read_tgc, write_tgc, ScanStats, SortOrder, StorageError, DEFAULT_CHUNK_ROWS};
 use crate::nested::{read_tgo, write_tgo, NestedRow};
 use std::path::{Path, PathBuf};
-use tgraph_core::coalesce::coalesce_group;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::time::Interval;
 use tgraph_dataflow::Runtime;
+use tgraph_repr::common::{fold_histories, EdgeKey, Histories};
 use tgraph_repr::og::OgGraph;
 use tgraph_repr::{AnyGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
 
@@ -56,13 +56,23 @@ pub struct GraphLoader {
     name: String,
 }
 
-/// The nested files of a dataset read and merged: base rows with every
+/// The nested files of a dataset read and merged: base histories with every
 /// epoch segment folded in.
 struct Nested {
     lifespan: Interval,
-    vertices: Vec<NestedRow>,
-    edges: Vec<NestedRow>,
+    vertices: Histories<VertexId>,
+    edges: Histories<EdgeKey>,
     scan: ScanStats,
+}
+
+fn vertex_histories(rows: Vec<NestedRow>) -> Histories<VertexId> {
+    let keyed = rows.into_iter().map(|r| (VertexId(r.id), r.history));
+    keyed.collect()
+}
+
+fn edge_histories(rows: Vec<NestedRow>) -> Histories<EdgeKey> {
+    let key = |r: &NestedRow| (EdgeId(r.id), VertexId(r.src), VertexId(r.dst));
+    rows.into_iter().map(|r| (key(&r), r.history)).collect()
 }
 
 /// The epoch a load of the files `epochs` lists is stamped with (0 for a
@@ -151,10 +161,8 @@ impl GraphLoader {
     }
 
     /// Reads the base nested file and folds in every epoch segment `epochs`
-    /// lists: per-entity histories concatenate and re-coalesce (a state
-    /// continuing across an epoch boundary merges back into one interval),
-    /// brand-new entities append, and the whole row set re-sorts by id for
-    /// determinism.
+    /// lists ([`fold_histories`]: a state continuing across an epoch
+    /// boundary merges back into one interval, brand-new entities join).
     fn nested_at(
         &self,
         range: Option<Interval>,
@@ -164,8 +172,8 @@ impl GraphLoader {
             read_tgo(&nested_path(&self.dir, &self.name), range)?;
         let mut n = Nested {
             lifespan,
-            vertices,
-            edges,
+            vertices: vertex_histories(vertices),
+            edges: edge_histories(edges),
             scan,
         };
         for entry in epochs {
@@ -173,12 +181,8 @@ impl GraphLoader {
             let (ls, dv, de, s) = read_tgo(&nested_path(&self.dir, &stem), range)?;
             n.lifespan = n.lifespan.hull(&ls);
             n.scan.add(s);
-            merge_nested(&mut n.vertices, dv);
-            merge_nested(&mut n.edges, de);
-        }
-        if !epochs.is_empty() {
-            n.vertices.sort_by_key(|r| (r.id, r.src, r.dst));
-            n.edges.sort_by_key(|r| (r.id, r.src, r.dst));
+            fold_histories(&mut n.vertices, vertex_histories(dv));
+            fold_histories(&mut n.edges, edge_histories(de));
         }
         Ok(n)
     }
@@ -220,12 +224,7 @@ impl GraphLoader {
         epochs: &[EpochEntry],
     ) -> Result<(OgGraph, ScanStats), StorageError> {
         let n = self.nested_at(range, epochs)?;
-        let vertices = n.vertices.into_iter().map(|r| (VertexId(r.id), r.history));
-        let edges = n
-            .edges
-            .into_iter()
-            .map(|r| (EdgeId(r.id), VertexId(r.src), VertexId(r.dst), r.history));
-        let og = OgGraph::from_histories(rt, n.lifespan, vertices, edges, last_epoch(epochs));
+        let og = OgGraph::from_histories(rt, n.lifespan, n.vertices, n.edges, last_epoch(epochs));
         Ok((og, n.scan))
     }
 
@@ -278,46 +277,33 @@ impl GraphLoader {
     }
 }
 
-/// Folds one epoch segment's nested rows into the accumulated row set:
-/// existing entities (same `(id, src, dst)`) extend and re-coalesce their
-/// histories — with the pushdown columns widened to match — and new entities
-/// append.
-fn merge_nested(rows: &mut Vec<NestedRow>, delta: Vec<NestedRow>) {
-    let index: std::collections::HashMap<(u64, u64, u64), usize> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| ((r.id, r.src, r.dst), i))
-        .collect();
-    for d in delta {
-        match index.get(&(d.id, d.src, d.dst)) {
-            Some(&i) => {
-                let row = &mut rows[i];
-                let mut all = std::mem::take(&mut row.history);
-                all.extend(d.history);
-                row.history = coalesce_group(all);
-                row.first = row.first.min(d.first);
-                row.last = row.last.max(d.last);
-            }
-            None => rows.push(d),
-        }
-    }
-}
-
-fn nested_to_tgraph(lifespan: Interval, v: Vec<NestedRow>, e: Vec<NestedRow>) -> TGraph {
+fn nested_to_tgraph(
+    lifespan: Interval,
+    vertices: Histories<VertexId>,
+    edges: Histories<EdgeKey>,
+) -> TGraph {
     let mut g = TGraph {
         lifespan,
         vertices: Vec::new(),
         edges: Vec::new(),
     };
-    for r in v {
-        let states = r.history.into_iter();
-        g.vertices
-            .extend(states.map(|(iv, props)| VertexRecord::new(r.id, iv, props)));
+    for (vid, history) in vertices {
+        let facts = history.into_iter().map(|(interval, props)| VertexRecord {
+            vid,
+            interval,
+            props,
+        });
+        g.vertices.extend(facts);
     }
-    for r in e {
-        let states = r.history.into_iter();
-        g.edges
-            .extend(states.map(|(iv, props)| EdgeRecord::new(r.id, r.src, r.dst, iv, props)));
+    for ((eid, src, dst), history) in edges {
+        let facts = history.into_iter().map(|(interval, props)| EdgeRecord {
+            eid,
+            src,
+            dst,
+            interval,
+            props,
+        });
+        g.edges.extend(facts);
     }
     g
 }

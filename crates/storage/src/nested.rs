@@ -14,12 +14,12 @@ use crate::encode::{
     PropsDecoder,
 };
 use crate::format::{clip, create, write_chunks, Layout, Scan, ScanStats, StorageError};
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use tgraph_core::graph::TGraph;
 use tgraph_core::props::Props;
 use tgraph_core::time::Interval;
+use tgraph_repr::common::histories_of;
 
 /// One nested entity row: identity columns, the first/last pushdown columns,
 /// and the history array.
@@ -40,44 +40,22 @@ pub struct NestedRow {
 }
 
 /// Builds nested rows from a logical graph: one row per entity with its
-/// coalesced history.
+/// coalesced history, in `(id, src, dst)` order.
 pub fn nest(g: &TGraph) -> (Vec<NestedRow>, Vec<NestedRow>) {
-    let vertices = g
-        .vertices
-        .iter()
-        .map(|v| (v.vid.0, 0, 0, &v.interval, &v.props));
-    let edges = g
-        .edges
-        .iter()
-        .map(|e| (e.eid.0, e.src.0, e.dst.0, &e.interval, &e.props));
-    (nest_rows(vertices), nest_rows(edges))
-}
-
-/// One row per `(id, src, dst)` with its states coalesced, in that order.
-fn nest_rows<'a>(
-    facts: impl Iterator<Item = (u64, u64, u64, &'a Interval, &'a Props)>,
-) -> Vec<NestedRow> {
-    let mut states: HashMap<(u64, u64, u64), Vec<(Interval, Props)>> = HashMap::new();
-    for (id, src, dst, interval, props) in facts {
-        let entity = states.entry((id, src, dst)).or_default();
-        entity.push((*interval, props.clone()));
-    }
-    let mut rows: Vec<NestedRow> = states
+    let row = |id, src, dst, history: Vec<(Interval, Props)>| NestedRow {
+        id,
+        src,
+        dst,
+        first: history.first().map(|(iv, _)| iv.start).unwrap_or(0),
+        last: history.last().map(|(iv, _)| iv.end).unwrap_or(0),
+        history,
+    };
+    let (vertices, edges) = histories_of(g);
+    let vertices = vertices.into_iter().map(|(vid, h)| row(vid.0, 0, 0, h));
+    let edges = edges
         .into_iter()
-        .map(|((id, src, dst), states)| {
-            let history = tgraph_core::coalesce::coalesce_group(states);
-            NestedRow {
-                id,
-                src,
-                dst,
-                first: history.first().map(|(iv, _)| iv.start).unwrap_or(0),
-                last: history.last().map(|(iv, _)| iv.end).unwrap_or(0),
-                history,
-            }
-        })
-        .collect();
-    rows.sort_by_key(|r| (r.id, r.src, r.dst));
-    rows
+        .map(|((eid, src, dst), h)| row(eid.0, src.0, dst.0, h));
+    (vertices.collect(), edges.collect())
 }
 
 fn put_row(buf: &mut Vec<u8>, r: &NestedRow) -> Result<(), EncodeError> {

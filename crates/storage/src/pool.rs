@@ -88,7 +88,8 @@ pub struct PoolStats {
     /// key share a single load).
     pub loads: u64,
     /// Resident graphs upgraded in place by [`GraphPool::advance`] — each
-    /// one an O(delta) in-memory append instead of an O(history) reload.
+    /// one an in-memory [`AnyGraph::append_epoch`] instead of a reload from
+    /// disk.
     pub epoch_upgrades: u64,
 }
 
@@ -182,9 +183,10 @@ impl GraphPool {
     }
 
     /// Advances every resident graph of dataset `name` to `epoch` by
-    /// applying `delta` in memory — an O(delta) append instead of an
-    /// O(history) reload — and raises the dataset's epoch floor so
-    /// concurrent loads can never insert a pre-ingest handle afterwards.
+    /// applying `delta` in memory — no file is read; VE and RG extend, OG
+    /// and OGC are rebuilt from their own rows — and raises the dataset's
+    /// epoch floor so concurrent loads can never insert a pre-ingest handle
+    /// afterwards.
     ///
     /// Full-history residents (`range == None`) upgrade in place via
     /// [`AnyGraph::append_epoch`]; range-filtered residents are evicted (the
