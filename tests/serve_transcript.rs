@@ -1,6 +1,9 @@
 //! The serve path's golden transcript: one fixed request script over a
 //! deterministic generated dataset, run through `Server::handle_line`, each
-//! response pinned as `len:checksum` in `serve_transcript.golden`. Byte
+//! response pinned in `serve_transcript.golden` as two `len:checksum`
+//! columns: the head (the normalised text before `,"result":`) and the body
+//! (the result bytes, from `,"result":` to the end; empty for responses that
+//! carry no result). A change to the envelope moves head sums only. Byte
 //! identity of responses is the contract every serve-layer refactor is held
 //! to; this is the script earlier PRs rebuilt by hand, committed once.
 //!
@@ -239,10 +242,11 @@ fn blank_values(text: &mut String, key_end: &str) {
     }
 }
 
-/// Normalises one response: everything before `"result":` has its timings
-/// blanked and its candidate table sorted; the result bytes are untouched.
-fn normalize(response: &str) -> String {
-    let (head, tail) = match response.find(",\"result\":") {
+/// Normalises one response into `(head, body)`: everything before
+/// `,"result":` has its timings blanked and its candidate table sorted; the
+/// result bytes are untouched.
+fn normalize(response: &str) -> (String, &str) {
+    let (head, body) = match response.find(",\"result\":") {
         Some(at) => response.split_at(at),
         None => (response, ""),
     };
@@ -267,7 +271,7 @@ fn normalize(response: &str) -> String {
             .join(",");
         head.replace_range(start..end, &sorted);
     }
-    head + tail
+    (head, body)
 }
 
 /// Every key path of a JSON value, e.g. `runtime.waves`.
@@ -286,18 +290,23 @@ fn key_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
     }
 }
 
-/// The golden line for one response; `text` is its normalised form.
-fn pin(label: &str, response: &str, text: &str) -> String {
+fn len_sum(text: &str) -> String {
+    format!(
+        "{}:{:016x}",
+        text.len(),
+        tgraph_dataflow::checksum(text.as_bytes())
+    )
+}
+
+/// The golden line for one response; `head` and `body` are its normalised
+/// halves.
+fn pin(label: &str, response: &str, head: &str, body: &str) -> String {
     if label == "stats" {
         let mut keys = Vec::new();
         key_paths(&json::parse(response).expect("stats json"), "", &mut keys);
         return format!("keys:{} {label}", keys.join(","));
     }
-    format!(
-        "{}:{:016x} {label}",
-        text.len(),
-        tgraph_dataflow::checksum(text.as_bytes())
-    )
+    format!("{} {} {label}", len_sum(head), len_sum(body))
 }
 
 #[test]
@@ -314,9 +323,9 @@ fn responses_match_the_golden_transcript() {
                 *tags.entry(tag).or_default() += 1;
             }
         }
-        let normalized = normalize(&response);
-        actual.push(pin(label, &response, &normalized));
-        heads.push(normalized.chars().take(600).collect::<String>());
+        let (head, body) = normalize(&response);
+        actual.push(pin(label, &response, &head, body));
+        heads.push(head.chars().take(600).collect::<String>());
     }
     // The script exercises what it says it does, whatever the golden holds.
     assert_eq!(tags.get("patch"), Some(&2), "two patched zooms: {tags:?}");
