@@ -20,9 +20,9 @@
 //!   `LocalCombine`, `Materialize`, `ElidedShuffle`, `Claim`) whose input
 //!   derives `HashByKey { parts }`.
 //!
-//! Everything else (`Map`, `FlatMap`, `MapPartitions`, `Union`,
-//! `SortByKey`, `Repartition`) derives `Unknown`: keys may have changed or
-//! records moved, so no placement fact survives.
+//! Everything else (`Map`, `FlatMap`, `MapPartitions`, `Union`) derives
+//! `Unknown`: keys may have changed or records moved, so no placement fact
+//! survives.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -173,11 +173,6 @@ pub struct Analysis {
     pub predicted: PredictedMovement,
     /// EXPLAIN-style tree rendering of the DAG.
     pub explain: String,
-    /// Stable structural fingerprint of the plan
-    /// ([`tgraph_dataflow::lineage::fingerprint`]) — identical across
-    /// processes for the same logical plan; the serving layer's cache key
-    /// primitive.
-    pub fingerprint: u64,
 }
 
 impl Analysis {
@@ -210,7 +205,6 @@ impl Analysis {
             self.predicted.estimated,
             self.predicted.shuffles,
         );
-        let _ = writeln!(out, "-- fingerprint: {:#018x}", self.fingerprint);
         out
     }
 }
@@ -235,8 +229,6 @@ fn op_str(op: OpKind) -> String {
         OpKind::Shuffle { parts } => format!("shuffle(p={parts})"),
         OpKind::ElidedShuffle { parts } => format!("elided_shuffle(p={parts})"),
         OpKind::Join { parts } => format!("join(p={parts})"),
-        OpKind::SortByKey => "sort_by_key".to_string(),
-        OpKind::Repartition { parts } => format!("repartition(p={parts})"),
         OpKind::Claim => "claim".to_string(),
         OpKind::Materialize => "materialize".to_string(),
     }
@@ -328,21 +320,13 @@ fn render_explain(root: &Arc<PlanNode>, w: &mut Walk, out: &mut String, depth: u
         Some(r) => format!(" rows~{r}"),
         None => String::new(),
     };
-    // Epoch-stamped sources (post-ingest loads) render their epoch; the
-    // base snapshot (epoch 0) renders exactly as before.
-    let epoch = if root.epoch != 0 {
-        format!(" epoch={}", root.epoch)
-    } else {
-        String::new()
-    };
     let _ = writeln!(
         out,
-        "{indent}#{id} {} [{}] {}{}{}",
+        "{indent}#{id} {} [{}] {}{}",
         root.label,
         op_str(root.op),
         tag_str(root.claimed),
-        rows,
-        epoch
+        rows
     );
     for i in &root.inputs {
         render_explain(i, w, out, depth + 1);
@@ -486,7 +470,6 @@ pub fn analyze(root: &Arc<PlanNode>) -> Analysis {
         nodes: all.len(),
         predicted,
         explain,
-        fingerprint: tgraph_dataflow::lineage::fingerprint(root),
     }
 }
 
@@ -791,23 +774,15 @@ mod tests {
     }
 
     #[test]
-    fn analysis_carries_plan_fingerprint() {
+    fn one_plan_built_twice_renders_identically() {
         let build = || {
             let rt = Runtime::with_partitions(2, 2);
             Dataset::from_vec(&rt, vec![(1i64, 2i64), (3, 4)])
                 .reduce_by_key(&rt, |a, b| a + b)
                 .lineage()
         };
-        let (a, b) = (analyze(&build()), analyze(&build()));
-        // Same logical plan built twice → same fingerprint, and render()
-        // surfaces it for EXPLAIN consumers.
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(
-            a.fingerprint,
-            tgraph_dataflow::lineage::fingerprint(&build())
-        );
-        assert!(a
-            .render()
-            .contains(&format!("-- fingerprint: {:#018x}", a.fingerprint)));
+        // Process-specific node ids and `Arc` addresses stay out of the
+        // rendering: the same logical plan reads the same every time.
+        assert_eq!(analyze(&build()).render(), analyze(&build()).render());
     }
 }

@@ -201,7 +201,7 @@ impl Client {
 
 /// Builds a zoom request line: an attribute zoom on `editCount` followed by
 /// a window zoom whose width varies with `variant`, so distinct variants map
-/// to distinct plan fingerprints while repeats of one variant are cache hits.
+/// to distinct cache keys while repeats of one variant are cache hits.
 fn zoom_line(args: &Args, variant: usize) -> String {
     let mut obj = vec![
         ("op", Json::str("zoom")),

@@ -259,7 +259,9 @@ impl StaticGraph {
 }
 
 /// Builds the TGraph of the paper's Figure 1: Ann, Bob, Cat with their
-/// co-author edges. Used throughout tests and the quickstart example.
+/// co-author edges, exactly as drawn: Bob keeps one vertex id across his
+/// two states. This is the canonical running-example graph, used throughout
+/// tests and the quickstart example.
 ///
 /// ```text
 /// Ann  (v1): type=person, school=MIT           T=[1,7)
@@ -269,43 +271,6 @@ impl StaticGraph {
 /// e1 (Ann→Bob): type=co-author                  T=[2,7)
 /// e2 (Bob→Cat): type=co-author                  T=[7,9)
 /// ```
-pub fn figure1_graph() -> TGraph {
-    let person = |school: Option<&str>| {
-        let p = Props::typed("person");
-        match school {
-            Some(s) => p.with("school", s),
-            None => p,
-        }
-    };
-    TGraph::from_records(
-        vec![
-            VertexRecord::new(
-                1,
-                Interval::new(1, 7),
-                person(Some("MIT")).with("name", "Ann"),
-            ),
-            VertexRecord::new(2, Interval::new(2, 5), person(None).with("name", "Bob")),
-            VertexRecord::new(
-                5,
-                Interval::new(5, 9),
-                person(Some("CMU")).with("name", "Bob"),
-            ),
-            VertexRecord::new(
-                3,
-                Interval::new(1, 9),
-                person(Some("MIT")).with("name", "Cat"),
-            ),
-        ],
-        vec![
-            EdgeRecord::new(1, 1, 2, Interval::new(2, 5), Props::typed("co-author")),
-            EdgeRecord::new(1, 1, 5, Interval::new(5, 7), Props::typed("co-author")),
-            EdgeRecord::new(2, 5, 3, Interval::new(7, 9), Props::typed("co-author")),
-        ],
-    )
-}
-
-/// Figure 1 exactly as drawn, with Bob keeping one vertex id across his two
-/// states. This is the canonical running-example graph.
 pub fn figure1_graph_stable_ids() -> TGraph {
     let person = Props::typed("person");
     TGraph::from_records(

@@ -35,42 +35,6 @@ pub fn splitter<'a>(intervals: impl IntoIterator<Item = &'a Interval>) -> Vec<In
     elementary_intervals(&boundaries)
 }
 
-/// Splits one interval along a sorted splitter, returning the elementary
-/// sub-intervals it covers. Parts of `iv` outside the splitter's span are
-/// returned unsplit at the fringes (they overlap no other fact, so they are
-/// already elementary with respect to the relation).
-pub fn align_to(iv: &Interval, splits: &[Interval]) -> Vec<Interval> {
-    if iv.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut cursor = iv.start;
-    for s in splits {
-        if s.end <= cursor {
-            continue;
-        }
-        if s.start >= iv.end {
-            break;
-        }
-        if s.start > cursor {
-            // Gap before this split (fringe): emit it unsplit.
-            out.push(Interval::new(cursor, s.start.min(iv.end)));
-            cursor = s.start.min(iv.end);
-            if cursor >= iv.end {
-                break;
-            }
-        }
-        if let Some(x) = s.intersect(iv) {
-            out.push(x);
-            cursor = x.end;
-        }
-    }
-    if cursor < iv.end {
-        out.push(Interval::new(cursor, iv.end));
-    }
-    out
-}
-
 /// Aligns an interval to fixed-width temporal windows anchored at `origin`:
 /// the `computeNewInterval` function of Algorithms 4–6.
 ///
@@ -131,40 +95,6 @@ mod tests {
     #[test]
     fn splitter_of_single_interval() {
         assert_eq!(splitter(&[Interval::new(3, 8)]), vec![Interval::new(3, 8)]);
-    }
-
-    #[test]
-    fn align_covers_input_exactly() {
-        let splits = vec![
-            Interval::new(1, 2),
-            Interval::new(2, 5),
-            Interval::new(5, 7),
-            Interval::new(7, 9),
-        ];
-        let parts = align_to(&Interval::new(2, 7), &splits);
-        assert_eq!(parts, vec![Interval::new(2, 5), Interval::new(5, 7)]);
-        // Total points preserved.
-        let total: u64 = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, Interval::new(2, 7).len());
-    }
-
-    #[test]
-    fn align_handles_fringes_outside_splitter() {
-        let splits = vec![Interval::new(3, 5)];
-        let parts = align_to(&Interval::new(1, 8), &splits);
-        assert_eq!(
-            parts,
-            vec![
-                Interval::new(1, 3),
-                Interval::new(3, 5),
-                Interval::new(5, 8)
-            ]
-        );
-    }
-
-    #[test]
-    fn align_empty_interval() {
-        assert!(align_to(&Interval::empty(), &[Interval::new(0, 5)]).is_empty());
     }
 
     #[test]

@@ -151,31 +151,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         Self::from_vec_with(rt.partitions(), items)
     }
 
-    /// Builds a dataset like [`Dataset::from_vec`], stamping the source
-    /// lineage leaf with the ingest epoch the items were loaded at. Plans
-    /// over different epochs of the same data fingerprint differently (see
-    /// [`PlanNode::source_at`]); epoch 0 is identical to `from_vec`.
-    pub fn from_vec_tagged(rt: &Runtime, items: Vec<T>, epoch: u64) -> Self {
-        Self::from_vec_with_tagged(rt.partitions(), items, epoch)
-    }
-
-    /// [`Dataset::from_vec_with`] with an epoch-stamped source leaf.
-    pub fn from_vec_with_tagged(parts: usize, items: Vec<T>, epoch: u64) -> Self {
-        let ds = Self::from_vec_with(parts, items);
-        if epoch == 0 {
-            return ds;
-        }
-        let lineage = PlanNode::source_at(
-            ds.lineage.label,
-            ds.num_partitions(),
-            ds.partitioning,
-            ds.lineage.rows.unwrap_or(0),
-            ds.lineage.row_bytes,
-            epoch,
-        );
-        Dataset { lineage, ..ds }
-    }
-
     /// Builds a dataset split into exactly `parts` partitions.
     pub fn from_vec_with(parts: usize, items: Vec<T>) -> Self {
         let parts = parts.max(1);
@@ -796,50 +771,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         })
         .fold(init.clone(), combine)
     }
-
-    /// Collects into a single-partition dataset sorted by a key (used to
-    /// enforce deterministic layouts, e.g. before coalescing folds).
-    pub fn sort_by_key<K, F>(&self, rt: &Runtime, key: F) -> Dataset<T>
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Send + Sync + 'static,
-        T: Spill,
-    {
-        let mut all = self.collect(rt);
-        all.sort_by_key(|a| key(a));
-        let lineage = PlanNode::new(
-            "sort_by_key",
-            OpKind::SortByKey,
-            Partitioning::Unknown,
-            Some(all.len() as u64),
-            true,
-            std::mem::size_of::<T>() as u64,
-            vec![Arc::clone(&self.lineage)],
-        );
-        Self::from_arc_partitions_lineage(vec![Arc::new(all)], Partitioning::Unknown, lineage)
-    }
-
-    /// Rebalances into `parts` evenly sized partitions.
-    pub fn repartition(&self, rt: &Runtime, parts: usize) -> Dataset<T>
-    where
-        T: Spill,
-    {
-        let all = self.collect(rt);
-        let rows = all.len() as u64;
-        let mut out = Self::from_vec_with(parts, all);
-        out.lineage = PlanNode::new(
-            "repartition",
-            OpKind::Repartition {
-                parts: out.num_partitions(),
-            },
-            Partitioning::Unknown,
-            Some(rows),
-            true,
-            std::mem::size_of::<T>() as u64,
-            vec![Arc::clone(&self.lineage)],
-        );
-        out
-    }
 }
 
 impl<T: Clone + Send + Sync + 'static> FromIterator<T> for Dataset<T> {
@@ -1005,27 +936,11 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_key_orders_globally() {
-        let rt = rt();
-        let d = Dataset::from_vec(&rt, vec![5, 3, 9, 1, 7]);
-        assert_eq!(d.sort_by_key(&rt, |x| *x).collect(&rt), vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
     fn empty_dataset() {
         let rt = rt();
         let d: Dataset<i32> = Dataset::empty();
         assert_eq!(d.count(&rt), 0);
         assert!(d.collect(&rt).is_empty());
-    }
-
-    #[test]
-    fn repartition_keeps_elements() {
-        let rt = rt();
-        let d = Dataset::from_partitions(vec![vec![1, 2, 3], vec![4]]);
-        let r = d.repartition(&rt, 3);
-        assert_eq!(r.num_partitions(), 3);
-        assert_eq!(r.collect(&rt), vec![1, 2, 3, 4]);
     }
 
     #[test]

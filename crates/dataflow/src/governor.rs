@@ -18,8 +18,8 @@
 //!    walking map outputs *in map-partition index order*, appending bucket
 //!    `p` from memory or from disk. Runs preserve record order exactly, so
 //!    the merged partition is byte-identical to the all-in-memory exchange —
-//!    the governor is invisible to results, lineage fingerprints, and
-//!    analyzer EXPLAIN output.
+//!    the governor is invisible to results, lineage and analyzer EXPLAIN
+//!    output.
 //!
 //! A failed spill write aborts the wave with a typed
 //! [`SpillError`](crate::SpillError) panic payload; already-written sibling

@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// exchange will route their key to, making the shuffle shard-local.
 ///
 /// Hashes with the explicitly-seeded FNV-1a shared with
-/// `lineage::fingerprint()` — *not* `DefaultHasher`, whose algorithm is
+/// [`fnv1a`](crate::fnv1a) — *not* `DefaultHasher`, whose algorithm is
 /// unspecified and free to change across Rust releases, which would
 /// silently invalidate persisted partition layouts and `HashByKey` claims
 /// on a toolchain bump. A golden test pins the assignments.

@@ -81,7 +81,7 @@ pub use exchange::{
 };
 pub use governor::{MemCharge, MemGovernor};
 pub use keyed::{bucket_of, shuffle, KeyedDataset};
-pub use lineage::{fingerprint, fingerprint_hex, OpKind, PlanNode};
+pub use lineage::{fnv1a, OpKind, PlanNode};
 pub use protocol::{Mutation, PollOutcome, ProtocolCore};
 pub use runtime::{Runtime, RuntimeStats, StatsSnapshot};
 pub use spill::{charged_size, checksum, HeapSize, Spill, SpillError, SpillReader};

@@ -64,13 +64,6 @@ pub enum OpKind {
         /// Output partition count.
         parts: usize,
     },
-    /// Global sort into a single partition; destroys partitioning.
-    SortByKey,
-    /// Rebalance into `parts` even partitions; destroys partitioning.
-    Repartition {
-        /// New partition count.
-        parts: usize,
-    },
     /// An *unchecked* partitioning claim (`with_partitioning`): the tag was
     /// stamped by fiat, not established by an exchange. The verifier rejects
     /// claims it cannot derive from the input.
@@ -136,12 +129,6 @@ pub struct PlanNode {
     /// Upstream plan nodes (0 for sources, 1 for most ops, 2 for joins
     /// and unions).
     pub inputs: Vec<Arc<PlanNode>>,
-    /// Ingest epoch of the source data this node was built from. Non-zero
-    /// only on `Source` leaves loaded from an epoch segment: appending an
-    /// epoch to a dataset changes the fingerprints of every plan over it, so
-    /// a pre-ingest cached result can never key-collide with a post-ingest
-    /// plan. Interior nodes carry 0 (the epoch is a property of the leaves).
-    pub epoch: u64,
 }
 
 impl PlanNode {
@@ -165,7 +152,6 @@ impl PlanNode {
             exact,
             row_bytes,
             inputs,
-            epoch: 0,
         })
     }
 
@@ -177,31 +163,15 @@ impl PlanNode {
         rows: u64,
         row_bytes: u64,
     ) -> Arc<PlanNode> {
-        PlanNode::source_at(label, parts, claimed, rows, row_bytes, 0)
-    }
-
-    /// A source leaf stamped with the ingest epoch of the data it holds.
-    /// Epoch 0 (the base snapshot) fingerprints identically to an untagged
-    /// source, so pre-ingest plans are unaffected.
-    pub fn source_at(
-        label: &'static str,
-        parts: usize,
-        claimed: Partitioning,
-        rows: u64,
-        row_bytes: u64,
-        epoch: u64,
-    ) -> Arc<PlanNode> {
-        Arc::new(PlanNode {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        PlanNode::new(
             label,
-            op: OpKind::Source { parts },
+            OpKind::Source { parts },
             claimed,
-            rows: Some(rows),
-            exact: true,
+            Some(rows),
+            true,
             row_bytes,
-            inputs: Vec::new(),
-            epoch,
-        })
+            Vec::new(),
+        )
     }
 
     /// Number of distinct nodes in the DAG rooted here (shared nodes counted
@@ -222,11 +192,10 @@ impl PlanNode {
 }
 
 /// 64-bit FNV-1a with the standard explicit seed: the stable primitive
-/// under [`fingerprint`], and — through its [`std::hash::Hasher`] impl —
-/// under the shuffle partitioner's `bucket_of`, so persisted partition
-/// layouts and elision claims cannot drift across Rust releases the way
+/// under [`fnv1a`], and — through its [`std::hash::Hasher`] impl — under
+/// the shuffle partitioner's `bucket_of`, so persisted partition layouts
+/// and elision claims cannot drift across Rust releases the way
 /// `DefaultHasher` (explicitly unspecified) can.
-#[derive(Clone, Copy)]
 pub(crate) struct Fnv(u64);
 
 impl Fnv {
@@ -298,126 +267,12 @@ impl std::hash::Hasher for Fnv {
     }
 }
 
-/// Canonical byte encoding of one node's own attributes (children excluded).
-fn encode_node(node: &PlanNode, h: &mut Fnv) {
-    h.write(node.label.as_bytes());
-    h.write(&[0xff]); // label terminator: labels never contain 0xff
-    let (tag, parts): (u8, u64) = match node.op {
-        OpKind::Source { parts } => (0, parts as u64),
-        OpKind::Map => (1, 0),
-        OpKind::FlatMap => (2, 0),
-        OpKind::Filter => (3, 0),
-        OpKind::MapPartitions => (4, 0),
-        OpKind::MapValues => (5, 0),
-        OpKind::LocalCombine => (6, 0),
-        OpKind::Union => (7, 0),
-        OpKind::Shuffle { parts } => (8, parts as u64),
-        OpKind::ElidedShuffle { parts } => (9, parts as u64),
-        OpKind::Join { parts } => (10, parts as u64),
-        OpKind::SortByKey => (11, 0),
-        OpKind::Repartition { parts } => (12, parts as u64),
-        OpKind::Claim => (13, 0),
-        OpKind::Materialize => (14, 0),
-    };
-    h.write(&[tag]);
-    h.write_u64(parts);
-    match node.claimed {
-        Partitioning::Unknown => h.write(&[0]),
-        Partitioning::HashByKey { parts } => {
-            h.write(&[1]);
-            h.write_u64(parts as u64);
-        }
-    }
-    match node.rows {
-        None => h.write(&[0]),
-        Some(r) => {
-            h.write(&[1]);
-            h.write_u64(r);
-        }
-    }
-    h.write(&[u8::from(node.exact)]);
-    h.write_u64(node.row_bytes);
-    // Epoch 0 contributes nothing, so pre-ingest fingerprints (and their
-    // golden snapshots) are unchanged; any non-zero epoch perturbs the
-    // digest behind a domain separator no other field emits.
-    if node.epoch != 0 {
-        h.write(&[0xEB]);
-        h.write_u64(node.epoch);
-    }
-}
-
-/// A stable structural fingerprint of the plan DAG rooted at `root`.
-///
-/// Two plans fingerprint equal iff they have the same shape: the same
-/// operators (labels, kinds, partition counts), the same partitioning
-/// claims, the same static size estimates, and the same sharing structure —
-/// a diamond over one shared subplan fingerprints differently from two
-/// structurally identical but separate copies of it. Process-specific node
-/// ids and `Arc` addresses do **not** participate, so the same logical query
-/// over the same source data fingerprints identically across runs and
-/// processes.
-///
-/// This is the cache key primitive of the serving layer (`tgraph-serve`
-/// memoizes zoom results by request fingerprint) and is surfaced by
-/// `tgraph-analyze` in EXPLAIN renderings. Collisions are possible in
-/// principle (64-bit digest); key equality checks must compare a canonical
-/// form alongside the fingerprint, as the serving cache does.
-pub fn fingerprint(root: &Arc<PlanNode>) -> u64 {
-    use std::collections::HashMap;
-    // Memoized post-order (iterative, to tolerate deep narrow chains): each
-    // distinct node is hashed once; later references to a shared node fold
-    // in its first-visit ordinal, so `f(x, x)` (a diamond) fingerprints
-    // differently from `f(x, y)` with `y` a separately built structural
-    // twin of `x`.
-    let mut memo: HashMap<usize, (u64, u64)> = HashMap::new(); // ptr → (hash, ordinal)
-    let mut referenced: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let ptr = |n: &Arc<PlanNode>| Arc::as_ptr(n) as usize;
-
-    let mut stack: Vec<Arc<PlanNode>> = vec![Arc::clone(root)];
-    while let Some(n) = stack.last().cloned() {
-        if memo.contains_key(&ptr(&n)) {
-            stack.pop();
-            continue;
-        }
-        let pending: Vec<Arc<PlanNode>> = n
-            .inputs
-            .iter()
-            .filter(|i| !memo.contains_key(&ptr(i)))
-            .cloned()
-            .collect();
-        if !pending.is_empty() {
-            stack.extend(pending);
-            continue;
-        }
-        let mut h = Fnv::new();
-        encode_node(&n, &mut h);
-        h.write_u64(n.inputs.len() as u64);
-        for i in &n.inputs {
-            let (child_hash, child_ordinal) = memo[&ptr(i)];
-            if referenced.insert(ptr(i)) {
-                // First reference anywhere in the DAG: plain child digest.
-                h.write_u64(child_hash);
-            } else {
-                // Re-reference of a shared node: fold in its first-visit
-                // ordinal so `f(x, x)` differs from `f(x, y)` with `y` a
-                // structural twin of `x` built separately.
-                let mut h2 = Fnv(child_hash);
-                h2.write(&[0xEE]);
-                h2.write_u64(child_ordinal);
-                h.write_u64(h2.0);
-            }
-        }
-        let ordinal = memo.len() as u64;
-        memo.insert(ptr(&n), (h.0, ordinal));
-        stack.pop();
-    }
-    memo[&ptr(root)].0
-}
-
-/// [`fingerprint`] rendered as the fixed-width hex form used in EXPLAIN
-/// output and the serving protocol (`0x` + 16 lowercase hex digits).
-pub fn fingerprint_hex(root: &Arc<PlanNode>) -> String {
-    format!("{:#018x}", fingerprint(root))
+/// 64-bit FNV-1a of `bytes`: the digest the serving protocol reports as a
+/// response's `fingerprint`, stable across runs, processes and platforms.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.0
 }
 
 #[cfg(test)]
@@ -462,165 +317,10 @@ mod tests {
         assert!(!OpKind::Shuffle { parts: 2 }.is_narrow());
     }
 
-    fn chain(rows: u64) -> Arc<PlanNode> {
-        let src = PlanNode::source("edges", 4, Partitioning::Unknown, rows, 24);
-        let m = PlanNode::new(
-            "map",
-            OpKind::Map,
-            Partitioning::Unknown,
-            Some(rows),
-            true,
-            16,
-            vec![src],
-        );
-        PlanNode::new(
-            "shuffle",
-            OpKind::Shuffle { parts: 4 },
-            Partitioning::HashByKey { parts: 4 },
-            Some(rows),
-            false,
-            16,
-            vec![m],
-        )
-    }
-
     #[test]
-    fn fingerprint_is_structural_not_identity_based() {
-        // Two plans built separately (different node ids, different Arc
-        // addresses) fingerprint identically when structurally equal.
-        let a = chain(100);
-        let b = chain(100);
-        assert_ne!(a.id, b.id);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        // And repeatably: same value on every call.
-        assert_eq!(fingerprint(&a), fingerprint(&a));
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_structure() {
-        let base = chain(100);
-        // Different static size estimate.
-        assert_ne!(fingerprint(&chain(100)), fingerprint(&chain(101)));
-        // Different operator kind on top.
-        let filt = PlanNode::new(
-            "filter",
-            OpKind::Filter,
-            Partitioning::HashByKey { parts: 4 },
-            Some(100),
-            false,
-            16,
-            vec![base.clone()],
-        );
-        let mv = PlanNode::new(
-            "filter",
-            OpKind::MapValues,
-            Partitioning::HashByKey { parts: 4 },
-            Some(100),
-            false,
-            16,
-            vec![base.clone()],
-        );
-        assert_ne!(fingerprint(&filt), fingerprint(&mv));
-        // Different partition counts.
-        let s2 = PlanNode::new(
-            "shuffle",
-            OpKind::Shuffle { parts: 8 },
-            Partitioning::HashByKey { parts: 8 },
-            Some(100),
-            false,
-            16,
-            vec![base.clone()],
-        );
-        let s3 = PlanNode::new(
-            "shuffle",
-            OpKind::Shuffle { parts: 16 },
-            Partitioning::HashByKey { parts: 16 },
-            Some(100),
-            false,
-            16,
-            vec![base],
-        );
-        assert_ne!(fingerprint(&s2), fingerprint(&s3));
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_sharing_from_twins() {
-        let union = |l: Arc<PlanNode>, r: Arc<PlanNode>| {
-            PlanNode::new(
-                "union",
-                OpKind::Union,
-                Partitioning::Unknown,
-                Some(200),
-                false,
-                16,
-                vec![l, r],
-            )
-        };
-        // Diamond: both union inputs are the *same* subplan.
-        let shared = chain(100);
-        let diamond = union(shared.clone(), shared);
-        // Twins: two separately built, structurally identical subplans.
-        let twins = union(chain(100), chain(100));
-        assert_ne!(fingerprint(&diamond), fingerprint(&twins));
-    }
-
-    #[test]
-    fn fingerprint_survives_deep_chains() {
-        // The walk is iterative; a plan much deeper than the thread stack
-        // could hold recursively must still fingerprint.
-        let mut keep: Vec<Arc<PlanNode>> = Vec::new();
-        let mut n = PlanNode::source("v", 2, Partitioning::Unknown, 10, 8);
-        keep.push(n.clone());
-        for _ in 0..50_000 {
-            n = PlanNode::new(
-                "map",
-                OpKind::Map,
-                Partitioning::Unknown,
-                Some(10),
-                true,
-                8,
-                vec![n],
-            );
-            keep.push(n.clone());
-        }
-        let _ = fingerprint(&n);
-        // Dismantle root-first so the Arc chain's Drop doesn't recurse.
-        drop(n);
-        keep.reverse();
-    }
-
-    #[test]
-    fn fingerprint_hex_is_fixed_width() {
-        let h = fingerprint_hex(&chain(100));
-        assert_eq!(h.len(), 18);
-        assert!(h.starts_with("0x"));
-        assert!(h[2..].chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn epoch_tag_perturbs_source_fingerprints() {
-        let base = PlanNode::source("v", 2, Partitioning::Unknown, 10, 8);
-        let e0 = PlanNode::source_at("v", 2, Partitioning::Unknown, 10, 8, 0);
-        let e1 = PlanNode::source_at("v", 2, Partitioning::Unknown, 10, 8, 1);
-        let e2 = PlanNode::source_at("v", 2, Partitioning::Unknown, 10, 8, 2);
-        // Epoch 0 is the base snapshot: identical to an untagged source, so
-        // pre-ingest golden fingerprints don't move.
-        assert_eq!(fingerprint(&base), fingerprint(&e0));
-        // Every later epoch is a distinct plan identity.
-        assert_ne!(fingerprint(&e0), fingerprint(&e1));
-        assert_ne!(fingerprint(&e1), fingerprint(&e2));
-        // The perturbation propagates through downstream operators.
-        let over = |src: &Arc<PlanNode>| {
-            PlanNode::new(
-                "map",
-                OpKind::Map,
-                Partitioning::Unknown,
-                Some(10),
-                true,
-                8,
-                vec![src.clone()],
-            )
-        };
-        assert_ne!(fingerprint(&over(&e0)), fingerprint(&over(&e1)));
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

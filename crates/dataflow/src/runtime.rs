@@ -217,14 +217,6 @@ impl Runtime {
         Self::with_partitions(1, 1)
     }
 
-    /// Runtime sized to the machine: one worker per available core.
-    pub fn default_parallel() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(cores)
-    }
-
     /// The environment settings this runtime was built from: parsed once,
     /// here, and read by every layer above instead of the environment.
     pub fn config(&self) -> &EngineConfig {

@@ -16,7 +16,6 @@ use tgraph_repr::{AnyGraph, ReprKind};
 pub struct Session<'rt> {
     rt: &'rt Runtime,
     graph: AnyGraph,
-    policy: CoalescePolicy,
     trace: Pipeline,
     /// Lifespan of the *input* graph, captured at load — the anchor and
     /// boundary the maintenance planner reasons about.
@@ -29,7 +28,6 @@ impl<'rt> Session<'rt> {
         Session {
             rt,
             graph: AnyGraph::load(rt, g, kind),
-            policy: CoalescePolicy::Lazy,
             trace: Pipeline::new(),
             input_lifespan: g.lifespan,
         }
@@ -41,20 +39,13 @@ impl<'rt> Session<'rt> {
         Session {
             rt,
             graph,
-            policy: CoalescePolicy::Lazy,
             trace: Pipeline::new(),
             input_lifespan,
         }
     }
 
-    /// Selects the coalescing policy (default lazy).
-    pub fn with_policy(mut self, policy: CoalescePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     fn step(mut self, step: Step) -> Self {
-        self.graph = step.apply(self.rt, self.graph, self.policy);
+        self.graph = step.apply(self.rt, self.graph, CoalescePolicy::Lazy);
         self.trace.push(step);
         self
     }

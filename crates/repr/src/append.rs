@@ -11,22 +11,22 @@
 //!   uncoalesced: an entity whose state continues across the boundary now
 //!   has two mergeable tuples.
 //! * **RG** — the delta's snapshot sequence, built by
-//!   [`RgGraph::from_tgraph_at`] from the delta alone (no old fact is alive
+//!   [`RgGraph::from_tgraph`] from the delta alone (no old fact is alive
 //!   after the boundary), unions onto the resident sequence. A fresh full
 //!   build may also materialize empty gap snapshots between the epochs;
 //!   those emit no facts, so the logical graph is unaffected.
 //! * **OG** — the resident's history arrays are collected, the delta's are
 //!   folded in ([`fold_histories`]) and [`OgGraph::from_histories`] builds
 //!   the graph again, endpoint copies included.
-//! * **OGC** — the resident's rows plus the delta's facts go through
-//!   [`OgcGraph::from_tgraph_at`], which lays out the interval table and
-//!   every bitset.
+//! * **OGC** — the resident's rows as histories, followed by the delta's
+//!   ([`histories_of`]), go through [`OgcGraph::from_histories`], which
+//!   lays out the interval table and every bitset.
 //!
 //! An OG or OGC resident therefore stays what a load produces, a
-//! materialized source stamped with the epoch: its lineage does not deepen
-//! with the number of epochs and a later zoom re-executes no earlier
-//! append. The cost is one pass over the resident, like the collect the
-//! rebuild starts with. In every case `append(load(base), delta) ≡
+//! materialized source: its lineage does not deepen with the number of
+//! epochs and a later zoom re-executes no earlier append. The cost is one
+//! pass over the resident, like the collect the rebuild starts with. In
+//! every case `append(load(base), delta) ≡
 //! load(base ∪ delta)` *as a logical TGraph* — physical layouts (partition
 //! boundaries, gap snapshots) may differ, which downstream coalescing and
 //! the deterministic result serialization wash out; `tests/append_epochs.rs`
@@ -54,13 +54,11 @@ impl AnyGraph {
     }
 
     /// Extends this graph with an ingested epoch's records (see the module
-    /// docs). `epoch` stamps the source lineage leaves the append creates,
-    /// so plans over the appended graph fingerprint differently from
-    /// pre-ingest plans.
+    /// docs).
     ///
     /// The caller guarantees the append invariant: every fact of `delta`
     /// starts at or after `self.lifespan().end`.
-    pub fn append_epoch(&self, rt: &Runtime, delta: &TGraph, epoch: u64) -> AnyGraph {
+    pub fn append_epoch(&self, rt: &Runtime, delta: &TGraph) -> AnyGraph {
         if delta.vertices.is_empty() && delta.edges.is_empty() {
             return self.clone();
         }
@@ -77,14 +75,10 @@ impl AnyGraph {
         match self {
             AnyGraph::Ve(g) => AnyGraph::Ve(VeGraph {
                 lifespan,
-                vertices: g.vertices.union(&Dataset::from_vec_tagged(
-                    rt,
-                    delta.vertices.clone(),
-                    epoch,
-                )),
-                edges: g
-                    .edges
-                    .union(&Dataset::from_vec_tagged(rt, delta.edges.clone(), epoch)),
+                vertices: g
+                    .vertices
+                    .union(&Dataset::from_vec(rt, delta.vertices.clone())),
+                edges: g.edges.union(&Dataset::from_vec(rt, delta.edges.clone())),
                 // A state continuing across the boundary is now two
                 // mergeable tuples; operators re-coalesce lazily.
                 coalesced: false,
@@ -93,7 +87,7 @@ impl AnyGraph {
                 lifespan,
                 snapshots: g
                     .snapshots
-                    .union(&RgGraph::from_tgraph_at(rt, delta, epoch).snapshots),
+                    .union(&RgGraph::from_tgraph(rt, delta).snapshots),
             }),
             AnyGraph::Og(g) => {
                 let (delta_vertices, delta_edges) = histories_of(delta);
@@ -104,16 +98,14 @@ impl AnyGraph {
                 let keyed = |e: &OgEdge| ((e.eid, e.src.vid, e.dst.vid), e.history.clone());
                 let mut edges = g.edges.map(keyed).collect(rt);
                 fold_histories(&mut edges, delta_edges);
-                AnyGraph::Og(OgGraph::from_histories(
-                    rt, lifespan, vertices, edges, epoch,
-                ))
+                AnyGraph::Og(OgGraph::from_histories(rt, lifespan, vertices, edges))
             }
             AnyGraph::Ogc(g) => {
-                let mut all = g.facts(rt);
-                all.lifespan = lifespan;
-                all.vertices.extend(delta.vertices.iter().cloned());
-                all.edges.extend(delta.edges.iter().cloned());
-                AnyGraph::Ogc(OgcGraph::from_tgraph_at(rt, &all, epoch))
+                let (delta_vertices, delta_edges) = histories_of(delta);
+                let (mut vertices, mut edges) = g.histories(rt);
+                vertices.extend(delta_vertices);
+                edges.extend(delta_edges);
+                AnyGraph::Ogc(OgcGraph::from_histories(rt, lifespan, vertices, edges))
             }
         }
     }

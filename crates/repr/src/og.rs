@@ -82,27 +82,19 @@ impl OgGraph {
     /// Builds OG from the logical graph: histories are grouped per entity,
     /// sorted, and coalesced; edges receive copies of their endpoints.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        Self::from_tgraph_at(rt, g, 0)
-    }
-
-    /// [`OgGraph::from_tgraph`] with the source lineage leaves stamped with
-    /// the ingest epoch the records were loaded at (0 = base snapshot).
-    pub fn from_tgraph_at(rt: &Runtime, g: &TGraph, epoch: u64) -> Self {
         let (vertices, edges) = histories_of(g);
-        Self::from_histories(rt, g.lifespan, vertices, edges, epoch)
+        Self::from_histories(rt, g.lifespan, vertices, edges)
     }
 
     /// Builds OG from per-entity histories, each sorted by start and
-    /// coalesced: every edge receives copies of its endpoints, rows are put
-    /// in id order, and the source lineage leaves are stamped with `epoch`.
-    /// An endpoint without a vertex row — a date-range load can leave one
-    /// outside the range — is copied with an empty history.
+    /// coalesced: every edge receives copies of its endpoints and rows are
+    /// put in id order. An endpoint without a vertex row — a date-range load
+    /// can leave one outside the range — is copied with an empty history.
     pub fn from_histories(
         rt: &Runtime,
         lifespan: Interval,
         vertices: Histories<VertexId>,
         edges: Histories<EdgeKey>,
-        epoch: u64,
     ) -> Self {
         let mut vertices: Vec<OgVertex> = vertices
             .into_iter()
@@ -129,8 +121,8 @@ impl OgGraph {
         edges.sort_by_key(|e| (e.eid, e.src.vid, e.dst.vid));
         OgGraph {
             lifespan,
-            vertices: Dataset::from_vec_tagged(rt, vertices, epoch),
-            edges: Dataset::from_vec_tagged(rt, edges, epoch),
+            vertices: Dataset::from_vec(rt, vertices),
+            edges: Dataset::from_vec(rt, edges),
         }
     }
 

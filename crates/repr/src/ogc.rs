@@ -7,6 +7,7 @@
 //! on), but implements the fastest `wZoom^T` of all representations —
 //! retention is bit counting, and dangling-edge removal is a bitwise AND.
 
+use crate::common::{histories_of, EdgeKey, Histories, State};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tgraph_core::bitset::Bitset;
@@ -14,7 +15,7 @@ use tgraph_core::coalesce::coalesce_graph;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::splitter::splitter;
-use tgraph_core::time::Interval;
+use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::wzoom::{window_relation, WZoomSpec};
 use tgraph_dataflow::{Dataset, KeyedDataset, Runtime};
 
@@ -62,63 +63,41 @@ impl OgcGraph {
     /// Builds OGC from the logical graph, discarding all attributes except
     /// the `type` label.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        Self::from_tgraph_at(rt, g, 0)
+        let (vertices, edges) = histories_of(g);
+        Self::from_histories(rt, g.lifespan, vertices, edges)
     }
 
-    /// [`OgcGraph::from_tgraph`] with the source lineage leaves stamped with
-    /// the ingest epoch the records were loaded at (0 = base snapshot).
-    pub fn from_tgraph_at(rt: &Runtime, g: &TGraph, epoch: u64) -> Self {
-        let all_intervals: Vec<Interval> = g
-            .vertices
-            .iter()
-            .map(|v| v.interval)
-            .chain(g.edges.iter().map(|e| e.interval))
-            .collect();
-        let elems = Arc::new(splitter(all_intervals.iter()));
-        let index: HashMap<i64, usize> = elems
+    /// Builds OGC from per-entity histories: the interval table is the
+    /// splitter of every state's interval, a row's bits are the table
+    /// entries its states cover, its label is its first state's `type`, and
+    /// rows are put in id order. States need not be coalesced, and an entity
+    /// listed more than once gets one row over all of its entries: the
+    /// in-memory append lists the resident's rows, then the epoch's.
+    pub fn from_histories(
+        rt: &Runtime,
+        lifespan: Interval,
+        vertices: Histories<VertexId>,
+        edges: Histories<EdgeKey>,
+    ) -> Self {
+        fn spans<K>(histories: &Histories<K>) -> impl Iterator<Item = &Interval> {
+            let states = histories.iter().flat_map(|(_, history)| history);
+            states.map(|(iv, _)| iv)
+        }
+        let elems = Arc::new(splitter(spans(&vertices).chain(spans(&edges))));
+        let index: HashMap<Time, usize> = elems
             .iter()
             .enumerate()
             .map(|(i, iv)| (iv.start, i))
             .collect();
-
-        let fill = |bits: &mut Bitset, iv: Interval| {
-            let mut t = iv.start;
-            while t < iv.end {
-                let i = index[&t];
-                bits.set(i);
-                t = elems[i].end;
-            }
-        };
-
-        let mut v_acc: HashMap<VertexId, (Arc<str>, Bitset)> = HashMap::new();
-        for v in &g.vertices {
-            let label: Arc<str> = Arc::from(v.props.type_label().unwrap_or(""));
-            let entry = v_acc
-                .entry(v.vid)
-                .or_insert_with(|| (label, Bitset::new(elems.len())));
-            fill(&mut entry.1, v.interval);
-        }
-        let mut e_acc: HashMap<(EdgeId, VertexId, VertexId), (Arc<str>, Bitset)> = HashMap::new();
-        for e in &g.edges {
-            let label: Arc<str> = Arc::from(e.props.type_label().unwrap_or(""));
-            let entry = e_acc
-                .entry((e.eid, e.src, e.dst))
-                .or_insert_with(|| (label, Bitset::new(elems.len())));
-            fill(&mut entry.1, e.interval);
-        }
-
-        let mut vertices: Vec<OgcVertex> = v_acc
-            .into_iter()
-            .map(|(vid, (vtype, intervals))| OgcVertex {
+        let vertices = rows(vertices, &elems, &index)
+            .map(|(vid, vtype, intervals)| OgcVertex {
                 vid,
                 vtype,
                 intervals,
             })
             .collect();
-        vertices.sort_by_key(|v| v.vid);
-        let mut edges: Vec<OgcEdge> = e_acc
-            .into_iter()
-            .map(|((eid, src, dst), (etype, intervals))| OgcEdge {
+        let edges = rows(edges, &elems, &index)
+            .map(|((eid, src, dst), etype, intervals)| OgcEdge {
                 eid,
                 src,
                 dst,
@@ -126,25 +105,19 @@ impl OgcGraph {
                 intervals,
             })
             .collect();
-        edges.sort_by_key(|e| (e.eid, e.src, e.dst));
-
         OgcGraph {
-            lifespan: g.lifespan,
+            lifespan,
             intervals: elems,
-            vertices: Dataset::from_vec_tagged(rt, vertices, epoch),
-            edges: Dataset::from_vec_tagged(rt, edges, epoch),
+            vertices: Dataset::from_vec(rt, vertices),
+            edges: Dataset::from_vec(rt, edges),
         }
     }
 
     /// Materializes the topology as a logical TGraph (entities carry only
-    /// their `type` property), coalesced and deterministically sorted.
+    /// their `type` property), coalesced and deterministically sorted. The
+    /// workers emit one fact per set bit straight into the record lists:
+    /// going through [`OgcGraph::histories`] would hold every fact twice.
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
-        coalesce_graph(&self.facts(rt))
-    }
-
-    /// The rows as they are held: one fact per set bit, so every boundary of
-    /// the interval table is the start or end of some fact.
-    pub(crate) fn facts(&self, rt: &Runtime) -> TGraph {
         let elems = Arc::clone(&self.intervals);
         let vertices: Vec<VertexRecord> = self
             .vertices
@@ -175,11 +148,32 @@ impl OgcGraph {
                 }
             })
             .collect(rt);
-        TGraph {
+        coalesce_graph(&TGraph {
             lifespan: self.lifespan,
             vertices,
             edges,
+        })
+    }
+
+    /// The rows as they are held: one state per set bit, so every boundary of
+    /// the interval table is the start or end of some state.
+    pub(crate) fn histories(&self, rt: &Runtime) -> (Histories<VertexId>, Histories<EdgeKey>) {
+        fn states(elems: &[Interval], label: &str, bits: &Bitset) -> Vec<State> {
+            let props = Props::typed(label);
+            bits.iter_ones()
+                .map(|i| (elems[i], props.clone()))
+                .collect()
         }
+        let elems = Arc::clone(&self.intervals);
+        let vertices = self
+            .vertices
+            .map(move |v| (v.vid, states(&elems, &v.vtype, &v.intervals)));
+        let elems = Arc::clone(&self.intervals);
+        let edges = self.edges.map(move |e| {
+            let key = (e.eid, e.src, e.dst);
+            (key, states(&elems, &e.etype, &e.intervals))
+        });
+        (vertices.collect(rt), edges.collect(rt))
     }
 
     /// Number of vertex records.
@@ -300,6 +294,40 @@ impl OgcGraph {
             edges,
         }
     }
+}
+
+/// One `(key, type label, presence bits)` per entity of `histories`, in key
+/// order: the row layout [`OgcGraph::from_histories`] documents.
+fn rows<K: Copy + Ord>(
+    mut histories: Histories<K>,
+    elems: &[Interval],
+    index: &HashMap<Time, usize>,
+) -> impl Iterator<Item = (K, Arc<str>, Bitset)> {
+    // Stable, so of an entity listed twice the first entry's label wins.
+    histories.sort_by_key(|(key, _)| *key);
+    let mut rows: Vec<(K, Arc<str>, Bitset)> = Vec::with_capacity(histories.len());
+    for (key, history) in histories {
+        let fill = |bits: &mut Bitset| {
+            for (iv, _) in &history {
+                let mut t = iv.start;
+                while t < iv.end {
+                    let i = index[&t];
+                    bits.set(i);
+                    t = elems[i].end;
+                }
+            }
+        };
+        match rows.last_mut() {
+            Some((listed, _, bits)) if *listed == key => fill(bits),
+            _ => {
+                let label = history.first().and_then(|(_, props)| props.type_label());
+                let mut bits = Bitset::new(elems.len());
+                fill(&mut bits);
+                rows.push((key, Arc::from(label.unwrap_or("")), bits));
+            }
+        }
+    }
+    rows.into_iter()
 }
 
 #[cfg(test)]

@@ -47,12 +47,6 @@ impl RgGraph {
     /// Materializes the snapshot sequence of a logical TGraph: one snapshot
     /// per elementary no-change interval.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        Self::from_tgraph_at(rt, g, 0)
-    }
-
-    /// [`RgGraph::from_tgraph`] with the snapshot source leaf stamped with
-    /// the ingest epoch the records were loaded at (0 = base snapshot).
-    pub fn from_tgraph_at(rt: &Runtime, g: &TGraph, epoch: u64) -> Self {
         let boundaries = g.change_points();
         let intervals = elementary_intervals(&boundaries);
         let index: HashMap<i64, usize> = intervals
@@ -91,7 +85,7 @@ impl RgGraph {
         let parts = rt.partitions().min(snapshots.len().max(1));
         RgGraph {
             lifespan: g.lifespan,
-            snapshots: Dataset::from_vec_with_tagged(parts, snapshots, epoch),
+            snapshots: Dataset::from_vec_with(parts, snapshots),
         }
     }
 

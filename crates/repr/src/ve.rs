@@ -38,16 +38,10 @@ impl VeGraph {
     /// Loads a VE graph from the logical representation, partitioning both
     /// relations across the runtime.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        Self::from_tgraph_at(rt, g, 0)
-    }
-
-    /// [`VeGraph::from_tgraph`] with the source lineage leaves stamped with
-    /// the ingest epoch the records were loaded at (0 = base snapshot).
-    pub fn from_tgraph_at(rt: &Runtime, g: &TGraph, epoch: u64) -> Self {
         VeGraph {
             lifespan: g.lifespan,
-            vertices: Dataset::from_vec_tagged(rt, g.vertices.clone(), epoch),
-            edges: Dataset::from_vec_tagged(rt, g.edges.clone(), epoch),
+            vertices: Dataset::from_vec(rt, g.vertices.clone()),
+            edges: Dataset::from_vec(rt, g.edges.clone()),
             coalesced: tgraph_core::coalesce::graph_is_coalesced(g),
         }
     }

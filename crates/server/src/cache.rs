@@ -1,12 +1,12 @@
-//! The plan-fingerprint result cache: a byte-bounded, thread-safe LRU
-//! memoizing serialized zoom results.
+//! The result cache: a byte-bounded, thread-safe LRU memoizing serialized
+//! zoom results.
 //!
-//! Keys combine the loaded graph's **plan fingerprint** (a stable structural
-//! hash of its `PlanNode` lineage DAGs, `tgraph_dataflow::lineage`) with the
-//! request's canonical query string. The 64-bit hash indexes the map; the
-//! canonical string is stored in each entry and compared on lookup, so a
-//! fingerprint collision between distinct queries degrades to a miss, never
-//! to a wrong result.
+//! A result is named by what was asked and when: the key is the dataset
+//! epoch followed by the request's canonical query text
+//! (`epoch=N;graph=..;repr=..;range=..;<pipeline>`, built by the zoom path).
+//! The map is keyed by that text itself, so two distinct queries can never
+//! share an entry; each entry's text is one shared `Arc<str>`, held by the
+//! map and by the recency index.
 //!
 //! Values are the serialized result bytes, shared out as `Arc<[u8]>` — a hit
 //! replays the exact bytes of the first execution (byte-identical responses,
@@ -17,55 +17,49 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tgraph_dataflow::lock_unpoisoned;
 
-/// A cache key: hash plus the exact canonical form it was derived from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CacheKey {
-    /// Combined fingerprint: graph plan fingerprints × canonical query.
-    pub hash: u64,
-    /// The canonical query string (collision guard).
-    pub canonical: String,
-}
-
 struct Entry {
-    canonical: String,
     bytes: Arc<[u8]>,
     tick: u64,
 }
 
-/// Fixed bookkeeping retained per resident entry beyond the heap text and
-/// payload: the [`Entry`] struct itself, the recency-index node payload
-/// (`tick → (hash, canonical)`), the map's hash key, and the `Arc`'s
-/// reference counters. Derived from the actual layouts so the charge tracks
-/// the code — the old hand-waved `+ 64` under-counted by roughly half.
-const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<Entry>()
-    + std::mem::size_of::<(u64, (u64, String))>()
-    + std::mem::size_of::<u64>()
-    + 2 * std::mem::size_of::<usize>()) as u64;
+/// Fixed bookkeeping retained per resident entry beyond the key text and
+/// payload: the map's `(key, Entry)` slot, the recency-index node payload
+/// (`tick → key`), and the reference counters of the two `Arc`s. Derived
+/// from the actual layouts so the charge tracks the code.
+const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<(Arc<str>, Entry)>()
+    + std::mem::size_of::<(u64, Arc<str>)>()
+    + 4 * std::mem::size_of::<usize>()) as u64;
 
-impl Entry {
-    /// Budget charge: what residency actually retains. The canonical string
-    /// is charged **twice** because two copies live for the entry's whole
-    /// lifetime — one here, one inside the recency index — which the old
-    /// `len + canonical + 64` estimate missed.
-    fn cost(&self) -> u64 {
-        entry_cost(&self.canonical, self.bytes.len())
-    }
-}
-
-/// The cost formula, shared with the shadow-model property tests so any
-/// accounting drift between model and implementation is a test failure.
-fn entry_cost(canonical: &str, payload_len: usize) -> u64 {
-    (payload_len + 2 * canonical.len()) as u64 + ENTRY_OVERHEAD
+/// Budget charge of one entry: what residency actually retains. Shared with
+/// the shadow-model property test so any accounting drift between model and
+/// implementation is a test failure.
+fn entry_cost(key: &str, payload_len: usize) -> u64 {
+    (payload_len + key.len()) as u64 + ENTRY_OVERHEAD
 }
 
 #[derive(Default)]
 struct Inner {
-    /// hash → entries (usually one; more only under fingerprint collision).
-    map: HashMap<u64, Vec<Entry>>,
-    /// recency order: tick → (hash, index-independent canonical).
-    recency: BTreeMap<u64, (u64, String)>,
+    map: HashMap<Arc<str>, Entry>,
+    /// Recency order: tick → key, oldest first.
+    recency: BTreeMap<u64, Arc<str>>,
     bytes_used: u64,
     next_tick: u64,
+}
+
+impl Inner {
+    fn tick(&mut self) -> u64 {
+        self.next_tick += 1;
+        self.next_tick - 1
+    }
+
+    /// Takes `key`'s entry out of the map, the recency index and the
+    /// byte count.
+    fn remove(&mut self, key: &str) -> Option<Entry> {
+        let entry = self.map.remove(key)?;
+        self.recency.remove(&entry.tick);
+        self.bytes_used -= entry_cost(key, entry.bytes.len());
+        Some(entry)
+    }
 }
 
 /// Counters returned by [`ResultCache::stats`].
@@ -73,7 +67,7 @@ struct Inner {
 pub struct CacheStats {
     /// Lookups that returned bytes.
     pub hits: u64,
-    /// Lookups that found nothing (including collision mismatches).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
@@ -114,140 +108,64 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. A hash match whose
-    /// canonical string differs (a true fingerprint collision) is a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<[u8]>> {
+    /// Looks up `key`, refreshing its recency on a hit.
+    pub fn get(&self, key: &str) -> Option<Arc<[u8]>> {
         let mut inner = lock_unpoisoned(&self.inner);
-        let inner = &mut *inner;
-        let found = inner
-            .map
-            .get_mut(&key.hash)
-            .and_then(|entries| entries.iter_mut().find(|e| e.canonical == key.canonical));
-        match found {
-            Some(entry) => {
-                let fresh = inner.next_tick;
-                inner.next_tick += 1;
-                inner.recency.remove(&entry.tick);
-                entry.tick = fresh;
-                let bytes = Arc::clone(&entry.bytes);
-                inner
-                    .recency
-                    .insert(fresh, (key.hash, key.canonical.clone()));
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let fresh = inner.tick();
+        let Inner { map, recency, .. } = &mut *inner;
+        let Some(entry) = map.get_mut(key) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        if let Some(shared) = recency.remove(&entry.tick) {
+            recency.insert(fresh, shared);
         }
+        entry.tick = fresh;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.bytes))
     }
 
     /// Inserts (or refreshes) `key → bytes`, evicting least-recently-used
     /// entries until the budget holds. An entry larger than the whole budget
     /// is never cached — whether it arrives as a fresh insert or as a
-    /// refresh that grew past the budget (the refresh path drops the entry
+    /// refresh that grew past the budget (the refresh drops the entry
     /// instead of flushing every other resident entry first).
-    pub fn insert(&self, key: &CacheKey, bytes: Arc<[u8]>) {
+    pub fn insert(&self, key: &str, bytes: Arc<[u8]>) {
         let mut inner = lock_unpoisoned(&self.inner);
-        let inner = &mut *inner;
-        // Replace an existing entry for the same key in place.
-        if let Some(entries) = inner.map.get_mut(&key.hash) {
-            if let Some(idx) = entries.iter().position(|e| e.canonical == key.canonical) {
-                let e = &mut entries[idx];
-                inner.bytes_used -= e.cost();
-                e.bytes = Arc::clone(&bytes);
-                if e.cost() > self.byte_budget {
-                    // The refreshed value alone overflows the budget. Caching
-                    // it would evict every other entry and *still* not fit, so
-                    // drop the entry entirely — same policy as an oversized
-                    // fresh insert.
-                    inner.recency.remove(&e.tick);
-                    entries.swap_remove(idx);
-                    if entries.is_empty() {
-                        inner.map.remove(&key.hash);
-                    }
-                    return;
-                }
-                let fresh = inner.next_tick;
-                inner.next_tick += 1;
-                inner.recency.remove(&e.tick);
-                e.tick = fresh;
-                inner.bytes_used += e.cost();
-                inner
-                    .recency
-                    .insert(fresh, (key.hash, key.canonical.clone()));
-                self.evict_to_budget(inner);
-                return;
-            }
-        }
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        let entry = Entry {
-            canonical: key.canonical.clone(),
-            bytes,
-            tick,
-        };
-        if entry.cost() > self.byte_budget {
+        let refreshed = inner.remove(key).is_some();
+        let cost = entry_cost(key, bytes.len());
+        if cost > self.byte_budget {
             return; // would evict everything and still not fit
         }
-        inner.bytes_used += entry.cost();
-        inner.map.entry(key.hash).or_default().push(entry);
-        inner
-            .recency
-            .insert(tick, (key.hash, key.canonical.clone()));
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.evict_to_budget(inner);
-    }
-
-    fn evict_to_budget(&self, inner: &mut Inner) {
+        let tick = inner.tick();
+        let key: Arc<str> = Arc::from(key);
+        inner.recency.insert(tick, Arc::clone(&key));
+        inner.map.insert(key, Entry { bytes, tick });
+        inner.bytes_used += cost;
+        if !refreshed {
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+        }
         while inner.bytes_used > self.byte_budget {
-            // Oldest tick first.
-            let Some((&tick, _)) = inner.recency.iter().next() else {
+            let Some((_, oldest)) = inner.recency.pop_first() else {
                 break;
             };
-            let Some((hash, canonical)) = inner.recency.remove(&tick) else {
-                break;
-            };
-            if let Some(entries) = inner.map.get_mut(&hash) {
-                if let Some(idx) = entries.iter().position(|e| e.canonical == canonical) {
-                    let e = entries.swap_remove(idx);
-                    inner.bytes_used -= e.cost();
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                if entries.is_empty() {
-                    inner.map.remove(&hash);
-                }
+            if inner.remove(&oldest).is_some() {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Drops every entry whose canonical string satisfies `pred`, returning
-    /// how many were dropped. Used on ingest: stamped keys from older
-    /// generations can never hit again, so their bytes are reclaimed eagerly
-    /// instead of waiting for LRU pressure.
+    /// Drops every entry whose key satisfies `pred`, returning how many were
+    /// dropped. Used on ingest: keys stamped with an older epoch can never
+    /// hit again, so their bytes are reclaimed eagerly instead of waiting
+    /// for LRU pressure.
     pub fn invalidate(&self, pred: impl Fn(&str) -> bool) -> u64 {
         let mut inner = lock_unpoisoned(&self.inner);
-        let Inner {
-            map,
-            recency,
-            bytes_used,
-            ..
-        } = &mut *inner;
-        let mut dropped = 0u64;
-        map.retain(|_, entries| {
-            entries.retain(|e| {
-                if pred(&e.canonical) {
-                    recency.remove(&e.tick);
-                    *bytes_used -= e.cost();
-                    dropped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            !entries.is_empty()
-        });
+        let doomed: Vec<Arc<str>> = inner.map.keys().filter(|k| pred(k)).cloned().collect();
+        for key in &doomed {
+            inner.remove(key);
+        }
+        let dropped = doomed.len() as u64;
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         dropped
     }
@@ -272,18 +190,13 @@ impl ResultCache {
     /// Whether `key` is resident, **without** refreshing its recency — a
     /// pure probe for tests and metrics, unlike [`get`](ResultCache::get)
     /// which promotes the entry to most-recently-used.
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        let inner = lock_unpoisoned(&self.inner);
-        inner
-            .map
-            .get(&key.hash)
-            .is_some_and(|entries| entries.iter().any(|e| e.canonical == key.canonical))
+    pub fn contains(&self, key: &str) -> bool {
+        lock_unpoisoned(&self.inner).map.contains_key(key)
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        let inner = lock_unpoisoned(&self.inner);
-        inner.map.values().map(Vec::len).sum()
+        lock_unpoisoned(&self.inner).map.len()
     }
 
     /// Whether the cache is empty.
@@ -304,13 +217,6 @@ impl std::fmt::Debug for ResultCache {
 mod tests {
     use super::*;
 
-    fn key(hash: u64, canonical: &str) -> CacheKey {
-        CacheKey {
-            hash,
-            canonical: canonical.to_string(),
-        }
-    }
-
     fn payload(n: usize, fill: u8) -> Arc<[u8]> {
         vec![fill; n].into()
     }
@@ -318,10 +224,9 @@ mod tests {
     #[test]
     fn hit_returns_the_exact_bytes() {
         let c = ResultCache::new(10_000);
-        let k = key(1, "q1");
-        assert!(c.get(&k).is_none());
-        c.insert(&k, payload(100, 7));
-        assert_eq!(c.get(&k).as_deref(), Some(&vec![7u8; 100][..]));
+        assert!(c.get("q1").is_none());
+        c.insert("q1", payload(100, 7));
+        assert_eq!(c.get("q1").as_deref(), Some(&vec![7u8; 100][..]));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
     }
@@ -332,102 +237,79 @@ mod tests {
         let unit = entry_cost("k1", 100);
         let budget = 3 * unit + unit / 2;
         let c = ResultCache::new(budget);
-        for (h, name) in [(1, "k1"), (2, "k2"), (3, "k3")] {
-            c.insert(&key(h, name), payload(100, h as u8));
+        for (fill, name) in [(1, "k1"), (2, "k2"), (3, "k3")] {
+            c.insert(name, payload(100, fill));
         }
         assert_eq!(c.len(), 3);
         // Touch k1 so k2 becomes the LRU entry.
-        assert!(c.get(&key(1, "k1")).is_some());
+        assert!(c.get("k1").is_some());
         // Inserting k4 exceeds the budget → evict k2 (oldest untouched).
-        c.insert(&key(4, "k4"), payload(100, 4));
-        assert!(c.get(&key(2, "k2")).is_none(), "k2 evicted");
-        assert!(
-            c.get(&key(1, "k1")).is_some(),
-            "k1 survived (recently used)"
-        );
-        assert!(c.get(&key(3, "k3")).is_some());
-        assert!(c.get(&key(4, "k4")).is_some());
+        c.insert("k4", payload(100, 4));
+        assert!(c.get("k2").is_none(), "k2 evicted");
+        assert!(c.get("k1").is_some(), "k1 survived (recently used)");
+        assert!(c.get("k3").is_some());
+        assert!(c.get("k4").is_some());
         assert_eq!(c.stats().evictions, 1);
         assert!(c.stats().bytes_used <= budget);
     }
 
-    /// S3 regression: the budget charge reflects what residency actually
-    /// retains — the payload, BOTH copies of the canonical string (one in
-    /// the entry, one in the recency index), and layout-derived bookkeeping.
-    /// The old `len + canonical + 64` estimate missed the second canonical
-    /// copy entirely, so a workload of long queries over small results could
-    /// really hold ~2× its nominal budget.
+    /// The budget charge reflects what residency retains: the payload, the
+    /// one shared copy of the key text, and layout-derived bookkeeping.
     #[test]
-    fn entry_cost_covers_both_canonical_copies_and_bookkeeping() {
-        let canon = "x".repeat(1000);
+    fn entry_cost_covers_payload_key_and_bookkeeping() {
+        let key = "x".repeat(1000);
         let c = ResultCache::new(1 << 20);
-        c.insert(&key(1, &canon), payload(100, 1));
+        c.insert(&key, payload(100, 1));
         let used = c.stats().bytes_used;
-        assert_eq!(used, entry_cost(&canon, 100));
-        assert!(
-            used >= 100 + 2 * 1000,
-            "both canonical copies must be charged, got {used}"
-        );
+        assert_eq!(used, entry_cost(&key, 100));
+        assert!(used >= 100 + 1000, "payload and key text, got {used}");
         // The overhead term is layout-derived, not a guess: it covers at
         // least the Entry struct and the recency node it models.
         assert!(ENTRY_OVERHEAD >= std::mem::size_of::<Entry>() as u64);
+        // One allocation of the text serves the map and the recency index.
+        let inner = lock_unpoisoned(&c.inner);
+        let (held, _) = inner.map.get_key_value(key.as_str()).expect("resident");
+        assert_eq!(Arc::strong_count(held), 2);
     }
 
     #[test]
     fn oversized_entries_are_not_cached() {
         let c = ResultCache::new(100);
-        c.insert(&key(1, "big"), payload(200, 1));
-        assert!(c.get(&key(1, "big")).is_none());
+        c.insert("big", payload(200, 1));
+        assert!(c.get("big").is_none());
         assert_eq!(c.stats().insertions, 0);
         assert_eq!(c.stats().bytes_used, 0);
     }
 
     #[test]
-    fn fingerprint_collisions_stay_correct() {
-        // Two distinct queries colliding on the same 64-bit hash must both
-        // be retrievable, each with its own bytes.
-        let c = ResultCache::new(10_000);
-        c.insert(&key(42, "query-a"), payload(10, 0xA));
-        c.insert(&key(42, "query-b"), payload(10, 0xB));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&key(42, "query-a")).as_deref(), Some(&[0xA; 10][..]));
-        assert_eq!(c.get(&key(42, "query-b")).as_deref(), Some(&[0xB; 10][..]));
-        // A third canonical form under the same hash is a miss, not a hit.
-        assert!(c.get(&key(42, "query-c")).is_none());
-    }
-
-    #[test]
     fn reinsert_refreshes_in_place() {
         let c = ResultCache::new(10_000);
-        let k = key(9, "q");
-        c.insert(&k, payload(10, 1));
-        c.insert(&k, payload(20, 2));
+        c.insert("q", payload(10, 1));
+        c.insert("q", payload(20, 2));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&k).as_deref(), Some(&[2u8; 20][..]));
+        assert_eq!(c.get("q").as_deref(), Some(&[2u8; 20][..]));
+        assert_eq!(c.stats().insertions, 1, "a refresh is not an insertion");
+        assert_eq!(c.stats().bytes_used, entry_cost("q", 20));
     }
 
-    /// Satellite regression test: a refresh whose new value alone exceeds
-    /// the budget must drop the entry, not flush every *other* resident
-    /// entry first (the old `evict_to_budget`-after-refresh path evicted the
-    /// whole cache oldest-first before finally removing the oversized entry
-    /// itself).
+    /// A refresh whose new value alone exceeds the budget must drop the
+    /// entry, not flush every *other* resident entry first.
     #[test]
     fn oversized_refresh_drops_only_the_refreshed_entry() {
         // Budget fits all four small entries.
         let unit = entry_cost("k1", 100);
         let budget = 5 * unit;
         let c = ResultCache::new(budget);
-        for (h, name) in [(1, "k1"), (2, "k2"), (3, "k3")] {
-            c.insert(&key(h, name), payload(100, h as u8));
+        for (fill, name) in [(1, "k1"), (2, "k2"), (3, "k3"), (9, "kg")] {
+            c.insert(name, payload(100, fill));
         }
-        c.insert(&key(9, "kg"), payload(100, 9));
         assert_eq!(c.len(), 4);
         // Refresh kg with a payload larger than the entire budget.
-        c.insert(&key(9, "kg"), payload(budget as usize + 100, 9));
-        assert!(!c.contains(&key(9, "kg")), "oversized refresh is dropped");
-        for (h, name) in [(1, "k1"), (2, "k2"), (3, "k3")] {
+        c.insert("kg", payload(budget as usize + 100, 9));
+        assert!(!c.contains("kg"), "oversized refresh is dropped");
+        for name in ["k1", "k2", "k3"] {
             assert!(
-                c.contains(&key(h, name)),
+                c.contains(name),
                 "{name} must survive an oversized refresh of another key"
             );
         }
@@ -439,15 +321,15 @@ mod tests {
     #[test]
     fn invalidate_drops_matching_entries_and_reclaims_bytes() {
         let c = ResultCache::new(10_000);
-        c.insert(&key(1, "graph=a;repr=ve"), payload(100, 1));
-        c.insert(&key(2, "graph=a;repr=og"), payload(100, 2));
-        c.insert(&key(3, "graph=b;repr=ve"), payload(100, 3));
+        c.insert("epoch=0;graph=a;repr=ve", payload(100, 1));
+        c.insert("epoch=0;graph=a;repr=og", payload(100, 2));
+        c.insert("epoch=0;graph=b;repr=ve", payload(100, 3));
         let before = c.stats().bytes_used;
-        let dropped = c.invalidate(|canonical| canonical.starts_with("graph=a;"));
+        let dropped = c.invalidate(|key| key.contains("graph=a;"));
         assert_eq!(dropped, 2);
-        assert!(!c.contains(&key(1, "graph=a;repr=ve")));
-        assert!(!c.contains(&key(2, "graph=a;repr=og")));
-        assert!(c.contains(&key(3, "graph=b;repr=ve")));
+        assert!(!c.contains("epoch=0;graph=a;repr=ve"));
+        assert!(!c.contains("epoch=0;graph=a;repr=og"));
+        assert!(c.contains("epoch=0;graph=b;repr=ve"));
         let s = c.stats();
         assert_eq!(s.invalidations, 2);
         assert_eq!(s.evictions, 0, "invalidation is not an eviction");
@@ -455,7 +337,7 @@ mod tests {
         // Recency bookkeeping stays coherent: filling the cache afterwards
         // still evicts cleanly.
         for i in 10..60u64 {
-            c.insert(&key(i, &format!("graph=c;q{i}")), payload(400, i as u8));
+            c.insert(&format!("graph=c;q{i}"), payload(400, i as u8));
         }
         assert!(c.stats().bytes_used <= 10_000);
     }
@@ -464,75 +346,56 @@ mod tests {
     fn contains_does_not_refresh_recency() {
         // Budget for exactly two entries.
         let c = ResultCache::new(2 * entry_cost("k1", 100) + 10);
-        c.insert(&key(1, "k1"), payload(100, 1));
-        c.insert(&key(2, "k2"), payload(100, 2));
+        c.insert("k1", payload(100, 1));
+        c.insert("k2", payload(100, 2));
         // Probe k1 with contains(): unlike get(), this must NOT promote it.
-        assert!(c.contains(&key(1, "k1")));
-        c.insert(&key(3, "k3"), payload(100, 3));
-        assert!(!c.contains(&key(1, "k1")), "k1 was still the LRU entry");
-        assert!(c.contains(&key(2, "k2")));
-        assert!(c.contains(&key(3, "k3")));
+        assert!(c.contains("k1"));
+        c.insert("k3", payload(100, 3));
+        assert!(!c.contains("k1"), "k1 was still the LRU entry");
+        assert!(c.contains("k2"));
+        assert!(c.contains("k3"));
     }
 
     /// A shadow model of the cache: entries kept in recency order (front =
     /// least recently used), with the same cost formula. Used by the
-    /// property tests to predict residency, eviction order, and byte
+    /// property test to predict residency, eviction order, and byte
     /// accounting after every operation.
     struct Shadow {
         budget: u64,
-        /// (hash, canonical, payload_len), LRU first.
-        entries: Vec<(u64, String, usize)>,
+        /// (key, payload_len), LRU first.
+        entries: Vec<(String, usize)>,
     }
 
     impl Shadow {
-        fn new(budget: u64) -> Self {
-            Shadow {
-                budget,
-                entries: Vec::new(),
-            }
-        }
-
-        fn cost(canonical: &str, len: usize) -> u64 {
+        fn used(&self) -> u64 {
             // The implementation's own formula: the model predicts *exact*
             // byte accounting, so any drift in `entry_cost` (or a call site
             // forgetting a component) fails the property test.
-            entry_cost(canonical, len)
+            self.entries.iter().map(|(k, l)| entry_cost(k, *l)).sum()
         }
 
-        fn used(&self) -> u64 {
-            self.entries
-                .iter()
-                .map(|(_, c, l)| Shadow::cost(c, *l))
-                .sum()
-        }
-
-        fn position(&self, hash: u64, canonical: &str) -> Option<usize> {
-            self.entries
-                .iter()
-                .position(|(h, c, _)| *h == hash && c == canonical)
+        fn position(&self, key: &str) -> Option<usize> {
+            self.entries.iter().position(|(k, _)| k == key)
         }
 
         /// Mirrors `ResultCache::get`: promote to most-recently-used.
-        fn get(&mut self, hash: u64, canonical: &str) -> Option<usize> {
-            let idx = self.position(hash, canonical)?;
+        fn get(&mut self, key: &str) -> Option<usize> {
+            let idx = self.position(key)?;
             let e = self.entries.remove(idx);
-            let len = e.2;
+            let len = e.1;
             self.entries.push(e);
             Some(len)
         }
 
         /// Mirrors `ResultCache::insert`, including the oversized rules.
-        fn insert(&mut self, hash: u64, canonical: &str, len: usize) {
-            let cost = Shadow::cost(canonical, len);
-            if let Some(idx) = self.position(hash, canonical) {
+        fn insert(&mut self, key: &str, len: usize) {
+            if let Some(idx) = self.position(key) {
                 self.entries.remove(idx);
-                if cost > self.budget {
-                    return; // oversized refresh: dropped, nothing evicted
-                }
-            } else if cost > self.budget {
-                return; // oversized fresh insert: never cached
             }
-            self.entries.push((hash, canonical.to_string(), len));
+            if entry_cost(key, len) > self.budget {
+                return; // oversized: never cached, nothing else evicted
+            }
+            self.entries.push((key.to_string(), len));
             while self.used() > self.budget {
                 self.entries.remove(0); // evict LRU-first
             }
@@ -540,10 +403,9 @@ mod tests {
     }
 
     /// Property test: under a long random interleaving of gets, inserts,
-    /// refreshes, hash collisions, and oversized values, the cache agrees
-    /// with the shadow model on residency (via the non-refreshing
-    /// `contains`), payload identity, and exact byte accounting — and never
-    /// exceeds its budget.
+    /// refreshes and oversized values, the cache agrees with the shadow
+    /// model on residency (via the non-refreshing `contains`), payload
+    /// identity, and exact byte accounting — and never exceeds its budget.
     #[test]
     fn random_ops_agree_with_shadow_model() {
         // Deterministic LCG so failures replay exactly.
@@ -557,17 +419,15 @@ mod tests {
 
         const BUDGET: u64 = 1200;
         let c = ResultCache::new(BUDGET);
-        let mut shadow = Shadow::new(BUDGET);
+        let mut shadow = Shadow {
+            budget: BUDGET,
+            entries: Vec::new(),
+        };
 
-        // A small key universe with deliberate hash collisions (two
-        // canonical forms per hash) and canonical lengths from 2 to ~80
-        // characters — long canonicals weight the double-retention term of
-        // the cost formula, which the old estimate missed (S3).
-        let keyspace: Vec<CacheKey> = (0..16u64)
-            .map(|i| {
-                let canonical = format!("q{i}{}", "x".repeat((i as usize % 4) * 25));
-                key(i % 8, &canonical)
-            })
+        // A small key universe with key lengths from 2 to ~80 characters,
+        // so the key-text term of the cost formula carries weight.
+        let keyspace: Vec<String> = (0..16usize)
+            .map(|i| format!("q{i}{}", "x".repeat((i % 4) * 25)))
             .collect();
 
         for step in 0..4000 {
@@ -577,10 +437,9 @@ mod tests {
                     // get: cache hit iff the shadow says resident, and the
                     // payload length matches the shadow's record.
                     let got = c.get(k);
-                    let expect = shadow.get(k.hash, &k.canonical);
                     assert_eq!(
                         got.as_ref().map(|b| b.len()),
-                        expect,
+                        shadow.get(k),
                         "step {step}: get({k:?}) disagrees with the model"
                     );
                 }
@@ -592,14 +451,14 @@ mod tests {
                     } else {
                         (next() % 300) as usize
                     };
-                    c.insert(k, payload(len, (k.hash & 0xFF) as u8));
-                    shadow.insert(k.hash, &k.canonical, len);
+                    c.insert(k, payload(len, k.len() as u8));
+                    shadow.insert(k, len);
                 }
                 _ => {
                     // Pure probe: must not perturb recency in either model.
                     assert_eq!(
                         c.contains(k),
-                        shadow.position(k.hash, k.canonical.as_str()).is_some(),
+                        shadow.position(k).is_some(),
                         "step {step}: contains({k:?}) disagrees with the model"
                     );
                 }
@@ -621,43 +480,13 @@ mod tests {
                 shadow.entries.len(),
                 "step {step}: resident count drifted from the model"
             );
-            for e in &shadow.entries {
-                assert!(
-                    c.contains(&key(e.0, &e.1)),
-                    "step {step}: model says ({}, {}) is resident",
-                    e.0,
-                    e.1
-                );
+            for (key, _) in &shadow.entries {
+                assert!(c.contains(key), "step {step}: model says {key} is resident");
             }
         }
-        // The run must have actually exercised eviction and collisions.
+        // The run must have actually exercised eviction.
         assert!(c.stats().evictions > 0, "run never evicted — weak test");
         assert!(c.stats().hits > 0 && c.stats().misses > 0);
-    }
-
-    /// Property test: eviction strictly follows LRU order even when recency
-    /// is reshuffled by reads, and colliding-hash entries evict
-    /// independently (evicting one canonical form under a hash must not
-    /// disturb its sibling).
-    #[test]
-    fn eviction_follows_lru_order_under_collisions() {
-        // Budget fits exactly three entries.
-        let c = ResultCache::new(3 * entry_cost("ca", 100) + 2);
-        // Two of the three share hash 7 (collision), distinct canonicals.
-        c.insert(&key(7, "ca"), payload(100, 0xA));
-        c.insert(&key(7, "cb"), payload(100, 0xB));
-        c.insert(&key(8, "cc"), payload(100, 0xC));
-        // Reshuffle recency: oldest is now "cb" (ca then cc were touched).
-        assert!(c.get(&key(7, "ca")).is_some());
-        assert!(c.get(&key(8, "cc")).is_some());
-        // A fourth entry evicts exactly the LRU one — "cb" — leaving its
-        // hash-sibling "ca" resident.
-        c.insert(&key(9, "cd"), payload(100, 0xD));
-        assert!(!c.contains(&key(7, "cb")), "cb was LRU and must go");
-        assert!(c.contains(&key(7, "ca")), "hash sibling ca must survive");
-        assert!(c.contains(&key(8, "cc")));
-        assert!(c.contains(&key(9, "cd")));
-        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
@@ -668,7 +497,7 @@ mod tests {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
-                    let k = key(i % 16, &format!("q{}", i % 16));
+                    let k = format!("q{}", i % 16);
                     if (i + t) % 3 == 0 {
                         c.insert(&k, payload(((i % 16) + 1) as usize, (i % 16) as u8));
                     } else if let Some(bytes) = c.get(&k) {

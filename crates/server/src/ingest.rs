@@ -13,7 +13,7 @@ use crate::server::Server;
 use crate::zoom::execute_steps;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Time;
 use tgraph_dataflow::{lock_unpoisoned, Runtime};
@@ -114,12 +114,13 @@ impl Server {
 }
 
 /// A retained result the patch path can bring up to date: the collected
-/// pipeline output plus the dataset epoch and lifespan end it reflects.
+/// pipeline output (shared with the response being serialized) plus the
+/// dataset epoch and lifespan end it reflects.
 #[derive(Clone)]
 struct PatchEntry {
     epoch: u64,
     boundary: Time,
-    result: TGraph,
+    result: Arc<TGraph>,
 }
 
 /// Bound on retained results: maintenance seeds, not a second result cache.
@@ -147,22 +148,22 @@ impl PatchStore {
         shared: &SharedGraph,
         req: &ZoomRequest,
         canonical: &str,
-    ) -> (TGraph, bool) {
+    ) -> (Arc<TGraph>, bool) {
         // Range-restricted residents are not full history (the stitch
         // invariant needs all of it) and `no_cache` requests promise cold
         // semantics, so both bypass maintenance entirely.
         if req.range.is_some() || req.no_cache {
-            return (execute_steps(rt, shared, req), false);
+            return (Arc::new(execute_steps(rt, shared, req)), false);
         }
         let attempt = self.try_patch(rt, data_dir, shared, req, canonical);
         let patched = attempt.is_some();
-        let result = attempt.unwrap_or_else(|| execute_steps(rt, shared, req));
+        let result = Arc::new(attempt.unwrap_or_else(|| execute_steps(rt, shared, req)));
         self.retain(
             canonical,
             PatchEntry {
                 epoch: shared.epoch,
                 boundary: shared.graph.lifespan().end,
-                result: result.clone(),
+                result: Arc::clone(&result),
             },
         );
         (result, patched)
@@ -242,7 +243,7 @@ mod tests {
         PatchEntry {
             epoch,
             boundary: 9,
-            result: figure1_graph_stable_ids(),
+            result: Arc::new(figure1_graph_stable_ids()),
         }
     }
 

@@ -16,12 +16,12 @@
 //! [`Runtime`]. Three mechanisms make it a serving system rather than a
 //! batch runner:
 //!
-//! 1. **Plan-fingerprint result caching** ([`cache`]): each query's cache
-//!    key combines the loaded graph's stable `PlanNode` lineage fingerprint
-//!    (`tgraph_dataflow::lineage::fingerprint`) with the request's canonical
-//!    form; results are memoized as serialized bytes in a byte-bounded LRU,
-//!    so a repeated zoom replays byte-identical output without touching the
-//!    worker pool.
+//! 1. **Result caching** ([`cache`]): a result is named by what was asked
+//!    and when. Each query's cache key is the dataset epoch followed by the
+//!    request's canonical form (the response's `fingerprint` is the FNV-1a
+//!    of that text); results are memoized as serialized bytes in a
+//!    byte-bounded LRU, so a repeated zoom replays byte-identical output
+//!    without touching the worker pool.
 //! 2. **Admission control and deadlines** ([`admission`]): a bounded
 //!    in-flight semaphore with a bounded waiting queue; per-request
 //!    deadlines propagate into the dataflow runtime as a
@@ -56,7 +56,7 @@ mod shard;
 mod zoom;
 
 pub use admission::{Admission, AdmissionStats, AdmitError, Permit};
-pub use cache::{CacheKey, CacheStats, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use json::Json;
 pub use metrics::{Histogram, ServerMetrics};
 pub use protocol::{parse_request, BadRequest, Request, ZoomRequest};

@@ -22,9 +22,8 @@
 //!
 //! Parsing **normalizes**: two requests that differ only in field order,
 //! whitespace, or defaulted fields produce the same [`ZoomRequest`] and
-//! therefore the same [`ZoomRequest::canonical`] string — the textual half
-//! of the result-cache key (the other half is the loaded graph's plan
-//! fingerprint).
+//! therefore the same [`ZoomRequest::canonical`] string — which, prefixed
+//! with the dataset epoch, is the result-cache key.
 
 use crate::json::Json;
 use std::fmt::Write as _;
@@ -605,9 +604,9 @@ impl ZoomRequest {
     }
 
     /// A canonical, whitespace-free description of the query — identical for
-    /// any two wire requests that parse to the same query. Combined with the
-    /// loaded graph's plan fingerprint it forms the result-cache key, and it
-    /// is stored alongside the hash to make cache lookups collision-safe.
+    /// any two wire requests that parse to the same query. Prefixed with the
+    /// dataset epoch it is the result-cache key; on its own it keys the
+    /// maintenance seeds, which outlive an epoch.
     ///
     /// Deliberately excludes `deadline_ms` and `no_cache`: they affect
     /// scheduling, not the result.

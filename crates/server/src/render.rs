@@ -4,7 +4,6 @@
 //! because byte-identical replay is what the result cache, the patch path
 //! and the cross-shard agreement check all compare.
 
-use crate::cache::CacheKey;
 use crate::json::{counters, Json};
 use crate::protocol::ZoomRequest;
 use crate::server::Server;
@@ -12,7 +11,7 @@ use std::time::Duration;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::props::{Props, Value};
 use tgraph_core::time::Interval;
-use tgraph_dataflow::EngineConfig;
+use tgraph_dataflow::{fnv1a, EngineConfig};
 use tgraph_optimize::Decision;
 use tgraph_repr::ReprKind;
 
@@ -111,19 +110,24 @@ pub(crate) fn error_response(kind: &str, message: &str) -> String {
 /// bytes are spliced in verbatim, so clients (and the smoke test) can
 /// extract everything after `"result":` up to the closing brace and compare
 /// replays byte-for-byte. The optional `optimizer` block (auto-choice /
-/// EXPLAIN) is spliced immediately before it.
+/// EXPLAIN) is spliced immediately before it. `fingerprint` is the FNV-1a
+/// of the result-cache key: equal for any two servers answering the same
+/// request at the same dataset epoch.
 pub(crate) fn zoom_response(
     cache: &str,
     total: Duration,
     exec: Duration,
-    key: &CacheKey,
+    key: &str,
     optimizer: Option<&Json>,
     result: &[u8],
 ) -> String {
     let mut out = Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("cache", Json::str(cache)),
-        ("fingerprint", Json::str(format!("{:#018x}", key.hash))),
+        (
+            "fingerprint",
+            Json::str(format!("{:#018x}", fnv1a(key.as_bytes()))),
+        ),
         ("total_us", Json::Int(total.as_micros() as i64)),
         ("exec_us", Json::Int(exec.as_micros() as i64)),
     ])

@@ -7,7 +7,6 @@
 //! that cache's lock); nothing outside this module touches them.
 
 use crate::admission::{AdmitError, Permit};
-use crate::cache::CacheKey;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ZoomRequest;
@@ -98,40 +97,17 @@ pub(crate) fn execute_steps(rt: &Runtime, shared: &SharedGraph, req: &ZoomReques
     req.pipeline.collect(rt, (*shared.graph).clone())
 }
 
-/// Builds the cache key for a request over a loaded graph: FNV-1a over the
-/// graph's per-dataset plan fingerprints plus the canonical query string.
-/// The canonical text (prefixed with the lineage digests) rides along in the
-/// key, making lookups immune to 64-bit collisions.
-fn cache_key(shared: &SharedGraph, query: &str) -> CacheKey {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut write = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    let mut canonical = String::new();
-    // Generation stamp: an ingest advances the dataset epoch, so results
-    // computed before it can never be replayed after it — even if a lineage
-    // fingerprint ever collided across epochs.
-    write(&shared.epoch.to_le_bytes());
-    canonical.push_str(&format!("epoch={};", shared.epoch));
-    for (name, lineage) in shared.graph.lineages() {
-        let fp = tgraph_dataflow::lineage::fingerprint(&lineage);
-        write(name.as_bytes());
-        write(&fp.to_le_bytes());
-        canonical.push_str(&format!("{name}={fp:#018x};"));
-    }
-    write(query.as_bytes());
-    canonical.push_str(query);
-    CacheKey { hash, canonical }
+/// The result-cache key: what was asked (`canonical`) and when (the dataset
+/// epoch the answering graph is at). An ingest advances the epoch, so a
+/// result computed before it can never be replayed after it.
+fn cache_key(epoch: u64, canonical: &str) -> String {
+    format!("epoch={epoch};{canonical}")
 }
 
 /// What the execute stage hands to the serialize stage.
 struct Executed {
-    result: TGraph,
+    /// Shared with the maintenance seed the patch store keeps.
+    result: Arc<TGraph>,
     /// Peer digests to cross-check (empty unless sharded).
     replies: Vec<PeerReply>,
     patched: bool,
@@ -169,7 +145,7 @@ impl Server {
         // The one canonical text of this request: cache key, maintenance
         // seed key and divergence report all read this string.
         let canonical = req.canonical();
-        let key = cache_key(&shared, &canonical);
+        let key = cache_key(shared.epoch, &canonical);
         if let Some(bytes) = self.probe_cache(&req, &key) {
             self.metrics.hit_latency.record(t0.elapsed());
             self.metrics.total_latency.record(t0.elapsed());
@@ -252,7 +228,7 @@ impl Server {
     }
 
     /// Stage 3: the memoized bytes, unless the request opted out.
-    fn probe_cache(&self, req: &ZoomRequest, key: &CacheKey) -> Option<Arc<[u8]>> {
+    fn probe_cache(&self, req: &ZoomRequest, key: &str) -> Option<Arc<[u8]>> {
         if req.no_cache {
             return None;
         }
@@ -313,7 +289,7 @@ impl Server {
                 if self.shards.is_sharded() {
                     let (result, replies) = self.execute_sharded(shared, req, line)?;
                     return Ok(Executed {
-                        result,
+                        result: Arc::new(result),
                         replies,
                         patched: false,
                     });
@@ -355,7 +331,7 @@ impl Server {
         &self,
         done: &Executed,
         req: &ZoomRequest,
-        key: &CacheKey,
+        key: &str,
     ) -> Result<Arc<[u8]>, String> {
         let bytes: Arc<[u8]> = serialize_tgraph(&done.result).into_bytes().into();
         if let Some(divergence) = self.check_shard_agreement(&bytes, &done.replies) {

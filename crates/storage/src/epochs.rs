@@ -19,13 +19,16 @@
 //! boundary every fact of the segment starts at or after — and `end` is the
 //! lifespan end afterwards. The manifest is replaced atomically
 //! (write-to-temp then rename), so readers see either the old epoch list or
-//! the new one, never a torn line; the segment files are fully written
-//! *before* the manifest names them, so a manifest entry implies readable
-//! segments. There is one writer by design (the serve layer's ingest lock);
-//! this module adds crash-atomicity, not multi-writer coordination.
+//! the new one, never a torn line; the segment files are fully written and
+//! synced to disk *before* the manifest names them, and the directory is
+//! synced after the rename, so a manifest entry implies readable segments,
+//! a power loss included. There is one writer by design (the serve layer's
+//! ingest lock); this module adds crash-atomicity, not multi-writer
+//! coordination.
 
 use crate::format::{SortOrder, StorageError};
-use crate::loader::{flat_path, write_stem};
+use crate::loader::{flat_path, stem_paths, write_stem};
+use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use tgraph_core::graph::TGraph;
@@ -119,7 +122,7 @@ pub fn current_end(dir: &Path, name: &str) -> Result<Time, StorageError> {
 fn atomic_write(path: &Path, contents: &str) -> Result<(), StorageError> {
     let tmp = path.with_extension("epochs.tmp");
     {
-        let mut f = std::fs::File::create(&tmp)?;
+        let mut f = File::create(&tmp)?;
         f.write_all(contents.as_bytes())?;
         f.sync_all()?;
     }
@@ -158,8 +161,14 @@ pub fn append_epoch(dir: &Path, name: &str, delta: &TGraph) -> Result<EpochEntry
     };
 
     // Segments first, manifest last: a crash between the two leaves orphan
-    // segment files the manifest never names — invisible to readers.
-    write_stem(dir, &segment_stem(name, epoch), delta)?;
+    // segment files the manifest never names — invisible to readers. The
+    // writers end in a flush to the page cache; the bytes are forced to disk
+    // here, before any manifest can name them.
+    let stem = segment_stem(name, epoch);
+    write_stem(dir, &stem, delta)?;
+    for path in stem_paths(dir, &stem) {
+        File::open(path)?.sync_all()?;
+    }
 
     let entry = EpochEntry {
         epoch,
@@ -176,6 +185,8 @@ pub fn append_epoch(dir: &Path, name: &str, delta: &TGraph) -> Result<EpochEntry
         ));
     }
     atomic_write(&manifest_path(dir, name), &text)?;
+    // The rename is durable once the directory holding both names is.
+    File::open(dir)?.sync_all()?;
     Ok(entry)
 }
 

@@ -14,7 +14,7 @@ use crate::epochs::{read_epochs, segment_stem, EpochEntry};
 use crate::format::{read_tgc, write_tgc, ScanStats, SortOrder, StorageError, DEFAULT_CHUNK_ROWS};
 use crate::nested::{read_tgo, write_tgo, NestedRow};
 use std::path::{Path, PathBuf};
-use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
+use tgraph_core::graph::{EdgeId, TGraph, VertexId};
 use tgraph_core::time::Interval;
 use tgraph_dataflow::Runtime;
 use tgraph_repr::common::{fold_histories, EdgeKey, Histories};
@@ -34,13 +34,23 @@ fn nested_path(dir: &Path, stem: &str) -> PathBuf {
     dir.join(format!("{stem}.tgo"))
 }
 
+/// The three files of one file-name stem: the two flat sort orders and the
+/// nested file.
+pub(crate) fn stem_paths(dir: &Path, stem: &str) -> [PathBuf; 3] {
+    [
+        flat_path(dir, stem, SortOrder::Temporal),
+        flat_path(dir, stem, SortOrder::Structural),
+        nested_path(dir, stem),
+    ]
+}
+
 /// Writes the three encodings of `g` under one file-name stem: the
 /// dataset's name for the base, [`segment_stem`] for an epoch's segment.
 pub(crate) fn write_stem(dir: &Path, stem: &str, g: &TGraph) -> Result<(), StorageError> {
-    for order in [SortOrder::Temporal, SortOrder::Structural] {
-        write_tgc(&flat_path(dir, stem, order), g, order, DEFAULT_CHUNK_ROWS)?;
-    }
-    write_tgo(&nested_path(dir, stem), g, DEFAULT_CHUNK_ROWS)
+    let [temporal, structural, nested] = stem_paths(dir, stem);
+    write_tgc(&temporal, g, SortOrder::Temporal, DEFAULT_CHUNK_ROWS)?;
+    write_tgc(&structural, g, SortOrder::Structural, DEFAULT_CHUNK_ROWS)?;
+    write_tgo(&nested, g, DEFAULT_CHUNK_ROWS)
 }
 
 /// Writes a dataset directory holding all on-disk encodings of a graph.
@@ -75,7 +85,7 @@ fn edge_histories(rows: Vec<NestedRow>) -> Histories<EdgeKey> {
     rows.into_iter().map(|r| (key(&r), r.history)).collect()
 }
 
-/// The epoch a load of the files `epochs` lists is stamped with (0 for a
+/// The epoch a dataset whose manifest lists `epochs` is at (0 for a
 /// base-only dataset).
 pub(crate) fn last_epoch(epochs: &[EpochEntry]) -> u64 {
     epochs.last().map_or(0, |e| e.epoch)
@@ -204,7 +214,7 @@ impl GraphLoader {
         epochs: &[EpochEntry],
     ) -> Result<(VeGraph, ScanStats), StorageError> {
         let (g, scan) = self.flat_at(SortOrder::Temporal, range, epochs)?;
-        Ok((VeGraph::from_tgraph_at(rt, &g, last_epoch(epochs)), scan))
+        Ok((VeGraph::from_tgraph(rt, &g), scan))
     }
 
     /// Loads OG from the nested file: history arrays come pre-grouped, so no
@@ -224,7 +234,7 @@ impl GraphLoader {
         epochs: &[EpochEntry],
     ) -> Result<(OgGraph, ScanStats), StorageError> {
         let n = self.nested_at(range, epochs)?;
-        let og = OgGraph::from_histories(rt, n.lifespan, n.vertices, n.edges, last_epoch(epochs));
+        let og = OgGraph::from_histories(rt, n.lifespan, n.vertices, n.edges);
         Ok((og, n.scan))
     }
 
@@ -238,9 +248,10 @@ impl GraphLoader {
         self.load_at(rt, kind, range, &self.epochs()?)
     }
 
-    /// [`GraphLoader::load`] from one reading of the manifest: `epochs`
-    /// decides both which segments are read and the epoch the lineage leaves
-    /// are stamped with, so the stamp cannot name a segment the load missed.
+    /// [`GraphLoader::load`] over the segments `epochs` lists: the pool
+    /// passes the one reading of the manifest it also takes
+    /// `SharedGraph.epoch` from, so that number cannot name a segment the
+    /// load missed.
     pub(crate) fn load_at(
         &self,
         rt: &Runtime,
@@ -248,7 +259,6 @@ impl GraphLoader {
         range: Option<Interval>,
         epochs: &[EpochEntry],
     ) -> Result<(AnyGraph, ScanStats), StorageError> {
-        let epoch = last_epoch(epochs);
         Ok(match kind {
             ReprKind::Ve => {
                 let (g, s) = self.ve_at(rt, range, epochs)?;
@@ -258,7 +268,7 @@ impl GraphLoader {
             // snapshot materialization reads contiguous runs).
             ReprKind::Rg => {
                 let (g, s) = self.flat_at(SortOrder::Structural, range, epochs)?;
-                (AnyGraph::Rg(RgGraph::from_tgraph_at(rt, &g, epoch)), s)
+                (AnyGraph::Rg(RgGraph::from_tgraph(rt, &g)), s)
             }
             ReprKind::Og => {
                 let (g, s) = self.og_at(rt, range, epochs)?;
@@ -267,45 +277,11 @@ impl GraphLoader {
             // OGC reads the nested file too (topology + type only).
             ReprKind::Ogc => {
                 let n = self.nested_at(range, epochs)?;
-                let g = nested_to_tgraph(n.lifespan, n.vertices, n.edges);
-                (
-                    AnyGraph::Ogc(OgcGraph::from_tgraph_at(rt, &g, epoch)),
-                    n.scan,
-                )
+                let g = OgcGraph::from_histories(rt, n.lifespan, n.vertices, n.edges);
+                (AnyGraph::Ogc(g), n.scan)
             }
         })
     }
-}
-
-fn nested_to_tgraph(
-    lifespan: Interval,
-    vertices: Histories<VertexId>,
-    edges: Histories<EdgeKey>,
-) -> TGraph {
-    let mut g = TGraph {
-        lifespan,
-        vertices: Vec::new(),
-        edges: Vec::new(),
-    };
-    for (vid, history) in vertices {
-        let facts = history.into_iter().map(|(interval, props)| VertexRecord {
-            vid,
-            interval,
-            props,
-        });
-        g.vertices.extend(facts);
-    }
-    for ((eid, src, dst), history) in edges {
-        let facts = history.into_iter().map(|(interval, props)| EdgeRecord {
-            eid,
-            src,
-            dst,
-            interval,
-            props,
-        });
-        g.edges.extend(facts);
-    }
-    g
 }
 
 #[cfg(test)]

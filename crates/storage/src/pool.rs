@@ -222,7 +222,7 @@ impl GraphPool {
                 inner.ready.remove(&key);
                 continue;
             }
-            let graph = shared.graph.append_epoch(rt, delta, epoch);
+            let graph = shared.graph.append_epoch(rt, delta);
             inner.ready.insert(
                 key,
                 SharedGraph {

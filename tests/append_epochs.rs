@@ -9,10 +9,9 @@ use tgraph_core::graph::{figure1_graph_stable_ids, EdgeRecord, TGraph, VertexId,
 use tgraph_core::props::Props;
 use tgraph_core::time::Interval;
 use tgraph_core::zoom::{AZoomSpec, AggSpec, Quantifier, WZoomSpec};
-use tgraph_dataflow::lineage::fingerprint;
 use tgraph_dataflow::Runtime;
 use tgraph_datagen::WikiTalk;
-use tgraph_repr::{AnyGraph, OgGraph, OgcGraph, ReprKind};
+use tgraph_repr::{AnyGraph, ReprKind};
 
 fn rt() -> Runtime {
     Runtime::with_partitions(3, 3)
@@ -82,10 +81,6 @@ fn epoch_delta(full: &TGraph, n: u64) -> TGraph {
     TGraph::from_records(vertices, edges)
 }
 
-fn fingerprints(g: &AnyGraph) -> Vec<u64> {
-    g.lineages().iter().map(|(_, n)| fingerprint(n)).collect()
-}
-
 fn node_counts(g: &AnyGraph) -> Vec<usize> {
     g.lineages().iter().map(|(_, n)| n.node_count()).collect()
 }
@@ -116,8 +111,7 @@ fn eight_appends_equal_a_fresh_load_and_og_ogc_stay_bare_sources() {
         for epoch in 1..=8u64 {
             let delta = epoch_delta(&full, epoch);
             full = union(&full, &delta);
-            let before = fingerprints(&resident);
-            resident = resident.append_epoch(&rt, &delta, epoch);
+            resident = resident.append_epoch(&rt, &delta);
             let what = format!("{kind} at epoch {epoch}");
 
             let fresh = AnyGraph::load(&rt, &full, kind);
@@ -148,26 +142,11 @@ fn eight_appends_equal_a_fresh_load_and_og_ogc_stay_bare_sources() {
                 );
             }
 
-            // The plan identity moves with every epoch, so no result cached
-            // before an ingest can answer a zoom after it.
-            for (was, is) in before.iter().zip(fingerprints(&resident)) {
-                assert_ne!(*was, is, "{what}: append must perturb the plan identity");
-            }
-
             // OG and OGC are rebuilt through their constructors: no map or
-            // union stacks up per epoch, and the identity is the one a load
-            // of the same epoch reports.
-            let loaded_at_epoch = match kind {
-                ReprKind::Og => AnyGraph::Og(OgGraph::from_tgraph_at(&rt, &full, epoch)),
-                ReprKind::Ogc => AnyGraph::Ogc(OgcGraph::from_tgraph_at(&rt, &full, epoch)),
-                ReprKind::Ve | ReprKind::Rg => continue,
-            };
-            assert_eq!(node_counts(&resident), node_counts(&fresh), "{what}");
-            assert_eq!(
-                fingerprints(&resident),
-                fingerprints(&loaded_at_epoch),
-                "{what}"
-            );
+            // union stacks up per epoch.
+            if matches!(kind, ReprKind::Og | ReprKind::Ogc) {
+                assert_eq!(node_counts(&resident), node_counts(&fresh), "{what}");
+            }
         }
     }
 }
@@ -199,7 +178,7 @@ fn figure1_delta_appends_in_every_representation() {
     );
     let full = union(&base, &delta);
     for kind in ReprKind::all() {
-        let appended = AnyGraph::load(&rt, &base, kind).append_epoch(&rt, &delta, 1);
+        let appended = AnyGraph::load(&rt, &base, kind).append_epoch(&rt, &delta);
         let fresh = AnyGraph::load(&rt, &full, kind);
         assert_same_logical_graph(&appended, &fresh, &rt, &kind.to_string());
     }
@@ -212,7 +191,7 @@ fn empty_delta_is_identity() {
     let empty = TGraph::from_records(Vec::new(), Vec::new());
     for kind in ReprKind::all() {
         let g = AnyGraph::load(&rt, &base, kind);
-        let out = g.append_epoch(&rt, &empty, 1);
+        let out = g.append_epoch(&rt, &empty);
         assert_same_logical_graph(&out, &g, &rt, &kind.to_string());
     }
 }

@@ -1,10 +1,10 @@
 //! End-to-end properties of the memory governor: a byte budget makes wide
 //! operators spill shuffle buckets to disk, yet every observable result —
-//! collected rows, reduced aggregates, lineage fingerprints — is
+//! collected rows, reduced aggregates, the analyzed lineage — is
 //! byte-identical to the unbudgeted in-memory run. The governor is an
 //! execution concern only; the planner must never see it.
 
-use tgraph_dataflow::{fingerprint, shuffle, Dataset, KeyedDataset, Runtime, SpillError};
+use tgraph_dataflow::{shuffle, Dataset, KeyedDataset, Runtime, SpillError};
 
 /// A deterministic keyed dataset: `rows` pairs over `parts` partitions with
 /// a mildly skewed key distribution, big enough to overflow a small budget.
@@ -85,7 +85,7 @@ fn lineage_fingerprints_do_not_see_the_governor() {
     let plan = |rt: &Runtime| {
         let input = Dataset::from_partitions(data.clone());
         let reduced = shuffle(rt, &input).reduce_by_key(rt, |a, b| a + b);
-        fingerprint(&reduced.lineage())
+        tgraph_analyze::analyze(&reduced.lineage()).render()
     };
 
     let rt = runtime_with_spill_dir("fingerprint");
@@ -95,7 +95,7 @@ fn lineage_fingerprints_do_not_see_the_governor() {
     let with = plan(&rt);
     assert_eq!(
         without, with,
-        "the planner and its fingerprints must be governor-invisible"
+        "the planner and its lineage must be governor-invisible"
     );
 }
 

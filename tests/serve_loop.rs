@@ -4,10 +4,13 @@
 //! script. The in-process dispatch path is the oracle: the connection layer
 //! may move bytes, never change them. A second case ingests over the socket
 //! and checks the patched answer against a cold recompute; a third sends a
-//! hostile line and checks the server is still there afterwards.
+//! hostile line and checks the server is still there afterwards; a fourth
+//! (in process) holds a server that ingested against one bound afterwards
+//! over the same directory.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use tgraph_core::graph::figure1_graph_stable_ids;
@@ -18,6 +21,11 @@ fn bind_server(dirname: &str) -> Arc<Server> {
     let dir = std::env::temp_dir().join(dirname);
     let _ = std::fs::remove_dir_all(&dir);
     write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
+    bind_over(dir)
+}
+
+/// A server over whatever `dir` already holds.
+fn bind_over(dir: PathBuf) -> Arc<Server> {
     Arc::new(
         Server::bind(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -175,4 +183,54 @@ fn ingest_over_the_socket_patches_byte_identically_to_a_recompute() {
     assert!(recomputed.contains("\"cache\":\"miss\""), "{recomputed}");
     assert_eq!(result_of(&patched), result_of(&recomputed));
     client.shutdown(serve_thread);
+}
+
+/// A served answer is named by what was asked and when. Server A loads the
+/// base, takes one ingest (its resident graph is upgraded in memory) and
+/// zooms; server B is bound afterwards over the same directory and loads
+/// base plus segment from disk. Same request, same epoch: same `fingerprint`
+/// and the same result bytes, in every representation — and on A the zoom
+/// repeated across the ingest is never answered from the cache.
+#[test]
+fn a_server_bound_after_an_ingest_answers_like_the_one_that_took_it() {
+    let ingest = r#"{"op":"ingest","graph":"fig1","since":9,"vertices":[{"id":3,"interval":[9,12],"props":{"type":"person","school":"MIT","name":"Cat"}},{"id":7,"interval":[9,11],"props":{"type":"person","school":"ETH","name":"Eli"}}]}"#;
+    let field = |response: &str, name: &str| {
+        let at = response.find(&format!("\"{name}\":")).expect(name);
+        let end = if name == "result" {
+            response.len()
+        } else {
+            at + response[at..].find(',').expect("next field")
+        };
+        response[at..end].to_string()
+    };
+    for repr in ["rg", "ve", "og", "ogc"] {
+        let zoom = format!(
+            r#"{{"op":"zoom","graph":"fig1","repr":"{repr}","steps":[{{"wzoom":{{"window":{{"changes":2}}}}}}]}}"#
+        );
+        let dirname = format!("tgraph-tier1-serve-rebind-{repr}");
+        let a = bind_server(&dirname);
+        let before = a.handle_line(&zoom);
+        assert!(before.contains("\"cache\":\"miss\""), "{repr}: {before}");
+        let committed = a.handle_line(ingest);
+        assert!(committed.contains("\"epoch\":1"), "{repr}: {committed}");
+        let after = a.handle_line(&zoom);
+        assert!(after.contains("\"ok\":true"), "{repr}: {after}");
+        assert!(!after.contains("\"cache\":\"hit\""), "{repr}: {after}");
+        assert_ne!(field(&before, "result"), field(&after, "result"), "{repr}");
+        assert_ne!(
+            field(&before, "fingerprint"),
+            field(&after, "fingerprint"),
+            "{repr}"
+        );
+
+        let b = bind_over(std::env::temp_dir().join(dirname));
+        let fresh = b.handle_line(&zoom);
+        assert!(fresh.contains("\"cache\":\"miss\""), "{repr}: {fresh}");
+        assert_eq!(
+            field(&after, "fingerprint"),
+            field(&fresh, "fingerprint"),
+            "{repr}"
+        );
+        assert_eq!(field(&after, "result"), field(&fresh, "result"), "{repr}");
+    }
 }
