@@ -579,6 +579,19 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         U: Clone + Send + Sync + 'static,
         F: Fn(&T, &mut dyn FnMut(U)) + Send + Sync + 'static,
     {
+        self.flat_map_with(move |_: &mut (), x, emit| f(x, emit))
+    }
+
+    /// [`flat_map_into`](Dataset::flat_map_into) with per-partition state:
+    /// each partition's pass starts from `S::default()` and hands it to every
+    /// element, so a memo or a scratch buffer lives for one partition and is
+    /// never shared between tasks. Still streams: no partition is buffered.
+    pub fn flat_map_with<S, U, F>(&self, f: F) -> Dataset<U>
+    where
+        S: Default + 'static,
+        U: Clone + Send + Sync + 'static,
+        F: Fn(&mut S, &T, &mut dyn FnMut(U)) + Send + Sync + 'static,
+    {
         let up = self.clone();
         let lineage = PlanNode::new(
             "flat_map",
@@ -593,7 +606,8 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             plan: Plan::Lazy {
                 parts: self.num_partitions(),
                 producer: Arc::new(move |i, sink| {
-                    up.produce(i, &mut |x| f(&x, &mut |u| sink(Cow::Owned(u))));
+                    let mut state = S::default();
+                    up.produce(i, &mut |x| f(&mut state, &x, &mut |u| sink(Cow::Owned(u))));
                 }),
             },
             partitioning: Partitioning::Unknown,
@@ -868,6 +882,34 @@ mod tests {
             .map(|x| x * 10)
             .collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn flat_map_with_state_is_fresh_per_partition_and_costs_no_extra_wave() {
+        let rt = rt();
+        let source = Dataset::from_vec(&rt, (0..10).collect::<Vec<i64>>());
+        // Partitions hold 3, 3, 3 and 1 elements: a counter that restarts
+        // with every partition numbers them 1..=3, 1..=3, 1..=3, 1.
+        let expected: Vec<(i64, usize)> = (0..10).map(|x| (x, x as usize % 3 + 1)).collect();
+        for (upstream, d) in [("source", source.clone()), ("lazy", source.map(|x| *x))] {
+            let numbered = d.flat_map_with(|seen: &mut usize, x, emit| {
+                *seen += 1;
+                emit((*x, *seen));
+            });
+            let before = rt.stats();
+            assert_eq!(numbered.collect(&rt), expected, "{upstream}");
+            let with = rt.stats().since(&before);
+            let plain = d.flat_map_into(|x, emit| emit((*x, 0usize)));
+            let before = rt.stats();
+            assert_eq!(plain.collect(&rt).len(), 10);
+            let into = rt.stats().since(&before);
+            assert_eq!(
+                (with.waves, with.tasks),
+                (into.waves, into.tasks),
+                "{upstream}"
+            );
+            assert_eq!((with.waves, with.tasks), (1, 4), "{upstream}");
+        }
     }
 
     #[test]

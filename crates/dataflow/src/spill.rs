@@ -319,6 +319,24 @@ impl<T: Spill> Spill for Vec<T> {
     }
 }
 
+/// A shared record is charged and encoded as the copy it stands for: the
+/// pointee's inline and heap bytes, and exactly `T`'s encoding, so a frame or
+/// a run holding `Arc<T>` is byte-identical to one holding `T`. Sharing does
+/// not survive a round trip: each decoded value is its own `Arc`.
+impl<T: HeapSize> HeapSize for std::sync::Arc<T> {
+    fn heap_bytes(&self) -> usize {
+        charged_size::<T>(self)
+    }
+}
+impl<T: Spill> Spill for std::sync::Arc<T> {
+    fn spill(&self, out: &mut Vec<u8>) {
+        T::spill(self, out);
+    }
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+        T::unspill(r).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: HeapSize> HeapSize for Option<T> {
     fn heap_bytes(&self) -> usize {
         self.as_ref().map_or(0, HeapSize::heap_bytes)
@@ -548,6 +566,18 @@ mod tests {
         roundtrip(Option::<String>::None);
         roundtrip((1u64, "k".to_string(), vec![2i64]));
         roundtrip(vec![((), ()), ((), ())]);
+    }
+
+    #[test]
+    fn a_shared_value_encodes_and_charges_as_its_copy() {
+        let x = (7u64, "shared".to_string(), vec![1i64, 2]);
+        let shared = std::sync::Arc::new(x.clone());
+        let (mut plain, mut arc) = (Vec::new(), Vec::new());
+        x.spill(&mut plain);
+        shared.spill(&mut arc);
+        assert_eq!(arc, plain, "an Arc writes exactly its pointee's bytes");
+        assert_eq!(shared.heap_bytes(), charged_size(&x));
+        roundtrip(shared);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   those emit no facts, so the logical graph is unaffected.
 //! * **OG** — the resident's history arrays are collected, the delta's are
 //!   folded in ([`fold_histories`]) and [`OgGraph::from_histories`] builds
-//!   the graph again, endpoint copies included.
+//!   the graph again, shared endpoints included.
 //! * **OGC** — the resident's rows as histories, followed by the delta's
 //!   ([`histories_of`]), go through [`OgcGraph::from_histories`], which
 //!   lays out the interval table and every bitset.
@@ -93,8 +93,8 @@ impl AnyGraph {
                 let (delta_vertices, delta_edges) = histories_of(delta);
                 let mut vertices = g.vertices.map(|v| (v.vid, v.history.clone())).collect(rt);
                 fold_histories(&mut vertices, delta_vertices);
-                // Only an edge's own history: its endpoint copies are made
-                // again from the folded vertex histories.
+                // Only an edge's own history: its endpoints are shared again
+                // from the folded vertex histories.
                 let keyed = |e: &OgEdge| ((e.eid, e.src.vid, e.dst.vid), e.history.clone());
                 let mut edges = g.edges.map(keyed).collect(rt);
                 fold_histories(&mut edges, delta_edges);

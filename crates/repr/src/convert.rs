@@ -18,9 +18,10 @@ use tgraph_dataflow::{Dataset, KeyedDataset, PlanNode, Runtime};
 
 /// VE → OG: shuffle tuples by entity key and assemble history arrays.
 ///
-/// Edge endpoint copies are attached with a join against the freshly built
-/// vertex collection (the step GraphX's vertex mirroring performs during
-/// triplet-view materialization).
+/// Edge endpoints are attached with a join against the freshly built vertex
+/// collection (the step GraphX's vertex mirroring performs during
+/// triplet-view materialization); the join carries one shared record per
+/// vertex, which every edge it meets refers to.
 pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
     let vertices: Dataset<OgVertex> = ve
         .vertices
@@ -42,8 +43,8 @@ pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
     // Mirror endpoint vertices onto edges: join on src, then on dst.
     // Mirrored onto edges twice (src join, dst join): hash-partition once
     // so the dst join's vertex-side shuffle is elided.
-    let v_by_id: Dataset<(VertexId, OgVertex)> =
-        tgraph_dataflow::shuffle(rt, &vertices.map(|v| (v.vid, v.clone())));
+    let v_by_id: Dataset<(VertexId, Arc<OgVertex>)> =
+        tgraph_dataflow::shuffle(rt, &vertices.map(|v| (v.vid, Arc::new(v.clone()))));
     let by_src: Dataset<(
         VertexId,
         (
@@ -53,13 +54,13 @@ pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
     )> = e_grouped.map(|(k, states)| (k.1, (*k, states.clone())));
     let with_src = by_src
         .join(rt, &v_by_id)
-        .map(|(_, ((k, states), src))| (k.2, (*k, states.clone(), src.clone())));
+        .map(|(_, ((k, states), src))| (k.2, (*k, states.clone(), Arc::clone(src))));
     let edges: Dataset<OgEdge> = with_src
         .join(rt, &v_by_id)
         .map(|(_, ((k, states, src), dst))| OgEdge {
             eid: k.0,
-            src: src.clone(),
-            dst: dst.clone(),
+            src: Arc::clone(src),
+            dst: Arc::clone(dst),
             history: coalesce_states(states).into_owned(),
         });
 

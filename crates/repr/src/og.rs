@@ -3,10 +3,17 @@
 //! array* of `(interval, attributes)` items (§3, Figure 6).
 //!
 //! OG maximizes temporal locality (an entity's whole history is one record)
-//! while keeping structural locality (edges carry copies of their endpoint
-//! vertices instead of foreign keys, the GraphX-triplet-view analogue), at
-//! the price of denser records. The paper finds OG to be the best
-//! representation for `aZoom^T` and competitive everywhere (§5.4).
+//! while keeping structural locality (edges carry their endpoint vertices
+//! instead of foreign keys, the GraphX-triplet-view analogue), at the price of
+//! denser records. The paper finds OG to be the best representation for
+//! `aZoom^T` and competitive everywhere (§5.4).
+//!
+//! The paper's edge holds a *copy* of each endpoint. Here the copies are
+//! shared, as in GraphX's routing table: a load builds one `Arc<OgVertex>`
+//! per vertex and every incident edge refers to it, and `wZoom^T` zooms each
+//! shared endpoint once per partition. Sharing is invisible to results and
+//! to bytes: a shared endpoint is charged, framed and spilled as the copy it
+//! stands for.
 
 use crate::common::{
     aggregate_group_history, histories_of, resolve_edge_states, resolve_vertex_states,
@@ -38,18 +45,48 @@ impl OgVertex {
     }
 }
 
-/// An edge with endpoint vertex *copies* (not foreign keys) and its own
+/// An edge with its endpoint vertices (not foreign keys) and its own
 /// attribute history.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OgEdge {
     /// Edge identity.
     pub eid: EdgeId,
-    /// Copy of the source vertex, including its history.
-    pub src: OgVertex,
-    /// Copy of the destination vertex, including its history.
-    pub dst: OgVertex,
+    /// The source vertex, including its history: a shared reference, the
+    /// bytes of a copy when framed or spilled.
+    pub src: Arc<OgVertex>,
+    /// The destination vertex, including its history: a shared reference,
+    /// the bytes of a copy when framed or spilled.
+    pub dst: Arc<OgVertex>,
     /// `(interval, attributes)` items of the edge itself.
     pub history: Vec<State>,
+}
+
+/// The endpoints one partition of a `wZoom^T` pass has zoomed, keyed by the
+/// address of the shared record each was zoomed from. An entry holds that
+/// record, so its address cannot be reused by another vertex while the memo
+/// lives.
+#[derive(Default)]
+struct ZoomedEndpoints(HashMap<*const OgVertex, (Arc<OgVertex>, Arc<OgVertex>)>);
+
+impl ZoomedEndpoints {
+    /// `v` with its history recomputed by `zoom`, once per shared record.
+    fn of(&mut self, v: &Arc<OgVertex>, zoom: &impl Fn(&[State]) -> Vec<State>) -> Arc<OgVertex> {
+        let zoomed = || {
+            Arc::new(OgVertex {
+                vid: v.vid,
+                history: zoom(&v.history),
+            })
+        };
+        if Arc::strong_count(v) == 1 {
+            // No other edge refers to this endpoint: nothing to share.
+            return zoomed();
+        }
+        let (_, z) = self
+            .0
+            .entry(Arc::as_ptr(v))
+            .or_insert_with(|| (Arc::clone(v), zoomed()));
+        Arc::clone(z)
+    }
 }
 
 /// A TGraph stored as single aggregated vertex and edge collections.
@@ -80,16 +117,17 @@ pub fn clip_history(history: &[State], mask: &[Interval]) -> Vec<State> {
 
 impl OgGraph {
     /// Builds OG from the logical graph: histories are grouped per entity,
-    /// sorted, and coalesced; edges receive copies of their endpoints.
+    /// sorted, and coalesced; edges receive their endpoints.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
         let (vertices, edges) = histories_of(g);
         Self::from_histories(rt, g.lifespan, vertices, edges)
     }
 
     /// Builds OG from per-entity histories, each sorted by start and
-    /// coalesced: every edge receives copies of its endpoints and rows are
-    /// put in id order. An endpoint without a vertex row — a date-range load
-    /// can leave one outside the range — is copied with an empty history.
+    /// coalesced: every vertex that is an endpoint is copied once into an
+    /// `Arc` that all its edges share, and rows are put in id order. An
+    /// endpoint without a vertex row — a date-range load can leave one
+    /// outside the range — gets an empty history.
     pub fn from_histories(
         rt: &Runtime,
         lifespan: Interval,
@@ -101,20 +139,25 @@ impl OgGraph {
             .map(|(vid, history)| OgVertex { vid, history })
             .collect();
         vertices.sort_by_key(|v| v.vid);
-        let by_id: HashMap<VertexId, &OgVertex> = vertices.iter().map(|v| (v.vid, v)).collect();
-        let copy_of = |vid: VertexId| match by_id.get(&vid) {
-            Some(v) => (*v).clone(),
-            None => OgVertex {
+        let index: HashMap<VertexId, usize> = vertices
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.vid, i))
+            .collect();
+        let mut shared: Vec<Option<Arc<OgVertex>>> = vec![None; vertices.len()];
+        let mut endpoint = |vid: VertexId| match index.get(&vid) {
+            Some(&i) => Arc::clone(shared[i].get_or_insert_with(|| Arc::new(vertices[i].clone()))),
+            None => Arc::new(OgVertex {
                 vid,
                 history: Vec::new(),
-            },
+            }),
         };
         let mut edges: Vec<OgEdge> = edges
             .into_iter()
             .map(|((eid, src, dst), history)| OgEdge {
                 eid,
-                src: copy_of(src),
-                dst: copy_of(dst),
+                src: endpoint(src),
+                dst: endpoint(dst),
                 history,
             })
             .collect();
@@ -152,9 +195,9 @@ impl OgGraph {
     /// Vertices are split on their history arrays, the Skolem function is
     /// applied to every history element individually (flatMap + map), and
     /// identity-equivalent elements are grouped and reduced with `f_agg`.
-    /// Edge redirection needs **no join**: each edge carries copies of its
-    /// endpoint vertices, so `recompute_history` derives the redirected
-    /// history from local data.
+    /// Edge redirection needs **no join**: each edge carries its endpoint
+    /// vertices, so `recompute_history` derives the redirected history from
+    /// local data.
     pub fn azoom(&self, rt: &Runtime, spec: &AZoomSpec) -> OgGraph {
         let spec = Arc::new(spec.clone());
 
@@ -182,11 +225,12 @@ impl OgGraph {
         // Endpoint copies carry the Skolem base of their group: shared by
         // every edge that touches the group.
         let bases = GroupBases::new(Arc::clone(&spec));
-        let edges: Dataset<OgEdge> = self.edges.flat_map_into(move |e, emit| {
+        type Pairs = Vec<((u64, u64), (Props, Props), Vec<State>)>;
+        let edges: Dataset<OgEdge> = self.edges.flat_map_with(move |pairs: &mut Pairs, e, emit| {
             // For every (edge-state × src-state × dst-state) overlap, derive
             // the redirected piece; group pieces by the endpoint-group pair.
-            // An edge sees a handful of pairs at most: a list, not a map.
-            let mut pairs: Vec<((u64, u64), (Props, Props), Vec<State>)> = Vec::new();
+            // An edge sees a handful of pairs at most: a list, not a map, and
+            // one list per partition, drained by every edge.
             for (eiv, eprops) in &e.history {
                 for (siv, sprops) in &e.src.history {
                     let Some(es) = eiv.intersect(siv) else {
@@ -221,13 +265,15 @@ impl OgGraph {
                 }
             }
             pairs.sort_by_key(|(pair, ..)| *pair);
-            for ((gs, gd), (sbase, dbase), pieces) in pairs {
+            for ((gs, gd), (sbase, dbase), pieces) in pairs.drain(..) {
                 let history = coalesce_group(pieces);
                 // Endpoint copies carry the Skolem base attributes;
                 // aggregated attributes live on the vertex relation.
-                let copy = |vid: u64, base: Props| OgVertex {
-                    vid: VertexId(vid),
-                    history: history.iter().map(|(iv, _)| (*iv, base.clone())).collect(),
+                let copy = |vid: u64, base: Props| {
+                    Arc::new(OgVertex {
+                        vid: VertexId(vid),
+                        history: history.iter().map(|(iv, _)| (*iv, base.clone())).collect(),
+                    })
                 };
                 emit(OgEdge {
                     eid: e.eid,
@@ -279,43 +325,49 @@ impl OgGraph {
         };
 
         let rz = rezoom_vertex.clone();
-        let vertices: Dataset<OgVertex> = self.vertices.flat_map(move |v| {
+        let zoom_vertex = move |v: &OgVertex| {
             let history = rz(&v.history);
             (!history.is_empty()).then_some(OgVertex {
                 vid: v.vid,
                 history,
             })
-        });
+        };
+        let vertices: Dataset<OgVertex> = self.vertices.flat_map(zoom_vertex.clone());
 
         let ws = Arc::clone(&windows);
         let spec_e = Arc::clone(&spec);
-        let edges: Dataset<OgEdge> = self.edges.flat_map(move |e| {
-            let history = rezoom_history(&e.history, &ws, &spec_e.edge_quantifier, |s| {
-                resolve_edge_states(&spec_e, s)
-            });
-            // Refresh the endpoint copies by zooming them locally with the
-            // same (pure) per-vertex computation the vertex relation uses,
-            // so chained operators see post-zoom endpoint histories.
-            (!history.is_empty()).then(|| OgEdge {
-                eid: e.eid,
-                src: OgVertex {
-                    vid: e.src.vid,
-                    history: rezoom_vertex(&e.src.history),
-                },
-                dst: OgVertex {
-                    vid: e.dst.vid,
-                    history: rezoom_vertex(&e.dst.history),
-                },
-                history,
-            })
-        });
+        let edges: Dataset<OgEdge> =
+            self.edges
+                .flat_map_with(move |zoomed: &mut ZoomedEndpoints, e, emit| {
+                    let history = rezoom_history(&e.history, &ws, &spec_e.edge_quantifier, |s| {
+                        resolve_edge_states(&spec_e, s)
+                    });
+                    // Refresh the endpoints by zooming them locally with the
+                    // same (pure) per-vertex computation the vertex relation
+                    // uses, so chained operators see post-zoom endpoint
+                    // histories; the edges of a partition that share an
+                    // endpoint share its zoomed record too.
+                    if !history.is_empty() {
+                        emit(OgEdge {
+                            eid: e.eid,
+                            src: zoomed.of(&e.src, &rezoom_vertex),
+                            dst: zoomed.of(&e.dst, &rezoom_vertex),
+                            history,
+                        });
+                    }
+                });
 
         // Dangling-edge removal (lines 9–15).
         let edges = if spec.needs_dangling_check() {
             // Joined twice (src clip, then dst clip): partition once, the
-            // second join elides its vertex-side shuffle.
-            let v_by_id: Dataset<(VertexId, OgVertex)> =
-                tgraph_dataflow::shuffle(rt, &vertices.map(|v| (v.vid, v.clone())));
+            // second join elides its vertex-side shuffle. A surviving edge
+            // refers to the joined vertex record, it does not copy it.
+            let v_by_id: Dataset<(VertexId, Arc<OgVertex>)> = tgraph_dataflow::shuffle(
+                rt,
+                &self
+                    .vertices
+                    .flat_map(move |v| zoom_vertex(v).map(|z| (z.vid, Arc::new(z)))),
+            );
             let by_src: Dataset<(VertexId, OgEdge)> = edges.map(|e| (e.src.vid, e.clone()));
             let clipped_src: Dataset<(VertexId, OgEdge)> =
                 by_src.join(rt, &v_by_id).flat_map(|(_, (e, v))| {
@@ -325,8 +377,8 @@ impl OgGraph {
                             e.dst.vid,
                             OgEdge {
                                 eid: e.eid,
-                                src: v.clone(),
-                                dst: e.dst.clone(),
+                                src: Arc::clone(v),
+                                dst: Arc::clone(&e.dst),
                                 history,
                             },
                         )
@@ -336,8 +388,8 @@ impl OgGraph {
                 let history = clip_history(&e.history, &v.existence());
                 (!history.is_empty()).then(|| OgEdge {
                     eid: e.eid,
-                    src: e.src.clone(),
-                    dst: v.clone(),
+                    src: Arc::clone(&e.src),
+                    dst: Arc::clone(v),
                     history,
                 })
             })
@@ -387,7 +439,7 @@ mod tests {
         assert_eq!(bob.history.len(), 2, "Bob holds two history items");
         assert_eq!(bob.history[0].0, Interval::new(2, 5));
         assert_eq!(bob.history[1].0, Interval::new(5, 9));
-        // Edges carry endpoint copies with history.
+        // Edges carry their endpoints with history.
         let e1 = og
             .edges
             .collect(&rt)
@@ -459,6 +511,92 @@ mod tests {
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
         assert!(tgraph_core::validate::validate(&got).is_empty());
+    }
+
+    /// A hub vertex with three states and 60 incident edges in both
+    /// directions, over leaves of staggered lifetimes.
+    fn hub_graph() -> TGraph {
+        let hub = |level: i64| Props::typed("hub").with("level", level);
+        let mut vertices = vec![
+            VertexRecord::new(0, Interval::new(0, 10), hub(1)),
+            VertexRecord::new(0, Interval::new(10, 20), hub(2)),
+            VertexRecord::new(0, Interval::new(20, 30), hub(3)),
+        ];
+        let mut edges = Vec::new();
+        for leaf in 1..=60u64 {
+            let (start, end) = ((leaf % 7) as i64, 30 - (leaf % 5) as i64);
+            vertices.push(VertexRecord::new(
+                leaf,
+                Interval::new(start, end),
+                Props::typed("leaf"),
+            ));
+            let (src, dst) = if leaf % 2 == 0 { (0, leaf) } else { (leaf, 0) };
+            edges.push(EdgeRecord::new(
+                100 + leaf,
+                src,
+                dst,
+                Interval::new(start + 1, end - 1),
+                Props::typed("link"),
+            ));
+        }
+        TGraph::from_records(vertices, edges)
+    }
+
+    /// The hub endpoint of an edge.
+    fn hub_of(e: &OgEdge) -> &Arc<OgVertex> {
+        if e.src.vid == VertexId(0) {
+            &e.src
+        } else {
+            &e.dst
+        }
+    }
+
+    #[test]
+    fn edges_share_their_endpoints_before_and_after_wzoom() {
+        let rt = rt();
+        let og = OgGraph::from_tgraph(&rt, &hub_graph());
+        let edges = og.edges.collect(&rt);
+        assert_eq!(edges.len(), 60);
+        assert!(
+            edges
+                .iter()
+                .all(|e| Arc::ptr_eq(hub_of(e), hub_of(&edges[0]))),
+            "a load gives every edge of the hub one shared record"
+        );
+        assert_eq!(hub_of(&edges[0]).history.len(), 3);
+
+        let spec = WZoomSpec::points(4, Quantifier::Exists, Quantifier::Exists);
+        // Per partition: (edges, distinct zoomed hub records among them).
+        let shares = og.wzoom(&rt, &spec).edges.map_partitions(|part| {
+            let mut hubs: Vec<&Arc<OgVertex>> = part.iter().map(hub_of).collect();
+            hubs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+            vec![(part.len(), hubs.len())]
+        });
+        let shares = shares.collect(&rt);
+        assert_eq!(shares.iter().map(|(n, _)| n).sum::<usize>(), 60);
+        for (n, hubs) in shares {
+            assert_eq!(hubs, usize::from(n > 0), "{n} edges zoom the hub once");
+        }
+    }
+
+    #[test]
+    fn wzoom_on_a_shared_hub_matches_reference() {
+        let rt = rt();
+        let g = hub_graph();
+        let og = OgGraph::from_tgraph(&rt, &g);
+        // all/exists reaches the dangling-edge join; exists/exists does not.
+        // The 4 KiB budget sends the joins' shared endpoints through runs.
+        for budget in [0, 4 << 10] {
+            rt.set_mem_budget(budget);
+            for vq in [Quantifier::Exists, Quantifier::All] {
+                let spec = WZoomSpec::points(4, vq, Quantifier::Exists);
+                let expected = wzoom_reference(&g, &spec);
+                let got = og.wzoom(&rt, &spec).to_tgraph(&rt);
+                assert_eq!(got.vertices, expected.vertices, "{vq:?} at {budget}");
+                assert_eq!(got.edges, expected.edges, "{vq:?} at {budget}");
+            }
+        }
+        assert!(rt.stats().bytes_spilled > 0);
     }
 
     #[test]

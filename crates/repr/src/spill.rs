@@ -31,6 +31,7 @@ impl Spill for OgVertex {
 }
 
 impl HeapSize for OgEdge {
+    /// Each endpoint is charged as the copy it stands for, shared or not.
     fn heap_bytes(&self) -> usize {
         self.src.heap_bytes() + self.dst.heap_bytes() + self.history.heap_bytes()
     }
@@ -46,8 +47,8 @@ impl Spill for OgEdge {
     fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
         Ok(OgEdge {
             eid: EdgeId::unspill(r)?,
-            src: OgVertex::unspill(r)?,
-            dst: OgVertex::unspill(r)?,
+            src: Arc::<OgVertex>::unspill(r)?,
+            dst: Arc::<OgVertex>::unspill(r)?,
             history: Vec::<(Interval, Props)>::unspill(r)?,
         })
     }
@@ -123,6 +124,7 @@ impl Spill for RgSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_dataflow::charged_size;
 
     fn roundtrip<T: Spill + PartialEq + std::fmt::Debug>(x: &T) {
         let mut buf = Vec::new();
@@ -133,30 +135,51 @@ mod tests {
         assert_eq!(r.remaining(), 0, "codec must consume exactly its bytes");
     }
 
-    #[test]
-    fn og_records_roundtrip() {
-        let v = OgVertex {
-            vid: VertexId(7),
-            history: vec![
-                (Interval::new(0, 3), Props::typed("person")),
-                (
-                    Interval::new(5, 9),
-                    Props::typed("person").with("age", 30i64),
-                ),
-            ],
-        };
-        roundtrip(&v);
-        let e = OgEdge {
+    fn og_edge() -> OgEdge {
+        OgEdge {
             eid: EdgeId(1),
-            src: v.clone(),
-            dst: OgVertex {
+            src: Arc::new(OgVertex {
+                vid: VertexId(7),
+                history: vec![
+                    (Interval::new(0, 3), Props::typed("person")),
+                    (
+                        Interval::new(5, 9),
+                        Props::typed("person").with("age", 30i64),
+                    ),
+                ],
+            }),
+            dst: Arc::new(OgVertex {
                 vid: VertexId(8),
                 history: vec![],
-            },
+            }),
             history: vec![(Interval::new(1, 2), Props::typed("knows"))],
-        };
+        }
+    }
+
+    #[test]
+    fn og_records_roundtrip() {
+        let e = og_edge();
+        roundtrip(e.src.as_ref());
         roundtrip(&e);
         assert!(e.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn og_edges_frame_and_charge_their_endpoints_as_copies() {
+        let e = og_edge();
+        let mut buf = Vec::new();
+        e.spill(&mut buf);
+        // `len:checksum` of this edge's encoding from when `OgEdge` held its
+        // endpoints by value: sharing them moved no byte of a frame or run.
+        assert_eq!(
+            (buf.len(), tgraph_dataflow::checksum(&buf)),
+            (220, 0xcd84_41df_ecbb_9083)
+        );
+        // Both endpoint histories are charged, as for copies.
+        assert_eq!(
+            e.heap_bytes(),
+            charged_size(e.src.as_ref()) + charged_size(e.dst.as_ref()) + e.history.heap_bytes()
+        );
     }
 
     #[test]

@@ -83,15 +83,18 @@ fn zoom_kernels_stay_inside_their_allocation_budget() {
     let half_years = WZoomSpec::points(6, Quantifier::Exists, Quantifier::Exists);
 
     // (operator, representation, ceiling in allocations per input tuple).
-    // Ceilings sit ~25% above the counts EXPERIMENTS.md records (3.11, 5.51,
-    // 19.17, 3.72, 5.06, 7.05; before the kernels stopped allocating per
-    // record: 18.93, 19.62, 110.60, 14.11, 34.13, 15.09).
+    // Ceilings sit ~25% above the counts EXPERIMENTS.md records (3.10, 6.27,
+    // 19.16, 3.71, 3.50, 7.05), except aZoom OG's, kept from when it counted
+    // 5.51: since OG edges share their endpoints, each endpoint copy aZoom
+    // makes is one `Arc` allocation more (and wZoom OG fell from 5.05).
+    // Before the kernels stopped allocating per record: 18.93, 19.62,
+    // 110.60, 14.11, 34.13, 15.09.
     let budget: [(&str, ReprKind, f64); 6] = [
         ("azoom", ReprKind::Ve, 3.9),
         ("azoom", ReprKind::Og, 6.9),
         ("azoom", ReprKind::Rg, 24.0),
         ("wzoom", ReprKind::Ve, 4.7),
-        ("wzoom", ReprKind::Og, 6.3),
+        ("wzoom", ReprKind::Og, 4.4),
         ("wzoom", ReprKind::Ogc, 8.8),
     ];
     for (op, kind, ceiling) in budget {
