@@ -8,9 +8,13 @@
 //! share an entry; each entry's text is one shared `Arc<str>`, held by the
 //! map and by the recency index.
 //!
-//! Values are the serialized result bytes, shared out as `Arc<[u8]>` — a hit
+//! Values are the serialized result texts, shared out as `Arc<str>` — a hit
 //! replays the exact bytes of the first execution (byte-identical responses,
-//! asserted by the CI smoke test) without re-serialization.
+//! asserted by the CI smoke test) without re-serialization. A hit shares
+//! the entry's allocation all the way to the socket: the zoom reply holds
+//! the `Arc` and the connection's write backlog queues it as one chunk, so
+//! the bytes are never copied (nor re-checked as UTF-8, which the type
+//! already guarantees). An entry evicted meanwhile lives until written.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use tgraph_dataflow::lock_unpoisoned;
 
 struct Entry {
-    bytes: Arc<[u8]>,
+    bytes: Arc<str>,
     tick: u64,
 }
 
@@ -109,7 +113,7 @@ impl ResultCache {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<Arc<[u8]>> {
+    pub fn get(&self, key: &str) -> Option<Arc<str>> {
         let mut inner = lock_unpoisoned(&self.inner);
         let fresh = inner.tick();
         let Inner { map, recency, .. } = &mut *inner;
@@ -130,7 +134,7 @@ impl ResultCache {
     /// is never cached — whether it arrives as a fresh insert or as a
     /// refresh that grew past the budget (the refresh drops the entry
     /// instead of flushing every other resident entry first).
-    pub fn insert(&self, key: &str, bytes: Arc<[u8]>) {
+    pub fn insert(&self, key: &str, bytes: Arc<str>) {
         let mut inner = lock_unpoisoned(&self.inner);
         let refreshed = inner.remove(key).is_some();
         let cost = entry_cost(key, bytes.len());
@@ -217,16 +221,17 @@ impl std::fmt::Debug for ResultCache {
 mod tests {
     use super::*;
 
-    fn payload(n: usize, fill: u8) -> Arc<[u8]> {
-        vec![fill; n].into()
+    /// `n` copies of the ASCII character `fill % 128`.
+    fn payload(n: usize, fill: u8) -> Arc<str> {
+        char::from(fill % 128).to_string().repeat(n).into()
     }
 
     #[test]
     fn hit_returns_the_exact_bytes() {
         let c = ResultCache::new(10_000);
         assert!(c.get("q1").is_none());
-        c.insert("q1", payload(100, 7));
-        assert_eq!(c.get("q1").as_deref(), Some(&vec![7u8; 100][..]));
+        c.insert("q1", payload(100, b'7'));
+        assert_eq!(c.get("q1").as_deref(), Some("7".repeat(100).as_str()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
     }
@@ -287,7 +292,7 @@ mod tests {
         c.insert("q", payload(10, 1));
         c.insert("q", payload(20, 2));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get("q").as_deref(), Some(&[2u8; 20][..]));
+        assert_eq!(c.get("q").as_deref(), Some("\u{2}".repeat(20).as_str()));
         assert_eq!(c.stats().insertions, 1, "a refresh is not an insertion");
         assert_eq!(c.stats().bytes_used, entry_cost("q", 20));
     }
@@ -503,7 +508,7 @@ mod tests {
                     } else if let Some(bytes) = c.get(&k) {
                         // Whatever we read must be the payload for that key.
                         assert_eq!(bytes.len() as u64, (i % 16) + 1);
-                        assert!(bytes.iter().all(|&b| b == (i % 16) as u8));
+                        assert!(bytes.bytes().all(|b| b == (i % 16) as u8));
                     }
                 }
             }));

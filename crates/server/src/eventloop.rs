@@ -17,7 +17,7 @@
 //! * **Dispatchers** (`max_inflight + 2`: enough to keep `max_inflight`
 //!   queries executing while two more answer pings, stats and cache hits):
 //!   execute queued request batches against the shared [`Server`] dispatch
-//!   path and append responses to the connection's write buffer, nudging
+//!   path and queue responses on the connection's write backlog, nudging
 //!   the reactor after every line — a `shard_exec` ack must reach the
 //!   coordinator *before* the executing shard blocks in its first exchange
 //!   wave, so responses are never held until a batch completes.

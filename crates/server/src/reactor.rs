@@ -7,11 +7,11 @@
 use crate::admission::Permit;
 use crate::handoff::HandOff;
 use crate::metrics::ServerMetrics;
-use crate::render::error_response;
+use crate::render::{error_response, Reply};
 use crate::server::Server;
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -23,6 +23,8 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Write-buffer high-water mark: above this backlog the connection stops
 /// reading and dispatching until the client drains its responses.
 const WRITE_HWM: usize = 256 * 1024;
+/// Most backlog chunks handed to one `write_vectored` call.
+const MAX_SLICES: usize = 16;
 /// Most request lines dispatched as one batch.
 const MAX_BATCH: usize = 64;
 /// Parsed-but-undispatched lines a connection may hold before its reads
@@ -47,12 +49,35 @@ struct ConnShared {
     state: Mutex<ConnState>,
 }
 
+/// One piece of a connection's write backlog.
+enum Chunk {
+    /// Bytes the connection owns: heads, whole small responses and
+    /// newlines, coalesced into one buffer while they arrive back to back.
+    Owned(Vec<u8>),
+    /// A zoom result shared with the result cache, written in place.
+    Shared(Arc<str>),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Owned(buf) => buf,
+            Chunk::Shared(body) => body.as_bytes(),
+        }
+    }
+}
+
 #[derive(Default)]
 struct ConnState {
-    /// Response bytes awaiting the socket; `out_pos` marks how much of it
-    /// is already written (partial-write continuation).
-    out: Vec<u8>,
+    /// Response bytes awaiting the socket, in order; `out_pos` marks how
+    /// much of the front chunk is already written (partial-write
+    /// continuation) and `queued` how many bytes are left in all of them.
+    out: VecDeque<Chunk>,
     out_pos: usize,
+    queued: usize,
+    /// The last fully written owned buffer, if it was small: the next
+    /// owned chunk starts in it instead of in a fresh allocation.
+    spare: Vec<u8>,
     /// Complete frames parsed but not yet dispatched.
     pending: VecDeque<PendingLine>,
     /// Whether a batch from this connection is on a dispatcher right now.
@@ -65,19 +90,74 @@ struct ConnState {
 
 impl ConnState {
     fn backlog(&self) -> usize {
-        self.out.len() - self.out_pos
+        self.queued
     }
 
-    /// Resets a fully written buffer. One large response (bodies reach
+    /// Queues one response line. Text is copied in, coalesced with the
+    /// owned bytes already at the back; a zoom result is queued by
+    /// reference, so the cache's allocation is what gets written.
+    fn push_reply(&mut self, reply: Reply) {
+        match reply {
+            Reply::Text(text) => self.push_owned(text.as_bytes()),
+            Reply::Zoom { head, body } => {
+                self.push_owned(head.as_bytes());
+                self.queued += body.len();
+                self.out.push_back(Chunk::Shared(body));
+                self.push_owned(b"}");
+            }
+        }
+        self.push_owned(b"\n");
+    }
+
+    fn push_owned(&mut self, bytes: &[u8]) {
+        self.queued += bytes.len();
+        if let Some(Chunk::Owned(tail)) = self.out.back_mut() {
+            tail.extend_from_slice(bytes);
+        } else {
+            let mut buf = std::mem::take(&mut self.spare);
+            buf.extend_from_slice(bytes);
+            self.out.push_back(Chunk::Owned(buf));
+        }
+    }
+
+    /// Writes the front of the backlog to `w` in one vectored call of at
+    /// most [`MAX_SLICES`] chunks and drops what was taken, continuing a
+    /// partial write at any byte of any chunk. Returns the bytes written.
+    fn write_to(&mut self, w: &mut impl Write) -> std::io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); MAX_SLICES];
+        let mut count = 0;
+        for (slot, chunk) in slices.iter_mut().zip(&self.out) {
+            let skip = if count == 0 { self.out_pos } else { 0 };
+            *slot = IoSlice::new(&chunk.bytes()[skip..]);
+            count += 1;
+        }
+        let written = w.write_vectored(&slices[..count])?;
+        self.consume(written);
+        Ok(written)
+    }
+
+    /// Drops `n` written bytes from the front. A fully written chunk goes:
+    /// a shared body releases its reference, and an owned buffer is kept
+    /// as the spare only if it is small. One large response (bodies reach
     /// megabytes) must not pin its capacity for the connection's lifetime —
     /// across thousands of parked connections that retention is unbounded.
-    fn reset_drained_out(&mut self) {
-        if self.out.capacity() > WRITE_HWM {
-            self.out = Vec::new();
-        } else {
-            self.out.clear();
+    fn consume(&mut self, mut n: usize) {
+        self.queued -= n;
+        while let Some(front) = self.out.front() {
+            let left = front.bytes().len() - self.out_pos;
+            if n < left {
+                self.out_pos += n;
+                return;
+            }
+            n -= left;
+            self.out_pos = 0;
+            if let Some(Chunk::Owned(mut buf)) = self.out.pop_front() {
+                if buf.capacity() <= WRITE_HWM {
+                    buf.clear();
+                    self.spare = buf;
+                }
+            }
         }
-        self.out_pos = 0;
     }
 
     /// Nothing queued, executing, or buffered.
@@ -127,7 +207,7 @@ pub(crate) struct Job {
 
 /// The dispatch path a batch's request lines run through:
 /// [`Server::handle_line_batched`] in service, a stand-in under test.
-pub(crate) type LineHandler<'a> = dyn Fn(&str, &mut dyn FnMut(&str), &mut Option<Permit>) + 'a;
+pub(crate) type LineHandler<'a> = dyn Fn(&str, &mut dyn FnMut(Reply), &mut Option<Permit>) + 'a;
 
 /// A connection as its owning reactor sees it.
 struct Conn {
@@ -445,23 +525,14 @@ fn reactor_flush(conn: &mut Conn) -> bool {
     loop {
         let mut st = lock_unpoisoned(&conn.shared.state);
         if st.backlog() == 0 {
-            if st.out_pos > 0 {
-                st.reset_drained_out();
-            }
             return true;
         }
         // The write is nonblocking, so holding the state lock across it is
         // bounded; dispatchers appending concurrently wait at most one
-        // syscall: `write`, not `write_all`.
-        match (&conn.stream).write(&st.out[st.out_pos..]) {
+        // syscall: one `write_vectored`, not a loop of them.
+        match st.write_to(&mut &conn.stream) {
             Ok(0) => return false,
-            Ok(n) => {
-                st.out_pos += n;
-                if st.out_pos == st.out.len() {
-                    st.reset_drained_out();
-                    return true;
-                }
-            }
+            Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => {
@@ -608,31 +679,24 @@ fn run_batch(job: &Job, handle: &LineHandler<'_>) {
     for item in &job.lines {
         match item {
             PendingLine::Request(line) => {
-                let mut out = |resp: &str| push_response(job, resp);
+                let mut out = |reply: Reply| push_response(job, reply);
                 let ran = catch_unwind(AssertUnwindSafe(|| handle(line, &mut out, &mut permit)));
                 if ran.is_err() {
-                    push_response(
-                        job,
-                        &error_response("internal", "request handler panicked; closing"),
-                    );
+                    let refusal = error_response("internal", "request handler panicked; closing");
+                    push_response(job, refusal.into());
                     lock_unpoisoned(&job.conn.state).close_when_done = true;
                 }
             }
-            PendingLine::Synthetic(resp) => push_response(job, resp),
+            PendingLine::Synthetic(resp) => push_response(job, Reply::Text(resp.clone())),
         }
     }
     // Dropping `permit` releases the carried admission slot at batch end.
 }
 
-/// Appends one response line to the connection's write buffer and wakes
+/// Queues one response line on the connection's write backlog and wakes
 /// its reactor to flush it.
-fn push_response(job: &Job, resp: &str) {
-    {
-        let mut st = lock_unpoisoned(&job.conn.state);
-        st.out.reserve(resp.len() + 1);
-        st.out.extend_from_slice(resp.as_bytes());
-        st.out.push(b'\n');
-    }
+fn push_response(job: &Job, reply: Reply) {
+    lock_unpoisoned(&job.conn.state).push_reply(reply);
     job.reactor.push_ready(job.token);
 }
 
@@ -674,36 +738,130 @@ mod tests {
 
     /// Echoes every line except `boom`, which panics like a failed spill
     /// write inside the pool load does.
-    fn echo_or_panic(line: &str, out: &mut dyn FnMut(&str), _permit: &mut Option<Permit>) {
+    fn echo_or_panic(line: &str, out: &mut dyn FnMut(Reply), _permit: &mut Option<Permit>) {
         if line == "boom" {
             panic!("injected handler panic");
         }
-        out(&format!("echo {line}"));
+        out(format!("echo {line}").into());
     }
 
     fn written(conn: &ConnShared) -> String {
-        String::from_utf8(lock_unpoisoned(&conn.state).out.clone()).expect("utf8")
+        let st = lock_unpoisoned(&conn.state);
+        let bytes: Vec<u8> = st.out.iter().flat_map(Chunk::bytes).copied().collect();
+        String::from_utf8(bytes).expect("utf8")
+    }
+
+    /// A socket that takes 1-7 bytes per call, spread over as many of the
+    /// offered slices as that covers: every partial write a kernel could
+    /// make, at every chunk boundary.
+    #[derive(Default)]
+    struct Stingy {
+        taken: Vec<u8>,
+        calls: usize,
+        widest: usize,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.widest = self.widest.max(bufs.len());
+            let mut budget = 1 + self.calls % 7;
+            let before = self.taken.len();
+            for buf in bufs {
+                let n = buf.len().min(budget);
+                self.taken.extend_from_slice(&buf[..n]);
+                budget -= n;
+                if budget == 0 {
+                    break;
+                }
+            }
+            Ok(self.taken.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn drain(st: &mut ConnState, w: &mut impl Write) {
+        while st.backlog() > 0 {
+            assert!(st.write_to(w).expect("write") > 0, "stalled with a backlog");
+        }
+    }
+
+    fn zoom_reply(head: &str, body: &Arc<str>) -> Reply {
+        Reply::Zoom {
+            head: head.to_string(),
+            body: Arc::clone(body),
+        }
     }
 
     #[test]
-    fn drained_write_buffer_releases_a_large_allocation_and_keeps_a_small_one() {
+    fn partial_writes_deliver_every_reply_whole_and_in_order() {
+        let body: Arc<str> = (0..300).map(|i| format!("{i},")).collect::<String>().into();
+        let other: Arc<str> = Arc::from("{\"vertices\":[]}");
         let mut st = ConnState::default();
-        st.out.extend_from_slice(&vec![b'x'; 3 << 20]);
-        st.out_pos = st.out.len();
-        st.reset_drained_out();
-        assert_eq!((st.out.len(), st.out_pos), (0, 0));
+        let mut expected = String::new();
+        for i in 0..24 {
+            let reply = match i % 3 {
+                0 => Reply::Text(format!("{{\"ok\":false,\"n\":{i}}}")),
+                1 => zoom_reply(&format!("{{\"n\":{i},\"result\":"), &body),
+                _ => zoom_reply("{\"result\":", &other),
+            };
+            let text = match &reply {
+                Reply::Text(text) => text.clone(),
+                Reply::Zoom { head, body } => format!("{head}{body}}}"),
+            };
+            expected.push_str(&text);
+            expected.push('\n');
+            st.push_reply(reply);
+            assert_eq!(st.backlog(), expected.len(), "reply {i}");
+        }
+        assert!(st.out.len() > MAX_SLICES, "the queue outgrows one call");
+
+        let mut socket = Stingy::default();
+        drain(&mut st, &mut socket);
+        assert_eq!(String::from_utf8(socket.taken).expect("utf8"), expected);
+        assert_eq!(socket.widest, MAX_SLICES, "one call offers up to 16 chunks");
+        assert!(st.out.is_empty() && st.out_pos == 0);
+        assert_eq!(Arc::strong_count(&body), 1, "written bodies are released");
+        assert_eq!(Arc::strong_count(&other), 1);
+    }
+
+    #[test]
+    fn drained_backlog_holds_no_body_and_no_large_buffer_and_reuses_a_small_one() {
+        let mut st = ConnState::default();
+        let body: Arc<str> = "x".repeat(3 << 20).into();
+        st.push_reply(Reply::Text("y".repeat(3 << 20)));
+        st.push_reply(zoom_reply("{\"result\":", &body));
+        drain(&mut st, &mut Vec::new());
+        assert!(st.out.is_empty() && st.backlog() == 0);
+        assert_eq!(
+            Arc::strong_count(&body),
+            1,
+            "no body reference outlives its write"
+        );
         assert!(
-            st.out.capacity() <= WRITE_HWM,
+            st.spare.capacity() <= WRITE_HWM,
             "a 3 MiB response must not pin its buffer: {} bytes kept",
-            st.out.capacity()
+            st.spare.capacity()
         );
 
-        st.out.extend_from_slice(&[b'x'; 4096]);
-        st.out_pos = st.out.len();
-        let kept = st.out.capacity();
-        st.reset_drained_out();
-        assert_eq!((st.out.len(), st.out_pos), (0, 0));
-        assert_eq!(st.out.capacity(), kept, "small buffers are reused");
+        st.push_reply(Reply::Text("z".repeat(4096)));
+        drain(&mut st, &mut Vec::new());
+        let (kept, at) = (st.spare.capacity(), st.spare.as_ptr());
+        assert!(kept > 4096);
+        st.push_reply(Reply::Text("small".to_string()));
+        match st.out.front() {
+            Some(Chunk::Owned(buf)) => assert_eq!(buf.as_ptr(), at, "small buffers are reused"),
+            _ => panic!("a text reply queues owned bytes"),
+        }
+        drain(&mut st, &mut Vec::new());
+        assert_eq!(st.spare.capacity(), kept);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::json::{counters, Json};
 use crate::protocol::ZoomRequest;
 use crate::server::Server;
+use std::sync::Arc;
 use std::time::Duration;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::props::{Props, Value};
@@ -106,6 +107,39 @@ pub(crate) fn error_response(kind: &str, message: &str) -> String {
     .to_string()
 }
 
+/// One response line (without its newline), as the dispatch sink receives
+/// it. A zoom response carries its result by reference, so a cache hit
+/// reaches the socket without a copy of the result bytes.
+pub(crate) enum Reply {
+    /// The whole response.
+    Text(String),
+    /// A zoom response in three parts: `head` up to and including
+    /// `"result":`, the result `body` exactly as the cache holds it, and a
+    /// closing `}`.
+    Zoom { head: String, body: Arc<str> },
+}
+
+impl Reply {
+    /// The response as one text: what [`Server::handle_line`] returns.
+    pub(crate) fn into_text(self) -> String {
+        match self {
+            Reply::Text(text) => text,
+            Reply::Zoom { mut head, body } => {
+                head.reserve(body.len() + 1);
+                head.push_str(&body);
+                head.push('}');
+                head
+            }
+        }
+    }
+}
+
+impl From<String> for Reply {
+    fn from(text: String) -> Reply {
+        Reply::Text(text)
+    }
+}
+
 /// Composes a zoom response. `result` is ALWAYS the final field and its
 /// bytes are spliced in verbatim, so clients (and the smoke test) can
 /// extract everything after `"result":` up to the closing brace and compare
@@ -119,9 +153,9 @@ pub(crate) fn zoom_response(
     exec: Duration,
     key: &str,
     optimizer: Option<&Json>,
-    result: &[u8],
-) -> String {
-    let mut out = Json::obj(vec![
+    result: Arc<str>,
+) -> Reply {
+    let mut head = Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("cache", Json::str(cache)),
         (
@@ -132,15 +166,13 @@ pub(crate) fn zoom_response(
         ("exec_us", Json::Int(exec.as_micros() as i64)),
     ])
     .to_string();
-    out.pop(); // strip the closing '}' to splice the trailing fields in
+    head.pop(); // strip the closing '}' to splice the trailing fields in
     if let Some(block) = optimizer {
-        out.push_str(",\"optimizer\":");
-        let _ = block.write(&mut out);
+        head.push_str(",\"optimizer\":");
+        let _ = block.write(&mut head);
     }
-    out.push_str(",\"result\":");
-    out.push_str(std::str::from_utf8(result).unwrap_or("null"));
-    out.push('}');
-    out
+    head.push_str(",\"result\":");
+    Reply::Zoom { head, body: result }
 }
 
 /// Lowercase wire spelling of a representation (`Display` is uppercase;

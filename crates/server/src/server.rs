@@ -13,7 +13,7 @@ use crate::ingest::IngestState;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{parse_request, Request};
-use crate::render::{error_response, stats_response};
+use crate::render::{error_response, stats_response, Reply};
 use crate::shard::Shards;
 use crate::zoom::ReprChooser;
 use std::path::PathBuf;
@@ -225,7 +225,7 @@ impl Server {
     /// answer with several lines (`shard_exec`) have them joined by `'\n'`.
     pub fn handle_line(&self, line: &str) -> String {
         let mut lines: Vec<String> = Vec::new();
-        self.handle_line_batched(line, &mut |l: &str| lines.push(l.to_string()), &mut None);
+        self.handle_line_batched(line, &mut |r: Reply| lines.push(r.into_text()), &mut None);
         lines.join("\n")
     }
 
@@ -241,7 +241,7 @@ impl Server {
     pub(crate) fn handle_line_batched(
         &self,
         line: &str,
-        out: &mut dyn FnMut(&str),
+        out: &mut dyn FnMut(Reply),
         permit_slot: &mut Option<Permit>,
     ) {
         ServerMetrics::bump(&self.metrics.requests);
@@ -249,24 +249,26 @@ impl Server {
             Ok(request) => request,
             Err(e) => {
                 ServerMetrics::bump(&self.metrics.bad_requests);
-                return out(&error_response("bad_request", &e.0));
+                return out(error_response("bad_request", &e.0).into());
             }
         };
         if let Some(refusal) = self.shards.refusal(request.op(), &self.metrics) {
-            return out(&refusal);
+            return out(refusal.into());
         }
         let flag = |name: &str| {
-            Json::obj(vec![("ok", Json::Bool(true)), (name, Json::Bool(true))]).to_string()
+            Reply::Text(
+                Json::obj(vec![("ok", Json::Bool(true)), (name, Json::Bool(true))]).to_string(),
+            )
         };
         match request {
-            Request::Ping => out(&flag("pong")),
+            Request::Ping => out(flag("pong")),
             Request::Shutdown => {
                 self.request_shutdown();
-                out(&flag("shutting_down"));
+                out(flag("shutting_down"));
             }
-            Request::Stats => out(&stats_response(self)),
-            Request::Zoom(req) => out(&self.handle_zoom(&req, line, permit_slot)),
-            Request::Ingest(req) => out(&self.handle_ingest(&req, line)),
+            Request::Stats => out(stats_response(self).into()),
+            Request::Zoom(req) => out(self.handle_zoom(&req, line, permit_slot)),
+            Request::Ingest(req) => out(self.handle_ingest(&req, line).into()),
             Request::ShardExec {
                 epoch,
                 dataset_epoch,
@@ -277,7 +279,7 @@ impl Server {
                 epoch,
                 since,
                 ingest,
-            } => out(&self.handle_shard_ingest(epoch, since, &ingest)),
+            } => out(self.handle_shard_ingest(epoch, since, &ingest).into()),
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::ingest::validated_delta;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{IngestRequest, ZoomRequest};
-use crate::render::{error_response, ingest_json, panic_detail, serialize_tgraph};
+use crate::render::{error_response, ingest_json, panic_detail, serialize_tgraph, Reply};
 use crate::server::{Server, ServerConfig};
 use crate::zoom::{execute_steps, pinned};
 use std::io::{BufRead, BufReader, Write};
@@ -382,7 +382,7 @@ impl Server {
         dataset_epoch: u64,
         repr_override: Option<ReprKind>,
         req: &ZoomRequest,
-        out: &mut dyn FnMut(&str),
+        out: &mut dyn FnMut(Reply),
     ) {
         let shard = Json::Int(self.shards.shard as i64);
         // The coordinator resolved `"auto"` already; its choice rides in
@@ -391,7 +391,7 @@ impl Server {
         let req = resolved.as_ref().unwrap_or(req);
         let shared = match self.load_graph(req) {
             Ok(g) => g,
-            Err(message) => return out(&error_response("not_found", &message)),
+            Err(message) => return out(error_response("not_found", &message).into()),
         };
         // A peer whose resident graph lags the coordinator's dataset epoch
         // (it missed an ingest broadcast) must not silently compute on
@@ -403,7 +403,7 @@ impl Server {
                 "shard {} holds '{}' at epoch {}, coordinator is at {}",
                 self.shards.shard, req.graph, shared.epoch, dataset_epoch
             );
-            return out(&Json::obj(vec![
+            return out(Json::obj(vec![
                 ("ok", Json::Bool(false)),
                 ("kind", Json::str("stale_epoch")),
                 ("error", Json::str(message)),
@@ -411,40 +411,44 @@ impl Server {
                 ("peer_epoch", Json::Int(shared.epoch as i64)),
                 ("expected_epoch", Json::Int(dataset_epoch as i64)),
             ])
-            .to_string());
+            .to_string()
+            .into());
         }
-        out(&Json::obj(vec![
+        out(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("ack", Json::str("shard_exec")),
             ("epoch", Json::Int(epoch as i64)),
             ("shard", shard.clone()),
         ])
-        .to_string());
+        .to_string()
+        .into());
         let _guard = lock_unpoisoned(&self.shards.wave_lock);
         self.rt.set_exchange_seq_base(epoch << 32);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_steps(&self.rt, &shared, req)
         }));
         match outcome {
-            Err(panic) => out(&error_response(
+            Err(panic) => out(error_response(
                 "internal",
                 &format!(
                     "shard {} execution failed: {}",
                     self.shards.shard,
                     panic_detail(&*panic)
                 ),
-            )),
+            )
+            .into()),
             Ok(result) => {
                 let bytes = serialize_tgraph(&result).into_bytes();
                 let checksum = format!("{:016x}", tgraph_dataflow::checksum(&bytes));
-                out(&Json::obj(vec![
+                out(Json::obj(vec![
                     ("ok", Json::Bool(true)),
                     ("epoch", Json::Int(epoch as i64)),
                     ("shard", shard),
                     ("result_bytes", Json::Int(bytes.len() as i64)),
                     ("result_checksum", Json::str(checksum)),
                 ])
-                .to_string());
+                .to_string()
+                .into());
             }
         }
     }

@@ -11,7 +11,7 @@ use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ZoomRequest;
 use crate::render::{
-    error_response, optimizer_json, panic_detail, serialize_tgraph, zoom_response,
+    error_response, optimizer_json, panic_detail, serialize_tgraph, zoom_response, Reply,
 };
 use crate::server::Server;
 use crate::shard::PeerReply;
@@ -124,13 +124,15 @@ impl Server {
         req: &ZoomRequest,
         line: &str,
         permit_slot: &mut Option<Permit>,
-    ) -> String {
+    ) -> Reply {
         let t0 = Instant::now();
         let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
         // An already-expired deadline is rejected before any graph load,
         // cache probe, or task wave.
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return self.reject("deadline", "deadline expired before execution");
+            return self
+                .reject("deadline", "deadline expired before execution")
+                .into();
         }
         // Resolve `"repr":"auto"` *before* the pool load and cache probe so
         // an auto request resolved to (say) VE shares pool residents and
@@ -140,20 +142,20 @@ impl Server {
         let block = optimizer_block.as_ref();
         let shared = match self.load_graph(&req) {
             Ok(g) => g,
-            Err(message) => return self.reject("not_found", &message),
+            Err(message) => return self.reject("not_found", &message).into(),
         };
         // The one canonical text of this request: cache key, maintenance
         // seed key and divergence report all read this string.
         let canonical = req.canonical();
         let key = cache_key(shared.epoch, &canonical);
-        if let Some(bytes) = self.probe_cache(&req, &key) {
+        if let Some(body) = self.probe_cache(&req, &key) {
             self.metrics.hit_latency.record(t0.elapsed());
             self.metrics.total_latency.record(t0.elapsed());
-            return zoom_response("hit", t0.elapsed(), Duration::ZERO, &key, block, &bytes);
+            return zoom_response("hit", t0.elapsed(), Duration::ZERO, &key, block, body);
         }
         let permit = match self.admit(deadline, permit_slot) {
             Ok(permit) => permit,
-            Err(refusal) => return refusal,
+            Err(refusal) => return refusal.into(),
         };
         let exec0 = Instant::now();
         let outcome = self.execute(&shared, &req, line, &canonical, deadline);
@@ -168,16 +170,16 @@ impl Server {
         let exec = exec0.elapsed();
         let done = match outcome {
             Ok(done) => done,
-            Err(refusal) => return refusal,
+            Err(refusal) => return refusal.into(),
         };
-        let bytes = match self.serialize(&done, &req, &key) {
-            Ok(bytes) => bytes,
-            Err(divergence) => return divergence,
+        let body = match self.serialize(&done, &req, &key) {
+            Ok(body) => body,
+            Err(divergence) => return divergence.into(),
         };
         self.record_execution(&shape, req.repr, done.patched, exec);
         self.metrics.total_latency.record(t0.elapsed());
         let tag = if done.patched { "patch" } else { "miss" };
-        zoom_response(tag, t0.elapsed(), exec, &key, block, &bytes)
+        zoom_response(tag, t0.elapsed(), exec, &key, block, body)
     }
 
     /// A counted zoom refusal.
@@ -227,14 +229,14 @@ impl Server {
             .map_err(|e| format!("cannot load graph '{}' as {}: {e}", req.graph, req.repr))
     }
 
-    /// Stage 3: the memoized bytes, unless the request opted out.
-    fn probe_cache(&self, req: &ZoomRequest, key: &str) -> Option<Arc<[u8]>> {
+    /// Stage 3: the memoized result, unless the request opted out.
+    fn probe_cache(&self, req: &ZoomRequest, key: &str) -> Option<Arc<str>> {
         if req.no_cache {
             return None;
         }
-        let bytes = self.cache.get(key)?;
+        let body = self.cache.get(key)?;
         ServerMetrics::bump(&self.metrics.zoom_cache_hits);
-        Some(bytes)
+        Some(body)
     }
 
     /// Stage 4: an admission permit, or the typed refusal. Only
@@ -325,22 +327,17 @@ impl Server {
         }
     }
 
-    /// Stage 6: the result's bytes, cross-checked against every peer's
+    /// Stage 6: the result's text, cross-checked against every peer's
     /// digest and memoized. The error is the `shard_divergence` refusal.
-    fn serialize(
-        &self,
-        done: &Executed,
-        req: &ZoomRequest,
-        key: &str,
-    ) -> Result<Arc<[u8]>, String> {
-        let bytes: Arc<[u8]> = serialize_tgraph(&done.result).into_bytes().into();
-        if let Some(divergence) = self.check_shard_agreement(&bytes, &done.replies) {
+    fn serialize(&self, done: &Executed, req: &ZoomRequest, key: &str) -> Result<Arc<str>, String> {
+        let body: Arc<str> = serialize_tgraph(&done.result).into();
+        if let Some(divergence) = self.check_shard_agreement(body.as_bytes(), &done.replies) {
             return Err(divergence);
         }
         if !req.no_cache {
-            self.cache.insert(key, Arc::clone(&bytes));
+            self.cache.insert(key, Arc::clone(&body));
         }
-        Ok(bytes)
+        Ok(body)
     }
 
     /// Books a finished execution. Adaptive feedback: only cold executions
@@ -362,8 +359,42 @@ impl Server {
 
 #[cfg(test)]
 mod tests {
+    use super::cache_key;
+    use crate::protocol::{parse_request, Request};
+    use crate::render::Reply;
     use crate::server::testutil::{fresh_server, result_of, server_over_figure1, zoom_line};
+    use std::sync::Arc;
     use tgraph_repr::ReprKind;
+
+    /// A miss answers with the very allocation it inserted into the cache,
+    /// and a hit with the cache's entry: no copy of a result between the
+    /// cache and the socket.
+    #[test]
+    fn zoom_replies_share_their_body_with_the_cache_entry() {
+        let server = server_over_figure1("unit-shared");
+        let line = zoom_line("unit-shared", "");
+        let Ok(Request::Zoom(req)) = parse_request(&line) else {
+            panic!("not a zoom request: {line}");
+        };
+        let key = cache_key(
+            server.load_graph(&req).expect("load").epoch,
+            &req.canonical(),
+        );
+        let body = |reply: Reply| match reply {
+            Reply::Zoom { head, body } => (head.contains("\"cache\":\"hit\""), body),
+            Reply::Text(text) => panic!("not a zoom result: {text}"),
+        };
+        let (hit, miss) = body(server.handle_zoom(&req, &line, &mut None));
+        assert!(!hit);
+        let entry = server
+            .cache
+            .get(&key)
+            .expect("the miss inserted its result");
+        assert!(Arc::ptr_eq(&miss, &entry), "a miss answers with its entry");
+        let (hit, replay) = body(server.handle_zoom(&req, &line, &mut None));
+        assert!(hit);
+        assert!(Arc::ptr_eq(&replay, &entry), "a hit answers with the entry");
+    }
 
     #[test]
     fn zoom_executes_then_replays_from_cache_byte_identically() {

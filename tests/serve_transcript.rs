@@ -1,5 +1,6 @@
 //! The serve path's golden transcript: one fixed request script over a
-//! deterministic generated dataset, run through `Server::handle_line`, each
+//! deterministic generated dataset, run through `Server::handle_line` and
+//! again over one TCP connection to a fresh server, each
 //! response pinned in `serve_transcript.golden` as two `len:checksum`
 //! columns: the head (the normalised text before `,"result":`) and the body
 //! (the result bytes, from `,"result":` to the end; empty for responses that
@@ -16,7 +17,10 @@
 //! On a deliberate protocol change, run the test and paste the table it
 //! prints into `serve_transcript.golden`.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 use tgraph_datagen::WikiTalk;
 use tgraph_serve::json::{self, Json};
 use tgraph_serve::{Server, ServerConfig};
@@ -24,8 +28,10 @@ use tgraph_storage::write_dataset;
 
 const GOLDEN: &str = include_str!("serve_transcript.golden");
 
-fn bind_server() -> Arc<Server> {
-    let dir = std::env::temp_dir().join("tgraph-tier1-serve-transcript");
+/// A server over a fresh copy of the dataset in `dirname`: the script
+/// ingests, so two runs must not share a directory.
+fn bind_server(dirname: &str) -> Arc<Server> {
+    let dir = std::env::temp_dir().join(dirname);
     let _ = std::fs::remove_dir_all(&dir);
     let g = WikiTalk {
         vertices: 80,
@@ -311,20 +317,61 @@ fn pin(label: &str, response: &str, head: &str, body: &str) -> String {
 
 #[test]
 fn responses_match_the_golden_transcript() {
-    let server = bind_server();
+    let server = bind_server("tgraph-tier1-serve-transcript");
     let script = script();
+    let responses: Vec<String> = script
+        .iter()
+        .map(|(_, line)| server.handle_line(line))
+        .collect();
+    assert_matches_golden(&script, &responses);
+}
+
+/// The same script over one TCP connection. Every line is written before
+/// any response is read, so the responses queue up together in the
+/// connection's write backlog and leave it through the socket write path.
+#[test]
+fn responses_over_one_socket_match_the_golden_transcript() {
+    let server = bind_server("tgraph-tier1-serve-transcript-tcp");
+    let addr = server.local_addr().expect("addr");
+    let serving = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve())
+    };
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let script = script();
+    let requests: String = script.iter().map(|(_, line)| format!("{line}\n")).collect();
+    (&stream).write_all(requests.as_bytes()).expect("send");
+    let mut reader = BufReader::new(&stream);
+    let mut responses = Vec::with_capacity(script.len());
+    for (label, _) in &script {
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("receive");
+        assert!(response.ends_with('\n'), "connection closed before {label}");
+        response.pop();
+        responses.push(response);
+    }
+    server.request_shutdown();
+    serving.join().expect("serve thread").expect("serve loop");
+    assert_matches_golden(&script, &responses);
+}
+
+/// Pins each response of `script` and holds the table against
+/// `serve_transcript.golden`.
+fn assert_matches_golden(script: &[(String, String)], responses: &[String]) {
     let mut actual = Vec::with_capacity(script.len());
     let mut heads = Vec::with_capacity(script.len());
     let mut tags = std::collections::BTreeMap::<&str, usize>::new();
-    for (label, line) in &script {
-        let response = server.handle_line(line);
+    for ((label, _), response) in script.iter().zip(responses) {
         for tag in ["miss", "hit", "patch"] {
             if response.contains(&format!("\"cache\":\"{tag}\"")) {
                 *tags.entry(tag).or_default() += 1;
             }
         }
-        let (head, body) = normalize(&response);
-        actual.push(pin(label, &response, &head, body));
+        let (head, body) = normalize(response);
+        actual.push(pin(label, response, &head, body));
         heads.push(head.chars().take(600).collect::<String>());
     }
     // The script exercises what it says it does, whatever the golden holds.
