@@ -3,11 +3,12 @@
 //! A [`SnapshotDelta`] carries the facts observed since a dataset's current
 //! lifespan end (`since`). Validation enforces the **append invariant** the
 //! whole incremental-maintenance stack rests on — every fact starts at or
-//! after `since` — plus basic well-formedness (non-empty intervals, no
-//! conflicting overlaps for one entity). Producers re-assert continuing
-//! entities: a vertex alive across the boundary appears in the delta with a
-//! fresh interval starting at `since`, which coalescing later merges back
-//! into one state; an entity that is *not* re-asserted has simply ended.
+//! after `since` — plus basic well-formedness (non-empty intervals, a
+//! `type` label on every fact, no conflicting overlaps for one entity).
+//! Producers re-assert continuing entities: a vertex alive across the
+//! boundary appears in the delta with a fresh interval starting at `since`,
+//! which coalescing later merges back into one state; an entity that is
+//! *not* re-asserted has simply ended.
 
 use std::collections::HashMap;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
@@ -64,6 +65,15 @@ pub enum DeltaError {
         /// The instant both facts cover.
         at: Time,
     },
+    /// A fact without the `type` label Definition 2.1 requires of every
+    /// vertex and edge — committed, it would fail the first checked-mode
+    /// validation of the graph it joined.
+    MissingType {
+        /// `"vertex"` or `"edge"`.
+        entity: &'static str,
+        /// The offending entity id.
+        id: u64,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -91,6 +101,9 @@ impl std::fmt::Display for DeltaError {
                 f,
                 "{entity} {id}: conflicting property sets overlap at time {at}"
             ),
+            DeltaError::MissingType { entity, id } => {
+                write!(f, "{entity} {id}: lacks the required `type` property")
+            }
         }
     }
 }
@@ -123,7 +136,7 @@ impl SnapshotDelta {
     pub fn validate(&self) -> Result<(), DeltaError> {
         let mut v_facts: HashMap<VertexId, Vec<(Interval, &Props)>> = HashMap::new();
         for v in &self.vertices {
-            check_fact("vertex", v.vid.0, v.interval, self.since)?;
+            check_fact("vertex", v.vid.0, v.interval, &v.props, self.since)?;
             v_facts
                 .entry(v.vid)
                 .or_default()
@@ -135,7 +148,7 @@ impl SnapshotDelta {
         type EdgeKey = (EdgeId, VertexId, VertexId);
         let mut e_facts: HashMap<EdgeKey, Vec<(Interval, &Props)>> = HashMap::new();
         for e in &self.edges {
-            check_fact("edge", e.eid.0, e.interval, self.since)?;
+            check_fact("edge", e.eid.0, e.interval, &e.props, self.since)?;
             e_facts
                 .entry((e.eid, e.src, e.dst))
                 .or_default()
@@ -159,6 +172,7 @@ fn check_fact(
     entity: &'static str,
     id: u64,
     interval: Interval,
+    props: &Props,
     since: Time,
 ) -> Result<(), DeltaError> {
     if interval.is_empty() {
@@ -175,6 +189,9 @@ fn check_fact(
             start: interval.start,
             since,
         });
+    }
+    if props.type_label().is_none() {
+        return Err(DeltaError::MissingType { entity, id });
     }
     Ok(())
 }
@@ -264,6 +281,52 @@ mod tests {
                 since: 9,
                 ..
             })
+        ));
+    }
+
+    /// Definition 2.1 (condition 3): every fact carries a `type` label. The
+    /// interval and boundary checks still answer first.
+    #[test]
+    fn untyped_fact_is_typed_error() {
+        let mut untyped = v(8, 9, 12);
+        untyped.props = Props::new().with("school", "MIT");
+        let d = SnapshotDelta {
+            since: 9,
+            vertices: vec![v(1, 9, 12), untyped.clone()],
+            edges: Vec::new(),
+        };
+        assert_eq!(
+            d.validate(),
+            Err(DeltaError::MissingType {
+                entity: "vertex",
+                id: 8
+            })
+        );
+        let edge = EdgeRecord {
+            eid: EdgeId(4),
+            src: VertexId(1),
+            dst: VertexId(1),
+            interval: Interval::new(9, 11),
+            props: Props::new(),
+        };
+        let d = SnapshotDelta {
+            since: 9,
+            vertices: vec![v(1, 9, 12)],
+            edges: vec![edge],
+        };
+        assert_eq!(
+            d.validate().map_err(|e| e.to_string()),
+            Err("edge 4: lacks the required `type` property".to_string())
+        );
+        untyped.interval = Interval::new(5, 12);
+        let early = SnapshotDelta {
+            since: 9,
+            vertices: vec![untyped],
+            edges: Vec::new(),
+        };
+        assert!(matches!(
+            early.validate(),
+            Err(DeltaError::OutOfOrder { id: 8, .. })
         ));
     }
 

@@ -25,31 +25,17 @@ use tgraph_storage::{GraphLoader, SharedGraph};
 #[derive(Default)]
 pub(crate) struct IngestState {
     /// Single-writer ingest: epoch appends (storage commit → pool advance →
-    /// cache invalidation → peer broadcast) are strictly serialized.
+    /// cache invalidation) are strictly serialized.
     writer: Mutex<()>,
     pub(crate) patches: PatchStore,
 }
 
-/// The facts of `req` as a delta starting at `since`, or the typed
-/// `bad_delta` refusal.
-pub(crate) fn validated_delta(req: &IngestRequest, since: Time) -> Result<SnapshotDelta, String> {
-    let delta = SnapshotDelta {
-        since,
-        vertices: req.vertices.clone(),
-        edges: req.edges.clone(),
-    };
-    match delta.validate() {
-        Ok(()) => Ok(delta),
-        Err(e) => Err(error_response("bad_delta", &e.to_string())),
-    }
-}
-
 impl Server {
     /// Commits a snapshot delta as a new dataset epoch. Single-writer:
-    /// storage append, pool advance, cache invalidation, and (sharded) peer
-    /// broadcast all happen under one lock, in that order. `line` is the raw
-    /// request text, embedded verbatim in the `shard_ingest` broadcast.
-    pub(crate) fn handle_ingest(&self, req: &IngestRequest, line: &str) -> String {
+    /// storage append, pool advance and cache invalidation happen under one
+    /// lock, in that order. No peer is called: a peer shard reads the epoch
+    /// from the shared manifest when a `shard_exec` first names it.
+    pub(crate) fn handle_ingest(&self, req: &IngestRequest) -> String {
         let _writer = lock_unpoisoned(&self.ingest.writer);
         let current = match tgraph_storage::current_end(&self.config.data_dir, &req.graph) {
             Ok(t) => t,
@@ -69,19 +55,21 @@ impl Server {
                 ),
             );
         }
-        let delta_graph = match validated_delta(req, current) {
-            Ok(delta) => delta.to_tgraph(),
-            Err(refusal) => return refusal,
+        let delta = SnapshotDelta {
+            since: current,
+            vertices: req.vertices.clone(),
+            edges: req.edges.clone(),
         };
+        if let Err(e) = delta.validate() {
+            return error_response("bad_delta", &e.to_string());
+        }
+        let delta_graph = delta.to_tgraph();
         let entry =
             match tgraph_storage::append_epoch(&self.config.data_dir, &req.graph, &delta_graph) {
                 Ok(en) => en,
                 Err(e) => return error_response("storage", &format!("append epoch: {e}")),
             };
         let (upgraded, dropped) = self.apply_epoch(&req.graph, entry.epoch, &delta_graph);
-        if let Err((kind, message)) = self.shards.broadcast_ingest(entry.epoch, current, line) {
-            return error_response(&kind, &message);
-        }
         ServerMetrics::bump(&self.metrics.ingests);
         Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -97,12 +85,13 @@ impl Server {
         .to_string()
     }
 
-    /// Makes a committed epoch visible on this server — coordinator and
-    /// peer alike: advances the resident graphs in place and drops every
-    /// cached result of `graph` (any representation). With epoch-stamped
-    /// keys stale entries are unreachable anyway; invalidation reclaims
-    /// their bytes immediately instead of waiting on LRU pressure. Returns
-    /// `(pool upgrades, cache invalidations)`.
+    /// Makes a committed epoch visible on this server — the coordinator as
+    /// it ingests, a peer as it catches up from the manifest: advances the
+    /// resident graphs in place and drops every cached result of `graph`
+    /// (any representation). With epoch-stamped keys stale entries are
+    /// unreachable anyway; invalidation reclaims their bytes immediately
+    /// instead of waiting on LRU pressure. Returns `(pool upgrades, cache
+    /// invalidations)`.
     pub(crate) fn apply_epoch(&self, graph: &str, epoch: u64, delta: &TGraph) -> (usize, u64) {
         let upgraded = self.pool.advance(&self.rt, graph, epoch, delta);
         let needle = format!("graph={graph};");
@@ -342,6 +331,14 @@ mod tests {
             r#"{"op":"ingest","graph":"ing2","vertices":[{"id":9,"interval":[9,9]}]}"#,
         );
         assert!(empty.contains("\"kind\":\"bad_delta\""), "{empty}");
+        // Every fact carries a `type` label (Definition 2.1).
+        let untyped = server.handle_line(
+            r#"{"op":"ingest","graph":"ing2","vertices":[{"id":8,"interval":[9,12],"props":{}}]}"#,
+        );
+        assert_eq!(
+            untyped,
+            r#"{"ok":false,"kind":"bad_delta","error":"vertex 8: lacks the required `type` property"}"#
+        );
         let missing = server.handle_line(r#"{"op":"ingest","graph":"nope"}"#);
         assert!(missing.contains("\"kind\":\"not_found\""), "{missing}");
         let stats = server.handle_line(r#"{"op":"stats"}"#);

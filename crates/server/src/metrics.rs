@@ -138,9 +138,6 @@ pub struct ServerMetrics {
     /// Auto choices driven by observed run times rather than the static
     /// cost model alone.
     pub auto_by_observed: AtomicU64,
-    /// `shard_exec` broadcasts retried after a peer's typed `stale_epoch`
-    /// rejection (the coordinator re-replicated the missing epochs first).
-    pub shard_stale_retries: AtomicU64,
     /// Transient accept-loop failures retried with backoff (EMFILE, ENFILE,
     /// ECONNABORTED, EINTR, …). The loop no longer dies on these.
     pub accept_errors: AtomicU64,
@@ -188,7 +185,6 @@ impl ServerMetrics {
             ("bad_requests", n(&self.bad_requests)),
             ("auto_chosen", n(&self.auto_chosen)),
             ("auto_by_observed", n(&self.auto_by_observed)),
-            ("shard_stale_retries", n(&self.shard_stale_retries)),
             ("accept_errors", n(&self.accept_errors)),
             ("lines_over_cap", n(&self.lines_over_cap)),
             ("pipelined_batches", n(&self.pipelined_batches)),

@@ -57,12 +57,11 @@ pub enum Request {
         /// Exchange epoch: seeds every shard's exchange sequence numbers
         /// (`epoch << 32`) so frames from different queries never mix.
         epoch: u64,
-        /// The *dataset* epoch the coordinator executed against. A peer
-        /// whose resident graph is behind this epoch missed a
-        /// `shard_ingest` (lost or reordered broadcast) and must reject
-        /// with a typed `stale_epoch` instead of executing on stale data
-        /// and tripping `shard_divergence`. `0` disables the check (the
-        /// base layout is epoch 0 — a peer can never be behind it).
+        /// The *dataset* epoch the coordinator executed against, already
+        /// committed to the shared data directory. A peer whose resident
+        /// graph is behind it reads the epochs it lacks from the manifest
+        /// before it acks, so no shard computes on older facts. Absent
+        /// means `0`, the base layout, which no peer can be behind.
         dataset_epoch: u64,
         /// The representation the coordinator resolved, overriding the
         /// embedded query's. Without this, an `"repr":"auto"` query could
@@ -71,18 +70,6 @@ pub enum Request {
         repr_override: Option<ReprKind>,
         /// The query to execute, byte-identical to the coordinator's.
         zoom: Box<ZoomRequest>,
-    },
-    /// Internal shard-coordination op: the coordinator tells a peer shard
-    /// that dataset epoch `epoch` was committed, carrying the delta so the
-    /// peer can advance its resident graphs in place. The peer does **not**
-    /// write storage — the coordinator already committed the segment.
-    ShardIngest {
-        /// The dataset epoch the coordinator committed.
-        epoch: u64,
-        /// The boundary the coordinator resolved (facts start at/after it).
-        since: Time,
-        /// The delta, byte-identical to the coordinator's ingest request.
-        ingest: Box<IngestRequest>,
     },
 }
 
@@ -96,7 +83,6 @@ impl Request {
             Request::Zoom(_) => "zoom",
             Request::Ingest(_) => "ingest",
             Request::ShardExec { .. } => "shard_exec",
-            Request::ShardIngest { .. } => "shard_ingest",
         }
     }
 }
@@ -501,26 +487,8 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
                 zoom: Box::new(parse_zoom_request(zoom)?),
             })
         }
-        "shard_ingest" => {
-            let epoch = v
-                .get("epoch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("shard_ingest needs non-negative integer field 'epoch'"))?;
-            let since = v
-                .get("since")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| bad("shard_ingest needs integer field 'since'"))?;
-            let ingest = v
-                .get("ingest")
-                .ok_or_else(|| bad("shard_ingest needs object field 'ingest'"))?;
-            Ok(Request::ShardIngest {
-                epoch,
-                since,
-                ingest: Box::new(parse_ingest_request(ingest)?),
-            })
-        }
         other => Err(bad(format!(
-            "unknown op '{other}' (expected ping|stats|shutdown|zoom|ingest|shard_exec|shard_ingest)"
+            "unknown op '{other}' (expected ping|stats|shutdown|zoom|ingest|shard_exec)"
         ))),
     }
 }
@@ -775,8 +743,8 @@ mod tests {
     }
 
     /// A `shard_exec` envelope carries the coordinator's dataset epoch and
-    /// resolved representation; both are optional for compatibility (0
-    /// disables the staleness check, absent repr means "run as written").
+    /// resolved representation; both are optional (absent epoch means the
+    /// base layout, absent repr means "run as written").
     #[test]
     fn parses_shard_exec_envelope_extensions() {
         let full = r#"{"op":"shard_exec","epoch":7,"dataset_epoch":3,"repr":"OG",
@@ -852,7 +820,6 @@ mod tests {
             r#"{"op":"ingest","graph":"g","vertices":[{"id":1,"interval":[1]}]}"#,
             r#"{"op":"ingest","graph":"g","vertices":[{"id":1,"interval":[1,2],"props":{"x":[1]}}]}"#,
             r#"{"op":"ingest","graph":"g","edges":[{"id":1,"src":1,"interval":[1,2]}]}"#,
-            r#"{"op":"shard_ingest","epoch":1,"ingest":{"graph":"g"}}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }

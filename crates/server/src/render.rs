@@ -1,8 +1,7 @@
-//! Every byte the server writes: result graphs, zoom / error / stats
-//! responses, and the ingest bodies re-sent to a lagging peer. Rendering is
-//! deterministic (fixed field order, sorted records and property keys),
-//! because byte-identical replay is what the result cache, the patch path
-//! and the cross-shard agreement check all compare.
+//! Every byte the server writes: result graphs and zoom / error / stats
+//! responses. Rendering is deterministic (fixed field order, sorted records
+//! and property keys), because byte-identical replay is what the result
+//! cache, the patch path and the cross-shard agreement check all compare.
 
 use crate::json::{counters, Json};
 use crate::protocol::ZoomRequest;
@@ -36,8 +35,7 @@ fn props_json(p: &Props) -> Json {
     )
 }
 
-/// The one record renderer: results and ingest bodies spell a vertex or an
-/// edge the same way, which is also the shape `parse_ingest_request` reads.
+/// A result's records, spelled in the shape `parse_ingest_request` reads.
 fn vertices_json<'a>(vertices: impl IntoIterator<Item = &'a VertexRecord>) -> Json {
     let one = |v: &VertexRecord| {
         Json::obj(vec![
@@ -82,20 +80,6 @@ pub fn serialize_tgraph(g: &TGraph) -> String {
     let mut out = String::new();
     let _ = body.write(&mut out);
     out
-}
-
-/// Renders a delta graph as an ingest request body — the inverse of
-/// `parse_ingest_request`'s fact schema. Used to re-replicate committed
-/// epochs to a peer that reported `stale_epoch` (the original request
-/// lines are gone by then; the facts come back out of storage).
-pub(crate) fn ingest_json(graph: &str, delta: &TGraph) -> String {
-    Json::obj(vec![
-        ("op", Json::str("ingest")),
-        ("graph", Json::str(graph)),
-        ("vertices", vertices_json(&delta.vertices)),
-        ("edges", edges_json(&delta.edges)),
-    ])
-    .to_string()
 }
 
 pub(crate) fn error_response(kind: &str, message: &str) -> String {
@@ -368,20 +352,5 @@ mod tests {
         let g = figure1_graph_stable_ids();
         assert_eq!(serialize_tgraph(&g), serialize_tgraph(&g));
         assert!(serialize_tgraph(&g).starts_with("{\"lifespan\":["));
-    }
-
-    /// An ingest body is the result rendering minus the lifespan and the
-    /// sort: the records themselves are spelled identically.
-    #[test]
-    fn ingest_bodies_and_results_spell_records_the_same_way() {
-        let g = figure1_graph_stable_ids();
-        let body = ingest_json("g", &g);
-        let vertex = vertices_json(g.vertices.iter().take(1)).to_string();
-        let edge = edges_json(g.edges.iter().take(1)).to_string();
-        for record in [&vertex[1..vertex.len() - 1], &edge[1..edge.len() - 1]] {
-            assert!(body.contains(record), "{record} not in {body}");
-            assert!(serialize_tgraph(&g).contains(record));
-        }
-        assert!(body.starts_with(r#"{"op":"ingest","graph":"g","vertices":["#));
     }
 }

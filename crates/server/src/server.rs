@@ -64,11 +64,6 @@ pub struct ServerConfig {
     /// Cap on one request line in bytes: a longer line is answered with a
     /// typed `line_too_large` error and the connection closes.
     pub max_line_bytes: usize,
-    /// Fault injection for tests only: commit ingests locally but skip the
-    /// `shard_ingest` broadcast, simulating a lost replication message so
-    /// the `stale_epoch` recovery path can be exercised end to end.
-    #[doc(hidden)]
-    pub drop_ingest_broadcast: bool,
 }
 
 impl Default for ServerConfig {
@@ -88,7 +83,6 @@ impl Default for ServerConfig {
             exchange_peers: Vec::new(),
             serve_peers: Vec::new(),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            drop_ingest_broadcast: false,
         }
     }
 }
@@ -268,18 +262,13 @@ impl Server {
             }
             Request::Stats => out(stats_response(self).into()),
             Request::Zoom(req) => out(self.handle_zoom(&req, line, permit_slot)),
-            Request::Ingest(req) => out(self.handle_ingest(&req, line).into()),
+            Request::Ingest(req) => out(self.handle_ingest(&req).into()),
             Request::ShardExec {
                 epoch,
                 dataset_epoch,
                 repr_override,
                 zoom,
             } => self.handle_shard_exec(epoch, dataset_epoch, repr_override, &zoom, out),
-            Request::ShardIngest {
-                epoch,
-                since,
-                ingest,
-            } => out(self.handle_shard_ingest(epoch, since, &ingest).into()),
         }
     }
 }

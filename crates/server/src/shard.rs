@@ -1,26 +1,25 @@
 //! Everything that dials or answers another shard: the coordinator's
-//! two-phase `shard_exec` broadcast, `shard_ingest` replication (live and
-//! catch-up), the peer side of both, and the cross-shard agreement check.
+//! two-phase `shard_exec` broadcast, the peer side of it (including its
+//! catch-up from the shared epoch manifest), and the cross-shard agreement
+//! check. No shard sends another the facts of an epoch: every shard reads
+//! them from the one data directory they share.
 //!
 //! [`Shards`] owns what that needs — this server's role, its peers' serve
 //! addresses, the exchange-epoch counter and the lock that serializes
 //! sharded executions — and nothing outside this module touches them.
 
-use crate::ingest::validated_delta;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{IngestRequest, ZoomRequest};
-use crate::render::{error_response, ingest_json, panic_detail, serialize_tgraph, Reply};
+use crate::protocol::ZoomRequest;
+use crate::render::{error_response, panic_detail, serialize_tgraph, Reply};
 use crate::server::{Server, ServerConfig};
 use crate::zoom::{execute_steps, pinned};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use tgraph_core::graph::TGraph;
-use tgraph_core::time::Time;
 use tgraph_dataflow::lock_unpoisoned;
 use tgraph_repr::ReprKind;
 use tgraph_storage::{GraphLoader, SharedGraph};
@@ -32,7 +31,7 @@ pub(crate) enum Role {
     Single,
     /// Shard 0 of several: takes client `zoom`/`ingest`, drives the peers.
     Coordinator,
-    /// Shard 1..n: takes only the coordinator's `shard_exec`/`shard_ingest`.
+    /// Shard 1..n: takes only the coordinator's `shard_exec`.
     Peer,
 }
 
@@ -65,8 +64,6 @@ pub(crate) struct Shards {
     /// Dial and reply timeout, inherited from the exchange configuration:
     /// peers answer their final digest only after the whole execution.
     timeout: Duration,
-    /// Fault injection (tests only): see `ServerConfig::drop_ingest_broadcast`.
-    drop_ingest_broadcast: bool,
     /// Monotonic exchange-epoch counter (coordinator only): each sharded
     /// query gets a fresh epoch so frame sequence numbers never collide.
     epoch: AtomicU64,
@@ -95,7 +92,6 @@ impl Shards {
             shards: config.shards,
             peers,
             timeout,
-            drop_ingest_broadcast: config.drop_ingest_broadcast,
             epoch: AtomicU64::new(0),
             wave_lock: Mutex::new(()),
         }
@@ -108,8 +104,8 @@ impl Shards {
     }
 
     /// The typed refusal for `op` if this server's role does not take it:
-    /// client ops belong to the coordinator (or a single server), `shard_*`
-    /// ops to a peer. The one place roles are checked.
+    /// client ops belong to the coordinator (or a single server),
+    /// `shard_exec` to a peer. The one place roles are checked.
     pub(crate) fn refusal(&self, op: &str, metrics: &ServerMetrics) -> Option<String> {
         let Shards { shard, shards, .. } = self;
         let (counter, kind, message) = match (op, self.role) {
@@ -125,12 +121,12 @@ impl Shards {
                 "not_coordinator",
                 format!("shard {shard} of {shards} does not accept ingest; send it to shard 0"),
             ),
-            ("shard_exec" | "shard_ingest", Role::Single) => (
+            ("shard_exec", Role::Single) => (
                 &metrics.bad_requests,
                 "bad_request",
                 format!("{op} sent to an unsharded server"),
             ),
-            ("shard_exec" | "shard_ingest", Role::Coordinator) => (
+            ("shard_exec", Role::Coordinator) => (
                 &metrics.bad_requests,
                 "bad_request",
                 format!("{op} sent to the coordinator"),
@@ -161,65 +157,6 @@ impl Shards {
         let mut reader = BufReader::new(stream);
         let reply = read_json_line(&mut reader)?;
         Ok((reader, reply))
-    }
-
-    /// Notifies every peer shard that a dataset epoch was committed. Peers
-    /// share the data directory, so they only advance their resident graphs
-    /// and drop their cached results — no storage write. `line` is the raw
-    /// ingest request, embedded verbatim.
-    pub(crate) fn broadcast_ingest(
-        &self,
-        epoch: u64,
-        since: Time,
-        line: &str,
-    ) -> Result<(), PeerError> {
-        if self.drop_ingest_broadcast || self.peers.is_empty() {
-            return Ok(());
-        }
-        let msg = format!(
-            "{{\"op\":\"shard_ingest\",\"epoch\":{epoch},\"since\":{since},\"ingest\":{}}}\n",
-            line.trim()
-        );
-        for (s, addr) in &self.peers {
-            let (_, reply) = self.call(addr, &msg).map_err(|e| peer_err(addr, e))?;
-            if !is_ok(&reply) {
-                return Err(peer_err(addr, format!("shard {s} failed: {reply}")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Brings a peer that reported `stale_epoch` back up to date: replays
-    /// every epoch segment past the peer's resident epoch as a
-    /// `shard_ingest`, reading the facts back from the (shared) data
-    /// directory — the original request lines are gone by then.
-    fn replicate_epochs_to(
-        &self,
-        data_dir: &Path,
-        addr: &str,
-        graph: &str,
-        peer_epoch: u64,
-    ) -> Result<(), String> {
-        let loader = GraphLoader::new(data_dir, graph);
-        let entries = loader
-            .epochs()
-            .map_err(|e| format!("read epoch manifest: {e}"))?;
-        for entry in entries.iter().filter(|e| e.epoch > peer_epoch) {
-            let (delta, _) = loader
-                .load_delta(entry.epoch, None)
-                .map_err(|e| format!("load epoch {} delta: {e}", entry.epoch))?;
-            let msg = format!(
-                "{{\"op\":\"shard_ingest\",\"epoch\":{},\"since\":{},\"ingest\":{}}}\n",
-                entry.epoch,
-                entry.since,
-                ingest_json(graph, &delta)
-            );
-            let (_, reply) = self.call(addr, &msg)?;
-            if !is_ok(&reply) {
-                return Err(format!("replicating epoch {} failed: {reply}", entry.epoch));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -272,7 +209,7 @@ impl Server {
         let _guard = lock_unpoisoned(&self.shards.wave_lock);
         let epoch = self.shards.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         // The envelope pins the coordinator's dataset epoch (a peer behind
-        // it rejects with `stale_epoch` instead of computing on stale data)
+        // it reads the epochs it lacks from the manifest before it acks)
         // and the resolved representation (an `"auto"` query must not
         // re-resolve per shard — observation tables diverge across shards).
         let msg = format!(
@@ -282,15 +219,19 @@ impl Server {
             line.trim()
         );
         // Phase 1: dispatch to every peer and collect their *acks* before
-        // executing locally. A peer that will not join the wave (stale
-        // epoch, missing dataset) must be detected now — discovering it
+        // executing locally. A peer that will not join the wave (missing
+        // dataset, unreadable epoch) must be detected now — discovering it
         // after entering the exchange would stall every shard until the
         // wave timeout.
         let mut conns = Vec::new();
         for (s, addr) in &self.shards.peers {
-            let reader = self
-                .enlist_peer(*s, addr, &msg, &req.graph)
+            let (reader, ack) = self
+                .shards
+                .call(addr, &msg)
                 .map_err(|e| peer_err(addr, e))?;
+            if !is_ok(&ack) {
+                return Err(peer_err(addr, format!("shard {s} refused: {ack}")));
+            }
             conns.push((*s, addr.as_str(), reader));
         }
         // Distinct epochs keep this query's frame sequence numbers disjoint
@@ -303,42 +244,6 @@ impl Server {
             replies.push(read_digest(s, &mut reader).map_err(|e| peer_err(addr, e))?);
         }
         Ok((result, replies))
-    }
-
-    /// Phase 1 for one peer: sends the envelope and returns the connection
-    /// once the peer has acked that it will join the wave. A peer that
-    /// missed `shard_ingest` broadcasts answers `stale_epoch`; it is
-    /// re-replicated the epochs it lacks and asked once more.
-    fn enlist_peer(
-        &self,
-        shard: usize,
-        addr: &str,
-        msg: &str,
-        graph: &str,
-    ) -> Result<BufReader<TcpStream>, String> {
-        let (mut reader, mut ack) = self.shards.call(addr, msg)?;
-        if !is_ok(&ack) {
-            if ack.get("kind").and_then(Json::as_str) != Some("stale_epoch") {
-                return Err(format!("shard {shard} refused: {ack}"));
-            }
-            ServerMetrics::bump(&self.metrics.shard_stale_retries);
-            let peer_epoch = ack
-                .get("peer_epoch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "stale_epoch reply missing peer_epoch".to_string())?;
-            self.shards
-                .replicate_epochs_to(&self.config.data_dir, addr, graph, peer_epoch)?;
-            (reader, ack) = self.shards.call(addr, msg)?;
-            if !is_ok(&ack) {
-                return Err(format!("still rejecting after epoch replication: {ack}"));
-            }
-        }
-        debug_assert_eq!(
-            ack.get("ack").and_then(Json::as_str),
-            Some("shard_exec"),
-            "peer acked something else"
-        );
-        Ok(reader)
     }
 
     /// Cross-verifies the coordinator's serialized result against every
@@ -370,12 +275,13 @@ impl Server {
     /// arbitrated those, and a peer stalling in a queue would wedge every
     /// shard's exchange until the wave timeout.
     ///
-    /// Replies in two lines. First an *ack* — emitted after the epoch and
-    /// dataset checks pass but before execution begins — which tells the
-    /// coordinator it is safe to enter the exchange. Then the result
-    /// digest once execution finishes. A rejection (stale epoch, missing
-    /// dataset) is a single error line instead of the ack, so the
-    /// coordinator learns about it before it could possibly stall.
+    /// Replies in two lines. First an *ack* — emitted once this shard holds
+    /// the graph at the coordinator's dataset epoch or later, before
+    /// execution begins — which tells the coordinator it is safe to enter
+    /// the exchange. Then the result digest once execution finishes. A
+    /// refusal (missing dataset, unreadable epoch) is a single error line
+    /// instead of the ack, so the coordinator learns about it before it
+    /// could possibly stall.
     pub(crate) fn handle_shard_exec(
         &self,
         epoch: u64,
@@ -389,31 +295,10 @@ impl Server {
         // the envelope so every shard runs the same representation.
         let resolved = repr_override.map(|kind| pinned(req, kind));
         let req = resolved.as_ref().unwrap_or(req);
-        let shared = match self.load_graph(req) {
+        let shared = match self.graph_at(req, dataset_epoch) {
             Ok(g) => g,
-            Err(message) => return out(error_response("not_found", &message).into()),
+            Err(refusal) => return out(refusal.into()),
         };
-        // A peer whose resident graph lags the coordinator's dataset epoch
-        // (it missed an ingest broadcast) must not silently compute on
-        // stale data — the per-shard results would diverge. Reject with a
-        // typed error carrying our epoch so the coordinator can
-        // re-replicate the missing epochs and retry.
-        if dataset_epoch > 0 && shared.epoch < dataset_epoch {
-            let message = format!(
-                "shard {} holds '{}' at epoch {}, coordinator is at {}",
-                self.shards.shard, req.graph, shared.epoch, dataset_epoch
-            );
-            return out(Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("kind", Json::str("stale_epoch")),
-                ("error", Json::str(message)),
-                ("shard", shard),
-                ("peer_epoch", Json::Int(shared.epoch as i64)),
-                ("expected_epoch", Json::Int(dataset_epoch as i64)),
-            ])
-            .to_string()
-            .into());
-        }
         out(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("ack", Json::str("shard_exec")),
@@ -453,30 +338,32 @@ impl Server {
         }
     }
 
-    /// Applies a coordinator-committed epoch on a peer shard: advance the
-    /// resident graphs in place and drop cached results. The authoritative
-    /// boundary rides in the envelope — the peer never consults its own view
-    /// of the dataset end, which may lag the coordinator's commit.
-    pub(crate) fn handle_shard_ingest(
-        &self,
-        epoch: u64,
-        since: Time,
-        req: &IngestRequest,
-    ) -> String {
-        let delta = match validated_delta(req, since) {
-            Ok(delta) => delta,
-            Err(refusal) => return refusal,
-        };
-        let (upgraded, dropped) = self.apply_epoch(&req.graph, epoch, &delta.to_tgraph());
-        ServerMetrics::bump(&self.metrics.ingests);
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("shard", Json::Int(self.shards.shard as i64)),
-            ("epoch", Json::Int(epoch as i64)),
-            ("pool_upgrades", Json::Int(upgraded as i64)),
-            ("cache_invalidations", Json::Int(dropped as i64)),
-        ])
-        .to_string()
+    /// The graph `req` names, at `dataset_epoch` or later, or the typed
+    /// refusal. The coordinator commits an epoch to the shared data
+    /// directory before any `shard_exec` names it, so a resident that lags
+    /// reads each epoch it lacks from the manifest and applies it as the
+    /// coordinator did; a cold load reads the manifest anyway.
+    fn graph_at(&self, req: &ZoomRequest, dataset_epoch: u64) -> Result<SharedGraph, String> {
+        let not_found = |message: String| error_response("not_found", &message);
+        let shared = self.load_graph(req).map_err(not_found)?;
+        if shared.epoch >= dataset_epoch {
+            return Ok(shared);
+        }
+        let storage = |message: String| error_response("storage", &message);
+        let loader = GraphLoader::new(&self.config.data_dir, &req.graph);
+        let entries = loader
+            .epochs()
+            .map_err(|e| storage(format!("read epoch manifest: {e}")))?;
+        for entry in entries
+            .iter()
+            .filter(|e| (shared.epoch + 1..=dataset_epoch).contains(&e.epoch))
+        {
+            let (delta, _) = loader
+                .load_delta(entry.epoch, None)
+                .map_err(|e| storage(format!("load epoch {} delta: {e}", entry.epoch)))?;
+            self.apply_epoch(&req.graph, entry.epoch, &delta);
+        }
+        self.load_graph(req).map_err(not_found)
     }
 }
 
@@ -496,7 +383,7 @@ mod tests {
         Shards::new(&config, Duration::from_millis(10))
     }
 
-    /// The six role refusals, byte for byte, and the counter each bumps.
+    /// The four role refusals, byte for byte, and the counter each bumps.
     #[test]
     fn role_refusals_keep_their_wire_text() {
         let metrics = ServerMetrics::default();
@@ -526,12 +413,6 @@ mod tests {
                 r#"{"ok":false,"kind":"bad_request","error":"shard_exec sent to an unsharded server"}"#
             )
         );
-        assert_eq!(
-            refusal(&single, "shard_ingest").as_deref(),
-            Some(
-                r#"{"ok":false,"kind":"bad_request","error":"shard_ingest sent to an unsharded server"}"#
-            )
-        );
         let coordinator = shards(0, 3);
         assert_eq!(coordinator.role, Role::Coordinator);
         assert_eq!(
@@ -540,13 +421,7 @@ mod tests {
                 r#"{"ok":false,"kind":"bad_request","error":"shard_exec sent to the coordinator"}"#
             )
         );
-        assert_eq!(
-            refusal(&coordinator, "shard_ingest").as_deref(),
-            Some(
-                r#"{"ok":false,"kind":"bad_request","error":"shard_ingest sent to the coordinator"}"#
-            )
-        );
-        assert_eq!(metrics.bad_requests.load(Ordering::Relaxed), 4);
+        assert_eq!(metrics.bad_requests.load(Ordering::Relaxed), 2);
         assert_eq!(metrics.zoom_rejected.load(Ordering::Relaxed), 2);
     }
 
@@ -554,12 +429,9 @@ mod tests {
     fn every_role_takes_its_own_ops() {
         let metrics = ServerMetrics::default();
         for (s, ops) in [
-            (shards(0, 1), ["zoom", "ingest", "ping", "stats"]),
-            (shards(0, 2), ["zoom", "ingest", "ping", "stats"]),
-            (
-                shards(1, 2),
-                ["shard_exec", "shard_ingest", "ping", "stats"],
-            ),
+            (shards(0, 1), &["zoom", "ingest", "ping", "stats"][..]),
+            (shards(0, 2), &["zoom", "ingest", "ping", "stats"]),
+            (shards(1, 2), &["shard_exec", "ping", "stats"]),
         ] {
             for op in ops {
                 assert_eq!(s.refusal(op, &metrics), None, "{:?} refused {op}", s.role);

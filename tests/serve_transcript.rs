@@ -225,11 +225,6 @@ fn script() -> Vec<(String, String)> {
             zoom("ve", "", "")
         ),
     );
-    push(
-        "reject shard_ingest unsharded".into(),
-        r#"{"op":"shard_ingest","epoch":1,"since":15,"ingest":{"op":"ingest","graph":"wiki"}}"#
-            .into(),
-    );
     push("stats".into(), r#"{"op":"stats"}"#.into());
     s
 }
