@@ -356,7 +356,6 @@ fn run_smoke(args: &Args) -> Result<(), String> {
     let spill_files = field_i64(&stats_after, &["runtime", "spill_files"])?;
     let budget = field_i64(&stats_after, &["runtime", "mem_budget"])?;
     field_i64(&stats_after, &["runtime", "peak_bytes"])?;
-    field_i64(&stats_after, &["admission", "memory_stalls"])?;
     expect(
         budget > 0 || spilled == 0,
         "no spills without a memory budget",
@@ -519,13 +518,11 @@ fn run_load(args: &Args) -> Result<(), String> {
         g(&["server", "latency", "admission_wait", "p50_us"]),
     );
     println!(
-        "  spilled     {} bytes in {} run files (budget {} bytes, peak {} bytes, \
-         memory stalls {})",
+        "  spilled     {} bytes in {} run files (budget {} bytes, peak {} bytes)",
         g(&["runtime", "bytes_spilled"]),
         g(&["runtime", "spill_files"]),
         g(&["runtime", "mem_budget"]),
         g(&["runtime", "peak_bytes"]),
-        g(&["admission", "memory_stalls"]),
     );
     if errors > 0 {
         return Err(format!("{errors} requests failed"));
@@ -748,14 +745,13 @@ fn run_conns(args: &Args) -> Result<(), String> {
     let g = |path: &[&str]| field_i64(&stats, path).unwrap_or(-1);
     println!(
         "  server      cache hits {} / misses {}; executed {}; \
-         pipelined {} lines in {} batches; permit reuses {}; \
+         pipelined {} lines in {} batches; \
          backpressure pauses {}; accept errors {}",
         g(&["cache", "hits"]),
         g(&["cache", "misses"]),
         g(&["server", "zoom_executed"]),
         g(&["server", "pipelined_lines"]),
         g(&["server", "pipelined_batches"]),
-        g(&["server", "admission_reuses"]),
         g(&["server", "backpressure_pauses"]),
         g(&["server", "accept_errors"]),
     );

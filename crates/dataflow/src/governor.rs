@@ -32,9 +32,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Runtime-wide memory accounting and spill policy. One per
-/// [`Runtime`](crate::Runtime), shared with the serving layer for admission
-/// reservations. A budget of `0` means *unlimited*: nothing is estimated,
-/// charged, or spilled.
+/// [`Runtime`](crate::Runtime). A budget of `0` means *unlimited*: nothing
+/// is estimated, charged, or spilled.
 pub struct MemGovernor {
     budget: AtomicU64,
     used: AtomicU64,
@@ -76,8 +75,7 @@ impl MemGovernor {
         self.budget() > 0
     }
 
-    /// Bytes currently charged (exchanges in flight, combine state, and
-    /// admission reservations).
+    /// Bytes currently charged (exchanges in flight and combine state).
     pub fn used(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
     }
@@ -121,43 +119,8 @@ impl MemGovernor {
         }
     }
 
-    /// Attempts to reserve `bytes` without exceeding the budget; `None` when
-    /// the reservation does not fit. With no budget in force the reservation
-    /// trivially succeeds (and charges nothing). The serving layer's
-    /// admission gate uses this to bound concurrent queries by bytes.
-    pub fn try_reserve(self: &Arc<Self>, bytes: u64) -> Option<MemCharge> {
-        if !self.enabled() || bytes == 0 {
-            return Some(MemCharge {
-                gov: Arc::clone(self),
-                bytes: 0,
-            });
-        }
-        let budget = self.budget();
-        let mut used = self.used.load(Ordering::Relaxed);
-        loop {
-            if used.saturating_add(bytes) > budget {
-                return None;
-            }
-            match self.used.compare_exchange_weak(
-                used,
-                used + bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.peak.fetch_max(used + bytes, Ordering::Relaxed);
-                    return Some(MemCharge {
-                        gov: Arc::clone(self),
-                        bytes,
-                    });
-                }
-                Err(actual) => used = actual,
-            }
-        }
-    }
-
     /// Whether current charges exceed the budget (always `false` when
-    /// unlimited).
+    /// unlimited). The serving layer pauses socket reads while this holds.
     pub fn over_budget(&self) -> bool {
         self.enabled() && self.used() > self.budget()
     }
@@ -452,20 +415,6 @@ mod tests {
         assert_eq!(g.used(), 0);
         drop(c);
         assert_eq!(g.used(), 0);
-    }
-
-    #[test]
-    fn try_reserve_respects_budget() {
-        let g = gov(100);
-        let r1 = g.try_reserve(60).expect("fits");
-        assert!(g.try_reserve(60).is_none(), "would exceed budget");
-        drop(r1);
-        assert!(g.try_reserve(60).is_some(), "fits after release");
-        // Unlimited governor: reservations are free.
-        let free = gov(0);
-        let r = free.try_reserve(u64::MAX).expect("unlimited");
-        assert_eq!(r.bytes(), 0);
-        assert_eq!(free.used(), 0);
     }
 
     fn unique_dir(tag: &str) -> PathBuf {

@@ -63,7 +63,7 @@ pub struct RuntimeStats {
     /// Number of spill run files written by the memory governor.
     pub spill_files: u64,
     /// High-water mark of bytes charged against the memory governor
-    /// (exchange residency, combine state, admission reservations). Unlike
+    /// (exchange residency and combine state). Unlike
     /// the other counters this is a *gauge maximum*, not a monotonic sum:
     /// [`since`](RuntimeStats::since) carries the current value through
     /// instead of subtracting.
@@ -335,8 +335,8 @@ impl Runtime {
     }
 
     /// The runtime's [memory governor](MemGovernor): the shared byte-budget
-    /// accountant that shuffle exchanges charge and the serving layer
-    /// reserves against.
+    /// accountant that shuffle exchanges charge and the serving layer's
+    /// backpressure reads.
     pub fn governor(&self) -> Arc<MemGovernor> {
         Arc::clone(&self.governor)
     }

@@ -8,25 +8,15 @@
 //! whose deadline passes is rejected while still queued — it never touches
 //! the pool (the acceptance criterion for expired deadlines).
 //!
-//! When built [`with_governor`](Admission::with_governor), the gate also
-//! charges each query's byte reservation against the runtime's
-//! [`MemGovernor`] — admission is governed by *bytes*, not just request
-//! count: a free slot is only granted once the reservation fits the budget,
-//! so concurrent queries and the dataflow's own shuffle residency draw from
-//! one pool. To guarantee progress, the first query in (inflight = 0) is
-//! always admitted even if its reservation does not fit — otherwise a budget
-//! smaller than one reservation would deadlock the server.
+//! A permit is a slot and nothing else: it reserves no bytes. Memory is the
+//! dataflow governor's business — each exchange charges what it measures
+//! and spills past the budget — and the connection layer pauses reads while
+//! the governor is over budget (DESIGN.md §9).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tgraph_dataflow::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
-use tgraph_dataflow::{MemCharge, MemGovernor};
-
-/// How often a governed waiter re-polls the budget: exchange charges are
-/// released by the dataflow runtime, which does not signal this gate's
-/// condvar.
-const GOVERNOR_POLL: Duration = Duration::from_millis(10);
 
 /// Why admission was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,9 +55,6 @@ pub struct AdmissionStats {
     pub rejected_deadline: u64,
     /// Total microseconds spent waiting for admission (granted permits only).
     pub wait_us_total: u64,
-    /// Times a free slot was denied because the memory reservation did not
-    /// fit the governor's budget (the waiter stalled, it was not rejected).
-    pub memory_stalls: u64,
     /// Permit releases that found `inflight` already at zero. Always 0 in a
     /// correct server: every release must pair with exactly one admit. The
     /// old accounting `saturating_sub(1)` silently absorbed such imbalances,
@@ -84,44 +71,24 @@ pub struct AdmissionStats {
 pub struct Admission {
     max_inflight: usize,
     max_queue: usize,
-    /// Byte-budgeted admission: each permit holds `reserve_bytes` against
-    /// this governor while it lives.
-    governor: Option<Arc<MemGovernor>>,
-    reserve_bytes: u64,
     state: Mutex<State>,
     cv: Condvar,
     admitted: AtomicU64,
     rejected_queue_full: AtomicU64,
     rejected_deadline: AtomicU64,
     wait_us_total: AtomicU64,
-    memory_stalls: AtomicU64,
     release_underflows: AtomicU64,
 }
 
-/// An admission slot. Dropping it releases the slot (and its governor
-/// reservation, if any) and wakes one waiter.
+/// An admission slot. Dropping it releases the slot and wakes one waiter.
 pub struct Permit {
     gate: Arc<Admission>,
-    /// The memory reservation held for this query's lifetime; `None` for an
-    /// ungoverned gate or a guaranteed-progress first admit.
-    charge: Option<MemCharge>,
     /// How long this permit waited in the queue before being granted.
     pub waited: Duration,
 }
 
-impl Permit {
-    /// Bytes this permit holds against the governor (0 when ungoverned or
-    /// admitted under the guaranteed-progress guard).
-    pub fn reserved_bytes(&self) -> u64 {
-        self.charge.as_ref().map_or(0, MemCharge::bytes)
-    }
-}
-
 impl Drop for Permit {
     fn drop(&mut self) {
-        // Release the reservation before waking a waiter, so the bytes are
-        // visible to its try_reserve.
-        self.charge.take();
         let mut state = lock_unpoisoned(&self.gate.state);
         // Balanced accounting: every release pairs with exactly one admit.
         // An underflow means a slot was double-released — wrapping (or the
@@ -149,62 +116,17 @@ impl Admission {
     /// A gate admitting `max_inflight` concurrent queries with up to
     /// `max_queue` waiters. Both must be at least 1.
     pub fn new(max_inflight: usize, max_queue: usize) -> Arc<Self> {
-        Self::build(max_inflight, max_queue, None, 0)
-    }
-
-    /// A gate that additionally reserves `reserve_bytes` per query against
-    /// `governor` — concurrency is bounded by memory, not just count. With
-    /// no budget in force the reservation is free and the gate behaves like
-    /// [`Admission::new`].
-    pub fn with_governor(
-        max_inflight: usize,
-        max_queue: usize,
-        governor: Arc<MemGovernor>,
-        reserve_bytes: u64,
-    ) -> Arc<Self> {
-        Self::build(max_inflight, max_queue, Some(governor), reserve_bytes)
-    }
-
-    fn build(
-        max_inflight: usize,
-        max_queue: usize,
-        governor: Option<Arc<MemGovernor>>,
-        reserve_bytes: u64,
-    ) -> Arc<Self> {
         Arc::new(Admission {
             max_inflight: max_inflight.max(1),
             max_queue: max_queue.max(1),
-            governor,
-            reserve_bytes,
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
             admitted: AtomicU64::new(0),
             rejected_queue_full: AtomicU64::new(0),
             rejected_deadline: AtomicU64::new(0),
             wait_us_total: AtomicU64::new(0),
-            memory_stalls: AtomicU64::new(0),
             release_underflows: AtomicU64::new(0),
         })
-    }
-
-    /// Attempts the governor reservation for a query about to take a slot.
-    /// `Ok(None)` means "no reservation needed / guaranteed progress";
-    /// `Err(())` means the budget is currently full — stall, don't reject.
-    fn reserve(&self, inflight_now: usize) -> Result<Option<MemCharge>, ()> {
-        let Some(gov) = &self.governor else {
-            return Ok(None);
-        };
-        if let Some(charge) = gov.try_reserve(self.reserve_bytes) {
-            return Ok(Some(charge));
-        }
-        if inflight_now == 0 {
-            // Guaranteed progress: with nothing running, waiting can only
-            // deadlock (nobody will release budget we can use). Admit
-            // unreserved; the runtime's spill path absorbs the overage.
-            return Ok(None);
-        }
-        self.memory_stalls.fetch_add(1, Ordering::Relaxed);
-        Err(())
     }
 
     /// Acquires a permit, waiting until a slot frees or `deadline` passes.
@@ -213,18 +135,14 @@ impl Admission {
         let started = Instant::now();
         let mut state = lock_unpoisoned(&self.state);
         if state.inflight < self.max_inflight && state.waiting == 0 {
-            // Fast path: free slot, no queue to cut, reservation fits (or is
-            // exempt). A failed reservation falls through to the queue.
-            if let Ok(charge) = self.reserve(state.inflight) {
-                state.inflight += 1;
-                drop(state);
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                return Ok(Permit {
-                    gate: Arc::clone(self),
-                    charge,
-                    waited: Duration::ZERO,
-                });
-            }
+            // Fast path: free slot, no queue to cut.
+            state.inflight += 1;
+            drop(state);
+            self.admitted.fetch_add(1, Ordering::Relaxed);
+            return Ok(Permit {
+                gate: Arc::clone(self),
+                waited: Duration::ZERO,
+            });
         }
         // Reject instantly if the deadline has already passed or the queue
         // is at capacity — no queue slot is consumed.
@@ -239,41 +157,29 @@ impl Admission {
         state.waiting += 1;
         let outcome = loop {
             if state.inflight < self.max_inflight {
-                if let Ok(charge) = self.reserve(state.inflight) {
-                    state.inflight += 1;
-                    break Ok(charge);
-                }
-                // Slot free but the budget is full: wait like a slot-blocked
-                // waiter — a permit drop releases both.
+                state.inflight += 1;
+                break Ok(());
             }
             let now = Instant::now();
             if deadline.is_some_and(|d| now >= d) {
                 break Err(AdmitError::DeadlineExpired);
             }
-            // Park until the deadline at most. Governed waiters also poll:
-            // the dataflow runtime can release budget (an exchange
-            // finishing) without signalling this condvar.
-            let until_deadline = deadline.map(|d| d - now);
-            let park = match self.governor {
-                Some(_) => Some(until_deadline.map_or(GOVERNOR_POLL, |d| d.min(GOVERNOR_POLL))),
-                None => until_deadline,
-            };
-            state = match park {
-                Some(dur) => wait_timeout_unpoisoned(&self.cv, state, dur),
+            // Park until the deadline at most.
+            state = match deadline {
+                Some(d) => wait_timeout_unpoisoned(&self.cv, state, d - now),
                 None => wait_unpoisoned(&self.cv, state),
             };
         };
         state.waiting -= 1;
         drop(state);
         match outcome {
-            Ok(charge) => {
+            Ok(()) => {
                 let waited = started.elapsed();
                 self.admitted.fetch_add(1, Ordering::Relaxed);
                 self.wait_us_total
                     .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
                 Ok(Permit {
                     gate: Arc::clone(self),
-                    charge,
                     waited,
                 })
             }
@@ -289,23 +195,18 @@ impl Admission {
 
     /// Whether the gate is saturated from a *backpressure* point of view:
     /// every in-flight slot is taken **and** queries are already queued
-    /// behind them, or the memory governor is over budget. The event loop
-    /// consults this before reading more request bytes off sockets — once
-    /// the queue has formed (or memory is exhausted), piling parsed requests
-    /// into user-space buffers only grows the OOM surface; leaving bytes in
-    /// the kernel socket buffer pushes back on the client instead.
+    /// behind them. The event loop consults this (and the memory governor)
+    /// before reading more request bytes off sockets — once the queue has
+    /// formed, piling parsed requests into user-space buffers only grows the
+    /// OOM surface; leaving bytes in the kernel socket buffer pushes back on
+    /// the client instead.
     ///
     /// Note the `waiting > 0` term: a merely *full* gate with an empty queue
     /// is not saturation — the bounded queue exists precisely to absorb that
     /// much burst.
     pub fn is_saturated(&self) -> bool {
-        {
-            let state = lock_unpoisoned(&self.state);
-            if state.inflight >= self.max_inflight && state.waiting > 0 {
-                return true;
-            }
-        }
-        self.governor.as_ref().is_some_and(|g| g.over_budget())
+        let state = lock_unpoisoned(&self.state);
+        state.inflight >= self.max_inflight && state.waiting > 0
     }
 
     /// Current counters and live depths.
@@ -319,7 +220,6 @@ impl Admission {
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
             wait_us_total: self.wait_us_total.load(Ordering::Relaxed),
-            memory_stalls: self.memory_stalls.load(Ordering::Relaxed),
             release_underflows: self.release_underflows.load(Ordering::Relaxed),
             inflight,
             queue_depth,
@@ -424,50 +324,6 @@ mod tests {
         assert_eq!(gate.stats().inflight, 0);
     }
 
-    fn governor_with_budget(bytes: u64) -> Arc<MemGovernor> {
-        Arc::new(MemGovernor::new(
-            bytes,
-            tgraph_dataflow::EngineConfig::default().spill_dir,
-        ))
-    }
-
-    #[test]
-    fn first_query_is_admitted_even_when_budget_is_too_small() {
-        // Budget smaller than one reservation: waiting would deadlock, so
-        // the guaranteed-progress guard admits the first query unreserved.
-        let gov = governor_with_budget(1024);
-        let gate = Admission::with_governor(4, 4, Arc::clone(&gov), 1 << 20);
-        let p = gate.admit(None).expect("guaranteed progress");
-        assert_eq!(p.reserved_bytes(), 0, "admitted without a reservation");
-        assert_eq!(gov.used(), 0);
-    }
-
-    #[test]
-    fn governed_admission_stalls_until_budget_frees() {
-        // Budget fits one reservation; slots would allow four queries.
-        let gov = governor_with_budget(1 << 20);
-        let gate = Admission::with_governor(4, 4, Arc::clone(&gov), 1 << 20);
-        let p1 = gate.admit(None).expect("first");
-        assert_eq!(p1.reserved_bytes(), 1 << 20);
-        assert_eq!(gov.used(), 1 << 20);
-        // Second query has a free slot but no budget: it must stall, not
-        // run concurrently.
-        let deadline = Instant::now() + Duration::from_millis(40);
-        assert!(matches!(
-            gate.admit(Some(deadline)),
-            Err(AdmitError::DeadlineExpired)
-        ));
-        assert!(gate.stats().memory_stalls > 0, "stall was counted");
-        // Dropping the first permit releases its reservation; the next
-        // query admits with a full reservation of its own.
-        drop(p1);
-        assert_eq!(gov.used(), 0);
-        let p2 = gate
-            .admit(Some(Instant::now() + Duration::from_secs(5)))
-            .expect("budget freed");
-        assert_eq!(p2.reserved_bytes(), 1 << 20);
-    }
-
     /// S2 regression: a release with zero inflight (a forged/double-released
     /// permit) must not wrap the counter — the old `saturating_sub` hid the
     /// imbalance; the fix counts it, panics in debug builds, and leaves the
@@ -477,7 +333,6 @@ mod tests {
         let gate = Admission::new(2, 4);
         let forged = Permit {
             gate: Arc::clone(&gate),
-            charge: None,
             waited: Duration::ZERO,
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(forged)));
@@ -499,17 +354,5 @@ mod tests {
         ));
         drop(p1);
         assert_eq!(gate.stats().inflight, 1);
-    }
-
-    #[test]
-    fn disabled_governor_admits_freely() {
-        // Budget 0 disables the governor: reservations are free no-ops.
-        let gov = governor_with_budget(0);
-        let gate = Admission::with_governor(2, 4, Arc::clone(&gov), 1 << 20);
-        let p1 = gate.admit(None).expect("first");
-        let p2 = gate.admit(None).expect("second");
-        assert_eq!(gate.stats().inflight, 2);
-        assert_eq!(gate.stats().memory_stalls, 0);
-        drop((p1, p2));
     }
 }

@@ -16,8 +16,6 @@
 //! * `--max-inflight N`      concurrent zoom executions (default 2)
 //! * `--max-queue N`         admission queue capacity (default 64)
 //! * `--cache-mb N`          result-cache budget in MiB (default 64)
-//! * `--query-reserve-mb N`  bytes (MiB) reserved per admitted query against
-//!   the memory governor (default 16; binding only under `TGRAPH_MEM_BYTES`)
 //! * `--gen-demo NAME`       generate a small deterministic WikiTalk-style
 //!   dataset under `--data-dir` as NAME before serving (for smoke tests)
 //!
@@ -46,7 +44,7 @@ struct Args {
 const USAGE: &str = "usage: tgraph-serve --addr HOST:PORT --data-dir DIR \
                      [--graphs name:repr,...] [--workers N] [--partitions N] \
                      [--max-inflight N] [--max-queue N] [--cache-mb N] \
-                     [--query-reserve-mb N] [--gen-demo NAME] \
+                     [--gen-demo NAME] \
                      [--shard I --shards N --exchange-addr H:P \
                      --exchange-peers a,b --serve-peers a,b]";
 
@@ -86,9 +84,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--max-inflight" => config.max_inflight = number(flag, value()?)?,
             "--max-queue" => config.max_queue = number(flag, value()?)?,
             "--cache-mb" => config.cache_bytes = number::<u64>(flag, value()?)? << 20,
-            "--query-reserve-mb" => {
-                config.query_reserve_bytes = number::<u64>(flag, value()?)? << 20
-            }
             "--graphs" => {
                 for part in list(value()?) {
                     let (name, repr) = part

@@ -36,21 +36,22 @@
 //! **Pipelining.** Many lines read in one syscall are parsed together and
 //! dispatched as one batch (up to `MAX_BATCH` lines). The batch runs
 //! serially on one dispatcher, so responses come back in request order —
-//! the protocol's ordering contract — and a deadline-free zoom's admission
-//! permit is carried to the next zoom of the batch instead of being
-//! released and re-acquired ([`Server::handle_line_batched`]), amortizing
-//! the admission handshake across the batch. Per connection at most one
-//! batch is in flight; further parsed lines wait in the pending queue.
+//! the protocol's ordering contract. Each zoom of the batch takes its own
+//! admission permit at the execute stage and drops it when execution
+//! returns, so the batch's hits, pings and stats never hold a slot. Per
+//! connection at most one batch is in flight; further parsed lines wait in
+//! the pending queue.
 //!
-//! **Backpressure, layer by layer.** When the admission gate reports
+//! **Backpressure, layer by layer.** While the admission gate reports
 //! saturation ([`Admission::is_saturated`]: every slot taken with a queue
-//! behind it, or the memory governor over budget) reactors stop *reading* —
+//! behind it) or the memory governor is over budget (exchanges in flight
+//! charge more than `TGRAPH_MEM_BYTES`), reactors stop *reading* —
 //! bytes accumulate in kernel socket buffers and TCP pushes back on
 //! clients, instead of the server buffering unboundedly in user space. The
 //! same read-pause triggers per connection when its write backlog passes
 //! `WRITE_HWM` (a client that won't read its responses) or its pending
 //! queue passes `MAX_PENDING`. Paused reactors poll at a coarse tick to
-//! notice the gate clearing; an idle, unpaused reactor blocks indefinitely
+//! notice either clearing; an idle, unpaused reactor blocks indefinitely
 //! and costs zero CPU.
 //!
 //! [`Admission::is_saturated`]: crate::admission::Admission::is_saturated
@@ -145,9 +146,7 @@ pub(crate) fn serve(server: &Arc<Server>) -> std::io::Result<()> {
             std::thread::Builder::new()
                 .name(format!("tgraph-dispatch-{i}"))
                 .spawn(move || {
-                    dispatcher_loop(&jobs, i, &|line, out, permit| {
-                        server.handle_line_batched(line, out, permit)
-                    })
+                    dispatcher_loop(&jobs, i, &|line, out| server.handle_line_batched(line, out))
                 })?,
         );
     }

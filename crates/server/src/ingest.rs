@@ -10,9 +10,10 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::{IngestRequest, ZoomRequest};
 use crate::render::{error_response, serialize_tgraph};
 use crate::server::Server;
-use crate::zoom::execute_steps;
+use crate::zoom::{cache_key_graph, execute_steps};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Time;
@@ -94,10 +95,9 @@ impl Server {
     /// invalidations)`.
     pub(crate) fn apply_epoch(&self, graph: &str, epoch: u64, delta: &TGraph) -> (usize, u64) {
         let upgraded = self.pool.advance(&self.rt, graph, epoch, delta);
-        let needle = format!("graph={graph};");
         let dropped = self
             .cache
-            .invalidate(|canonical| canonical.contains(&needle));
+            .invalidate(|key| cache_key_graph(key) == Some(graph));
         (upgraded, dropped)
     }
 }
@@ -110,6 +110,10 @@ struct PatchEntry {
     epoch: u64,
     boundary: Time,
     result: Arc<TGraph>,
+    /// Set by [`PatchStore::retain`] when the query's seed first enters the
+    /// store; a refresh keeps it. The cap evicts the lowest, so eviction
+    /// does not depend on map order.
+    retained: u64,
 }
 
 /// Bound on retained results: maintenance seeds, not a second result cache.
@@ -121,6 +125,8 @@ const PATCH_STORE_CAP: usize = 64;
 #[derive(Default)]
 pub(crate) struct PatchStore {
     seeds: Mutex<HashMap<String, PatchEntry>>,
+    /// Source of [`PatchEntry::retained`]; bumped under the `seeds` lock.
+    retentions: AtomicU64,
 }
 
 impl PatchStore {
@@ -153,6 +159,7 @@ impl PatchStore {
                 epoch: shared.epoch,
                 boundary: shared.graph.lifespan().end,
                 result: Arc::clone(&result),
+                retained: 0,
             },
         );
         (result, patched)
@@ -207,15 +214,21 @@ impl PatchStore {
             .cloned()
     }
 
-    /// Stores `entry` as the seed for `canonical`. Bounded: at the cap an
-    /// arbitrary *other* seed is dropped; the evicted query simply
-    /// recomputes cold after its next ingest.
-    fn retain(&self, canonical: &str, entry: PatchEntry) {
+    /// Stores `entry` as the seed for `canonical`. Bounded: at the cap the
+    /// seed retained first is dropped (never the one being refreshed); the
+    /// evicted query simply recomputes cold after its next ingest.
+    fn retain(&self, canonical: &str, mut entry: PatchEntry) {
         let mut seeds = lock_unpoisoned(&self.seeds);
-        if seeds.len() >= PATCH_STORE_CAP && !seeds.contains_key(canonical) {
-            if let Some(victim) = seeds.keys().next().cloned() {
-                seeds.remove(&victim);
+        if let Some(seed) = seeds.get(canonical) {
+            entry.retained = seed.retained;
+        } else {
+            if seeds.len() >= PATCH_STORE_CAP {
+                let first = seeds.iter().min_by_key(|(_, seed)| seed.retained);
+                if let Some(victim) = first.map(|(query, _)| query.clone()) {
+                    seeds.remove(&victim);
+                }
             }
+            entry.retained = self.retentions.fetch_add(1, Ordering::Relaxed);
         }
         seeds.insert(canonical.to_string(), entry);
     }
@@ -227,12 +240,14 @@ mod tests {
     use crate::server::testutil::{fresh_server, ingest_line, result_of, zoom_line};
     use tgraph_core::graph::figure1_graph_stable_ids;
     use tgraph_repr::ReprKind;
+    use tgraph_storage::write_dataset;
 
     fn entry(epoch: u64) -> PatchEntry {
         PatchEntry {
             epoch,
             boundary: 9,
             result: Arc::new(figure1_graph_stable_ids()),
+            retained: 0,
         }
     }
 
@@ -250,11 +265,32 @@ mod tests {
             assert!((0..PATCH_STORE_CAP).all(|i| seeds.contains_key(&format!("q{i}"))));
             assert_eq!(seeds["q0"].epoch, 1);
         }
-        // A new key at the cap evicts exactly one other seed and stays.
+        // A new key at the cap evicts exactly one other seed and stays: the
+        // one retained first, refreshed or not.
         store.retain("fresh", entry(2));
         let seeds = lock_unpoisoned(&store.seeds);
         assert_eq!(seeds.len(), PATCH_STORE_CAP);
         assert_eq!(seeds["fresh"].epoch, 2);
+        assert!(!seeds.contains_key("q0"), "the first-retained seed goes");
+        assert!((1..PATCH_STORE_CAP).all(|i| seeds.contains_key(&format!("q{i}"))));
+    }
+
+    /// An ingest drops the cached results of its own graph only: a client
+    /// string that spells another graph's key field is not that field.
+    #[test]
+    fn an_ingest_keeps_other_graphs_results_whatever_their_text() {
+        let server = fresh_server("tgraph-serve-ingest4", "a");
+        let dir = std::env::temp_dir().join("tgraph-serve-ingest4");
+        write_dataset(&dir, "b", &figure1_graph_stable_ids()).expect("write dataset");
+        let line = r#"{"op":"zoom","graph":"a","repr":"ve","steps":[{"azoom":{"by":"school","new_type":"graph=b;","aggs":[{"output":"n","fn":"count"}]}}]}"#;
+        let first = server.handle_line(line);
+        assert!(first.contains("\"cache\":\"miss\""), "{first}");
+        let ing = server.handle_line(&ingest_line("b"));
+        assert!(ing.contains("\"cache_invalidations\":0"), "{ing}");
+        let again = server.handle_line(line);
+        assert!(again.contains("\"cache\":\"hit\""), "{again}");
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"invalidations\":0"), "{stats}");
     }
 
     #[test]

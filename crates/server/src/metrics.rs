@@ -149,9 +149,6 @@ pub struct ServerMetrics {
     /// Request lines carried inside those batches. `pipelined_lines /
     /// pipelined_batches` is the realized pipelining depth.
     pub pipelined_lines: AtomicU64,
-    /// Admission permits carried over to the next zoom in the same batch
-    /// instead of being released and re-acquired.
-    pub admission_reuses: AtomicU64,
     /// Times a reactor paused reading a connection because admission or the
     /// memory governor was saturated (kernel TCP backpressure engaged).
     pub backpressure_pauses: AtomicU64,
@@ -189,7 +186,6 @@ impl ServerMetrics {
             ("lines_over_cap", n(&self.lines_over_cap)),
             ("pipelined_batches", n(&self.pipelined_batches)),
             ("pipelined_lines", n(&self.pipelined_lines)),
-            ("admission_reuses", n(&self.admission_reuses)),
             ("backpressure_pauses", n(&self.backpressure_pauses)),
         ]);
         fields.push((

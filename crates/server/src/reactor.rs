@@ -4,7 +4,6 @@
 //! how the pieces fit. The per-connection locks and the reactors' inboxes
 //! are taken in this module only.
 
-use crate::admission::Permit;
 use crate::handoff::HandOff;
 use crate::metrics::ServerMetrics;
 use crate::render::{error_response, Reply};
@@ -31,7 +30,8 @@ const MAX_BATCH: usize = 64;
 /// pause. Bounds per-connection memory under a pipelining firehose.
 const MAX_PENDING: usize = 1024;
 /// How often a reactor with paused connections re-checks the admission
-/// gate. Only paused reactors tick; idle ones block indefinitely.
+/// gate and the memory governor. Only paused reactors tick; idle ones
+/// block indefinitely.
 const BACKPRESSURE_TICK: Duration = Duration::from_millis(50);
 /// How long a reactor keeps flushing in-flight responses after shutdown.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
@@ -207,7 +207,7 @@ pub(crate) struct Job {
 
 /// The dispatch path a batch's request lines run through:
 /// [`Server::handle_line_batched`] in service, a stand-in under test.
-pub(crate) type LineHandler<'a> = dyn Fn(&str, &mut dyn FnMut(Reply), &mut Option<Permit>) + 'a;
+pub(crate) type LineHandler<'a> = dyn Fn(&str, &mut dyn FnMut(Reply)) + 'a;
 
 /// A connection as its owning reactor sees it.
 struct Conn {
@@ -235,7 +235,8 @@ struct Reactor {
     next_token: usize,
     /// Connections currently read-paused by backpressure.
     paused_conns: usize,
-    /// The admission gate's saturation state, sampled once per loop pass.
+    /// Whether the admission gate is saturated or the memory governor over
+    /// budget, sampled once per loop pass.
     saturated: bool,
 }
 
@@ -259,7 +260,7 @@ pub(crate) fn reactor_loop(
     let mut events = Events::new();
     loop {
         // Idle and unpaused: block forever (zero CPU; a notify wakes us).
-        // Paused: tick, because admission clearing does not send a notify.
+        // Paused: tick, because saturation clearing does not send a notify.
         let timeout = (r.paused_conns > 0).then_some(BACKPRESSURE_TICK);
         let _ = r.shared.poller.wait(&mut events, timeout);
         if r.server.is_shutting_down() {
@@ -267,7 +268,7 @@ pub(crate) fn reactor_loop(
         }
         reactor_adopt_incoming(&mut r);
         let was_saturated = r.saturated;
-        r.saturated = r.server.admission.is_saturated();
+        r.saturated = r.server.admission.is_saturated() || r.server.rt.governor().over_budget();
         for ev in events.iter() {
             reactor_event(&mut r, ev);
         }
@@ -484,7 +485,7 @@ impl Conn {
 
 /// Hands the next batch of pending frames to a dispatcher, unless one is
 /// already in flight for this connection, the client is not draining its
-/// responses, or the admission gate is saturated.
+/// responses, or the server is saturated (gate or memory budget).
 fn reactor_try_dispatch(
     server: &Arc<Server>,
     shared: &Arc<ReactorShared>,
@@ -586,7 +587,7 @@ fn reactor_rearm(
     );
 }
 
-/// Revisits paused connections once the admission gate clears: dispatch
+/// Revisits paused connections once saturation clears: dispatch
 /// what queued up and re-arm reads.
 fn reactor_resume_paused(r: &mut Reactor) {
     let paused: Vec<usize> = r
@@ -662,11 +663,10 @@ pub(crate) fn dispatcher_loop(jobs: &HandOff<Job>, me: usize, handle: &LineHandl
     }
 }
 
-/// Executes one batch: every line through the dispatch path, in order,
-/// with a batch-scoped admission slot. Each response line nudges the
-/// reactor immediately — never held until the batch ends — because a
-/// `shard_exec` ack must reach the coordinator before the executing shard
-/// blocks in its exchange wave.
+/// Executes one batch: every line through the dispatch path, in order.
+/// Each response line nudges the reactor immediately — never held until
+/// the batch ends — because a `shard_exec` ack must reach the coordinator
+/// before the executing shard blocks in its exchange wave.
 ///
 /// A handler panic (the pool load runs outside the zoom's own
 /// `catch_unwind`, and a failed spill write during it panics the wave by
@@ -675,12 +675,11 @@ pub(crate) fn dispatcher_loop(jobs: &HandOff<Job>, me: usize, handle: &LineHandl
 /// been answered. Escaping instead would kill one of a fixed set of
 /// dispatchers and leave `dispatching` set, hanging the connection.
 fn run_batch(job: &Job, handle: &LineHandler<'_>) {
-    let mut permit: Option<Permit> = None;
     for item in &job.lines {
         match item {
             PendingLine::Request(line) => {
                 let mut out = |reply: Reply| push_response(job, reply);
-                let ran = catch_unwind(AssertUnwindSafe(|| handle(line, &mut out, &mut permit)));
+                let ran = catch_unwind(AssertUnwindSafe(|| handle(line, &mut out)));
                 if ran.is_err() {
                     let refusal = error_response("internal", "request handler panicked; closing");
                     push_response(job, refusal.into());
@@ -690,7 +689,6 @@ fn run_batch(job: &Job, handle: &LineHandler<'_>) {
             PendingLine::Synthetic(resp) => push_response(job, Reply::Text(resp.clone())),
         }
     }
-    // Dropping `permit` releases the carried admission slot at batch end.
 }
 
 /// Queues one response line on the connection's write backlog and wakes
@@ -703,6 +701,7 @@ fn push_response(job: &Job, reply: Reply) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::testutil::{server_over_figure1, zoom_line};
 
     fn conn_and_reactor() -> (Arc<ConnShared>, Arc<ReactorShared>) {
         let conn = Arc::new(ConnShared {
@@ -738,7 +737,7 @@ mod tests {
 
     /// Echoes every line except `boom`, which panics like a failed spill
     /// write inside the pool load does.
-    fn echo_or_panic(line: &str, out: &mut dyn FnMut(Reply), _permit: &mut Option<Permit>) {
+    fn echo_or_panic(line: &str, out: &mut dyn FnMut(Reply)) {
         if line == "boom" {
             panic!("injected handler panic");
         }
@@ -882,6 +881,27 @@ mod tests {
             lock_unpoisoned(&reactor.ready).contains(&7),
             "the reactor was nudged to flush"
         );
+    }
+
+    /// A zoom's admission slot is free again by the next line of its batch:
+    /// the stats line after a cold zoom sees nothing in flight.
+    #[test]
+    fn a_batched_zoom_holds_no_slot_once_it_has_answered() {
+        let server = server_over_figure1("unit-batch-permit");
+        let (conn, reactor) = conn_and_reactor();
+        let zoom = zoom_line("unit-batch-permit", "");
+        run_batch(
+            &job(3, &[&zoom, r#"{"op":"stats"}"#], &conn, &reactor),
+            &|line, out| server.handle_line_batched(line, out),
+        );
+
+        let answers = written(&conn);
+        let lines: Vec<&str> = answers.lines().collect();
+        assert!(lines[0].contains("\"cache\":\"miss\""), "{}", lines[0]);
+        let stats = crate::json::parse(lines[1]).expect("stats json");
+        let admission = |key: &str| stats.get("admission")?.get(key)?.as_i64();
+        assert_eq!(admission("inflight"), Some(0), "{}", lines[1]);
+        assert_eq!(admission("admitted"), Some(1), "{}", lines[1]);
     }
 
     /// A pool of one dispatcher: if the panic escaped `run_batch` the thread

@@ -312,7 +312,6 @@ pub(crate) fn stats_response(server: &Server) -> String {
                 ("rejected_queue_full", admission.rejected_queue_full),
                 ("rejected_deadline", admission.rejected_deadline),
                 ("wait_us_total", admission.wait_us_total),
-                ("memory_stalls", admission.memory_stalls),
                 ("release_underflows", admission.release_underflows),
                 ("inflight", admission.inflight as u64),
                 ("queue_depth", admission.queue_depth as u64),

@@ -6,7 +6,7 @@
 //! and each owns the state it locks. Client connections are read and
 //! written by [`crate::eventloop`] only.
 
-use crate::admission::{Admission, Permit};
+use crate::admission::Admission;
 use crate::cache::ResultCache;
 use crate::eventloop::Endpoint;
 use crate::ingest::IngestState;
@@ -45,10 +45,6 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Result-cache byte budget.
     pub cache_bytes: u64,
-    /// Bytes reserved against the runtime's memory governor per admitted
-    /// query. Only binding when a budget is set (`TGRAPH_MEM_BYTES` or
-    /// `Runtime::set_mem_budget`); with no budget, reservations are free.
-    pub query_reserve_bytes: u64,
     /// This instance's shard index (`0` is the coordinator).
     pub shard: usize,
     /// Total shards in the deployment. `1` (the default) serves unsharded.
@@ -76,7 +72,6 @@ impl Default for ServerConfig {
             max_inflight: 2,
             max_queue: 64,
             cache_bytes: 64 << 20,
-            query_reserve_bytes: 16 << 20,
             shard: 0,
             shards: 1,
             exchange_addr: String::new(),
@@ -157,20 +152,12 @@ impl Server {
             )?;
             rt.set_exchange(exchange);
         }
-        // Queries reserve bytes against the same governor the dataflow
-        // charges shuffles to: admission is memory-aware, not just a count.
-        let admission = Admission::with_governor(
-            config.max_inflight,
-            config.max_queue,
-            rt.governor(),
-            config.query_reserve_bytes,
-        );
         Ok(Server {
             net,
             rt,
             pool: GraphPool::new(&config.data_dir),
             cache: ResultCache::new(config.cache_bytes),
-            admission,
+            admission: Admission::new(config.max_inflight, config.max_queue),
             metrics: ServerMetrics::default(),
             chooser: ReprChooser::default(),
             shards: Shards::new(&config, timeout),
@@ -219,7 +206,7 @@ impl Server {
     /// answer with several lines (`shard_exec`) have them joined by `'\n'`.
     pub fn handle_line(&self, line: &str) -> String {
         let mut lines: Vec<String> = Vec::new();
-        self.handle_line_batched(line, &mut |r: Reply| lines.push(r.into_text()), &mut None);
+        self.handle_line_batched(line, &mut |r: Reply| lines.push(r.into_text()));
         lines.join("\n")
     }
 
@@ -227,17 +214,7 @@ impl Server {
     /// Every request answers exactly one line except `shard_exec`, which on
     /// acceptance emits an ack line *before* executing (so the coordinator
     /// knows every peer joined the wave) and its digest after.
-    ///
-    /// `permit_slot` is the batch-scoped admission slot [`crate::eventloop`]
-    /// describes under "Pipelining": a deadline-free zoom parks its permit
-    /// there for the next zoom of the batch instead of releasing it; the
-    /// caller drops the slot after the batch's last line.
-    pub(crate) fn handle_line_batched(
-        &self,
-        line: &str,
-        out: &mut dyn FnMut(Reply),
-        permit_slot: &mut Option<Permit>,
-    ) {
+    pub(crate) fn handle_line_batched(&self, line: &str, out: &mut dyn FnMut(Reply)) {
         ServerMetrics::bump(&self.metrics.requests);
         let request = match parse_request(line) {
             Ok(request) => request,
@@ -261,7 +238,7 @@ impl Server {
                 out(flag("shutting_down"));
             }
             Request::Stats => out(stats_response(self).into()),
-            Request::Zoom(req) => out(self.handle_zoom(&req, line, permit_slot)),
+            Request::Zoom(req) => out(self.handle_zoom(&req, line)),
             Request::Ingest(req) => out(self.handle_ingest(&req).into()),
             Request::ShardExec {
                 epoch,

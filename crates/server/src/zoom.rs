@@ -104,6 +104,14 @@ fn cache_key(epoch: u64, canonical: &str) -> String {
     format!("epoch={epoch};{canonical}")
 }
 
+/// The graph a [`cache_key`] names: the field right after `epoch=N;` (a
+/// graph name holds no `;`). Only this field is the graph's; the pipeline
+/// text later in the key quotes client strings but may still spell
+/// `graph=x;` inside them.
+pub(crate) fn cache_key_graph(key: &str) -> Option<&str> {
+    key.split(';').nth(1)?.strip_prefix("graph=")
+}
+
 /// What the execute stage hands to the serialize stage.
 struct Executed {
     /// Shared with the maintenance seed the patch store keeps.
@@ -116,15 +124,8 @@ struct Executed {
 impl Server {
     /// Answers one zoom. `line` is the raw request text: the coordinator
     /// embeds it verbatim in the `shard_exec` broadcast so every shard
-    /// parses the identical query. `permit_slot` optionally carries an
-    /// already-held admission permit between the zooms of one pipelined
-    /// batch (see [`Server::handle_line_batched`]).
-    pub(crate) fn handle_zoom(
-        &self,
-        req: &ZoomRequest,
-        line: &str,
-        permit_slot: &mut Option<Permit>,
-    ) -> Reply {
+    /// parses the identical query.
+    pub(crate) fn handle_zoom(&self, req: &ZoomRequest, line: &str) -> Reply {
         let t0 = Instant::now();
         let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
         // An already-expired deadline is rejected before any graph load,
@@ -153,20 +154,13 @@ impl Server {
             self.metrics.total_latency.record(t0.elapsed());
             return zoom_response("hit", t0.elapsed(), Duration::ZERO, &key, block, body);
         }
-        let permit = match self.admit(deadline, permit_slot) {
+        let permit = match self.admit(deadline) {
             Ok(permit) => permit,
             Err(refusal) => return refusal.into(),
         };
         let exec0 = Instant::now();
         let outcome = self.execute(&shared, &req, line, &canonical, deadline);
-        // A deadline-free permit parks in the slot for the next zoom of the
-        // batch (the caller drops the slot when the batch ends); any other
-        // permit releases immediately.
-        if deadline.is_none() {
-            *permit_slot = Some(permit);
-        } else {
-            drop(permit);
-        }
+        drop(permit);
         let exec = exec0.elapsed();
         let done = match outcome {
             Ok(done) => done,
@@ -239,36 +233,18 @@ impl Server {
         Some(body)
     }
 
-    /// Stage 4: an admission permit, or the typed refusal. Only
-    /// deadline-free requests reuse a carried permit — a deadline must flow
-    /// through `admit` so queue-full and expiry rejections keep their
-    /// semantics.
-    fn admit(
-        &self,
-        deadline: Option<Instant>,
-        permit_slot: &mut Option<Permit>,
-    ) -> Result<Permit, String> {
-        match permit_slot.take() {
-            Some(permit) if deadline.is_none() => {
-                ServerMetrics::bump(&self.metrics.admission_reuses);
-                Ok(permit)
-            }
-            carried => {
-                // A deadline request releases any carried permit first:
-                // holding a slot while queueing for a second would deadlock
-                // a max_inflight=1 gate against itself.
-                drop(carried);
-                let permit = self.admission.admit(deadline).map_err(|e| {
-                    let kind = match e {
-                        AdmitError::QueueFull => "queue_full",
-                        AdmitError::DeadlineExpired => "deadline",
-                    };
-                    self.reject(kind, &e.to_string())
-                })?;
-                self.metrics.admission_wait.record(permit.waited);
-                Ok(permit)
-            }
-        }
+    /// Stage 4: an admission permit, held until execution returns, or the
+    /// typed refusal.
+    fn admit(&self, deadline: Option<Instant>) -> Result<Permit, String> {
+        let permit = self.admission.admit(deadline).map_err(|e| {
+            let kind = match e {
+                AdmitError::QueueFull => "queue_full",
+                AdmitError::DeadlineExpired => "deadline",
+            };
+            self.reject(kind, &e.to_string())
+        })?;
+        self.metrics.admission_wait.record(permit.waited);
+        Ok(permit)
     }
 
     /// Stage 5: runs the pipeline under the request's cancel scope — across
@@ -384,14 +360,14 @@ mod tests {
             Reply::Zoom { head, body } => (head.contains("\"cache\":\"hit\""), body),
             Reply::Text(text) => panic!("not a zoom result: {text}"),
         };
-        let (hit, miss) = body(server.handle_zoom(&req, &line, &mut None));
+        let (hit, miss) = body(server.handle_zoom(&req, &line));
         assert!(!hit);
         let entry = server
             .cache
             .get(&key)
             .expect("the miss inserted its result");
         assert!(Arc::ptr_eq(&miss, &entry), "a miss answers with its entry");
-        let (hit, replay) = body(server.handle_zoom(&req, &line, &mut None));
+        let (hit, replay) = body(server.handle_zoom(&req, &line));
         assert!(hit);
         assert!(Arc::ptr_eq(&replay, &entry), "a hit answers with the entry");
     }

@@ -1,14 +1,16 @@
 //! End-to-end tests for the connection layer: pipelining answers in order,
 //! partial frames reassemble across poll wakeups, the TCP response stream
 //! is byte-identical to the in-process `Server::handle_line` dispatch path,
-//! the request-line cap answers with a typed error, and malformed input
-//! gets a typed `bad_request` instead of a silent close.
+//! the request-line cap answers with a typed error, malformed input gets a
+//! typed `bad_request` instead of a silent close, and a burst served under
+//! a memory budget spills without changing a byte.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use tgraph_core::graph::figure1_graph_stable_ids;
+use tgraph_datagen::WikiTalk;
 use tgraph_serve::{Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
 use tgraph_storage::write_dataset;
 
@@ -194,15 +196,76 @@ fn pipelined_requests_in_one_segment_answer_in_order() {
     let lines = field_i64(&stats, &["server", "pipelined_lines"]);
     assert!(batches >= 1, "event loop dispatched batches: {stats}");
     assert!(lines >= batches, "batches carry lines: {stats}");
-    if batches == 1 {
-        // The whole burst arrived as one batch: the admission permit must
-        // have been carried across its zooms instead of re-acquired.
-        assert!(
-            field_i64(&stats, &["server", "admission_reuses"]) >= 1,
-            "batched zooms reuse the admission permit: {stats}"
-        );
-    }
+    // One permit per executed zoom, each dropped when its zoom answered:
+    // the burst's cache hits took none.
+    assert_eq!(
+        field_i64(&stats, &["admission", "admitted"]),
+        field_i64(&stats, &["server", "zoom_executed"]),
+        "{stats}"
+    );
+    assert_eq!(field_i64(&stats, &["admission", "inflight"]), 0, "{stats}");
 
+    shutdown(&mut client, handle);
+}
+
+/// Under a memory budget the serving layer's one coupling to memory is the
+/// reactor's read pause while the governor is over budget: a pipelined
+/// burst of cold zooms spills, and every answer is byte-identical to the
+/// same zoom run cold with no budget.
+#[test]
+fn a_budgeted_burst_spills_and_answers_like_an_unbudgeted_run() {
+    let dir = std::env::temp_dir().join("tgraph-el-budget");
+    let _ = std::fs::remove_dir_all(&dir);
+    let wiki = WikiTalk {
+        vertices: 200,
+        months: 24,
+        edges_per_vertex: 3.0,
+        edge_survival: 0.2,
+        edit_count_values: 50,
+        seed: 0x5EED,
+    }
+    .generate();
+    write_dataset(&dir, "wiki", &wiki).expect("write dataset");
+    let server = Arc::new(
+        Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            data_dir: dir,
+            workers: 2,
+            partitions: 2,
+            ..ServerConfig::default()
+        })
+        .expect("bind"),
+    );
+    let zoom = |points: u64, extra: &str| {
+        format!(
+            r#"{{"op":"zoom","graph":"wiki","repr":"ve",{extra}"steps":[{{"wzoom":{{"window":{{"points":{points}}},"vq":"exists","eq":"exists"}}}}]}}"#
+        )
+    };
+    let points = 2..8;
+    let expected: Vec<String> = points
+        .clone()
+        .map(|p| server.handle_line(&zoom(p, r#""no_cache":true,"#)))
+        .collect();
+
+    server.runtime().set_mem_budget(64 << 10);
+    let addr = server.local_addr().expect("addr");
+    let handle = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve())
+    };
+    let mut client = Client::connect(addr);
+    let burst: String = points.map(|p| zoom(p, "") + "\n").collect();
+    client.send_raw(burst.as_bytes());
+    for (i, expect) in expected.iter().enumerate() {
+        let got = client.recv_line();
+        assert!(got.contains("\"cache\":\"miss\""), "zoom {i}: {got}");
+        assert_eq!(result_suffix(&got), result_suffix(expect), "zoom {i}");
+    }
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert!(
+        field_i64(&stats, &["runtime", "bytes_spilled"]) > 0,
+        "{stats}"
+    );
     shutdown(&mut client, handle);
 }
 
