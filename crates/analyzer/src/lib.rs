@@ -1,13 +1,13 @@
 //! # tgraph-analyze
 //!
 //! The correctness layer over the lazy dataflow engine: a **static plan
-//! verifier** plus a **protocol model checker**.
+//! verifier**.
 //!
 //! PR 1 made keyed operators elide shuffles whenever a
 //! [`Partitioning::HashByKey`](tgraph_dataflow::Partitioning) tag claims the
 //! data is already placed — but a wrong tag silently produces wrong
 //! `aZoom^T`/`wZoom^T` results *while making benchmarks faster*. This crate
-//! closes that hole from three directions:
+//! closes that hole from two directions:
 //!
 //! * [`verify::analyze`] walks the reified plan DAG
 //!   ([`PlanNode`](tgraph_dataflow::PlanNode)) carried by every
@@ -20,13 +20,6 @@
 //!   [`Runtime::checked`](tgraph_dataflow::Runtime::checked)) verifies the
 //!   same claims dynamically, record by record, at every elision point — and
 //!   representation switches validate their TGraph against Definition 2.1.
-//! * [`model`] is a deterministic **protocol model checker** for the
-//!   distributed exchange layer: it drives the real
-//!   [`ProtocolCore`](tgraph_dataflow::ProtocolCore) transition logic
-//!   through every interleaving of an N-shard wave (with fault injection)
-//!   and checks deadlock-freedom, frame conservation, typed failure, and
-//!   clean-FIN invariants at every state, printing replayable
-//!   counterexample traces. Run it via the `tgraph-model` binary.
 //!
 //! Source-level rules are not this crate's business: `unwrap`/`expect` in
 //! library crates and poison recovery outside `tgraph_dataflow::sync` are
@@ -37,13 +30,8 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod model;
 pub mod verify;
 
-pub use model::{
-    explore, mutant_suite, replay, Counterexample, Exploration, ModelConfig, ModelOp,
-    MutantOutcome, Violation,
-};
 pub use verify::{
     analyze, analyze_all, Analysis, Diagnostic, DiagnosticKind, PredictedMovement, Severity,
 };

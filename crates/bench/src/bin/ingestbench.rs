@@ -16,15 +16,11 @@
 //! serialization, and the scan counters show the suffix read is bounded by
 //! the delta, not the history.
 //!
-//! Phase 2 drives the serve layer itself: an unsharded in-process server in
-//! checked mode (the patch path self-verifies against a cold recompute) and
-//! a two-shard deployment over real TCP whose post-ingest answer must be
-//! byte-identical to a single process over the same on-disk dataset.
+//! Phase 2 drives the serve layer itself: an in-process server in checked
+//! mode (the patch path self-verifies against a cold recompute), whose
+//! patched answer must also be byte-identical to a `no_cache` run.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
@@ -279,7 +275,7 @@ fn expect(cond: bool, what: &str, response: &str) -> Result<(), String> {
 /// In-process serve check: checked mode makes the server verify the patched
 /// bytes against a cold recompute internally; the `no_cache` run re-verifies
 /// end to end here.
-fn serve_unsharded() -> Result<(), String> {
+fn serve_checked() -> Result<(), String> {
     let dir = std::env::temp_dir().join("tgraph-ingestbench-serve");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("create dir: {e}"))?;
@@ -319,117 +315,6 @@ fn serve_unsharded() -> Result<(), String> {
     Ok(())
 }
 
-fn roundtrip(addr: std::net::SocketAddr, line: &str) -> Result<String, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let mut writer = stream;
-    writer
-        .write_all(format!("{line}\n").as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send: {e}"))?;
-    let mut response = String::new();
-    reader
-        .read_line(&mut response)
-        .map_err(|e| format!("receive: {e}"))?;
-    Ok(response.trim_end().to_string())
-}
-
-fn reserve_port() -> Result<String, String> {
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("reserve: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| format!("addr: {e}"))?;
-    Ok(format!("127.0.0.1:{}", addr.port()))
-}
-
-/// Two-shard serve check: ingest through the coordinator replicates the
-/// epoch; the post-ingest answer must be byte-identical to a single process
-/// over the same on-disk dataset.
-fn serve_sharded() -> Result<(), String> {
-    let dir = std::env::temp_dir().join("tgraph-ingestbench-sharded");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create dir: {e}"))?;
-    write_dataset(
-        &dir,
-        "fig1",
-        &tgraph_core::graph::figure1_graph_stable_ids(),
-    )
-    .map_err(|e| format!("write dataset: {e}"))?;
-    let exchange = vec![reserve_port()?, reserve_port()?];
-    let shard1 = Arc::new(
-        Server::bind(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            data_dir: dir.clone(),
-            workers: 2,
-            partitions: 2,
-            shard: 1,
-            shards: 2,
-            exchange_addr: exchange[1].clone(),
-            exchange_peers: exchange.clone(),
-            ..ServerConfig::default()
-        })
-        .map_err(|e| format!("bind shard 1: {e}"))?,
-    );
-    let addr1 = shard1.local_addr().map_err(|e| format!("addr1: {e}"))?;
-    let shard0 = Arc::new(
-        Server::bind(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            data_dir: dir.clone(),
-            workers: 2,
-            partitions: 2,
-            shard: 0,
-            shards: 2,
-            exchange_addr: exchange[0].clone(),
-            exchange_peers: exchange,
-            serve_peers: vec!["127.0.0.1:1".to_string(), addr1.to_string()],
-            ..ServerConfig::default()
-        })
-        .map_err(|e| format!("bind shard 0: {e}"))?,
-    );
-    let addr0 = shard0.local_addr().map_err(|e| format!("addr0: {e}"))?;
-    let threads = [&shard0, &shard1].map(|s| {
-        let s = Arc::clone(s);
-        std::thread::spawn(move || s.serve())
-    });
-
-    let before = roundtrip(addr0, &figure1_zoom_line("fig1", ""))?;
-    expect(before.contains("\"ok\":true"), "a sharded zoom", &before)?;
-    let ing = roundtrip(addr0, &figure1_ingest_line("fig1"))?;
-    expect(ing.contains("\"epoch\":1"), "epoch 1 committed", &ing)?;
-    let after = roundtrip(addr0, &figure1_zoom_line("fig1", ""))?;
-    expect(after.contains("\"ok\":true"), "a post-ingest zoom", &after)?;
-    expect(
-        result_suffix(&before)? != result_suffix(&after)?,
-        "fresh bytes after the ingest",
-        &after,
-    )?;
-
-    let single = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        data_dir: dir.clone(),
-        workers: 2,
-        partitions: 2,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("bind single: {e}"))?;
-    let baseline = single.handle_line(&figure1_zoom_line("fig1", ""));
-    expect(
-        result_suffix(&baseline)? == result_suffix(&after)?,
-        "sharded post-ingest answer byte-identical to single process",
-        &after,
-    )?;
-
-    for (addr, thread) in [addr0, addr1].into_iter().zip(threads) {
-        let _ = roundtrip(addr, r#"{"op":"shutdown"}"#);
-        thread
-            .join()
-            .map_err(|_| "serve thread panicked".to_string())?
-            .map_err(|e| format!("serve loop: {e}"))?;
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("serve: 2-shard ingest ok (epoch replicated, byte-identical to single process)");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -439,9 +324,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = sweep(&args)
-        .and_then(|()| serve_unsharded())
-        .and_then(|()| serve_sharded());
+    let outcome = sweep(&args).and_then(|()| serve_checked());
     match outcome {
         Ok(()) => {
             println!("ingestbench: ok");

@@ -1,6 +1,6 @@
 //! The engine's environment settings, parsed once.
 //!
-//! Five `TGRAPH_*` variables tune the engine and the server on top of it.
+//! Four `TGRAPH_*` variables tune the engine and the server on top of it.
 //! They are read in exactly one place — [`EngineConfig::from_env`], called
 //! by [`Runtime`](crate::Runtime) construction — and every consumer reads
 //! the parsed value off the runtime ([`Runtime::config`](crate::Runtime::config))
@@ -10,7 +10,6 @@
 
 use std::ffi::OsString;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// What the environment asked of the engine, as typed values.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,15 +18,11 @@ pub struct EngineConfig {
     /// execution mode ([`Runtime::set_checked`](crate::Runtime::set_checked)
     /// still toggles it).
     pub checked: bool,
-    /// `TGRAPH_EXCHANGE_TIMEOUT_MS` (default 10 000, floor 1): how long a
-    /// sharded wave waits on a peer, and the dial/reply timeout of the
-    /// coordinator's calls to its peer shards.
-    pub exchange_timeout: Duration,
     /// `TGRAPH_MEM_BYTES`: the memory governor's starting byte budget, plain
     /// or `k`/`m`/`g`-suffixed (base 1024); `0`, absent or unparsable means
     /// unlimited.
     pub mem_bytes: u64,
-    /// `TGRAPH_SERVE_DEBUG` is set (to anything): the server logs peer-level
+    /// `TGRAPH_SERVE_DEBUG` is set (to anything): the server logs client-level
     /// protocol noise to stderr.
     pub serve_debug: bool,
     /// `TGRAPH_SPILL_DIR` (default `<tmp>/tgraph-spill`): where spill runs
@@ -41,16 +36,11 @@ impl EngineConfig {
         Self::parse(|name| std::env::var_os(name))
     }
 
-    /// Parses the five variables out of `lookup` (`None` = unset).
+    /// Parses the four variables out of `lookup` (`None` = unset).
     pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Self {
         let text = |name: &str| lookup(name).and_then(|v| v.into_string().ok());
         EngineConfig {
             checked: matches!(text("TGRAPH_CHECKED").as_deref(), Some("1" | "true")),
-            exchange_timeout: Duration::from_millis(
-                text("TGRAPH_EXCHANGE_TIMEOUT_MS")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .map_or(10_000, |ms| ms.max(1)),
-            ),
             mem_bytes: text("TGRAPH_MEM_BYTES")
                 .and_then(|v| parse_bytes(&v))
                 .unwrap_or(0),
@@ -96,7 +86,6 @@ mod tests {
     fn an_empty_environment_gives_the_documented_defaults() {
         let c = EngineConfig::default();
         assert!(!c.checked && !c.serve_debug);
-        assert_eq!(c.exchange_timeout, Duration::from_millis(10_000));
         assert_eq!(c.mem_bytes, 0);
         assert_eq!(c.spill_dir, std::env::temp_dir().join("tgraph-spill"));
     }
@@ -114,14 +103,6 @@ mod tests {
         assert_eq!(budget("lots"), 0);
         assert_eq!(budget("k"), 0);
         assert_eq!(budget(""), 0);
-    }
-
-    #[test]
-    fn exchange_timeout_has_a_floor_and_a_default() {
-        let ms = |v: &str| parsed(&[("TGRAPH_EXCHANGE_TIMEOUT_MS", v)]).exchange_timeout;
-        assert_eq!(ms("250"), Duration::from_millis(250));
-        assert_eq!(ms("0"), Duration::from_millis(1));
-        assert_eq!(ms("soon"), Duration::from_millis(10_000));
     }
 
     #[test]

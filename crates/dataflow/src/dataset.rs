@@ -21,10 +21,8 @@
 //! what executes; the lineage is what the static verifier in
 //! `tgraph-analyze` walks to prove elisions sound and estimate movement.
 
-use crate::exchange::{raise, Exchange, ExchangeError, Frame, ShardLayout};
 use crate::lineage::{OpKind, PlanNode};
 use crate::runtime::Runtime;
-use crate::spill::Spill;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -54,74 +52,6 @@ pub enum Partitioning {
     },
 }
 
-/// Which global partitions of a dataset physically exist on *this* shard.
-///
-/// Datasets keep their full global partition width on every shard — all `P`
-/// partition slots exist everywhere, so partition indices, partitioning
-/// tags, lineage, and elision proofs never need translation. What varies
-/// per shard is which slots hold data:
-///
-/// * `Replicated` — every shard holds identical full content (all sources
-///   built from identical inputs, and everything downstream of an
-///   all-gather). Gathers are purely local.
-/// * `Owned(mask)` — this shard holds data only for mask-true slots (the
-///   output of a sharded exchange: each shard keeps its owned bucket
-///   range). Gathers and counts must rendezvous through the exchange.
-/// * `Chained` — a `union`: each side keeps its own locality, dispatched by
-///   the same partition-index split the union plan uses.
-///
-/// Under the single-process layout every dataset is effectively
-/// `Replicated` and this tag is inert.
-#[derive(Clone)]
-pub(crate) enum Locality {
-    /// Identical full content on every shard.
-    Replicated,
-    /// Only mask-true global partitions are present locally.
-    Owned(Arc<Vec<bool>>),
-    /// Union composition: `left` covers partitions `0..split`, `right` the
-    /// rest (re-indexed from zero).
-    Chained {
-        /// Left side's locality.
-        left: Arc<Locality>,
-        /// Right side's locality.
-        right: Arc<Locality>,
-        /// Number of partitions belonging to the left side.
-        split: usize,
-    },
-}
-
-impl Locality {
-    /// Whether every shard holds full identical content (deep: a union of
-    /// replicated sides is replicated).
-    pub(crate) fn is_replicated(&self) -> bool {
-        match self {
-            Locality::Replicated => true,
-            Locality::Owned(_) => false,
-            Locality::Chained { left, right, .. } => left.is_replicated() && right.is_replicated(),
-        }
-    }
-
-    /// The contribution mask under `layout` for a dataset of `parts` global
-    /// partitions: which slots this shard is responsible for contributing to
-    /// an exchange. Replicated content is contributed by its range owner
-    /// (every shard has it; exactly one may send it), owned content by
-    /// whoever holds it.
-    pub(crate) fn mask(&self, layout: &ShardLayout, parts: usize) -> Vec<bool> {
-        match self {
-            Locality::Replicated => layout.range_mask(parts),
-            Locality::Owned(m) => {
-                debug_assert_eq!(m.len(), parts, "locality mask width");
-                m.to_vec()
-            }
-            Locality::Chained { left, right, split } => {
-                let mut m = left.mask(layout, *split);
-                m.extend(right.mask(layout, parts - split));
-                m
-            }
-        }
-    }
-}
-
 /// The deferred execution plan behind a dataset.
 #[derive(Clone)]
 enum Plan<T: Clone> {
@@ -141,7 +71,6 @@ pub struct Dataset<T: Clone> {
     plan: Plan<T>,
     partitioning: Partitioning,
     lineage: Arc<PlanNode>,
-    locality: Locality,
 }
 
 impl<T: Clone + Send + Sync + 'static> Dataset<T> {
@@ -210,26 +139,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             plan: Plan::Source(Arc::new(partitions)),
             partitioning,
             lineage,
-            locality: Locality::Replicated,
         }
-    }
-
-    /// Replaces the locality tag (internal: exchange outputs only).
-    pub(crate) fn with_locality(mut self, locality: Locality) -> Self {
-        self.locality = locality;
-        self
-    }
-
-    /// The per-partition contribution mask for this dataset under the
-    /// runtime's shard layout, or `None` when no masking applies (single
-    /// shard). Masked-out partitions hold another shard's data (or a
-    /// replica another shard is responsible for contributing) and must be
-    /// skipped by exchange map sides.
-    pub(crate) fn shard_mask(&self, layout: &ShardLayout) -> Option<Vec<bool>> {
-        if !layout.is_sharded() {
-            return None;
-        }
-        Some(self.locality.mask(layout, self.num_partitions()))
     }
 
     /// An empty dataset with one empty partition.
@@ -342,17 +252,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     /// Runs the plan (one fused task wave) and returns a source-backed
     /// dataset sharing the same partitioning tag. No-op when already
     /// materialized.
-    ///
-    /// Under a sharded layout, materializing a deferred non-replicated plan
-    /// is an **all-gather**: every shard contributes its owned partitions
-    /// through the exchange and receives everyone else's, so the result is
-    /// full and identical everywhere ([`Locality::Replicated`]). An
-    /// already-materialized dataset is returned as-is, locality included —
-    /// keyed operators consume owned partitions in place.
-    pub fn materialize(&self, rt: &Runtime) -> Dataset<T>
-    where
-        T: Spill,
-    {
+    pub fn materialize(&self, rt: &Runtime) -> Dataset<T> {
         match &self.plan {
             Plan::Source(_) => self.clone(),
             Plan::Lazy { .. } => {
@@ -377,10 +277,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     }
 
     /// The materialized partitions (runs the plan if deferred).
-    pub(crate) fn parts(&self, rt: &Runtime) -> Arc<Vec<Arc<Vec<T>>>>
-    where
-        T: Spill,
-    {
+    pub(crate) fn parts(&self, rt: &Runtime) -> Arc<Vec<Arc<Vec<T>>>> {
         match &self.materialize(rt).plan {
             Plan::Source(parts) => Arc::clone(parts),
             Plan::Lazy { .. } => unreachable!("materialize returns a source"),
@@ -399,116 +296,30 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         rt.run_indexed(self.num_partitions(), move |i| f(i, &d))
     }
 
-    /// The installed exchange when this dataset's actions must rendezvous
-    /// through it: the layout is sharded and the partitions are not already
-    /// replicated on every shard. `None` means the action is purely local.
-    fn rendezvous(&self, rt: &Runtime) -> Option<Arc<dyn Exchange>> {
-        rt.exchange()
-            .filter(|ex| ex.layout().is_sharded() && !self.locality.is_replicated())
-    }
-
-    /// The sharded half of `collect`, `count` and `fold`: runs `partial` over
-    /// the partitions this shard contributes (its locality mask), all-gathers
-    /// one `frame(seq, partition, partial)` each, and slots what comes back
-    /// by source partition - slot `i` holds the one frame whose `src` is `i`,
-    /// or `None` if no shard contributed that partition. Every shard decodes
-    /// every contribution (its own included), so all shards traverse the
-    /// identical path. A `src` outside the partition range or one seen twice
-    /// is a peer speaking a different plan; it raises a typed
-    /// [`ExchangeError::Frame`] (as does a failed exchange) rather than
-    /// letting a gather, count or fold answer from a corrupt contribution
-    /// set.
-    fn gather_partials<R, P, F>(
-        &self,
-        rt: &Runtime,
-        exchange: &dyn Exchange,
-        op: &str,
-        partial: P,
-        frame: F,
-    ) -> Vec<Option<Frame>>
-    where
-        R: Send + 'static,
-        P: Fn(usize, &Dataset<T>) -> R + Send + Sync + 'static,
-        F: Fn(u64, usize, R) -> Frame,
-    {
-        let n = self.num_partitions();
-        let mask = self.locality.mask(&exchange.layout(), n);
-        let partials: Vec<Option<R>> =
-            self.run_per_partition(rt, move |i, d| mask[i].then(|| partial(i, d)));
-        let seq = rt.next_exchange_seq();
-        let frames = partials
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.map(|r| frame(seq, i, r)))
-            .collect();
-        let got = raise(exchange.gather(seq, frames));
-        let mut slots: Vec<Option<Frame>> = (0..n).map(|_| None).collect();
-        for f in got {
-            match usize::try_from(f.src).ok().filter(|&i| i < n) {
-                Some(i) if slots[i].is_none() => slots[i] = Some(f),
-                _ => std::panic::panic_any(ExchangeError::Frame {
-                    detail: format!("{op}: duplicate or out-of-range partition {} of {n}", f.src),
-                }),
-            }
-        }
-        slots
-    }
-
     /// Runs each partition's fused chain into an owned `Vec`, one task per
-    /// partition. For a sharded dataset this is an all-gather: each shard
-    /// runs its chain over the partitions it contributes and broadcasts them
-    /// as frames keyed by global partition index, which yields the same full
-    /// vector everywhere.
-    fn gather_partitions(&self, rt: &Runtime) -> Vec<Vec<T>>
-    where
-        T: Spill,
-    {
-        let produce = |i: usize, d: &Dataset<T>| {
+    /// partition.
+    fn gather_partitions(&self, rt: &Runtime) -> Vec<Vec<T>> {
+        self.run_per_partition(rt, |i, d| {
             let mut out = Vec::new();
             d.produce(i, &mut |x| out.push(x.into_owned()));
             out
-        };
-        let Some(exchange) = self.rendezvous(rt) else {
-            return self.run_per_partition(rt, produce);
-        };
-        self.gather_partials(rt, exchange.as_ref(), "gather", produce, |seq, i, p| {
-            Frame::of_records(seq, i, i, &p)
         })
-        .iter()
-        .map(|slot| slot.as_ref().map_or_else(Vec::new, |f| raise(f.records())))
-        .collect()
     }
 
     /// Total number of elements. Runs the fused chain without materializing
     /// or cloning anything.
-    ///
-    /// Under a sharded layout a non-replicated dataset counts its owned
-    /// partitions locally and sums per-partition counts exchanged as
-    /// zero-payload frames.
     pub fn count(&self, rt: &Runtime) -> usize {
-        let count = |i: usize, d: &Dataset<T>| {
-            let mut n = 0u64;
+        let counts = self.run_per_partition(rt, |i, d| {
+            let mut n = 0usize;
             d.produce(i, &mut |_x| n += 1);
             n
-        };
-        let Some(exchange) = self.rendezvous(rt) else {
-            return self.run_per_partition(rt, count).into_iter().sum::<u64>() as usize;
-        };
-        self.gather_partials(rt, exchange.as_ref(), "count", count, Frame::count)
-            .iter()
-            .flatten()
-            .map(|f| f.records)
-            .sum::<u64>() as usize
+        });
+        counts.into_iter().sum()
     }
 
     /// Materializes all elements in partition order. Partitions are gathered
-    /// in parallel on the worker pool, then concatenated in order. Under a
-    /// sharded layout this is an all-gather: every shard returns the same
-    /// full vector (see [`Dataset::materialize`]).
-    pub fn collect(&self, rt: &Runtime) -> Vec<T>
-    where
-        T: Spill,
-    {
+    /// in parallel on the worker pool, then concatenated in order.
+    pub fn collect(&self, rt: &Runtime) -> Vec<T> {
         let partitions = self.gather_partitions(rt);
         let total = partitions.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
@@ -555,7 +366,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             },
             partitioning: Partitioning::Unknown,
             lineage,
-            locality: self.locality.clone(),
         }
     }
 
@@ -612,7 +422,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             },
             partitioning: Partitioning::Unknown,
             lineage,
-            locality: self.locality.clone(),
         }
     }
 
@@ -646,7 +455,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             },
             partitioning: self.partitioning,
             lineage,
-            locality: self.locality.clone(),
         }
     }
 
@@ -688,7 +496,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             },
             partitioning: Partitioning::Unknown,
             lineage,
-            locality: self.locality.clone(),
         }
     }
 
@@ -724,24 +531,14 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             },
             partitioning: Partitioning::Unknown,
             lineage,
-            locality: Locality::Chained {
-                left: Arc::new(self.locality.clone()),
-                right: Arc::new(other.locality.clone()),
-                split,
-            },
         }
     }
 
     /// Parallel fold: folds each partition through the fused chain, then
-    /// reduces the partials on the caller thread.
-    ///
-    /// Under a sharded layout each shard folds only the partitions it
-    /// holds; per-partition partials rendezvous through the exchange and
-    /// are combined in global partition-index order, so every shard reduces
-    /// the identical sequence a single process would.
+    /// reduces the partials on the caller thread in partition order.
     pub fn fold<A, F, G>(&self, rt: &Runtime, init: A, fold: F, combine: G) -> A
     where
-        A: Send + Sync + Clone + Spill + 'static,
+        A: Send + Sync + Clone + 'static,
         F: Fn(A, &T) -> A + Send + Sync + 'static,
         G: Fn(A, A) -> A + Send + Sync + 'static,
     {
@@ -757,33 +554,9 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             });
             acc.expect("fold accumulator")
         };
-        let Some(exchange) = self.rendezvous(rt) else {
-            return self
-                .run_per_partition(rt, fold_partition)
-                .into_iter()
-                .fold(init, combine);
-        };
-        // Every shard decodes all partials (its own included) and combines
-        // them in global index order — the exact partial sequence a single
-        // process folds.
-        self.gather_partials(
-            rt,
-            exchange.as_ref(),
-            "fold",
-            fold_partition,
-            |seq, i, a| Frame::of_records(seq, i, i, &[a]),
-        )
-        .into_iter()
-        .map(|slot| match slot.map(|f| raise(f.records::<A>())) {
-            None => init.clone(),
-            Some(mut one) => match (one.pop(), one.is_empty()) {
-                (Some(a), true) => a,
-                _ => std::panic::panic_any(ExchangeError::Frame {
-                    detail: "fold: a partial frame must hold exactly one record".into(),
-                }),
-            },
-        })
-        .fold(init.clone(), combine)
+        self.run_per_partition(rt, fold_partition)
+            .into_iter()
+            .fold(init, combine)
     }
 }
 
@@ -1021,55 +794,6 @@ mod tests {
         // filter keeps the row estimate but downgrades it to a bound.
         assert_eq!(root.rows, Some(10));
         assert!(!root.exact);
-    }
-
-    /// A two-shard exchange whose peer's contribution to every gather is
-    /// scripted by the test.
-    struct ScriptedPeer(Vec<Frame>);
-
-    impl crate::exchange::Exchange for ScriptedPeer {
-        fn layout(&self) -> ShardLayout {
-            ShardLayout::new(0, 2)
-        }
-        fn route(&self, _: u64, _: Vec<Frame>, _: usize) -> Result<Vec<Frame>, ExchangeError> {
-            unreachable!("count never shuffles")
-        }
-        fn gather(&self, _: u64, mut own: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
-            own.extend(self.0.iter().cloned());
-            Ok(own)
-        }
-    }
-
-    /// Counts a 4-partition dataset of which this shard owns partitions 0-1
-    /// (2 + 1 rows), with the peer contributing `peer` count frames.
-    fn sharded_count(peer: Vec<(usize, u64)>) -> Result<usize, ExchangeError> {
-        let rt = rt();
-        let frame = |(src, records)| Frame::count(0, src, records);
-        rt.set_exchange(Arc::new(ScriptedPeer(
-            peer.into_iter().map(frame).collect(),
-        )));
-        let d = Dataset::from_partitions(vec![vec![1, 2], vec![3], vec![], vec![]])
-            .with_locality(Locality::Owned(Arc::new(vec![true, true, false, false])));
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.count(&rt))).map_err(|payload| {
-            *payload
-                .downcast::<ExchangeError>()
-                .expect("count must fail with a typed ExchangeError")
-        })
-    }
-
-    #[test]
-    fn sharded_count_rejects_duplicate_and_out_of_range_frames() {
-        assert_eq!(sharded_count(vec![(2, 5), (3, 7)]).unwrap(), 15);
-        // A duplicate used to overwrite (3 + 9 = 12), an out-of-range `src`
-        // used to be dropped (3 + 5 = 8): both silently wrong counts.
-        for bad in [vec![(2, 5), (2, 9)], vec![(2, 5), (4, 7)]] {
-            match sharded_count(bad) {
-                Err(ExchangeError::Frame { detail }) => {
-                    assert!(detail.contains("duplicate or out-of-range"), "{detail}")
-                }
-                other => panic!("expected a typed frame error, got {other:?}"),
-            }
-        }
     }
 
     #[test]

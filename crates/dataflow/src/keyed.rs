@@ -16,7 +16,7 @@
 //! on the input, so `map → filter → reduce_by_key` reads its input exactly
 //! once.
 
-use crate::dataset::{Dataset, Locality, Partitioning};
+use crate::dataset::{Dataset, Partitioning};
 use crate::exchange::{raise, Exchange, ExchangeError, Frame};
 use crate::governor::GovernedBuckets;
 use crate::lineage::OpKind;
@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// `HashByKey { parts }`. Elision audits (and tests constructing
 /// adversarial layouts) use it to agree with the shuffle; it is public so
 /// locality-aware loaders can pre-place records in the partition the
-/// exchange will route their key to, making the shuffle shard-local.
+/// shuffle will route their key to.
 ///
 /// Hashes with the explicitly-seeded FNV-1a shared with
 /// [`fnv1a`](crate::fnv1a) — *not* `DefaultHasher`, whose algorithm is
@@ -139,20 +139,11 @@ where
     }
     // Map side: one fused pass splits every input partition into `parts`
     // buckets, running any pending narrow chain in the same wave.
-    //
-    // Under a sharded layout each shard maps only the input partitions it
-    // contributes (its locality mask): owned data exists nowhere else, and
-    // replicated data is split by the layout's range so every global
-    // partition is mapped by exactly one shard.
-    let layout = rt.layout();
-    let mask = input.shard_mask(&layout);
     let mut bucketed: Vec<Vec<Vec<(K, V)>>> = input.run_per_partition(rt, move |i, d| {
         let mut buckets: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
-        if mask.as_ref().is_none_or(|m| m[i]) {
-            d.produce(i, &mut |kv| {
-                buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
-            });
-        }
+        d.produce(i, &mut |kv| {
+            buckets[bucket_of(&kv.0, parts)].push(kv.into_owned());
+        });
         buckets
     });
     let moved: u64 = bucketed
@@ -165,12 +156,7 @@ where
     // that owns their partition, never copied. With one, frames are the
     // transport in between and nothing more.
     if let Some(exchange) = rt.exchange() {
-        raise(exchange_buckets(
-            rt,
-            exchange.as_ref(),
-            &mut bucketed,
-            parts,
-        ));
+        raise(exchange_buckets(exchange.as_ref(), &mut bucketed, parts));
     }
     // Exchange residency passes under the memory governor, however the
     // buckets arrived: the charge is recorded here, and over-budget map
@@ -192,43 +178,35 @@ where
         std::mem::size_of::<(K, V)>() as u64,
         vec![lineage],
     );
-    let shuffled =
-        Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node);
-    stamp_wide_locality(rt, shuffled)
+    Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
 }
 
 /// Moves a shuffle's map output through `exchange`: every non-empty bucket
-/// leaves its `bucketed[src][bucket]` slot as a wire frame and is routed to
-/// the owner of its bucket; what comes back - own frames and peers' - is
-/// decoded into the slots the local map side left empty. Every global map
-/// partition is mapped by exactly one shard, so the slots are disjoint, and
-/// absent frames are empty buckets. A frame naming a slot outside the map
-/// output, a bucket this shard does not own, or a slot already filled is a
-/// peer running a different plan: a typed [`ExchangeError::Frame`], never a
-/// silently dropped or doubled bucket.
+/// leaves its `bucketed[src][bucket]` slot as a frame, and what comes back is
+/// decoded into the emptied slots. Absent frames are empty buckets. A frame
+/// naming a slot outside the map output, or a slot already filled, is a
+/// typed [`ExchangeError::Frame`], never a silently dropped or doubled
+/// bucket.
 fn exchange_buckets<K: Spill, V: Spill>(
-    rt: &Runtime,
     exchange: &dyn Exchange,
     bucketed: &mut [Vec<Vec<(K, V)>>],
     parts: usize,
 ) -> Result<(), ExchangeError> {
-    let seq = rt.next_exchange_seq();
     let mut frames = Vec::new();
     for (i, buckets) in bucketed.iter_mut().enumerate() {
         for (b, bucket) in buckets.iter_mut().enumerate() {
             if !bucket.is_empty() {
-                frames.push(Frame::of_records(seq, i, b, &std::mem::take(bucket)));
+                frames.push(Frame::of_records(i, b, &std::mem::take(bucket)));
             }
         }
     }
-    let layout = exchange.layout();
-    for f in exchange.route(seq, frames, parts)? {
+    for f in exchange.route(frames)? {
         let in_range = f.src < bucketed.len() as u64 && f.bucket < parts as u64;
         let (i, b) = (f.src as usize, f.bucket as usize);
-        if !in_range || !layout.owns(b, parts) || !bucketed[i][b].is_empty() {
+        if !in_range || !bucketed[i][b].is_empty() {
             return Err(ExchangeError::Frame {
                 detail: format!(
-                    "shuffle: frame (src {}, bucket {}) is duplicate, unowned or outside \
+                    "shuffle: frame (src {}, bucket {}) is duplicate or outside \
                      {} map partitions x {parts} buckets",
                     f.src,
                     f.bucket,
@@ -289,10 +267,8 @@ pub trait KeyedDataset<K: Clone, V: Clone> {
 ///
 /// Keys are emitted in **first-seen order**, not hash-map iteration order:
 /// given the same partition contents, the output bytes are identical across
-/// runs and across processes. The distributed exchange depends on this —
-/// every shard of a sharded run must produce the same result a
-/// single-process run does, and `HashMap`'s per-instance random seed would
-/// scramble emission order per process.
+/// runs and across processes, where `HashMap`'s per-instance random seed
+/// would scramble emission order.
 fn combine_partition<K, V, F>(part: &[(K, V)], f: &F) -> Vec<(K, V)>
 where
     K: Hash + Eq + Clone,
@@ -344,8 +320,8 @@ where
         let gov = rt.governor();
         shuffle(rt, self)
             .map_partitions(move |part| {
-                // First-seen key order, for cross-run and cross-shard
-                // determinism (see `combine_partition`). The index borrows
+                // First-seen key order, for cross-run determinism (see
+                // `combine_partition`). The index borrows
                 // its keys: one hash per record, one key clone per group.
                 let mut index: HashMap<&K, usize> = HashMap::new();
                 let mut out: Vec<(K, Vec<V>)> = Vec::new();
@@ -482,9 +458,7 @@ where
             std::mem::size_of::<(K, (V, W))>() as u64,
             vec![lin_l, lin_r],
         );
-        let joined =
-            Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node);
-        stamp_wide_locality(rt, joined)
+        Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
     }
 
     fn semi_join<W>(&self, rt: &Runtime, keys: &Dataset<(K, W)>) -> Dataset<(K, V)>
@@ -520,26 +494,7 @@ where
             std::mem::size_of::<(K, V)>() as u64,
             vec![lin_l, lin_r],
         );
-        let joined =
-            Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node);
-        stamp_wide_locality(rt, joined)
-    }
-}
-
-/// Stamps a wide operator's output with the shard's owned bucket range
-/// under a sharded layout: partition `p` was reduced from co-partitioned
-/// inputs whose partition-`p` content is only guaranteed present on `p`'s
-/// owner. Single-process outputs stay replicated.
-fn stamp_wide_locality<T: Clone + Send + Sync + 'static>(
-    rt: &Runtime,
-    out: Dataset<T>,
-) -> Dataset<T> {
-    let layout = rt.layout();
-    if layout.is_sharded() {
-        let parts = out.num_partitions();
-        out.with_locality(Locality::Owned(Arc::new(layout.range_mask(parts))))
-    } else {
-        out
+        Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
     }
 }
 
@@ -769,28 +724,16 @@ mod tests {
         assert_eq!(other.join(&rt, &d).count(&rt), 0);
     }
 
-    /// A single-shard exchange that hands a shuffle's own frames back and
-    /// slips in one more: a copy of the first with its bucket rewritten by
-    /// the test.
+    /// An exchange that hands a shuffle's own frames back and slips in one
+    /// more: a copy of the first with its bucket rewritten by the test.
     struct Tampering(fn(u64) -> u64);
 
     impl Exchange for Tampering {
-        fn layout(&self) -> crate::ShardLayout {
-            crate::ShardLayout::single()
-        }
-        fn route(
-            &self,
-            _: u64,
-            mut own: Vec<Frame>,
-            _: usize,
-        ) -> Result<Vec<Frame>, ExchangeError> {
+        fn route(&self, mut own: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
             let mut extra = own[0].clone();
             extra.bucket = (self.0)(extra.bucket);
             own.push(extra);
             Ok(own)
-        }
-        fn gather(&self, _: u64, _: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
-            unreachable!("a shuffle never gathers")
         }
     }
 
@@ -811,7 +754,7 @@ mod tests {
             .expect_err(what);
             match payload.downcast_ref::<ExchangeError>() {
                 Some(ExchangeError::Frame { detail }) => {
-                    assert!(detail.contains("duplicate, unowned or outside"), "{detail}")
+                    assert!(detail.contains("duplicate or outside"), "{detail}")
                 }
                 other => panic!("{what}: expected a typed frame error, got {other:?}"),
             }

@@ -68,7 +68,6 @@ pub mod governor;
 pub mod keyed;
 pub mod lineage;
 pub mod pool;
-pub mod protocol;
 pub mod runtime;
 pub mod spill;
 pub mod sync;
@@ -76,13 +75,10 @@ pub mod sync;
 pub use cancel::{CancelToken, Cancelled};
 pub use config::EngineConfig;
 pub use dataset::{Dataset, Partitioning};
-pub use exchange::{
-    Exchange, ExchangeCounters, ExchangeError, Frame, Loopback, ShardLayout, TcpExchange,
-};
+pub use exchange::{Exchange, ExchangeCounters, ExchangeError, Frame, Loopback};
 pub use governor::{MemCharge, MemGovernor};
 pub use keyed::{bucket_of, shuffle, KeyedDataset};
 pub use lineage::{fnv1a, OpKind, PlanNode};
-pub use protocol::{Mutation, PollOutcome, ProtocolCore};
 pub use runtime::{Runtime, RuntimeStats, StatsSnapshot};
 pub use spill::{charged_size, checksum, HeapSize, Spill, SpillError, SpillReader};
 pub use sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};

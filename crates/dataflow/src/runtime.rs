@@ -3,7 +3,7 @@
 
 use crate::cancel;
 use crate::config::EngineConfig;
-use crate::exchange::{Exchange, ExchangeCounters, ShardLayout};
+use crate::exchange::{Exchange, ExchangeCounters};
 use crate::governor::MemGovernor;
 use crate::pool::ThreadPool;
 use crate::sync::lock_unpoisoned;
@@ -69,16 +69,13 @@ pub struct RuntimeStats {
     /// instead of subtracting.
     pub peak_bytes: u64,
     /// Payload bytes handed to the [`Exchange`] for routing. Zero with no
-    /// exchange installed; counts loopback traffic under a
-    /// [`Loopback`](crate::Loopback) and wire traffic under a
-    /// [`TcpExchange`](crate::TcpExchange).
+    /// exchange installed; counts the encoded buckets under a
+    /// [`Loopback`](crate::Loopback).
     pub bytes_exchanged: u64,
     /// Data frames handed to the exchange for routing.
     pub frames_sent: u64,
-    /// Data frames delivered by the exchange (own contributions included).
+    /// Data frames the exchange delivered back.
     pub frames_received: u64,
-    /// Exchange waits that actually blocked on remote frames.
-    pub exchange_stalls: u64,
 }
 
 impl RuntimeStats {
@@ -108,7 +105,6 @@ impl RuntimeStats {
             bytes_exchanged: self.bytes_exchanged - earlier.bytes_exchanged,
             frames_sent: self.frames_sent - earlier.frames_sent,
             frames_received: self.frames_received - earlier.frames_received,
-            exchange_stalls: self.exchange_stalls - earlier.exchange_stalls,
         }
     }
 }
@@ -174,7 +170,6 @@ pub struct Runtime {
     governor: Arc<MemGovernor>,
     exchange: Mutex<Option<Arc<dyn Exchange>>>,
     exchange_counters: Arc<ExchangeCounters>,
-    exchange_seq: AtomicU64,
 }
 
 impl Runtime {
@@ -207,7 +202,6 @@ impl Runtime {
             exchange: Mutex::new(None),
             config,
             exchange_counters: Arc::new(ExchangeCounters::default()),
-            exchange_seq: AtomicU64::new(0),
         }
     }
 
@@ -362,7 +356,7 @@ impl Runtime {
     }
 
     /// Installs an exchange implementation (e.g. a
-    /// [`TcpExchange`](crate::TcpExchange) built with this runtime's
+    /// [`Loopback`](crate::Loopback) built with this runtime's
     /// [`exchange_counters`](Runtime::exchange_counters)). Swapping the
     /// exchange while a wave is in flight is a logic error.
     pub fn set_exchange(&self, ex: Arc<dyn Exchange>) {
@@ -373,29 +367,6 @@ impl Runtime {
     /// in [`Runtime::stats`].
     pub fn exchange_counters(&self) -> Arc<ExchangeCounters> {
         Arc::clone(&self.exchange_counters)
-    }
-
-    /// This participant's slice of the global partition space: the installed
-    /// exchange's, or the single-process layout when there is none.
-    pub fn layout(&self) -> ShardLayout {
-        self.exchange()
-            .map_or_else(ShardLayout::single, |ex| ex.layout())
-    }
-
-    /// Allocates the next exchange-operation sequence number. Sharded
-    /// participants executing the same plan from the same
-    /// [`set_exchange_seq_base`](Runtime::set_exchange_seq_base) allocate
-    /// identical sequences in identical order, which is what lets frames
-    /// rendezvous without a control channel.
-    pub(crate) fn next_exchange_seq(&self) -> u64 {
-        self.exchange_seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Re-bases the exchange sequence counter (coordinators pick one epoch
-    /// per query; every shard calls this with the same base before
-    /// executing).
-    pub fn set_exchange_seq_base(&self, base: u64) {
-        self.exchange_seq.store(base, Ordering::SeqCst);
     }
 
     /// Current execution statistics.
@@ -425,10 +396,6 @@ impl Runtime {
             frames_received: self
                 .exchange_counters
                 .frames_received
-                .load(Ordering::Relaxed),
-            exchange_stalls: self
-                .exchange_counters
-                .exchange_stalls
                 .load(Ordering::Relaxed),
         }
     }

@@ -1,4 +1,5 @@
-//! `tgraph-serve` — the zoom-query service binary.
+//! `tgraph-serve` — the zoom-query service binary. One process answers
+//! every request.
 //!
 //! ```text
 //! tgraph-serve --addr 127.0.0.1:7687 --data-dir ./data \
@@ -18,15 +19,6 @@
 //! * `--cache-mb N`          result-cache budget in MiB (default 64)
 //! * `--gen-demo NAME`       generate a small deterministic WikiTalk-style
 //!   dataset under `--data-dir` as NAME before serving (for smoke tests)
-//!
-//! Sharded mode (run one instance per shard; shard 0 is the coordinator and
-//! the only one that accepts `zoom` requests):
-//! * `--shard I`             this instance's shard index (0-based)
-//! * `--shards N`            total shards in the deployment
-//! * `--exchange-addr H:P`   this shard's exchange (shuffle) listen address
-//! * `--exchange-peers a,b`  every shard's exchange address, in shard order
-//! * `--serve-peers a,b`     every shard's serve address, in shard order
-//!   (needed on the coordinator to broadcast `shard_exec`)
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -44,9 +36,7 @@ struct Args {
 const USAGE: &str = "usage: tgraph-serve --addr HOST:PORT --data-dir DIR \
                      [--graphs name:repr,...] [--workers N] [--partitions N] \
                      [--max-inflight N] [--max-queue N] [--cache-mb N] \
-                     [--gen-demo NAME] \
-                     [--shard I --shards N --exchange-addr H:P \
-                     --exchange-peers a,b --serve-peers a,b]";
+                     [--gen-demo NAME]";
 
 fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
 where
@@ -93,11 +83,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
             }
             "--gen-demo" => gen_demo = Some(value()?),
-            "--shard" => config.shard = number(flag, value()?)?,
-            "--shards" => config.shards = number(flag, value()?)?,
-            "--exchange-addr" => config.exchange_addr = value()?,
-            "--exchange-peers" => config.exchange_peers = list(value()?),
-            "--serve-peers" => config.serve_peers = list(value()?),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
@@ -200,5 +185,12 @@ mod tests {
         );
         let err = parse_args(&argv("a:xx")).err().expect("unknown repr");
         assert!(err.contains("unknown repr 'xx'"), "{err}");
+    }
+
+    #[test]
+    fn sharding_flags_are_unknown() {
+        let argv = ["--shards", "2"].map(String::from);
+        let err = parse_args(&argv).err().expect("no sharded mode");
+        assert_eq!(err, "unknown flag '--shards' (try --help)");
     }
 }

@@ -18,9 +18,8 @@
 //!   queries executing while two more answer pings, stats and cache hits):
 //!   execute queued request batches against the shared [`Server`] dispatch
 //!   path and queue responses on the connection's write backlog, nudging
-//!   the reactor after every line — a `shard_exec` ack must reach the
-//!   coordinator *before* the executing shard blocks in its first exchange
-//!   wave, so responses are never held until a batch completes.
+//!   the reactor after every line: a pipelining client reads each answer as
+//!   soon as it is made, never held until its batch completes.
 //!
 //! **Hand-off.** Reactors pass batches to dispatchers through `HandOff`:
 //! a batch goes to the *most recently idle* dispatcher, and only queues
@@ -124,11 +123,11 @@ pub(crate) fn serve(server: &Arc<Server>) -> std::io::Result<()> {
     let n_dispatchers = server.config.max_inflight + 2;
     let jobs = Arc::new(HandOff::new(n_dispatchers));
 
-    let mut shards: Vec<Arc<ReactorShared>> = Vec::with_capacity(n_reactors);
+    let mut reactors: Vec<Arc<ReactorShared>> = Vec::with_capacity(n_reactors);
     let mut reactor_threads = Vec::with_capacity(n_reactors);
     for i in 0..n_reactors {
         let shared = ReactorShared::new()?;
-        shards.push(Arc::clone(&shared));
+        reactors.push(Arc::clone(&shared));
         let server = Arc::clone(server);
         let jobs = Arc::clone(&jobs);
         reactor_threads.push(
@@ -145,9 +144,7 @@ pub(crate) fn serve(server: &Arc<Server>) -> std::io::Result<()> {
         dispatcher_threads.push(
             std::thread::Builder::new()
                 .name(format!("tgraph-dispatch-{i}"))
-                .spawn(move || {
-                    dispatcher_loop(&jobs, i, &|line, out| server.handle_line_batched(line, out))
-                })?,
+                .spawn(move || dispatcher_loop(&jobs, i, &|line| server.handle(line)))?,
         );
     }
 
@@ -156,18 +153,18 @@ pub(crate) fn serve(server: &Arc<Server>) -> std::io::Result<()> {
     {
         let mut pollers = lock_unpoisoned(&server.net.pollers);
         pollers.push(Arc::clone(&accept_poller));
-        for shard in &shards {
-            pollers.push(Arc::clone(&shard.poller));
+        for reactor in &reactors {
+            pollers.push(Arc::clone(&reactor.poller));
         }
     }
 
-    let result = accept_loop(server, &accept_poller, &shards);
+    let result = accept_loop(server, &accept_poller, &reactors);
 
     // The shutdown flag is set by now (a request, or a fatal accept error).
     // Reactors grace-drain and exit; with no submitter left, closing the
     // hand-off drains the dispatchers.
-    for shard in &shards {
-        let _ = shard.poller.notify();
+    for reactor in &reactors {
+        let _ = reactor.poller.notify();
     }
     for handle in reactor_threads {
         let _ = handle.join();
@@ -186,12 +183,12 @@ pub(crate) fn serve(server: &Arc<Server>) -> std::io::Result<()> {
 fn accept_loop(
     server: &Arc<Server>,
     poller: &Arc<Poller>,
-    shards: &[Arc<ReactorShared>],
+    reactors: &[Arc<ReactorShared>],
 ) -> std::io::Result<()> {
     poller.add(&server.net.listener, Event::readable(0))?;
     let mut events = Events::new();
     let mut backoff = ACCEPT_BACKOFF_FLOOR;
-    let mut next_shard = 0usize;
+    let mut next = 0usize;
     let result = loop {
         if server.is_shutting_down() {
             break Ok(());
@@ -205,9 +202,9 @@ fn accept_loop(
                 // Request/response over small lines: Nagle + delayed ACK
                 // would add ~40ms per roundtrip otherwise.
                 let _ = stream.set_nodelay(true);
-                let shard = &shards[next_shard % shards.len()];
-                next_shard = next_shard.wrapping_add(1);
-                shard.adopt(stream);
+                let reactor = &reactors[next % reactors.len()];
+                next = next.wrapping_add(1);
+                reactor.adopt(stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 // Park until the listener is readable or shutdown notifies.

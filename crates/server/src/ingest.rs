@@ -34,8 +34,10 @@ pub(crate) struct IngestState {
 impl Server {
     /// Commits a snapshot delta as a new dataset epoch. Single-writer:
     /// storage append, pool advance and cache invalidation happen under one
-    /// lock, in that order. No peer is called: a peer shard reads the epoch
-    /// from the shared manifest when a `shard_exec` first names it.
+    /// lock, in that order. The cache drops every result of the graph (any
+    /// representation): with epoch-stamped keys stale entries are
+    /// unreachable anyway, and invalidation reclaims their bytes at once
+    /// instead of waiting on LRU pressure.
     pub(crate) fn handle_ingest(&self, req: &IngestRequest) -> String {
         let _writer = lock_unpoisoned(&self.ingest.writer);
         let current = match tgraph_storage::current_end(&self.config.data_dir, &req.graph) {
@@ -70,7 +72,12 @@ impl Server {
                 Ok(en) => en,
                 Err(e) => return error_response("storage", &format!("append epoch: {e}")),
             };
-        let (upgraded, dropped) = self.apply_epoch(&req.graph, entry.epoch, &delta_graph);
+        let upgraded = self
+            .pool
+            .advance(&self.rt, &req.graph, entry.epoch, &delta_graph);
+        let dropped = self
+            .cache
+            .invalidate(|key| cache_key_graph(key) == Some(req.graph.as_str()));
         ServerMetrics::bump(&self.metrics.ingests);
         Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -84,21 +91,6 @@ impl Server {
             ("cache_invalidations", Json::Int(dropped as i64)),
         ])
         .to_string()
-    }
-
-    /// Makes a committed epoch visible on this server — the coordinator as
-    /// it ingests, a peer as it catches up from the manifest: advances the
-    /// resident graphs in place and drops every cached result of `graph`
-    /// (any representation). With epoch-stamped keys stale entries are
-    /// unreachable anyway; invalidation reclaims their bytes immediately
-    /// instead of waiting on LRU pressure. Returns `(pool upgrades, cache
-    /// invalidations)`.
-    pub(crate) fn apply_epoch(&self, graph: &str, epoch: u64, delta: &TGraph) -> (usize, u64) {
-        let upgraded = self.pool.advance(&self.rt, graph, epoch, delta);
-        let dropped = self
-            .cache
-            .invalidate(|key| cache_key_graph(key) == Some(graph));
-        (upgraded, dropped)
     }
 }
 
@@ -130,7 +122,7 @@ pub(crate) struct PatchStore {
 }
 
 impl PatchStore {
-    /// Unsharded execution with incremental maintenance: when a prior result
+    /// Execution with incremental maintenance: when a prior result
     /// for the same canonical query exists at an earlier dataset epoch and
     /// the maintenance planner allows it, re-run the pipeline over the disk
     /// suffix `[cut, ∞)` only and stitch — O(delta + live-at-cut) instead of

@@ -7,14 +7,14 @@
 //! The server speaks **newline-delimited JSON** over TCP ([`protocol`]).
 //! One connection layer ([`eventloop`]: reactors, pipelined batches,
 //! backpressure) moves the bytes; [`server`] dispatches each request line
-//! to the role module that handles it (zoom path, ingest writer, shard
-//! coordination, rendering; each owns the state it locks) and is the same
-//! code whether a line arrives over a socket or through
-//! [`Server::handle_line`]. Named graphs are loaded from a dataset directory once and shared across
-//! all sessions via the storage layer's [`GraphPool`]; zoom requests parse
-//! into `tgraph-query` pipelines and execute on one shared dataflow
-//! [`Runtime`]. Three mechanisms make it a serving system rather than a
-//! batch runner:
+//! to the role module that handles it (zoom path, ingest writer, rendering;
+//! each owns the state it locks) and is the same code whether a line
+//! arrives over a socket or through [`Server::handle_line`]. One process
+//! answers every request: named graphs are loaded from a dataset directory
+//! once and shared across all sessions via the storage layer's
+//! [`GraphPool`]; zoom requests parse into `tgraph-query` pipelines and
+//! execute on one shared dataflow [`Runtime`]. Three mechanisms make it a
+//! serving system rather than a batch runner:
 //!
 //! 1. **Result caching** ([`cache`]): a result is named by what was asked
 //!    and when. Each query's cache key is the dataset epoch followed by the
@@ -52,7 +52,6 @@ pub mod protocol;
 mod reactor;
 mod render;
 pub mod server;
-mod shard;
 mod zoom;
 
 pub use admission::{Admission, AdmissionStats, AdmitError, Permit};

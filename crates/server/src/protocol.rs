@@ -48,43 +48,6 @@ pub enum Request {
     Zoom(Box<ZoomRequest>),
     /// A live-ingest step: append a snapshot delta as a new epoch.
     Ingest(Box<IngestRequest>),
-    /// Internal shard-coordination op: the coordinator instructs a peer
-    /// shard to execute `zoom` cooperatively under exchange epoch `epoch`.
-    /// Bypasses the result cache and admission — the coordinator already
-    /// admitted the query, and peers must start their waves unconditionally
-    /// or the exchange stalls.
-    ShardExec {
-        /// Exchange epoch: seeds every shard's exchange sequence numbers
-        /// (`epoch << 32`) so frames from different queries never mix.
-        epoch: u64,
-        /// The *dataset* epoch the coordinator executed against, already
-        /// committed to the shared data directory. A peer whose resident
-        /// graph is behind it reads the epochs it lacks from the manifest
-        /// before it acks, so no shard computes on older facts. Absent
-        /// means `0`, the base layout, which no peer can be behind.
-        dataset_epoch: u64,
-        /// The representation the coordinator resolved, overriding the
-        /// embedded query's. Without this, an `"repr":"auto"` query could
-        /// resolve differently on each shard (their observation tables
-        /// diverge) and the shards would silently compute different plans.
-        repr_override: Option<ReprKind>,
-        /// The query to execute, byte-identical to the coordinator's.
-        zoom: Box<ZoomRequest>,
-    },
-}
-
-impl Request {
-    /// The wire name of this request's `op`.
-    pub fn op(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-            Request::Zoom(_) => "zoom",
-            Request::Ingest(_) => "ingest",
-            Request::ShardExec { .. } => "shard_exec",
-        }
-    }
 }
 
 /// A fully validated zoom query.
@@ -460,35 +423,8 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
         "shutdown" => Ok(Request::Shutdown),
         "zoom" => Ok(Request::Zoom(Box::new(parse_zoom_request(&v)?))),
         "ingest" => Ok(Request::Ingest(Box::new(parse_ingest_request(&v)?))),
-        "shard_exec" => {
-            let epoch = v
-                .get("epoch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("shard_exec needs non-negative integer field 'epoch'"))?;
-            let dataset_epoch = optional(
-                &v,
-                "dataset_epoch",
-                Json::as_u64,
-                "'dataset_epoch' must be a non-negative integer",
-            )?;
-            let repr_override = optional(
-                &v,
-                "repr",
-                Json::as_str,
-                "shard_exec 'repr' override must be a repr string",
-            )?;
-            let zoom = v
-                .get("zoom")
-                .ok_or_else(|| bad("shard_exec needs object field 'zoom'"))?;
-            Ok(Request::ShardExec {
-                epoch,
-                dataset_epoch: dataset_epoch.unwrap_or(0),
-                repr_override: repr_override.map(parse_repr).transpose()?,
-                zoom: Box::new(parse_zoom_request(zoom)?),
-            })
-        }
         other => Err(bad(format!(
-            "unknown op '{other}' (expected ping|stats|shutdown|zoom|ingest|shard_exec)"
+            "unknown op '{other}' (expected ping|stats|shutdown|zoom|ingest)"
         ))),
     }
 }
@@ -740,42 +676,6 @@ mod tests {
         resolved.repr = ReprKind::Og;
         resolved.auto_repr = false;
         assert_eq!(resolved.canonical(), explicit.canonical());
-    }
-
-    /// A `shard_exec` envelope carries the coordinator's dataset epoch and
-    /// resolved representation; both are optional (absent epoch means the
-    /// base layout, absent repr means "run as written").
-    #[test]
-    fn parses_shard_exec_envelope_extensions() {
-        let full = r#"{"op":"shard_exec","epoch":7,"dataset_epoch":3,"repr":"OG",
-                       "zoom":{"op":"zoom","graph":"g","repr":"ve"}}"#;
-        match parse_request(full).unwrap() {
-            Request::ShardExec {
-                epoch,
-                dataset_epoch,
-                repr_override,
-                zoom,
-            } => {
-                assert_eq!(epoch, 7);
-                assert_eq!(dataset_epoch, 3);
-                assert_eq!(repr_override, Some(ReprKind::Og));
-                assert_eq!(zoom.repr, ReprKind::Ve);
-            }
-            other => panic!("expected shard_exec, got {other:?}"),
-        }
-        let bare = r#"{"op":"shard_exec","epoch":7,
-                       "zoom":{"op":"zoom","graph":"g","repr":"ve"}}"#;
-        match parse_request(bare).unwrap() {
-            Request::ShardExec {
-                dataset_epoch,
-                repr_override,
-                ..
-            } => {
-                assert_eq!(dataset_epoch, 0);
-                assert_eq!(repr_override, None);
-            }
-            other => panic!("expected shard_exec, got {other:?}"),
-        }
     }
 
     #[test]

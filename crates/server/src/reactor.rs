@@ -206,8 +206,8 @@ pub(crate) struct Job {
 }
 
 /// The dispatch path a batch's request lines run through:
-/// [`Server::handle_line_batched`] in service, a stand-in under test.
-pub(crate) type LineHandler<'a> = dyn Fn(&str, &mut dyn FnMut(Reply)) + 'a;
+/// [`Server::handle`] in service, a stand-in under test.
+pub(crate) type LineHandler<'a> = dyn Fn(&str) -> Reply + 'a;
 
 /// A connection as its owning reactor sees it.
 struct Conn {
@@ -664,9 +664,9 @@ pub(crate) fn dispatcher_loop(jobs: &HandOff<Job>, me: usize, handle: &LineHandl
 }
 
 /// Executes one batch: every line through the dispatch path, in order.
-/// Each response line nudges the reactor immediately — never held until
-/// the batch ends — because a `shard_exec` ack must reach the coordinator
-/// before the executing shard blocks in its exchange wave.
+/// Each response nudges the reactor as soon as it is made — never held
+/// until the batch ends — so a pipelining client reads its first answers
+/// while later lines of the batch still execute.
 ///
 /// A handler panic (the pool load runs outside the zoom's own
 /// `catch_unwind`, and a failed spill write during it panics the wave by
@@ -677,15 +677,14 @@ pub(crate) fn dispatcher_loop(jobs: &HandOff<Job>, me: usize, handle: &LineHandl
 fn run_batch(job: &Job, handle: &LineHandler<'_>) {
     for item in &job.lines {
         match item {
-            PendingLine::Request(line) => {
-                let mut out = |reply: Reply| push_response(job, reply);
-                let ran = catch_unwind(AssertUnwindSafe(|| handle(line, &mut out)));
-                if ran.is_err() {
+            PendingLine::Request(line) => match catch_unwind(AssertUnwindSafe(|| handle(line))) {
+                Ok(reply) => push_response(job, reply),
+                Err(_) => {
                     let refusal = error_response("internal", "request handler panicked; closing");
                     push_response(job, refusal.into());
                     lock_unpoisoned(&job.conn.state).close_when_done = true;
                 }
-            }
+            },
             PendingLine::Synthetic(resp) => push_response(job, Reply::Text(resp.clone())),
         }
     }
@@ -737,11 +736,11 @@ mod tests {
 
     /// Echoes every line except `boom`, which panics like a failed spill
     /// write inside the pool load does.
-    fn echo_or_panic(line: &str, out: &mut dyn FnMut(Reply)) {
+    fn echo_or_panic(line: &str) -> Reply {
         if line == "boom" {
             panic!("injected handler panic");
         }
-        out(format!("echo {line}").into());
+        format!("echo {line}").into()
     }
 
     fn written(conn: &ConnShared) -> String {
@@ -892,7 +891,7 @@ mod tests {
         let zoom = zoom_line("unit-batch-permit", "");
         run_batch(
             &job(3, &[&zoom, r#"{"op":"stats"}"#], &conn, &reactor),
-            &|line, out| server.handle_line_batched(line, out),
+            &|line| server.handle(line),
         );
 
         let answers = written(&conn);

@@ -1,7 +1,7 @@
 //! Every byte the server writes: result graphs and zoom / error / stats
 //! responses. Rendering is deterministic (fixed field order, sorted records
 //! and property keys), because byte-identical replay is what the result
-//! cache, the patch path and the cross-shard agreement check all compare.
+//! cache and the patch path both compare.
 
 use crate::json::{counters, Json};
 use crate::protocol::ZoomRequest;
@@ -222,8 +222,8 @@ pub(crate) fn optimizer_json(
 }
 
 /// Best-effort rendering of a panic payload. Exchange and spill failures
-/// travel as typed payloads through `panic_any`; surfacing "peer 1 died
-/// mid-wave" beats a bare "execution panicked".
+/// travel as typed payloads through `panic_any`; surfacing "spill write
+/// failed" beats a bare "execution panicked".
 pub(crate) fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(e) = panic.downcast_ref::<tgraph_dataflow::ExchangeError>() {
         e.to_string()
@@ -261,17 +261,14 @@ fn runtime_json(server: &Server) -> Json {
         ("bytes_exchanged", rt.bytes_exchanged),
         ("frames_sent", rt.frames_sent),
         ("frames_received", rt.frames_received),
-        ("exchange_stalls", rt.exchange_stalls),
     ]))
 }
 
-/// What the five `TGRAPH_*` variables parsed to when the runtime was built.
+/// What the four `TGRAPH_*` variables parsed to when the runtime was built.
 fn config_json(config: &EngineConfig) -> Json {
     let spill_dir = config.spill_dir.to_string_lossy().into_owned();
-    let timeout_ms = config.exchange_timeout.as_millis() as i64;
     Json::obj(vec![
         ("checked", Json::Bool(config.checked)),
-        ("exchange_timeout_ms", Json::Int(timeout_ms)),
         ("mem_bytes", Json::Int(config.mem_bytes as i64)),
         ("serve_debug", Json::Bool(config.serve_debug)),
         ("spill_dir", Json::str(spill_dir)),
@@ -290,8 +287,6 @@ pub(crate) fn stats_response(server: &Server) -> String {
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("uptime_ms", Json::Int(uptime_ms as i64)),
-        ("shard", Json::Int(server.config.shard as i64)),
-        ("shards", Json::Int(server.config.shards as i64)),
         ("server", server.metrics.to_json()),
         (
             "cache",

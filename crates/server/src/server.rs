@@ -1,10 +1,9 @@
 //! The server proper: configuration, the shared state every request
 //! handler borrows, and per-line NDJSON dispatch. What a request *does*
 //! lives in the role modules — `zoom` (the zoom path),
-//! `ingest` (epoch appends and patch seeds), `shard`
-//! (everything between shards), `render` (every response byte) —
-//! and each owns the state it locks. Client connections are read and
-//! written by [`crate::eventloop`] only.
+//! `ingest` (epoch appends and patch seeds), `render` (every response
+//! byte) — and each owns the state it locks. Client connections are read
+//! and written by [`crate::eventloop`] only.
 
 use crate::admission::Admission;
 use crate::cache::ResultCache;
@@ -14,11 +13,10 @@ use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{parse_request, Request};
 use crate::render::{error_response, stats_response, Reply};
-use crate::shard::Shards;
 use crate::zoom::ReprChooser;
 use std::path::PathBuf;
 use std::sync::Arc;
-use tgraph_dataflow::{Runtime, ShardLayout, TcpExchange};
+use tgraph_dataflow::Runtime;
 use tgraph_repr::ReprKind;
 use tgraph_storage::GraphPool;
 
@@ -45,18 +43,6 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Result-cache byte budget.
     pub cache_bytes: u64,
-    /// This instance's shard index (`0` is the coordinator).
-    pub shard: usize,
-    /// Total shards in the deployment. `1` (the default) serves unsharded.
-    pub shards: usize,
-    /// This shard's exchange listen address (required when `shards > 1`).
-    pub exchange_addr: String,
-    /// Every shard's exchange address, in shard order (required when
-    /// `shards > 1`; this shard's own entry is ignored).
-    pub exchange_peers: Vec<String>,
-    /// Every shard's *serve* address, in shard order. The coordinator uses
-    /// these to broadcast `shard_exec` to its peers; required on shard 0.
-    pub serve_peers: Vec<String>,
     /// Cap on one request line in bytes: a longer line is answered with a
     /// typed `line_too_large` error and the connection closes.
     pub max_line_bytes: usize,
@@ -72,11 +58,6 @@ impl Default for ServerConfig {
             max_inflight: 2,
             max_queue: 64,
             cache_bytes: 64 << 20,
-            shard: 0,
-            shards: 1,
-            exchange_addr: String::new(),
-            exchange_peers: Vec::new(),
-            serve_peers: Vec::new(),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         }
     }
@@ -95,72 +76,21 @@ pub struct Server {
     pub(crate) admission: Arc<Admission>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) chooser: ReprChooser,
-    pub(crate) shards: Shards,
     pub(crate) ingest: IngestState,
-}
-
-fn invalid(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
-}
-
-impl ServerConfig {
-    /// Checks the sharding fields against each other.
-    fn validate(&self) -> std::io::Result<()> {
-        if self.shards <= 1 {
-            return Ok(());
-        }
-        if self.shard >= self.shards {
-            return Err(invalid(format!(
-                "shard index {} out of range 0..{}",
-                self.shard, self.shards
-            )));
-        }
-        if self.exchange_peers.len() != self.shards {
-            return Err(invalid(format!(
-                "need {} exchange peer addresses (one per shard, in shard order), got {}",
-                self.shards,
-                self.exchange_peers.len()
-            )));
-        }
-        if self.shard == 0 && self.serve_peers.len() != self.shards {
-            return Err(invalid(format!(
-                "coordinator needs {} serve peer addresses (one per shard, in shard order), got {}",
-                self.shards,
-                self.serve_peers.len()
-            )));
-        }
-        Ok(())
-    }
 }
 
 impl Server {
     /// Binds the listener and builds the shared state. No graph is loaded
     /// yet; use [`Server::preload`] to warm the pool before serving.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        config.validate()?;
-        let net = Endpoint::bind(&config.addr)?;
-        let rt = Runtime::with_partitions(config.workers, config.partitions);
-        let timeout = rt.config().exchange_timeout;
-        if config.shards > 1 {
-            let (ex_listener, _) = TcpExchange::bind(&config.exchange_addr)?;
-            let exchange = TcpExchange::start(
-                ex_listener,
-                ShardLayout::new(config.shard, config.shards),
-                config.exchange_peers.clone(),
-                rt.exchange_counters(),
-                timeout,
-            )?;
-            rt.set_exchange(exchange);
-        }
         Ok(Server {
-            net,
-            rt,
+            net: Endpoint::bind(&config.addr)?,
+            rt: Runtime::with_partitions(config.workers, config.partitions),
             pool: GraphPool::new(&config.data_dir),
             cache: ResultCache::new(config.cache_bytes),
             admission: Admission::new(config.max_inflight, config.max_queue),
             metrics: ServerMetrics::default(),
             chooser: ReprChooser::default(),
-            shards: Shards::new(&config, timeout),
             ingest: IngestState::default(),
             config,
         })
@@ -202,50 +132,35 @@ impl Server {
 
     /// Handles one request line and returns the response text (no trailing
     /// newline): the in-process spelling of what the event loop does with a
-    /// line off a socket, for tests and the smoke harness. Requests that
-    /// answer with several lines (`shard_exec`) have them joined by `'\n'`.
+    /// line off a socket, for tests and the smoke harness.
     pub fn handle_line(&self, line: &str) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        self.handle_line_batched(line, &mut |r: Reply| lines.push(r.into_text()));
-        lines.join("\n")
+        self.handle(line).into_text()
     }
 
-    /// Handles one request line, emitting its response line(s) into `out`.
-    /// Every request answers exactly one line except `shard_exec`, which on
-    /// acceptance emits an ack line *before* executing (so the coordinator
-    /// knows every peer joined the wave) and its digest after.
-    pub(crate) fn handle_line_batched(&self, line: &str, out: &mut dyn FnMut(Reply)) {
+    /// Handles one request line: every request answers exactly one line.
+    pub(crate) fn handle(&self, line: &str) -> Reply {
         ServerMetrics::bump(&self.metrics.requests);
         let request = match parse_request(line) {
             Ok(request) => request,
             Err(e) => {
                 ServerMetrics::bump(&self.metrics.bad_requests);
-                return out(error_response("bad_request", &e.0).into());
+                return error_response("bad_request", &e.0).into();
             }
         };
-        if let Some(refusal) = self.shards.refusal(request.op(), &self.metrics) {
-            return out(refusal.into());
-        }
         let flag = |name: &str| {
             Reply::Text(
                 Json::obj(vec![("ok", Json::Bool(true)), (name, Json::Bool(true))]).to_string(),
             )
         };
         match request {
-            Request::Ping => out(flag("pong")),
+            Request::Ping => flag("pong"),
             Request::Shutdown => {
                 self.request_shutdown();
-                out(flag("shutting_down"));
+                flag("shutting_down")
             }
-            Request::Stats => out(stats_response(self).into()),
-            Request::Zoom(req) => out(self.handle_zoom(&req, line)),
-            Request::Ingest(req) => out(self.handle_ingest(&req).into()),
-            Request::ShardExec {
-                epoch,
-                dataset_epoch,
-                repr_override,
-                zoom,
-            } => self.handle_shard_exec(epoch, dataset_epoch, repr_override, &zoom, out),
+            Request::Stats => stats_response(self).into(),
+            Request::Zoom(req) => self.handle_zoom(&req),
+            Request::Ingest(req) => self.handle_ingest(&req).into(),
         }
     }
 }
@@ -341,17 +256,18 @@ mod tests {
         assert_eq!(pong, r#"{"ok":true,"pong":true}"#);
     }
 
-    /// Role refusals come out of dispatch, before any handler runs.
+    /// An unknown op is refused at parse, before any handler runs or any
+    /// graph loads, even when it carries a valid zoom.
     #[test]
-    fn an_unsharded_server_refuses_shard_ops_at_dispatch() {
+    fn an_unknown_op_is_refused_before_any_load() {
         let server = server_over_figure1("unit-role");
-        let exec = server.handle_line(&format!(
-            r#"{{"op":"shard_exec","epoch":1,"zoom":{}}}"#,
+        let refused = server.handle_line(&format!(
+            r#"{{"op":"rezoom","zoom":{}}}"#,
             zoom_line("unit-role", "")
         ));
         assert_eq!(
-            exec,
-            r#"{"ok":false,"kind":"bad_request","error":"shard_exec sent to an unsharded server"}"#
+            refused,
+            r#"{"ok":false,"kind":"bad_request","error":"unknown op 'rezoom' (expected ping|stats|shutdown|zoom|ingest)"}"#
         );
         let stats = server.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"bad_requests\":1"), "{stats}");

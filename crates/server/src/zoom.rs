@@ -1,6 +1,6 @@
 //! The zoom request path, as a driver over named stages: resolve the
 //! representation → load from the pool → probe the cache → admit →
-//! execute (cold, patched, or across shards) → serialize → respond. The
+//! execute (cold or patched) → serialize → respond. The
 //! stage boundaries are where per-request spans go (ROADMAP item 4).
 //!
 //! [`ReprChooser`] owns the optimizer and its per-graph feature cache (and
@@ -14,7 +14,6 @@ use crate::render::{
     error_response, optimizer_json, panic_detail, serialize_tgraph, zoom_response, Reply,
 };
 use crate::server::Server;
-use crate::shard::PeerReply;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
@@ -82,7 +81,7 @@ impl ReprChooser {
 }
 
 /// `req` with its representation fixed to `kind`.
-pub(crate) fn pinned(req: &ZoomRequest, kind: ReprKind) -> ZoomRequest {
+fn pinned(req: &ZoomRequest, kind: ReprKind) -> ZoomRequest {
     let mut pinned = req.clone();
     pinned.repr = kind;
     pinned.auto_repr = false;
@@ -116,16 +115,12 @@ pub(crate) fn cache_key_graph(key: &str) -> Option<&str> {
 struct Executed {
     /// Shared with the maintenance seed the patch store keeps.
     result: Arc<TGraph>,
-    /// Peer digests to cross-check (empty unless sharded).
-    replies: Vec<PeerReply>,
     patched: bool,
 }
 
 impl Server {
-    /// Answers one zoom. `line` is the raw request text: the coordinator
-    /// embeds it verbatim in the `shard_exec` broadcast so every shard
-    /// parses the identical query.
-    pub(crate) fn handle_zoom(&self, req: &ZoomRequest, line: &str) -> Reply {
+    /// Answers one zoom.
+    pub(crate) fn handle_zoom(&self, req: &ZoomRequest) -> Reply {
         let t0 = Instant::now();
         let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
         // An already-expired deadline is rejected before any graph load,
@@ -145,8 +140,8 @@ impl Server {
             Ok(g) => g,
             Err(message) => return self.reject("not_found", &message).into(),
         };
-        // The one canonical text of this request: cache key, maintenance
-        // seed key and divergence report all read this string.
+        // The one canonical text of this request: the cache key and the
+        // maintenance seed key both read this string.
         let canonical = req.canonical();
         let key = cache_key(shared.epoch, &canonical);
         if let Some(body) = self.probe_cache(&req, &key) {
@@ -159,17 +154,14 @@ impl Server {
             Err(refusal) => return refusal.into(),
         };
         let exec0 = Instant::now();
-        let outcome = self.execute(&shared, &req, line, &canonical, deadline);
+        let outcome = self.execute(&shared, &req, &canonical, deadline);
         drop(permit);
         let exec = exec0.elapsed();
         let done = match outcome {
             Ok(done) => done,
             Err(refusal) => return refusal.into(),
         };
-        let body = match self.serialize(&done, &req, &key) {
-            Ok(body) => body,
-            Err(divergence) => return divergence.into(),
-        };
+        let body = self.serialize(&done, &req, &key);
         self.record_execution(&shape, req.repr, done.patched, exec);
         self.metrics.total_latency.record(t0.elapsed());
         let tag = if done.patched { "patch" } else { "miss" };
@@ -247,14 +239,13 @@ impl Server {
         Ok(permit)
     }
 
-    /// Stage 5: runs the pipeline under the request's cancel scope — across
-    /// the shards, or locally with incremental maintenance — and turns
-    /// every way that can fail into its typed refusal.
+    /// Stage 5: runs the pipeline under the request's cancel scope, with
+    /// incremental maintenance, and turns every way that can fail into its
+    /// typed refusal.
     fn execute(
         &self,
         shared: &SharedGraph,
         req: &ZoomRequest,
-        line: &str,
         canonical: &str,
         deadline: Option<Instant>,
     ) -> Result<Executed, String> {
@@ -264,14 +255,6 @@ impl Server {
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             token.scope(|| {
-                if self.shards.is_sharded() {
-                    let (result, replies) = self.execute_sharded(shared, req, line)?;
-                    return Ok(Executed {
-                        result: Arc::new(result),
-                        replies,
-                        patched: false,
-                    });
-                }
                 let (result, patched) = self.ingest.patches.execute_or_patch(
                     &self.rt,
                     &self.config.data_dir,
@@ -279,11 +262,7 @@ impl Server {
                     req,
                     canonical,
                 );
-                Ok(Executed {
-                    result,
-                    replies: Vec::new(),
-                    patched,
-                })
+                Executed { result, patched }
             })
         }));
         match outcome {
@@ -298,22 +277,17 @@ impl Server {
                     "deadline expired during execution",
                 ))
             }
-            Ok(Ok(Err((kind, message)))) => Err(self.reject(&kind, &message)),
-            Ok(Ok(Ok(done))) => Ok(done),
+            Ok(Ok(done)) => Ok(done),
         }
     }
 
-    /// Stage 6: the result's text, cross-checked against every peer's
-    /// digest and memoized. The error is the `shard_divergence` refusal.
-    fn serialize(&self, done: &Executed, req: &ZoomRequest, key: &str) -> Result<Arc<str>, String> {
+    /// Stage 6: the result's text, memoized.
+    fn serialize(&self, done: &Executed, req: &ZoomRequest, key: &str) -> Arc<str> {
         let body: Arc<str> = serialize_tgraph(&done.result).into();
-        if let Some(divergence) = self.check_shard_agreement(body.as_bytes(), &done.replies) {
-            return Err(divergence);
-        }
         if !req.no_cache {
             self.cache.insert(key, Arc::clone(&body));
         }
-        Ok(body)
+        body
     }
 
     /// Books a finished execution. Adaptive feedback: only cold executions
@@ -360,14 +334,14 @@ mod tests {
             Reply::Zoom { head, body } => (head.contains("\"cache\":\"hit\""), body),
             Reply::Text(text) => panic!("not a zoom result: {text}"),
         };
-        let (hit, miss) = body(server.handle_zoom(&req, &line));
+        let (hit, miss) = body(server.handle_zoom(&req));
         assert!(!hit);
         let entry = server
             .cache
             .get(&key)
             .expect("the miss inserted its result");
         assert!(Arc::ptr_eq(&miss, &entry), "a miss answers with its entry");
-        let (hit, replay) = body(server.handle_zoom(&req, &line));
+        let (hit, replay) = body(server.handle_zoom(&req));
         assert!(hit);
         assert!(Arc::ptr_eq(&replay, &entry), "a hit answers with the entry");
     }

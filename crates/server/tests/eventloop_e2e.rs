@@ -29,7 +29,6 @@ fn bind_server(dirname: &str, graph: &str, max_line_bytes: usize) -> Arc<Server>
             max_queue: 8,
             cache_bytes: 4 << 20,
             max_line_bytes,
-            ..ServerConfig::default()
         })
         .expect("bind"),
     )

@@ -158,18 +158,6 @@ impl GraphLoader {
         Ok((g, stats))
     }
 
-    /// Loads only epoch `epoch`'s segment as a logical graph — the O(delta)
-    /// read feeding in-memory pool upgrades and shard replication.
-    pub fn load_delta(
-        &self,
-        epoch: u64,
-        range: Option<Interval>,
-    ) -> Result<(TGraph, ScanStats), StorageError> {
-        let stem = segment_stem(&self.name, epoch);
-        let (g, _, stats) = read_tgc(&flat_path(&self.dir, &stem, SortOrder::Temporal), range)?;
-        Ok((g, stats))
-    }
-
     /// Reads the base nested file and folds in every epoch segment `epochs`
     /// lists ([`fold_histories`]: a state continuing across an epoch
     /// boundary merges back into one interval, brand-new entities join).

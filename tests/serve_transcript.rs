@@ -219,7 +219,7 @@ fn script() -> Vec<(String, String)> {
     );
     push("reject not json".into(), "definitely not json".into());
     push(
-        "reject shard_exec unsharded".into(),
+        "reject unknown op shard_exec".into(),
         format!(
             r#"{{"op":"shard_exec","epoch":1,"zoom":{}}}"#,
             zoom("ve", "", "")
