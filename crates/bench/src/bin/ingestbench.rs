@@ -6,19 +6,17 @@
 //! ingestbench --history 1000,4000 --deltas 8,512 --repr ve
 //! ```
 //!
-//! Phase 1 sweeps (history length × delta size): a synthetic evolving graph
-//! is written to disk, a delta appended as an epoch segment, and the same
+//! It sweeps (history length × delta size): a synthetic evolving graph is
+//! written to disk, a delta appended as an epoch segment, and the same
 //! pipeline timed two ways — a cold recompute (full scan + full pipeline)
 //! and the patch path (`tgraph_ingest::patch_from_storage`: plan → suffix
 //! read → pipeline over the suffix → stitch, the call `tgraph-serve` makes).
-//! Byte-identity of the
-//! two results is asserted on every cell via the serve layer's canonical
-//! serialization, and the scan counters show the suffix read is bounded by
-//! the delta, not the history.
-//!
-//! Phase 2 drives the serve layer itself: an in-process server in checked
-//! mode (the patch path self-verifies against a cold recompute), whose
-//! patched answer must also be byte-identical to a `no_cache` run.
+//! Byte-identity of the two results is asserted on every cell via the serve
+//! layer's canonical serialization, and the scan counters show the suffix
+//! read is bounded by the delta, not the history. The serve path itself is
+//! checked by `tgraph-serve`'s ingest tests (checked mode, patched against
+//! `no_cache`) and, over a socket, by the benchmark's `serve_ingest`
+//! workload.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,7 +28,7 @@ use tgraph_dataflow::Runtime;
 use tgraph_ingest::{patch_from_storage, SnapshotDelta};
 use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
-use tgraph_serve::{serialize_tgraph, Server, ServerConfig};
+use tgraph_serve::serialize_tgraph;
 use tgraph_storage::{append_epoch, write_dataset, GraphLoader, SortOrder};
 
 const SCHOOLS: [&str; 3] = ["MIT", "CMU", "ETH"];
@@ -243,78 +241,6 @@ fn sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-// --- Phase 2: the serve layer itself -----------------------------------
-
-fn figure1_ingest_line(graph: &str) -> String {
-    format!(
-        r#"{{"op":"ingest","graph":"{graph}","since":9,"vertices":[{{"id":3,"interval":[9,12],"props":{{"type":"person","school":"MIT","name":"Cat"}}}},{{"id":7,"interval":[9,11],"props":{{"type":"person","school":"ETH","name":"Eli"}}}}]}}"#
-    )
-}
-
-fn figure1_zoom_line(graph: &str, extra: &str) -> String {
-    format!(
-        r#"{{"op":"zoom","graph":"{graph}","repr":"ve",{extra}"steps":[{{"azoom":{{"by":"school","new_type":"school","aggs":[{{"output":"students","fn":"count"}}]}}}}]}}"#
-    )
-}
-
-fn result_suffix(response: &str) -> Result<&str, String> {
-    response
-        .find("\"result\":")
-        .map(|at| &response[at..])
-        .ok_or_else(|| format!("no result field in {response}"))
-}
-
-fn expect(cond: bool, what: &str, response: &str) -> Result<(), String> {
-    if cond {
-        Ok(())
-    } else {
-        Err(format!("serve: expected {what}, got: {response}"))
-    }
-}
-
-/// In-process serve check: checked mode makes the server verify the patched
-/// bytes against a cold recompute internally; the `no_cache` run re-verifies
-/// end to end here.
-fn serve_checked() -> Result<(), String> {
-    let dir = std::env::temp_dir().join("tgraph-ingestbench-serve");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create dir: {e}"))?;
-    write_dataset(
-        &dir,
-        "fig1",
-        &tgraph_core::graph::figure1_graph_stable_ids(),
-    )
-    .map_err(|e| format!("write dataset: {e}"))?;
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        data_dir: dir.clone(),
-        workers: 2,
-        partitions: 2,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("bind: {e}"))?;
-    server.runtime().set_checked(true);
-    let warm = server.handle_line(&figure1_zoom_line("fig1", ""));
-    expect(warm.contains("\"cache\":\"miss\""), "a cache miss", &warm)?;
-    let ing = server.handle_line(&figure1_ingest_line("fig1"));
-    expect(ing.contains("\"epoch\":1"), "epoch 1 committed", &ing)?;
-    let patched = server.handle_line(&figure1_zoom_line("fig1", ""));
-    expect(
-        patched.contains("\"cache\":\"patch\""),
-        "the patch path",
-        &patched,
-    )?;
-    let cold = server.handle_line(&figure1_zoom_line("fig1", "\"no_cache\":true,"));
-    expect(
-        result_suffix(&patched)? == result_suffix(&cold)?,
-        "patched bytes identical to a cold run",
-        &cold,
-    )?;
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("serve: in-process patch path ok (cache=patch, byte-identical to cold, checked mode)");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -324,8 +250,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = sweep(&args).and_then(|()| serve_checked());
-    match outcome {
+    match sweep(&args) {
         Ok(()) => {
             println!("ingestbench: ok");
             ExitCode::SUCCESS

@@ -505,12 +505,11 @@ fn run_load(args: &Args) -> Result<(), String> {
     let stats = client.roundtrip(r#"{"op":"stats"}"#)?;
     let g = |path: &[&str]| field_i64(&stats, path).unwrap_or(-1);
     println!(
-        "  server      cache hits {} / misses {} / evictions {} / invalidations {}; \
+        "  server      cache hits {} / misses {} / evictions {}; \
          executed {} (patched {}); ingests {}; admission wait p50 {}us",
         g(&["cache", "hits"]),
         g(&["cache", "misses"]),
         g(&["cache", "evictions"]),
-        g(&["cache", "invalidations"]),
         g(&["server", "zoom_executed"]),
         g(&["server", "zoom_patched"]),
         g(&["server", "ingests"]),

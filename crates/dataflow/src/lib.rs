@@ -79,6 +79,6 @@ pub use exchange::{Exchange, ExchangeCounters, ExchangeError, Frame, Loopback};
 pub use governor::{MemCharge, MemGovernor};
 pub use keyed::{bucket_of, shuffle, KeyedDataset};
 pub use lineage::{fnv1a, OpKind, PlanNode};
-pub use runtime::{Runtime, RuntimeStats, StatsSnapshot};
+pub use runtime::{Runtime, RuntimeStats};
 pub use spill::{charged_size, checksum, HeapSize, Spill, SpillError, SpillReader};
 pub use sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};

@@ -109,42 +109,6 @@ impl RuntimeStats {
     }
 }
 
-/// A point-in-time marker of a runtime's cumulative counters, for
-/// per-request accounting on a long-lived shared [`Runtime`].
-///
-/// Counters on a `Runtime` are cumulative for the process lifetime; a server
-/// executing many queries against one runtime wants *deltas*. Take a
-/// snapshot before the work and ask it for the delta after:
-///
-/// ```
-/// use tgraph_dataflow::{Dataset, Runtime};
-/// let rt = Runtime::new(2);
-/// let snap = rt.snapshot();
-/// let _ = Dataset::from_vec(&rt, vec![1, 2, 3]).collect(&rt);
-/// assert_eq!(snap.delta(&rt).waves, 1);
-/// ```
-///
-/// Under concurrent queries the delta includes every query's work in the
-/// window — the snapshot isolates *time*, not *ownership*. Callers that need
-/// per-query isolation must serialize (or accept the approximation, as the
-/// serving layer's `/stats` aggregates do).
-#[derive(Clone, Copy, Debug)]
-pub struct StatsSnapshot {
-    base: RuntimeStats,
-}
-
-impl StatsSnapshot {
-    /// Counters accumulated on `rt` since this snapshot was taken.
-    pub fn delta(&self, rt: &Runtime) -> RuntimeStats {
-        rt.stats().since(&self.base)
-    }
-
-    /// The absolute counters at snapshot time.
-    pub fn base(&self) -> RuntimeStats {
-        self.base
-    }
-}
-
 /// The execution context every dataflow operator runs against.
 ///
 /// Owns the worker pool and the default partition count (Spark's
@@ -399,12 +363,6 @@ impl Runtime {
                 .load(Ordering::Relaxed),
         }
     }
-
-    /// Marks the current counter values for later per-request delta
-    /// accounting (see [`StatsSnapshot`]).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot { base: self.stats() }
-    }
 }
 
 /// Microseconds elapsed since `start`, saturating at `u64::MAX`.
@@ -505,20 +463,6 @@ mod tests {
     fn partitions_floor_is_one() {
         let rt = Runtime::with_partitions(2, 0);
         assert_eq!(rt.partitions(), 1);
-    }
-
-    #[test]
-    fn snapshot_delta_matches_since() {
-        let rt = Runtime::new(2);
-        rt.run_indexed(4, |i| i);
-        let snap = rt.snapshot();
-        rt.run_indexed(4, |i| i);
-        rt.note_shuffle(3, 24);
-        let d = snap.delta(&rt);
-        assert_eq!(d.waves, 1);
-        assert_eq!(d.shuffles, 1);
-        assert_eq!(d.shuffled_records, 3);
-        assert_eq!(snap.base().waves, 1);
     }
 
     #[test]

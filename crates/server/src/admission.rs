@@ -8,6 +8,12 @@
 //! whose deadline passes is rejected while still queued — it never touches
 //! the pool (the acceptance criterion for expired deadlines).
 //!
+//! Over a socket only the dispatcher threads run zooms, and
+//! `eventloop::serve` starts `max_inflight + 2` of them, so at most two
+//! zooms ever wait here: a `max_queue` of 2 or more never refuses a socket
+//! request. The bound still holds for in-process callers of
+//! [`Server::handle_line`](crate::Server::handle_line) on more threads.
+//!
 //! A permit is a slot and nothing else: it reserves no bytes. Memory is the
 //! dataflow governor's business — each exchange charges what it measures
 //! and spills past the budget — and the connection layer pauses reads while
@@ -65,6 +71,11 @@ pub struct AdmissionStats {
     pub inflight: usize,
     /// Queries currently waiting.
     pub queue_depth: usize,
+    /// The in-flight bound the gate enforces (the configured one, at
+    /// least 1).
+    pub max_inflight: usize,
+    /// The waiter bound the gate enforces (the configured one, at least 1).
+    pub max_queue: usize,
 }
 
 /// The admission gate. Cheap to share (`Arc`).
@@ -223,6 +234,8 @@ impl Admission {
             release_underflows: self.release_underflows.load(Ordering::Relaxed),
             inflight,
             queue_depth,
+            max_inflight: self.max_inflight,
+            max_queue: self.max_queue,
         }
     }
 }

@@ -15,8 +15,11 @@
 //! * `--partitions N`        dataflow partitions (default `max(4, workers)`;
 //!   an explicit value wins wherever it appears on the command line)
 //! * `--max-inflight N`      concurrent zoom executions (default 2)
-//! * `--max-queue N`         admission queue capacity (default 64)
-//! * `--cache-mb N`          result-cache budget in MiB (default 64)
+//! * `--max-queue N`         admission queue capacity (default 64); over a
+//!   socket at most two zooms ever wait (there are `max-inflight + 2`
+//!   dispatchers), so any N of 2 or more refuses nothing
+//! * `--cache-mb N`          result-cache budget in MiB (default 64), for
+//!   answer bodies and their patch seeds together
 //! * `--gen-demo NAME`       generate a small deterministic WikiTalk-style
 //!   dataset under `--data-dir` as NAME before serving (for smoke tests)
 

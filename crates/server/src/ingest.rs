@@ -1,43 +1,32 @@
-//! The write side: the single-writer epoch append, and the patch-seed store
-//! that lets the zoom after an ingest cost O(delta) instead of O(history).
+//! The write side: the single-writer epoch append.
 //!
-//! [`IngestState`] owns both locks involved — the writer lock that
-//! serializes appends and the seed map's — and nothing outside this module
-//! takes either.
+//! An append commits the delta to storage and advances the pool's resident
+//! graphs, and that is all it does. Cached answers carry the epoch they were
+//! computed at, so after an append the older ones stop hitting by
+//! themselves and stay as the seeds the zoom path patches from (`cache.rs`,
+//! `zoom.rs`); the append takes no cache lock. [`IngestState`] owns the
+//! writer lock, and nothing outside this module takes it.
 
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{IngestRequest, ZoomRequest};
-use crate::render::{error_response, serialize_tgraph};
+use crate::protocol::IngestRequest;
+use crate::render::error_response;
 use crate::server::Server;
-use crate::zoom::{cache_key_graph, execute_steps};
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tgraph_core::graph::TGraph;
-use tgraph_core::time::Time;
-use tgraph_dataflow::{lock_unpoisoned, Runtime};
-use tgraph_ingest::{patch_from_storage, SnapshotDelta};
-use tgraph_storage::{GraphLoader, SharedGraph};
+use std::sync::Mutex;
+use tgraph_dataflow::lock_unpoisoned;
+use tgraph_ingest::SnapshotDelta;
 
-/// What an epoch append serializes on and what it leaves for the zooms
-/// that follow it.
+/// What an epoch append serializes on.
 #[derive(Default)]
 pub(crate) struct IngestState {
-    /// Single-writer ingest: epoch appends (storage commit → pool advance →
-    /// cache invalidation) are strictly serialized.
+    /// Single-writer ingest: epoch appends (storage commit → pool advance)
+    /// are strictly serialized.
     writer: Mutex<()>,
-    pub(crate) patches: PatchStore,
 }
 
 impl Server {
     /// Commits a snapshot delta as a new dataset epoch. Single-writer:
-    /// storage append, pool advance and cache invalidation happen under one
-    /// lock, in that order. The cache drops every result of the graph (any
-    /// representation): with epoch-stamped keys stale entries are
-    /// unreachable anyway, and invalidation reclaims their bytes at once
-    /// instead of waiting on LRU pressure.
+    /// storage append, then pool advance, under one lock.
     pub(crate) fn handle_ingest(&self, req: &IngestRequest) -> String {
         let _writer = lock_unpoisoned(&self.ingest.writer);
         let current = match tgraph_storage::current_end(&self.config.data_dir, &req.graph) {
@@ -75,9 +64,6 @@ impl Server {
         let upgraded = self
             .pool
             .advance(&self.rt, &req.graph, entry.epoch, &delta_graph);
-        let dropped = self
-            .cache
-            .invalidate(|key| cache_key_graph(key) == Some(req.graph.as_str()));
         ServerMetrics::bump(&self.metrics.ingests);
         Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -88,187 +74,31 @@ impl Server {
             ("vertices", Json::Int(entry.vertices as i64)),
             ("edges", Json::Int(entry.edges as i64)),
             ("pool_upgrades", Json::Int(upgraded as i64)),
-            ("cache_invalidations", Json::Int(dropped as i64)),
         ])
         .to_string()
     }
 }
 
-/// A retained result the patch path can bring up to date: the collected
-/// pipeline output (shared with the response being serialized) plus the
-/// dataset epoch and lifespan end it reflects.
-#[derive(Clone)]
-struct PatchEntry {
-    epoch: u64,
-    boundary: Time,
-    result: Arc<TGraph>,
-    /// Set by [`PatchStore::retain`] when the query's seed first enters the
-    /// store; a refresh keeps it. The cap evicts the lowest, so eviction
-    /// does not depend on map order.
-    retained: u64,
-}
-
-/// Bound on retained results: maintenance seeds, not a second result cache.
-const PATCH_STORE_CAP: usize = 64;
-
-/// Prior zoom results retained for incremental maintenance, keyed by the
-/// request's canonical text (epoch-independent). After an ingest the patch
-/// path stitches these instead of recomputing over history.
-#[derive(Default)]
-pub(crate) struct PatchStore {
-    seeds: Mutex<HashMap<String, PatchEntry>>,
-    /// Source of [`PatchEntry::retained`]; bumped under the `seeds` lock.
-    retentions: AtomicU64,
-}
-
-impl PatchStore {
-    /// Execution with incremental maintenance: when a prior result
-    /// for the same canonical query exists at an earlier dataset epoch and
-    /// the maintenance planner allows it, re-run the pipeline over the disk
-    /// suffix `[cut, ∞)` only and stitch — O(delta + live-at-cut) instead of
-    /// O(history). Falls back to a cold run otherwise, and records the fresh
-    /// result as the seed for the next ingest. Returns `(result, patched)`.
-    pub(crate) fn execute_or_patch(
-        &self,
-        rt: &Runtime,
-        data_dir: &Path,
-        shared: &SharedGraph,
-        req: &ZoomRequest,
-        canonical: &str,
-    ) -> (Arc<TGraph>, bool) {
-        // Range-restricted residents are not full history (the stitch
-        // invariant needs all of it) and `no_cache` requests promise cold
-        // semantics, so both bypass maintenance entirely.
-        if req.range.is_some() || req.no_cache {
-            return (Arc::new(execute_steps(rt, shared, req)), false);
-        }
-        let attempt = self.try_patch(rt, data_dir, shared, req, canonical);
-        let patched = attempt.is_some();
-        let result = Arc::new(attempt.unwrap_or_else(|| execute_steps(rt, shared, req)));
-        self.retain(
-            canonical,
-            PatchEntry {
-                epoch: shared.epoch,
-                boundary: shared.graph.lifespan().end,
-                result: Arc::clone(&result),
-                retained: 0,
-            },
-        );
-        (result, patched)
-    }
-
-    /// Attempts the patch path. `None` means "no seed / planner said
-    /// recompute / suffix unreadable" — the caller runs cold. In checked
-    /// mode (`TGRAPH_CHECKED=1`) the patched bytes are verified against a
-    /// full cold recompute and any divergence fails the query loudly.
-    fn try_patch(
-        &self,
-        rt: &Runtime,
-        data_dir: &Path,
-        shared: &SharedGraph,
-        req: &ZoomRequest,
-        canonical: &str,
-    ) -> Option<TGraph> {
-        let entry = self.seed_before(canonical, shared.epoch)?;
-        let patched = patch_from_storage(
-            rt,
-            &GraphLoader::new(data_dir, &req.graph),
-            shared.graph.lifespan(),
-            req.repr,
-            &req.pipeline,
-            &entry.result,
-            entry.boundary,
-        )
-        .ok()?;
-        if rt.checked() {
-            let cold = execute_steps(rt, shared, req);
-            assert_eq!(
-                serialize_tgraph(&patched.result),
-                serialize_tgraph(&cold),
-                "maintenance divergence: patched result (cut={}, seed epoch {}) \
-                 differs from cold recompute at epoch {} for {canonical}",
-                patched.cut,
-                entry.epoch,
-                shared.epoch,
-            );
-        }
-        Some(patched.result)
-    }
-
-    /// The seed for `canonical`, if it predates `epoch`. Same epoch: the
-    /// seed is already current (the result cache answered or will answer);
-    /// a newer epoch on the seed cannot happen under the single-writer
-    /// ingest lock, but guard anyway.
-    fn seed_before(&self, canonical: &str, epoch: u64) -> Option<PatchEntry> {
-        lock_unpoisoned(&self.seeds)
-            .get(canonical)
-            .filter(|entry| entry.epoch < epoch)
-            .cloned()
-    }
-
-    /// Stores `entry` as the seed for `canonical`. Bounded: at the cap the
-    /// seed retained first is dropped (never the one being refreshed); the
-    /// evicted query simply recomputes cold after its next ingest.
-    fn retain(&self, canonical: &str, mut entry: PatchEntry) {
-        let mut seeds = lock_unpoisoned(&self.seeds);
-        if let Some(seed) = seeds.get(canonical) {
-            entry.retained = seed.retained;
-        } else {
-            if seeds.len() >= PATCH_STORE_CAP {
-                let first = seeds.iter().min_by_key(|(_, seed)| seed.retained);
-                if let Some(victim) = first.map(|(query, _)| query.clone()) {
-                    seeds.remove(&victim);
-                }
-            }
-            entry.retained = self.retentions.fetch_add(1, Ordering::Relaxed);
-        }
-        seeds.insert(canonical.to_string(), entry);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cache::{Answer, Lookup, ENTRY_OVERHEAD};
+    use crate::protocol::{parse_request, Request};
     use crate::server::testutil::{fresh_server, ingest_line, result_of, zoom_line};
     use tgraph_core::graph::figure1_graph_stable_ids;
     use tgraph_repr::ReprKind;
     use tgraph_storage::write_dataset;
 
-    fn entry(epoch: u64) -> PatchEntry {
-        PatchEntry {
-            epoch,
-            boundary: 9,
-            result: Arc::new(figure1_graph_stable_ids()),
-            retained: 0,
+    /// The canonical text `line`'s zoom is cached under.
+    fn canonical(line: &str) -> String {
+        match parse_request(line) {
+            Ok(Request::Zoom(req)) => req.canonical(),
+            _ => panic!("not a zoom request: {line}"),
         }
     }
 
-    #[test]
-    fn cap_eviction_never_drops_the_key_being_inserted() {
-        let store = PatchStore::default();
-        for i in 0..PATCH_STORE_CAP {
-            store.retain(&format!("q{i}"), entry(0));
-        }
-        // Refreshing a resident key at the cap evicts nothing.
-        store.retain("q0", entry(1));
-        {
-            let seeds = lock_unpoisoned(&store.seeds);
-            assert_eq!(seeds.len(), PATCH_STORE_CAP);
-            assert!((0..PATCH_STORE_CAP).all(|i| seeds.contains_key(&format!("q{i}"))));
-            assert_eq!(seeds["q0"].epoch, 1);
-        }
-        // A new key at the cap evicts exactly one other seed and stays: the
-        // one retained first, refreshed or not.
-        store.retain("fresh", entry(2));
-        let seeds = lock_unpoisoned(&store.seeds);
-        assert_eq!(seeds.len(), PATCH_STORE_CAP);
-        assert_eq!(seeds["fresh"].epoch, 2);
-        assert!(!seeds.contains_key("q0"), "the first-retained seed goes");
-        assert!((1..PATCH_STORE_CAP).all(|i| seeds.contains_key(&format!("q{i}"))));
-    }
-
-    /// An ingest drops the cached results of its own graph only: a client
-    /// string that spells another graph's key field is not that field.
+    /// An ingest leaves the cached results of other graphs answering: a
+    /// client string that spells another graph's key field is not that
+    /// field.
     #[test]
     fn an_ingest_keeps_other_graphs_results_whatever_their_text() {
         let server = fresh_server("tgraph-serve-ingest4", "a");
@@ -278,27 +108,16 @@ mod tests {
         let first = server.handle_line(line);
         assert!(first.contains("\"cache\":\"miss\""), "{first}");
         let ing = server.handle_line(&ingest_line("b"));
-        assert!(ing.contains("\"cache_invalidations\":0"), "{ing}");
+        assert!(ing.contains("\"ok\":true"), "{ing}");
         let again = server.handle_line(line);
         assert!(again.contains("\"cache\":\"hit\""), "{again}");
-        let stats = server.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"invalidations\":0"), "{stats}");
-    }
-
-    #[test]
-    fn a_seed_at_or_past_the_resident_epoch_is_not_used() {
-        let store = PatchStore::default();
-        store.retain("q", entry(3));
-        assert!(store.seed_before("q", 3).is_none(), "same epoch: current");
-        assert!(store.seed_before("q", 2).is_none(), "seed from the future");
-        assert_eq!(store.seed_before("q", 4).map(|e| e.epoch), Some(3));
-        assert!(store.seed_before("other", 4).is_none());
     }
 
     /// An ingest between two identical zooms must not replay the pre-ingest
-    /// bytes — and the second zoom should go down the O(delta) patch path,
-    /// byte-identical to a cold recompute (checked mode verifies
-    /// in-process; the `no_cache` run re-verifies end to end here).
+    /// bytes — and the second zoom should go down the O(delta) patch path
+    /// from the cached entry, byte-identical to a cold recompute (checked
+    /// mode verifies in-process; the `no_cache` run re-verifies end to end
+    /// here).
     #[test]
     fn ingest_between_identical_zooms_patches_instead_of_replaying() {
         let server = fresh_server("tgraph-serve-ingest1", "ing1");
@@ -310,11 +129,10 @@ mod tests {
         assert!(replay.contains("\"cache\":\"hit\""), "{replay}");
 
         let ing = server.handle_line(&ingest_line("ing1"));
-        assert!(ing.contains("\"ok\":true"), "{ing}");
-        assert!(ing.contains("\"epoch\":1"), "{ing}");
-        assert!(ing.contains("\"since\":9"), "{ing}");
-        assert!(ing.contains("\"end\":12"), "{ing}");
-        assert!(ing.contains("\"pool_upgrades\":1"), "{ing}");
+        assert_eq!(
+            ing,
+            r#"{"ok":true,"graph":"ing1","epoch":1,"since":9,"end":12,"vertices":3,"edges":1,"pool_upgrades":1}"#
+        );
 
         let third = server.handle_line(&line);
         assert!(
@@ -334,8 +152,64 @@ mod tests {
         let stats = server.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"ingests\":1"), "{stats}");
         assert!(stats.contains("\"zoom_patched\":1"), "{stats}");
-        assert!(stats.contains("\"invalidations\":1"), "{stats}");
         assert!(stats.contains("\"epoch_upgrades\":1"), "{stats}");
+        // The stale entry was a miss, and the patched answer replaced it.
+        assert!(
+            stats.contains("\"cache\":{\"hits\":1,\"misses\":2,\"insertions\":1,\"evictions\":0"),
+            "{stats}"
+        );
+    }
+
+    /// The seed is the cache entry: once the byte budget evicts it, the
+    /// zoom after an ingest recomputes cold, and answers what `no_cache`
+    /// does.
+    #[test]
+    fn an_evicted_seed_leaves_the_next_zoom_a_cold_miss() {
+        let server = fresh_server("tgraph-serve-ingest5", "ing5");
+        server.runtime().set_checked(true);
+        let line = zoom_line("ing5", "");
+        let first = server.handle_line(&line);
+        assert!(first.contains("\"cache\":\"miss\""), "{first}");
+        // Another answer the size of the whole budget evicts the zoom's.
+        let filler = "filler";
+        let budget = server.cache.stats().byte_budget as usize;
+        let body = "x".repeat(budget - ENTRY_OVERHEAD as usize - filler.len());
+        let answer = Answer {
+            epoch: 0,
+            boundary: 9,
+            body: body.into(),
+            seed: None,
+        };
+        server.cache.insert(filler, answer);
+        assert!(!server.cache.contains(&canonical(&line)), "evicted");
+        let ing = server.handle_line(&ingest_line("ing5"));
+        assert!(ing.contains("\"ok\":true"), "{ing}");
+        let after = server.handle_line(&line);
+        assert!(after.contains("\"cache\":\"miss\""), "{after}");
+        let cold = server.handle_line(&zoom_line("ing5", "\"no_cache\":true,"));
+        assert_eq!(result_of(&after), result_of(&cold));
+    }
+
+    /// A result that finishes at epoch 0 after the epoch-1 answer was
+    /// stored leaves that answer in place: the next zoom hits it.
+    #[test]
+    fn a_late_result_from_an_older_epoch_keeps_the_newer_answer() {
+        let server = fresh_server("tgraph-serve-ingest6", "ing6");
+        let line = zoom_line("ing6", "");
+        let key = canonical(&line);
+        let first = server.handle_line(&line);
+        assert!(first.contains("\"cache\":\"miss\""), "{first}");
+        let Lookup::Miss(Some(late)) = server.cache.get(&key, 1) else {
+            panic!("the epoch-0 answer is stored under {key}");
+        };
+        let ing = server.handle_line(&ingest_line("ing6"));
+        assert!(ing.contains("\"epoch\":1"), "{ing}");
+        let patched = server.handle_line(&line);
+        assert!(patched.contains("\"cache\":\"patch\""), "{patched}");
+        server.cache.insert(&key, late);
+        let again = server.handle_line(&line);
+        assert!(again.contains("\"cache\":\"hit\""), "{again}");
+        assert_eq!(result_of(&patched), result_of(&again));
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //! serving system rather than a batch runner:
 //!
 //! 1. **Result caching** ([`cache`]): a result is named by what was asked
-//!    and when. Each query's cache key is the dataset epoch followed by the
-//!    request's canonical form (the response's `fingerprint` is the FNV-1a
-//!    of that text); results are memoized as serialized bytes in a
-//!    byte-bounded LRU, so a repeated zoom replays byte-identical output
-//!    without touching the worker pool.
+//!    and when. Each query's cache key is the request's canonical form and
+//!    its entry carries the dataset epoch it answers (the response's
+//!    `fingerprint` is the FNV-1a of `epoch=N;` + that text); answers are
+//!    memoized as serialized bytes in a byte-bounded LRU, so a repeated zoom
+//!    replays byte-identical output without touching the worker pool, and
+//!    after an ingest the older answer is the seed the patch path stitches.
 //! 2. **Admission control and deadlines** ([`admission`]): a bounded
 //!    in-flight semaphore with a bounded waiting queue; per-request
 //!    deadlines propagate into the dataflow runtime as a

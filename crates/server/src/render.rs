@@ -129,22 +129,24 @@ impl From<String> for Reply {
 /// extract everything after `"result":` up to the closing brace and compare
 /// replays byte-for-byte. The optional `optimizer` block (auto-choice /
 /// EXPLAIN) is spliced immediately before it. `fingerprint` is the FNV-1a
-/// of the result-cache key: equal for any two servers answering the same
-/// request at the same dataset epoch.
+/// of `epoch=N;` + the request's canonical text: equal for any two servers
+/// answering the same request at the same dataset epoch.
 pub(crate) fn zoom_response(
     cache: &str,
     total: Duration,
     exec: Duration,
-    key: &str,
+    epoch: u64,
+    canonical: &str,
     optimizer: Option<&Json>,
     result: Arc<str>,
 ) -> Reply {
+    let named = format!("epoch={epoch};{canonical}");
     let mut head = Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("cache", Json::str(cache)),
         (
             "fingerprint",
-            Json::str(format!("{:#018x}", fnv1a(key.as_bytes()))),
+            Json::str(format!("{:#018x}", fnv1a(named.as_bytes()))),
         ),
         ("total_us", Json::Int(total.as_micros() as i64)),
         ("exec_us", Json::Int(exec.as_micros() as i64)),
@@ -295,7 +297,6 @@ pub(crate) fn stats_response(server: &Server) -> String {
                 ("misses", cache.misses),
                 ("insertions", cache.insertions),
                 ("evictions", cache.evictions),
-                ("invalidations", cache.invalidations),
                 ("bytes_used", cache.bytes_used),
                 ("byte_budget", cache.byte_budget),
             ]),
@@ -310,8 +311,8 @@ pub(crate) fn stats_response(server: &Server) -> String {
                 ("release_underflows", admission.release_underflows),
                 ("inflight", admission.inflight as u64),
                 ("queue_depth", admission.queue_depth as u64),
-                ("max_inflight", server.config.max_inflight as u64),
-                ("max_queue", server.config.max_queue as u64),
+                ("max_inflight", admission.max_inflight as u64),
+                ("max_queue", admission.max_queue as u64),
             ]),
         ),
         (

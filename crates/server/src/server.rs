@@ -1,7 +1,7 @@
 //! The server proper: configuration, the shared state every request
 //! handler borrows, and per-line NDJSON dispatch. What a request *does*
-//! lives in the role modules — `zoom` (the zoom path),
-//! `ingest` (epoch appends and patch seeds), `render` (every response
+//! lives in the role modules — `zoom` (the zoom path and its cache key),
+//! `ingest` (epoch appends), `render` (every response
 //! byte) — and each owns the state it locks. Client connections are read
 //! and written by [`crate::eventloop`] only.
 
@@ -39,9 +39,13 @@ pub struct ServerConfig {
     pub partitions: usize,
     /// Maximum concurrently executing zoom queries.
     pub max_inflight: usize,
-    /// Maximum queued zoom queries beyond the in-flight bound.
+    /// Maximum queued zoom queries beyond the in-flight bound (at least 1).
+    /// Over a socket at most two zooms ever wait, because the connection
+    /// layer runs `max_inflight + 2` dispatchers, so a value of 2 or more
+    /// refuses nothing there.
     pub max_queue: usize,
-    /// Result-cache byte budget.
+    /// Result-cache byte budget: answer bodies and the patch seeds of
+    /// range-free answers both count against it.
     pub cache_bytes: u64,
     /// Cap on one request line in bytes: a longer line is answered with a
     /// typed `line_too_large` error and the connection closes.

@@ -1,12 +1,18 @@
 //! The zoom request path, as a driver over named stages: resolve the
 //! representation → load from the pool → probe the cache → admit →
-//! execute (cold or patched) → serialize → respond. The
-//! stage boundaries are where per-request spans go (ROADMAP item 4).
+//! execute (cold, or patched from the query's answer at an earlier epoch)
+//! → serialize → respond. The stage boundaries are where per-request spans
+//! go (ROADMAP item 4).
+//!
+//! This is the one module that knows how a query names its cache entry:
+//! by its canonical text (`ZoomRequest::canonical`), with the dataset epoch
+//! carried in the entry.
 //!
 //! [`ReprChooser`] owns the optimizer and its per-graph feature cache (and
 //! that cache's lock); nothing outside this module touches them.
 
 use crate::admission::{AdmitError, Permit};
+use crate::cache::{Answer, Lookup};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ZoomRequest;
@@ -22,6 +28,7 @@ use std::time::{Duration, Instant};
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
 use tgraph_dataflow::{lock_unpoisoned, CancelToken, Runtime};
+use tgraph_ingest::patch_from_storage;
 use tgraph_optimize::{ChoiceSource, Decision, GraphFeatures, Optimizer, OptimizerStats};
 use tgraph_repr::ReprKind;
 use tgraph_storage::{GraphLoader, SharedGraph, SortOrder};
@@ -96,24 +103,10 @@ pub(crate) fn execute_steps(rt: &Runtime, shared: &SharedGraph, req: &ZoomReques
     req.pipeline.collect(rt, (*shared.graph).clone())
 }
 
-/// The result-cache key: what was asked (`canonical`) and when (the dataset
-/// epoch the answering graph is at). An ingest advances the epoch, so a
-/// result computed before it can never be replayed after it.
-fn cache_key(epoch: u64, canonical: &str) -> String {
-    format!("epoch={epoch};{canonical}")
-}
-
-/// The graph a [`cache_key`] names: the field right after `epoch=N;` (a
-/// graph name holds no `;`). Only this field is the graph's; the pipeline
-/// text later in the key quotes client strings but may still spell
-/// `graph=x;` inside them.
-pub(crate) fn cache_key_graph(key: &str) -> Option<&str> {
-    key.split(';').nth(1)?.strip_prefix("graph=")
-}
-
 /// What the execute stage hands to the serialize stage.
 struct Executed {
-    /// Shared with the maintenance seed the patch store keeps.
+    /// Kept by the cache entry as the next epoch's patch seed when the
+    /// query is range-free.
     result: Arc<TGraph>,
     patched: bool,
 }
@@ -140,32 +133,37 @@ impl Server {
             Ok(g) => g,
             Err(message) => return self.reject("not_found", &message).into(),
         };
-        // The one canonical text of this request: the cache key and the
-        // maintenance seed key both read this string.
+        // The one canonical text of this request: the cache key, and with
+        // the epoch the response's fingerprint.
         let canonical = req.canonical();
-        let key = cache_key(shared.epoch, &canonical);
-        if let Some(body) = self.probe_cache(&req, &key) {
-            self.metrics.hit_latency.record(t0.elapsed());
-            self.metrics.total_latency.record(t0.elapsed());
-            return zoom_response("hit", t0.elapsed(), Duration::ZERO, &key, block, body);
-        }
+        let epoch = shared.epoch;
+        let earlier = match self.probe_cache(&req, &canonical, epoch) {
+            Lookup::Hit(body) => {
+                self.metrics.hit_latency.record(t0.elapsed());
+                self.metrics.total_latency.record(t0.elapsed());
+                let zero = Duration::ZERO;
+                return zoom_response("hit", t0.elapsed(), zero, epoch, &canonical, block, body);
+            }
+            Lookup::Miss(earlier) => earlier,
+        };
         let permit = match self.admit(deadline) {
             Ok(permit) => permit,
             Err(refusal) => return refusal.into(),
         };
         let exec0 = Instant::now();
-        let outcome = self.execute(&shared, &req, &canonical, deadline);
+        let outcome = self.execute(&shared, &req, earlier.as_ref(), deadline);
         drop(permit);
         let exec = exec0.elapsed();
         let done = match outcome {
             Ok(done) => done,
             Err(refusal) => return refusal.into(),
         };
-        let body = self.serialize(&done, &req, &key);
-        self.record_execution(&shape, req.repr, done.patched, exec);
+        let patched = done.patched;
+        let body = self.serialize(done, &req, &shared, &canonical);
+        self.record_execution(&shape, req.repr, patched, exec);
         self.metrics.total_latency.record(t0.elapsed());
-        let tag = if done.patched { "patch" } else { "miss" };
-        zoom_response(tag, t0.elapsed(), exec, &key, block, body)
+        let tag = if patched { "patch" } else { "miss" };
+        zoom_response(tag, t0.elapsed(), exec, epoch, &canonical, block, body)
     }
 
     /// A counted zoom refusal.
@@ -215,14 +213,18 @@ impl Server {
             .map_err(|e| format!("cannot load graph '{}' as {}: {e}", req.graph, req.repr))
     }
 
-    /// Stage 3: the memoized result, unless the request opted out.
-    fn probe_cache(&self, req: &ZoomRequest, key: &str) -> Option<Arc<str>> {
+    /// Stage 3: the cached answer at the resident `epoch`, unless the
+    /// request opted out. A miss may carry the query's answer from an
+    /// earlier epoch, for the execute stage to patch.
+    fn probe_cache(&self, req: &ZoomRequest, canonical: &str, epoch: u64) -> Lookup {
         if req.no_cache {
-            return None;
+            return Lookup::Miss(None);
         }
-        let body = self.cache.get(key)?;
-        ServerMetrics::bump(&self.metrics.zoom_cache_hits);
-        Some(body)
+        let found = self.cache.get(canonical, epoch);
+        if matches!(found, Lookup::Hit(_)) {
+            ServerMetrics::bump(&self.metrics.zoom_cache_hits);
+        }
+        found
     }
 
     /// Stage 4: an admission permit, held until execution returns, or the
@@ -239,14 +241,15 @@ impl Server {
         Ok(permit)
     }
 
-    /// Stage 5: runs the pipeline under the request's cancel scope, with
-    /// incremental maintenance, and turns every way that can fail into its
-    /// typed refusal.
+    /// Stage 5: runs the pipeline under the request's cancel scope —
+    /// patched from `earlier` where the maintenance planner allows it, cold
+    /// otherwise — and turns every way that can fail into its typed
+    /// refusal.
     fn execute(
         &self,
         shared: &SharedGraph,
         req: &ZoomRequest,
-        canonical: &str,
+        earlier: Option<&Answer>,
         deadline: Option<Instant>,
     ) -> Result<Executed, String> {
         let token = match deadline {
@@ -255,14 +258,13 @@ impl Server {
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             token.scope(|| {
-                let (result, patched) = self.ingest.patches.execute_or_patch(
-                    &self.rt,
-                    &self.config.data_dir,
-                    shared,
-                    req,
-                    canonical,
-                );
-                Executed { result, patched }
+                let patch = earlier.and_then(|answer| self.patch(shared, req, answer));
+                let patched = patch.is_some();
+                let result = patch.unwrap_or_else(|| execute_steps(&self.rt, shared, req));
+                Executed {
+                    result: Arc::new(result),
+                    patched,
+                }
             })
         }));
         match outcome {
@@ -281,11 +283,61 @@ impl Server {
         }
     }
 
-    /// Stage 6: the result's text, memoized.
-    fn serialize(&self, done: &Executed, req: &ZoomRequest, key: &str) -> Arc<str> {
+    /// The O(delta) path: re-runs the pipeline over the disk suffix
+    /// `[cut, ∞)` only and stitches it onto `earlier`'s result graph —
+    /// O(delta + live-at-cut) instead of O(history). `None` when `earlier`
+    /// kept no graph (ranged queries never do), the planner says recompute,
+    /// or the suffix is unreadable: the caller runs cold. In checked mode
+    /// (`TGRAPH_CHECKED=1`) the patched bytes are held against a full cold
+    /// recompute and any divergence fails the query loudly.
+    fn patch(&self, shared: &SharedGraph, req: &ZoomRequest, earlier: &Answer) -> Option<TGraph> {
+        let seed = earlier.seed.as_deref()?;
+        let patched = patch_from_storage(
+            &self.rt,
+            &GraphLoader::new(&self.config.data_dir, &req.graph),
+            shared.graph.lifespan(),
+            req.repr,
+            &req.pipeline,
+            seed,
+            earlier.boundary,
+        )
+        .ok()?;
+        if self.rt.checked() {
+            let cold = execute_steps(&self.rt, shared, req);
+            assert_eq!(
+                serialize_tgraph(&patched.result),
+                serialize_tgraph(&cold),
+                "maintenance divergence: patched result (cut={}, seed epoch {}) \
+                 differs from cold recompute at epoch {} for {}",
+                patched.cut,
+                earlier.epoch,
+                shared.epoch,
+                req.canonical(),
+            );
+        }
+        Some(patched.result)
+    }
+
+    /// Stage 6: the result's text, stored as the query's answer at the
+    /// resident epoch. A range-free answer keeps its result graph as the
+    /// seed the next epoch patches from; a ranged resident is not the full
+    /// history a stitch needs, so a ranged answer keeps none.
+    fn serialize(
+        &self,
+        done: Executed,
+        req: &ZoomRequest,
+        shared: &SharedGraph,
+        canonical: &str,
+    ) -> Arc<str> {
         let body: Arc<str> = serialize_tgraph(&done.result).into();
         if !req.no_cache {
-            self.cache.insert(key, Arc::clone(&body));
+            let answer = Answer {
+                epoch: shared.epoch,
+                boundary: shared.graph.lifespan().end,
+                body: Arc::clone(&body),
+                seed: req.range.is_none().then_some(done.result),
+            };
+            self.cache.insert(canonical, answer);
         }
         body
     }
@@ -309,12 +361,20 @@ impl Server {
 
 #[cfg(test)]
 mod tests {
-    use super::cache_key;
-    use crate::protocol::{parse_request, Request};
+    use crate::cache::{Lookup, ENTRY_OVERHEAD};
+    use crate::protocol::{parse_request, Request, ZoomRequest};
     use crate::render::Reply;
     use crate::server::testutil::{fresh_server, result_of, server_over_figure1, zoom_line};
     use std::sync::Arc;
+    use tgraph_dataflow::charged_size;
     use tgraph_repr::ReprKind;
+
+    fn zoom_request(line: &str) -> ZoomRequest {
+        match parse_request(line) {
+            Ok(Request::Zoom(req)) => *req,
+            _ => panic!("not a zoom request: {line}"),
+        }
+    }
 
     /// A miss answers with the very allocation it inserted into the cache,
     /// and a hit with the cache's entry: no copy of a result between the
@@ -322,28 +382,48 @@ mod tests {
     #[test]
     fn zoom_replies_share_their_body_with_the_cache_entry() {
         let server = server_over_figure1("unit-shared");
-        let line = zoom_line("unit-shared", "");
-        let Ok(Request::Zoom(req)) = parse_request(&line) else {
-            panic!("not a zoom request: {line}");
-        };
-        let key = cache_key(
-            server.load_graph(&req).expect("load").epoch,
-            &req.canonical(),
-        );
+        let req = zoom_request(&zoom_line("unit-shared", ""));
+        let epoch = server.load_graph(&req).expect("load").epoch;
         let body = |reply: Reply| match reply {
             Reply::Zoom { head, body } => (head.contains("\"cache\":\"hit\""), body),
             Reply::Text(text) => panic!("not a zoom result: {text}"),
         };
         let (hit, miss) = body(server.handle_zoom(&req));
         assert!(!hit);
-        let entry = server
-            .cache
-            .get(&key)
-            .expect("the miss inserted its result");
+        let Lookup::Hit(entry) = server.cache.get(&req.canonical(), epoch) else {
+            panic!("the miss inserted its result");
+        };
         assert!(Arc::ptr_eq(&miss, &entry), "a miss answers with its entry");
         let (hit, replay) = body(server.handle_zoom(&req));
         assert!(hit);
         assert!(Arc::ptr_eq(&replay, &entry), "a hit answers with the entry");
+    }
+
+    /// A range-free answer is charged its key, its body and its seed's
+    /// vertex and edge lists (plus the fixed per-entry bookkeeping); a
+    /// ranged answer keeps no seed and is charged none.
+    #[test]
+    fn an_entry_is_charged_its_key_body_and_seed_records() {
+        let server = server_over_figure1("unit-charge");
+        let mut used = 0;
+        for (extra, seeded) in [("", true), ("\"range\":[2,8],", false)] {
+            let req = zoom_request(&zoom_line("unit-charge", extra));
+            let Reply::Zoom { body, .. } = server.handle_zoom(&req) else {
+                panic!("not a zoom result");
+            };
+            let key = req.canonical();
+            let epoch = server.load_graph(&req).expect("load").epoch;
+            // One epoch on, the entry is a miss that hands its answer back.
+            let Lookup::Miss(Some(answer)) = server.cache.get(&key, epoch + 1) else {
+                panic!("{key} was not stored");
+            };
+            let seed = answer
+                .seed
+                .map_or(0, |g| charged_size(&g.vertices) + charged_size(&g.edges));
+            assert_eq!(seed > 0, seeded, "{key}");
+            used += (key.len() + body.len() + seed) as u64 + ENTRY_OVERHEAD;
+            assert_eq!(server.cache.stats().bytes_used, used, "{key}");
+        }
     }
 
     #[test]
@@ -372,12 +452,12 @@ mod tests {
         let server = server_over_figure1("unit2");
         // Preload so the load's own waves don't confound the assertion.
         server.preload("unit2", ReprKind::Ve).expect("preload");
-        let before = server.runtime().snapshot();
+        let before = server.runtime().stats();
         let line = zoom_line("unit2", "\"deadline_ms\":0,");
         let resp = server.handle_line(&line);
         assert!(resp.contains("\"ok\":false"), "{resp}");
         assert!(resp.contains("\"kind\":\"deadline\""), "{resp}");
-        let delta = before.delta(server.runtime());
+        let delta = server.runtime().stats().since(&before);
         assert_eq!(delta.waves, 0, "no task wave executed");
         assert_eq!(delta.tasks, 0);
     }
@@ -391,6 +471,7 @@ mod tests {
         assert!(first.contains("\"cache\":\"miss\""), "{first}");
         assert!(second.contains("\"cache\":\"miss\""), "{second}");
         assert!(server.cache.is_empty());
+        assert_eq!(server.cache.stats().misses, 0, "the cache was not read");
     }
 
     /// Client strings are quoted in the canonical text, so no choice of
