@@ -128,23 +128,18 @@ fn wzoom_on_og_golden() {
     );
 }
 
-/// The exchange layer is plan-invisible: running the same zoom with buckets
-/// moved as typed vectors and through the wire codec on a `Loopback`
-/// must yield the identical analysis of every plan root. How
-/// bytes move between map and reduce sides is a transport concern — it must
-/// never leak into plan structure, row counts, or the partitioning proofs.
+/// The exchange is plan-invisible: running the same zoom with buckets
+/// moved as typed vectors and round-tripped through the codec by serialized
+/// shuffles must yield the identical analysis of every plan root. How bytes
+/// move between map and reduce sides must never leak into plan structure,
+/// row counts, or the partitioning proofs.
 #[test]
 fn exchange_is_plan_invisible() {
-    use std::sync::Arc;
-    use tgraph_dataflow::Loopback;
-
     let g = figure1_graph_stable_ids();
 
-    let run = |framed: bool| {
+    let run = |serialized: bool| {
         let rt = rt();
-        if framed {
-            rt.set_exchange(Arc::new(Loopback::new(rt.exchange_counters())));
-        }
+        rt.set_serialized_shuffles(serialized);
         let before = rt.stats();
         let session = Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec());
         assert_eq!(session.verify(), Vec::<String>::new());
@@ -154,7 +149,7 @@ fn exchange_is_plan_invisible() {
             .iter()
             .map(|(name, root)| {
                 let a = analyze(root);
-                assert!(a.is_sound(), "framed-exchange plan must analyze clean");
+                assert!(a.is_sound(), "serialized-shuffle plan must analyze clean");
                 (name.to_string(), a.render())
             })
             .collect();
@@ -162,16 +157,19 @@ fn exchange_is_plan_invisible() {
     };
 
     let (an_typed, d_typed) = run(false);
-    let (an_framed, d_framed) = run(true);
+    let (an_serialized, d_serialized) = run(true);
 
-    assert_eq!(an_typed, an_framed, "analysis must not see the exchange");
     assert_eq!(
-        d_typed.frames_sent, 0,
-        "typed path must not move wire frames"
+        an_typed, an_serialized,
+        "analysis must not see the exchange"
+    );
+    assert_eq!(
+        d_typed.buckets_exchanged, 0,
+        "typed path must not encode buckets"
     );
     assert!(
-        d_framed.frames_sent > 0,
-        "framed run must actually have moved wire frames"
+        d_serialized.buckets_exchanged > 0,
+        "serialized run must actually have encoded buckets"
     );
-    assert!(d_framed.bytes_exchanged > 0);
+    assert!(d_serialized.bytes_exchanged > 0);
 }

@@ -362,17 +362,6 @@ fn run_smoke(args: &Args) -> Result<(), String> {
         &stats_after,
     )?;
     println!("smoke: spilled {spilled} bytes in {spill_files} run files (budget {budget})");
-    // Exchange counters must be surfaced too (zero on a server, which
-    // installs no exchange).
-    let exchanged = field_i64(&stats_after, &["runtime", "bytes_exchanged"])?;
-    let frames = field_i64(&stats_after, &["runtime", "frames_sent"])?;
-    field_i64(&stats_after, &["runtime", "frames_received"])?;
-    expect(
-        frames > 0 || exchanged == 0,
-        "no exchanged bytes without frames",
-        &stats_after,
-    )?;
-    println!("smoke: exchanged {exchanged} bytes in {frames} frames");
     println!("smoke: ok");
     Ok(())
 }

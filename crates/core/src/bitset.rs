@@ -54,11 +54,6 @@ impl Bitset {
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of set positions.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// The packed 64-bit words, for serialization.
     pub(crate) fn raw_words(&self) -> &[u64] {
         &self.words
@@ -97,14 +92,6 @@ impl Bitset {
         assert_eq!(self.len, other.len, "bitset length mismatch");
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w &= o;
-        }
-    }
-
-    /// In-place logical OR with `other`.
-    pub fn or_with(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
         }
     }
 
@@ -166,10 +153,9 @@ mod tests {
         b.set(64);
         b.set(129);
         assert!(b.get(0) && b.get(64) && b.get(129));
-        assert_eq!(b.count_ones(), 3);
         b.clear(64);
         assert!(!b.get(64));
-        assert_eq!(b.count_ones(), 2);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), [0, 129]);
     }
 
     #[test]
@@ -180,13 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn and_or() {
+    fn and_intersects() {
         let a = Bitset::from_ones(8, [0, 2, 4]);
         let b = Bitset::from_ones(8, [2, 3, 4]);
         assert_eq!(a.and(&b), Bitset::from_ones(8, [2, 4]));
-        let mut c = a.clone();
-        c.or_with(&b);
-        assert_eq!(c, Bitset::from_ones(8, [0, 2, 3, 4]));
     }
 
     #[test]

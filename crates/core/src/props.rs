@@ -300,11 +300,6 @@ impl Props {
         }
         Props(Arc::from(v))
     }
-
-    /// Merges `other` into `self`; keys in `other` win on conflict.
-    pub fn merged_with(&self, other: &Props) -> Self {
-        self.with_all(other.iter().map(|(k, v)| (k, v.clone())))
-    }
 }
 
 impl fmt::Debug for Props {
@@ -406,16 +401,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.type_label(), Some("person"));
         assert!(q.get("age").is_none());
-    }
-
-    #[test]
-    fn merged_with_overrides() {
-        let p = Props::from_pairs::<&str, Value>([("type", "person".into()), ("a", 1i64.into())]);
-        let q = Props::from_pairs([("a", 2i64), ("b", 3i64)]);
-        let m = p.merged_with(&q);
-        assert_eq!(m.get("a"), Some(&Value::Int(2)));
-        assert_eq!(m.get("b"), Some(&Value::Int(3)));
-        assert_eq!(m.type_label(), Some("person"));
     }
 
     #[test]

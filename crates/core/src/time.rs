@@ -166,22 +166,6 @@ impl Interval {
     pub fn points(&self) -> impl Iterator<Item = Time> {
         self.start..self.end
     }
-
-    /// Fraction of `window` covered by `self ∩ window`, in `[0, 1]`.
-    ///
-    /// This is the ratio `r` the paper's existence quantifiers are evaluated
-    /// against (§2.3, §3.2): the percentage of the time during which an entity
-    /// existed relative to the duration of the window.
-    #[inline]
-    pub fn coverage_of(&self, window: &Interval) -> f64 {
-        if window.is_empty() {
-            return 0.0;
-        }
-        match self.intersect(window) {
-            Some(i) => i.len() as f64 / window.len() as f64,
-            None => 0.0,
-        }
-    }
 }
 
 impl Default for Interval {
@@ -203,12 +187,6 @@ impl fmt::Display for Interval {
     }
 }
 
-/// Computes the total number of time points covered by a set of
-/// non-overlapping intervals.
-pub fn total_points<'a>(intervals: impl IntoIterator<Item = &'a Interval>) -> u64 {
-    intervals.into_iter().map(|i| i.len()).sum()
-}
-
 /// Merges a set of intervals into the minimal sorted set of maximal
 /// non-overlapping, non-adjacent intervals covering the same time points.
 ///
@@ -224,27 +202,6 @@ pub fn merge_non_overlapping(mut intervals: Vec<Interval>) -> Vec<Interval> {
                 last.end = last.end.max(iv.end);
             }
             _ => out.push(iv),
-        }
-    }
-    out
-}
-
-/// Intersects two sorted lists of non-overlapping intervals point-wise.
-///
-/// Used for dangling-edge removal in OG's wZoom^T (Algorithm 6), where an
-/// edge's history must be clipped to the intersection with each endpoint's
-/// history.
-pub fn intersect_interval_sets(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if let Some(iv) = a[i].intersect(&b[j]) {
-            out.push(iv);
-        }
-        if a[i].end <= b[j].end {
-            i += 1;
-        } else {
-            j += 1;
         }
     }
     out
@@ -341,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn coverage_ratios() {
-        let w = Interval::new(0, 4);
-        assert_eq!(Interval::new(0, 4).coverage_of(&w), 1.0);
-        assert_eq!(Interval::new(0, 2).coverage_of(&w), 0.5);
-        assert_eq!(Interval::new(3, 10).coverage_of(&w), 0.25);
-        assert_eq!(Interval::new(5, 10).coverage_of(&w), 0.0);
-        assert_eq!(Interval::new(1, 3).coverage_of(&Interval::empty()), 0.0);
-    }
-
-    #[test]
     fn merge_non_overlapping_collapses() {
         let merged = merge_non_overlapping(vec![
             Interval::new(5, 7),
@@ -373,29 +320,8 @@ mod tests {
     }
 
     #[test]
-    fn interval_set_intersection() {
-        let a = vec![Interval::new(1, 5), Interval::new(7, 10)];
-        let b = vec![Interval::new(2, 8), Interval::new(9, 12)];
-        assert_eq!(
-            intersect_interval_sets(&a, &b),
-            vec![
-                Interval::new(2, 5),
-                Interval::new(7, 8),
-                Interval::new(9, 10)
-            ]
-        );
-        assert!(intersect_interval_sets(&a, &[]).is_empty());
-    }
-
-    #[test]
     fn points_iteration() {
         let pts: Vec<Time> = Interval::new(2, 6).points().collect();
         assert_eq!(pts, vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn total_points_sums() {
-        let set = [Interval::new(0, 3), Interval::new(10, 11)];
-        assert_eq!(total_points(&set), 4);
     }
 }

@@ -162,16 +162,6 @@ pub fn validate(g: &TGraph) -> Vec<ValidityError> {
     errors
 }
 
-/// Checks validity, returning `Err` with all violations if invalid.
-pub fn check_valid(g: &TGraph) -> Result<(), Vec<ValidityError>> {
-    let errors = validate(g);
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
 /// Point-wise interval subtraction `a \ b` (zero, one, or two pieces).
 fn subtract(a: &Interval, b: &Interval) -> Vec<Interval> {
     match a.intersect(b) {
@@ -198,7 +188,6 @@ mod tests {
     #[test]
     fn figure1_is_valid() {
         assert_eq!(validate(&figure1_graph_stable_ids()), vec![]);
-        assert!(check_valid(&figure1_graph_stable_ids()).is_ok());
     }
 
     #[test]

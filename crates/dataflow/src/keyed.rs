@@ -17,11 +17,10 @@
 //! once.
 
 use crate::dataset::{Dataset, Partitioning};
-use crate::exchange::{raise, Exchange, ExchangeError, Frame};
 use crate::governor::GovernedBuckets;
 use crate::lineage::OpKind;
 use crate::runtime::Runtime;
-use crate::spill::Spill;
+use crate::spill::{decode_records, Spill};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -151,18 +150,16 @@ where
         .map(|p| p.iter().map(|b| b.len() as u64).sum::<u64>())
         .sum();
     rt.note_shuffle(moved, moved * std::mem::size_of::<(K, V)>() as u64);
-    // With no exchange installed (the single-process default) the bucket
-    // vectors move from the map output that filled them to the reduce task
-    // that owns their partition, never copied. With one, frames are the
-    // transport in between and nothing more.
-    if let Some(exchange) = rt.exchange() {
-        raise(exchange_buckets(exchange.as_ref(), &mut bucketed, parts));
+    // The bucket vectors move from the map output that filled them to the
+    // reduce task that owns their partition, never copied. A serialized
+    // shuffle also round-trips each one through the codec on the way.
+    if rt.serialized_shuffles() {
+        round_trip(rt, &mut bucketed);
     }
-    // Exchange residency passes under the memory governor, however the
-    // buckets arrived: the charge is recorded here, and over-budget map
-    // outputs are written out as run files (order preserved) before the
-    // reduce side starts. With no budget in force this is a no-op
-    // pass-through.
+    // Exchange residency passes under the memory governor: the charge is
+    // recorded here, and over-budget map outputs are written out as run
+    // files (order preserved) before the reduce side starts. With no budget
+    // in force this is a no-op pass-through.
     let governed = GovernedBuckets::admit(rt, bucketed);
     // Reduce side: partition `p` concatenates bucket `p` of every map
     // output, in map-partition order — taken from memory or, for spilled
@@ -181,42 +178,25 @@ where
     Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
 }
 
-/// Moves a shuffle's map output through `exchange`: every non-empty bucket
-/// leaves its `bucketed[src][bucket]` slot as a frame, and what comes back is
-/// decoded into the emptied slots. Absent frames are empty buckets. A frame
-/// naming a slot outside the map output, or a slot already filled, is a
-/// typed [`ExchangeError::Frame`], never a silently dropped or doubled
-/// bucket.
-fn exchange_buckets<K: Spill, V: Spill>(
-    exchange: &dyn Exchange,
-    bucketed: &mut [Vec<Vec<(K, V)>>],
-    parts: usize,
-) -> Result<(), ExchangeError> {
-    let mut frames = Vec::new();
-    for (i, buckets) in bucketed.iter_mut().enumerate() {
-        for (b, bucket) in buckets.iter_mut().enumerate() {
-            if !bucket.is_empty() {
-                frames.push(Frame::of_records(i, b, &std::mem::take(bucket)));
-            }
+/// A serialized shuffle's codec round trip: every non-empty bucket is
+/// encoded with the [`Spill`] codec, counted, and decoded back into its
+/// slot. A payload that does not decode back into its records aborts the
+/// wave with the [`SpillError`](crate::SpillError) as its typed panic
+/// payload, as a run file that does not read back does.
+fn round_trip<T: Spill>(rt: &Runtime, bucketed: &mut [Vec<Vec<T>>]) {
+    let mut payload = Vec::new();
+    for bucket in bucketed.iter_mut().flatten().filter(|b| !b.is_empty()) {
+        payload.clear();
+        for record in bucket.iter() {
+            record.spill(&mut payload);
+        }
+        rt.note_exchanged(payload.len() as u64);
+        let records = bucket.len() as u64;
+        bucket.clear();
+        if let Err(e) = decode_records(&payload, records, bucket) {
+            std::panic::panic_any(e);
         }
     }
-    for f in exchange.route(frames)? {
-        let in_range = f.src < bucketed.len() as u64 && f.bucket < parts as u64;
-        let (i, b) = (f.src as usize, f.bucket as usize);
-        if !in_range || !bucketed[i][b].is_empty() {
-            return Err(ExchangeError::Frame {
-                detail: format!(
-                    "shuffle: frame (src {}, bucket {}) is duplicate or outside \
-                     {} map partitions x {parts} buckets",
-                    f.src,
-                    f.bucket,
-                    bucketed.len()
-                ),
-            });
-        }
-        bucketed[i][b] = f.records()?;
-    }
-    Ok(())
 }
 
 /// Extension trait providing the wide operators on key–value datasets.
@@ -501,6 +481,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::{HeapSize, SpillError, SpillReader};
 
     fn rt() -> Runtime {
         Runtime::with_partitions(4, 4)
@@ -610,7 +591,6 @@ mod tests {
     /// group. Collecting the groups moves them.
     #[test]
     fn an_exchange_clones_each_record_at_most_once() {
-        use crate::spill::{HeapSize, SpillError, SpillReader};
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CLONES: AtomicUsize = AtomicUsize::new(0);
         #[derive(Debug, PartialEq)]
@@ -724,40 +704,36 @@ mod tests {
         assert_eq!(other.join(&rt, &d).count(&rt), 0);
     }
 
-    /// An exchange that hands a shuffle's own frames back and slips in one
-    /// more: a copy of the first with its bucket rewritten by the test.
-    struct Tampering(fn(u64) -> u64);
+    /// A record whose decode reads one byte more than its encode wrote.
+    #[derive(Clone, Debug)]
+    struct Greedy(u64);
 
-    impl Exchange for Tampering {
-        fn route(&self, mut own: Vec<Frame>) -> Result<Vec<Frame>, ExchangeError> {
-            let mut extra = own[0].clone();
-            extra.bucket = (self.0)(extra.bucket);
-            own.push(extra);
-            Ok(own)
+    impl HeapSize for Greedy {}
+    impl Spill for Greedy {
+        fn spill(&self, out: &mut Vec<u8>) {
+            self.0.spill(out);
+        }
+        fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+            let v = u64::unspill(r)?;
+            r.u8()?;
+            Ok(Greedy(v))
         }
     }
 
-    /// A returned frame naming bucket `parts` used to be dropped without a
-    /// word, and the same `(src, bucket)` twice used to be appended twice.
+    /// A bucket that does not decode back aborts the wave typed, never as a
+    /// silently short or misread bucket.
     #[test]
-    fn shuffle_rejects_out_of_range_and_duplicate_frames() {
-        for (tamper, what) in [
-            ((|_| 4) as fn(u64) -> u64, "bucket == parts"),
-            (|b| b, "same (src, bucket) twice"),
-        ] {
-            let rt = rt();
-            rt.set_exchange(Arc::new(Tampering(tamper)));
-            let d = Dataset::from_vec(&rt, (0..100u64).map(|i| (i % 10, i)).collect::<Vec<_>>());
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shuffle(&rt, &d);
-            }))
-            .expect_err(what);
-            match payload.downcast_ref::<ExchangeError>() {
-                Some(ExchangeError::Frame { detail }) => {
-                    assert!(detail.contains("duplicate or outside"), "{detail}")
-                }
-                other => panic!("{what}: expected a typed frame error, got {other:?}"),
-            }
+    fn serialized_shuffle_of_a_bad_codec_panics_with_a_corrupt_payload() {
+        let rt = rt();
+        rt.set_serialized_shuffles(true);
+        let d = Dataset::from_vec(&rt, (0..100u64).map(|i| (i % 10, Greedy(i))).collect());
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shuffle(&rt, &d);
+        }))
+        .expect_err("a payload that does not decode back must abort the shuffle");
+        match payload.downcast_ref::<SpillError>() {
+            Some(SpillError::Corrupt { detail }) => assert!(detail.contains("record"), "{detail}"),
+            other => panic!("expected a typed corrupt payload, got {other:?}"),
         }
     }
 

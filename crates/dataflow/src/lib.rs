@@ -63,7 +63,6 @@
 pub mod cancel;
 pub mod config;
 pub mod dataset;
-pub mod exchange;
 pub mod governor;
 pub mod keyed;
 pub mod lineage;
@@ -75,10 +74,9 @@ pub mod sync;
 pub use cancel::{CancelToken, Cancelled};
 pub use config::EngineConfig;
 pub use dataset::{Dataset, Partitioning};
-pub use exchange::{Exchange, ExchangeCounters, ExchangeError, Frame, Loopback};
 pub use governor::{MemCharge, MemGovernor};
 pub use keyed::{bucket_of, shuffle, KeyedDataset};
 pub use lineage::{fnv1a, OpKind, PlanNode};
 pub use runtime::{Runtime, RuntimeStats};
-pub use spill::{charged_size, checksum, HeapSize, Spill, SpillError, SpillReader};
+pub use spill::{charged_size, checksum, decode_records, HeapSize, Spill, SpillError, SpillReader};
 pub use sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};

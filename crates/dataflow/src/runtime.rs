@@ -3,12 +3,10 @@
 
 use crate::cancel;
 use crate::config::EngineConfig;
-use crate::exchange::{Exchange, ExchangeCounters};
 use crate::governor::MemGovernor;
 use crate::pool::ThreadPool;
-use crate::sync::lock_unpoisoned;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Snapshot of execution statistics — the shared-memory analogue of Spark's
@@ -68,14 +66,12 @@ pub struct RuntimeStats {
     /// [`since`](RuntimeStats::since) carries the current value through
     /// instead of subtracting.
     pub peak_bytes: u64,
-    /// Payload bytes handed to the [`Exchange`] for routing. Zero with no
-    /// exchange installed; counts the encoded buckets under a
-    /// [`Loopback`](crate::Loopback).
+    /// Encoded bytes of the buckets serialized shuffles round-tripped
+    /// through the [`Spill`](crate::Spill) codec. Zero unless
+    /// [`Runtime::set_serialized_shuffles`] is on.
     pub bytes_exchanged: u64,
-    /// Data frames handed to the exchange for routing.
-    pub frames_sent: u64,
-    /// Data frames the exchange delivered back.
-    pub frames_received: u64,
+    /// Non-empty buckets serialized shuffles round-tripped.
+    pub buckets_exchanged: u64,
 }
 
 impl RuntimeStats {
@@ -103,8 +99,7 @@ impl RuntimeStats {
             // A high-water mark has no meaningful delta; report the level.
             peak_bytes: self.peak_bytes,
             bytes_exchanged: self.bytes_exchanged - earlier.bytes_exchanged,
-            frames_sent: self.frames_sent - earlier.frames_sent,
-            frames_received: self.frames_received - earlier.frames_received,
+            buckets_exchanged: self.buckets_exchanged - earlier.buckets_exchanged,
         }
     }
 }
@@ -132,8 +127,9 @@ pub struct Runtime {
     config: EngineConfig,
     checked: AtomicBool,
     governor: Arc<MemGovernor>,
-    exchange: Mutex<Option<Arc<dyn Exchange>>>,
-    exchange_counters: Arc<ExchangeCounters>,
+    serialized_shuffles: AtomicBool,
+    bytes_exchanged: AtomicU64,
+    buckets_exchanged: AtomicU64,
 }
 
 impl Runtime {
@@ -163,9 +159,10 @@ impl Runtime {
             wave_us: AtomicU64::new(0),
             checked: AtomicBool::new(config.checked),
             governor: Arc::new(MemGovernor::new(config.mem_bytes, config.spill_dir.clone())),
-            exchange: Mutex::new(None),
+            serialized_shuffles: AtomicBool::new(false),
+            bytes_exchanged: AtomicU64::new(0),
+            buckets_exchanged: AtomicU64::new(0),
             config,
-            exchange_counters: Arc::new(ExchangeCounters::default()),
         }
     }
 
@@ -312,25 +309,25 @@ impl Runtime {
         self.governor.set_budget(bytes);
     }
 
-    /// The installed [`Exchange`], if any. `None` (the default) means
-    /// shuffles move typed buckets from map side to reduce side directly;
-    /// with one installed they encode, route and decode frames in between.
-    pub fn exchange(&self) -> Option<Arc<dyn Exchange>> {
-        lock_unpoisoned(&self.exchange).clone()
+    /// Whether shuffles serialize their buckets: off (the default), a
+    /// shuffle moves its typed bucket vectors from map side to reduce side;
+    /// on, it also encodes every non-empty bucket with the
+    /// [`Spill`](crate::Spill) codec and decodes it back in place, paying
+    /// what a wire would cost.
+    pub(crate) fn serialized_shuffles(&self) -> bool {
+        self.serialized_shuffles.load(Ordering::Relaxed)
     }
 
-    /// Installs an exchange implementation (e.g. a
-    /// [`Loopback`](crate::Loopback) built with this runtime's
-    /// [`exchange_counters`](Runtime::exchange_counters)). Swapping the
-    /// exchange while a wave is in flight is a logic error.
-    pub fn set_exchange(&self, ex: Arc<dyn Exchange>) {
-        *lock_unpoisoned(&self.exchange) = Some(ex);
+    /// Turns serialized shuffles on or off. Results are byte-identical
+    /// either way; only `bytes_exchanged` / `buckets_exchanged` move.
+    pub fn set_serialized_shuffles(&self, on: bool) {
+        self.serialized_shuffles.store(on, Ordering::Relaxed);
     }
 
-    /// The counters a custom exchange should share so its traffic shows up
-    /// in [`Runtime::stats`].
-    pub fn exchange_counters(&self) -> Arc<ExchangeCounters> {
-        Arc::clone(&self.exchange_counters)
+    /// Records one bucket a serialized shuffle round-tripped.
+    pub(crate) fn note_exchanged(&self, bytes: u64) {
+        self.buckets_exchanged.fetch_add(1, Ordering::Relaxed);
+        self.bytes_exchanged.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Current execution statistics.
@@ -352,15 +349,8 @@ impl Runtime {
             bytes_spilled: self.governor.bytes_spilled(),
             spill_files: self.governor.spill_files(),
             peak_bytes: self.governor.peak_bytes(),
-            bytes_exchanged: self
-                .exchange_counters
-                .bytes_exchanged
-                .load(Ordering::Relaxed),
-            frames_sent: self.exchange_counters.frames_sent.load(Ordering::Relaxed),
-            frames_received: self
-                .exchange_counters
-                .frames_received
-                .load(Ordering::Relaxed),
+            bytes_exchanged: self.bytes_exchanged.load(Ordering::Relaxed),
+            buckets_exchanged: self.buckets_exchanged.load(Ordering::Relaxed),
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Spill codec and run files: how exchange buckets leave memory when the
-//! [memory governor](crate::MemGovernor) is over budget.
+//! [memory governor](crate::MemGovernor) is over budget, and how a
+//! serialized shuffle ([`Runtime::set_serialized_shuffles`](crate::Runtime::set_serialized_shuffles))
+//! round-trips its buckets. Both decode through [`decode_records`].
 //!
 //! A *run* is one map partition's bucket set written to disk in a compact
 //! little-endian format (the same fixed-width/length-prefixed conventions as
@@ -65,7 +67,7 @@ impl std::fmt::Display for SpillError {
             SpillError::Io { op, path, error } => {
                 write!(f, "spill {op} failed on {}: {error}", path.display())
             }
-            SpillError::Corrupt { detail } => write!(f, "spill run corrupt: {detail}"),
+            SpillError::Corrupt { detail } => write!(f, "spill payload corrupt: {detail}"),
         }
     }
 }
@@ -84,6 +86,41 @@ fn corrupt(detail: impl Into<String>) -> SpillError {
     SpillError::Corrupt {
         detail: detail.into(),
     }
+}
+
+/// Prefixes a `Corrupt` error's detail with where in the payload it arose.
+fn within(what: std::fmt::Arguments<'_>, e: SpillError) -> SpillError {
+    match e {
+        SpillError::Corrupt { detail } => corrupt(format!("{what}: {detail}")),
+        io => io,
+    }
+}
+
+/// Decodes exactly `records` values from `payload`, appending them to `out`
+/// in order. A payload that is truncated, or longer than its `records`
+/// account for, is a typed [`SpillError::Corrupt`]. Run files and serialized
+/// shuffles both read their buckets back through this one function.
+pub fn decode_records<T: Spill>(
+    payload: &[u8],
+    records: u64,
+    out: &mut Vec<T>,
+) -> Result<(), SpillError> {
+    let mut r = SpillReader::new(payload);
+    // Cap the reservation: a count must not force an arbitrary allocation
+    // before decode proves it out.
+    out.reserve(records.min(1 << 20) as usize);
+    for i in 0..records {
+        out.push(
+            T::unspill(&mut r).map_err(|e| within(format_args!("record {i} of {records}"), e))?,
+        );
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt(format!(
+            "{} trailing bytes after {records} records",
+            r.remaining()
+        )));
+    }
+    Ok(())
 }
 
 /// The checksum guarding every run bucket (and, re-exported through
@@ -562,24 +599,8 @@ impl RunHandle {
                 self.path.display()
             )));
         }
-        let mut r = SpillReader::new(&payload);
-        out.reserve(meta.records as usize);
-        for i in 0..meta.records {
-            out.push(T::unspill(&mut r).map_err(|e| {
-                corrupt(format!(
-                    "record {i} of bucket {b} in {}: {e}",
-                    self.path.display()
-                ))
-            })?);
-        }
-        if r.remaining() != 0 {
-            return Err(corrupt(format!(
-                "bucket {b} of {} has {} trailing bytes",
-                self.path.display(),
-                r.remaining()
-            )));
-        }
-        Ok(())
+        decode_records(&payload, meta.records, out)
+            .map_err(|e| within(format_args!("bucket {b} of {}", self.path.display()), e))
     }
 }
 
@@ -686,6 +707,21 @@ mod tests {
         (u64::MAX).spill(&mut buf); // absurd element count
         let mut r = SpillReader::new(&buf);
         assert!(Vec::<u64>::unspill(&mut r).is_err());
+    }
+
+    #[test]
+    fn decode_records_roundtrips_and_rejects_a_lying_count() {
+        let rows: Vec<(u64, String)> = vec![(1, "a".into()), (2, "bc".into())];
+        let mut payload = Vec::new();
+        rows.iter().for_each(|r| r.spill(&mut payload));
+        let decode = |records| {
+            let mut out: Vec<(u64, String)> = Vec::new();
+            decode_records(&payload, records, &mut out).map(|()| out)
+        };
+        assert_eq!(decode(2).unwrap(), rows);
+        assert!(matches!(decode(3), Err(SpillError::Corrupt { .. })));
+        let err = decode(1).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]

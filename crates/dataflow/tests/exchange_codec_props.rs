@@ -1,9 +1,9 @@
-//! Property test for the frame codec: decoding arbitrary payload bytes under
-//! an arbitrary record count returns records or a typed
-//! [`ExchangeError::Frame`], never a panic.
+//! Property test for the shared record decoder: decoding arbitrary payload
+//! bytes under an arbitrary record count returns exactly that many records
+//! or a typed [`SpillError::Corrupt`], never a panic.
 
 use proptest::prelude::*;
-use tgraph_dataflow::{ExchangeError, Frame};
+use tgraph_dataflow::{decode_records, SpillError};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -16,10 +16,11 @@ proptest! {
     ) {
         // A count far beyond what the payload can hold must fail typed too.
         let records = if lying { count << 40 } else { count };
-        let frame = Frame { src: 0, bucket: 0, records, payload: payload.clone() };
-        match frame.records::<(u64, String)>() {
-            Ok(rows) => prop_assert_eq!(rows.len() as u64, records),
-            Err(ExchangeError::Frame { .. }) => {}
+        let mut rows: Vec<(u64, String)> = Vec::new();
+        match decode_records(&payload, records, &mut rows) {
+            Ok(()) => prop_assert_eq!(rows.len() as u64, records),
+            Err(SpillError::Corrupt { .. }) => {}
+            Err(other) => prop_assert!(false, "untyped failure: {other}"),
         }
     }
 }

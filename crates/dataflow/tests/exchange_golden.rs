@@ -1,10 +1,9 @@
-//! Golden byte-identity tests for the pluggable exchange layer: the same
-//! workload must produce **byte-identical** results whether buckets move as
-//! typed vectors (no exchange installed) or through the [`Loopback`] frame
-//! codec - with or without a byte budget forcing the reduce side to spill.
+//! Golden byte-identity tests for serialized shuffles: the same workload
+//! must produce **byte-identical** results whether buckets move as typed
+//! vectors (the default) or also round-trip through the [`Spill`] codec -
+//! with or without a byte budget forcing the reduce side to spill.
 
-use std::sync::Arc;
-use tgraph_dataflow::{Dataset, KeyedDataset, Loopback, Runtime, RuntimeStats, Spill};
+use tgraph_dataflow::{Dataset, KeyedDataset, Runtime, RuntimeStats, Spill};
 
 /// A representative workload over all five wide operators: two chained
 /// reduces (the second elided), a shuffle join, a group, a semijoin, a count,
@@ -36,34 +35,34 @@ fn workload(rt: &Runtime) -> Vec<u8> {
     out
 }
 
-/// The workload with no exchange installed: the bytes every transport must
-/// reproduce.
+/// The workload on the default typed move: the bytes a serialized shuffle
+/// must reproduce.
 fn typed_move() -> Vec<u8> {
     workload(&Runtime::with_partitions(4, 8))
 }
 
-/// A runtime with a [`Loopback`] installed, counting into its own stats.
-fn loopback(parts: usize) -> Runtime {
+/// A runtime whose shuffles round-trip every bucket through the codec.
+fn serialized(parts: usize) -> Runtime {
     let rt = Runtime::with_partitions(4, parts);
-    rt.set_exchange(Arc::new(Loopback::new(rt.exchange_counters())));
+    rt.set_serialized_shuffles(true);
     rt
 }
 
 #[test]
-fn loopback_is_byte_identical_to_the_typed_move() {
-    let rt = loopback(8);
+fn serialized_shuffles_are_byte_identical_to_the_typed_move() {
+    let rt = serialized(8);
     assert!(workload(&rt) == typed_move());
     assert_eq!(traffic(&[rt.stats()]), [(218, 645_152)]);
 }
 
-/// Framed shuffles share the governed reduce side, so checked mode's merge
-/// audit (per-bucket counts recorded at admission, verified at the merge)
-/// covers them, spilled or not.
+/// Serialized shuffles share the governed reduce side, so checked mode's
+/// merge audit (per-bucket counts recorded at admission, verified at the
+/// merge) covers them, spilled or not.
 #[test]
-fn loopback_shuffles_pass_the_checked_merge_audit() {
+fn serialized_shuffles_pass_the_checked_merge_audit() {
     let base = typed_move();
     for budget in [0, 64 << 10] {
-        let rt = loopback(8);
+        let rt = serialized(8);
         rt.set_checked(true);
         rt.set_mem_budget(budget);
         assert!(workload(&rt) == base, "budget {budget}");
@@ -71,21 +70,21 @@ fn loopback_shuffles_pass_the_checked_merge_audit() {
     }
 }
 
-/// `(frames_sent, bytes_exchanged)` per runtime: *what* is framed is pinned
-/// along with the result bytes, so a change to the reduce side cannot quietly
-/// change the traffic.
+/// `(buckets_exchanged, bytes_exchanged)` per runtime: *what* is serialized
+/// is pinned along with the result bytes, so a change to the reduce side
+/// cannot quietly change the traffic.
 fn traffic(stats: &[RuntimeStats]) -> Vec<(u64, u64)> {
     stats
         .iter()
-        .map(|st| (st.frames_sent, st.bytes_exchanged))
+        .map(|st| (st.buckets_exchanged, st.bytes_exchanged))
         .collect()
 }
 
-/// A framed shuffle's received buckets pass under the byte budget like any
-/// other: the reduce side spills, and the bytes do not change.
+/// A serialized shuffle's decoded buckets pass under the byte budget like
+/// any other: the reduce side spills, and the bytes do not change.
 #[test]
-fn loopback_spills_under_a_byte_budget_and_stays_byte_identical() {
-    let rt = loopback(8);
+fn serialized_shuffles_spill_under_a_byte_budget_and_stay_byte_identical() {
+    let rt = serialized(8);
     rt.set_mem_budget(64 << 10);
     assert!(workload(&rt) == typed_move());
     let st = rt.stats();
@@ -93,8 +92,8 @@ fn loopback_spills_under_a_byte_budget_and_stays_byte_identical() {
 }
 
 #[test]
-fn loopback_elides_a_shuffle_on_prepartitioned_input() {
-    let rt = loopback(4);
+fn serialized_shuffles_elide_on_prepartitioned_input() {
+    let rt = serialized(4);
     let d = Dataset::from_vec(&rt, (0..100u64).map(|i| (i % 7, i)).collect::<Vec<_>>());
     let reduced = d.reduce_by_key(&rt, |a, b| a + b);
     let _ = reduced.collect(&rt);
@@ -103,5 +102,8 @@ fn loopback_elides_a_shuffle_on_prepartitioned_input() {
     let delta = rt.stats().since(&before);
     assert_eq!(delta.shuffles, 0, "second reduce must be elided");
     assert_eq!(delta.shuffles_elided, 1);
-    assert_eq!(delta.frames_sent, 0, "an elided shuffle frames nothing");
+    assert_eq!(
+        delta.buckets_exchanged, 0,
+        "an elided shuffle encodes nothing"
+    );
 }

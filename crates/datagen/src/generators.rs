@@ -297,15 +297,6 @@ impl Default for Snb {
 }
 
 impl Snb {
-    /// SNB at a pseudo scale factor: `persons ≈ 65 × sf` vertices (SNB:10 has
-    /// 65 K persons), clamped to at least 100.
-    pub fn scale_factor(sf: f64) -> Self {
-        Snb {
-            persons: ((6_500.0 * sf) as usize).max(100),
-            ..Snb::default()
-        }
-    }
-
     /// Generates the graph. Time points are months `0..months`.
     pub fn generate(&self) -> TGraph {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -465,12 +456,6 @@ mod tests {
         }
         .generate();
         assert_ne!(a.edges, c.edges);
-    }
-
-    #[test]
-    fn snb_scale_factor_scales_vertices() {
-        assert!(Snb::scale_factor(10.0).persons > Snb::scale_factor(1.0).persons);
-        assert_eq!(Snb::scale_factor(10.0).persons, 65_000);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl RgGraph {
         })
     }
 
-    /// Number of snapshots.
-    pub fn snapshot_count(&self, rt: &Runtime) -> usize {
-        self.snapshots.count(rt)
-    }
-
     /// Total vertex tuples across all snapshots (RG's storage footprint).
     pub fn total_vertex_tuples(&self, rt: &Runtime) -> usize {
         self.snapshots
@@ -542,6 +537,6 @@ mod tests {
         let rt = rt();
         let rg = RgGraph::from_tgraph(&rt, &TGraph::new());
         let out = rg.azoom(&rt, &school_spec());
-        assert_eq!(out.snapshot_count(&rt), 0);
+        assert_eq!(out.snapshots.count(&rt), 0);
     }
 }

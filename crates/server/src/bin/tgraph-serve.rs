@@ -76,7 +76,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--partitions" => partitions = Some(number(flag, value()?)?),
             "--max-inflight" => config.max_inflight = number(flag, value()?)?,
             "--max-queue" => config.max_queue = number(flag, value()?)?,
-            "--cache-mb" => config.cache_bytes = number::<u64>(flag, value()?)? << 20,
+            "--cache-mb" => {
+                let mib: u64 = number(flag, value()?)?;
+                config.cache_bytes = mib
+                    .checked_mul(1 << 20)
+                    .ok_or_else(|| format!("{flag}: {mib} MiB overflows a byte count"))?;
+            }
             "--graphs" => {
                 for part in list(value()?) {
                     let (name, repr) = part
@@ -188,6 +193,20 @@ mod tests {
         );
         let err = parse_args(&argv("a:xx")).err().expect("unknown repr");
         assert!(err.contains("unknown repr 'xx'"), "{err}");
+    }
+
+    #[test]
+    fn cache_mb_is_mebibytes_and_rejects_an_overflowing_count() {
+        let parse = |mib: &str| parse_args(&["--cache-mb", mib].map(String::from));
+        assert_eq!(parse("3").expect("parse").config.cache_bytes, 3 << 20);
+        let max = (u64::MAX >> 20).to_string();
+        assert_eq!(
+            parse(&max).expect("parse").config.cache_bytes,
+            (u64::MAX >> 20) << 20
+        );
+        // 2^44 + 1 MiB: a shift drops the high bit and leaves a 1 MiB cache.
+        let err = parse("17592186044417").err().expect("overflow");
+        assert!(err.starts_with("--cache-mb: "), "{err}");
     }
 
     #[test]

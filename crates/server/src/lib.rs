@@ -61,7 +61,7 @@ pub use json::Json;
 pub use metrics::{Histogram, ServerMetrics};
 pub use protocol::{parse_request, BadRequest, Request, ZoomRequest};
 pub use render::serialize_tgraph;
-pub use server::{Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
+pub use server::{Server, ServerConfig, MAX_LINE_BYTES};
 
 #[doc(no_inline)]
 pub use tgraph_storage::GraphPool;

@@ -7,7 +7,7 @@
 use crate::handoff::HandOff;
 use crate::metrics::ServerMetrics;
 use crate::render::{error_response, Reply};
-use crate::server::Server;
+use crate::server::{Server, MAX_LINE_BYTES};
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
@@ -408,16 +408,15 @@ fn reactor_read(server: &Arc<Server>, conn: &mut Conn) -> bool {
 /// synthetic queue entry). Cap overflows keep the connection alive just
 /// long enough to deliver their typed refusal.
 fn reactor_split_frames(server: &Arc<Server>, conn: &mut Conn) {
-    let max_line = server.config.max_line_bytes;
     let mut start = 0usize;
     let mut st = lock_unpoisoned(&conn.shared.state);
     while let Some(nl) = conn.rbuf[start..].iter().position(|&b| b == b'\n') {
         let frame = &conn.rbuf[start..start + nl];
         start += nl + 1;
-        if frame.len() > max_line {
+        if frame.len() > MAX_LINE_BYTES {
             ServerMetrics::bump(&server.metrics.lines_over_cap);
             st.pending
-                .push_back(PendingLine::Synthetic(line_too_large_response(max_line)));
+                .push_back(PendingLine::Synthetic(line_too_large_response()));
             st.close_when_done = true;
             conn.eof = true; // stop reading; the refusal still flows out
             break;
@@ -441,13 +440,13 @@ fn reactor_split_frames(server: &Arc<Server>, conn: &mut Conn) {
     }
     drop(st);
     conn.rbuf.drain(..start);
-    if conn.rbuf.len() > max_line {
+    if conn.rbuf.len() > MAX_LINE_BYTES {
         // An unterminated line already over the cap can never complete
         // legally: refuse it and stop reading.
         ServerMetrics::bump(&server.metrics.lines_over_cap);
         let mut st = lock_unpoisoned(&conn.shared.state);
         st.pending
-            .push_back(PendingLine::Synthetic(line_too_large_response(max_line)));
+            .push_back(PendingLine::Synthetic(line_too_large_response()));
         st.close_when_done = true;
         drop(st);
         conn.eof = true;
@@ -456,10 +455,10 @@ fn reactor_split_frames(server: &Arc<Server>, conn: &mut Conn) {
 }
 
 /// The typed refusal for a request line over the size cap.
-fn line_too_large_response(cap: usize) -> String {
+fn line_too_large_response() -> String {
     error_response(
         "line_too_large",
-        &format!("request line exceeds the {cap}-byte cap"),
+        &format!("request line exceeds the {MAX_LINE_BYTES}-byte cap"),
     )
 }
 

@@ -223,13 +223,11 @@ pub(crate) fn optimizer_json(
     Some(Json::obj(fields))
 }
 
-/// Best-effort rendering of a panic payload. Exchange and spill failures
-/// travel as typed payloads through `panic_any`; surfacing "spill write
-/// failed" beats a bare "execution panicked".
+/// Best-effort rendering of a panic payload. Spill failures travel as typed
+/// payloads through `panic_any`; surfacing "spill write failed" beats a bare
+/// "execution panicked".
 pub(crate) fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(e) = panic.downcast_ref::<tgraph_dataflow::ExchangeError>() {
-        e.to_string()
-    } else if let Some(e) = panic.downcast_ref::<tgraph_dataflow::SpillError>() {
+    if let Some(e) = panic.downcast_ref::<tgraph_dataflow::SpillError>() {
         e.to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
         s.clone()
@@ -240,7 +238,7 @@ pub(crate) fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The runtime's data-movement, cancellation, spill and exchange counters.
+/// The runtime's data-movement, cancellation and spill counters.
 fn runtime_json(server: &Server) -> Json {
     let rt = server.rt.stats();
     Json::Obj(counters(&[
@@ -260,9 +258,6 @@ fn runtime_json(server: &Server) -> Json {
         ("peak_bytes", rt.peak_bytes),
         ("bytes_spilled", rt.bytes_spilled),
         ("spill_files", rt.spill_files),
-        ("bytes_exchanged", rt.bytes_exchanged),
-        ("frames_sent", rt.frames_sent),
-        ("frames_received", rt.frames_received),
     ]))
 }
 

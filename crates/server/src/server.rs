@@ -20,11 +20,11 @@ use tgraph_dataflow::Runtime;
 use tgraph_repr::ReprKind;
 use tgraph_storage::GraphPool;
 
-/// Default cap on a single NDJSON request line (see
-/// [`ServerConfig::max_line_bytes`]). Without a cap, one client streaming
-/// bytes that never contain `\n` grows the server-side line buffer without
-/// bound — a one-connection OOM.
-pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
+/// Cap on one NDJSON request line in bytes: a longer line is answered with a
+/// typed `line_too_large` error and the connection closes. Without a cap,
+/// one client streaming bytes that never contain `\n` grows the server-side
+/// line buffer without bound — a one-connection OOM.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -47,9 +47,6 @@ pub struct ServerConfig {
     /// Result-cache byte budget: answer bodies and the patch seeds of
     /// range-free answers both count against it.
     pub cache_bytes: u64,
-    /// Cap on one request line in bytes: a longer line is answered with a
-    /// typed `line_too_large` error and the connection closes.
-    pub max_line_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -62,7 +59,6 @@ impl Default for ServerConfig {
             max_inflight: 2,
             max_queue: 64,
             cache_bytes: 64 << 20,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         }
     }
 }
@@ -196,7 +192,6 @@ pub(crate) mod testutil {
             max_inflight: 2,
             max_queue: 8,
             cache_bytes: 1 << 20,
-            ..ServerConfig::default()
         })
         .expect("bind");
         Arc::new(server)

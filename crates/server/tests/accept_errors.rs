@@ -129,7 +129,6 @@ fn emfile_on_accept_is_survived() {
             max_inflight: 1,
             max_queue: 4,
             cache_bytes: 1 << 20,
-            ..ServerConfig::default()
         })
         .expect("bind"),
     );

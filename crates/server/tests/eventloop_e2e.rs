@@ -11,11 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 use tgraph_core::graph::figure1_graph_stable_ids;
 use tgraph_datagen::WikiTalk;
-use tgraph_serve::{Server, ServerConfig, DEFAULT_MAX_LINE_BYTES};
+use tgraph_serve::{Server, ServerConfig, MAX_LINE_BYTES};
 use tgraph_storage::write_dataset;
 
 /// Binds a server over a fresh Figure-1 dataset, without serving yet.
-fn bind_server(dirname: &str, graph: &str, max_line_bytes: usize) -> Arc<Server> {
+fn bind_server(dirname: &str, graph: &str) -> Arc<Server> {
     let dir = std::env::temp_dir().join(dirname);
     let _ = std::fs::remove_dir_all(&dir); // stale epochs from prior runs skew ingest
     write_dataset(&dir, graph, &figure1_graph_stable_ids()).expect("write dataset");
@@ -28,7 +28,6 @@ fn bind_server(dirname: &str, graph: &str, max_line_bytes: usize) -> Arc<Server>
             max_inflight: 2,
             max_queue: 8,
             cache_bytes: 4 << 20,
-            max_line_bytes,
         })
         .expect("bind"),
     )
@@ -37,13 +36,12 @@ fn bind_server(dirname: &str, graph: &str, max_line_bytes: usize) -> Arc<Server>
 fn spawn_server(
     dirname: &str,
     graph: &str,
-    max_line_bytes: usize,
 ) -> (
     Arc<Server>,
     std::net::SocketAddr,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let server = bind_server(dirname, graph, max_line_bytes);
+    let server = bind_server(dirname, graph);
     let addr = server.local_addr().expect("addr");
     let handle = {
         let server = Arc::clone(&server);
@@ -153,8 +151,7 @@ fn shutdown(client: &mut Client, handle: std::thread::JoinHandle<std::io::Result
 /// and answered, strictly in request order.
 #[test]
 fn pipelined_requests_in_one_segment_answer_in_order() {
-    let (_server, addr, handle) =
-        spawn_server("tgraph-el-pipeline", "fig1", DEFAULT_MAX_LINE_BYTES);
+    let (_server, addr, handle) = spawn_server("tgraph-el-pipeline", "fig1");
 
     // Reference responses, gathered one-at-a-time on a separate connection.
     // Result bytes are cache-backed and deterministic, so the pipelined
@@ -272,7 +269,7 @@ fn a_budgeted_burst_spills_and_answers_like_an_unbudgeted_run() {
 /// and partial-frame reads — reassembles into one frame.
 #[test]
 fn dripped_request_bytes_reassemble() {
-    let (_server, addr, handle) = spawn_server("tgraph-el-drip", "fig1", DEFAULT_MAX_LINE_BYTES);
+    let (_server, addr, handle) = spawn_server("tgraph-el-drip", "fig1");
     let mut client = Client::connect(addr);
 
     let line = format!("{}\n", zoom_line("fig1", 3));
@@ -313,11 +310,10 @@ fn tcp_transcript_matches_in_process_dispatch() {
     ];
 
     // Each side gets its own dataset: the ingest mutates it.
-    let oracle = bind_server("tgraph-el-ident-inproc", "figx", DEFAULT_MAX_LINE_BYTES);
+    let oracle = bind_server("tgraph-el-ident-inproc", "figx");
     let in_process: Vec<String> = script.iter().map(|l| oracle.handle_line(l)).collect();
 
-    let (_server, addr, handle) =
-        spawn_server("tgraph-el-ident-tcp", "figx", DEFAULT_MAX_LINE_BYTES);
+    let (_server, addr, handle) = spawn_server("tgraph-el-ident-tcp", "figx");
     let mut client = Client::connect(addr);
     let over_tcp: Vec<String> = script.iter().map(|l| client.roundtrip(l)).collect();
     shutdown(&mut client, handle);
@@ -342,7 +338,7 @@ fn tcp_transcript_matches_in_process_dispatch() {
 /// line.
 #[test]
 fn oversized_request_line_is_refused_with_a_typed_error() {
-    let (_server, addr, handle) = spawn_server("tgraph-el-cap", "fig1", 256);
+    let (_server, addr, handle) = spawn_server("tgraph-el-cap", "fig1");
     let mut client = Client::connect(addr);
 
     // An in-cap request still works.
@@ -351,11 +347,13 @@ fn oversized_request_line_is_refused_with_a_typed_error() {
         r#"{"ok":true,"pong":true}"#
     );
 
-    // A ping pipelined ahead of a newline-free flood: the ping is
-    // answered first, then the typed refusal, then the close.
+    // A ping pipelined ahead of a newline-free flood one byte past the cap:
+    // the ping is answered first, then the typed refusal, then the close.
+    // The server reads every byte sent before it refuses, so the close is
+    // orderly.
     let mut burst = Vec::new();
     burst.extend_from_slice(b"{\"op\":\"ping\"}\n");
-    burst.extend_from_slice(&vec![b'x'; 4096]);
+    burst.extend_from_slice(&vec![b'x'; MAX_LINE_BYTES + 1]);
     client.send_raw(&burst);
     assert_eq!(client.recv_line(), r#"{"ok":true,"pong":true}"#);
     let refusal = client.recv_line();
@@ -376,7 +374,7 @@ fn oversized_request_line_is_refused_with_a_typed_error() {
 /// connection usable.
 #[test]
 fn invalid_utf8_line_gets_a_typed_bad_request() {
-    let (_server, addr, handle) = spawn_server("tgraph-el-utf8", "fig1", DEFAULT_MAX_LINE_BYTES);
+    let (_server, addr, handle) = spawn_server("tgraph-el-utf8", "fig1");
     let mut client = Client::connect(addr);
 
     let mut burst = Vec::new();
@@ -408,7 +406,7 @@ fn invalid_utf8_line_gets_a_typed_bad_request() {
 /// promptly (the reactor was blocked in `wait`, not sleeping in a loop).
 #[test]
 fn idle_connections_do_not_starve_active_ones() {
-    let (_server, addr, handle) = spawn_server("tgraph-el-idle", "fig1", DEFAULT_MAX_LINE_BYTES);
+    let (_server, addr, handle) = spawn_server("tgraph-el-idle", "fig1");
     let _idlers: Vec<Client> = (0..64).map(|_| Client::connect(addr)).collect();
     std::thread::sleep(Duration::from_millis(50));
     let mut active = Client::connect(addr);

@@ -63,7 +63,6 @@ fn serves_zooms_with_cache_deadlines_and_stats_over_tcp() {
             max_inflight: 2,
             max_queue: 8,
             cache_bytes: 4 << 20,
-            ..ServerConfig::default()
         })
         .expect("bind"),
     );
