@@ -11,8 +11,8 @@ use tgraph_core::graph::figure1_graph_stable_ids;
 use tgraph_core::zoom::azoom::{AZoomSpec, AggSpec};
 use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
 use tgraph_dataflow::Runtime;
-use tgraph_query::Session;
-use tgraph_repr::ReprKind;
+use tgraph_query::Pipeline;
+use tgraph_repr::{AnyGraph, ReprKind};
 
 fn rt() -> Runtime {
     Runtime::with_partitions(2, 2)
@@ -45,9 +45,10 @@ fn check(
 fn azoom_on_ve_golden() {
     let rt = rt();
     let g = figure1_graph_stable_ids();
-    let session = Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec());
-    assert_eq!(session.verify(), Vec::<String>::new());
-    let lineages = session.finish().lineages();
+    let pipeline = Pipeline::new().azoom(aspec());
+    let load = || AnyGraph::load(&rt, &g, ReprKind::Ve);
+    assert_eq!(pipeline.verify(&rt, load()), Vec::<String>::new());
+    let lineages = pipeline.execute(&rt, load()).lineages();
     assert_eq!(lineages.len(), 2);
 
     // Vertices: one aggregation shuffle; the group-by combine rides on it.
@@ -99,9 +100,10 @@ fn azoom_on_ve_golden() {
 fn wzoom_on_og_golden() {
     let rt = rt();
     let g = figure1_graph_stable_ids();
-    let session = Session::load(&rt, &g, ReprKind::Og).wzoom(&wspec());
-    assert_eq!(session.verify(), Vec::<String>::new());
-    let lineages = session.finish().lineages();
+    let pipeline = Pipeline::new().wzoom(wspec());
+    let load = || AnyGraph::load(&rt, &g, ReprKind::Og);
+    assert_eq!(pipeline.verify(&rt, load()), Vec::<String>::new());
+    let lineages = pipeline.execute(&rt, load()).lineages();
     assert_eq!(lineages.len(), 2);
 
     // wZoom^T on OG is embarrassingly parallel: per-entity window folds,
@@ -128,6 +130,40 @@ fn wzoom_on_og_golden() {
     );
 }
 
+/// `wZoom^T` removes dangling edges with two joins against the kept
+/// vertices, which §3.2 needs only when the vertex quantifier is more
+/// restrictive than the edge quantifier. Pins the exchanges (shuffles /
+/// elided) on the edge relation of a window-3 `wZoom^T` in every
+/// representation that keeps edges apart from vertices. OGC still runs the
+/// check at exists/exists: gating it moves its first row to 0/0.
+#[test]
+fn wzoom_dangling_check_edge_exchanges_golden() {
+    use Quantifier::{All, Exists};
+    let rt = rt();
+    let g = figure1_graph_stable_ids();
+    for (vq, eq, kind, shuffles, elisions) in [
+        (Exists, Exists, ReprKind::Ve, 2, 0),
+        (Exists, Exists, ReprKind::Og, 0, 0),
+        (Exists, Exists, ReprKind::Ogc, 3, 2),
+        (All, Exists, ReprKind::Ve, 6, 2),
+        (All, Exists, ReprKind::Og, 3, 2),
+        (All, Exists, ReprKind::Ogc, 3, 2),
+    ] {
+        let pipeline = Pipeline::new().wzoom(WZoomSpec::points(3, vq, eq));
+        let load = || AnyGraph::load(&rt, &g, kind);
+        assert_eq!(pipeline.verify(&rt, load()), Vec::<String>::new());
+        let lineages = pipeline.execute(&rt, load()).lineages();
+        let (name, edges) = &lineages[1];
+        let a = analyze(edges);
+        assert_eq!(
+            (a.shuffles, a.elisions),
+            (shuffles, elisions),
+            "{name} at {vq:?}/{eq:?}:\n{}",
+            a.explain
+        );
+    }
+}
+
 /// The exchange is plan-invisible: running the same zoom with buckets
 /// moved as typed vectors and round-tripped through the codec by serialized
 /// shuffles must yield the identical analysis of every plan root. How bytes
@@ -141,10 +177,11 @@ fn exchange_is_plan_invisible() {
         let rt = rt();
         rt.set_serialized_shuffles(serialized);
         let before = rt.stats();
-        let session = Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec());
-        assert_eq!(session.verify(), Vec::<String>::new());
-        let renders: Vec<(String, String)> = session
-            .finish()
+        let pipeline = Pipeline::new().azoom(aspec());
+        let load = || AnyGraph::load(&rt, &g, ReprKind::Ve);
+        assert_eq!(pipeline.verify(&rt, load()), Vec::<String>::new());
+        let renders: Vec<(String, String)> = pipeline
+            .execute(&rt, load())
             .lineages()
             .iter()
             .map(|(name, root)| {

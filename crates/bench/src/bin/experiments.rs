@@ -6,13 +6,13 @@
 //! cargo run --release -p tgraph-bench --bin experiments -- datasets --workers 8 --timeout 120
 //! ```
 //!
-//! Experiments: `datasets`, `fig10` … `fig17`, `load`, `lazy`, `quantifiers`,
-//! `partitions`, or `all`.
+//! Experiments: `datasets`, `fig10` … `fig17`, `load`, `explain`,
+//! `quantifiers`, `partitions`, or `all`.
 
 use std::time::Duration;
 use tgraph_bench::experiments::{
     datasets_table, explain_plans, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17,
-    lazy_coalesce, load_locality, partitions, quantifiers, ExpConfig,
+    load_locality, partitions, quantifiers, ExpConfig,
 };
 use tgraph_bench::Table;
 
@@ -27,7 +27,6 @@ const ALL: &[&str] = &[
     "fig16",
     "fig17",
     "load",
-    "lazy",
     "explain",
     "quantifiers",
     "partitions",
@@ -45,7 +44,6 @@ fn run_one(name: &str, cfg: &ExpConfig) -> Option<Vec<Table>> {
         "fig16" => fig16(cfg),
         "fig17" => fig17(cfg),
         "load" => load_locality(cfg),
-        "lazy" => lazy_coalesce(cfg),
         "explain" => explain_plans(cfg),
         "quantifiers" => quantifiers(cfg),
         "partitions" => partitions(cfg),

@@ -43,7 +43,7 @@ use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
 use tgraph_core::TGraph;
 use tgraph_dataflow::Runtime;
 use tgraph_optimize::{ChoiceSource, GraphFeatures, Optimizer};
-use tgraph_query::{CoalescePolicy, Pipeline};
+use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
 
 struct Args {
@@ -183,11 +183,9 @@ fn sweep(scale: f64, smoke: bool) -> Vec<SweepCell> {
 /// materialize), the same span the paper's §5 measurements cover.
 fn run_cell(rt: &Runtime, cell: &SweepCell, kind: ReprKind) -> Duration {
     let t0 = Instant::now();
-    let cur = cell.pipeline.execute(
-        rt,
-        AnyGraph::load(rt, &cell.graph, kind),
-        CoalescePolicy::Lazy,
-    );
+    let cur = cell
+        .pipeline
+        .execute(rt, AnyGraph::load(rt, &cell.graph, kind));
     let _rows = match &cur {
         AnyGraph::Rg(g) => g.total_vertex_tuples(rt) + g.total_edge_tuples(rt),
         AnyGraph::Ve(g) => g.vertex_tuple_count(rt) + g.edge_tuple_count(rt),

@@ -8,7 +8,7 @@ use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
 use tgraph_core::TGraph;
 use tgraph_dataflow::Runtime;
 use tgraph_datagen::{coarsen_time, graph_stats, inject_attribute_changes, project_random_groups};
-use tgraph_query::{CoalescePolicy, Pipeline, Session};
+use tgraph_query::{Pipeline, Step};
 use tgraph_repr::{AnyGraph, ReprKind};
 use tgraph_storage::{write_dataset, GraphLoader, SortOrder};
 
@@ -16,9 +16,7 @@ use crate::datasets::{
     natural_group_key, ngrams, ngrams_years, snb, snb_months, wikitalk, wikitalk_months, DatasetId,
 };
 use crate::harness::{measure, Cell, Table};
-use crate::runner::{
-    run_azoom, run_chain_azoom_wzoom, run_chain_wzoom_azoom, run_wzoom, CHAIN_PLANS,
-};
+use crate::runner::{run_pipeline, CHAIN_PLANS};
 
 /// Global experiment configuration.
 #[derive(Clone, Debug)]
@@ -147,7 +145,7 @@ pub fn fig10(cfg: &ExpConfig) -> Vec<Table> {
     let reprs = [ReprKind::Rg, ReprKind::Ve, ReprKind::Og];
     let mut tables = Vec::new();
     for id in [DatasetId::WikiTalk, DatasetId::Snb, DatasetId::NGrams] {
-        let spec = natural_azoom(id);
+        let pipeline = Pipeline::new().azoom(natural_azoom(id));
         let before = rt.stats();
         let mut t = Table::new(
             format!("Fig.10 aZoom^T vs data size — {id}"),
@@ -160,7 +158,7 @@ pub fn fig10(cfg: &ExpConfig) -> Vec<Table> {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_azoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -195,7 +193,7 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<Table> {
             vec![50u32, 20, 10, 4, 1],
         ),
     ] {
-        let spec = natural_azoom(id);
+        let pipeline = Pipeline::new().azoom(natural_azoom(id));
         let before = rt.stats();
         let mut t = Table::new(
             format!("Fig.11 aZoom^T vs #snapshots (fixed size) — {id}"),
@@ -210,7 +208,7 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<Table> {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_azoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -225,7 +223,7 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<Table> {
 
     // SNB: directly generate the desired number of snapshots.
     {
-        let spec = natural_azoom(DatasetId::Snb);
+        let pipeline = Pipeline::new().azoom(natural_azoom(DatasetId::Snb));
         let before = rt.stats();
         let mut t = Table::new(
             "Fig.11 aZoom^T vs #snapshots (fixed size) — SNB".to_string(),
@@ -239,7 +237,7 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<Table> {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_azoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -258,7 +256,7 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<Table> {
 pub fn fig12(cfg: &ExpConfig) -> Vec<Table> {
     let rt = cfg.runtime();
     let reprs = [ReprKind::Rg, ReprKind::Ve, ReprKind::Og];
-    let spec = group_azoom();
+    let pipeline = Pipeline::new().azoom(group_azoom());
     let mut tables = Vec::new();
     for (id, base) in [
         (DatasetId::WikiTalk, wikitalk(cfg.scale)),
@@ -278,7 +276,7 @@ pub fn fig12(cfg: &ExpConfig) -> Vec<Table> {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_azoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -303,7 +301,7 @@ pub fn fig13(cfg: &ExpConfig) -> Vec<Table> {
         (DatasetId::WikiTalk, wikitalk(cfg.scale)),
         (DatasetId::Snb, snb(cfg.scale)),
     ] {
-        let spec = natural_azoom(id);
+        let pipeline = Pipeline::new().azoom(natural_azoom(id));
         let before = rt.stats();
         let mut t = Table::new(
             format!("Fig.13 aZoom^T vs frequency of change — {id}"),
@@ -318,7 +316,7 @@ pub fn fig13(cfg: &ExpConfig) -> Vec<Table> {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_azoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -344,7 +342,11 @@ pub fn fig14(cfg: &ExpConfig) -> Vec<Table> {
             DatasetId::NGrams => 25,
             _ => 3,
         };
-        let spec = WZoomSpec::points(window, Quantifier::Exists, Quantifier::Exists);
+        let pipeline = Pipeline::new().wzoom(WZoomSpec::points(
+            window,
+            Quantifier::Exists,
+            Quantifier::Exists,
+        ));
         let before = rt.stats();
         let mut t = Table::new(
             format!("Fig.14 wZoom^T vs data size (window {window}) — {id}"),
@@ -357,7 +359,7 @@ pub fn fig14(cfg: &ExpConfig) -> Vec<Table> {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_wzoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -398,13 +400,14 @@ pub fn fig15(cfg: &ExpConfig) -> Vec<Table> {
         );
         let mut dead = [false; 4];
         for w in windows {
-            let spec = WZoomSpec::points(w, Quantifier::All, Quantifier::All);
+            let pipeline =
+                Pipeline::new().wzoom(WZoomSpec::points(w, Quantifier::All, Quantifier::All));
             let mut cells = Vec::new();
             for (i, kind) in reprs.iter().enumerate() {
                 let cell = if dead[i] {
                     Cell::Skipped
                 } else {
-                    run_wzoom(&rt, &g, *kind, &spec, cfg.timeout)
+                    run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout)
                 };
                 if cell.is_timeout() {
                     dead[i] = true;
@@ -437,17 +440,20 @@ pub fn fig16(cfg: &ExpConfig) -> Vec<Table> {
             vec![5u64, 10, 25, 50],
         ),
     ] {
-        let aspec = natural_azoom(id);
+        let azoom = Step::AZoom(natural_azoom(id));
         let before = rt.stats();
         let mut t = Table::new(
             format!("Fig.16 aZoom^T·wZoom^T chain, representation switching — {id}"),
             CHAIN_PLANS.iter().map(|p| p.to_string()).collect(),
         );
         for w in windows {
-            let wspec = WZoomSpec::points(w, Quantifier::All, Quantifier::All);
+            let wzoom = Step::WZoom(WZoomSpec::points(w, Quantifier::All, Quantifier::All));
             let cells = CHAIN_PLANS
                 .iter()
-                .map(|plan| run_chain_azoom_wzoom(&rt, &g, *plan, &aspec, &wspec, cfg.timeout))
+                .map(|plan| {
+                    let chain = plan.pipeline(azoom.clone(), wzoom.clone());
+                    run_pipeline(&rt, &g, plan.first, &chain, cfg.timeout)
+                })
                 .collect();
             t.push_row(format!("window {w}"), cells);
         }
@@ -461,37 +467,35 @@ pub fn fig16(cfg: &ExpConfig) -> Vec<Table> {
 /// versus `wZoom^T·aZoom^T` on VE and OG.
 pub fn fig17(cfg: &ExpConfig) -> Vec<Table> {
     let rt = cfg.runtime();
-    let aspec = group_azoom();
+    let azoom = Step::AZoom(group_azoom());
     let mut tables = Vec::new();
     for (id, base, window) in [
         (DatasetId::WikiTalk, wikitalk(cfg.scale), 6u64),
         (DatasetId::Snb, snb(cfg.scale), 6),
         (DatasetId::NGrams, ngrams(cfg.scale * 0.5), 10),
     ] {
-        let wspec = WZoomSpec::points(window, Quantifier::Exists, Quantifier::Exists);
+        let wzoom = Step::WZoom(WZoomSpec::points(
+            window,
+            Quantifier::Exists,
+            Quantifier::Exists,
+        ));
+        let (ve, og) = (CHAIN_PLANS[0], CHAIN_PLANS[1]);
         let plans = [
-            (CHAIN_PLANS[0], "az-wz VE"),
-            (CHAIN_PLANS[1], "az-wz OG"),
-            (CHAIN_PLANS[0], "wz-az VE"),
-            (CHAIN_PLANS[1], "wz-az OG"),
+            (ve, ve.pipeline(azoom.clone(), wzoom.clone()), "az-wz VE"),
+            (og, og.pipeline(azoom.clone(), wzoom.clone()), "az-wz OG"),
+            (ve, ve.pipeline(wzoom.clone(), azoom.clone()), "wz-az VE"),
+            (og, og.pipeline(wzoom.clone(), azoom.clone()), "wz-az OG"),
         ];
         let before = rt.stats();
         let mut t = Table::new(
             format!("Fig.17 zoom order vs cardinality (window {window}) — {id}"),
-            plans.iter().map(|(_, n)| n.to_string()).collect(),
+            plans.iter().map(|(_, _, n)| n.to_string()).collect(),
         );
         for card in [10u64, 1_000, 100_000, 1_000_000] {
             let g = project_random_groups(&base, card, 42);
             let cells = plans
                 .iter()
-                .enumerate()
-                .map(|(i, (plan, _))| {
-                    if i < 2 {
-                        run_chain_azoom_wzoom(&rt, &g, *plan, &aspec, &wspec, cfg.timeout)
-                    } else {
-                        run_chain_wzoom_azoom(&rt, &g, *plan, &aspec, &wspec, cfg.timeout)
-                    }
-                })
+                .map(|(plan, chain, _)| run_pipeline(&rt, &g, plan.first, chain, cfg.timeout))
                 .collect();
             t.push_row(format!("card {card}"), cells);
         }
@@ -584,61 +588,35 @@ pub fn explain_plans(cfg: &ExpConfig) -> Vec<Table> {
     let wspec = WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists);
     let mut t = Table::new("A4: EXPLAIN — verified zoom plans (WikiTalk)", vec![]);
     let mut lines = Vec::new();
-    for (label, session) in [
+    for (label, first, pipeline) in [
         (
             "aZoom^T on VE",
-            Session::load(&rt, &g, ReprKind::Ve).azoom(&aspec),
+            ReprKind::Ve,
+            Pipeline::new().azoom(aspec.clone()),
         ),
         (
             "wZoom^T on OG",
-            Session::load(&rt, &g, ReprKind::Og).wzoom(&wspec),
+            ReprKind::Og,
+            Pipeline::new().wzoom(wspec.clone()),
         ),
         (
             "aZoom^T . switch . wZoom^T (VE->OG)",
-            Session::load(&rt, &g, ReprKind::Ve)
-                .azoom(&aspec)
+            ReprKind::Ve,
+            Pipeline::new()
+                .azoom(aspec)
                 .switch_to(ReprKind::Og)
-                .wzoom(&wspec),
+                .wzoom(wspec),
         ),
     ] {
-        let errors = session.verify();
+        let load = || AnyGraph::load(&rt, &g, first);
+        let errors = pipeline.verify(&rt, load());
         assert!(errors.is_empty(), "{label}: unsound plan: {errors:?}");
         lines.push(format!(
             "### {label} — verified sound\n{}",
-            session.explain()
+            pipeline.explain(&rt, load())
         ));
     }
     t.push_row(lines.join("\n"), vec![]);
-    vec![t]
-}
-
-/// A2 — lazy vs eager coalescing on a three-operator chain.
-pub fn lazy_coalesce(cfg: &ExpConfig) -> Vec<Table> {
-    let rt = cfg.runtime();
-    let base = project_random_groups(&wikitalk(cfg.scale), 1_000, 42);
-    let aspec = group_azoom();
-    let wspec = WZoomSpec::points(6, Quantifier::Exists, Quantifier::Exists);
-    let pipeline = Pipeline::new()
-        .azoom(aspec.clone())
-        .azoom(aspec)
-        .wzoom(wspec);
-
-    let before = rt.stats();
-    let mut t = Table::new(
-        "A2: lazy vs eager coalescing (aZoom·aZoom·wZoom on VE)",
-        vec!["time".into()],
-    );
-    for (label, policy) in [
-        ("lazy", CoalescePolicy::Lazy),
-        ("eager", CoalescePolicy::Eager),
-    ] {
-        let cell = measure(cfg.timeout, || {
-            let loaded = AnyGraph::load(&rt, &base, ReprKind::Ve);
-            let _ = pipeline.execute(&rt, loaded, policy);
-        });
-        t.push_row(label, vec![cell]);
-    }
-    t.set_note(movement_note(&rt, &before));
     vec![t]
 }
 
@@ -659,10 +637,10 @@ pub fn quantifiers(cfg: &ExpConfig) -> Vec<Table> {
         ("at least 0.25", Quantifier::AtLeast(0.25)),
         ("exists", Quantifier::Exists),
     ] {
-        let spec = WZoomSpec::points(3, q, q);
+        let pipeline = Pipeline::new().wzoom(WZoomSpec::points(3, q, q));
         let cells = reprs
             .iter()
-            .map(|kind| run_wzoom(&rt, &g, *kind, &spec, cfg.timeout))
+            .map(|kind| run_pipeline(&rt, &g, *kind, &pipeline, cfg.timeout))
             .collect();
         t.push_row(label, cells);
     }
@@ -674,7 +652,7 @@ pub fn quantifiers(cfg: &ExpConfig) -> Vec<Table> {
 /// workers (the distributed-scaling axis the paper gets from its cluster).
 pub fn partitions(cfg: &ExpConfig) -> Vec<Table> {
     let g = wikitalk(cfg.scale);
-    let spec = natural_azoom(DatasetId::WikiTalk);
+    let pipeline = Pipeline::new().azoom(natural_azoom(DatasetId::WikiTalk));
     let max = cfg.workers.max(1);
     let mut t = Table::new(
         "Ablation: workers sweep (aZoom^T, WikiTalk)",
@@ -685,8 +663,8 @@ pub fn partitions(cfg: &ExpConfig) -> Vec<Table> {
     while w <= max {
         let rt = Runtime::new(w);
         let cells = vec![
-            run_azoom(&rt, &g, ReprKind::Ve, &spec, cfg.timeout),
-            run_azoom(&rt, &g, ReprKind::Og, &spec, cfg.timeout),
+            run_pipeline(&rt, &g, ReprKind::Ve, &pipeline, cfg.timeout),
+            run_pipeline(&rt, &g, ReprKind::Og, &pipeline, cfg.timeout),
         ];
         // Each worker count gets a fresh runtime, so report movement per row.
         notes.push(format!("{w}w {}", movement_note(&rt, &Default::default())));

@@ -1,40 +1,35 @@
-//! Uniform operator runners used by all experiments.
+//! The one measurement runner every experiment uses: a [`Pipeline`] from a
+//! starting representation.
 //!
 //! Following §5 ("the runtime includes the setup time of submitting a job,
 //! reading the data from disk, executing the operation, and materializing
 //! the results in memory"), every measurement covers: building the physical
 //! representation from the logical graph (the load step), executing the
-//! operator, and materializing the result (a count that touches every output
+//! pipeline, and materializing the result (a count that touches every output
 //! partition).
 
 use std::time::Duration;
-use tgraph_core::zoom::{AZoomSpec, WZoomSpec};
 use tgraph_core::TGraph;
 use tgraph_dataflow::Runtime;
+use tgraph_query::{Pipeline, Step};
 use tgraph_repr::{AnyGraph, OgGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
 
 use crate::harness::{measure, Cell};
 
-/// Statically verifies every plan DAG backing `g`: panics with the rendered
-/// EXPLAIN tree if any elision or partitioning claim is underivable.
-pub fn verify_plans(label: &str, g: &AnyGraph) {
-    for (name, analysis) in tgraph_analyze::analyze_all(&g.lineages()) {
-        assert!(
-            analysis.is_sound(),
-            "{label}/{name}: unsound plan\n{}",
-            analysis.render()
-        );
-    }
+/// Statically verifies every plan DAG behind `pipeline` run on `g` loaded
+/// into `first`: panics with the error diagnostics if any elision or
+/// partitioning claim is underivable.
+pub fn verify_plans(rt: &Runtime, g: &TGraph, first: ReprKind, pipeline: &Pipeline) {
+    let errors = pipeline.verify(rt, AnyGraph::load(rt, g, first));
+    assert!(
+        errors.is_empty(),
+        "{first}: {}: unsound plan: {errors:?}",
+        pipeline.canonical()
+    );
 }
 
 /// Materializes an output graph: touches every partition of the result.
-///
-/// Under [checked mode](Runtime::checked) the plan is statically verified
-/// before execution — every measured result is also a proven-sound plan.
 fn materialize(rt: &Runtime, g: &AnyGraph) -> usize {
-    if rt.checked() {
-        verify_plans("materialize", g);
-    }
     match g {
         AnyGraph::Rg(g) => g.total_vertex_tuples(rt) + g.total_edge_tuples(rt),
         AnyGraph::Ve(g) => g.vertex_tuple_count(rt) + g.edge_tuple_count(rt),
@@ -43,35 +38,26 @@ fn materialize(rt: &Runtime, g: &AnyGraph) -> usize {
     }
 }
 
-/// Loads `g` into `kind`, runs `aZoom^T`, materializes; returns the cell.
-pub fn run_azoom(
+/// Loads `g` into `first`, executes `pipeline`, materializes; returns the
+/// cell, or [`Cell::NotSupported`] when a step cannot run where it lands.
+///
+/// Under [checked mode](Runtime::checked) the plans are statically verified
+/// first — every measured result is also a proven-sound plan.
+pub fn run_pipeline(
     rt: &Runtime,
     g: &TGraph,
-    kind: ReprKind,
-    spec: &AZoomSpec,
+    first: ReprKind,
+    pipeline: &Pipeline,
     timeout: Duration,
 ) -> Cell {
-    if !kind.supports_azoom() {
+    if pipeline.first_unsupported(first).is_some() {
         return Cell::NotSupported;
     }
+    if rt.checked() {
+        verify_plans(rt, g, first, pipeline);
+    }
     measure(timeout, || {
-        let loaded = AnyGraph::load(rt, g, kind);
-        let out = loaded.azoom(rt, spec);
-        let _ = materialize(rt, &out);
-    })
-}
-
-/// Loads `g` into `kind`, runs `wZoom^T`, materializes; returns the cell.
-pub fn run_wzoom(
-    rt: &Runtime,
-    g: &TGraph,
-    kind: ReprKind,
-    spec: &WZoomSpec,
-    timeout: Duration,
-) -> Cell {
-    measure(timeout, || {
-        let loaded = AnyGraph::load(rt, g, kind);
-        let out = loaded.wzoom(rt, spec);
+        let out = pipeline.execute(rt, AnyGraph::load(rt, g, first));
         let _ = materialize(rt, &out);
     })
 }
@@ -116,40 +102,16 @@ pub const CHAIN_PLANS: [ChainPlan; 4] = [
     },
 ];
 
-/// Runs `aZoom^T` then `wZoom^T` under a chain plan (Fig. 16).
-pub fn run_chain_azoom_wzoom(
-    rt: &Runtime,
-    g: &TGraph,
-    plan: ChainPlan,
-    aspec: &AZoomSpec,
-    wspec: &WZoomSpec,
-    timeout: Duration,
-) -> Cell {
-    measure(timeout, || {
-        let loaded = AnyGraph::load(rt, g, plan.first);
-        let mid = loaded.azoom(rt, aspec);
-        let mid = mid.switch_to(rt, plan.second);
-        let out = mid.wzoom(rt, wspec);
-        let _ = materialize(rt, &out);
-    })
-}
-
-/// Runs `wZoom^T` then `aZoom^T` under a chain plan (Fig. 17's reordering).
-pub fn run_chain_wzoom_azoom(
-    rt: &Runtime,
-    g: &TGraph,
-    plan: ChainPlan,
-    aspec: &AZoomSpec,
-    wspec: &WZoomSpec,
-    timeout: Duration,
-) -> Cell {
-    measure(timeout, || {
-        let loaded = AnyGraph::load(rt, g, plan.first);
-        let mid = loaded.wzoom(rt, wspec);
-        let mid = mid.switch_to(rt, plan.second);
-        let out = mid.azoom(rt, aspec);
-        let _ = materialize(rt, &out);
-    })
+impl ChainPlan {
+    /// `first` in [`ChainPlan::first`], a switch, then `second` in
+    /// [`ChainPlan::second`] (Fig. 16; Fig. 17 reorders the two zooms).
+    pub fn pipeline(&self, first: Step, second: Step) -> Pipeline {
+        let mut p = Pipeline::new();
+        p.push(first);
+        p.push(Step::Switch(self.second));
+        p.push(second);
+        p
+    }
 }
 
 /// Re-exported concrete types so benches can build representations directly.
@@ -161,6 +123,7 @@ mod tests {
     use tgraph_core::graph::figure1_graph_stable_ids;
     use tgraph_core::zoom::azoom::AggSpec;
     use tgraph_core::zoom::wzoom::Quantifier;
+    use tgraph_core::zoom::{AZoomSpec, WZoomSpec};
 
     #[test]
     fn runners_produce_measurements() {
@@ -168,24 +131,29 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let aspec = AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]);
         let wspec = WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists);
+        let azoom = Pipeline::new().azoom(aspec.clone());
+        let wzoom = Pipeline::new().wzoom(wspec.clone());
         let t = Duration::from_secs(60);
         for kind in [ReprKind::Rg, ReprKind::Ve, ReprKind::Og] {
-            assert!(run_azoom(&rt, &g, kind, &aspec, t).seconds().is_some());
+            assert!(run_pipeline(&rt, &g, kind, &azoom, t).seconds().is_some());
         }
         assert_eq!(
-            run_azoom(&rt, &g, ReprKind::Ogc, &aspec, t),
+            run_pipeline(&rt, &g, ReprKind::Ogc, &azoom, t),
             Cell::NotSupported
         );
         for kind in [ReprKind::Rg, ReprKind::Ve, ReprKind::Og, ReprKind::Ogc] {
-            assert!(run_wzoom(&rt, &g, kind, &wspec, t).seconds().is_some());
+            assert!(run_pipeline(&rt, &g, kind, &wzoom, t).seconds().is_some());
         }
+        let (a, w) = (Step::AZoom(aspec), Step::WZoom(wspec));
         for plan in CHAIN_PLANS {
-            assert!(run_chain_azoom_wzoom(&rt, &g, plan, &aspec, &wspec, t)
-                .seconds()
-                .is_some());
-            assert!(run_chain_wzoom_azoom(&rt, &g, plan, &aspec, &wspec, t)
-                .seconds()
-                .is_some());
+            for chain in [
+                plan.pipeline(a.clone(), w.clone()),
+                plan.pipeline(w.clone(), a.clone()),
+            ] {
+                assert!(run_pipeline(&rt, &g, plan.first, &chain, t)
+                    .seconds()
+                    .is_some());
+            }
         }
     }
 

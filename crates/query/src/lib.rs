@@ -12,16 +12,16 @@
 //! use tgraph_core::graph::figure1_graph_stable_ids;
 //! use tgraph_core::zoom::{AZoomSpec, AggSpec, Quantifier, WZoomSpec};
 //! use tgraph_dataflow::Runtime;
-//! use tgraph_query::Session;
-//! use tgraph_repr::ReprKind;
+//! use tgraph_query::Pipeline;
+//! use tgraph_repr::{AnyGraph, ReprKind};
 //!
 //! let rt = Runtime::new(2);
 //! let g = figure1_graph_stable_ids();
-//! let zoomed = Session::load(&rt, &g, ReprKind::Ve)
-//!     .azoom(&AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]))
+//! let zoomed = Pipeline::new()
+//!     .azoom(AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]))
 //!     .switch_to(ReprKind::Og)
-//!     .wzoom(&WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists))
-//!     .collect();
+//!     .wzoom(WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists))
+//!     .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Ve));
 //! assert_eq!(zoomed.distinct_vertex_count(), 2); // MIT, CMU
 //! ```
 
@@ -30,7 +30,5 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod pipeline;
-pub mod session;
 
-pub use pipeline::{coalesce_any, CoalescePolicy, Pipeline, Step};
-pub use session::Session;
+pub use pipeline::{coalesce_any, Pipeline, Step};

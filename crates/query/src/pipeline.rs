@@ -15,6 +15,7 @@
 
 use std::fmt::Write as _;
 use tgraph_core::zoom::azoom::Skolem;
+use tgraph_core::zoom::maintenance::{decide, MaintenanceDecision};
 use tgraph_core::zoom::{AZoomSpec, WZoomSpec, WindowSpec};
 use tgraph_core::TGraph;
 use tgraph_dataflow::Runtime;
@@ -31,17 +32,6 @@ pub enum Step {
     Switch(ReprKind),
 }
 
-/// Coalescing strategy for a pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoalescePolicy {
-    /// Coalesce only where correctness requires it (before `wZoom^T`) and at
-    /// the end of the pipeline — the paper's optimization.
-    Lazy,
-    /// Coalesce after every operator (the naive baseline the optimization is
-    /// measured against in experiment A2).
-    Eager,
-}
-
 impl Step {
     /// Whether the operator computes across snapshots and therefore needs
     /// maximal intervals on its input (`wZoom^T`); snapshot-wise operators
@@ -55,21 +45,17 @@ impl Step {
     /// coalesced by construction; RG is conceptually always
     /// snapshot-normalized), so coalescing is a no-op where the data is
     /// already maximal.
-    pub fn apply(&self, rt: &Runtime, mut g: AnyGraph, policy: CoalescePolicy) -> AnyGraph {
+    pub fn apply(&self, rt: &Runtime, mut g: AnyGraph) -> AnyGraph {
         // Correctness: the representation implementations also guard this
         // themselves; the pipeline-level insertion is the observable part of
         // the optimization.
         if self.needs_coalesced_input() {
             g = coalesce_any(rt, g);
         }
-        let out = match self {
+        match self {
             Step::AZoom(spec) => g.azoom(rt, spec),
             Step::WZoom(spec) => g.wzoom(rt, spec),
-            Step::Switch(kind) => return g.switch_to(rt, *kind),
-        };
-        match policy {
-            CoalescePolicy::Lazy => out,
-            CoalescePolicy::Eager => coalesce_any(rt, out),
+            Step::Switch(kind) => g.switch_to(rt, *kind),
         }
     }
 
@@ -211,21 +197,62 @@ impl Pipeline {
         s
     }
 
-    /// Executes the pipeline on `graph` with the given coalescing policy —
-    /// the only step loop in the workspace.
-    pub fn execute(&self, rt: &Runtime, graph: AnyGraph, policy: CoalescePolicy) -> AnyGraph {
-        let g = self
-            .steps
-            .iter()
-            .fold(graph, |g, step| step.apply(rt, g, policy));
+    /// Executes the pipeline on `graph`, coalescing only where the lazy rule
+    /// asks — the only step loop in the workspace.
+    pub fn execute(&self, rt: &Runtime, graph: AnyGraph) -> AnyGraph {
+        let g = self.steps.iter().fold(graph, |g, step| step.apply(rt, g));
         // Point semantics: the final result is always coalesced.
         coalesce_any(rt, g)
     }
 
-    /// Executes lazily and materializes the logical result — what
-    /// [`Session::collect`](crate::Session::collect) is to a session.
+    /// Executes and materializes the logical result.
     pub fn collect(&self, rt: &Runtime, graph: AnyGraph) -> TGraph {
-        self.execute(rt, graph, CoalescePolicy::Lazy).to_tgraph(rt)
+        self.execute(rt, graph).to_tgraph(rt)
+    }
+
+    /// EXPLAIN rendering of the plan DAGs backing the result of running the
+    /// pipeline on `graph`, one section per dataset, including verifier
+    /// diagnostics and predicted data-movement footers, plus a maintenance
+    /// footer: whether an ingest at `graph`'s lifespan end would patch this
+    /// pipeline's result or force a recompute.
+    pub fn explain(&self, rt: &Runtime, graph: AnyGraph) -> String {
+        let lifespan = graph.lifespan();
+        let mut out = String::new();
+        for (name, analysis) in tgraph_analyze::analyze_all(&self.execute(rt, graph).lineages()) {
+            let _ = writeln!(out, "== {name} ==");
+            out.push_str(&analysis.render());
+        }
+        out.push_str("== maintenance ==\n");
+        let boundary = lifespan.end;
+        let _ = match decide(lifespan, boundary, &self.window_grids()) {
+            MaintenanceDecision::Patch { cut } => writeln!(
+                out,
+                "-- ingest at {boundary}: patch — re-run suffix [{cut}, ∞), stitch at cut={cut}"
+            ),
+            MaintenanceDecision::Recompute { reason } => {
+                writeln!(out, "-- ingest at {boundary}: recompute — {reason}")
+            }
+        };
+        out
+    }
+
+    /// Statically verifies the plan DAGs backing the result of running the
+    /// pipeline on `graph`: every elided exchange and partitioning claim
+    /// must be derivable.
+    ///
+    /// Returns the error-severity diagnostics, prefixed with the dataset
+    /// name; an empty vector means every plan is provably sound.
+    pub fn verify(&self, rt: &Runtime, graph: AnyGraph) -> Vec<String> {
+        tgraph_analyze::analyze_all(&self.execute(rt, graph).lineages())
+            .into_iter()
+            .flat_map(|(name, analysis)| {
+                analysis
+                    .diagnostics
+                    .into_iter()
+                    .filter(|d| d.severity == tgraph_analyze::Severity::Error)
+                    .map(move |d| format!("{name}: {d}"))
+            })
+            .collect()
     }
 }
 
@@ -243,9 +270,10 @@ pub fn coalesce_any(rt: &Runtime, g: AnyGraph) -> AnyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgraph_core::graph::figure1_graph_stable_ids;
+    use tgraph_core::graph::{figure1_graph_stable_ids, VertexRecord};
     use tgraph_core::props::Props;
     use tgraph_core::reference::{azoom_reference, wzoom_reference};
+    use tgraph_core::time::Interval;
     use tgraph_core::zoom::azoom::AggSpec;
     use tgraph_core::zoom::wzoom::Quantifier;
 
@@ -299,7 +327,7 @@ mod tests {
             (&topo, ReprKind::Ogc, &windows, &windows_ref),
         ] {
             assert_eq!(pipeline.first_unsupported(kind), None, "{kind}");
-            let out = pipeline.execute(&rt, AnyGraph::load(&rt, input, kind), CoalescePolicy::Lazy);
+            let out = pipeline.execute(&rt, AnyGraph::load(&rt, input, kind));
             let got = out.to_tgraph(&rt);
             let what = pipeline.canonical();
             assert_eq!(got.vertices, expected.vertices, "{kind}: {what}");
@@ -360,11 +388,7 @@ mod tests {
             .azoom(school_spec())
             .switch_to(ReprKind::Og)
             .wzoom(wspec());
-        let out = pipeline.execute(
-            &rt,
-            AnyGraph::load(&rt, &g, ReprKind::Ve),
-            CoalescePolicy::Lazy,
-        );
+        let out = pipeline.execute(&rt, AnyGraph::load(&rt, &g, ReprKind::Ve));
         assert_eq!(out.kind(), ReprKind::Og);
         let got = out.to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -375,38 +399,118 @@ mod tests {
             .azoom(school_spec())
             .switch_to(ReprKind::Ve)
             .wzoom(wspec());
-        let out = pipeline.execute(
-            &rt,
-            AnyGraph::load(&rt, &g, ReprKind::Og),
-            CoalescePolicy::Lazy,
-        );
+        let out = pipeline.execute(&rt, AnyGraph::load(&rt, &g, ReprKind::Og));
         assert_eq!(out.kind(), ReprKind::Ve);
         let got = out.to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
     }
 
+    /// Figure 1 with Cat's history and the first edge each cut in two
+    /// value-equal pieces: loaded into VE, it is not known to be coalesced.
+    fn fragmented() -> TGraph {
+        let g = figure1_graph_stable_ids();
+        let mut vertices = Vec::new();
+        for v in &g.vertices {
+            if v.vid.0 == 3 {
+                let (a, b) = (v.interval.start, v.interval.end);
+                let mid = a + (b - a) / 2;
+                vertices.push(VertexRecord::new(3, Interval::new(a, mid), v.props.clone()));
+                vertices.push(VertexRecord::new(3, Interval::new(mid, b), v.props.clone()));
+            } else {
+                vertices.push(v.clone());
+            }
+        }
+        let mut edges = g.edges.clone();
+        let first = edges.remove(0);
+        let (a, b) = (first.interval.start, first.interval.end);
+        let mid = a + (b - a) / 2;
+        for interval in [Interval::new(a, mid), Interval::new(mid, b)] {
+            let mut piece = first.clone();
+            piece.interval = interval;
+            edges.push(piece);
+        }
+        TGraph::from_records(vertices, edges)
+    }
+
+    /// Why lazy coalescing is the only policy: every operator already
+    /// returns coalesced output. Each step kind into VE — `aZoom^T` and
+    /// `wZoom^T` on VE, and a switch into VE from RG, OG and OGC — starts
+    /// from a fragmented input and must hand back a VE flagged coalesced,
+    /// on which the pipeline's final `coalesce_any` runs nothing. A kernel
+    /// that starts emitting uncoalesced output fails here.
     #[test]
-    fn lazy_and_eager_agree() {
+    fn every_step_into_ve_returns_coalesced_output() {
+        let rt = rt();
+        let g = fragmented();
+        let topo = topology_only(&g);
+        let loaded = AnyGraph::load(&rt, &g, ReprKind::Ve);
+        assert!(
+            matches!(&loaded, AnyGraph::Ve(ve) if !ve.coalesced),
+            "the fixture must start fragmented"
+        );
+        for (label, input, kind, step) in [
+            ("aZoom on VE", &g, ReprKind::Ve, Step::AZoom(school_spec())),
+            ("wZoom on VE", &g, ReprKind::Ve, Step::WZoom(wspec())),
+            ("RG -> VE", &g, ReprKind::Rg, Step::Switch(ReprKind::Ve)),
+            ("OG -> VE", &g, ReprKind::Og, Step::Switch(ReprKind::Ve)),
+            (
+                "OGC -> VE",
+                &topo,
+                ReprKind::Ogc,
+                Step::Switch(ReprKind::Ve),
+            ),
+        ] {
+            let out = step.apply(&rt, AnyGraph::load(&rt, input, kind));
+            let AnyGraph::Ve(ve) = &out else {
+                panic!("{label}: left VE for {}", out.kind());
+            };
+            assert!(ve.coalesced, "{label}: output not flagged coalesced");
+            let before = rt.stats();
+            let _ = coalesce_any(&rt, out);
+            let d = rt.stats().since(&before);
+            assert_eq!((d.waves, d.shuffles), (0, 0), "{label}: coalesce ran");
+        }
+    }
+
+    /// EXPLAIN and the verifier see the plans behind the executed result.
+    #[test]
+    fn explain_and_verify_on_zoom_pipeline() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let pipeline = Pipeline::new().azoom(school_spec()).wzoom(wspec());
-        let lazy = pipeline
-            .execute(
-                &rt,
-                AnyGraph::load(&rt, &g, ReprKind::Ve),
-                CoalescePolicy::Lazy,
-            )
-            .to_tgraph(&rt);
-        let eager = pipeline
-            .execute(
-                &rt,
-                AnyGraph::load(&rt, &g, ReprKind::Ve),
-                CoalescePolicy::Eager,
-            )
-            .to_tgraph(&rt);
-        assert_eq!(lazy.vertices, eager.vertices);
-        assert_eq!(lazy.edges, eager.edges);
+        let pipeline = Pipeline::new().azoom(school_spec()).switch_to(ReprKind::Og);
+        let load = || AnyGraph::load(&rt, &g, ReprKind::Ve);
+        // Engine-produced plans must always verify sound.
+        assert_eq!(pipeline.verify(&rt, load()), Vec::<String>::new());
+        let explain = pipeline.explain(&rt, load());
+        assert!(explain.contains("== og.vertices =="), "{explain}");
+        assert!(explain.contains("== og.edges =="), "{explain}");
+        assert!(explain.contains("shuffle"), "{explain}");
+        assert!(explain.contains("-- "), "{explain}");
+    }
+
+    /// The maintenance footer says whether an ingest at the lifespan end
+    /// patches the result, and why not when it recomputes.
+    #[test]
+    fn explain_maintenance_footer_patch_vs_recompute() {
+        let rt = rt();
+        let g = figure1_graph_stable_ids();
+        let load = || AnyGraph::load(&rt, &g, ReprKind::Ve);
+        let points = WZoomSpec::points(2, Quantifier::Exists, Quantifier::Exists);
+        let explain = Pipeline::new().wzoom(points.clone()).explain(&rt, load());
+        assert!(
+            explain.contains("== maintenance ==\n-- ingest at 9: patch — re-run suffix [9, ∞)"),
+            "{explain}"
+        );
+
+        // Changes-based windows are not append-stable: the footer says why.
+        let mut changes = points;
+        changes.window = WindowSpec::Changes(2);
+        let explain = Pipeline::new().wzoom(changes).explain(&rt, load());
+        assert!(
+            explain.contains("recompute — changes-windows are not append-stable"),
+            "{explain}"
+        );
     }
 
     #[test]
@@ -416,7 +520,7 @@ mod tests {
         let expected = azoom_reference(&wzoom_reference(&g, &wspec()), &school_spec());
         for kind in [ReprKind::Ve, ReprKind::Og] {
             let pipeline = Pipeline::new().wzoom(wspec()).azoom(school_spec());
-            let out = pipeline.execute(&rt, AnyGraph::load(&rt, &g, kind), CoalescePolicy::Lazy);
+            let out = pipeline.execute(&rt, AnyGraph::load(&rt, &g, kind));
             let got = out.to_tgraph(&rt);
             assert_eq!(got.vertices, expected.vertices, "{kind}");
             assert_eq!(got.edges, expected.edges, "{kind}");
@@ -427,11 +531,7 @@ mod tests {
     fn empty_pipeline_is_coalesced_identity() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let out = Pipeline::new().execute(
-            &rt,
-            AnyGraph::load(&rt, &g, ReprKind::Ve),
-            CoalescePolicy::Lazy,
-        );
+        let out = Pipeline::new().execute(&rt, AnyGraph::load(&rt, &g, ReprKind::Ve));
         let got = out.to_tgraph(&rt);
         let expected = tgraph_core::coalesce::coalesce_graph(&g);
         assert_eq!(got.vertices, expected.vertices);

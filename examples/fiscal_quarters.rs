@@ -50,7 +50,9 @@ fn main() {
         let spec = WZoomSpec::points(3, vq, eq);
         // OGC is the paper's fastest representation for wZoom^T — this graph
         // has no attributes beyond `type`, so nothing is lost.
-        let out = Session::load(&rt, &g, ReprKind::Ogc).wzoom(&spec).collect();
+        let out = Pipeline::new()
+            .wzoom(spec)
+            .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Ogc));
         println!(
             "\nquarterly zoom [{label}]\n  -> {} vertex states, {} edge states, {} snapshots",
             out.vertex_tuple_count(),
@@ -64,7 +66,9 @@ fn main() {
     println!("\nedge survival by window size (edges=all):");
     for window in [3u64, 6, 12] {
         let spec = WZoomSpec::points(window, Quantifier::Exists, Quantifier::All);
-        let out = Session::load(&rt, &g, ReprKind::Ogc).wzoom(&spec).collect();
+        let out = Pipeline::new()
+            .wzoom(spec)
+            .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Ogc));
         println!(
             "  window {window:>2} months: {:>6} edge states survive",
             out.edge_tuple_count()

@@ -73,34 +73,30 @@ fn main() {
     // Schools become nodes; `students` counts enrolled people per school and
     // time; edges are re-pointed (note how e1 shrinks to [5,7): Bob was not
     // at CMU before month 5).
-    let schools = Session::load(&rt, &g, ReprKind::Og)
-        .azoom(&AZoomSpec::by_property(
+    let schools = Pipeline::new()
+        .azoom(AZoomSpec::by_property(
             "school",
             "school",
             vec![AggSpec::count("students")],
         ))
-        .collect();
+        .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Og));
     print_graph("Figure 2: aZoom^T to school level", &schools);
 
     // --- Figure 3: window-based zoom from months to quarters. ---------------
     // Keep entities present during the *entire* quarter (nodes=all,
     // edges=all); Bob's school resolves via last(school).
-    let quarters = Session::load(&rt, &g, ReprKind::Ve)
+    let quarters = Pipeline::new()
         .wzoom(
-            &WZoomSpec::points(3, Quantifier::All, Quantifier::All)
+            WZoomSpec::points(3, Quantifier::All, Quantifier::All)
                 .with_vertex_override("school", ResolveFn::Last),
         )
-        .collect();
+        .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Ve));
     print_graph("Figure 3: wZoom^T to quarters (all/all)", &quarters);
 
     // The same zoom with existential quantification keeps more history.
-    let exists = Session::load(&rt, &g, ReprKind::Ve)
-        .wzoom(&WZoomSpec::points(
-            3,
-            Quantifier::Exists,
-            Quantifier::Exists,
-        ))
-        .collect();
+    let exists = Pipeline::new()
+        .wzoom(WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists))
+        .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Ve));
     print_graph("wZoom^T to quarters (exists/exists)", &exists);
 
     println!("done. Try `--example school_collaboration` next.");

@@ -70,7 +70,9 @@ fn main() {
 
     // Zoom authors → schools, computing per-school sizes over time.
     let spec = AZoomSpec::by_property("school", "school", vec![AggSpec::count("authors")]);
-    let zoomed = Session::load(&rt, &g, ReprKind::Og).azoom(&spec).collect();
+    let zoomed = Pipeline::new()
+        .azoom(spec)
+        .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Og));
 
     println!(
         "\nschool-level graph: {} school states, {} collaboration edge states",

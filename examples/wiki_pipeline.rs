@@ -62,11 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let wspec = WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists);
 
-    let result = Session::from_graph(&rt, AnyGraph::Og(og))
-        .azoom(&bucket)
+    let result = Pipeline::new()
+        .azoom(bucket)
         .switch_to(ReprKind::Ve)
-        .wzoom(&wspec)
-        .collect();
+        .wzoom(wspec)
+        .collect(&rt, AnyGraph::Og(og));
 
     println!(
         "\ncohort-level quarterly graph: {} cohort states, {} interaction states",

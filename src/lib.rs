@@ -38,16 +38,16 @@
 //! let rt = Runtime::new(4);
 //!
 //! // Figure 2: zoom from people to schools, counting students.
-//! let schools = Session::load(&rt, &g, ReprKind::Og)
-//!     .azoom(&AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]))
-//!     .collect();
+//! let schools = Pipeline::new()
+//!     .azoom(AZoomSpec::by_property("school", "school", vec![AggSpec::count("students")]))
+//!     .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Og));
 //! assert_eq!(schools.distinct_vertex_count(), 2); // MIT, CMU
 //!
 //! // Figure 3: zoom from months to quarters, keeping entities present the
 //! // entire quarter.
-//! let quarters = Session::load(&rt, &g, ReprKind::Ve)
-//!     .wzoom(&WZoomSpec::points(3, Quantifier::All, Quantifier::All))
-//!     .collect();
+//! let quarters = Pipeline::new()
+//!     .wzoom(WZoomSpec::points(3, Quantifier::All, Quantifier::All))
+//!     .collect(&rt, AnyGraph::load(&rt, &g, ReprKind::Ve));
 //! assert!(quarters.lifespan.len() >= 9);
 //! ```
 
@@ -67,7 +67,7 @@ pub mod prelude {
         AZoomSpec, AggFn, AggSpec, Quantifier, ResolveFn, Skolem, WZoomSpec, WindowSpec,
     };
     pub use tgraph_dataflow::Runtime;
-    pub use tgraph_query::{CoalescePolicy, Pipeline, Session};
+    pub use tgraph_query::Pipeline;
     pub use tgraph_repr::{AnyGraph, OgGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
     pub use tgraph_storage::{GraphLoader, SortOrder};
 }
