@@ -3,10 +3,15 @@
 //! The benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§5). See the experiment index in `DESIGN.md`.
 //!
-//! * `cargo run --release -p tgraph-bench --bin experiments -- all` prints
-//!   the paper-shaped series for every figure;
-//! * `cargo bench` runs the Criterion micro-benchmarks (one per figure) at a
-//!   reduced scale.
+//! The crate's four binaries (`cargo run --release -p tgraph-bench --bin …`):
+//!
+//! * `experiments -- all` prints the paper-shaped series for every figure;
+//! * `optbench` checks the cost-based representation optimizer against
+//!   measured reality;
+//! * `ingestbench` times O(delta) incremental maintenance against a cold
+//!   recompute;
+//! * `tgraph-loadgen` drives a running `tgraph-serve` closed loop and
+//!   reports its latency under load.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,6 +1,6 @@
 //! The engine's environment settings, parsed once.
 //!
-//! Four `TGRAPH_*` variables tune the engine and the server on top of it.
+//! Three `TGRAPH_*` variables tune the engine and the server on top of it.
 //! They are read in exactly one place — [`EngineConfig::from_env`], called
 //! by [`Runtime`](crate::Runtime) construction — and every consumer reads
 //! the parsed value off the runtime ([`Runtime::config`](crate::Runtime::config))
@@ -22,9 +22,6 @@ pub struct EngineConfig {
     /// or `k`/`m`/`g`-suffixed (base 1024); `0`, absent or unparsable means
     /// unlimited.
     pub mem_bytes: u64,
-    /// `TGRAPH_SERVE_DEBUG` is set (to anything): the server logs client-level
-    /// protocol noise to stderr.
-    pub serve_debug: bool,
     /// `TGRAPH_SPILL_DIR` (default `<tmp>/tgraph-spill`): where spill runs
     /// are written.
     pub spill_dir: PathBuf,
@@ -36,7 +33,7 @@ impl EngineConfig {
         Self::parse(|name| std::env::var_os(name))
     }
 
-    /// Parses the four variables out of `lookup` (`None` = unset).
+    /// Parses the three variables out of `lookup` (`None` = unset).
     pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Self {
         let text = |name: &str| lookup(name).and_then(|v| v.into_string().ok());
         EngineConfig {
@@ -44,7 +41,6 @@ impl EngineConfig {
             mem_bytes: text("TGRAPH_MEM_BYTES")
                 .and_then(|v| parse_bytes(&v))
                 .unwrap_or(0),
-            serve_debug: lookup("TGRAPH_SERVE_DEBUG").is_some(),
             spill_dir: lookup("TGRAPH_SPILL_DIR")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| std::env::temp_dir().join("tgraph-spill")),
@@ -85,7 +81,7 @@ mod tests {
     #[test]
     fn an_empty_environment_gives_the_documented_defaults() {
         let c = EngineConfig::default();
-        assert!(!c.checked && !c.serve_debug);
+        assert!(!c.checked);
         assert_eq!(c.mem_bytes, 0);
         assert_eq!(c.spill_dir, std::env::temp_dir().join("tgraph-spill"));
     }
@@ -106,15 +102,12 @@ mod tests {
     }
 
     #[test]
-    fn checked_and_debug_gates() {
+    fn checked_takes_one_or_true_only() {
         let checked = |v: &str| parsed(&[("TGRAPH_CHECKED", v)]).checked;
         assert!(checked("1"));
         assert!(checked("true"));
         assert!(!checked("yes"));
         assert!(!checked("0"));
-        // Presence alone turns the debug log on, whatever the value.
-        assert!(parsed(&[("TGRAPH_SERVE_DEBUG", "")]).serve_debug);
-        assert!(!parsed(&[("TGRAPH_CHECKED", "1")]).serve_debug);
     }
 
     #[test]

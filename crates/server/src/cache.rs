@@ -14,7 +14,7 @@
 //!
 //! Bodies are the serialized result texts, shared out as `Arc<str>` — a hit
 //! replays the exact bytes of the first execution (byte-identical responses,
-//! asserted by the CI smoke test) without re-serialization. A hit shares
+//! asserted by the `serve_e2e` test) without re-serialization. A hit shares
 //! the entry's allocation all the way to the socket: the zoom reply holds
 //! the `Arc` and the connection's write backlog queues it as one chunk, so
 //! the bytes are never copied (nor re-checked as UTF-8, which the type

@@ -35,8 +35,7 @@
 //!    counters.
 //!
 //! The closed-loop load generator `tgraph-loadgen` (in `crates/bench`)
-//! drives this protocol for throughput/latency benchmarking and the CI
-//! smoke test.
+//! drives this protocol for throughput/latency benchmarking, in CI too.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

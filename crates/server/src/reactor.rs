@@ -11,7 +11,7 @@ use crate::server::{Server, MAX_LINE_BYTES};
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -212,9 +212,6 @@ pub(crate) type LineHandler<'a> = dyn Fn(&str) -> Reply + 'a;
 /// A connection as its owning reactor sees it.
 struct Conn {
     stream: TcpStream,
-    peer: Option<SocketAddr>,
-    /// Whether [`Conn::debug_log`] prints (the engine config's `serve_debug`).
-    debug: bool,
     shared: Arc<ConnShared>,
     /// Bytes received but not yet split at a newline.
     rbuf: Vec<u8>,
@@ -296,13 +293,10 @@ fn reactor_adopt_incoming(r: &mut Reactor) {
         {
             continue; // dropping the stream closes it
         }
-        let peer = stream.peer_addr().ok();
         r.conns.insert(
             token,
             Conn {
                 stream,
-                peer,
-                debug: r.server.rt.config().serve_debug,
                 shared: Arc::new(ConnShared {
                     state: Mutex::new(ConnState::default()),
                 }),
@@ -394,10 +388,7 @@ fn reactor_read(server: &Arc<Server>, conn: &mut Conn) -> bool {
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                conn.debug_log(&format!("read failed mid-stream: {e}"));
-                return false;
-            }
+            Err(_) => return false,
         }
     }
     true
@@ -432,7 +423,6 @@ fn reactor_split_frames(server: &Arc<Server>, conn: &mut Conn) {
                 // Answer through the pending queue so the response keeps
                 // its place in the pipeline's ordering.
                 ServerMetrics::bump(&server.metrics.bad_requests);
-                conn.debug_log("request line is not valid UTF-8");
                 st.pending
                     .push_back(PendingLine::Synthetic(invalid_utf8_response()));
             }
@@ -465,21 +455,6 @@ fn line_too_large_response() -> String {
 /// The typed refusal for a request line that is not valid UTF-8.
 fn invalid_utf8_response() -> String {
     error_response("bad_request", "request line is not valid UTF-8")
-}
-
-impl Conn {
-    /// Logs peer-level protocol noise (malformed lines, mid-line
-    /// disconnects) to stderr when `TGRAPH_SERVE_DEBUG` was set. Off by
-    /// default: a hostile client must not be able to flood the server's log.
-    fn debug_log(&self, msg: &str) {
-        if !self.debug {
-            return;
-        }
-        match self.peer {
-            Some(p) => eprintln!("tgraph-serve debug: peer {p}: {msg}"),
-            None => eprintln!("tgraph-serve debug: peer <unknown>: {msg}"),
-        }
-    }
 }
 
 /// Hands the next batch of pending frames to a dispatcher, unless one is
@@ -535,10 +510,7 @@ fn reactor_flush(conn: &mut Conn) -> bool {
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                conn.debug_log(&format!("write failed: {e}"));
-                return false;
-            }
+            Err(_) => return false,
         }
     }
 }

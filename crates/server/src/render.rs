@@ -125,7 +125,7 @@ impl From<String> for Reply {
 }
 
 /// Composes a zoom response. `result` is ALWAYS the final field and its
-/// bytes are spliced in verbatim, so clients (and the smoke test) can
+/// bytes are spliced in verbatim, so clients (and the `serve_e2e` test) can
 /// extract everything after `"result":` up to the closing brace and compare
 /// replays byte-for-byte. The optional `optimizer` block (auto-choice /
 /// EXPLAIN) is spliced immediately before it. `fingerprint` is the FNV-1a
@@ -261,13 +261,12 @@ fn runtime_json(server: &Server) -> Json {
     ]))
 }
 
-/// What the four `TGRAPH_*` variables parsed to when the runtime was built.
+/// What the three `TGRAPH_*` variables parsed to when the runtime was built.
 fn config_json(config: &EngineConfig) -> Json {
     let spill_dir = config.spill_dir.to_string_lossy().into_owned();
     Json::obj(vec![
         ("checked", Json::Bool(config.checked)),
         ("mem_bytes", Json::Int(config.mem_bytes as i64)),
-        ("serve_debug", Json::Bool(config.serve_debug)),
         ("spill_dir", Json::str(spill_dir)),
     ])
 }

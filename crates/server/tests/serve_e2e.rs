@@ -1,6 +1,6 @@
 //! End-to-end serving test over real TCP: cache-hit replay is
-//! byte-identical, expired deadlines never launch a task wave, and shutdown
-//! is clean.
+//! byte-identical, expired deadlines never launch a task wave, nothing
+//! spills without a memory budget, and shutdown is clean.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -113,6 +113,15 @@ fn serves_zooms_with_cache_deadlines_and_stats_over_tcp() {
     assert_eq!(field_i64(&stats_after, &["server", "zoom_cache_hits"]), 2);
     assert_eq!(field_i64(&stats_after, &["cache", "insertions"]), 1);
     assert!(field_i64(&stats_after, &["server", "latency", "total", "count"]) >= 3);
+
+    // Without a memory budget nothing spills.
+    if field_i64(&stats_after, &["runtime", "mem_budget"]) == 0 {
+        assert_eq!(
+            field_i64(&stats_after, &["runtime", "bytes_spilled"]),
+            0,
+            "spilled without a budget: {stats_after}"
+        );
+    }
 
     // Wave timing is surfaced and coherent.
     assert!(
