@@ -23,6 +23,8 @@
 //! * `--gen-demo NAME`       generate a small deterministic WikiTalk-style
 //!   dataset under `--data-dir` as NAME before serving (for smoke tests)
 
+#![warn(clippy::too_many_lines)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use tgraph_datagen::WikiTalk;

@@ -101,10 +101,7 @@ impl Json {
             Json::Bool(true) => out.write_str("true"),
             Json::Bool(false) => out.write_str("false"),
             Json::Int(v) => write!(out, "{v}"),
-            // `{f:?}` always includes a fractional part or exponent,
-            // keeping floats distinguishable from ints on re-parse.
-            Json::Float(f) if f.is_finite() => write!(out, "{f:?}"),
-            Json::Float(_) => out.write_str("null"), // JSON has no Inf/NaN
+            Json::Float(f) => write_float(*f, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.write_char('[')?;
@@ -162,7 +159,19 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped<W: Write>(s: &str, out: &mut W) -> fmt::Result {
+/// A float as JSON: `{f:?}` always includes a fractional part or exponent,
+/// keeping floats distinguishable from ints on re-parse; JSON has no Inf or
+/// NaN, so those are `null`.
+pub(crate) fn write_float<W: Write>(f: f64, out: &mut W) -> fmt::Result {
+    if f.is_finite() {
+        write!(out, "{f:?}")
+    } else {
+        out.write_str("null")
+    }
+}
+
+/// A string as a quoted JSON string literal.
+pub(crate) fn write_escaped<W: Write>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')?;
     // Every byte that needs escaping is ASCII, so the text between two of
     // them is a valid slice and goes out in one call.

@@ -3,12 +3,15 @@
 //! a global allocator and held under fixed ceilings. Counts, not timings —
 //! the same graph and plan allocate the same number of times on every run,
 //! so a kernel that starts building a `Props` (or a `Vec`, or a map) per
-//! record again fails here, on any machine, before a benchmark is run.
+//! record again fails here, on any machine, before a benchmark is run. The
+//! same counter holds rendering a result to JSON to a constant number of
+//! allocations per call, whatever the number of records.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tgraph::datagen::WikiTalk;
 use tgraph::prelude::*;
+use tgraph_serve::serialize_tgraph;
 
 struct Counting;
 
@@ -106,6 +109,28 @@ fn zoom_kernels_stay_inside_their_allocation_budget() {
         assert!(
             got <= ceiling,
             "{op} on {kind}: {got:.2} allocations per input tuple, budget {ceiling}"
+        );
+    }
+
+    // Rendering writes every record into one buffer: a few allocations per
+    // call (the two sorted record lists, their sort scratch, the buffer),
+    // none per record. A `Json` value per record made 28 040 on the raw
+    // graph.
+    let grouped = AnyGraph::load(&rt, &g, ReprKind::Ve)
+        .azoom(&rt, &by_name)
+        .to_tgraph(&rt);
+    for (label, result) in [("raw", &g), ("azoom ve", &grouped)] {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let body = serialize_tgraph(result);
+        let spent = ALLOCS.load(Ordering::Relaxed) - before;
+        let records = result.vertices.len() + result.edges.len();
+        println!(
+            "alloc_budget render {label}: {spent} allocations for {records} records, {} bytes",
+            body.len()
+        );
+        assert!(
+            spent <= 8,
+            "rendering {label}: {spent} allocations for {records} records, budget 8"
         );
     }
 }

@@ -1,12 +1,14 @@
 //! Property-based tests (proptest) on the core invariants of the system:
 //! coalescing, point semantics, quantifier monotonicity, conversion
-//! round-trips, and storage round-trips — on arbitrary generated TGraphs.
+//! round-trips, storage round-trips, and the bytes of a rendered result —
+//! on arbitrary generated TGraphs.
 
 use proptest::prelude::*;
 use tgraph::prelude::*;
 use tgraph_core::coalesce::{coalesce_graph, graph_is_coalesced};
 use tgraph_core::reference::{azoom_reference, wzoom_reference};
 use tgraph_core::validate::validate;
+use tgraph_serve::{json, serialize_tgraph, Json};
 
 const HORIZON: i64 = 10;
 
@@ -82,6 +84,143 @@ fn arb_tgraph() -> impl Strategy<Value = TGraph> {
 
 fn azoom_spec() -> AZoomSpec {
     AZoomSpec::by_property("group", "group", vec![AggSpec::count("n")])
+}
+
+/// Text pieces a property key or string value is built from: every control
+/// byte, the two characters JSON escapes in place, and multi-byte UTF-8.
+fn text_piece(i: usize) -> String {
+    const PIECES: [&str; 8] = ["\"", "\\", "a", "type", "\u{7f}", "é", "中", "😀"];
+    match u8::try_from(i) {
+        Ok(b) if b < 0x20 => char::from(b).to_string(),
+        _ => PIECES[(i - 0x20) % PIECES.len()].to_string(),
+    }
+}
+
+fn arb_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..0x28, 0..5)
+        .prop_map(|pieces| pieces.into_iter().map(text_piece).collect())
+}
+
+const FLOATS: [f64; 10] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+    0.0,
+    1e300,
+    -1e-300,
+    0.1,
+    f64::MIN_POSITIVE,
+    2.5,
+];
+const INTS: [i64; 5] = [i64::MIN, i64::MAX, 0, -1, 7];
+
+fn arb_props() -> impl Strategy<Value = Props> {
+    let value = (0u8..4, 0usize..10, arb_text()).prop_map(|(kind, i, text)| match kind {
+        0 => Value::Bool(i % 2 == 0),
+        1 => Value::Int(INTS[i % INTS.len()]),
+        2 => Value::Float(FLOATS[i]),
+        _ => Value::from(text),
+    });
+    prop::collection::vec((arb_text(), value), 0..4).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .fold(Props::new(), |p, (k, v)| p.with(k, v))
+    })
+}
+
+/// Strategy: records with hostile properties, ids drawn from a pool small
+/// enough to repeat (with different intervals) and including ids above
+/// `i64::MAX`, and possibly no records at all.
+fn arb_rendered_graph() -> impl Strategy<Value = TGraph> {
+    const IDS: [u64; 4] = [0, 1, u64::MAX, 1 << 63];
+    let interval = (-3i64..3, 0i64..3).prop_map(|(start, len)| Interval::new(start, start + len));
+    let vertex = (0usize..4, interval.clone(), arb_props())
+        .prop_map(|(id, i, props)| VertexRecord::new(IDS[id], i, props));
+    let edge = (0usize..4, 0usize..4, 0usize..4, interval, arb_props()).prop_map(
+        |(id, src, dst, i, props)| EdgeRecord::new(IDS[id], IDS[src], IDS[dst], i, props),
+    );
+    (
+        prop::collection::vec(vertex, 0..6),
+        prop::collection::vec(edge, 0..6),
+    )
+        .prop_map(|(vertices, edges)| TGraph::from_records(vertices, edges))
+}
+
+/// The result body as a `Json` tree per record, written with `Json::write`:
+/// the reference `serialize_tgraph` must match byte for byte.
+fn tree_body(g: &TGraph) -> String {
+    let interval = |i: Interval| Json::Arr(vec![Json::Int(i.start), Json::Int(i.end)]);
+    let props = |p: &Props| {
+        Json::Obj(
+            p.iter()
+                .map(|(k, v)| {
+                    let value = match v {
+                        Value::Bool(b) => Json::Bool(*b),
+                        Value::Int(i) => Json::Int(*i),
+                        Value::Float(f) => Json::Float(*f),
+                        Value::Str(s) => Json::Str(s.to_string()),
+                    };
+                    (k.to_string(), value)
+                })
+                .collect(),
+        )
+    };
+    let mut vertices: Vec<_> = g.vertices.iter().collect();
+    vertices.sort_by_key(|v| (v.vid, v.interval));
+    let mut edges: Vec<_> = g.edges.iter().collect();
+    edges.sort_by_key(|e| (e.eid, e.interval));
+    let vertex = |v: &&VertexRecord| {
+        Json::obj(vec![
+            ("id", Json::Int(v.vid.0 as i64)),
+            ("interval", interval(v.interval)),
+            ("props", props(&v.props)),
+        ])
+    };
+    let edge = |e: &&EdgeRecord| {
+        Json::obj(vec![
+            ("id", Json::Int(e.eid.0 as i64)),
+            ("src", Json::Int(e.src.0 as i64)),
+            ("dst", Json::Int(e.dst.0 as i64)),
+            ("interval", interval(e.interval)),
+            ("props", props(&e.props)),
+        ])
+    };
+    let body = Json::obj(vec![
+        ("lifespan", interval(g.lifespan)),
+        ("vertices", Json::Arr(vertices.iter().map(vertex).collect())),
+        ("edges", Json::Arr(edges.iter().map(edge).collect())),
+    ]);
+    let mut out = String::new();
+    body.write(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn serialize_tgraph_matches_the_tree_writer_on_fixed_edge_cases() {
+    let every_piece: String = (0..0x28).map(text_piece).collect();
+    let hostile = Props::new()
+        .with(every_piece.as_str(), every_piece.as_str())
+        .with("\"quoted\" key", f64::NAN)
+        .with("-0", -0.0)
+        .with("big", 1e300)
+        .with("inf", f64::NEG_INFINITY)
+        .with("min", i64::MIN)
+        .with("max", i64::MAX)
+        .with("yes", true);
+    let g = TGraph::from_records(
+        vec![
+            VertexRecord::new(3, Interval::new(4, 6), Props::new()),
+            VertexRecord::new(3, Interval::new(0, 2), hostile.clone()),
+            VertexRecord::new(u64::MAX, Interval::new(1, 2), Props::typed("node")),
+        ],
+        vec![EdgeRecord::new(0, 3, 3, Interval::new(0, 1), hostile)],
+    );
+    for g in [TGraph::new(), g] {
+        let body = serialize_tgraph(&g);
+        assert_eq!(body, tree_body(&g));
+        json::parse(&body).unwrap();
+    }
 }
 
 proptest! {
@@ -239,5 +378,12 @@ proptest! {
             let direct = tgraph_core::reference::azoom_static(&g.at(t), &spec);
             prop_assert_eq!(out.at(t), direct, "diverged at t={}", t);
         }
+    }
+
+    #[test]
+    fn serialize_tgraph_matches_the_tree_writer(g in arb_rendered_graph()) {
+        let body = serialize_tgraph(&g);
+        prop_assert_eq!(&body, &tree_body(&g));
+        prop_assert!(json::parse(&body).is_ok(), "does not re-parse: {}", body);
     }
 }
