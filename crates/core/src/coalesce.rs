@@ -2,11 +2,16 @@
 //! value-equivalent tuples so that each fact is represented by a single tuple
 //! per period of maximal length during which no change occurred.
 //!
-//! We implement the *partitioning method* described in the paper: group the
-//! relation by key, sort each group by interval start, then fold over the
-//! group checking pairs of adjacent tuples for value-equivalence.
+//! The dataflow kernels use the *partitioning method* described in the
+//! paper: group the relation by key, sort each group by interval start, then
+//! fold over the group checking pairs of adjacent tuples for
+//! value-equivalence ([`coalesce_group`]). A relation collected onto one
+//! thread is coalesced by one stable sort on `(key, start, end)` and one
+//! in-place fold over neighbours ([`coalesce_vertices`], [`coalesce_edges`],
+//! [`TGraph::into_coalesced`]): the same fold, with no map.
 
 use crate::graph::{EdgeRecord, TGraph, VertexRecord};
+use crate::props::Props;
 use crate::time::Interval;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -48,82 +53,69 @@ pub fn coalesce_group<V: Eq>(mut facts: Vec<(Interval, V)>) -> Vec<(Interval, V)
     out
 }
 
-/// Coalesces an arbitrary keyed temporal relation: facts are grouped by `key`,
-/// each group is coalesced with [`coalesce_group`], and the result is
-/// returned flattened (grouped runs, sorted by start within each key).
-pub fn coalesce_relation<K, V, T>(
-    items: Vec<T>,
-    key: impl Fn(&T) -> K,
-    interval: impl Fn(&T) -> Interval,
-    value: impl Fn(&T) -> V,
-    rebuild: impl Fn(&K, Interval, V) -> T,
-) -> Vec<T>
-where
-    K: Eq + Hash + Clone,
-    V: Eq + Clone,
-{
-    let mut groups: HashMap<K, Vec<(Interval, V)>> = HashMap::new();
-    for item in &items {
-        groups
-            .entry(key(item))
-            .or_default()
-            .push((interval(item), value(item)));
-    }
-    let mut out = Vec::with_capacity(items.len());
-    for (k, facts) in groups {
-        for (iv, v) in coalesce_group(facts) {
-            out.push(rebuild(&k, iv, v));
+/// Coalesces a collected keyed relation in place: drops empty intervals,
+/// stable-sorts by `(key, start, end)` and folds each fact into its kept
+/// predecessor when both have the same key and value and their intervals are
+/// mergeable. Per key this is [`coalesce_group`], with no map and no copy of
+/// a value; the result is sorted by `(key, start, end)`.
+fn coalesce_sorted<T, K: Ord>(
+    mut facts: Vec<T>,
+    view: impl Fn(&T) -> (K, Interval, &Props),
+    interval: impl Fn(&mut T) -> &mut Interval,
+) -> Vec<T> {
+    facts.retain(|f| !view(f).1.is_empty());
+    facts.sort_by(|a, b| {
+        let ((ka, ia, _), (kb, ib, _)) = (view(a), view(b));
+        (ka, ia).cmp(&(kb, ib))
+    });
+    facts.dedup_by(|next, kept| {
+        let ((kn, iv, vn), (kk, ik, vk)) = (view(next), view(kept));
+        let merge = kn == kk && vn == vk && ik.mergeable(&iv);
+        if merge {
+            interval(kept).end = ik.end.max(iv.end);
+        }
+        merge
+    });
+    facts
+}
+
+/// Coalesces the vertex relation of a logical TGraph, sorted by
+/// `(vid, start, end)`.
+pub fn coalesce_vertices(vertices: Vec<VertexRecord>) -> Vec<VertexRecord> {
+    coalesce_sorted(
+        vertices,
+        |v| (v.vid, v.interval, &v.props),
+        |v| &mut v.interval,
+    )
+}
+
+/// Coalesces the edge relation of a logical TGraph, sorted by
+/// `(eid, src, dst, start, end)`. The key includes the endpoints so that
+/// (pathological) same-id edges with different endpoints are never merged.
+pub fn coalesce_edges(edges: Vec<EdgeRecord>) -> Vec<EdgeRecord> {
+    coalesce_sorted(
+        edges,
+        |e| ((e.eid, e.src, e.dst), e.interval, &e.props),
+        |e| &mut e.interval,
+    )
+}
+
+impl TGraph {
+    /// Coalesces both relations of this graph in place, in the order of
+    /// [`coalesce_vertices`] and [`coalesce_edges`].
+    pub fn into_coalesced(self) -> TGraph {
+        TGraph {
+            lifespan: self.lifespan,
+            vertices: coalesce_vertices(self.vertices),
+            edges: coalesce_edges(self.edges),
         }
     }
-    out
 }
 
-/// Coalesces the vertex relation of a logical TGraph.
-pub fn coalesce_vertices(vertices: Vec<VertexRecord>) -> Vec<VertexRecord> {
-    coalesce_relation(
-        vertices,
-        |v| v.vid,
-        |v| v.interval,
-        |v| v.props.clone(),
-        |vid, interval, props| VertexRecord {
-            vid: *vid,
-            interval,
-            props,
-        },
-    )
-}
-
-/// Coalesces the edge relation of a logical TGraph. The key includes the
-/// endpoints so that (pathological) same-id edges with different endpoints
-/// are never merged.
-pub fn coalesce_edges(edges: Vec<EdgeRecord>) -> Vec<EdgeRecord> {
-    coalesce_relation(
-        edges,
-        |e| (e.eid, e.src, e.dst),
-        |e| e.interval,
-        |e| e.props.clone(),
-        |(eid, src, dst), interval, props| EdgeRecord {
-            eid: *eid,
-            src: *src,
-            dst: *dst,
-            interval,
-            props,
-        },
-    )
-}
-
-/// Coalesces a whole logical TGraph, producing deterministic ordering
-/// (sorted by id, then start) so results compare structurally.
+/// Coalesces a copy of a logical TGraph (see [`TGraph::into_coalesced`]), so
+/// results compare structurally.
 pub fn coalesce_graph(g: &TGraph) -> TGraph {
-    let mut vertices = coalesce_vertices(g.vertices.clone());
-    let mut edges = coalesce_edges(g.edges.clone());
-    vertices.sort_by_key(|v| (v.vid, v.interval.start));
-    edges.sort_by_key(|e| (e.eid, e.interval.start));
-    TGraph {
-        lifespan: g.lifespan,
-        vertices,
-        edges,
-    }
+    g.clone().into_coalesced()
 }
 
 /// Whether a keyed temporal relation is already coalesced: no two
@@ -184,7 +176,6 @@ pub fn graph_is_coalesced(g: &TGraph) -> bool {
 mod tests {
     use super::*;
     use crate::graph::figure1_graph_stable_ids;
-    use crate::props::Props;
 
     #[test]
     fn merges_adjacent_equal_values() {

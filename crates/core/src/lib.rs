@@ -24,7 +24,7 @@
 //! | [`time`] | time domain, closed-open [`Interval`]s, interval algebra |
 //! | [`props`] | typed property values and immutable property sets |
 //! | [`graph`] | vertex/edge facts, the logical [`TGraph`], snapshots |
-//! | [`coalesce`] | temporal coalescing (the partitioning method of §4) |
+//! | [`coalesce`] | temporal coalescing (§4): the partitioning method per key, one sort and a fold per collected relation |
 //! | [`splitter`] | temporal alignment / splitters, window alignment |
 //! | [`bitset`] | packed bitsets for the OGC representation |
 //! | [`validate`] | Definition 2.1 validity checking |

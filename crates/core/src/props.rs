@@ -214,7 +214,7 @@ impl Props {
 
     /// Convenience constructor for an entity that only carries a type label.
     pub fn typed(type_label: &str) -> Self {
-        Props::new().with(type_key(), type_label)
+        Props(Arc::from([(type_key(), Value::from(type_label))]))
     }
 
     /// Looks up a property value by key.

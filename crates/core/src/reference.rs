@@ -84,13 +84,12 @@ pub fn azoom_reference(g: &TGraph, spec: &AZoomSpec) -> TGraph {
             });
         }
     }
-    let mut out = TGraph {
+    TGraph {
         lifespan: g.lifespan,
         vertices,
         edges,
-    };
-    out = coalesce_graph(&out);
-    out
+    }
+    .into_coalesced()
 }
 
 /// Reference `wZoom^T`: per-window evaluation from the definition.
@@ -184,11 +183,12 @@ pub fn wzoom_reference(g: &TGraph, spec: &WZoomSpec) -> TGraph {
     }
 
     let lifespan = Interval::hull_of(&windows);
-    coalesce_graph(&TGraph {
+    TGraph {
         lifespan,
         vertices: out_vertices,
         edges: out_edges,
-    })
+    }
+    .into_coalesced()
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use tgraph_core::coalesce::coalesce_graph;
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
 
@@ -81,11 +80,12 @@ pub fn coarsen_time(g: &TGraph, factor: u32) -> TGraph {
         }
     }
 
-    coalesce_graph(&TGraph {
+    TGraph {
         lifespan: map_iv(g.lifespan),
         vertices,
         edges,
-    })
+    }
+    .into_coalesced()
 }
 
 /// Projects each vertex's attributes to a random group identifier drawn

@@ -16,8 +16,8 @@
 //!    merge back.
 //!
 //! Every pipeline's final result is temporally coalesced (VE re-coalesces
-//! after each zoom; RG/OG/OGC materialize through `coalesce_graph`), and
-//! coalesced-plus-sorted is a *unique* normal form — so a patched result is
+//! after each zoom; `AnyGraph::to_tgraph` ends in `TGraph::into_coalesced`),
+//! and coalesced-plus-sorted is a *unique* normal form — so a patched result is
 //! byte-identical to a cold recompute under the server's deterministic
 //! serialization. The contract presumes the post-ingest graph is *valid*
 //! (Definition 2.1, `tgraph_core::validate`) — in particular no dangling

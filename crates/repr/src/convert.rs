@@ -160,8 +160,9 @@ impl AnyGraph {
         };
         if rt.checked() {
             // Validate the canonical (coalesced) logical form: physical
-            // representations may legitimately hold uncoalesced fragments.
-            let logical = tgraph_core::coalesce::coalesce_graph(&out.to_tgraph(rt));
+            // representations may legitimately hold uncoalesced fragments,
+            // and `to_tgraph` coalesces them.
+            let logical = out.to_tgraph(rt);
             let errors = tgraph_core::validate::validate(&logical);
             if !errors.is_empty() {
                 let rendered: Vec<String> = errors.iter().map(|e| e.to_string()).collect();

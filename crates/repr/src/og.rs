@@ -21,7 +21,7 @@ use crate::common::{
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use tgraph_core::coalesce::{coalesce_graph, coalesce_group};
+use tgraph_core::coalesce::coalesce_group;
 use tgraph_core::graph::{EdgeId, TGraph, VertexId};
 use tgraph_core::props::Props;
 use tgraph_core::time::Interval;
@@ -173,11 +173,12 @@ impl OgGraph {
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
         // History arrays laid flat are the OG → VE conversion.
         let flat = crate::convert::og_to_ve(rt, self);
-        coalesce_graph(&TGraph {
+        TGraph {
             lifespan: self.lifespan,
             vertices: flat.vertices.collect(rt),
             edges: flat.edges.collect(rt),
-        })
+        }
+        .into_coalesced()
     }
 
     /// Number of vertex records (one per distinct vertex).
@@ -409,6 +410,7 @@ impl OgGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::coalesce::coalesce_graph;
     use tgraph_core::graph::{figure1_graph_stable_ids, EdgeRecord, VertexRecord};
     use tgraph_core::reference::{azoom_reference, wzoom_reference};
     use tgraph_core::zoom::azoom::AggSpec;

@@ -11,7 +11,6 @@ use crate::common::{histories_of, EdgeKey, Histories, State};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tgraph_core::bitset::Bitset;
-use tgraph_core::coalesce::coalesce_graph;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::splitter::splitter;
@@ -148,11 +147,12 @@ impl OgcGraph {
                 }
             })
             .collect(rt);
-        coalesce_graph(&TGraph {
+        TGraph {
             lifespan: self.lifespan,
             vertices,
             edges,
-        })
+        }
+        .into_coalesced()
     }
 
     /// The rows as they are held: one state per set bit, so every boundary of
@@ -333,6 +333,7 @@ fn rows<K: Copy + Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::coalesce::coalesce_graph;
     use tgraph_core::graph::figure1_graph_stable_ids;
     use tgraph_core::reference::wzoom_reference;
     use tgraph_core::zoom::wzoom::Quantifier;

@@ -12,7 +12,6 @@
 use crate::common::{resolve_edge_states, resolve_vertex_states, window_reduce, GroupBases, State};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tgraph_core::coalesce::coalesce_graph;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::splitter::elementary_intervals;
@@ -118,11 +117,12 @@ impl RgGraph {
                 }
             })
             .collect(rt);
-        coalesce_graph(&TGraph {
+        TGraph {
             lifespan: self.lifespan,
             vertices,
             edges,
-        })
+        }
+        .into_coalesced()
     }
 
     /// Total vertex tuples across all snapshots (RG's storage footprint).
@@ -427,6 +427,7 @@ fn regroup_snapshots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::coalesce::coalesce_graph;
     use tgraph_core::graph::figure1_graph_stable_ids;
     use tgraph_core::reference::{azoom_reference, wzoom_reference};
     use tgraph_core::zoom::azoom::AggSpec;

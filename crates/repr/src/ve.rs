@@ -12,7 +12,6 @@ use crate::common::{
     window_reduce, State,
 };
 use std::sync::Arc;
-use tgraph_core::coalesce::{coalesce_edges, coalesce_vertices};
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::time::Interval;
 use tgraph_core::zoom::azoom::AZoomSpec;
@@ -46,21 +45,26 @@ impl VeGraph {
         }
     }
 
-    /// Materializes the logical graph (sorted deterministically).
+    /// Materializes the logical graph, sorted like a coalesced one: vertices
+    /// by `(vid, start, end)`, edges by `(eid, src, dst, start, end)`.
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
-        let mut vertices = self.vertices.collect(rt);
-        let mut edges = self.edges.collect(rt);
-        vertices.sort_by_key(|v| (v.vid, v.interval.start));
-        edges.sort_by_key(|e| (e.eid, e.src, e.dst, e.interval.start));
-        let mut g = TGraph {
+        let mut g = self.collect(rt);
+        g.vertices.sort_by_key(|v| (v.vid, v.interval));
+        g.edges.sort_by_key(|e| (e.eid, e.src, e.dst, e.interval));
+        g
+    }
+
+    /// Both relations collected as they lie, in no particular order.
+    fn collect(&self, rt: &Runtime) -> TGraph {
+        let (vertices, edges) = (self.vertices.collect(rt), self.edges.collect(rt));
+        if self.lifespan.is_empty() {
+            return TGraph::from_records(vertices, edges);
+        }
+        TGraph {
             lifespan: self.lifespan,
             vertices,
             edges,
-        };
-        if g.lifespan.is_empty() {
-            g = TGraph::from_records(g.vertices, g.edges);
         }
-        g
     }
 
     /// Number of vertex tuples.
@@ -302,22 +306,10 @@ fn coalesced_edges(rt: &Runtime, edges: &Dataset<EdgeRecord>) -> Dataset<EdgeRec
         })
 }
 
-/// Convenience: coalesce a collected relation (used by tests).
+/// The logical graph of `g`, collected and coalesced (what
+/// `AnyGraph::to_tgraph` returns for VE).
 pub fn coalesce_collected(rt: &Runtime, g: &VeGraph) -> TGraph {
-    let t = g.to_tgraph(rt);
-    TGraph {
-        lifespan: t.lifespan,
-        vertices: {
-            let mut v = coalesce_vertices(t.vertices);
-            v.sort_by_key(|x| (x.vid, x.interval.start));
-            v
-        },
-        edges: {
-            let mut e = coalesce_edges(t.edges);
-            e.sort_by_key(|x| (x.eid, x.src, x.dst, x.interval.start));
-            e
-        },
-    }
+    g.collect(rt).into_coalesced()
 }
 
 #[cfg(test)]

@@ -4,13 +4,15 @@
 //! the same graph and plan allocate the same number of times on every run,
 //! so a kernel that starts building a `Props` (or a `Vec`, or a map) per
 //! record again fails here, on any machine, before a benchmark is run. The
-//! same counter holds rendering a result to JSON to a constant number of
-//! allocations per call, whatever the number of records.
+//! same counter holds rendering a result to JSON, and coalescing a collected
+//! relation, to a constant number of allocations per call, whatever the
+//! number of records; and materializing a loaded graph to a fixed ceiling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tgraph::datagen::WikiTalk;
 use tgraph::prelude::*;
+use tgraph_core::coalesce::coalesce_graph;
 use tgraph_serve::serialize_tgraph;
 
 struct Counting;
@@ -131,6 +133,43 @@ fn zoom_kernels_stay_inside_their_allocation_budget() {
         assert!(
             spent <= 8,
             "rendering {label}: {spent} allocations for {records} records, budget 8"
+        );
+    }
+
+    // A collected relation is coalesced by one stable sort and a fold in
+    // place: the copy of each relation and its sort scratch, none per
+    // record. Grouping by key in a `HashMap` made 2 518 on the raw graph.
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let coalesced = coalesce_graph(&g);
+    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    let records = coalesced.vertices.len() + coalesced.edges.len();
+    println!("alloc_budget coalesce raw: {spent} allocations for {records} records");
+    assert!(
+        spent <= 8,
+        "coalescing raw: {spent} allocations for {records} records, budget 8"
+    );
+
+    // Materializing a loaded, unzoomed graph: the collect waves and their
+    // buffers, then that coalesce; OGC also builds one `Props` per entity.
+    // Ceilings sit ~25% above the counts EXPERIMENTS.md records (96, 102,
+    // 120, 5 106). Hash-grouping the collected relation made 2 612, 2 618,
+    // 4 873 and 12 351.
+    let budget: [(ReprKind, u64); 4] = [
+        (ReprKind::Ve, 120),
+        (ReprKind::Og, 128),
+        (ReprKind::Rg, 150),
+        (ReprKind::Ogc, 6_400),
+    ];
+    for (kind, ceiling) in budget {
+        let loaded = AnyGraph::load(&rt, &g, kind);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let logical = loaded.to_tgraph(&rt);
+        let spent = ALLOCS.load(Ordering::Relaxed) - before;
+        let records = logical.vertices.len() + logical.edges.len();
+        println!("alloc_budget to_tgraph {kind}: {spent} allocations for {records} records");
+        assert!(
+            spent <= ceiling,
+            "to_tgraph on {kind}: {spent} allocations for {records} records, budget {ceiling}"
         );
     }
 }

@@ -4,8 +4,12 @@
 //! on arbitrary generated TGraphs.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::hash::Hash;
 use tgraph::prelude::*;
-use tgraph_core::coalesce::{coalesce_graph, graph_is_coalesced};
+use tgraph_core::coalesce::{
+    coalesce_edges, coalesce_graph, coalesce_group, coalesce_vertices, graph_is_coalesced,
+};
 use tgraph_core::reference::{azoom_reference, wzoom_reference};
 use tgraph_core::validate::validate;
 use tgraph_serve::{json, serialize_tgraph, Json};
@@ -223,6 +227,123 @@ fn serialize_tgraph_matches_the_tree_writer_on_fixed_edge_cases() {
     }
 }
 
+/// Reference coalescer for a collected relation: group the facts by key in a
+/// `HashMap`, coalesce each group with `coalesce_group`, flatten, then sort
+/// by `(key, interval)` — what the sort-and-fold coalescer must equal.
+fn grouping_reference<T, K: Ord + Hash + Clone>(
+    facts: &[T],
+    key: impl Fn(&T) -> K,
+    fact: impl Fn(&T) -> (Interval, Props),
+    rebuild: impl Fn(&K, Interval, Props) -> T,
+) -> Vec<T> {
+    let mut groups: HashMap<K, Vec<(Interval, Props)>> = HashMap::new();
+    for f in facts {
+        groups.entry(key(f)).or_default().push(fact(f));
+    }
+    let mut runs: Vec<(K, Interval, Props)> = groups
+        .into_iter()
+        .flat_map(|(k, group)| {
+            coalesce_group(group)
+                .into_iter()
+                .map(move |(iv, props)| (k.clone(), iv, props))
+        })
+        .collect();
+    runs.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    runs.into_iter()
+        .map(|(k, iv, p)| rebuild(&k, iv, p))
+        .collect()
+}
+
+/// Three values: two type labels, and a label with one more attribute.
+fn fact_props(i: u8) -> Props {
+    match i {
+        0 => Props::typed("a"),
+        1 => Props::typed("b"),
+        _ => Props::typed("a").with("x", 1i64),
+    }
+}
+
+/// `[start, start + len)`: empty when `len` is 0.
+fn fact_interval(start: i64, len: i64) -> Interval {
+    Interval::new(start, start + len)
+}
+
+/// Holds `coalesce_vertices` and `coalesce_edges` on one relation pair to
+/// the grouping reference, to their own order, to `graph_is_coalesced` and
+/// to idempotence.
+fn check_against_grouping_reference(vertices: Vec<VertexRecord>, edges: Vec<EdgeRecord>) {
+    let want_v = grouping_reference(
+        &vertices,
+        |v| v.vid,
+        |v| (v.interval, v.props.clone()),
+        |vid, interval, props| VertexRecord {
+            vid: *vid,
+            interval,
+            props,
+        },
+    );
+    let want_e = grouping_reference(
+        &edges,
+        |e| (e.eid, e.src, e.dst),
+        |e| (e.interval, e.props.clone()),
+        |&(eid, src, dst), interval, props| EdgeRecord {
+            eid,
+            src,
+            dst,
+            interval,
+            props,
+        },
+    );
+    let got_v = coalesce_vertices(vertices);
+    let got_e = coalesce_edges(edges);
+    assert_eq!(got_v, want_v);
+    assert_eq!(got_e, want_e);
+    assert!(got_v
+        .windows(2)
+        .all(|w| (w[0].vid, w[0].interval) <= (w[1].vid, w[1].interval)));
+    assert!(got_e.windows(2).all(|w| {
+        let key = |e: &EdgeRecord| (e.eid, e.src, e.dst, e.interval);
+        key(&w[0]) <= key(&w[1])
+    }));
+    assert_eq!(coalesce_vertices(got_v.clone()), got_v);
+    assert_eq!(coalesce_edges(got_e.clone()), got_e);
+    assert!(graph_is_coalesced(&TGraph::from_records(got_v, got_e)));
+}
+
+#[test]
+fn coalescing_matches_the_grouping_reference_on_fixed_edge_cases() {
+    let v = |vid, start, len, value| {
+        VertexRecord::new(vid, fact_interval(start, len), fact_props(value))
+    };
+    let e = |eid, src, dst, start, len, value| {
+        EdgeRecord::new(eid, src, dst, fact_interval(start, len), fact_props(value))
+    };
+    check_against_grouping_reference(
+        vec![
+            v(2, 4, 2, 0), // unsorted, interleaved with key 1
+            v(1, 3, 2, 0),
+            v(2, 0, 4, 0), // touches [4, 6)
+            v(1, 3, 2, 0), // exact duplicate
+            v(1, 1, 0, 0), // empty interval
+            v(1, 0, 4, 0), // overlaps [3, 5), same value
+            v(1, 1, 2, 0), // inside [0, 4), same value
+            v(1, 2, 3, 1), // overlaps, different value: invalid input
+            v(3, 5, 0, 2), // a key with only an empty interval
+            v(2, 6, 1, 2), // touches, different value
+        ],
+        vec![
+            e(0, 1, 2, 2, 2, 0), // one eid, two endpoint pairs
+            e(0, 1, 1, 0, 2, 0),
+            e(0, 1, 2, 0, 2, 0), // touches [2, 4) on the same endpoints
+            e(0, 1, 1, 2, 2, 0), // touches [0, 2) on the other endpoints
+            e(1, 0, 0, 1, 3, 1),
+            e(1, 0, 0, 1, 3, 1), // exact duplicate
+            e(1, 0, 0, 0, 2, 2), // overlaps, different value
+        ],
+    );
+    check_against_grouping_reference(Vec::new(), Vec::new());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -385,5 +506,40 @@ proptest! {
         let body = serialize_tgraph(&g);
         prop_assert_eq!(&body, &tree_body(&g));
         prop_assert!(json::parse(&body).is_ok(), "does not re-parse: {}", body);
+    }
+
+    #[test]
+    fn coalescing_matches_the_grouping_reference(
+        vertices in prop::collection::vec((0u64..4, -2i64..6, 0i64..4, 0u8..3, prop::bool::ANY), 0..24),
+        edges in prop::collection::vec(
+            ((0u64..3, 0u64..2, 0u64..2), -2i64..6, 0i64..4, 0u8..3, prop::bool::ANY),
+            0..24,
+        ),
+        presorted in prop::bool::ANY,
+    ) {
+        // `twice` repeats a fact: exact duplicates. Small ranges make
+        // touching, overlapping and interleaved facts common; `presorted`
+        // hands over runs that are already in order.
+        let mut vs = Vec::new();
+        for &(vid, start, len, value, twice) in &vertices {
+            let rec = VertexRecord::new(vid, fact_interval(start, len), fact_props(value));
+            if twice {
+                vs.push(rec.clone());
+            }
+            vs.push(rec);
+        }
+        let mut es = Vec::new();
+        for &((eid, src, dst), start, len, value, twice) in &edges {
+            let rec = EdgeRecord::new(eid, src, dst, fact_interval(start, len), fact_props(value));
+            if twice {
+                es.push(rec.clone());
+            }
+            es.push(rec);
+        }
+        if presorted {
+            vs.sort_by_key(|v| (v.vid, v.interval));
+            es.sort_by_key(|e| (e.eid, e.src, e.dst, e.interval));
+        }
+        check_against_grouping_reference(vs, es);
     }
 }
