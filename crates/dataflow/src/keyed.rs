@@ -481,7 +481,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spill::{HeapSize, SpillError, SpillReader};
+    use crate::spill::{DecodeError, HeapSize, SpillError, SpillReader};
 
     fn rt() -> Runtime {
         Runtime::with_partitions(4, 4)
@@ -606,7 +606,7 @@ mod tests {
             fn spill(&self, out: &mut Vec<u8>) {
                 self.0.spill(out);
             }
-            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
                 u64::unspill(r).map(Counted)
             }
         }
@@ -713,7 +713,7 @@ mod tests {
         fn spill(&self, out: &mut Vec<u8>) {
             self.0.spill(out);
         }
-        fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+        fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
             let v = u64::unspill(r)?;
             r.u8()?;
             Ok(Greedy(v))

@@ -78,5 +78,8 @@ pub use governor::{MemCharge, MemGovernor};
 pub use keyed::{bucket_of, shuffle, KeyedDataset};
 pub use lineage::{fnv1a, OpKind, PlanNode};
 pub use runtime::{Runtime, RuntimeStats};
-pub use spill::{charged_size, checksum, decode_records, HeapSize, Spill, SpillError, SpillReader};
+pub use spill::{
+    charged_size, checked_count, checked_prop_count, checked_str_len, checksum, decode_records,
+    too_wide, DecodeError, EncodeError, HeapSize, Spill, SpillError, SpillReader,
+};
 pub use sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};

@@ -3,23 +3,31 @@
 //! serialized shuffle ([`Runtime::set_serialized_shuffles`](crate::Runtime::set_serialized_shuffles))
 //! round-trips its buckets. Both decode through [`decode_records`].
 //!
-//! A *run* is one map partition's bucket set written to disk in a compact
-//! little-endian format (the same fixed-width/length-prefixed conventions as
-//! the `.tgc` columnar encoder in `tgraph-storage`, which re-exports this
-//! module's [`checksum`]). Buckets are written — and later read back — in
-//! bucket order, with records in exactly the order the map side produced
-//! them, so a merge of spilled and in-memory sources reproduces the
-//! all-in-memory exchange byte for byte.
+//! A *run* is one map partition's bucket set written to disk. Buckets are
+//! written — and later read back — in bucket order, with records in exactly
+//! the order the map side produced them, so a merge of spilled and in-memory
+//! sources reproduces the all-in-memory exchange byte for byte.
 //!
 //! Records are encoded via the [`Spill`] trait: a deliberately boring,
 //! exact codec (no compression, no varints) with implementations for the
 //! standard types dataflow programs shuffle. Domain crates implement it for
 //! their record types (`tgraph-core` for property-graph records,
-//! `tgraph-repr` for the physical-representation rows).
+//! `tgraph-repr` for the physical-representation rows). It is also the row
+//! codec of `tgraph-storage`'s `.tgc`/`.tgo` files, which read their chunk
+//! payloads through the same [`SpillReader`] and report damage with the same
+//! [`DecodeError`]: integers are 8 little-endian bytes, a string is a `u32`
+//! byte length and its UTF-8 bytes, a sequence is a `u64` count and its
+//! elements. The fixed widths are owned here too: a writer that can refuse
+//! a record checks it with the `checked_*` helpers and their
+//! [`EncodeError`], and an encoder that cannot ([`Spill::spill`]) raises
+//! [`too_wide`].
 
+use std::any::Any;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A cheap estimate of the heap bytes owned by a value, *excluding* its
 /// inline `size_of` footprint. The governor charges
@@ -53,10 +61,12 @@ pub enum SpillError {
         /// The underlying `std::io::Error`, stringified.
         error: String,
     },
-    /// A run file's payload did not decode back (checksum mismatch,
-    /// truncation, bad tag).
+    /// A payload did not decode back (checksum mismatch, a [`DecodeError`]
+    /// at some record, trailing bytes), or a record was too wide for the
+    /// codec's length prefixes and could not be encoded at all.
     Corrupt {
-        /// What went wrong, including the run path when known.
+        /// What went wrong and where: the record, bucket and run path when
+        /// known.
         detail: String,
     },
 }
@@ -96,6 +106,106 @@ fn within(what: std::fmt::Arguments<'_>, e: SpillError) -> SpillError {
     }
 }
 
+/// Raises the engine's typed panic for a value wider than the codec's
+/// length prefix for it: [`Spill::spill`] cannot return an error, and
+/// truncating the prefix would write a payload whose sizes lie.
+pub fn too_wide(what: impl std::fmt::Display) -> ! {
+    std::panic::panic_any(corrupt(format!("record too wide to encode: {what}")))
+}
+
+/// Why a payload did not decode: the one error of every [`Spill::unspill`],
+/// whether the bytes came from a run file, a serialized shuffle or a
+/// `.tgc`/`.tgo` chunk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The buffer ended before the announced payload.
+    UnexpectedEof,
+    /// A string field held invalid UTF-8.
+    InvalidUtf8,
+    /// A tag byte (of a bool, an `Option`, a property value, …) that no
+    /// encoder writes.
+    BadTag {
+        /// What the tag selects between.
+        what: &'static str,
+        /// The byte found.
+        tag: u8,
+    },
+    /// The bytes are not in this format: a file magic, version or
+    /// sort-order byte that does not match, or an interval that ends before
+    /// it starts. No writer produces one.
+    BadMagic,
+    /// A bitset with bits set past its length. No writer produces one.
+    BitsPastLength,
+    /// A chunk checksum did not match its payload.
+    ChecksumMismatch,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::UnexpectedEof => write!(f, "unexpected end of buffer"),
+            DecodeError::InvalidUtf8 => write!(f, "invalid UTF-8 in string field"),
+            DecodeError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
+            DecodeError::BadMagic => write!(f, "bad magic, version or interval"),
+            DecodeError::BitsPastLength => write!(f, "bitset bits set past its length"),
+            DecodeError::ChecksumMismatch => write!(f, "chunk checksum mismatch"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// A field does not fit its fixed-width length or count prefix. Writers
+/// refuse it: a truncated prefix would declare sizes that disagree with the
+/// bytes after it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EncodeError {
+    /// A string's byte length exceeded the `u32` length prefix. Carries the
+    /// offending length.
+    StringTooLarge(usize),
+    /// A property set's pair count exceeded the `u16` count field. Carries
+    /// the offending count.
+    TooManyProps(usize),
+    /// A row, chunk or history count exceeded a file's `u32` count field.
+    /// Carries the offending count.
+    CountTooLarge(usize),
+}
+
+impl std::fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EncodeError::StringTooLarge(len) => {
+                write!(f, "string of {len} bytes exceeds the u32 length prefix")
+            }
+            EncodeError::TooManyProps(n) => {
+                write!(f, "property set of {n} pairs exceeds the u16 count field")
+            }
+            EncodeError::CountTooLarge(n) => {
+                write!(f, "{n} items exceed the format's u32 count field")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EncodeError {}
+
+/// Validates a string's byte length against the `u32` length prefix.
+/// Factored out so the boundary is testable without allocating a 4 GiB
+/// string.
+pub fn checked_str_len(len: usize) -> Result<u32, EncodeError> {
+    u32::try_from(len).map_err(|_| EncodeError::StringTooLarge(len))
+}
+
+/// Validates a property-pair count against the `u16` count field.
+pub fn checked_prop_count(n: usize) -> Result<u16, EncodeError> {
+    u16::try_from(n).map_err(|_| EncodeError::TooManyProps(n))
+}
+
+/// Validates a row, chunk or history count against a `u32` count field.
+pub fn checked_count(n: usize) -> Result<u32, EncodeError> {
+    u32::try_from(n).map_err(|_| EncodeError::CountTooLarge(n))
+}
+
 /// Decodes exactly `records` values from `payload`, appending them to `out`
 /// in order. A payload that is truncated, or longer than its `records`
 /// account for, is a typed [`SpillError::Corrupt`]. Run files and serialized
@@ -110,9 +220,7 @@ pub fn decode_records<T: Spill>(
     // before decode proves it out.
     out.reserve(records.min(1 << 20) as usize);
     for i in 0..records {
-        out.push(
-            T::unspill(&mut r).map_err(|e| within(format_args!("record {i} of {records}"), e))?,
-        );
+        out.push(T::unspill(&mut r).map_err(|e| corrupt(format!("record {i} of {records}: {e}")))?);
     }
     if r.remaining() != 0 {
         return Err(corrupt(format!(
@@ -191,75 +299,148 @@ const BLOCK: BlockStep = {
     }
 };
 
-/// Bounds-checked little-endian reader over a run bucket's payload.
+/// Bounds-checked little-endian cursor over one payload: a run bucket, a
+/// serialized shuffle's bucket or a `.tgc`/`.tgo` chunk.
+///
+/// The records of one payload repeat themselves: the same few labels on
+/// every record, the same type and group strings on most, and, sorted by
+/// entity, often the very same property set as the record before. So each
+/// distinct string is validated and allocated once per payload and shared
+/// from then on ([`interned`](Self::interned)), and a value whose bytes
+/// repeat the previous one's comes back as a clone
+/// ([`repeated`](Self::repeated)). The bytes are what they would be
+/// without either.
 pub struct SpillReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
+    /// Every distinct string read through `interned` so far, by its bytes.
+    strings: HashMap<&'a [u8], Arc<str>>,
+    /// The bytes of the last value read through `repeated`, and the value.
+    last: Option<(&'a [u8], Box<dyn Any>)>,
 }
 
 impl<'a> SpillReader<'a> {
     /// Reads from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        SpillReader { buf, pos: 0 }
+        SpillReader {
+            rest: buf,
+            strings: HashMap::new(),
+            last: None,
+        }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Consumes `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SpillError> {
-        if self.remaining() < n {
-            return Err(corrupt(format!(
-                "need {n} bytes, {} remaining",
-                self.remaining()
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(DecodeError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Consumes `N` raw bytes.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk()
+            .ok_or(DecodeError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     /// Consumes one byte.
-    pub fn u8(&mut self) -> Result<u8, SpillError> {
-        Ok(self.bytes(1)?[0])
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// Consumes a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Consumes a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SpillError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Consumes a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SpillError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Consumes a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, SpillError> {
-        Ok(self.u64()? as i64)
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, DecodeError> {
+        self.array().map(i64::from_le_bytes)
     }
 
-    /// Consumes a `u64` length prefix, rejecting lengths that cannot fit in
-    /// the remaining payload (`floor` bytes per element; pass 0 for
-    /// zero-sized elements).
-    pub fn len_prefix(&mut self, floor: usize) -> Result<usize, SpillError> {
-        let n = self.u64()?;
-        let cap = (self.remaining() as u64)
-            .checked_div(floor as u64)
-            .unwrap_or(u64::MAX);
-        if n > cap {
-            return Err(corrupt(format!(
-                "length prefix {n} exceeds remaining payload ({} bytes)",
-                self.remaining()
-            )));
+    /// Consumes a string: a `u32` byte length and that many UTF-8 bytes.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.bytes(len)?).map_err(|_| DecodeError::InvalidUtf8)
+    }
+
+    /// Consumes a string as [`str`](Self::str) does, shared with every
+    /// earlier string of the payload that has the same bytes.
+    pub fn interned(&mut self) -> Result<Arc<str>, DecodeError> {
+        let len = self.u32()? as usize;
+        let raw = self.bytes(len)?;
+        if let Some(s) = self.strings.get(raw) {
+            return Ok(Arc::clone(s));
         }
-        Ok(n as usize)
+        let s: Arc<str> = std::str::from_utf8(raw)
+            .map_err(|_| DecodeError::InvalidUtf8)?
+            .into();
+        self.strings.insert(raw, Arc::clone(&s));
+        Ok(s)
+    }
+
+    /// Decodes one value with `decode`, unless the payload at the cursor
+    /// starts with the bytes of the last value read through this method:
+    /// those are skipped and that value comes back as a clone. `T`'s
+    /// encoding must delimit itself, so that bytes which start with a
+    /// value's encoding decode to that value.
+    pub fn repeated<T: Clone + 'static>(
+        &mut self,
+        decode: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        if let Some((raw, last)) = &self.last {
+            if let Some(value) = last.downcast_ref::<T>() {
+                if let Some(rest) = self.rest.strip_prefix(*raw) {
+                    let value = value.clone();
+                    self.rest = rest;
+                    return Ok(value);
+                }
+            }
+        }
+        let start = self.rest;
+        let value = decode(self)?;
+        let raw = &start[..start.len() - self.rest.len()];
+        // The slot's allocation is reused from one value to the next.
+        match &mut self.last {
+            Some((bytes, last)) if last.is::<T>() => {
+                *bytes = raw;
+                if let Some(last) = last.downcast_mut::<T>() {
+                    *last = value.clone();
+                }
+            }
+            slot => *slot = Some((raw, Box::new(value.clone()))),
+        }
+        Ok(value)
     }
 }
 
@@ -271,17 +452,19 @@ pub trait Spill: HeapSize + Sized {
     /// Appends the encoding of `self` to `out`.
     fn spill(&self, out: &mut Vec<u8>);
     /// Decodes one value, consuming exactly the bytes `spill` wrote.
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError>;
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError>;
 }
 
 macro_rules! spill_int {
     ($($t:ty),*) => {$(
         impl HeapSize for $t {}
         impl Spill for $t {
+            #[inline]
             fn spill(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&(*self as u64).to_le_bytes());
             }
-            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+            #[inline]
+            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
                 Ok(r.u64()? as $t)
             }
         }
@@ -294,24 +477,28 @@ spill_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl HeapSize for bool {}
 impl Spill for bool {
+    #[inline]
     fn spill(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    #[inline]
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            t => Err(corrupt(format!("bad bool tag {t}"))),
+            tag => Err(DecodeError::BadTag { what: "bool", tag }),
         }
     }
 }
 
 impl HeapSize for f64 {}
 impl Spill for f64 {
+    #[inline]
     fn spill(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    #[inline]
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(f64::from_bits(r.u64()?))
     }
 }
@@ -319,22 +506,16 @@ impl Spill for f64 {
 impl HeapSize for () {}
 impl Spill for () {
     fn spill(&self, _out: &mut Vec<u8>) {}
-    fn unspill(_r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(_r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(())
     }
 }
 
+/// Writes a string as [`SpillReader::str`] reads it.
 fn spill_str(s: &str, out: &mut Vec<u8>) {
-    (s.len() as u64).spill(out);
+    let len = checked_str_len(s.len()).unwrap_or_else(|e| too_wide(e));
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn unspill_string(r: &mut SpillReader<'_>) -> Result<String, SpillError> {
-    let len = r.len_prefix(1)?;
-    let raw = r.bytes(len)?;
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|_| corrupt("invalid UTF-8 in spilled string"))
 }
 
 impl HeapSize for String {
@@ -346,22 +527,22 @@ impl Spill for String {
     fn spill(&self, out: &mut Vec<u8>) {
         spill_str(self, out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        unspill_string(r)
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
+        r.str().map(str::to_owned)
     }
 }
 
-impl HeapSize for std::sync::Arc<str> {
+impl HeapSize for Arc<str> {
     fn heap_bytes(&self) -> usize {
         self.len()
     }
 }
-impl Spill for std::sync::Arc<str> {
+impl Spill for Arc<str> {
     fn spill(&self, out: &mut Vec<u8>) {
         spill_str(self, out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        Ok(unspill_string(r)?.into())
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
+        r.interned()
     }
 }
 
@@ -375,12 +556,12 @@ impl Spill for &'static str {
     fn spill(&self, out: &mut Vec<u8>) {
         spill_str(self, out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         // A borrowed string cannot be reconstituted from disk without an
         // owner, so the round trip leaks each decoded string. Acceptable:
         // `&'static str` datasets are literal-sized, and the leak only
         // materializes for records that actually spilled and were read back.
-        Ok(Box::leak(unspill_string(r)?.into_boxed_str()))
+        Ok(Box::leak(r.str()?.into()))
     }
 }
 
@@ -397,10 +578,10 @@ impl<T: Spill> Spill for Vec<T> {
             x.spill(out);
         }
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        // Elements may be zero-width (e.g. `()`), so the length prefix is
-        // only sanity-capped when elements occupy at least one byte.
-        let n = r.len_prefix(0)?;
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
+        // The count is untrusted and elements may be zero-width (e.g.
+        // `()`): the reservation, not the count, is capped by the payload.
+        let n = r.u64()? as usize;
         let mut out = Vec::with_capacity(n.min(r.remaining().max(16)));
         for _ in 0..n {
             out.push(T::unspill(r)?);
@@ -413,17 +594,17 @@ impl<T: Spill> Spill for Vec<T> {
 /// pointee's inline and heap bytes, and exactly `T`'s encoding, so a frame or
 /// a run holding `Arc<T>` is byte-identical to one holding `T`. Sharing does
 /// not survive a round trip: each decoded value is its own `Arc`.
-impl<T: HeapSize> HeapSize for std::sync::Arc<T> {
+impl<T: HeapSize> HeapSize for Arc<T> {
     fn heap_bytes(&self) -> usize {
         charged_size::<T>(self)
     }
 }
-impl<T: Spill> Spill for std::sync::Arc<T> {
+impl<T: Spill> Spill for Arc<T> {
     fn spill(&self, out: &mut Vec<u8>) {
         T::spill(self, out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
-        T::unspill(r).map(std::sync::Arc::new)
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
+        T::unspill(r).map(Arc::new)
     }
 }
 
@@ -442,11 +623,14 @@ impl<T: Spill> Spill for Option<T> {
             }
         }
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::unspill(r)?)),
-            t => Err(corrupt(format!("bad Option tag {t}"))),
+            tag => Err(DecodeError::BadTag {
+                what: "Option",
+                tag,
+            }),
         }
     }
 }
@@ -462,7 +646,7 @@ macro_rules! spill_tuple {
             fn spill(&self, out: &mut Vec<u8>) {
                 $(self.$n.spill(out);)+
             }
-            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+            fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
                 Ok(($($T::unspill(r)?,)+))
             }
         }
@@ -623,6 +807,37 @@ mod tests {
     }
 
     #[test]
+    fn width_boundaries() {
+        // The checked-length helpers make the 4 GiB / 65 535 boundaries
+        // testable without allocating boundary-sized payloads.
+        assert_eq!(checked_str_len(0), Ok(0));
+        assert_eq!(checked_str_len(u32::MAX as usize), Ok(u32::MAX));
+        assert_eq!(
+            checked_str_len(u32::MAX as usize + 1),
+            Err(EncodeError::StringTooLarge(u32::MAX as usize + 1))
+        );
+        assert_eq!(checked_prop_count(u16::MAX as usize), Ok(u16::MAX));
+        assert_eq!(
+            checked_prop_count(u16::MAX as usize + 1),
+            Err(EncodeError::TooManyProps(u16::MAX as usize + 1))
+        );
+        assert_eq!(checked_count(u32::MAX as usize), Ok(u32::MAX));
+        assert_eq!(
+            checked_count(u32::MAX as usize + 1),
+            Err(EncodeError::CountTooLarge(u32::MAX as usize + 1))
+        );
+        assert!(EncodeError::StringTooLarge(5_000_000_000)
+            .to_string()
+            .contains("5000000000"));
+        assert!(EncodeError::TooManyProps(70_000)
+            .to_string()
+            .contains("70000"));
+        assert!(EncodeError::CountTooLarge(1 << 33)
+            .to_string()
+            .contains("u32"));
+    }
+
+    #[test]
     fn std_types_roundtrip() {
         roundtrip(0u8);
         roundtrip(u64::MAX);
@@ -696,9 +911,67 @@ mod tests {
     fn truncated_payload_errors() {
         let mut buf = Vec::new();
         "hello".to_string().spill(&mut buf);
+        assert_eq!(buf.len(), 4 + 5, "a u32 length prefix and the bytes");
         buf.truncate(buf.len() - 2);
         let mut r = SpillReader::new(&buf);
-        assert!(String::unspill(&mut r).is_err());
+        assert_eq!(String::unspill(&mut r), Err(DecodeError::UnexpectedEof));
+        let mut r = SpillReader::new(&[0xff, 0xfe]);
+        assert_eq!(
+            bool::unspill(&mut r),
+            Err(DecodeError::BadTag {
+                what: "bool",
+                tag: 0xff
+            })
+        );
+        let mut r = SpillReader::new(&[1, 0, 0, 0, 0xff]);
+        assert_eq!(String::unspill(&mut r), Err(DecodeError::InvalidUtf8));
+    }
+
+    #[test]
+    fn a_payload_interns_each_distinct_string_once() {
+        let words: Vec<Arc<str>> = ["type", "person", "type", "", "person"]
+            .into_iter()
+            .map(Arc::from)
+            .collect();
+        let mut buf = Vec::new();
+        words.iter().for_each(|w| w.spill(&mut buf));
+        let mut r = SpillReader::new(&buf);
+        let back: Vec<Arc<str>> = (0..words.len())
+            .map(|_| Arc::<str>::unspill(&mut r).unwrap())
+            .collect();
+        assert_eq!(back, words);
+        assert!(Arc::ptr_eq(&back[0], &back[2]));
+        assert!(Arc::ptr_eq(&back[1], &back[4]));
+        assert!(!Arc::ptr_eq(&back[0], &back[1]));
+        // A second payload interns afresh: nothing outlives its reader.
+        let again = Arc::<str>::unspill(&mut SpillReader::new(&buf)).unwrap();
+        assert!(!Arc::ptr_eq(&again, &back[0]));
+    }
+
+    #[test]
+    fn a_value_whose_bytes_repeat_the_last_one_read_is_that_value() {
+        let decode = |r: &mut SpillReader<'_>| r.repeated(|r| Ok(Arc::new(r.u64()?)));
+        let mut buf = Vec::new();
+        for x in [7u64, 7, 9, 7] {
+            x.spill(&mut buf);
+        }
+        let mut r = SpillReader::new(&buf);
+        let back: Vec<Arc<u64>> = (0..4).map(|_| decode(&mut r).unwrap()).collect();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(back.iter().map(|x| **x).collect::<Vec<_>>(), [7, 7, 9, 7]);
+        assert!(Arc::ptr_eq(&back[0], &back[1]), "a repeat is a clone");
+        assert!(!Arc::ptr_eq(&back[1], &back[3]), "only of the last value");
+        // A value of another type is never handed out for the same bytes.
+        let mut r = SpillReader::new(&buf);
+        decode(&mut r).unwrap();
+        assert_eq!(r.repeated(|r| r.u64().map(|x| x as i64)), Ok(7i64));
+    }
+
+    #[test]
+    fn checksum_detects_a_flipped_byte() {
+        let a = checksum(b"hello world");
+        assert_ne!(a, checksum(b"hellp world"));
+        assert_eq!(a, checksum(b"hello world"));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! lifespan end (`since`). Validation enforces the **append invariant** the
 //! whole incremental-maintenance stack rests on — every fact starts at or
 //! after `since` — plus basic well-formedness (non-empty intervals, a
-//! `type` label on every fact, no conflicting overlaps for one entity).
+//! `type` label on every fact, no conflicting overlaps for one entity, no
+//! property set wider than the record codec writes).
 //! Producers re-assert continuing entities: a vertex alive across the
 //! boundary appears in the delta with a fresh interval starting at `since`,
 //! which coalescing later merges back into one state; an entity that is
@@ -13,7 +14,9 @@
 use std::collections::HashMap;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
+use tgraph_core::spill::check_props;
 use tgraph_core::time::{Interval, Time};
+use tgraph_dataflow::EncodeError;
 
 /// The facts of one ingest step, all at or after the `since` boundary.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -74,6 +77,17 @@ pub enum DeltaError {
         /// The offending entity id.
         id: u64,
     },
+    /// A fact whose property set the record codec cannot write (more than
+    /// `u16::MAX` pairs, or a string over `u32::MAX` bytes): refused here,
+    /// not inside the epoch append.
+    TooWide {
+        /// `"vertex"` or `"edge"`.
+        entity: &'static str,
+        /// The offending entity id.
+        id: u64,
+        /// Which width was exceeded.
+        error: EncodeError,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -104,6 +118,7 @@ impl std::fmt::Display for DeltaError {
             DeltaError::MissingType { entity, id } => {
                 write!(f, "{entity} {id}: lacks the required `type` property")
             }
+            DeltaError::TooWide { entity, id, error } => write!(f, "{entity} {id}: {error}"),
         }
     }
 }
@@ -193,6 +208,7 @@ fn check_fact(
     if props.type_label().is_none() {
         return Err(DeltaError::MissingType { entity, id });
     }
+    check_props(props).map_err(|error| DeltaError::TooWide { entity, id, error })?;
     Ok(())
 }
 
@@ -218,6 +234,7 @@ fn check_overlaps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::props::Value;
 
     fn v(id: u64, start: Time, end: Time) -> VertexRecord {
         VertexRecord {
@@ -242,6 +259,33 @@ mod tests {
         };
         assert_eq!(d.validate(), Ok(()));
         assert_eq!(d.to_tgraph().lifespan, Interval::new(9, 13));
+    }
+
+    /// The widest property set the codec writes passes; one pair more is a
+    /// typed rejection, not a storage error inside the epoch append.
+    #[test]
+    fn a_property_set_wider_than_the_codec_is_refused() {
+        let wide = |n: usize| SnapshotDelta {
+            since: 9,
+            vertices: vec![VertexRecord {
+                props: Props::from_pairs(
+                    (1..n)
+                        .map(|i| (format!("k{i}"), Value::Int(0)))
+                        .chain([("type".to_string(), Value::from("person"))]),
+                ),
+                ..v(1, 9, 10)
+            }],
+            edges: Vec::new(),
+        };
+        assert_eq!(wide(u16::MAX as usize).validate(), Ok(()));
+        assert_eq!(
+            wide(u16::MAX as usize + 1).validate(),
+            Err(DeltaError::TooWide {
+                entity: "vertex",
+                id: 1,
+                error: EncodeError::TooManyProps(u16::MAX as usize + 1),
+            })
+        );
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl tgraph_dataflow::Spill for SnapshotPart {
     }
     fn unspill(
         r: &mut tgraph_dataflow::SpillReader<'_>,
-    ) -> Result<Self, tgraph_dataflow::SpillError> {
+    ) -> Result<Self, tgraph_dataflow::DecodeError> {
         match r.u8()? {
             0 => Ok(SnapshotPart::Vertex(
                 VertexId::unspill(r)?,
@@ -374,8 +374,9 @@ impl tgraph_dataflow::Spill for SnapshotPart {
                 VertexId::unspill(r)?,
                 Props::unspill(r)?,
             )),
-            t => Err(tgraph_dataflow::SpillError::Corrupt {
-                detail: format!("bad snapshot part tag {t}"),
+            tag => Err(tgraph_dataflow::DecodeError::BadTag {
+                what: "snapshot part",
+                tag,
             }),
         }
     }

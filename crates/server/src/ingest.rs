@@ -247,6 +247,29 @@ mod tests {
         assert!(stats.contains("\"ingests\":0"), "{stats}");
     }
 
+    /// A vertex with one property more than the record codec's `u16` count
+    /// is refused as a bad delta before anything is written: the next
+    /// ingest is still epoch 1.
+    #[test]
+    fn an_ingest_wider_than_the_codec_is_a_bad_delta_and_commits_nothing() {
+        let server = fresh_server("tgraph-serve-ingest7", "ing7");
+        let mut props = String::from(r#""type":"person""#);
+        for i in 1..=u16::MAX {
+            props.push_str(&format!(",\"k{i}\":{i}"));
+        }
+        let line = format!(
+            r#"{{"op":"ingest","graph":"ing7","since":9,"vertices":[{{"id":9,"interval":[9,12],"props":{{{props}}}}}]}}"#
+        );
+        assert_eq!(
+            server.handle_line(&line),
+            r#"{"ok":false,"kind":"bad_delta","error":"vertex 9: property set of 65536 pairs exceeds the u16 count field"}"#
+        );
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"ingests\":0"), "{stats}");
+        let ing = server.handle_line(&ingest_line("ing7"));
+        assert!(ing.contains("\"epoch\":1"), "{ing}");
+    }
+
     /// Identity zooms ride the O(delta) maintenance path after an ingest,
     /// in every representation, and (checked mode) agree with a cold
     /// recompute byte for byte.

@@ -28,7 +28,7 @@
 use crate::json::Json;
 use std::fmt::Write as _;
 use tgraph_core::graph::{EdgeId, EdgeRecord, VertexId, VertexRecord};
-use tgraph_core::props::Props;
+use tgraph_core::props::{Props, Value};
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::{AZoomSpec, AggFn, AggSpec, Skolem};
 use tgraph_core::zoom::wzoom::{Quantifier, ResolveFn, WZoomSpec, WindowSpec};
@@ -308,19 +308,22 @@ fn parse_graph_name(v: &Json) -> Result<String, BadRequest> {
 }
 
 fn parse_props(v: Option<&Json>) -> Result<Props, BadRequest> {
-    let mut props = Props::new();
-    let Some(v) = v else { return Ok(props) };
+    let Some(v) = v else {
+        return Ok(Props::new());
+    };
     let obj = v.as_obj().ok_or_else(|| bad("'props' must be an object"))?;
-    for (k, val) in obj {
-        props = match val {
-            Json::Bool(b) => props.with(k.as_str(), *b),
-            Json::Int(i) => props.with(k.as_str(), *i),
-            Json::Float(f) => props.with(k.as_str(), *f),
-            Json::Str(s) => props.with(k.as_str(), s.as_str()),
+    let pairs = obj.iter().map(|(k, val)| {
+        let value = match val {
+            Json::Bool(b) => Value::Bool(*b),
+            Json::Int(i) => Value::Int(*i),
+            Json::Float(f) => Value::Float(*f),
+            Json::Str(s) => Value::from(s.as_str()),
             _ => return Err(bad(format!("prop '{k}' must be a bool, number, or string"))),
         };
-    }
-    Ok(props)
+        Ok((k.as_str(), value))
+    });
+    // One sort for the whole set; a key given twice keeps its last value.
+    Ok(Props::from_pairs(pairs.collect::<Result<Vec<_>, _>>()?))
 }
 
 /// Parses a fact interval `[start, end]`. Degenerate intervals pass here and
@@ -707,6 +710,22 @@ mod tests {
             }
             other => panic!("expected ingest, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn ingest_props_keep_the_last_of_duplicate_keys() {
+        let line = r#"{"op":"ingest","graph":"g","vertices":[{"id":1,"interval":[1,2],
+            "props":{"type":"person","n":1,"school":"MIT","n":2.5,"type":"student"}}]}"#;
+        let req = match parse_request(line).unwrap() {
+            Request::Ingest(i) => i,
+            other => panic!("expected ingest, got {other:?}"),
+        };
+        assert_eq!(
+            req.vertices[0].props,
+            Props::typed("student")
+                .with("n", 2.5f64)
+                .with("school", "MIT")
+        );
     }
 
     #[test]

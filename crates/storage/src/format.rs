@@ -20,15 +20,13 @@
 //! here once: `create` and `write_chunks` write every file, and `Scan` —
 //! header parse, chunk walk, sizes checked against the file — reads them.
 
-use crate::encode::{
-    checked_count, checksum, get, get_interval, put_interval, put_props, DecodeError, EncodeError,
-    PropsDecoder,
-};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
+use tgraph_core::spill::check_props;
 use tgraph_core::time::{Interval, Time};
+use tgraph_dataflow::{checked_count, checksum, DecodeError, EncodeError, Spill, SpillReader};
 
 /// Rows per chunk; small enough that pushdown skips matter on test data,
 /// large enough to amortize per-chunk overhead.
@@ -214,7 +212,7 @@ pub(crate) fn create(
     chunk_rows: usize,
 ) -> Result<BufWriter<File>, StorageError> {
     let mut bytes = lead.to_vec();
-    put_interval(&mut bytes, lifespan);
+    lifespan.spill(&mut bytes);
     for section in rows {
         let chunks = checked_count(section.div_ceil(chunk_rows))?;
         bytes.extend_from_slice(&chunks.to_le_bytes());
@@ -275,13 +273,10 @@ pub(crate) struct Scan {
     layout: Layout,
 }
 
-/// Decodes one row off the front of a chunk payload: `None` when the row lies
+/// Decodes one row at the cursor of a chunk payload: `None` when the row lies
 /// outside the range the scan is filtered to.
-pub(crate) type RowDecoder<T> = for<'a> fn(
-    &mut &'a [u8],
-    &mut PropsDecoder<'a>,
-    Option<&Interval>,
-) -> Result<Option<T>, DecodeError>;
+pub(crate) type RowDecoder<T> =
+    fn(&mut SpillReader<'_>, Option<&Interval>) -> Result<Option<T>, DecodeError>;
 
 impl Scan {
     /// Opens `path` and reads and validates its file header.
@@ -299,16 +294,16 @@ impl Scan {
             Layout::Nested => &mut bytes[..28],
         };
         scan.fill(bytes)?;
-        let mut buf = bytes
-            .strip_prefix(layout.magic())
-            .ok_or(DecodeError::BadMagic)?;
+        let mut r = SpillReader::new(bytes);
+        if r.bytes(4)? != layout.magic() {
+            return Err(DecodeError::BadMagic.into());
+        }
         let order = match layout {
-            Layout::Flat => SortOrder::from_u8(get(&mut buf, u8::from_le_bytes)?)?,
+            Layout::Flat => SortOrder::from_u8(r.u8()?)?,
             Layout::Nested => SortOrder::Temporal,
         };
-        let lifespan = get_interval(&mut buf)?;
-        let mut count = || get(&mut buf, u32::from_le_bytes);
-        let chunks = [count()?, count()?];
+        let lifespan = Interval::unspill(&mut r)?;
+        let chunks = [r.u32()?, r.u32()?];
         Ok((
             scan,
             FileHeader {
@@ -355,15 +350,14 @@ impl Scan {
         }
         for _ in 0..chunks {
             self.fill(head)?;
-            let mut buf = &*head;
-            let mut bound = || get(&mut buf, i64::from_le_bytes);
-            let min_start = bound()?;
+            let mut r = SpillReader::new(head);
+            let min_start = r.i64()?;
             // `.tgo` keeps the outer two bounds only; they are also the
             // loosest true values of the inner two.
             let (max_start, min_end, max_end) = match self.layout {
-                Layout::Flat => (bound()?, bound()?, bound()?),
+                Layout::Flat => (r.i64()?, r.i64()?, r.i64()?),
                 Layout::Nested => {
-                    let max_end = bound()?;
+                    let max_end = r.i64()?;
                     (max_end, min_start, max_end)
                 }
             };
@@ -372,10 +366,10 @@ impl Scan {
                 max_start,
                 min_end,
                 max_end,
-                rows: get(&mut buf, u32::from_le_bytes)?,
+                rows: r.u32()?,
             };
-            let len = get(&mut buf, u32::from_le_bytes)?;
-            let sum = get(&mut buf, u64::from_le_bytes)?;
+            let len = r.u32()?;
+            let sum = r.u64()?;
             self.claim(u64::from(len))?;
             if !keep(&stats) {
                 self.input.seek_relative(i64::from(len))?;
@@ -409,10 +403,10 @@ impl Scan {
             chunks,
             scanned,
             |stats| stats.in_scan(range),
-            |rows, mut payload| {
-                let mut props = PropsDecoder::default();
+            |rows, payload| {
+                let mut r = SpillReader::new(payload);
                 for _ in 0..rows {
-                    out.extend(row(&mut payload, &mut props, range)?);
+                    out.extend(row(&mut r, range)?);
                 }
                 Ok(())
             },
@@ -460,9 +454,9 @@ pub fn write_tgc(
         chunk_rows,
         |v| (v.interval.start, v.interval.end),
         |buf, v| {
-            buf.extend_from_slice(&v.vid.0.to_le_bytes());
-            put_interval(buf, &v.interval);
-            put_props(buf, &v.props)
+            check_props(&v.props)?;
+            v.spill(buf);
+            Ok(())
         },
     )?;
     write_chunks(
@@ -472,38 +466,31 @@ pub fn write_tgc(
         chunk_rows,
         |e| (e.interval.start, e.interval.end),
         |buf, e| {
-            for id in [e.eid.0, e.src.0, e.dst.0] {
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-            put_interval(buf, &e.interval);
-            put_props(buf, &e.props)
+            check_props(&e.props)?;
+            e.spill(buf);
+            Ok(())
         },
     )?;
     out.flush()?;
     Ok(())
 }
 
-fn vertex_row<'a>(
-    buf: &mut &'a [u8],
-    props: &mut PropsDecoder<'a>,
+/// A `.tgc` vertex row is the record's codec, clipped to the scan's range.
+fn vertex_row(
+    r: &mut SpillReader<'_>,
     range: Option<&Interval>,
 ) -> Result<Option<VertexRecord>, DecodeError> {
-    let vid = get(buf, u64::from_le_bytes)?;
-    let interval = get_interval(buf)?;
-    let props = props.get_props(buf)?;
-    Ok(clip(interval, range).map(|interval| VertexRecord::new(vid, interval, props)))
+    let v = VertexRecord::unspill(r)?;
+    Ok(clip(v.interval, range).map(|interval| VertexRecord { interval, ..v }))
 }
 
-fn edge_row<'a>(
-    buf: &mut &'a [u8],
-    props: &mut PropsDecoder<'a>,
+/// A `.tgc` edge row is the record's codec, clipped to the scan's range.
+fn edge_row(
+    r: &mut SpillReader<'_>,
     range: Option<&Interval>,
 ) -> Result<Option<EdgeRecord>, DecodeError> {
-    let mut id = || get(buf, u64::from_le_bytes);
-    let (eid, src, dst) = (id()?, id()?, id()?);
-    let interval = get_interval(buf)?;
-    let props = props.get_props(buf)?;
-    Ok(clip(interval, range).map(|interval| EdgeRecord::new(eid, src, dst, interval, props)))
+    let e = EdgeRecord::unspill(r)?;
+    Ok(clip(e.interval, range).map(|interval| EdgeRecord { interval, ..e }))
 }
 
 /// Reads a `.tgc` file, applying time-range pushdown when `range` is given:
@@ -616,6 +603,25 @@ mod tests {
         // And the error renders a useful diagnostic.
         let msg = StorageError::ChunkTooLarge(5_000_000_000).to_string();
         assert!(msg.contains("5000000000") && msg.contains("4 GiB"), "{msg}");
+    }
+
+    /// A property set wider than the codec's `u16` count is refused with a
+    /// typed error before a byte of its row is written.
+    #[test]
+    fn a_row_wider_than_the_codec_is_refused() {
+        let wide = tgraph_core::Props::from_pairs(
+            (0..=u16::MAX as usize).map(|i| (format!("k{i}"), tgraph_core::Value::Int(0))),
+        );
+        let g = TGraph::from_records(
+            vec![VertexRecord::new(1, Interval::new(0, 1), wide)],
+            vec![],
+        );
+        match write_tgc(&tmp("wide.tgc"), &g, SortOrder::Temporal, 8) {
+            Err(StorageError::Encode(EncodeError::TooManyProps(n))) => {
+                assert_eq!(n, u16::MAX as usize + 1)
+            }
+            other => panic!("expected a too-wide refusal, got {other:?}"),
+        }
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -13,20 +13,22 @@
 //!   physical representations from disk with an optional date-range filter.
 //! * [`pool`] — the load-once [`GraphPool`]: `Arc`-shared graph handles for
 //!   long-lived processes (the serving layer) with single-flight loading.
-//! * [`encode`] — the byte-level row encoding (hand-rolled on `std`).
+//!
+//! A row is written and read in the record codec of `tgraph-core`'s
+//! `spill` module, through the same `SpillReader` that reads spill runs and
+//! serialized shuffles: [`DecodeError`] and [`EncodeError`] are that
+//! codec's errors, re-exported here from `tgraph-dataflow`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod encode;
 pub mod epochs;
 pub mod format;
 pub mod loader;
 pub mod nested;
 pub mod pool;
 
-pub use encode::{DecodeError, EncodeError};
 pub use epochs::{append_epoch, current_end, read_epochs, EpochEntry};
 pub use format::{
     estimate_rows, read_tgc, read_tgc_stats, write_tgc, ChunkStats, ScanStats, SortOrder,
@@ -35,3 +37,4 @@ pub use format::{
 pub use loader::{write_dataset, GraphLoader};
 pub use nested::{read_tgo, write_tgo};
 pub use pool::{GraphPool, PoolStats, SharedGraph};
+pub use tgraph_dataflow::{DecodeError, EncodeError};

@@ -9,16 +9,14 @@
 //! existed as separate top-level columns** and keep chunk min/max statistics
 //! on those, restoring pushdown.
 
-use crate::encode::{
-    checked_count, get, get_interval, put_interval, put_props, DecodeError, EncodeError,
-    PropsDecoder,
-};
 use crate::format::{clip, create, write_chunks, Layout, Scan, ScanStats, StorageError};
 use std::io::Write;
 use std::path::Path;
 use tgraph_core::graph::TGraph;
 use tgraph_core::props::Props;
+use tgraph_core::spill::check_props;
 use tgraph_core::time::Interval;
+use tgraph_dataflow::{checked_count, DecodeError, EncodeError, Spill, SpillReader};
 use tgraph_repr::common::histories_of;
 
 /// One nested entity row: identity columns, the first/last pushdown columns,
@@ -58,17 +56,14 @@ pub fn nest(g: &TGraph) -> (Vec<NestedRow>, Vec<NestedRow>) {
     (vertices.collect(), edges.collect())
 }
 
+/// Writes a row: the three ids and the two pushdown columns, a `u32`
+/// history count, and each history item in the record codec.
 fn put_row(buf: &mut Vec<u8>, r: &NestedRow) -> Result<(), EncodeError> {
-    for id in [r.id, r.src, r.dst] {
-        buf.extend_from_slice(&id.to_le_bytes());
-    }
-    for seen in [r.first, r.last] {
-        buf.extend_from_slice(&seen.to_le_bytes());
-    }
+    (r.id, r.src, r.dst, r.first, r.last).spill(buf);
     buf.extend_from_slice(&checked_count(r.history.len())?.to_le_bytes());
-    for (iv, props) in &r.history {
-        put_interval(buf, iv);
-        put_props(buf, props)?;
+    for item in &r.history {
+        check_props(&item.1)?;
+        item.spill(buf);
     }
     Ok(())
 }
@@ -88,22 +83,17 @@ pub fn write_tgo(path: &Path, g: &TGraph, chunk_rows: usize) -> Result<(), Stora
     Ok(())
 }
 
-fn get_row<'a>(
-    buf: &mut &'a [u8],
-    props: &mut PropsDecoder<'a>,
+fn get_row(
+    r: &mut SpillReader<'_>,
     range: Option<&Interval>,
 ) -> Result<Option<NestedRow>, DecodeError> {
-    let mut key = || get(buf, u64::from_le_bytes);
-    let (id, src, dst) = (key()?, key()?, key()?);
-    let mut seen = || get(buf, i64::from_le_bytes);
-    let (mut first, mut last) = (seen()?, seen()?);
-    let n = get(buf, u32::from_le_bytes)? as usize;
+    let (id, src, dst, mut first, mut last) = <(u64, u64, u64, i64, i64)>::unspill(r)?;
+    let n = r.u32()? as usize;
     // A history item takes at least 18 bytes: the count cannot reserve more
     // than the payload could hold.
-    let mut history = Vec::with_capacity(n.min(buf.len() / 18));
+    let mut history = Vec::with_capacity(n.min(r.remaining() / 18));
     for _ in 0..n {
-        let iv = get_interval(buf)?;
-        let props = props.get_props(buf)?;
+        let (iv, props) = <(Interval, Props)>::unspill(r)?;
         history.extend(clip(iv, range).map(|iv| (iv, props)));
     }
     // Residual filter: an entity with no history inside the range is no row.

@@ -6,7 +6,8 @@
 //! record again fails here, on any machine, before a benchmark is run. The
 //! same counter holds rendering a result to JSON, and coalescing a collected
 //! relation, to a constant number of allocations per call, whatever the
-//! number of records; and materializing a loaded graph to a fixed ceiling.
+//! number of records; and materializing a loaded graph, or decoding one
+//! from its `.tgc`/`.tgo` file, to a fixed ceiling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,6 +15,7 @@ use tgraph::datagen::WikiTalk;
 use tgraph::prelude::*;
 use tgraph_core::coalesce::coalesce_graph;
 use tgraph_serve::serialize_tgraph;
+use tgraph_storage::{read_tgc, read_tgo, write_tgc, write_tgo, SortOrder};
 
 struct Counting;
 
@@ -172,4 +174,48 @@ fn zoom_kernels_stay_inside_their_allocation_budget() {
             "to_tgraph on {kind}: {spent} allocations for {records} records, budget {ceiling}"
         );
     }
+
+    // Decoding a file: the reader interns each distinct string once per
+    // chunk and hands a property set whose bytes repeat the row before's
+    // back as a clone, so a load allocates per distinct set, not per string
+    // or per row. Ceilings sit ~25% above the counts of the storage crate's
+    // own decoder before the shared reader replaced it (1 840 and 4 332);
+    // EXPERIMENTS.md records today's (1 842 and 4 334, one more per chunk).
+    let dir = std::env::temp_dir().join(format!("tgraph-alloc-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let (flat, nested) = (dir.join("wiki.tgc"), dir.join("wiki.tgo"));
+    write_tgc(&flat, &g, SortOrder::Temporal, 4096).expect("write .tgc");
+    write_tgo(&nested, &g, 4096).expect("write .tgo");
+    let count = |read: &dyn Fn() -> usize| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let rows = read();
+        (ALLOCS.load(Ordering::Relaxed) - before, rows)
+    };
+    let loads: [(&str, &dyn Fn() -> usize, u64); 2] = [
+        (
+            "read_tgc",
+            &|| {
+                let (g, _, _) = read_tgc(&flat, None).expect("read .tgc");
+                g.vertices.len() + g.edges.len()
+            },
+            2_300,
+        ),
+        (
+            "read_tgo",
+            &|| {
+                let (_, v, e, _) = read_tgo(&nested, None).expect("read .tgo");
+                v.len() + e.len()
+            },
+            5_400,
+        ),
+    ];
+    for (label, read, ceiling) in loads {
+        let (spent, rows) = count(read);
+        println!("alloc_budget {label}: {spent} allocations for {rows} rows");
+        assert!(
+            spent <= ceiling,
+            "{label}: {spent} allocations for {rows} rows, budget {ceiling}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on the core invariants of the system:
 //! coalescing, point semantics, quantifier monotonicity, conversion
-//! round-trips, storage round-trips, and the bytes of a rendered result —
-//! on arbitrary generated TGraphs.
+//! round-trips, storage round-trips, the record codec both storage and
+//! shuffles use, and the bytes of a rendered result — on arbitrary generated
+//! TGraphs.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -12,6 +13,7 @@ use tgraph_core::coalesce::{
 };
 use tgraph_core::reference::{azoom_reference, wzoom_reference};
 use tgraph_core::validate::validate;
+use tgraph_dataflow::{decode_records, DecodeError, Spill, SpillError, SpillReader};
 use tgraph_serve::{json, serialize_tgraph, Json};
 
 const HORIZON: i64 = 10;
@@ -149,6 +151,34 @@ fn arb_rendered_graph() -> impl Strategy<Value = TGraph> {
         prop::collection::vec(edge, 0..6),
     )
         .prop_map(|(vertices, edges)| TGraph::from_records(vertices, edges))
+}
+
+/// `records` in one total order, so two relations holding the same records
+/// in different orders compare equal.
+fn sorted<T: Clone, K: Ord>(records: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
+    let mut out = records.to_vec();
+    out.sort_by_key(key);
+    out
+}
+
+/// Encodes `records` as one spilled bucket and decodes the bucket back.
+fn bucket_roundtrip<T: Spill>(records: &[T]) -> Result<Vec<T>, SpillError> {
+    let mut payload = Vec::new();
+    records.iter().for_each(|r| r.spill(&mut payload));
+    let mut back = Vec::new();
+    decode_records(&payload, records.len() as u64, &mut back).map(|()| back)
+}
+
+/// Decodes `payload` as `T` rows until it ends or a row fails: each row is
+/// a record or a typed [`DecodeError`], never a panic.
+fn rows_or_typed_error<T: Spill>(payload: &[u8]) {
+    let mut r = SpillReader::new(payload);
+    while r.remaining() > 0 {
+        let row: Result<T, DecodeError> = T::unspill(&mut r);
+        if row.is_err() {
+            break;
+        }
+    }
 }
 
 /// The result body as a `Json` tree per record, written with `Json::write`:
@@ -499,6 +529,44 @@ proptest! {
             let direct = tgraph_core::reference::azoom_static(&g.at(t), &spec);
             prop_assert_eq!(out.at(t), direct, "diverged at t={}", t);
         }
+    }
+
+    /// One codec, two containers: records with hostile strings read back
+    /// equal from a `.tgc` file and from a spilled bucket.
+    #[test]
+    fn records_roundtrip_through_files_and_spilled_buckets(g in arb_rendered_graph()) {
+        let dir = std::env::temp_dir().join("tgraph-proptest");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("codec-{}.tgc", std::process::id()));
+        tgraph::storage::write_tgc(&path, &g, SortOrder::Temporal, 3).unwrap();
+        let (back, _, _) = tgraph::storage::read_tgc(&path, None).unwrap();
+        let vkey = |v: &VertexRecord| (v.vid, v.interval, v.props.clone());
+        let ekey = |e: &EdgeRecord| (e.eid, e.src, e.dst, e.interval, e.props.clone());
+        prop_assert_eq!(sorted(&back.vertices, vkey), sorted(&g.vertices, vkey));
+        prop_assert_eq!(sorted(&back.edges, ekey), sorted(&g.edges, ekey));
+        prop_assert_eq!(bucket_roundtrip(&g.vertices).unwrap(), g.vertices.clone());
+        prop_assert_eq!(bucket_roundtrip(&g.edges).unwrap(), g.edges.clone());
+    }
+
+    /// Arbitrary bytes, and the encoding of real rows with one byte changed,
+    /// decode as `.tgc` rows to records or a typed error — never a panic.
+    #[test]
+    fn damaged_rows_decode_or_fail_typed(
+        g in arb_rendered_graph(),
+        noise in prop::collection::vec(0u8..=255, 0..120),
+        at in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        rows_or_typed_error::<VertexRecord>(&noise);
+        rows_or_typed_error::<EdgeRecord>(&noise);
+        let mut payload = Vec::new();
+        g.vertices.iter().for_each(|v| v.spill(&mut payload));
+        g.edges.iter().for_each(|e| e.spill(&mut payload));
+        if let Some(byte) = payload.get_mut(at) {
+            *byte ^= flip;
+        }
+        rows_or_typed_error::<VertexRecord>(&payload);
+        rows_or_typed_error::<EdgeRecord>(&payload);
     }
 
     #[test]
