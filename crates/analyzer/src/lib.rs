@@ -14,8 +14,9 @@
 //!   [`Dataset`](tgraph_dataflow::Dataset) and proves every elided exchange
 //!   and partitioning claim *derivable* from the plan structure — rejecting
 //!   unsound plans, flagging redundant work (duplicate subplans, redundant
-//!   reshuffles, fusion breaks), rendering an EXPLAIN tree, and predicting
-//!   per-exchange records/bytes moved for predicted-vs-actual reporting.
+//!   reshuffles, fusion breaks), and rendering an EXPLAIN tree whose row
+//!   counts are measured, not estimated: each exchange shows the records
+//!   it moved.
 //! * **Checked execution mode** (`TGRAPH_CHECKED=1`, see
 //!   [`Runtime::checked`](tgraph_dataflow::Runtime::checked)) verifies the
 //!   same claims dynamically, record by record, at every elision point — and
@@ -32,6 +33,4 @@
 
 pub mod verify;
 
-pub use verify::{
-    analyze, analyze_all, Analysis, Diagnostic, DiagnosticKind, PredictedMovement, Severity,
-};
+pub use verify::{analyze, analyze_all, Analysis, Diagnostic, DiagnosticKind, Severity};

@@ -6,8 +6,10 @@
 //! (b) **flags redundant work** — duplicate narrow subplans that re-execute
 //! per consumer, shuffles whose input is provably already partitioned the
 //! same way, and materialization barriers that break narrow-chain fusion;
-//! (c) **predicts data movement** — per-shuffle record/byte estimates
-//! propagated from source sizes, for predicted-vs-actual reporting.
+//! (c) **renders EXPLAIN** — the DAG with each node's operator, claimed tag
+//! and, where the node was materialized, its counted `rows=`. A `Shuffle`
+//! node's rows are the records that exchange moved: the plan reports
+//! measured movement, never a guess.
 //!
 //! ## Derivation rules
 //!
@@ -24,7 +26,7 @@
 //! `Unknown`: keys may have changed or records moved, so no placement fact
 //! survives.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tgraph_dataflow::{OpKind, Partitioning, PlanNode};
@@ -143,19 +145,6 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Statically predicted data movement for the executed exchanges of a plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PredictedMovement {
-    /// Exchanges (shuffles) in the plan.
-    pub shuffles: usize,
-    /// Exchanges for which a row estimate was derivable from the sources.
-    pub estimated: usize,
-    /// Predicted records moved, summed over estimated exchanges.
-    pub records: u64,
-    /// Predicted bytes moved (records × record width).
-    pub bytes: u64,
-}
-
 /// The result of verifying one plan DAG.
 #[derive(Clone, Debug)]
 pub struct Analysis {
@@ -165,12 +154,8 @@ pub struct Analysis {
     pub shuffles: usize,
     /// Elided exchanges in the plan.
     pub elisions: usize,
-    /// Narrow operators in the plan.
-    pub narrow_ops: usize,
     /// Distinct nodes in the DAG.
     pub nodes: usize,
-    /// Predicted movement for the executed exchanges.
-    pub predicted: PredictedMovement,
     /// EXPLAIN-style tree rendering of the DAG.
     pub explain: String,
 }
@@ -195,15 +180,8 @@ impl Analysis {
         }
         let _ = writeln!(
             out,
-            "-- {} nodes, {} shuffles ({} elided), predicted {} records / {} bytes \
-             over {}/{} estimated exchanges",
-            self.nodes,
-            self.shuffles,
-            self.elisions,
-            self.predicted.records,
-            self.predicted.bytes,
-            self.predicted.estimated,
-            self.predicted.shuffles,
+            "-- {} nodes, {} shuffles ({} elided)",
+            self.nodes, self.shuffles, self.elisions
         );
         out
     }
@@ -288,20 +266,24 @@ fn derive(root: &Arc<PlanNode>, w: &mut Walk) -> Partitioning {
     w.derived[&key(root)]
 }
 
-/// Counts distinct consumers of every node (a node listed twice in one
-/// parent's inputs counts twice: it is produced twice).
-fn count_consumers(root: &Arc<PlanNode>, w: &mut Walk) {
+/// Collects every distinct node of the DAG and counts each node's
+/// consumers (a node listed twice in one parent's inputs counts twice: it is
+/// produced twice).
+fn collect_nodes(root: &Arc<PlanNode>, w: &mut Walk) -> Vec<Arc<PlanNode>> {
+    let mut nodes = Vec::new();
     let mut stack = vec![Arc::clone(root)];
-    let mut visited: HashMap<NodeKey, ()> = HashMap::new();
+    let mut visited: HashSet<NodeKey> = HashSet::new();
     while let Some(n) = stack.pop() {
-        if visited.insert(key(&n), ()).is_some() {
+        if !visited.insert(key(&n)) {
             continue;
         }
         for i in &n.inputs {
             *w.consumers.entry(key(i)).or_insert(0) += 1;
             stack.push(Arc::clone(i));
         }
+        nodes.push(n);
     }
+    nodes
 }
 
 /// Renders the EXPLAIN tree, assigning display ids in preorder. Shared nodes
@@ -315,11 +297,7 @@ fn render_explain(root: &Arc<PlanNode>, w: &mut Walk, out: &mut String, depth: u
     w.next_id += 1;
     let id = w.next_id;
     w.ids.insert(key(root), id);
-    let rows = match root.rows {
-        Some(r) if root.exact => format!(" rows={r}"),
-        Some(r) => format!(" rows~{r}"),
-        None => String::new(),
-    };
+    let rows = root.rows.map_or(String::new(), |r| format!(" rows={r}"));
     let _ = writeln!(
         out,
         "{indent}#{id} {} [{}] {}{}",
@@ -343,32 +321,18 @@ pub fn analyze(root: &Arc<PlanNode>) -> Analysis {
         next_id: 0,
     };
     derive(root, &mut w);
-    count_consumers(root, &mut w);
+    let nodes = collect_nodes(root, &mut w);
     let mut explain = String::new();
     render_explain(root, &mut w, &mut explain, 0);
 
     // Collect diagnostics in display-id order, then rank errors first.
-    let mut all: Vec<(usize, Arc<PlanNode>)> = Vec::new();
-    {
-        let mut stack = vec![Arc::clone(root)];
-        let mut seen: HashMap<NodeKey, ()> = HashMap::new();
-        while let Some(n) = stack.pop() {
-            if seen.insert(key(&n), ()).is_some() {
-                continue;
-            }
-            all.push((w.ids[&key(&n)], Arc::clone(&n)));
-            for i in &n.inputs {
-                stack.push(Arc::clone(i));
-            }
-        }
-    }
+    let mut all: Vec<(usize, Arc<PlanNode>)> =
+        nodes.into_iter().map(|n| (w.ids[&key(&n)], n)).collect();
     all.sort_by_key(|(id, _)| *id);
 
     let mut diagnostics = Vec::new();
     let mut shuffles = 0usize;
     let mut elisions = 0usize;
-    let mut narrow_ops = 0usize;
-    let mut predicted = PredictedMovement::default();
     for (id, n) in &all {
         match n.op {
             OpKind::Claim => {
@@ -412,7 +376,6 @@ pub fn analyze(root: &Arc<PlanNode>) -> Analysis {
             }
             OpKind::Shuffle { parts } => {
                 shuffles += 1;
-                predicted.shuffles += 1;
                 if let Some(input) = n.inputs.first() {
                     if w.derived[&key(input)] == (Partitioning::HashByKey { parts }) {
                         diagnostics.push(Diagnostic {
@@ -422,15 +385,9 @@ pub fn analyze(root: &Arc<PlanNode>) -> Analysis {
                             kind: DiagnosticKind::RedundantShuffle { parts },
                         });
                     }
-                    if let Some(rows) = input.rows {
-                        predicted.estimated += 1;
-                        predicted.records += rows;
-                        predicted.bytes += rows * n.row_bytes;
-                    }
                 }
             }
             op if op.is_narrow() => {
-                narrow_ops += 1;
                 if w.consumers.get(&key(n)).copied().unwrap_or(0) > 1 {
                     diagnostics.push(Diagnostic {
                         severity: Severity::Warning,
@@ -466,9 +423,7 @@ pub fn analyze(root: &Arc<PlanNode>) -> Analysis {
         diagnostics,
         shuffles,
         elisions,
-        narrow_ops,
         nodes: all.len(),
-        predicted,
         explain,
     }
 }
@@ -490,14 +445,12 @@ mod tests {
     #[test]
     fn rejects_hand_built_unsound_claim() {
         // source(unknown) → claim hash(p=4): underivable, must be rejected.
-        let src = PlanNode::source("source", 4, Partitioning::Unknown, 100, 16);
+        let src = PlanNode::source("source", 4, Partitioning::Unknown, 100);
         let claim = PlanNode::new(
             "claim",
             OpKind::Claim,
             Partitioning::HashByKey { parts: 4 },
             Some(100),
-            true,
-            16,
             vec![src],
         );
         let a = analyze(&claim);
@@ -513,23 +466,13 @@ mod tests {
     #[test]
     fn rejects_hand_built_unsound_elision() {
         // map destroys partitioning; eliding a shuffle right after is unsound.
-        let src = PlanNode::source("source", 4, Partitioning::HashByKey { parts: 4 }, 10, 16);
-        let mapped = PlanNode::new(
-            "map",
-            OpKind::Map,
-            Partitioning::Unknown,
-            Some(10),
-            true,
-            16,
-            vec![src],
-        );
+        let src = PlanNode::source("source", 4, Partitioning::HashByKey { parts: 4 }, 10);
+        let mapped = PlanNode::new("map", OpKind::Map, Partitioning::Unknown, None, vec![src]);
         let elided = PlanNode::new(
             "shuffle(elided)",
             OpKind::ElidedShuffle { parts: 4 },
             Partitioning::HashByKey { parts: 4 },
-            Some(10),
-            true,
-            16,
+            None,
             vec![mapped],
         );
         let a = analyze(&elided);
@@ -542,61 +485,54 @@ mod tests {
 
     #[test]
     fn accepts_shuffle_then_preserving_chain_then_elision() {
-        let src = PlanNode::source("source", 4, Partitioning::Unknown, 1000, 16);
+        let src = PlanNode::source("source", 4, Partitioning::Unknown, 1000);
         let shuf = PlanNode::new(
             "shuffle",
             OpKind::Shuffle { parts: 4 },
             Partitioning::HashByKey { parts: 4 },
             Some(1000),
-            true,
-            16,
             vec![src],
         );
         let filt = PlanNode::new(
             "filter",
             OpKind::Filter,
             Partitioning::HashByKey { parts: 4 },
-            Some(1000),
-            false,
-            16,
+            None,
             vec![shuf],
         );
         let mv = PlanNode::new(
             "map_values",
             OpKind::MapValues,
             Partitioning::HashByKey { parts: 4 },
-            Some(1000),
-            false,
-            16,
+            None,
             vec![filt],
         );
         let elided = PlanNode::new(
             "shuffle(elided)",
             OpKind::ElidedShuffle { parts: 4 },
             Partitioning::HashByKey { parts: 4 },
-            Some(1000),
-            false,
-            16,
+            None,
             vec![mv],
         );
         let a = analyze(&elided);
         assert!(a.is_sound(), "diagnostics: {:?}", a.diagnostics);
         assert_eq!(a.shuffles, 1);
         assert_eq!(a.elisions, 1);
-        assert_eq!(a.predicted.records, 1000);
-        assert_eq!(a.predicted.bytes, 16_000);
+        assert!(
+            a.explain.contains("[shuffle(p=4)] hash(p=4) rows=1000"),
+            "{}",
+            a.explain
+        );
     }
 
     #[test]
     fn flags_redundant_reshuffle() {
-        let src = PlanNode::source("source", 4, Partitioning::Unknown, 10, 8);
+        let src = PlanNode::source("source", 4, Partitioning::Unknown, 10);
         let s1 = PlanNode::new(
             "shuffle",
             OpKind::Shuffle { parts: 4 },
             Partitioning::HashByKey { parts: 4 },
             Some(10),
-            true,
-            8,
             vec![src],
         );
         let s2 = PlanNode::new(
@@ -604,8 +540,6 @@ mod tests {
             OpKind::Shuffle { parts: 4 },
             Partitioning::HashByKey { parts: 4 },
             Some(10),
-            true,
-            8,
             vec![s1],
         );
         let a = analyze(&s2);
@@ -618,32 +552,20 @@ mod tests {
 
     #[test]
     fn flags_duplicate_narrow_subplan() {
-        let src = PlanNode::source("source", 2, Partitioning::Unknown, 10, 8);
-        let mapped = PlanNode::new(
-            "map",
-            OpKind::Map,
-            Partitioning::Unknown,
-            Some(10),
-            true,
-            8,
-            vec![src],
-        );
+        let src = PlanNode::source("source", 2, Partitioning::Unknown, 10);
+        let mapped = PlanNode::new("map", OpKind::Map, Partitioning::Unknown, None, vec![src]);
         let left = PlanNode::new(
             "filter",
             OpKind::Filter,
             Partitioning::Unknown,
-            Some(10),
-            false,
-            8,
+            None,
             vec![mapped.clone()],
         );
         let right = PlanNode::new(
             "filter",
             OpKind::Filter,
             Partitioning::Unknown,
-            Some(10),
-            false,
-            8,
+            None,
             vec![mapped],
         );
         let join = PlanNode::new(
@@ -651,8 +573,6 @@ mod tests {
             OpKind::Join { parts: 2 },
             Partitioning::HashByKey { parts: 2 },
             None,
-            false,
-            16,
             vec![left, right],
         );
         let a = analyze(&join);
@@ -665,34 +585,16 @@ mod tests {
 
     #[test]
     fn flags_fusion_break() {
-        let src = PlanNode::source("source", 2, Partitioning::Unknown, 10, 8);
-        let m1 = PlanNode::new(
-            "map",
-            OpKind::Map,
-            Partitioning::Unknown,
-            Some(10),
-            true,
-            8,
-            vec![src],
-        );
+        let src = PlanNode::source("source", 2, Partitioning::Unknown, 10);
+        let m1 = PlanNode::new("map", OpKind::Map, Partitioning::Unknown, None, vec![src]);
         let mat = PlanNode::new(
             "materialize",
             OpKind::Materialize,
             Partitioning::Unknown,
             Some(10),
-            true,
-            8,
             vec![m1],
         );
-        let m2 = PlanNode::new(
-            "map",
-            OpKind::Map,
-            Partitioning::Unknown,
-            Some(10),
-            true,
-            8,
-            vec![mat],
-        );
+        let m2 = PlanNode::new("map", OpKind::Map, Partitioning::Unknown, None, vec![mat]);
         let a = analyze(&m2);
         assert!(a
             .diagnostics
@@ -729,8 +631,6 @@ mod tests {
             OpKind::Claim,
             Partitioning::HashByKey { parts: 2 },
             Some(10),
-            true,
-            16,
             vec![d.lineage()],
         );
         let a = analyze(&claim);
@@ -739,38 +639,27 @@ mod tests {
 
     #[test]
     fn explain_renders_shared_nodes_once() {
-        let src = PlanNode::source("source", 2, Partitioning::Unknown, 5, 8);
+        let src = PlanNode::source("source", 2, Partitioning::Unknown, 5);
         let l = PlanNode::new(
             "filter",
             OpKind::Filter,
             Partitioning::Unknown,
-            Some(5),
-            false,
-            8,
+            None,
             vec![src.clone()],
         );
-        let r = PlanNode::new(
-            "map",
-            OpKind::Map,
-            Partitioning::Unknown,
-            Some(5),
-            true,
-            8,
-            vec![src],
-        );
+        let r = PlanNode::new("map", OpKind::Map, Partitioning::Unknown, None, vec![src]);
         let u = PlanNode::new(
             "union",
             OpKind::Union,
             Partitioning::Unknown,
-            Some(10),
-            false,
-            8,
+            None,
             vec![l, r],
         );
         let a = analyze(&u);
         assert_eq!(a.explain.matches("[source(p=2)]").count(), 1);
         assert!(a.explain.contains("shared, see above"));
         assert_eq!(a.nodes, 4);
+        assert!(a.render().ends_with("-- 4 nodes, 0 shuffles (0 elided)\n"));
     }
 
     #[test]

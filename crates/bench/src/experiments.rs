@@ -61,12 +61,10 @@ fn group_azoom() -> AZoomSpec {
 
 /// Renders the executor's data-movement delta since `before` as a table
 /// footer: shuffle rounds (and elided ones), records and approximate bytes
-/// moved, plus the task/wave counts that show operator fusion at work —
-/// followed by the plan verifier's pre-execution prediction for the subset
-/// of exchanges whose input cardinality the lineage knew in advance.
+/// moved, plus the task/wave counts that show operator fusion at work.
 fn movement_note(rt: &Runtime, before: &tgraph_dataflow::RuntimeStats) -> String {
     let d = rt.stats().since(before);
-    let mut note = format!(
+    format!(
         "moved: {} shuffle rounds ({} elided), {} records, ~{}; {} tasks in {} waves",
         d.shuffles,
         d.shuffles_elided,
@@ -74,17 +72,7 @@ fn movement_note(rt: &Runtime, before: &tgraph_dataflow::RuntimeStats) -> String
         crate::harness::fmt_bytes(d.shuffled_bytes),
         d.tasks,
         d.waves
-    );
-    if d.shuffles_estimated > 0 {
-        note.push_str(&format!(
-            "\n  predicted: ~{} records, ~{} over {}/{} estimated exchanges",
-            d.predicted_shuffled_records,
-            crate::harness::fmt_bytes(d.predicted_shuffled_bytes),
-            d.shuffles_estimated,
-            d.shuffles
-        ));
-    }
-    note
+    )
 }
 
 /// T1 — the dataset summary table of §5 (vertices, edges, snapshots,
@@ -580,7 +568,8 @@ pub fn load_locality(cfg: &ExpConfig) -> Vec<Table> {
 }
 
 /// A4 — EXPLAIN: statically verifies the canonical zoom pipelines and
-/// renders their plan DAGs with diagnostics and predicted-movement footers.
+/// renders their plan DAGs with diagnostics, counted rows and shuffle
+/// footers.
 pub fn explain_plans(cfg: &ExpConfig) -> Vec<Table> {
     let rt = cfg.runtime();
     let g = wikitalk(cfg.scale);

@@ -19,7 +19,9 @@
 //! Alongside the fused closure plan, every dataset records a reified
 //! [`PlanNode`] lineage DAG (see [`crate::lineage`]). The closure chain is
 //! what executes; the lineage is what the static verifier in
-//! `tgraph-analyze` walks to prove elisions sound and estimate movement.
+//! `tgraph-analyze` walks to prove elisions sound and render EXPLAIN. A
+//! lineage node knows its row count only once its records exist (sources,
+//! materializations, shuffles, joins); a deferred narrow node has none.
 
 use crate::lineage::{OpKind, PlanNode};
 use crate::runtime::Runtime;
@@ -112,19 +114,13 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
 
     /// Wraps pre-built shared partitions with a known partitioning tag
     /// (internal: shuffles use this to stamp their output). The lineage is
-    /// a fresh `Source` leaf with the exact element count.
+    /// a fresh `Source` leaf with the element count.
     pub(crate) fn from_arc_partitions(
         partitions: Vec<Arc<Vec<T>>>,
         partitioning: Partitioning,
     ) -> Self {
         let rows: u64 = partitions.iter().map(|p| p.len() as u64).sum();
-        let lineage = PlanNode::source(
-            "source",
-            partitions.len(),
-            partitioning,
-            rows,
-            std::mem::size_of::<T>() as u64,
-        );
+        let lineage = PlanNode::source("source", partitions.len(), partitioning, rows);
         Self::from_arc_partitions_lineage(partitions, partitioning, lineage)
     }
 
@@ -183,16 +179,14 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             OpKind::Claim,
             partitioning,
             self.lineage.rows,
-            self.lineage.exact,
-            self.lineage.row_bytes,
             vec![Arc::clone(&self.lineage)],
         );
         self.partitioning = partitioning;
         self
     }
 
-    /// Replaces the top lineage node in place (same inputs, same size
-    /// estimate) with a more precise operator kind, and re-tags the dataset.
+    /// Replaces the top lineage node in place (same inputs, same row count)
+    /// with a more precise operator kind, and re-tags the dataset.
     /// Internal: `map_values` is built on `map` but is key-preserving, and
     /// the local combine of an elided `reduce_by_key` is built on
     /// `map_partitions` but keeps keys in place — the lineage should say so.
@@ -207,8 +201,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             op,
             partitioning,
             self.lineage.rows,
-            self.lineage.exact,
-            self.lineage.row_bytes,
             self.lineage.inputs.clone(),
         );
         self.partitioning = partitioning;
@@ -228,8 +220,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             op,
             partitioning,
             self.lineage.rows,
-            self.lineage.exact,
-            self.lineage.row_bytes,
             vec![Arc::clone(&self.lineage)],
         );
         self.partitioning = partitioning;
@@ -267,8 +257,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
                     OpKind::Materialize,
                     self.partitioning,
                     Some(rows),
-                    true,
-                    std::mem::size_of::<T>() as u64,
                     vec![Arc::clone(&self.lineage)],
                 );
                 Self::from_arc_partitions_lineage(partitions, self.partitioning, lineage)
@@ -352,9 +340,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             "map",
             OpKind::Map,
             Partitioning::Unknown,
-            self.lineage.rows,
-            self.lineage.exact,
-            std::mem::size_of::<U>() as u64,
+            None,
             vec![Arc::clone(&self.lineage)],
         );
         Dataset {
@@ -408,8 +394,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             OpKind::FlatMap,
             Partitioning::Unknown,
             None,
-            false,
-            std::mem::size_of::<U>() as u64,
             vec![Arc::clone(&self.lineage)],
         );
         Dataset {
@@ -437,9 +421,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             "filter",
             OpKind::Filter,
             self.partitioning,
-            self.lineage.rows,
-            false,
-            std::mem::size_of::<T>() as u64,
+            None,
             vec![Arc::clone(&self.lineage)],
         );
         Dataset {
@@ -472,9 +454,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             "map_partitions",
             OpKind::MapPartitions,
             Partitioning::Unknown,
-            self.lineage.rows,
-            false,
-            std::mem::size_of::<U>() as u64,
+            None,
             vec![Arc::clone(&self.lineage)],
         );
         Dataset {
@@ -505,17 +485,11 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         let left = self.clone();
         let right = other.clone();
         let split = left.num_partitions();
-        let rows = match (self.lineage.rows, other.lineage.rows) {
-            (Some(a), Some(b)) => Some(a + b),
-            _ => None,
-        };
         let lineage = PlanNode::new(
             "union",
             OpKind::Union,
             Partitioning::Unknown,
-            rows,
-            self.lineage.exact && other.lineage.exact,
-            std::mem::size_of::<T>() as u64,
+            None,
             vec![Arc::clone(&self.lineage), Arc::clone(&other.lineage)],
         );
         Dataset {
@@ -789,11 +763,11 @@ mod tests {
         assert_eq!(root.op, OpKind::Filter);
         assert_eq!(root.inputs[0].op, OpKind::Map);
         assert_eq!(root.inputs[0].inputs[0].op, OpKind::Source { parts: 4 });
+        // Only what has been materialized has a row count.
         assert_eq!(root.inputs[0].inputs[0].rows, Some(10));
-        assert!(root.inputs[0].inputs[0].exact);
-        // filter keeps the row estimate but downgrades it to a bound.
-        assert_eq!(root.rows, Some(10));
-        assert!(!root.exact);
+        assert_eq!(root.inputs[0].rows, None);
+        assert_eq!(root.rows, None);
+        assert_eq!(chained.materialize(&rt).lineage().rows, Some(5));
     }
 
     #[test]

@@ -330,15 +330,6 @@ impl<K: Spill, V: Spill> GovernedBuckets<K, V> {
         }
         merged
     }
-
-    /// How many map outputs were spilled (for tests).
-    #[cfg(test)]
-    pub fn spilled_sources(&self) -> usize {
-        self.sources
-            .iter()
-            .filter(|s| matches!(s, GovernedSource::Spilled(_)))
-            .count()
-    }
 }
 
 /// Records the residency of a keyed operator's per-partition state (the
@@ -380,6 +371,16 @@ fn spill_source<K: Spill, V: Spill>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K, V> GovernedBuckets<K, V> {
+        /// How many map outputs were spilled.
+        fn spilled_sources(&self) -> usize {
+            self.sources
+                .iter()
+                .filter(|s| matches!(s, GovernedSource::Spilled(_)))
+                .count()
+        }
+    }
 
     fn gov(budget: u64) -> Arc<MemGovernor> {
         Arc::new(MemGovernor::new(

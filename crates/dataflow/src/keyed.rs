@@ -130,12 +130,6 @@ where
             Partitioning::HashByKey { parts },
         );
     }
-    // Static movement prediction from lineage row estimates, recorded before
-    // execution so predicted-vs-actual columns can be compared afterwards.
-    let lineage = input.lineage();
-    if let Some(rows) = lineage.rows {
-        rt.note_shuffle_predicted(rows, rows * std::mem::size_of::<(K, V)>() as u64);
-    }
     // Map side: one fused pass splits every input partition into `parts`
     // buckets, running any pending narrow chain in the same wave.
     let mut bucketed: Vec<Vec<Vec<(K, V)>>> = input.run_per_partition(rt, move |i, d| {
@@ -171,9 +165,7 @@ where
         OpKind::Shuffle { parts },
         Partitioning::HashByKey { parts },
         Some(moved),
-        true,
-        std::mem::size_of::<(K, V)>() as u64,
-        vec![lineage],
+        vec![input.lineage()],
     );
     Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
 }
@@ -434,8 +426,6 @@ where
             OpKind::Join { parts },
             Partitioning::HashByKey { parts },
             Some(rows),
-            true,
-            std::mem::size_of::<(K, (V, W))>() as u64,
             vec![lin_l, lin_r],
         );
         Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
@@ -470,8 +460,6 @@ where
             OpKind::Join { parts },
             Partitioning::HashByKey { parts },
             Some(rows),
-            true,
-            std::mem::size_of::<(K, V)>() as u64,
             vec![lin_l, lin_r],
         );
         Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
@@ -826,16 +814,17 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_predicts_movement_from_lineage() {
+    fn shuffle_node_counts_the_records_it_moved() {
         let rt = rt();
         let d = Dataset::from_vec(&rt, (0..64u64).map(|i| (i % 3, i)).collect::<Vec<_>>());
         let before = rt.stats();
-        let _ = shuffle(&rt, &d).collect(&rt);
+        let s = shuffle(&rt, &d.filter(|(_, v)| v % 2 == 0));
         let delta = rt.stats().since(&before);
-        // Source row count is exact, so prediction matches actual movement.
-        assert_eq!(delta.shuffles_estimated, 1);
-        assert_eq!(delta.predicted_shuffled_records, delta.shuffled_records);
-        assert_eq!(delta.predicted_shuffled_bytes, delta.shuffled_bytes);
+        assert_eq!(delta.shuffled_records, 32);
+        assert_eq!(s.lineage().op, OpKind::Shuffle { parts: 4 });
+        assert_eq!(s.lineage().rows, Some(delta.shuffled_records));
+        // The filter below it ran only inside the exchange: no count.
+        assert_eq!(s.lineage().inputs[0].rows, None);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! The closure-based `Plan` inside a dataset is opaque — it fuses narrow
 //! operators into one producer function and cannot be inspected. `PlanNode`
 //! is its walkable shadow: a persistent DAG recording every operator kind,
-//! every partitioning claim, every shuffle executed or elided, and static
-//! row/byte estimates propagated from the sources. The `tgraph-analyze`
-//! crate consumes this DAG to *prove* shuffle elisions sound (by deriving
-//! partitioning facts bottom-up), to flag redundant work, and to predict
-//! data movement before it happens.
+//! every partitioning claim, every shuffle executed or elided, and the
+//! records each materialized node holds, counted when it was built. The
+//! `tgraph-analyze` crate consumes this DAG to *prove* shuffle elisions
+//! sound (by deriving partitioning facts bottom-up), to flag redundant
+//! work, and to render EXPLAIN.
 //!
 //! Nodes are immutable and shared: a diamond in the DAG (one subplan consumed
 //! by two operators) is represented by two parents holding the same `Arc`,
@@ -16,10 +16,7 @@
 //! narrow chains.
 
 use crate::dataset::Partitioning;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The operator class of a plan node — what the verifier reasons about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,68 +105,54 @@ impl OpKind {
 /// One node of the reified plan DAG. Immutable; shared via `Arc`.
 #[derive(Clone, Debug)]
 pub struct PlanNode {
-    /// Process-unique id (creation order). Display ids are assigned
-    /// per-rendering, so this is only used for identity/debugging.
-    pub id: u64,
     /// Human-readable operator label for EXPLAIN output.
     pub label: &'static str,
     /// Operator class.
     pub op: OpKind,
     /// The partitioning tag carried by the dataset this node produced.
     pub claimed: Partitioning,
-    /// Static row-count estimate for this node's output (propagated from
-    /// source sizes; `None` when unknown, e.g. below a `flat_map`).
+    /// Records this node holds, counted when it was materialized: set for
+    /// sources, materializations, shuffles (the records the exchange moved)
+    /// and joins, and carried through by wrappers that pass their input on
+    /// unchanged (elided shuffles, claims, relabels). `None` for deferred
+    /// narrow operators, whose output has not been produced.
     pub rows: Option<u64>,
-    /// Whether `rows` is exact (sources and 1:1 maps) or an upper-bound
-    /// estimate (filters, combines).
-    pub exact: bool,
-    /// `size_of` one element of this node's output — the record width used
-    /// for byte estimates.
-    pub row_bytes: u64,
     /// Upstream plan nodes (0 for sources, 1 for most ops, 2 for joins
     /// and unions).
     pub inputs: Vec<Arc<PlanNode>>,
 }
 
 impl PlanNode {
-    /// Builds a node. `rows`/`exact` describe the static size estimate of
-    /// the node's output; `row_bytes` is the element width.
+    /// Builds a node. `rows` is the counted output size, if the node has
+    /// been materialized (see [`PlanNode::rows`]).
     pub fn new(
         label: &'static str,
         op: OpKind,
         claimed: Partitioning,
         rows: Option<u64>,
-        exact: bool,
-        row_bytes: u64,
         inputs: Vec<Arc<PlanNode>>,
     ) -> Arc<PlanNode> {
         Arc::new(PlanNode {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             label,
             op,
             claimed,
             rows,
-            exact,
-            row_bytes,
             inputs,
         })
     }
 
-    /// A source leaf with an exact element count.
+    /// A source leaf holding `rows` elements.
     pub fn source(
         label: &'static str,
         parts: usize,
         claimed: Partitioning,
         rows: u64,
-        row_bytes: u64,
     ) -> Arc<PlanNode> {
         PlanNode::new(
             label,
             OpKind::Source { parts },
             claimed,
             Some(rows),
-            true,
-            row_bytes,
             Vec::new(),
         )
     }
@@ -281,32 +264,26 @@ mod tests {
 
     #[test]
     fn node_identity_and_count() {
-        let src = PlanNode::source("v", 2, Partitioning::Unknown, 10, 8);
+        let src = PlanNode::source("v", 2, Partitioning::Unknown, 10);
         let a = PlanNode::new(
             "map",
             OpKind::Map,
             Partitioning::Unknown,
-            Some(10),
-            true,
-            8,
+            None,
             vec![src.clone()],
         );
         let b = PlanNode::new(
             "filter",
             OpKind::Filter,
             Partitioning::Unknown,
-            Some(10),
-            false,
-            8,
+            None,
             vec![src.clone()],
         );
         let join = PlanNode::new(
             "join",
             OpKind::Join { parts: 2 },
             Partitioning::HashByKey { parts: 2 },
-            None,
-            false,
-            16,
+            Some(10),
             vec![a, b],
         );
         // Diamond: src shared by both sides, counted once.

@@ -34,14 +34,6 @@ pub struct RuntimeStats {
     pub shuffled_records: u64,
     /// Approximate bytes moved in shuffles (records × record size).
     pub shuffled_bytes: u64,
-    /// Executed shuffles for which a static row estimate existed before
-    /// execution (a prediction was recorded).
-    pub shuffles_estimated: u64,
-    /// Records the plan lineage predicted would move, summed over estimated
-    /// shuffles. Compare with `shuffled_records` for predicted-vs-actual.
-    pub predicted_shuffled_records: u64,
-    /// Bytes the plan lineage predicted would move.
-    pub predicted_shuffled_bytes: u64,
     /// Task waves refused at dispatch because the caller's
     /// [`CancelToken`](crate::CancelToken) had tripped — no task launched.
     pub waves_cancelled: u64,
@@ -85,11 +77,6 @@ impl RuntimeStats {
             shuffles_elided: self.shuffles_elided - earlier.shuffles_elided,
             shuffled_records: self.shuffled_records - earlier.shuffled_records,
             shuffled_bytes: self.shuffled_bytes - earlier.shuffled_bytes,
-            shuffles_estimated: self.shuffles_estimated - earlier.shuffles_estimated,
-            predicted_shuffled_records: self.predicted_shuffled_records
-                - earlier.predicted_shuffled_records,
-            predicted_shuffled_bytes: self.predicted_shuffled_bytes
-                - earlier.predicted_shuffled_bytes,
             waves_cancelled: self.waves_cancelled - earlier.waves_cancelled,
             tasks_cancelled: self.tasks_cancelled - earlier.tasks_cancelled,
             max_task_us: self.max_task_us - earlier.max_task_us,
@@ -117,9 +104,6 @@ pub struct Runtime {
     shuffles_elided: AtomicU64,
     shuffled_records: AtomicU64,
     shuffled_bytes: AtomicU64,
-    shuffles_estimated: AtomicU64,
-    predicted_shuffled_records: AtomicU64,
-    predicted_shuffled_bytes: AtomicU64,
     waves_cancelled: AtomicU64,
     tasks_cancelled: AtomicU64,
     max_task_us: AtomicU64,
@@ -150,9 +134,6 @@ impl Runtime {
             shuffles_elided: AtomicU64::new(0),
             shuffled_records: AtomicU64::new(0),
             shuffled_bytes: AtomicU64::new(0),
-            shuffles_estimated: AtomicU64::new(0),
-            predicted_shuffled_records: AtomicU64::new(0),
-            predicted_shuffled_bytes: AtomicU64::new(0),
             waves_cancelled: AtomicU64::new(0),
             tasks_cancelled: AtomicU64::new(0),
             max_task_us: AtomicU64::new(0),
@@ -265,16 +246,6 @@ impl Runtime {
         self.shuffles_elided.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the statically predicted volume of a shuffle about to
-    /// execute (from lineage row estimates).
-    pub(crate) fn note_shuffle_predicted(&self, records: u64, bytes: u64) {
-        self.shuffles_estimated.fetch_add(1, Ordering::Relaxed);
-        self.predicted_shuffled_records
-            .fetch_add(records, Ordering::Relaxed);
-        self.predicted_shuffled_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Whether checked execution mode is on: elision points verify claimed
     /// partitionings record-by-record, and representation switches validate
     /// their TGraph against Definition 2.1. Enabled at construction when the
@@ -339,9 +310,6 @@ impl Runtime {
             shuffles_elided: self.shuffles_elided.load(Ordering::Relaxed),
             shuffled_records: self.shuffled_records.load(Ordering::Relaxed),
             shuffled_bytes: self.shuffled_bytes.load(Ordering::Relaxed),
-            shuffles_estimated: self.shuffles_estimated.load(Ordering::Relaxed),
-            predicted_shuffled_records: self.predicted_shuffled_records.load(Ordering::Relaxed),
-            predicted_shuffled_bytes: self.predicted_shuffled_bytes.load(Ordering::Relaxed),
             waves_cancelled: self.waves_cancelled.load(Ordering::Relaxed),
             tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
             max_task_us: self.max_task_us.load(Ordering::Relaxed),
@@ -436,17 +404,6 @@ mod tests {
         rt.set_checked(false);
         assert!(!rt.checked());
         rt.set_checked(initial);
-    }
-
-    #[test]
-    fn predicted_movement_counters() {
-        let rt = Runtime::new(1);
-        rt.note_shuffle_predicted(100, 800);
-        rt.note_shuffle(90, 720);
-        let s = rt.stats();
-        assert_eq!(s.shuffles_estimated, 1);
-        assert_eq!(s.predicted_shuffled_records, 100);
-        assert_eq!(s.predicted_shuffled_bytes, 800);
     }
 
     #[test]

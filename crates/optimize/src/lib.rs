@@ -7,7 +7,7 @@
 //! the piece that turns four hand-picked engines into one system.
 //!
 //! The model is deliberately small, in the GraphX tradition: a handful of
-//! cardinality and movement features that are free to compute (header-only
+//! cardinality and evolution features that are free to compute (header-only
 //! `.tgc` chunk statistics), with coefficients shaped by the paper's
 //! measured results (see EXPERIMENTS.md):
 //!
@@ -27,6 +27,10 @@
 //! prefers observed numbers over predictions once they exist, calibrating
 //! the remaining predictions against them. EXPLAIN surfaces all three
 //! views: `predicted`, `chosen`, `observed`.
+//!
+//! The model prices work only. It does not guess exchange bytes: what a
+//! plan moves is counted when it runs (`RuntimeStats::shuffled_records`,
+//! and `rows=` on each shuffle node of the plan's EXPLAIN).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,10 +45,6 @@ use tgraph_dataflow::lock_unpoisoned;
 use tgraph_query::{Pipeline, Step};
 use tgraph_repr::ReprKind;
 use tgraph_storage::{ChunkStats, TgcStats};
-
-/// Approximate serialized bytes per moved record, used for the informational
-/// shuffle-byte prediction (id + interval + a few short props).
-const RECORD_BYTES: u64 = 48;
 
 /// RG per-row work *per snapshot* — the high slope of figures 10/11. At two
 /// snapshots RG's total (`2 × 0.45 = 0.9`) undercuts every other aZoom
@@ -72,9 +72,6 @@ const SWITCH_PER_ROW: f64 = 0.7;
 const AZOOM_REDUCE: f64 = 0.3;
 /// Row survival factor after a wZoom (time collapses into windows).
 const WZOOM_REDUCE: f64 = 0.5;
-/// Fraction of rows OG moves during an aZoom shuffle (group exchange only;
-/// the history arrays themselves stay put).
-const OG_SHUFFLE_FRACTION: f64 = 0.25;
 
 /// Free cardinality/evolution features of a stored graph, extracted from
 /// header-only `.tgc` chunk statistics or from an in-memory [`TGraph`].
@@ -231,38 +228,6 @@ pub fn predicted_work(f: &GraphFeatures, pipeline: &Pipeline, first: ReprKind) -
     Some(work)
 }
 
-/// Predicted bytes crossing the exchange for `pipeline` starting in `first`
-/// — the shuffle-strategy side of the decision, surfaced in EXPLAIN. VE
-/// shuffles every surviving tuple per aZoom; OG only exchanges group
-/// assignments; RG re-partitions each snapshot's rows; OGC never aZooms.
-pub fn predicted_shuffle_bytes(f: &GraphFeatures, pipeline: &Pipeline, first: ReprKind) -> u64 {
-    let mut rows = (f.rows() as f64).max(1.0);
-    let mut moved = 0.0f64;
-    for (repr, step) in pipeline.steps_with_repr(first) {
-        match step {
-            Step::AZoom(_) => {
-                moved += rows
-                    * match repr {
-                        ReprKind::Rg => 1.0,
-                        ReprKind::Ve => 1.0,
-                        ReprKind::Og => OG_SHUFFLE_FRACTION,
-                        ReprKind::Ogc => 0.0,
-                    };
-                rows = (rows * AZOOM_REDUCE).max(1.0);
-            }
-            Step::WZoom(_) => {
-                rows = (rows * WZOOM_REDUCE).max(1.0);
-            }
-            Step::Switch(to) => {
-                if *to != repr {
-                    moved += rows;
-                }
-            }
-        }
-    }
-    (moved as u64) * RECORD_BYTES
-}
-
 /// Where the winning number for a decision came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChoiceSource {
@@ -290,8 +255,6 @@ pub struct CandidateRow {
     pub repr: ReprKind,
     /// Static model prediction in abstract work units.
     pub predicted_work: f64,
-    /// Predicted exchange traffic in bytes.
-    pub predicted_shuffle_bytes: u64,
     /// Measured execution time (µs, EWMA) if this shape ran before.
     pub observed_us: Option<f64>,
     /// The number the decision actually compared: the observation when one
@@ -397,7 +360,6 @@ impl Optimizer {
                 Some(CandidateRow {
                     repr,
                     predicted_work,
-                    predicted_shuffle_bytes: predicted_shuffle_bytes(f, pipeline, repr),
                     observed_us,
                     effective: 0.0,
                 })

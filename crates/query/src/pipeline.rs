@@ -212,7 +212,8 @@ impl Pipeline {
 
     /// EXPLAIN rendering of the plan DAGs backing the result of running the
     /// pipeline on `graph`, one section per dataset, including verifier
-    /// diagnostics and predicted data-movement footers, plus a maintenance
+    /// diagnostics, the records each exchange moved (`rows=` on its shuffle
+    /// node) and a shuffle-count footer, plus a maintenance
     /// footer: whether an ingest at `graph`'s lifespan end would patch this
     /// pipeline's result or force a recompute.
     pub fn explain(&self, rt: &Runtime, graph: AnyGraph) -> String {

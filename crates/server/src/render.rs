@@ -234,9 +234,9 @@ fn repr_wire(kind: ReprKind) -> String {
 /// and for any request with `"explain":true`. Shows the requested vs
 /// chosen representation and the choice's provenance; under EXPLAIN the
 /// full candidate table rides along — each representation's predicted
-/// work, predicted shuffle bytes, observed mean run time (null until the
-/// server has executed that candidate for this shape), and the effective
-/// score the decision ranked by.
+/// work, observed mean run time (null until the server has executed that
+/// candidate for this shape), and the effective score the decision ranked
+/// by.
 pub(crate) fn optimizer_json(
     req: &ZoomRequest,
     was_auto: bool,
@@ -269,10 +269,6 @@ pub(crate) fn optimizer_json(
                 Json::obj(vec![
                     ("repr", Json::str(repr_wire(c.repr))),
                     ("predicted_work", Json::Float(c.predicted_work)),
-                    (
-                        "predicted_shuffle_bytes",
-                        Json::Int(c.predicted_shuffle_bytes as i64),
-                    ),
                     ("observed_us", c.observed_us.map_or(Json::Null, Json::Float)),
                     ("effective", Json::Float(c.effective)),
                 ])

@@ -2,7 +2,7 @@
 //! representation → load from the pool → probe the cache → admit →
 //! execute (cold, or patched from the query's answer at an earlier epoch)
 //! → serialize → respond. The stage boundaries are where per-request spans
-//! go (ROADMAP item 4).
+//! go (ROADMAP item 9).
 //!
 //! This is the one module that knows how a query names its cache entry:
 //! by its canonical text (`ZoomRequest::canonical`), with the dataset epoch

@@ -521,8 +521,8 @@ pub fn read_tgc(
 /// Header-only statistics of a `.tgc` file: every chunk's min/max interval
 /// bounds and row count, read without decoding any payload bytes.
 ///
-/// This is the input to pre-execution cardinality estimation — the plan
-/// verifier's predicted-vs-actual movement column starts from these rows.
+/// This is the input to pre-execution cardinality estimation: the
+/// optimizer's graph features start from these rows.
 #[derive(Clone, Debug)]
 pub struct TgcStats {
     /// Declared lifespan of the stored graph.
