@@ -162,29 +162,6 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
         Arc::clone(&self.lineage)
     }
 
-    /// Re-tags the dataset (internal: used where an operator re-establishes
-    /// or invalidates a distribution invariant the type system cannot see).
-    ///
-    /// The lineage records this as an explicit [`OpKind::Claim`] node: the
-    /// tag was stamped by fiat, not established by an exchange, so the
-    /// verifier will reject it unless the claimed invariant is derivable
-    /// from the input. Keyed operators that legitimately re-establish tags
-    /// use [`Dataset::relabel_op`] instead, which records the real operator.
-    // Production operators re-establish tags via relabel_op/wrap_op; this
-    // remains the audited escape hatch (exercised by in-crate tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
-        self.lineage = PlanNode::new(
-            "claim",
-            OpKind::Claim,
-            partitioning,
-            self.lineage.rows,
-            vec![Arc::clone(&self.lineage)],
-        );
-        self.partitioning = partitioning;
-        self
-    }
-
     /// Replaces the top lineage node in place (same inputs, same row count)
     /// with a more precise operator kind, and re-tags the dataset.
     /// Internal: `map_values` is built on `map` but is key-preserving, and
@@ -208,7 +185,8 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     }
 
     /// Wraps the current lineage under a new node (internal: elided shuffles
-    /// record the skipped exchange this way).
+    /// record the skipped exchange this way). The node counts no rows: the
+    /// exchange it stands for moved nothing.
     pub(crate) fn wrap_op(
         mut self,
         label: &'static str,
@@ -219,7 +197,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
             label,
             op,
             partitioning,
-            self.lineage.rows,
+            None,
             vec![Arc::clone(&self.lineage)],
         );
         self.partitioning = partitioning;
@@ -566,6 +544,24 @@ impl<T: Clone> std::fmt::Debug for Dataset<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Clone + Send + Sync + 'static> Dataset<T> {
+        /// Re-tags the dataset by fiat: the tests' way to build a wrong or
+        /// unproven partitioning claim. The lineage records an explicit
+        /// [`OpKind::Claim`] node, which the verifier rejects unless the claimed
+        /// invariant is derivable from the input, and checked mode audits.
+        pub(crate) fn with_partitioning(mut self, partitioning: Partitioning) -> Self {
+            self.lineage = PlanNode::new(
+                "claim",
+                OpKind::Claim,
+                partitioning,
+                self.lineage.rows,
+                vec![Arc::clone(&self.lineage)],
+            );
+            self.partitioning = partitioning;
+            self
+        }
+    }
 
     fn rt() -> Runtime {
         Runtime::with_partitions(4, 4)

@@ -114,8 +114,9 @@ pub struct PlanNode {
     /// Records this node holds, counted when it was materialized: set for
     /// sources, materializations, shuffles (the records the exchange moved)
     /// and joins, and carried through by wrappers that pass their input on
-    /// unchanged (elided shuffles, claims, relabels). `None` for deferred
-    /// narrow operators, whose output has not been produced.
+    /// unchanged (claims, relabels). `None` for deferred narrow operators,
+    /// whose output has not been produced, and for elided shuffles, which
+    /// moved nothing: the `rows` of shuffle nodes sum to the records moved.
     pub rows: Option<u64>,
     /// Upstream plan nodes (0 for sources, 1 for most ops, 2 for joins
     /// and unions).

@@ -15,8 +15,9 @@
 //!    the suffix result, re-coalesced per entity so states split at the cut
 //!    merge back.
 //!
-//! Every pipeline's final result is temporally coalesced (VE re-coalesces
-//! after each zoom; `AnyGraph::to_tgraph` ends in `TGraph::into_coalesced`),
+//! Every pipeline's final result is temporally coalesced (every operator
+//! returns coalesced output; `AnyGraph::to_tgraph` ends in
+//! `TGraph::into_coalesced`),
 //! and coalesced-plus-sorted is a *unique* normal form — so a patched result is
 //! byte-identical to a cold recompute under the server's deterministic
 //! serialization. The contract presumes the post-ingest graph is *valid*

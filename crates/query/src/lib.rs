@@ -1,12 +1,11 @@
 //! # tgraph-query
 //!
 //! The operator-chaining layer of the system (§4): pipelines of `aZoom^T` /
-//! `wZoom^T` steps over any physical representation, **representation
-//! switching** mid-query (§5.3), and the **lazy coalescing** optimization —
-//! coalesce only before `wZoom^T` (which computes across snapshots and needs
-//! maximal intervals for correctness) and once at the end of the pipeline,
-//! never after `aZoom^T` (which computes within snapshots and is
-//! insensitive to fragmentation).
+//! `wZoom^T` steps over any physical representation, and **representation
+//! switching** mid-query (§5.3). Coalescing is no step of its own: every
+//! operator returns coalesced output, each `wZoom^T` kernel folds an
+//! entity's history itself (the maximal intervals §4's lazy rule coalesces
+//! for), and collecting a result coalesces it.
 //!
 //! ```
 //! use tgraph_core::graph::figure1_graph_stable_ids;
@@ -31,4 +30,4 @@
 
 pub mod pipeline;
 
-pub use pipeline::{coalesce_any, Pipeline, Step};
+pub use pipeline::{Pipeline, Step};

@@ -1,12 +1,14 @@
-//! Operator pipelines: chaining zooms, switching representations mid-query,
-//! and the lazy-coalescing optimization of §4.
+//! Operator pipelines: chaining zooms and switching representations
+//! mid-query.
 //!
 //! The paper's API "supports chaining multiple operations together and
-//! switching between graph representations during query execution". The
-//! coalescing rule it derives: `aZoom^T` computes within each snapshot and
-//! does **not** need coalesced input; `wZoom^T` computes across snapshots and
-//! **does**. So in a chain, the system coalesces only before `wZoom^T` and
-//! once at the end of the pipeline.
+//! switching between graph representations during query execution".
+//! Coalescing is not a step here. §4 coalesces lazily because `wZoom^T`
+//! needs maximal intervals on its input; every `wZoom^T` kernel folds each
+//! entity's history itself (VE groups its window copies by entity, OG and
+//! OGC hold coalesced histories, RG is snapshot-normalized), every operator
+//! returns coalesced output, and `AnyGraph::to_tgraph` coalesces what it
+//! collects.
 //!
 //! [`Pipeline`] is the one spelling of a zoom chain in the workspace: the
 //! serve protocol parses into it, the cost model and the maintenance planner
@@ -33,25 +35,8 @@ pub enum Step {
 }
 
 impl Step {
-    /// Whether the operator computes across snapshots and therefore needs
-    /// maximal intervals on its input (`wZoom^T`); snapshot-wise operators
-    /// are insensitive to fragmentation.
-    pub fn needs_coalesced_input(&self) -> bool {
-        matches!(self, Step::WZoom(_))
-    }
-
-    /// Applies this one step to `g`. Representations track their own
-    /// coalesced-ness where they can (VE carries a flag; OG/OGC histories are
-    /// coalesced by construction; RG is conceptually always
-    /// snapshot-normalized), so coalescing is a no-op where the data is
-    /// already maximal.
-    pub fn apply(&self, rt: &Runtime, mut g: AnyGraph) -> AnyGraph {
-        // Correctness: the representation implementations also guard this
-        // themselves; the pipeline-level insertion is the observable part of
-        // the optimization.
-        if self.needs_coalesced_input() {
-            g = coalesce_any(rt, g);
-        }
+    /// Applies this one step to `g`.
+    pub fn apply(&self, rt: &Runtime, g: AnyGraph) -> AnyGraph {
         match self {
             Step::AZoom(spec) => g.azoom(rt, spec),
             Step::WZoom(spec) => g.wzoom(rt, spec),
@@ -111,7 +96,7 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// An empty pipeline (identity, modulo the final coalesce).
+    /// An empty pipeline (the identity).
     pub fn new() -> Self {
         Pipeline::default()
     }
@@ -197,12 +182,10 @@ impl Pipeline {
         s
     }
 
-    /// Executes the pipeline on `graph`, coalescing only where the lazy rule
-    /// asks — the only step loop in the workspace.
+    /// Executes the pipeline on `graph` — the only step loop in the
+    /// workspace.
     pub fn execute(&self, rt: &Runtime, graph: AnyGraph) -> AnyGraph {
-        let g = self.steps.iter().fold(graph, |g, step| step.apply(rt, g));
-        // Point semantics: the final result is always coalesced.
-        coalesce_any(rt, g)
+        self.steps.iter().fold(graph, |g, step| step.apply(rt, g))
     }
 
     /// Executes and materializes the logical result.
@@ -257,20 +240,10 @@ impl Pipeline {
     }
 }
 
-/// Coalesces a graph in its current representation (no-op where the
-/// representation is coalesced by construction).
-pub fn coalesce_any(rt: &Runtime, g: AnyGraph) -> AnyGraph {
-    match g {
-        AnyGraph::Ve(ve) => AnyGraph::Ve(ve.coalesce(rt)),
-        // OG/OGC keep per-entity histories coalesced by construction; RG's
-        // snapshots are definitionally one per no-change interval.
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::coalesce::graph_is_coalesced;
     use tgraph_core::graph::{figure1_graph_stable_ids, VertexRecord};
     use tgraph_core::props::Props;
     use tgraph_core::reference::{azoom_reference, wzoom_reference};
@@ -347,13 +320,6 @@ mod tests {
         assert_eq!(reprs, [ReprKind::Ve, ReprKind::Ve, ReprKind::Ogc]);
         assert_eq!(p.first_unsupported(ReprKind::Ve), Some((2, ReprKind::Ogc)));
         assert_eq!(p.window_grids(), [wspec().window]);
-        assert_eq!(
-            p.steps()
-                .iter()
-                .map(Step::needs_coalesced_input)
-                .collect::<Vec<_>>(),
-            [true, false, false]
-        );
     }
 
     /// Unquoted, both of these read `azoom(skolem=ByType,type=t,x=Count)`.
@@ -408,7 +374,7 @@ mod tests {
     }
 
     /// Figure 1 with Cat's history and the first edge each cut in two
-    /// value-equal pieces: loaded into VE, it is not known to be coalesced.
+    /// value-equal pieces.
     fn fragmented() -> TGraph {
         let g = figure1_graph_stable_ids();
         let mut vertices = Vec::new();
@@ -434,22 +400,18 @@ mod tests {
         TGraph::from_records(vertices, edges)
     }
 
-    /// Why lazy coalescing is the only policy: every operator already
-    /// returns coalesced output. Each step kind into VE — `aZoom^T` and
-    /// `wZoom^T` on VE, and a switch into VE from RG, OG and OGC — starts
-    /// from a fragmented input and must hand back a VE flagged coalesced,
-    /// on which the pipeline's final `coalesce_any` runs nothing. A kernel
-    /// that starts emitting uncoalesced output fails here.
+    /// Why the pipeline coalesces nothing: every operator already returns
+    /// coalesced output. Each step kind into VE — `aZoom^T` and `wZoom^T`
+    /// on VE, and a switch into VE from RG, OG and OGC — starts from a
+    /// fragmented input and must hand back relations that are coalesced as
+    /// collected. A kernel that starts emitting uncoalesced output fails
+    /// here.
     #[test]
     fn every_step_into_ve_returns_coalesced_output() {
         let rt = rt();
         let g = fragmented();
         let topo = topology_only(&g);
-        let loaded = AnyGraph::load(&rt, &g, ReprKind::Ve);
-        assert!(
-            matches!(&loaded, AnyGraph::Ve(ve) if !ve.coalesced),
-            "the fixture must start fragmented"
-        );
+        assert!(!graph_is_coalesced(&g), "the fixture must start fragmented");
         for (label, input, kind, step) in [
             ("aZoom on VE", &g, ReprKind::Ve, Step::AZoom(school_spec())),
             ("wZoom on VE", &g, ReprKind::Ve, Step::WZoom(wspec())),
@@ -466,11 +428,11 @@ mod tests {
             let AnyGraph::Ve(ve) = &out else {
                 panic!("{label}: left VE for {}", out.kind());
             };
-            assert!(ve.coalesced, "{label}: output not flagged coalesced");
-            let before = rt.stats();
-            let _ = coalesce_any(&rt, out);
-            let d = rt.stats().since(&before);
-            assert_eq!((d.waves, d.shuffles), (0, 0), "{label}: coalesce ran");
+            let collected = TGraph::from_records(ve.vertices.collect(&rt), ve.edges.collect(&rt));
+            assert!(
+                graph_is_coalesced(&collected),
+                "{label}: output not coalesced"
+            );
         }
     }
 

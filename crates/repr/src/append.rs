@@ -7,9 +7,9 @@
 //! resident graph's lifespan end. Two representations extend, two rebuild:
 //!
 //! * **VE** — the delta tuples union onto the two relations (two `O(1)`
-//!   partition concatenations). The result is conservatively marked
-//!   uncoalesced: an entity whose state continues across the boundary now
-//!   has two mergeable tuples.
+//!   partition concatenations). An entity whose state continues across the
+//!   boundary now has two mergeable tuples; every VE operator and
+//!   `coalesce_collected` fold them.
 //! * **RG** — the delta's snapshot sequence, built by
 //!   [`RgGraph::from_tgraph`] from the delta alone (no old fact is alive
 //!   after the boundary), unions onto the resident sequence. A fresh full
@@ -79,9 +79,6 @@ impl AnyGraph {
                     .vertices
                     .union(&Dataset::from_vec(rt, delta.vertices.clone())),
                 edges: g.edges.union(&Dataset::from_vec(rt, delta.edges.clone())),
-                // A state continuing across the boundary is now two
-                // mergeable tuples; operators re-coalesce lazily.
-                coalesced: false,
             }),
             AnyGraph::Rg(g) => AnyGraph::Rg(RgGraph {
                 lifespan,

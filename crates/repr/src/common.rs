@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 use tgraph_core::coalesce::{coalesce_group, is_coalesced_run};
-use tgraph_core::graph::{EdgeId, TGraph, VertexId};
+use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::{AZoomSpec, AggAccumulator};
@@ -255,6 +255,51 @@ pub fn rezoom_history(
     out
 }
 
+/// One vertex's history laid flat as VE tuples.
+pub fn vertex_tuples(vid: VertexId, history: &[State], emit: &mut dyn FnMut(VertexRecord)) {
+    for (interval, props) in history {
+        emit(VertexRecord {
+            vid,
+            interval: *interval,
+            props: props.clone(),
+        });
+    }
+}
+
+/// One edge's history laid flat as VE tuples.
+pub fn edge_tuples(key: EdgeKey, history: &[State], emit: &mut dyn FnMut(EdgeRecord)) {
+    let (eid, src, dst) = key;
+    for (interval, props) in history {
+        emit(EdgeRecord {
+            eid,
+            src,
+            dst,
+            interval: *interval,
+            props: props.clone(),
+        });
+    }
+}
+
+/// The union of a history's intervals: when the entity exists.
+pub fn existence(history: &[State]) -> Vec<Interval> {
+    tgraph_core::time::merge_non_overlapping(history.iter().map(|(iv, _)| *iv).collect())
+}
+
+/// Clips a history against a set of mask intervals, keeping the attribute
+/// values of the history items (the `intersect(e.history, v.history)` step of
+/// Algorithm 6).
+pub fn clip_history(history: &[State], mask: &[Interval]) -> Vec<State> {
+    let mut out = Vec::new();
+    for (iv, props) in history {
+        for m in mask {
+            if let Some(x) = iv.intersect(m) {
+                out.push((x, props.clone()));
+            }
+        }
+    }
+    coalesce_group(out)
+}
+
 /// Vertex-side resolve honoring per-attribute overrides of the spec.
 pub fn resolve_vertex_states(spec: &WZoomSpec, states: &[State]) -> Props {
     spec.resolve_vertex(states)
@@ -420,6 +465,18 @@ mod tests {
         ];
         // Union covers the window fully → `all` passes.
         assert!(window_reduce(w, &dup, &Quantifier::All, |s| s[0].1.clone()).is_some());
+    }
+
+    #[test]
+    fn clip_history_respects_mask() {
+        let p = Props::typed("x");
+        let history = vec![(Interval::new(0, 10), p.clone())];
+        let mask = vec![Interval::new(2, 4), Interval::new(6, 8)];
+        let clipped = clip_history(&history, &mask);
+        assert_eq!(
+            clipped,
+            vec![(Interval::new(2, 4), p.clone()), (Interval::new(6, 8), p)]
+        );
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! embarrassingly parallel flatMap). Conversions involving RG and OGC
 //! materialize through the logical TGraph.
 
+use crate::common::{coalesce_states, edge_tuples, vertex_tuples};
 use crate::og::{OgEdge, OgGraph, OgVertex};
 use crate::ogc::OgcGraph;
 use crate::rg::RgGraph;
 use crate::ve::VeGraph;
-use crate::{common::coalesce_states, ReprKind};
+use crate::ReprKind;
 use std::sync::Arc;
-use tgraph_core::graph::{EdgeId, EdgeRecord, VertexId, VertexRecord};
+use tgraph_core::graph::{EdgeId, VertexId};
 use tgraph_dataflow::{Dataset, KeyedDataset, PlanNode, Runtime};
 
 /// VE → OG: shuffle tuples by entity key and assemble history arrays.
@@ -73,32 +74,14 @@ pub fn ve_to_og(rt: &Runtime, ve: &VeGraph) -> OgGraph {
 
 /// OG → VE: split history arrays back into flat tuples (no shuffle).
 pub fn og_to_ve(_rt: &Runtime, og: &OgGraph) -> VeGraph {
-    let vertices: Dataset<VertexRecord> = og.vertices.flat_map_into(|v, emit| {
-        for (interval, props) in &v.history {
-            emit(VertexRecord {
-                vid: v.vid,
-                interval: *interval,
-                props: props.clone(),
-            });
-        }
-    });
-    let edges: Dataset<EdgeRecord> = og.edges.flat_map_into(|e, emit| {
-        for (interval, props) in &e.history {
-            emit(EdgeRecord {
-                eid: e.eid,
-                src: e.src.vid,
-                dst: e.dst.vid,
-                interval: *interval,
-                props: props.clone(),
-            });
-        }
-    });
-    // Histories are coalesced per entity by construction.
     VeGraph {
         lifespan: og.lifespan,
-        vertices,
-        edges,
-        coalesced: true,
+        vertices: og
+            .vertices
+            .flat_map_into(|v, emit| vertex_tuples(v.vid, &v.history, emit)),
+        edges: og
+            .edges
+            .flat_map_into(|e, emit| edge_tuples((e.eid, e.src.vid, e.dst.vid), &e.history, emit)),
     }
 }
 

@@ -16,8 +16,8 @@
 //! stands for.
 
 use crate::common::{
-    aggregate_group_history, histories_of, resolve_edge_states, resolve_vertex_states,
-    rezoom_history, EdgeKey, GroupBases, Histories, State,
+    aggregate_group_history, clip_history, existence, histories_of, resolve_edge_states,
+    resolve_vertex_states, rezoom_history, EdgeKey, GroupBases, Histories, State,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ pub struct OgVertex {
 impl OgVertex {
     /// The union of the vertex's existence intervals.
     pub fn existence(&self) -> Vec<Interval> {
-        tgraph_core::time::merge_non_overlapping(self.history.iter().map(|(iv, _)| *iv).collect())
+        existence(&self.history)
     }
 }
 
@@ -98,21 +98,6 @@ pub struct OgGraph {
     pub vertices: Dataset<OgVertex>,
     /// One record per edge (per endpoint pair).
     pub edges: Dataset<OgEdge>,
-}
-
-/// Clips a history against a set of mask intervals, keeping the attribute
-/// values of the history items (the `intersect(e.history, v.history)` step of
-/// Algorithm 6).
-pub fn clip_history(history: &[State], mask: &[Interval]) -> Vec<State> {
-    let mut out = Vec::new();
-    for (iv, props) in history {
-        for m in mask {
-            if let Some(x) = iv.intersect(m) {
-                out.push((x, props.clone()));
-            }
-        }
-    }
-    coalesce_group(out)
 }
 
 impl OgGraph {
@@ -599,18 +584,6 @@ mod tests {
             }
         }
         assert!(rt.stats().bytes_spilled > 0);
-    }
-
-    #[test]
-    fn clip_history_respects_mask() {
-        let p = Props::typed("x");
-        let history = vec![(Interval::new(0, 10), p.clone())];
-        let mask = vec![Interval::new(2, 4), Interval::new(6, 8)];
-        let clipped = clip_history(&history, &mask);
-        assert_eq!(
-            clipped,
-            vec![(Interval::new(2, 4), p.clone()), (Interval::new(6, 8), p)]
-        );
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //! encoding with one distributed relation for vertices and one for edges
 //! (§3, Figure 5).
 //!
-//! VE is compact (both relations are kept temporally coalesced) but stores
+//! VE is compact (every operator returns both relations temporally
+//! coalesced; only a fragmented load or an epoch append leaves fragments,
+//! which the operators and `coalesce_collected` fold away) but stores
 //! tuples in unordered collections, so it has no temporal locality by
 //! default: the two states of *Bob* may land on different workers, and the
 //! operators below re-establish co-location at runtime via shuffles.
 
 use crate::common::{
-    aggregate_group_history, coalesce_states, resolve_edge_states, resolve_vertex_states,
-    window_reduce, State,
+    aggregate_group_history, clip_history, coalesce_states, edge_tuples, existence,
+    resolve_edge_states, resolve_vertex_states, rezoom_history, vertex_tuples, EdgeKey, State,
 };
 use std::sync::Arc;
-use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
+use tgraph_core::graph::{EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::time::Interval;
 use tgraph_core::zoom::azoom::AZoomSpec;
-use tgraph_core::zoom::wzoom::{window_relation, windows_of, WZoomSpec};
+use tgraph_core::zoom::wzoom::{window_relation, windows_of, WZoomSpec, WindowSpec};
 use tgraph_dataflow::{Dataset, KeyedDataset, Runtime};
 
 /// A TGraph stored as two distributed temporal relations.
@@ -28,9 +30,6 @@ pub struct VeGraph {
     /// Edge tuples `(eid, vid1, vid2, attributes, T)`; `vid1`/`vid2` are
     /// foreign keys into the vertex relation.
     pub edges: Dataset<EdgeRecord>,
-    /// Whether the relations are known to be temporally coalesced. Tracked
-    /// for the lazy-coalescing optimization of §4.
-    pub coalesced: bool,
 }
 
 impl VeGraph {
@@ -41,7 +40,6 @@ impl VeGraph {
             lifespan: g.lifespan,
             vertices: Dataset::from_vec(rt, g.vertices.clone()),
             edges: Dataset::from_vec(rt, g.edges.clone()),
-            coalesced: tgraph_core::coalesce::graph_is_coalesced(g),
         }
     }
 
@@ -75,34 +73,6 @@ impl VeGraph {
     /// Number of edge tuples.
     pub fn edge_tuple_count(&self, rt: &Runtime) -> usize {
         self.edges.count(rt)
-    }
-
-    /// Temporally coalesces both relations using the partitioning method of
-    /// §4: group by entity key (a shuffle), sort each group by start time,
-    /// and fold value-equivalent adjacent tuples.
-    pub fn coalesce(&self, rt: &Runtime) -> VeGraph {
-        if self.coalesced {
-            return self.clone();
-        }
-        let vertices = self
-            .vertices
-            .map(|v| (v.vid, (v.interval, v.props.clone())))
-            .group_by_key(rt)
-            .flat_map_into(|(vid, states), emit| {
-                for (interval, props) in coalesce_states(states).iter() {
-                    emit(VertexRecord {
-                        vid: *vid,
-                        interval: *interval,
-                        props: props.clone(),
-                    });
-                }
-            });
-        VeGraph {
-            lifespan: self.lifespan,
-            vertices,
-            edges: coalesced_edges(rt, &self.edges),
-            coalesced: true,
-        }
     }
 
     /// `aZoom^T` over VE — Algorithm 2.
@@ -171,119 +141,105 @@ impl VeGraph {
             lifespan: self.lifespan,
             vertices,
             edges: coalesced_edges(rt, &edges),
-            coalesced: true,
         }
     }
 
-    /// `wZoom^T` over VE — Algorithm 5.
+    /// `wZoom^T` over VE — Algorithm 5, by §4's partitioning method.
     ///
-    /// Each tuple is joined with the window relation (computing one copy per
-    /// overlapped window — the tuple-multiplication that makes small windows
-    /// expensive for VE, §5.2), grouped by `(entity, window)`, gated by the
-    /// quantifier threshold and resolved; dangling edges are removed with two
-    /// semijoins when `r_v` is more restrictive than `r_e`.
+    /// Each tuple emits one copy per overlapped window, clipped to it: the
+    /// tuple multiplication that makes small windows expensive for VE
+    /// (§5.2). The copies are grouped by entity (a shuffle); sorted by start
+    /// and coalesced, an entity's copies are its history inside the windows,
+    /// which one walk gates by the quantifier, resolves and coalesces per
+    /// window, as OG does. The output is therefore coalesced, whatever the
+    /// input. When `r_v` is more restrictive than `r_e`, edge histories are
+    /// clipped to their endpoints' zoomed existence by two joins on `vid`.
     pub fn wzoom(&self, rt: &Runtime, spec: &WZoomSpec) -> VeGraph {
-        // Correctness requires coalesced input (§3.2).
-        let g = self.coalesce(rt);
-        let change_points = {
-            // Change points are only needed for `changes`-based windows.
-            match spec.window {
-                tgraph_core::zoom::wzoom::WindowSpec::Changes(_) => g.to_tgraph(rt).change_points(),
-                _ => Vec::new(),
-            }
+        let change_points = match spec.window {
+            // Change points of the logical graph, not of its fragments.
+            WindowSpec::Changes(_) => coalesce_collected(rt, self).change_points(),
+            _ => Vec::new(),
         };
-        let windows = Arc::new(window_relation(g.lifespan, &change_points, spec.window));
+        let windows = Arc::new(window_relation(self.lifespan, &change_points, spec.window));
         if windows.is_empty() {
             return VeGraph {
-                lifespan: g.lifespan,
+                lifespan: self.lifespan,
                 vertices: Dataset::empty(),
                 edges: Dataset::empty(),
-                coalesced: true,
             };
         }
         let spec = Arc::new(spec.clone());
 
         // --- Vertex aggregation for new intervals (lines 3–9). ---
         let ws = Arc::clone(&windows);
-        let aligned_v: Dataset<((usize, VertexId), State)> =
-            g.vertices.flat_map_into(move |v, emit| {
-                for (idx, _w, covered) in windows_of(v.interval, &ws) {
-                    emit(((idx, v.vid), (covered, v.props.clone())));
-                }
-            });
+        let copies: Dataset<(VertexId, State)> = self.vertices.flat_map_into(move |v, emit| {
+            for (_, _, covered) in windows_of(v.interval, &ws) {
+                emit((v.vid, (covered, v.props.clone())));
+            }
+        });
         let ws = Arc::clone(&windows);
         let spec_v = Arc::clone(&spec);
-        let kept_vertices: Dataset<((usize, VertexId), VertexRecord)> = aligned_v
-            .group_by_key(rt)
-            .flat_map(move |((idx, vid), states)| {
-                let window = ws[*idx];
-                let props = window_reduce(window, states, &spec_v.vertex_quantifier, |s| {
-                    resolve_vertex_states(&spec_v, s)
-                })?;
-                Some((
-                    (*idx, *vid),
-                    VertexRecord {
-                        vid: *vid,
-                        interval: window,
-                        props,
-                    },
-                ))
+        let vertex_histories: Dataset<(VertexId, Vec<State>)> =
+            copies.group_by_key(rt).map_values(move |copies| {
+                rezoom_history(
+                    &coalesce_states(copies),
+                    &ws,
+                    &spec_v.vertex_quantifier,
+                    |s| resolve_vertex_states(&spec_v, s),
+                )
             });
-        let vertices: Dataset<VertexRecord> = kept_vertices.map(|(_, v)| v.clone());
 
         // --- Edge aggregation (lines 10–16). ---
         let ws = Arc::clone(&windows);
-        let aligned_e: Dataset<((usize, EdgeId, VertexId, VertexId), State)> =
-            g.edges.flat_map_into(move |e, emit| {
-                for (idx, _w, covered) in windows_of(e.interval, &ws) {
-                    emit(((idx, e.eid, e.src, e.dst), (covered, e.props.clone())));
-                }
-            });
+        let copies: Dataset<(EdgeKey, State)> = self.edges.flat_map_into(move |e, emit| {
+            for (_, _, covered) in windows_of(e.interval, &ws) {
+                emit(((e.eid, e.src, e.dst), (covered, e.props.clone())));
+            }
+        });
         let ws = Arc::clone(&windows);
         let spec_e = Arc::clone(&spec);
-        let edges: Dataset<((usize, VertexId), EdgeRecord)> =
-            aligned_e
-                .group_by_key(rt)
-                .flat_map(move |((idx, eid, src, dst), states)| {
-                    let window = ws[*idx];
-                    let props = window_reduce(window, states, &spec_e.edge_quantifier, |s| {
-                        resolve_edge_states(&spec_e, s)
-                    })?;
-                    Some((
-                        (*idx, *src),
-                        EdgeRecord {
-                            eid: *eid,
-                            src: *src,
-                            dst: *dst,
-                            interval: window,
-                            props,
-                        },
-                    ))
-                });
+        let edge_histories: Dataset<(EdgeKey, Vec<State>)> =
+            copies.group_by_key(rt).flat_map(move |(key, copies)| {
+                let history = rezoom_history(
+                    &coalesce_states(copies),
+                    &ws,
+                    &spec_e.edge_quantifier,
+                    |s| resolve_edge_states(&spec_e, s),
+                );
+                (!history.is_empty()).then_some((*key, history))
+            });
 
         // --- Dangling-edge removal (lines 17–19): only when r_v > r_e. ---
-        let edges: Dataset<EdgeRecord> = if spec.needs_dangling_check() {
-            // Both semijoins key by the same retained-vertex set; partition
-            // it once and the second semijoin's key-side shuffle is elided.
-            let kept: Dataset<((usize, VertexId), ())> =
-                tgraph_dataflow::shuffle(rt, &kept_vertices.map(|(k, _)| (*k, ())));
-            let by_src = edges.semi_join(rt, &kept);
-            let by_dst: Dataset<((usize, VertexId), EdgeRecord)> =
-                by_src.map(|((idx, _), e)| ((*idx, e.dst), e.clone()));
-            by_dst.semi_join(rt, &kept).map(|(_, e)| e.clone())
+        let edge_histories = if spec.needs_dangling_check() {
+            // The group output is already hash-partitioned by `vid`, and
+            // `map_values` keeps it so: both joins elide its shuffle, and
+            // read the masks materialized once.
+            let existence: Dataset<(VertexId, Vec<Interval>)> = vertex_histories
+                .map_values(|h| existence(h))
+                .materialize(rt);
+            let by_src: Dataset<(VertexId, (EdgeKey, Vec<State>))> =
+                edge_histories.map(|(key, h)| (key.1, (*key, h.clone())));
+            let clipped_src: Dataset<(VertexId, (EdgeKey, Vec<State>))> = by_src
+                .join(rt, &existence)
+                .flat_map(|(_, ((key, h), mask))| {
+                    let history = clip_history(h, mask);
+                    (!history.is_empty()).then_some((key.2, (*key, history)))
+                });
+            clipped_src
+                .join(rt, &existence)
+                .flat_map(|(_, ((key, h), mask))| {
+                    let history = clip_history(h, mask);
+                    (!history.is_empty()).then_some((*key, history))
+                })
         } else {
-            edges.map(|(_, e)| e.clone())
+            edge_histories
         };
 
-        let lifespan = Interval::hull_of(&windows);
-        let out = VeGraph {
-            lifespan,
-            vertices,
-            edges,
-            coalesced: false,
-        };
-        // Point semantics: the final result is coalesced.
-        out.coalesce(rt)
+        VeGraph {
+            lifespan: Interval::hull_of(&windows),
+            vertices: vertex_histories.flat_map_into(|(vid, h), emit| vertex_tuples(*vid, h, emit)),
+            edges: edge_histories.flat_map_into(|(key, h), emit| edge_tuples(*key, h, emit)),
+        }
     }
 }
 
@@ -293,17 +249,7 @@ fn coalesced_edges(rt: &Runtime, edges: &Dataset<EdgeRecord>) -> Dataset<EdgeRec
     edges
         .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())))
         .group_by_key(rt)
-        .flat_map_into(|((eid, src, dst), states), emit| {
-            for (interval, props) in coalesce_states(states).iter() {
-                emit(EdgeRecord {
-                    eid: *eid,
-                    src: *src,
-                    dst: *dst,
-                    interval: *interval,
-                    props: props.clone(),
-                });
-            }
-        })
+        .flat_map_into(|(key, states), emit| edge_tuples(*key, &coalesce_states(states), emit))
 }
 
 /// The logical graph of `g`, collected and coalesced (what
@@ -315,6 +261,7 @@ pub fn coalesce_collected(rt: &Runtime, g: &VeGraph) -> TGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::coalesce::graph_is_coalesced;
     use tgraph_core::graph::figure1_graph_stable_ids;
     use tgraph_core::reference::{azoom_reference, wzoom_reference};
     use tgraph_core::zoom::azoom::AggSpec;
@@ -333,7 +280,6 @@ mod tests {
         let rt = rt();
         let g = figure1_graph_stable_ids();
         let ve = VeGraph::from_tgraph(&rt, &g);
-        assert!(ve.coalesced);
         let mut back = ve.to_tgraph(&rt);
         let mut orig = g.clone();
         orig.vertices.sort_by_key(|v| (v.vid, v.interval.start));
@@ -394,21 +340,48 @@ mod tests {
         assert!(tgraph_core::validate::validate(&got).is_empty());
     }
 
+    /// Cat cut into one-point pieces and the first edge in two: `wZoom^T`
+    /// needs maximal intervals, and VE folds each entity's window copies
+    /// itself, so the answer is the reference's and comes out coalesced.
     #[test]
-    fn coalesce_removes_fragmentation() {
+    fn wzoom_on_fragmented_input_matches_reference() {
         let rt = rt();
         let mut g = figure1_graph_stable_ids();
-        // Fragment Cat into 8 pieces.
         let cat = g.vertices.remove(3);
-        for t in 1..9 {
+        for t in cat.interval.start..cat.interval.end {
             let mut piece = cat.clone();
             piece.interval = Interval::new(t, t + 1);
             g.vertices.push(piece);
         }
+        let first = g.edges.remove(0);
+        let mid = first.interval.start + first.interval.len() as i64 / 2;
+        for interval in [
+            Interval::new(first.interval.start, mid),
+            Interval::new(mid, first.interval.end),
+        ] {
+            let mut piece = first.clone();
+            piece.interval = interval;
+            g.edges.push(piece);
+        }
+        assert!(!graph_is_coalesced(&g), "the fixture must start fragmented");
         let ve = VeGraph::from_tgraph(&rt, &g);
-        assert_eq!(ve.vertex_tuple_count(&rt), 11);
-        let c = ve.coalesce(&rt);
-        assert_eq!(c.vertex_tuple_count(&rt), 4);
-        assert!(c.coalesced);
+        for (vq, eq) in [
+            (Quantifier::Exists, Quantifier::Exists),
+            (Quantifier::All, Quantifier::Exists),
+            (Quantifier::Most, Quantifier::Exists),
+        ] {
+            let points = WZoomSpec::points(3, vq, eq);
+            let mut changes = points.clone();
+            changes.window = WindowSpec::Changes(2);
+            for spec in [points, changes] {
+                let out = ve.wzoom(&rt, &spec);
+                let got = out.collect(&rt);
+                assert!(graph_is_coalesced(&got), "{spec:?}: output fragmented");
+                let got = coalesce_collected(&rt, &out);
+                let expected = wzoom_reference(&g, &spec);
+                assert_eq!(got.vertices, expected.vertices, "{spec:?}");
+                assert_eq!(got.edges, expected.edges, "{spec:?}");
+            }
+        }
     }
 }

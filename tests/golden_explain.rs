@@ -86,11 +86,11 @@ fn azoom_on_ve_golden() {
                   #10 shuffle [shuffle(p=2)] hash(p=2) rows=2
                     #11 map [map] unknown
                       #12 source [source(p=2)] unknown rows=2
-                  #13 shuffle(elided) [elided_shuffle(p=2)] hash(p=2) rows=4
+                  #13 shuffle(elided) [elided_shuffle(p=2)] hash(p=2)
                     #14 shuffle [shuffle(p=2)] hash(p=2) rows=4
                       #15 map [map] unknown
                         #16 source [source(p=2)] unknown rows=4
-            #17 shuffle(elided) [elided_shuffle(p=2)] hash(p=2) rows=4
+            #17 shuffle(elided) [elided_shuffle(p=2)] hash(p=2)
               #14 (shuffle; shared, see above)
 ",
     );

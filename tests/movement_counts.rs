@@ -8,12 +8,14 @@
 //!
 //! Every row is also held against the plan: the `Shuffle` and
 //! `ElidedShuffle` nodes of the result's lineage are the runtime's
-//! exchanges, and the shuffle nodes' counted `rows` sum to the records the
-//! runtime saw move.
+//! exchanges, and the shuffle nodes' counted `rows` - as EXPLAIN prints
+//! them on its `shuffle` lines, where an elided exchange shows none - sum
+//! to the records the runtime saw move.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use tgraph::dataflow::{OpKind, PlanNode};
+use tgraph::core::zoom::wzoom::{window_relation, windows_of, WindowSpec};
+use tgraph::dataflow::{OpKind, Partitioning, PlanNode};
 use tgraph::datagen::{Snb, WikiTalk};
 use tgraph::prelude::*;
 use Quantifier::{All, Exists};
@@ -43,38 +45,39 @@ const ZOOMS: [Zoom; 4] = [
 ];
 
 /// The pinned movement of every cell, in [`measure`] order. OGC runs its
-/// two dangling-edge joins at every quantifier pair, where OG runs them
-/// only when `needs_dangling_check()` holds.
+/// two dangling-edge joins at every quantifier pair, where OG and VE run
+/// them only when `needs_dangling_check()` holds. VE `wZoom^T` moves each
+/// window copy once, keyed by entity.
 #[rustfmt::skip]
 const PINNED: [(Graph, ReprKind, Zoom, Moved); 30] = [
     (Graph::Wiki, ReprKind::Rg, Zoom::A, (6, 0, 8592)),
     (Graph::Wiki, ReprKind::Ve, Zoom::A, (5, 2, 2814)),
     (Graph::Wiki, ReprKind::Og, Zoom::A, (1, 0, 300)),
     (Graph::Wiki, ReprKind::Rg, Zoom::W(Exists, Exists), (6, 2, 6701)),
-    (Graph::Wiki, ReprKind::Ve, Zoom::W(Exists, Exists), (4, 0, 3074)),
+    (Graph::Wiki, ReprKind::Ve, Zoom::W(Exists, Exists), (2, 0, 1537)),
     (Graph::Wiki, ReprKind::Og, Zoom::W(Exists, Exists), (0, 0, 0)),
     (Graph::Wiki, ReprKind::Ogc, Zoom::W(Exists, Exists), (3, 2, 1776)),
     (Graph::Wiki, ReprKind::Rg, Zoom::W(All, Exists), (6, 2, 5891)),
-    (Graph::Wiki, ReprKind::Ve, Zoom::W(All, Exists), (7, 2, 4588)),
+    (Graph::Wiki, ReprKind::Ve, Zoom::W(All, Exists), (4, 2, 2874)),
     (Graph::Wiki, ReprKind::Og, Zoom::W(All, Exists), (3, 2, 1582)),
     (Graph::Wiki, ReprKind::Ogc, Zoom::W(All, Exists), (3, 2, 1582)),
     (Graph::Wiki, ReprKind::Rg, Zoom::W(All, All), (6, 2, 3955)),
-    (Graph::Wiki, ReprKind::Ve, Zoom::W(All, All), (4, 0, 2089)),
+    (Graph::Wiki, ReprKind::Ve, Zoom::W(All, All), (2, 0, 1537)),
     (Graph::Wiki, ReprKind::Og, Zoom::W(All, All), (0, 0, 0)),
     (Graph::Wiki, ReprKind::Ogc, Zoom::W(All, All), (3, 2, 267)),
     (Graph::Snb, ReprKind::Rg, Zoom::A, (6, 0, 9524)),
     (Graph::Snb, ReprKind::Ve, Zoom::A, (5, 2, 2200)),
     (Graph::Snb, ReprKind::Og, Zoom::A, (1, 0, 200)),
     (Graph::Snb, ReprKind::Rg, Zoom::W(Exists, Exists), (6, 2, 6618)),
-    (Graph::Snb, ReprKind::Ve, Zoom::W(Exists, Exists), (4, 0, 2702)),
+    (Graph::Snb, ReprKind::Ve, Zoom::W(Exists, Exists), (2, 0, 1351)),
     (Graph::Snb, ReprKind::Og, Zoom::W(Exists, Exists), (0, 0, 0)),
     (Graph::Snb, ReprKind::Ogc, Zoom::W(Exists, Exists), (3, 2, 1400)),
     (Graph::Snb, ReprKind::Rg, Zoom::W(All, Exists), (6, 2, 5984)),
-    (Graph::Snb, ReprKind::Ve, Zoom::W(All, Exists), (7, 2, 4238)),
+    (Graph::Snb, ReprKind::Ve, Zoom::W(All, Exists), (4, 2, 2459)),
     (Graph::Snb, ReprKind::Og, Zoom::W(All, Exists), (3, 2, 1276)),
     (Graph::Snb, ReprKind::Ogc, Zoom::W(All, Exists), (3, 2, 1276)),
     (Graph::Snb, ReprKind::Rg, Zoom::W(All, All), (6, 2, 4894)),
-    (Graph::Snb, ReprKind::Ve, Zoom::W(All, All), (4, 0, 2085)),
+    (Graph::Snb, ReprKind::Ve, Zoom::W(All, All), (2, 0, 1351)),
     (Graph::Snb, ReprKind::Og, Zoom::W(All, All), (0, 0, 0)),
     (Graph::Snb, ReprKind::Ogc, Zoom::W(All, All), (3, 2, 654)),
 ];
@@ -130,6 +133,8 @@ struct Cell {
     zoom: Zoom,
     runtime: Moved,
     plan: Moved,
+    /// The `rows=` values on the `shuffle` lines of the result's EXPLAIN.
+    explained: u64,
 }
 
 /// The exchanges reachable from `roots`, each node once: executed
@@ -155,6 +160,34 @@ fn plan_exchanges(roots: &[(&str, Arc<PlanNode>)]) -> Moved {
     moved
 }
 
+/// The sum of `rows=` over the lines of one EXPLAIN rendering of `roots`
+/// (each node once, under a synthetic root) whose operator label is a
+/// shuffle, elided ones included.
+fn explained_shuffle_rows(roots: &[(&str, Arc<PlanNode>)]) -> u64 {
+    let inputs = roots.iter().map(|(_, r)| Arc::clone(r)).collect();
+    let root = PlanNode::new("result", OpKind::Union, Partitioning::Unknown, None, inputs);
+    tgraph_analyze::analyze(&root)
+        .explain
+        .lines()
+        .filter(|line| {
+            let label = line.split_whitespace().nth(1);
+            label.is_some_and(|l| l.starts_with("shuffle"))
+        })
+        .filter_map(|line| line.split_once(" rows=")?.1.parse::<u64>().ok())
+        .sum()
+}
+
+/// The window copies VE `wZoom^T` multiplies `g`'s tuples into over
+/// 3-point windows: one per tuple per window it overlaps (§5.2, F15).
+fn window_copies(g: &TGraph) -> u64 {
+    let windows = window_relation(g.lifespan, &[], WindowSpec::Points(3));
+    let intervals = g.vertices.iter().map(|v| v.interval);
+    intervals
+        .chain(g.edges.iter().map(|e| e.interval))
+        .map(|iv| windows_of(iv, &windows).count() as u64)
+        .sum()
+}
+
 /// Runs every cell of the table: four representations (OGC has no
 /// `aZoom^T`) by four zooms, on both graphs.
 fn measure() -> Vec<Cell> {
@@ -171,12 +204,14 @@ fn measure() -> Vec<Cell> {
                 let before = rt.stats();
                 let out = pipeline(which, zoom).execute(&rt, loaded);
                 let d = rt.stats().since(&before);
+                let lineages = out.lineages();
                 cells.push(Cell {
                     graph: which,
                     kind,
                     zoom,
                     runtime: (d.shuffles, d.shuffles_elided, d.shuffled_records),
-                    plan: plan_exchanges(&out.lineages()),
+                    plan: plan_exchanges(&lineages),
+                    explained: explained_shuffle_rows(&lineages),
                 });
             }
         }
@@ -223,6 +258,11 @@ fn each_plan_shows_the_exchanges_the_runtime_counted() {
             "{:?} {:?} {:?}: plan (shuffles, elided, shuffle rows) against the runtime's counts",
             c.graph, c.kind, c.zoom
         );
+        assert_eq!(
+            c.explained, c.runtime.2,
+            "{:?} {:?} {:?}: EXPLAIN's shuffle `rows=` against the records moved",
+            c.graph, c.kind, c.zoom
+        );
     }
 }
 
@@ -246,7 +286,9 @@ fn the_papers_movement_relations_hold() {
         assert!(rg > ve, "{which:?} aZoom: RG {rg} <= VE {ve}");
         // OG exchanges group assignments, at most one per vertex.
         let og = records(which, ReprKind::Og, Zoom::A);
-        let vertices = graph(which).distinct_vertex_count() as u64;
+        let g = graph(which);
+        let vertices = g.distinct_vertex_count() as u64;
+        let copies = window_copies(&g);
         assert!(
             og <= vertices,
             "{which:?} aZoom: OG {og} > {vertices} vertices"
@@ -257,11 +299,18 @@ fn the_papers_movement_relations_hold() {
                 records(which, ReprKind::Og, zoom),
             );
             assert!(ve >= og, "{which:?} {zoom:?}: VE {ve} < OG {og}");
-            // OG keeps histories entity-local: a wZoom moves nothing
-            // unless the dangling-edge joins must run.
             if let Zoom::W(vq, eq) = zoom {
+                // VE's window copies cross the exchange: the F15 cost.
+                assert!(
+                    ve >= copies,
+                    "{which:?} {zoom:?}: VE {ve} < {copies} copies"
+                );
+                // OG keeps histories entity-local: a wZoom moves nothing
+                // unless the dangling-edge joins must run, and VE moves
+                // its window copies once.
                 if !WZoomSpec::points(3, vq, eq).needs_dangling_check() {
                     assert_eq!(og, 0, "{which:?} {zoom:?}: OG moved records");
+                    assert_eq!(ve, copies, "{which:?} {zoom:?}: VE against copies");
                 }
             }
         }
