@@ -80,10 +80,14 @@ impl Quantifier {
     }
 
     /// Whether `self` is strictly more restrictive than `other` (retains a
-    /// subset of entities for every input).
+    /// subset of entities for every input): quantifiers are ordered by
+    /// threshold, and at an equal threshold the strict `r > t` is the more
+    /// restrictive, so `at least 1.0` (`r > 1`, never met) outranks `all`
+    /// (`r >= 1`, the one bound that is not strict).
     #[inline]
     pub fn more_restrictive_than(&self, other: &Quantifier) -> bool {
-        self.threshold() > other.threshold()
+        let rank = |q: &Quantifier| (q.threshold(), !matches!(q, Quantifier::All));
+        rank(self) > rank(other)
     }
 }
 
@@ -312,6 +316,12 @@ mod tests {
         assert!(Quantifier::Most.more_restrictive_than(&Quantifier::Exists));
         assert!(Quantifier::AtLeast(0.7).more_restrictive_than(&Quantifier::Most));
         assert!(!Quantifier::Exists.more_restrictive_than(&Quantifier::Exists));
+        // Equal thresholds: the strict `r > 1` outranks `all`'s `r >= 1`,
+        // and two strict bounds tie.
+        assert!(Quantifier::AtLeast(1.0).more_restrictive_than(&Quantifier::All));
+        assert!(!Quantifier::All.more_restrictive_than(&Quantifier::AtLeast(1.0)));
+        assert!(!Quantifier::AtLeast(0.5).more_restrictive_than(&Quantifier::Most));
+        assert!(!Quantifier::Most.more_restrictive_than(&Quantifier::AtLeast(0.5)));
     }
 
     #[test]
@@ -322,6 +332,9 @@ mod tests {
         assert!(!spec.needs_dangling_check());
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::All);
         assert!(!spec.needs_dangling_check());
+        // No vertex meets `r > 1`, so every edge `all` keeps dangles.
+        let spec = WZoomSpec::points(3, Quantifier::AtLeast(1.0), Quantifier::All);
+        assert!(spec.needs_dangling_check());
     }
 
     #[test]

@@ -348,8 +348,10 @@ impl Optimizer {
     /// with features `f`. Candidates with a measured run time on file are
     /// compared by that number; the rest are compared by their prediction,
     /// calibrated by the mean observed-per-predicted ratio so µs and work
-    /// units live on one scale. Returns `None` only if no representation
-    /// can run the pipeline.
+    /// units live on one scale. On equal effective cost an observed
+    /// candidate wins, so a shape that ran keeps its representation (and
+    /// its cached answer) until a rival is cheaper. Returns `None` only if
+    /// no representation can run the pipeline.
     pub fn choose(&self, shape: &str, f: &GraphFeatures, pipeline: &Pipeline) -> Option<Decision> {
         let table = lock_unpoisoned(&self.observed);
         let mut rows: Vec<CandidateRow> = ReprKind::all()
@@ -372,27 +374,35 @@ impl Optimizer {
         // Calibrate work units against any observations on file: the mean
         // observed-µs-per-predicted-work ratio puts unobserved candidates
         // on the observed scale instead of comparing µs to abstract units.
-        let ratios: Vec<f64> = rows
+        // Each observation is scaled by a prediction ratio, so a candidate
+        // predicted exactly like an observed one costs exactly its
+        // observation (`(o / p) * p` can round below `o`).
+        let observed: Vec<(f64, f64)> = rows
             .iter()
-            .filter_map(|r| r.observed_us.map(|o| o / r.predicted_work.max(1e-9)))
+            .filter_map(|r| Some((r.observed_us?, r.predicted_work.max(1e-9))))
             .collect();
-        let alpha = if ratios.is_empty() {
-            1.0
-        } else {
-            ratios.iter().sum::<f64>() / ratios.len() as f64
+        let calibrated = |work: f64| {
+            let scaled = observed.iter().map(|(o, p)| o * (work / p));
+            scaled.sum::<f64>() / observed.len() as f64
         };
-        let source = if ratios.is_empty() {
+        let source = if observed.is_empty() {
             ChoiceSource::Predicted
         } else {
             ChoiceSource::Observed
         };
         for r in &mut rows {
-            r.effective = match r.observed_us {
-                Some(o) => o,
-                None => alpha * r.predicted_work,
+            r.effective = match (r.observed_us, observed.is_empty()) {
+                (Some(o), _) => o,
+                (None, true) => r.predicted_work,
+                (None, false) => calibrated(r.predicted_work),
             };
         }
-        rows.sort_by(|a, b| a.effective.total_cmp(&b.effective));
+        rows.sort_by(|a, b| {
+            let unobserved = |r: &CandidateRow| r.observed_us.is_none();
+            a.effective
+                .total_cmp(&b.effective)
+                .then(unobserved(a).cmp(&unobserved(b)))
+        });
         Some(Decision {
             chosen: rows[0].repr,
             source,
@@ -455,5 +465,25 @@ mod tests {
         assert_eq!(d.chosen, runner_up);
         assert_eq!(d.source, ChoiceSource::Observed);
         assert_eq!(opt.stats().observed_pairs, 2);
+    }
+
+    /// An empty pipeline predicts the same work in every representation, so
+    /// after one observation `o` each rival is calibrated to `o` exactly;
+    /// the observed candidate must win that tie, or a repeated request would
+    /// switch representations and miss its cached answer.
+    #[test]
+    fn observed_candidate_keeps_an_effective_cost_tie() {
+        let f = features(1000, 60, 60, 30.0);
+        let p = predicted_work(&f, &Pipeline::new(), ReprKind::Rg).unwrap();
+        let o = 29.0;
+        // Taking the rate first, `(o / p) * p`, rounds below `o` here.
+        assert!((o / p) * p < o, "the fixture must round below o");
+        for ran in ReprKind::all() {
+            let opt = Optimizer::new();
+            opt.observe("s", ran, o as u64);
+            let d = opt.choose("s", &f, &Pipeline::new()).unwrap();
+            assert_eq!(d.chosen, ran, "after observing {ran}");
+            assert!(d.candidates.iter().all(|c| c.effective == o));
+        }
     }
 }

@@ -224,6 +224,8 @@ mod tests {
     use super::*;
     use tgraph_core::coalesce::coalesce_graph;
     use tgraph_core::graph::figure1_graph_stable_ids;
+    use tgraph_core::reference::wzoom_reference;
+    use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
 
     fn rt() -> Runtime {
         Runtime::with_partitions(4, 4)
@@ -282,6 +284,26 @@ mod tests {
         let back = rg.switch_to(&rt, ReprKind::Ve);
         assert_eq!(back.to_tgraph(&rt).vertices, g.vertices);
         assert_eq!(back.to_tgraph(&rt).edges, g.edges);
+    }
+
+    /// `at least 1.0` means `r > 1` and keeps no vertex, while `all` (`r >=
+    /// 1`) keeps edges: the thresholds tie, but the dangling-edge check must
+    /// run, so every kernel returns the reference's empty graph.
+    #[test]
+    fn strict_vertex_bound_at_the_edge_threshold_drops_every_edge() {
+        let rt = rt();
+        let spec = WZoomSpec::points(3, Quantifier::AtLeast(1.0), Quantifier::All);
+        let g = canonical(&figure1_graph_stable_ids());
+        for kind in ReprKind::all() {
+            let loaded = AnyGraph::load(&rt, &g, kind);
+            // OGC keeps topology and type only: its reference input is
+            // the graph as OGC holds it.
+            let expected = wzoom_reference(&loaded.to_tgraph(&rt), &spec);
+            assert!(expected.vertices.is_empty() && expected.edges.is_empty());
+            let got = loaded.wzoom(&rt, &spec).to_tgraph(&rt);
+            assert_eq!(got.vertices, expected.vertices, "{kind}");
+            assert_eq!(got.edges, expected.edges, "{kind}");
+        }
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! OGC is intended for attribute-less analysis: it retains only the required
 //! `type` label. It does **not** support `aZoom^T` (no attributes to group
 //! on), but implements the fastest `wZoom^T` of all representations —
-//! retention is bit counting, and dangling-edge removal is a bitwise AND.
+//! retention is bit counting over each row on its own, and dangling-edge
+//! removal, which §3.2 needs only when `r_v` is more restrictive than `r_e`,
+//! is a bitwise AND with the endpoints' bits.
 
 use crate::common::{histories_of, EdgeKey, Histories, State};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 use tgraph_core::bitset::Bitset;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::splitter::splitter;
-use tgraph_core::time::{Interval, Time};
+use tgraph_core::time::Interval;
 use tgraph_core::zoom::wzoom::{window_relation, WZoomSpec};
 use tgraph_dataflow::{Dataset, KeyedDataset, Runtime};
 
@@ -68,10 +70,11 @@ impl OgcGraph {
 
     /// Builds OGC from per-entity histories: the interval table is the
     /// splitter of every state's interval, a row's bits are the table
-    /// entries its states cover, its label is its first state's `type`, and
-    /// rows are put in id order. States need not be coalesced, and an entity
-    /// listed more than once gets one row over all of its entries: the
-    /// in-memory append lists the resident's rows, then the epoch's.
+    /// entries its states cover, its label is its first state's `type` (one
+    /// shared string per distinct label), and rows are put in id order.
+    /// States need not be coalesced, and an entity listed more than once
+    /// gets one row over all of its entries: the in-memory append lists the
+    /// resident's rows, then the epoch's.
     pub fn from_histories(
         rt: &Runtime,
         lifespan: Interval,
@@ -83,19 +86,15 @@ impl OgcGraph {
             states.map(|(iv, _)| iv)
         }
         let elems = Arc::new(splitter(spans(&vertices).chain(spans(&edges))));
-        let index: HashMap<Time, usize> = elems
-            .iter()
-            .enumerate()
-            .map(|(i, iv)| (iv.start, i))
-            .collect();
-        let vertices = rows(vertices, &elems, &index)
+        let mut labels = HashSet::new();
+        let vertices = rows(vertices, &elems, &mut labels)
             .map(|(vid, vtype, intervals)| OgcVertex {
                 vid,
                 vtype,
                 intervals,
             })
             .collect();
-        let edges = rows(edges, &elems, &index)
+        let edges = rows(edges, &elems, &mut labels)
             .map(|((eid, src, dst), etype, intervals)| OgcEdge {
                 eid,
                 src,
@@ -188,8 +187,14 @@ impl OgcGraph {
 
     /// `wZoom^T` over OGC: per entity, count covered time points per window
     /// directly from the bitset, apply the quantifier, and emit a new bitset
-    /// over the window intervals. Dangling edges are removed by computing the
-    /// logical AND of the edge bitset with both endpoint bitsets (§3.2).
+    /// over the window intervals. Each row is rewritten on its own, so
+    /// nothing crosses an exchange unless `r_v` is more restrictive than
+    /// `r_e` (§3.2): only then are dangling edges removed, by joining each
+    /// edge with its endpoints' bitsets by `src` and by `dst` and ANDing.
+    /// Otherwise the AND would change nothing: by Definition 2.1 an edge's
+    /// points are points of both endpoints, so a window the edge's
+    /// quantifier keeps meets a no more restrictive vertex quantifier at
+    /// both ends.
     ///
     /// Attribute resolve functions are irrelevant — OGC retains only `type`.
     pub fn wzoom(&self, rt: &Runtime, spec: &WZoomSpec) -> OgcGraph {
@@ -266,25 +271,28 @@ impl OgcGraph {
             })
         });
 
-        // Dangling-edge removal: edge.bits &= src.bits & dst.bits. Always
-        // performed — it is a join plus an AND, and unlike the other
-        // representations it is what defines OGC's validity guarantee.
-        // The bitset relation feeds both the src-AND and dst-AND joins;
-        // partition it once so the second join elides its shuffle.
-        let v_bits: Dataset<(VertexId, Bitset)> =
-            tgraph_dataflow::shuffle(rt, &vertices.map(|v| (v.vid, v.intervals.clone())));
-        let by_src: Dataset<(VertexId, OgcEdge)> = edges.map(|e| (e.src, e.clone()));
-        let anded_src: Dataset<(VertexId, OgcEdge)> =
-            by_src.join(rt, &v_bits).flat_map(|(_, (e, bits))| {
+        // Dangling-edge removal (§3.2): edge.bits &= src.bits & dst.bits,
+        // needed only when r_v is more restrictive than r_e.
+        let edges = if spec.needs_dangling_check() {
+            // The bitset relation feeds both the src-AND and dst-AND joins;
+            // partition it once so the second join elides its shuffle.
+            let v_bits: Dataset<(VertexId, Bitset)> =
+                tgraph_dataflow::shuffle(rt, &vertices.map(|v| (v.vid, v.intervals.clone())));
+            let by_src: Dataset<(VertexId, OgcEdge)> = edges.map(|e| (e.src, e.clone()));
+            let anded_src: Dataset<(VertexId, OgcEdge)> =
+                by_src.join(rt, &v_bits).flat_map(|(_, (e, bits))| {
+                    let mut out = e.clone();
+                    out.intervals.and_with(bits);
+                    (!out.intervals.none()).then_some((out.dst, out))
+                });
+            anded_src.join(rt, &v_bits).flat_map(|(_, (e, bits))| {
                 let mut out = e.clone();
                 out.intervals.and_with(bits);
-                (!out.intervals.none()).then_some((out.dst, out))
-            });
-        let edges: Dataset<OgcEdge> = anded_src.join(rt, &v_bits).flat_map(|(_, (e, bits))| {
-            let mut out = e.clone();
-            out.intervals.and_with(bits);
-            (!out.intervals.none()).then_some(out)
-        });
+                (!out.intervals.none()).then_some(out)
+            })
+        } else {
+            edges
+        };
 
         let lifespan = Interval::hull_of(&windows);
         OgcGraph {
@@ -297,11 +305,14 @@ impl OgcGraph {
 }
 
 /// One `(key, type label, presence bits)` per entity of `histories`, in key
-/// order: the row layout [`OgcGraph::from_histories`] documents.
+/// order: the row layout [`OgcGraph::from_histories`] documents. `elems` is
+/// the splitter of every state, sorted and gap-free, so a state covers the
+/// run of entries from the one that starts where it starts; `labels` holds
+/// the label strings handed out so far, shared by every row that repeats one.
 fn rows<K: Copy + Ord>(
     mut histories: Histories<K>,
     elems: &[Interval],
-    index: &HashMap<Time, usize>,
+    labels: &mut HashSet<Arc<str>>,
 ) -> impl Iterator<Item = (K, Arc<str>, Bitset)> {
     // Stable, so of an entity listed twice the first entry's label wins.
     histories.sort_by_key(|(key, _)| *key);
@@ -309,11 +320,10 @@ fn rows<K: Copy + Ord>(
     for (key, history) in histories {
         let fill = |bits: &mut Bitset| {
             for (iv, _) in &history {
-                let mut t = iv.start;
-                while t < iv.end {
-                    let i = index[&t];
+                let mut i = elems.partition_point(|e| e.start < iv.start);
+                while i < elems.len() && elems[i].start < iv.end {
                     bits.set(i);
-                    t = elems[i].end;
+                    i += 1;
                 }
             }
         };
@@ -321,9 +331,15 @@ fn rows<K: Copy + Ord>(
             Some((listed, _, bits)) if *listed == key => fill(bits),
             _ => {
                 let label = history.first().and_then(|(_, props)| props.type_label());
+                let label = label.unwrap_or("");
+                let label = labels.get(label).cloned().unwrap_or_else(|| {
+                    let shared: Arc<str> = Arc::from(label);
+                    labels.insert(Arc::clone(&shared));
+                    shared
+                });
                 let mut bits = Bitset::new(elems.len());
                 fill(&mut bits);
-                rows.push((key, Arc::from(label.unwrap_or("")), bits));
+                rows.push((key, label, bits));
             }
         }
     }
@@ -414,6 +430,7 @@ mod tests {
             (Quantifier::Exists, Quantifier::Exists),
             (Quantifier::All, Quantifier::Exists),
             (Quantifier::Most, Quantifier::Exists),
+            (Quantifier::AtLeast(1.0), Quantifier::All),
         ] {
             let spec = WZoomSpec::points(3, vq, eq);
             let expected = wzoom_reference(&g, &spec);

@@ -185,15 +185,19 @@ impl RgGraph {
 
         // Edge redirection: join each edge with the snapshot-local vertex →
         // group mapping on v1, then on v2 (the triplet view's vertex lookup
-        // expressed as dataflow joins).
-        let mapping: Dataset<((Time, VertexId), u64)> =
-            self.snapshots.flat_map_into(move |s, emit| {
+        // expressed as dataflow joins). The mapping is partitioned up front,
+        // so both joins elide its shuffle: its per-snapshot copies cross one
+        // exchange, not two.
+        let mapping: Dataset<((Time, VertexId), u64)> = tgraph_dataflow::shuffle(
+            rt,
+            &self.snapshots.flat_map_into(move |s, emit| {
                 for (vid, props) in &s.vertices {
                     if let Some(gid) = spec.group_id(*vid, props) {
                         emit(((s.interval.start, *vid), gid));
                     }
                 }
-            });
+            }),
+        );
         let edges_by_src: Dataset<((Time, VertexId), (EdgeId, VertexId, Interval, Props))> =
             self.snapshots.flat_map_into(|s, emit| {
                 for (eid, src, dst, props) in &s.edges {

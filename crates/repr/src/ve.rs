@@ -179,7 +179,7 @@ impl VeGraph {
         });
         let ws = Arc::clone(&windows);
         let spec_v = Arc::clone(&spec);
-        let vertex_histories: Dataset<(VertexId, Vec<State>)> =
+        let mut vertex_histories: Dataset<(VertexId, Vec<State>)> =
             copies.group_by_key(rt).map_values(move |copies| {
                 rezoom_history(
                     &coalesce_states(copies),
@@ -211,9 +211,12 @@ impl VeGraph {
 
         // --- Dangling-edge removal (lines 17–19): only when r_v > r_e. ---
         let edge_histories = if spec.needs_dangling_check() {
-            // The group output is already hash-partitioned by `vid`, and
-            // `map_values` keeps it so: both joins elide its shuffle, and
-            // read the masks materialized once.
+            // The zoomed histories feed both the masks and the output, so
+            // they are walked once. The group output is already
+            // hash-partitioned by `vid`, and `materialize` and `map_values`
+            // keep it so: both joins elide its shuffle, and read the masks
+            // materialized once.
+            vertex_histories = vertex_histories.materialize(rt);
             let existence: Dataset<(VertexId, Vec<Interval>)> = vertex_histories
                 .map_values(|h| existence(h))
                 .materialize(rt);

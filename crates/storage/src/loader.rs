@@ -262,7 +262,8 @@ impl GraphLoader {
                 let (g, s) = self.og_at(rt, range, epochs)?;
                 (AnyGraph::Og(g), s)
             }
-            // OGC reads the nested file too (topology + type only).
+            // OGC reads the nested file too. The load decodes every
+            // property; the build keeps only the `type` label.
             ReprKind::Ogc => {
                 let n = self.nested_at(range, epochs)?;
                 let g = OgcGraph::from_histories(rt, n.lifespan, n.vertices, n.edges);
