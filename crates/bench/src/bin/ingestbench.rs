@@ -29,7 +29,7 @@ use tgraph_ingest::{patch_from_storage, SnapshotDelta};
 use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
 use tgraph_serve::serialize_tgraph;
-use tgraph_storage::{append_epoch, write_dataset, GraphLoader, SortOrder};
+use tgraph_storage::{append_epoch, write_dataset, GraphLoader};
 
 const SCHOOLS: [&str; 3] = ["MIT", "CMU", "ETH"];
 
@@ -184,7 +184,7 @@ fn run_cell(
     // maintenance.
     let t0 = Instant::now();
     let (full, full_scan) = loader
-        .load_flat(SortOrder::Structural, None)
+        .load_flat(None)
         .map_err(|e| format!("full load: {e}"))?;
     let cold = run_cold(&full);
     let cold_us = t0.elapsed().as_micros();

@@ -10,7 +10,7 @@ use tgraph_dataflow::Runtime;
 use tgraph_datagen::{coarsen_time, graph_stats, inject_attribute_changes, project_random_groups};
 use tgraph_query::{Pipeline, Step};
 use tgraph_repr::{AnyGraph, ReprKind};
-use tgraph_storage::{write_dataset, GraphLoader, SortOrder};
+use tgraph_storage::{write_dataset, GraphLoader};
 
 use crate::datasets::{
     natural_group_key, ngrams, ngrams_years, snb, snb_months, wikitalk, wikitalk_months, DatasetId,
@@ -493,8 +493,9 @@ pub fn fig17(cfg: &ExpConfig) -> Vec<Table> {
     tables
 }
 
-/// A1 — §4's loading-locality claim: RG loads faster from the structurally
-/// sorted file; VE from the temporally sorted one; OG fastest from nested.
+/// A1 — §4's loading-locality claim, nested half: OG loads fastest from the
+/// nested file. (The flat half, RG from a start-then-id copy, is retired:
+/// both orders loaded equally fast here, so one flat file is kept.)
 pub fn load_locality(cfg: &ExpConfig) -> Vec<Table> {
     let rt = cfg.runtime();
     let g = wikitalk(cfg.scale);
@@ -503,30 +504,13 @@ pub fn load_locality(cfg: &ExpConfig) -> Vec<Table> {
     let loader = GraphLoader::new(&dir, "wiki");
 
     let before = rt.stats();
-    let mut t = Table::new(
-        "A1: load locality — RG/VE from both sort orders, OG nested vs flat",
-        vec!["time".into()],
-    );
+    let mut t = Table::new("A1: load locality — OG nested vs flat", vec!["time".into()]);
     for (label, run) in [
-        (
-            "RG <- structural",
-            Box::new(|| {
-                let (g, _) = loader.load_flat(SortOrder::Structural, None).unwrap();
-                let _ = tgraph_repr::RgGraph::from_tgraph(&rt, &g);
-            }) as Box<dyn Fn()>,
-        ),
-        (
-            "RG <- temporal",
-            Box::new(|| {
-                let (g, _) = loader.load_flat(SortOrder::Temporal, None).unwrap();
-                let _ = tgraph_repr::RgGraph::from_tgraph(&rt, &g);
-            }),
-        ),
         (
             "VE <- temporal",
             Box::new(|| {
                 let _ = loader.load_ve(&rt, None).unwrap();
-            }),
+            }) as Box<dyn Fn()>,
         ),
         (
             "OG <- nested",
@@ -548,14 +532,14 @@ pub fn load_locality(cfg: &ExpConfig) -> Vec<Table> {
     let mut note = movement_note(&rt, &before);
     // Header-only chunk statistics predict the rows a pushdown scan decodes;
     // compare against the actual ScanStats of a ranged load (mid lifespan).
-    if let Ok(stats) = loader.flat_stats(SortOrder::Structural) {
+    if let Ok(stats) = loader.flat_stats() {
         let span = stats.lifespan;
         let mid = span.start + (span.end - span.start) / 2;
         let range = tgraph_core::Interval::new(span.start, mid.max(span.start + 1));
         let (v_est, e_est) = stats.estimated_rows(Some(&range));
-        if let Ok((_, scan)) = loader.load_flat(SortOrder::Structural, Some(range)) {
+        if let Ok((_, scan)) = loader.load_flat(Some(range)) {
             note.push_str(&format!(
-                "\n  pushdown estimate (structural, {range}): predicted {} rows, scanned {} \
+                "\n  pushdown estimate (flat, {range}): predicted {} rows, scanned {} \
                  ({} chunks skipped)",
                 v_est + e_est,
                 scan.rows_read,

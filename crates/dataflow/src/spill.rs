@@ -130,9 +130,9 @@ pub enum DecodeError {
         /// The byte found.
         tag: u8,
     },
-    /// The bytes are not in this format: a file magic, version or
-    /// sort-order byte that does not match, or an interval that ends before
-    /// it starts. No writer produces one.
+    /// The bytes are not in this format: a file magic, version or the
+    /// `.tgc` zero byte after the magic that does not match, or an interval
+    /// that ends before it starts. No writer produces one.
     BadMagic,
     /// A bitset with bits set past its length. No writer produces one.
     BitsPastLength,

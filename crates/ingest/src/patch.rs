@@ -34,7 +34,7 @@ use tgraph_core::zoom::maintenance::{decide, MaintenanceDecision};
 use tgraph_dataflow::Runtime;
 use tgraph_query::Pipeline;
 use tgraph_repr::{AnyGraph, ReprKind};
-use tgraph_storage::format::{ScanStats, SortOrder, StorageError};
+use tgraph_storage::format::{ScanStats, StorageError};
 use tgraph_storage::GraphLoader;
 
 /// Stitches a cached result with the suffix recompute: cached states
@@ -113,10 +113,10 @@ impl std::fmt::Display for NoPatch {
 /// (the lifespan end it was computed at) and `lifespan` the dataset's
 /// lifespan now.
 ///
-/// The suffix `[cut, ∞)` is read from the structurally sorted base file plus
-/// every epoch segment, with the range pushed into each file's chunk
-/// statistics — chunks wholly before the cut are skipped, which is what
-/// keeps the patch path O(delta + live-at-cut) instead of O(history).
+/// The suffix `[cut, ∞)` is read from the flat base file plus every epoch
+/// segment, with the range pushed into each file's chunk statistics — a
+/// base chunk whose facts all end by the cut is skipped, which is what keeps
+/// the patch path O(delta + live-at-cut) instead of O(history).
 /// `read_tgc` clips intervals to the range; the suffix lifespan is forced to
 /// `[cut, lifespan.end)` (an empty scan included) because window grids and
 /// the stitch both key off the full dataset lifespan.
@@ -134,7 +134,7 @@ pub fn patch_from_storage(
         MaintenanceDecision::Recompute { reason } => return Err(NoPatch::Recompute { reason }),
     };
     let (mut suffix, scan) = loader
-        .load_flat(SortOrder::Structural, Some(Interval::new(cut, Time::MAX)))
+        .load_flat(Some(Interval::new(cut, Time::MAX)))
         .map_err(NoPatch::Storage)?;
     suffix.lifespan = Interval::new(cut, lifespan.end);
     let out = pipeline.collect(rt, AnyGraph::load(rt, &suffix, repr));

@@ -266,13 +266,13 @@ fn observed_stats_flip_a_choice_the_model_got_wrong() {
 #[test]
 fn features_from_tgc_stats_match_the_stored_graph() {
     use tgraph_core::graph::figure1_graph_stable_ids;
-    use tgraph_storage::{write_dataset, GraphLoader, SortOrder};
+    use tgraph_storage::{write_dataset, GraphLoader};
 
     let dir = std::env::temp_dir().join("tgraph-optimize-features");
     let _ = std::fs::remove_dir_all(&dir);
     write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
     let stats = GraphLoader::new(&dir, "fig1")
-        .flat_stats(SortOrder::Temporal)
+        .flat_stats()
         .expect("flat stats");
     let from_stats = GraphFeatures::from_tgc_stats(&stats, None);
     let exact = GraphFeatures::from_tgraph(&figure1_graph_stable_ids());

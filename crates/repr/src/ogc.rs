@@ -251,7 +251,7 @@ impl OgcGraph {
         let vq = spec.vertex_quantifier;
         let eq = spec.edge_quantifier;
         let rw = rewrite.clone();
-        let vertices: Dataset<OgcVertex> = self.vertices.flat_map(move |v| {
+        let mut vertices: Dataset<OgcVertex> = self.vertices.flat_map(move |v| {
             let bits = rw(&v.intervals, &vq);
             (!bits.none()).then(|| OgcVertex {
                 vid: v.vid,
@@ -274,8 +274,12 @@ impl OgcGraph {
         // Dangling-edge removal (§3.2): edge.bits &= src.bits & dst.bits,
         // needed only when r_v is more restrictive than r_e.
         let edges = if spec.needs_dangling_check() {
-            // The bitset relation feeds both the src-AND and dst-AND joins;
-            // partition it once so the second join elides its shuffle.
+            // The rewritten vertices feed both the masks and the output, so
+            // they are rewritten once. The mask relation feeds both the
+            // src-AND and dst-AND joins; partition it once so the second
+            // join elides its shuffle. Each join hands its rows out by
+            // reference, so the edge it ANDs into is a copy.
+            vertices = vertices.materialize(rt);
             let v_bits: Dataset<(VertexId, Bitset)> =
                 tgraph_dataflow::shuffle(rt, &vertices.map(|v| (v.vid, v.intervals.clone())));
             let by_src: Dataset<(VertexId, OgcEdge)> = edges.map(|e| (e.src, e.clone()));

@@ -10,7 +10,6 @@
 //! (§5) — behaviour this implementation reproduces by construction.
 
 use crate::common::{resolve_edge_states, resolve_vertex_states, window_reduce, GroupBases, State};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
@@ -42,21 +41,24 @@ pub struct RgGraph {
     pub snapshots: Dataset<RgSnapshot>,
 }
 
+/// The snapshots a fact alive during `iv` lives through. The elementary
+/// intervals are sorted and gap-free and every fact starts on one of them, so
+/// the first is found by position and the rest follow it.
+fn covering(snapshots: &mut [RgSnapshot], iv: Interval) -> impl Iterator<Item = &mut RgSnapshot> {
+    let first = snapshots.partition_point(|s| s.interval.start < iv.start);
+    snapshots[first..]
+        .iter_mut()
+        .take_while(move |s| s.interval.start < iv.end)
+}
+
 impl RgGraph {
     /// Materializes the snapshot sequence of a logical TGraph: one snapshot
     /// per elementary no-change interval.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        let boundaries = g.change_points();
-        let intervals = elementary_intervals(&boundaries);
-        let index: HashMap<i64, usize> = intervals
-            .iter()
-            .enumerate()
-            .map(|(i, iv)| (iv.start, i))
-            .collect();
-        let mut snapshots: Vec<RgSnapshot> = intervals
-            .iter()
-            .map(|iv| RgSnapshot {
-                interval: *iv,
+        let mut snapshots: Vec<RgSnapshot> = elementary_intervals(&g.change_points())
+            .into_iter()
+            .map(|interval| RgSnapshot {
+                interval,
                 vertices: Vec::new(),
                 edges: Vec::new(),
             })
@@ -64,21 +66,13 @@ impl RgGraph {
         // Replicate every fact into every elementary interval it overlaps —
         // the replication that costs RG its compactness.
         for v in &g.vertices {
-            let mut t = v.interval.start;
-            while t < v.interval.end {
-                let i = index[&t];
-                snapshots[i].vertices.push((v.vid, v.props.clone()));
-                t = intervals[i].end;
+            for s in covering(&mut snapshots, v.interval) {
+                s.vertices.push((v.vid, v.props.clone()));
             }
         }
         for e in &g.edges {
-            let mut t = e.interval.start;
-            while t < e.interval.end {
-                let i = index[&t];
-                snapshots[i]
-                    .edges
-                    .push((e.eid, e.src, e.dst, e.props.clone()));
-                t = intervals[i].end;
+            for s in covering(&mut snapshots, e.interval) {
+                s.edges.push((e.eid, e.src, e.dst, e.props.clone()));
             }
         }
         let parts = rt.partitions().min(snapshots.len().max(1));

@@ -31,7 +31,7 @@ use tgraph_dataflow::{lock_unpoisoned, CancelToken, Runtime};
 use tgraph_ingest::patch_from_storage;
 use tgraph_optimize::{ChoiceSource, Decision, GraphFeatures, Optimizer, OptimizerStats};
 use tgraph_repr::ReprKind;
-use tgraph_storage::{GraphLoader, SharedGraph, SortOrder};
+use tgraph_storage::{GraphLoader, SharedGraph};
 
 /// The cost-based representation optimizer — static model plus the
 /// per-shape observed-run-time table that cold executions feed — and the
@@ -78,7 +78,7 @@ impl ReprChooser {
                 }
             }
         }
-        let stats = loader.flat_stats(SortOrder::Temporal).ok()?;
+        let stats = loader.flat_stats().ok()?;
         let features = GraphFeatures::from_tgc_stats(&stats, range.as_ref());
         if range.is_none() {
             lock_unpoisoned(&self.features).insert(graph.to_string(), (epoch, features));

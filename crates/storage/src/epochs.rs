@@ -1,10 +1,10 @@
 //! Append-path epochs: the on-disk layout that lets ingest extend a dataset
 //! without rewriting its history.
 //!
-//! A dataset directory starts as the PR-1 layout — `<name>.temporal.tgc`,
-//! `<name>.structural.tgc`, `<name>.tgo` — which this module calls **epoch
-//! 0** (the base). Each ingested delta becomes a numbered **segment**: the
-//! same file trio under `<name>.e<N>.*`, carrying only that epoch's records
+//! A dataset directory starts as the base layout — `<name>.temporal.tgc` and
+//! `<name>.tgo` — which this module calls **epoch 0** (the base). Each
+//! ingested delta becomes a numbered **segment**: the same file pair under
+//! `<name>.e<N>.*`, carrying only that epoch's records
 //! with their own headers and chunk statistics (so `read_tgc_stats` over a
 //! segment is exactly as truthful as over the base, and a suffix load can
 //! push a time range down into every file independently).
@@ -26,7 +26,7 @@
 //! ingest lock); this module adds crash-atomicity, not multi-writer
 //! coordination.
 
-use crate::format::{SortOrder, StorageError};
+use crate::format::StorageError;
 use crate::loader::{flat_path, stem_paths, write_stem};
 use std::fs::File;
 use std::io::Write as _;
@@ -54,8 +54,8 @@ fn manifest_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.epochs"))
 }
 
-/// The file-name stem of an epoch's segment trio (`<stem>.temporal.tgc`,
-/// `<stem>.structural.tgc`, `<stem>.tgo`).
+/// The file-name stem of an epoch's segment pair (`<stem>.temporal.tgc`,
+/// `<stem>.tgo`).
 pub fn segment_stem(name: &str, epoch: u64) -> String {
     format!("{name}.e{epoch}")
 }
@@ -115,7 +115,7 @@ pub fn current_end(dir: &Path, name: &str) -> Result<Time, StorageError> {
     if let Some(last) = read_epochs(dir, name)?.last() {
         return Ok(last.end);
     }
-    let stats = crate::read_tgc_stats(&flat_path(dir, name, SortOrder::Temporal))?;
+    let stats = crate::read_tgc_stats(&flat_path(dir, name))?;
     Ok(stats.lifespan.end)
 }
 
@@ -130,7 +130,7 @@ fn atomic_write(path: &Path, contents: &str) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Commits `delta` as the dataset's next epoch: writes the segment file trio,
+/// Commits `delta` as the dataset's next epoch: writes the segment file pair,
 /// then atomically appends the manifest line. Returns the committed entry.
 ///
 /// Fails with [`StorageError::Epoch`] if any delta fact starts before the
@@ -230,7 +230,7 @@ mod tests {
         let entry = append_epoch(&dir, "e2", &delta_at(9)).unwrap();
         assert_eq!((entry.epoch, entry.since, entry.end), (1, 9, 11));
         assert_eq!(current_end(&dir, "e2").unwrap(), 11);
-        // The segment trio exists with truthful headers.
+        // The segment pair exists with truthful headers.
         let stats = crate::read_tgc_stats(&dir.join("e2.e1.temporal.tgc")).unwrap();
         assert_eq!(stats.lifespan, Interval::new(9, 11));
         let entry2 = append_epoch(&dir, "e2", &delta_at(11)).unwrap();

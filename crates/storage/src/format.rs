@@ -5,15 +5,12 @@
 //! A file holds a vertex section and an edge section. Each section is a
 //! sequence of *chunks* (row groups); every chunk records min/max statistics
 //! over its `start` and `end` time columns, so a reader with a time-range
-//! predicate skips whole chunks — Parquet's filter pushdown. Pushdown only
-//! prunes effectively if rows are sorted by the filtered column, which is
-//! why the writer supports both sort orders:
-//!
-//! * [`SortOrder::Temporal`] — by entity id, then start time: consecutive
-//!   states of one entity are adjacent (used for VE, §4).
-//! * [`SortOrder::Structural`] — by start time, then entity id: each
-//!   snapshot's rows are adjacent (used for RG; the paper found RG loads
-//!   ~30% faster this way).
+//! predicate skips whole chunks — Parquet's filter pushdown. Rows are sorted
+//! by entity id, then start time: consecutive states of one entity are
+//! adjacent (the temporal-locality order of §4). The paper also wrote a
+//! start-then-id copy for RG; here RG loads as fast from this one
+//! (EXPERIMENTS.md, A1), so there is one order. The byte after the magic,
+//! once the order's tag, is written as 0 and must read 0.
 //!
 //! The nested `.tgo` format ([`crate::nested`]) is the same file with another
 //! row encoding (`Layout` lists the differences), so what both share lives
@@ -31,31 +28,6 @@ use tgraph_dataflow::{checked_count, checksum, DecodeError, EncodeError, Spill, 
 /// Rows per chunk; small enough that pushdown skips matter on test data,
 /// large enough to amortize per-chunk overhead.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
-
-/// Physical sort order of the rows inside a `.tgc` file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SortOrder {
-    /// Entity id first, then interval start: preserves temporal locality.
-    Temporal,
-    /// Interval start first, then entity id: preserves structural locality.
-    Structural,
-}
-
-impl SortOrder {
-    fn to_u8(self) -> u8 {
-        match self {
-            SortOrder::Temporal => 0,
-            SortOrder::Structural => 1,
-        }
-    }
-    fn from_u8(b: u8) -> Result<Self, DecodeError> {
-        match b {
-            0 => Ok(SortOrder::Temporal),
-            1 => Ok(SortOrder::Structural),
-            _ => Err(DecodeError::BadMagic),
-        }
-    }
-}
 
 /// IO or decoding failure while reading/writing a `.tgc` file.
 #[derive(Debug)]
@@ -169,8 +141,8 @@ impl ScanStats {
 }
 
 /// Which of the two file formats is being read or written. They are one
-/// format with three differences: the magic, a sort-order byte that only
-/// `.tgc` has after it, and the statistics columns that lead a chunk header
+/// format with three differences: the magic, a zero byte that only `.tgc`
+/// has after it, and the statistics columns that lead a chunk header
 /// — all four interval bounds in `.tgc` (a 48-byte header), only the outer
 /// two, first seen and last seen, in `.tgo` (32 bytes).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -182,9 +154,11 @@ pub(crate) enum Layout {
 }
 
 impl Layout {
-    pub(crate) fn magic(self) -> &'static [u8; 4] {
+    /// The bytes a file opens with: the magic, and the zero byte of a
+    /// `.tgc`.
+    pub(crate) fn lead(self) -> &'static [u8] {
         match self {
-            Layout::Flat => b"TGC1",
+            Layout::Flat => b"TGC1\0",
             Layout::Nested => b"TGO1",
         }
     }
@@ -192,26 +166,23 @@ impl Layout {
 
 /// What a file says about itself before its first chunk.
 pub(crate) struct FileHeader {
-    /// Sort order of the rows. `.tgo` stores none — its rows are always
-    /// grouped by entity — and reads as `Temporal`.
-    pub order: SortOrder,
     /// Declared lifespan of the stored graph.
     pub lifespan: Interval,
     /// Chunks in the vertex section and in the edge section after it.
     pub chunks: [u32; 2],
 }
 
-/// Creates `path` and writes its file header: `lead` (the magic, and the
-/// sort-order byte of a `.tgc`), the lifespan, and the chunk counts of the
-/// vertex and edge sections, which will hold `rows` rows.
+/// Creates `path` and writes its file header: the layout's lead bytes, the
+/// lifespan, and the chunk counts of the vertex and edge sections, which
+/// will hold `rows` rows.
 pub(crate) fn create(
     path: &Path,
-    lead: &[u8],
+    layout: Layout,
     lifespan: &Interval,
     rows: [usize; 2],
     chunk_rows: usize,
 ) -> Result<BufWriter<File>, StorageError> {
-    let mut bytes = lead.to_vec();
+    let mut bytes = layout.lead().to_vec();
     lifespan.spill(&mut bytes);
     for section in rows {
         let chunks = checked_count(section.div_ceil(chunk_rows))?;
@@ -288,30 +259,18 @@ impl Scan {
             left,
             layout,
         };
+        let lead = layout.lead();
         let mut bytes = [0u8; 29];
-        let bytes = match layout {
-            Layout::Flat => &mut bytes[..],
-            Layout::Nested => &mut bytes[..28],
-        };
+        // The lead, the lifespan's two bounds and the two chunk counts.
+        let bytes = &mut bytes[..lead.len() + 16 + 8];
         scan.fill(bytes)?;
         let mut r = SpillReader::new(bytes);
-        if r.bytes(4)? != layout.magic() {
+        if r.bytes(lead.len())? != lead {
             return Err(DecodeError::BadMagic.into());
         }
-        let order = match layout {
-            Layout::Flat => SortOrder::from_u8(r.u8()?)?,
-            Layout::Nested => SortOrder::Temporal,
-        };
         let lifespan = Interval::unspill(&mut r)?;
         let chunks = [r.u32()?, r.u32()?];
-        Ok((
-            scan,
-            FileHeader {
-                order,
-                lifespan,
-                chunks,
-            },
-        ))
+        Ok((scan, FileHeader { lifespan, chunks }))
     }
 
     /// Takes `n` bytes off what the file has left, or reports it short.
@@ -423,30 +382,16 @@ pub(crate) fn clip(iv: Interval, range: Option<&Interval>) -> Option<Interval> {
     }
 }
 
-/// Writes a TGraph to `path` in the `.tgc` format with the given sort order
-/// and chunk size.
-pub fn write_tgc(
-    path: &Path,
-    g: &TGraph,
-    order: SortOrder,
-    chunk_rows: usize,
-) -> Result<(), StorageError> {
+/// Writes a TGraph to `path` in the `.tgc` format, rows sorted by entity id
+/// then start, in chunks of `chunk_rows`.
+pub fn write_tgc(path: &Path, g: &TGraph, chunk_rows: usize) -> Result<(), StorageError> {
     let chunk_rows = chunk_rows.max(1);
     let mut vertices = g.vertices.clone();
     let mut edges = g.edges.clone();
-    match order {
-        SortOrder::Temporal => {
-            vertices.sort_by_key(|v| (v.vid, v.interval.start));
-            edges.sort_by_key(|e| (e.eid, e.src, e.dst, e.interval.start));
-        }
-        SortOrder::Structural => {
-            vertices.sort_by_key(|v| (v.interval.start, v.vid));
-            edges.sort_by_key(|e| (e.interval.start, e.eid, e.src, e.dst));
-        }
-    }
-    let lead = [Layout::Flat.magic().as_slice(), &[order.to_u8()]].concat();
+    vertices.sort_by_key(|v| (v.vid, v.interval.start));
+    edges.sort_by_key(|e| (e.eid, e.src, e.dst, e.interval.start));
     let rows = [vertices.len(), edges.len()];
-    let mut out = create(path, &lead, &g.lifespan, rows, chunk_rows)?;
+    let mut out = create(path, Layout::Flat, &g.lifespan, rows, chunk_rows)?;
     write_chunks(
         &mut out,
         Layout::Flat,
@@ -497,10 +442,7 @@ fn edge_row(
 /// chunks that cannot overlap are skipped without decoding, surviving rows
 /// are residual-filtered, and intervals are clipped to the range (matching
 /// the `GraphLoader` date-range semantics of §4).
-pub fn read_tgc(
-    path: &Path,
-    range: Option<Interval>,
-) -> Result<(TGraph, SortOrder, ScanStats), StorageError> {
+pub fn read_tgc(path: &Path, range: Option<Interval>) -> Result<(TGraph, ScanStats), StorageError> {
     let (mut scan, head) = Scan::open(path, Layout::Flat)?;
     let range = range.as_ref();
     let mut scanned = ScanStats::default();
@@ -513,7 +455,6 @@ pub fn read_tgc(
             vertices,
             edges,
         },
-        head.order,
         scanned,
     ))
 }
@@ -527,8 +468,6 @@ pub fn read_tgc(
 pub struct TgcStats {
     /// Declared lifespan of the stored graph.
     pub lifespan: Interval,
-    /// Sort order the file was written in.
-    pub order: SortOrder,
     /// Per-chunk statistics of the vertex section.
     pub vertex_chunks: Vec<ChunkStats>,
     /// Per-chunk statistics of the edge section.
@@ -572,7 +511,6 @@ pub fn read_tgc_stats(path: &Path) -> Result<TgcStats, StorageError> {
     };
     Ok(TgcStats {
         lifespan: head.lifespan,
-        order: head.order,
         vertex_chunks: headers(head.chunks[0])?,
         edge_chunks: headers(head.chunks[1])?,
     })
@@ -616,7 +554,7 @@ mod tests {
             vec![VertexRecord::new(1, Interval::new(0, 1), wide)],
             vec![],
         );
-        match write_tgc(&tmp("wide.tgc"), &g, SortOrder::Temporal, 8) {
+        match write_tgc(&tmp("wide.tgc"), &g, 8) {
             Err(StorageError::Encode(EncodeError::TooManyProps(n))) => {
                 assert_eq!(n, u16::MAX as usize + 1)
             }
@@ -631,33 +569,28 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_both_orders() {
+    fn roundtrip() {
         let g = figure1_graph_stable_ids();
-        for (order, name) in [
-            (SortOrder::Temporal, "fig1-temporal.tgc"),
-            (SortOrder::Structural, "fig1-structural.tgc"),
-        ] {
-            let path = tmp(name);
-            write_tgc(&path, &g, order, 2).unwrap();
-            let (back, got_order, stats) = read_tgc(&path, None).unwrap();
-            assert_eq!(got_order, order);
-            assert_eq!(stats.chunks_skipped, 0);
-            assert_eq!(back.lifespan, g.lifespan);
-            let canon = |g: &TGraph| {
-                let mut v = g.vertices.clone();
-                v.sort_by_key(|x| (x.vid, x.interval.start));
-                let mut e = g.edges.clone();
-                e.sort_by_key(|x| (x.eid, x.interval.start));
-                (v, e)
-            };
-            assert_eq!(canon(&back), canon(&g));
-        }
+        let path = tmp("fig1.tgc");
+        write_tgc(&path, &g, 2).unwrap();
+        let (back, stats) = read_tgc(&path, None).unwrap();
+        assert_eq!(stats.chunks_skipped, 0);
+        assert_eq!(back.lifespan, g.lifespan);
+        let canon = |g: &TGraph| {
+            let mut v = g.vertices.clone();
+            v.sort_by_key(|x| (x.vid, x.interval.start));
+            let mut e = g.edges.clone();
+            e.sort_by_key(|x| (x.eid, x.interval.start));
+            (v, e)
+        };
+        assert_eq!(canon(&back), canon(&g));
     }
 
     #[test]
     fn pushdown_skips_chunks() {
         // Build a graph with widely separated eras so chunks get disjoint
-        // time ranges under structural sort.
+        // time ranges: each era mints its own ids, so entity order is also
+        // time order.
         let mut vertices = Vec::new();
         for era in 0..8i64 {
             for i in 0..16u64 {
@@ -670,8 +603,8 @@ mod tests {
         }
         let g = TGraph::from_records(vertices, vec![]);
         let path = tmp("eras.tgc");
-        write_tgc(&path, &g, SortOrder::Structural, 16).unwrap();
-        let (slice, _, stats) = read_tgc(&path, Some(Interval::new(3000, 3010))).unwrap();
+        write_tgc(&path, &g, 16).unwrap();
+        let (slice, stats) = read_tgc(&path, Some(Interval::new(3000, 3010))).unwrap();
         assert_eq!(slice.vertices.len(), 16);
         assert!(
             stats.chunks_skipped >= 6,
@@ -696,10 +629,9 @@ mod tests {
         }
         let g = TGraph::from_records(vertices, vec![]);
         let path = tmp("eras-stats.tgc");
-        write_tgc(&path, &g, SortOrder::Structural, 16).unwrap();
+        write_tgc(&path, &g, 16).unwrap();
 
         let stats = read_tgc_stats(&path).unwrap();
-        assert_eq!(stats.order, SortOrder::Structural);
         assert_eq!(stats.lifespan, g.lifespan);
         assert_eq!(stats.vertex_chunks.len(), 8);
         assert_eq!(estimate_rows(&stats.vertex_chunks, None), 128);
@@ -707,7 +639,7 @@ mod tests {
         // Header-only estimate equals the rows the real scan decodes.
         let range = Interval::new(3000, 3010);
         let (v_est, e_est) = stats.estimated_rows(Some(&range));
-        let (_, _, scan) = read_tgc(&path, Some(range)).unwrap();
+        let (_, scan) = read_tgc(&path, Some(range)).unwrap();
         assert_eq!(v_est + e_est, scan.rows_read as u64);
         assert_eq!(v_est, 16);
     }
@@ -716,8 +648,8 @@ mod tests {
     fn range_clips_intervals() {
         let g = figure1_graph_stable_ids();
         let path = tmp("clip.tgc");
-        write_tgc(&path, &g, SortOrder::Temporal, DEFAULT_CHUNK_ROWS).unwrap();
-        let (slice, _, _) = read_tgc(&path, Some(Interval::new(4, 6))).unwrap();
+        write_tgc(&path, &g, DEFAULT_CHUNK_ROWS).unwrap();
+        let (slice, _) = read_tgc(&path, Some(Interval::new(4, 6))).unwrap();
         assert_eq!(slice.lifespan, Interval::new(4, 6));
         assert!(slice
             .vertices
@@ -729,7 +661,7 @@ mod tests {
     fn corrupt_payload_detected() {
         let g = figure1_graph_stable_ids();
         let path = tmp("corrupt.tgc");
-        write_tgc(&path, &g, SortOrder::Temporal, DEFAULT_CHUNK_ROWS).unwrap();
+        write_tgc(&path, &g, DEFAULT_CHUNK_ROWS).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
         let n = raw.len();
         raw[n - 3] ^= 0xff; // flip a byte in the last chunk payload
@@ -753,8 +685,8 @@ mod tests {
     #[test]
     fn empty_graph_roundtrip() {
         let path = tmp("empty.tgc");
-        write_tgc(&path, &TGraph::new(), SortOrder::Temporal, 8).unwrap();
-        let (back, _, _) = read_tgc(&path, None).unwrap();
+        write_tgc(&path, &TGraph::new(), 8).unwrap();
+        let (back, _) = read_tgc(&path, None).unwrap();
         assert!(back.is_empty());
     }
 }

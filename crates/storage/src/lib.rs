@@ -3,9 +3,9 @@
 //! Columnar on-disk storage for evolving graphs — the local-filesystem
 //! substitute for the paper's Parquet-on-HDFS layer (§4, "Data loading").
 //!
-//! * [`format`](mod@format) — the flat `.tgc` format: chunked rows with min/max time
-//!   statistics and **time-range predicate pushdown**, writable in either a
-//!   temporal-locality or structural-locality sort order.
+//! * [`format`](mod@format) — the flat `.tgc` format: chunked rows, sorted by
+//!   entity id then start, with min/max time statistics and **time-range
+//!   predicate pushdown**.
 //! * [`nested`] — the nested `.tgo` format: pre-grouped history arrays for
 //!   fast OG/OGC loading, with first/last-seen pushdown columns compensating
 //!   for the nested interval data (the paper's workaround).
@@ -31,8 +31,8 @@ pub mod pool;
 
 pub use epochs::{append_epoch, current_end, read_epochs, EpochEntry};
 pub use format::{
-    estimate_rows, read_tgc, read_tgc_stats, write_tgc, ChunkStats, ScanStats, SortOrder,
-    StorageError, TgcStats,
+    estimate_rows, read_tgc, read_tgc_stats, write_tgc, ChunkStats, ScanStats, StorageError,
+    TgcStats,
 };
 pub use loader::{write_dataset, GraphLoader};
 pub use nested::{read_tgo, write_tgo};

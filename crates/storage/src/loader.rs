@@ -4,14 +4,16 @@
 //!
 //! Layout conventions per dataset directory:
 //!
-//! * `<name>.temporal.tgc` — flat rows sorted for temporal locality (VE).
-//! * `<name>.structural.tgc` — flat rows sorted for structural locality (RG;
-//!   §4 reports RG loads ~30% faster from this order).
+//! * `<name>.temporal.tgc` — flat rows sorted by entity id, then start (VE
+//!   and RG). §4 also wrote a start-then-id copy for RG, ~30% faster on
+//!   HDFS; here RG loads as fast from this one (EXPERIMENTS.md, A1), so
+//!   there is one flat file, and a `.structural.tgc` an older build left
+//!   beside it is never opened.
 //! * `<name>.tgo` — nested history rows (OG and OGC; §4 reports nested
 //!   loading is significantly faster for these).
 
 use crate::epochs::{read_epochs, segment_stem, EpochEntry};
-use crate::format::{read_tgc, write_tgc, ScanStats, SortOrder, StorageError, DEFAULT_CHUNK_ROWS};
+use crate::format::{read_tgc, write_tgc, ScanStats, StorageError, DEFAULT_CHUNK_ROWS};
 use crate::nested::{read_tgo, write_tgo, NestedRow};
 use std::path::{Path, PathBuf};
 use tgraph_core::graph::{EdgeId, TGraph, VertexId};
@@ -21,35 +23,25 @@ use tgraph_repr::common::{fold_histories, EdgeKey, Histories};
 use tgraph_repr::og::OgGraph;
 use tgraph_repr::{AnyGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
 
-/// `<stem>.temporal.tgc` or `<stem>.structural.tgc` under `dir`.
-pub(crate) fn flat_path(dir: &Path, stem: &str, order: SortOrder) -> PathBuf {
-    let suffix = match order {
-        SortOrder::Temporal => "temporal",
-        SortOrder::Structural => "structural",
-    };
-    dir.join(format!("{stem}.{suffix}.tgc"))
+/// `<stem>.temporal.tgc` under `dir`.
+pub(crate) fn flat_path(dir: &Path, stem: &str) -> PathBuf {
+    dir.join(format!("{stem}.temporal.tgc"))
 }
 
 fn nested_path(dir: &Path, stem: &str) -> PathBuf {
     dir.join(format!("{stem}.tgo"))
 }
 
-/// The three files of one file-name stem: the two flat sort orders and the
-/// nested file.
-pub(crate) fn stem_paths(dir: &Path, stem: &str) -> [PathBuf; 3] {
-    [
-        flat_path(dir, stem, SortOrder::Temporal),
-        flat_path(dir, stem, SortOrder::Structural),
-        nested_path(dir, stem),
-    ]
+/// The two files of one file-name stem: the flat file and the nested file.
+pub(crate) fn stem_paths(dir: &Path, stem: &str) -> [PathBuf; 2] {
+    [flat_path(dir, stem), nested_path(dir, stem)]
 }
 
-/// Writes the three encodings of `g` under one file-name stem: the
-/// dataset's name for the base, [`segment_stem`] for an epoch's segment.
+/// Writes the two encodings of `g` under one file-name stem: the dataset's
+/// name for the base, [`segment_stem`] for an epoch's segment.
 pub(crate) fn write_stem(dir: &Path, stem: &str, g: &TGraph) -> Result<(), StorageError> {
-    let [temporal, structural, nested] = stem_paths(dir, stem);
-    write_tgc(&temporal, g, SortOrder::Temporal, DEFAULT_CHUNK_ROWS)?;
-    write_tgc(&structural, g, SortOrder::Structural, DEFAULT_CHUNK_ROWS)?;
+    let [flat, nested] = stem_paths(dir, stem);
+    write_tgc(&flat, g, DEFAULT_CHUNK_ROWS)?;
     write_tgo(&nested, g, DEFAULT_CHUNK_ROWS)
 }
 
@@ -110,16 +102,16 @@ impl GraphLoader {
         Ok(last_epoch(&self.epochs()?))
     }
 
-    /// Header-only chunk statistics of the flat file with the given sort
-    /// order — the input to pre-scan cardinality estimates
+    /// Header-only chunk statistics of the flat file — the input to pre-scan
+    /// cardinality estimates
     /// ([`TgcStats::estimated_rows`](crate::TgcStats::estimated_rows)).
     /// Aggregates the base file with every committed epoch segment, so the
     /// estimate stays truthful after ingest.
-    pub fn flat_stats(&self, order: SortOrder) -> Result<crate::TgcStats, StorageError> {
-        let mut stats = crate::read_tgc_stats(&flat_path(&self.dir, &self.name, order))?;
+    pub fn flat_stats(&self) -> Result<crate::TgcStats, StorageError> {
+        let mut stats = crate::read_tgc_stats(&flat_path(&self.dir, &self.name))?;
         for entry in self.epochs()? {
             let stem = segment_stem(&self.name, entry.epoch);
-            let s = crate::read_tgc_stats(&flat_path(&self.dir, &stem, order))?;
+            let s = crate::read_tgc_stats(&flat_path(&self.dir, &stem))?;
             stats.lifespan = stats.lifespan.hull(&s.lifespan);
             stats.vertex_chunks.extend(s.vertex_chunks);
             stats.edge_chunks.extend(s.edge_chunks);
@@ -127,29 +119,24 @@ impl GraphLoader {
         Ok(stats)
     }
 
-    /// Loads the flat file with the given sort order as a logical graph,
-    /// merged with every committed epoch segment. The range pushdown applies
-    /// to each file independently — a suffix scan (`[cut, ∞)`) skips most
-    /// base chunks via their statistics and reads the segments nearly whole.
-    pub fn load_flat(
-        &self,
-        order: SortOrder,
-        range: Option<Interval>,
-    ) -> Result<(TGraph, ScanStats), StorageError> {
-        self.flat_at(order, range, &self.epochs()?)
+    /// Loads the flat file as a logical graph, merged with every committed
+    /// epoch segment. The range pushdown applies to each file independently
+    /// — a suffix scan (`[cut, ∞)`) skips every base chunk whose facts all
+    /// end by the cut and reads the segments nearly whole.
+    pub fn load_flat(&self, range: Option<Interval>) -> Result<(TGraph, ScanStats), StorageError> {
+        self.flat_at(range, &self.epochs()?)
     }
 
     /// [`GraphLoader::load_flat`] over the segments `epochs` lists.
     fn flat_at(
         &self,
-        order: SortOrder,
         range: Option<Interval>,
         epochs: &[EpochEntry],
     ) -> Result<(TGraph, ScanStats), StorageError> {
-        let (mut g, _, mut stats) = read_tgc(&flat_path(&self.dir, &self.name, order), range)?;
+        let (mut g, mut stats) = read_tgc(&flat_path(&self.dir, &self.name), range)?;
         for entry in epochs {
             let stem = segment_stem(&self.name, entry.epoch);
-            let (d, _, s) = read_tgc(&flat_path(&self.dir, &stem, order), range)?;
+            let (d, s) = read_tgc(&flat_path(&self.dir, &stem), range)?;
             stats.add(s);
             g.lifespan = g.lifespan.hull(&d.lifespan);
             g.vertices.extend(d.vertices);
@@ -185,8 +172,8 @@ impl GraphLoader {
         Ok(n)
     }
 
-    /// Loads VE from the temporally sorted flat file (the §4 choice: the
-    /// id-then-start sort keeps each entity's history together).
+    /// Loads VE from the flat file (the §4 choice: the id-then-start sort
+    /// keeps each entity's history together).
     pub fn load_ve(
         &self,
         rt: &Runtime,
@@ -201,7 +188,7 @@ impl GraphLoader {
         range: Option<Interval>,
         epochs: &[EpochEntry],
     ) -> Result<(VeGraph, ScanStats), StorageError> {
-        let (g, scan) = self.flat_at(SortOrder::Temporal, range, epochs)?;
+        let (g, scan) = self.flat_at(range, epochs)?;
         Ok((VeGraph::from_tgraph(rt, &g), scan))
     }
 
@@ -252,10 +239,10 @@ impl GraphLoader {
                 let (g, s) = self.ve_at(rt, range, epochs)?;
                 (AnyGraph::Ve(g), s)
             }
-            // RG reads the structurally sorted file (start-then-id order;
-            // snapshot materialization reads contiguous runs).
+            // RG reads the flat file too; its build places each fact in
+            // its snapshots by position, whatever the row order.
             ReprKind::Rg => {
-                let (g, s) = self.flat_at(SortOrder::Structural, range, epochs)?;
+                let (g, s) = self.flat_at(range, epochs)?;
                 (AnyGraph::Rg(RgGraph::from_tgraph(rt, &g)), s)
             }
             ReprKind::Og => {
@@ -390,18 +377,56 @@ mod tests {
         assert_eq!(ogc.to_tgraph(&rt).distinct_vertex_count(), 4);
 
         // A suffix scan pushes the range into base and segment alike.
-        let (suffix, scan) = loader
-            .load_flat(SortOrder::Structural, Some(Interval::new(9, i64::MAX)))
-            .unwrap();
+        let (suffix, scan) = loader.load_flat(Some(Interval::new(9, i64::MAX))).unwrap();
         assert!(suffix.vertices.iter().all(|v| v.interval.end > 9));
         assert!(scan.chunks_read > 0);
+        // Every base fact ends by the pre-append end (9), so the scan skips
+        // every base chunk and reads the segment's alone: O(delta).
+        let chunks = |stem: &str| {
+            let s = crate::read_tgc_stats(&flat_path(&dir, stem)).unwrap();
+            s.vertex_chunks.len() + s.edge_chunks.len()
+        };
+        assert_eq!(scan.chunks_skipped, chunks("fig1e"));
+        assert_eq!(scan.chunks_read, chunks("fig1e.e1"));
+        assert_eq!(scan.rows_read, delta.vertices.len() + delta.edges.len());
 
         // Aggregated header stats stay truthful about the appended rows.
-        let stats = loader.flat_stats(SortOrder::Temporal).unwrap();
+        let stats = loader.flat_stats().unwrap();
         assert_eq!(stats.lifespan, Interval::new(1, 13));
         let (v_est, e_est) = stats.estimated_rows(None);
         assert_eq!(v_est, (base.vertices.len() + 2) as u64);
         assert_eq!(e_est, (base.edges.len() + 1) as u64);
+    }
+
+    /// An older build also wrote `<name>.structural.tgc` (order byte 1). The
+    /// loader never opens it: every representation loads as before, and an
+    /// append still commits beside it.
+    #[test]
+    fn a_leftover_structural_file_is_never_read() {
+        let rt = rt();
+        let dir = std::env::temp_dir().join("tgc-loader-leftover-tests");
+        let _ = std::fs::remove_dir_all(&dir);
+        let base = figure1_graph_stable_ids();
+        write_dataset(&dir, "fig1s", &base).unwrap();
+        let mut old = std::fs::read(flat_path(&dir, "fig1s")).unwrap();
+        old[4] = 1;
+        std::fs::write(dir.join("fig1s.structural.tgc"), old).unwrap();
+
+        let loader = GraphLoader::new(&dir, "fig1s");
+        let expected = coalesce_graph(&base);
+        for kind in [ReprKind::Ve, ReprKind::Rg, ReprKind::Og] {
+            let (any, _) = loader.load(&rt, kind, None).unwrap();
+            let back = any.to_tgraph(&rt);
+            assert_eq!(back.vertices, expected.vertices, "{kind}");
+            assert_eq!(back.edges, expected.edges, "{kind}");
+        }
+        let (ogc, _) = loader.load(&rt, ReprKind::Ogc, None).unwrap();
+        assert_eq!(ogc.to_tgraph(&rt).distinct_vertex_count(), 3);
+
+        let empty = TGraph::from_records(Vec::new(), Vec::new());
+        let entry = crate::epochs::append_epoch(&dir, "fig1s", &empty).unwrap();
+        assert_eq!(entry.epoch, 1);
+        assert_eq!(loader.current_epoch().unwrap(), 1);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn write_tgo(path: &Path, g: &TGraph, chunk_rows: usize) -> Result<(), Stora
     let chunk_rows = chunk_rows.max(1);
     let (vertices, edges) = nest(g);
     let rows = [vertices.len(), edges.len()];
-    let mut out = create(path, Layout::Nested.magic(), &g.lifespan, rows, chunk_rows)?;
+    let mut out = create(path, Layout::Nested, &g.lifespan, rows, chunk_rows)?;
     for rows in [&vertices, &edges] {
         // Pushdown statistics on the flat first/last columns.
         let span = |r: &NestedRow| (r.first, r.last);

@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.vertices, stats.edges, stats.snapshots, stats.evolution_rate
     );
 
-    // 2. Persist to disk in all on-disk encodings (flat temporal, flat
-    //    structural, nested) — the dataset directory a cluster would share.
+    // 2. Persist to disk in both on-disk encodings (flat, nested) — the
+    //    dataset directory a cluster would share.
     let dir = std::env::temp_dir().join("tgraph-wiki-pipeline");
     write_dataset(&dir, "wiki", &g)?;
     println!("wrote dataset to {}", dir.display());

@@ -8,9 +8,8 @@
 //! tgraph azoom data wiki --by editCount --out data --save zoomed
 //! ```
 //!
-//! Datasets live in a directory as the three on-disk encodings written by
-//! `tgraph_storage::write_dataset` (`NAME.temporal.tgc`, `NAME.structural.tgc`,
-//! `NAME.tgo`). Operators load the representation best suited to them,
+//! Datasets live in a directory as the two on-disk encodings written by
+//! `tgraph_storage::write_dataset` (`NAME.temporal.tgc`, `NAME.tgo`). Operators load the representation best suited to them,
 //! execute, and either print a summary or save the result as a new dataset.
 
 use std::collections::VecDeque;

@@ -69,5 +69,5 @@ pub mod prelude {
     pub use tgraph_dataflow::Runtime;
     pub use tgraph_query::Pipeline;
     pub use tgraph_repr::{AnyGraph, OgGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
-    pub use tgraph_storage::{GraphLoader, SortOrder};
+    pub use tgraph_storage::GraphLoader;
 }

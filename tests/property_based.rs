@@ -507,8 +507,8 @@ proptest! {
         let dir = std::env::temp_dir().join("tgraph-proptest");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("g-{}.tgc", std::process::id()));
-        tgraph::storage::write_tgc(&path, &g, SortOrder::Temporal, 7).unwrap();
-        let (back, _, _) = tgraph::storage::read_tgc(&path, None).unwrap();
+        tgraph::storage::write_tgc(&path, &g, 7).unwrap();
+        let (back, _) = tgraph::storage::read_tgc(&path, None).unwrap();
         let canon = |g: &TGraph| {
             let mut v = g.vertices.clone();
             v.sort_by_key(|x| (x.vid, x.interval.start));
@@ -538,8 +538,8 @@ proptest! {
         let dir = std::env::temp_dir().join("tgraph-proptest");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("codec-{}.tgc", std::process::id()));
-        tgraph::storage::write_tgc(&path, &g, SortOrder::Temporal, 3).unwrap();
-        let (back, _, _) = tgraph::storage::read_tgc(&path, None).unwrap();
+        tgraph::storage::write_tgc(&path, &g, 3).unwrap();
+        let (back, _) = tgraph::storage::read_tgc(&path, None).unwrap();
         let vkey = |v: &VertexRecord| (v.vid, v.interval, v.props.clone());
         let ekey = |e: &EdgeRecord| (e.eid, e.src, e.dst, e.interval, e.props.clone());
         prop_assert_eq!(sorted(&back.vertices, vkey), sorted(&g.vertices, vkey));

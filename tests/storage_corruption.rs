@@ -7,7 +7,7 @@
 
 use tgraph_datagen::WikiTalk;
 use tgraph_storage::{
-    read_tgc, read_tgc_stats, read_tgo, write_tgc, write_tgo, DecodeError, SortOrder, StorageError,
+    read_tgc, read_tgc_stats, read_tgo, write_tgc, write_tgo, DecodeError, StorageError,
 };
 
 /// Byte widths of a format's file header and chunk header. A file header
@@ -118,7 +118,7 @@ fn damaged_files_fail_typed_through_every_reader() {
     // 16-row chunks: several chunks per section, so the damaged first chunk
     // has intact ones behind it.
     let (flat, nested) = (dir.join("intact.tgc"), dir.join("intact.tgo"));
-    write_tgc(&flat, &g, SortOrder::Temporal, 16).expect("write .tgc");
+    write_tgc(&flat, &g, 16).expect("write .tgc");
     write_tgo(&nested, &g, 16).expect("write .tgo");
     let flat = std::fs::read(flat).expect("read .tgc back");
     let nested = std::fs::read(nested).expect("read .tgo back");

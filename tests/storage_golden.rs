@@ -1,6 +1,6 @@
 //! The storage layer's format golden: `write_dataset` plus two
 //! `append_epoch`s over a fixed generated graph, every file produced (base
-//! and both segments in all three encodings, and the manifest) pinned as
+//! and both segments in both encodings, and the manifest) pinned as
 //! `len:checksum` in `storage_golden.golden`. Bytes on disk are the contract
 //! every storage refactor is held to: older datasets must keep loading.
 //!
