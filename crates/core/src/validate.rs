@@ -12,7 +12,7 @@
 //! 4. *Uniqueness:* an entity exists at most once at any time point — facts
 //!    for the same id must not overlap.
 
-use crate::graph::{EdgeId, TGraph, VertexId};
+use crate::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use crate::time::{merge_non_overlapping, Interval};
 use std::collections::HashMap;
 use std::fmt;
@@ -90,8 +90,7 @@ impl std::error::Error for ValidityError {}
 pub fn validate(g: &TGraph) -> Vec<ValidityError> {
     let mut errors = Vec::new();
 
-    // Per-vertex existence periods (for the referential check), while
-    // checking interval sanity, type presence and uniqueness.
+    // Uniqueness needs each vertex's facts side by side.
     let mut vertex_periods: HashMap<VertexId, Vec<Interval>> = HashMap::new();
     for v in &g.vertices {
         if v.interval.is_empty() {
@@ -113,8 +112,6 @@ pub fn validate(g: &TGraph) -> Vec<ValidityError> {
                 errors.push(ValidityError::OverlappingVertexFacts(*vid, w[0], w[1]));
             }
         }
-        // Collapse to disjoint existence periods for the dangling-edge check.
-        *periods = merge_non_overlapping(periods.clone());
     }
 
     let mut edge_periods: HashMap<EdgeId, Vec<Interval>> = HashMap::new();
@@ -130,25 +127,6 @@ pub fn validate(g: &TGraph) -> Vec<ValidityError> {
             errors.push(ValidityError::MissingEdgeType(e.eid));
         }
         edge_periods.entry(e.eid).or_default().push(e.interval);
-
-        // Referential condition: both endpoints must cover e.interval.
-        for endpoint in [e.src, e.dst] {
-            let covered = vertex_periods.get(&endpoint).cloned().unwrap_or_default();
-            let mut uncovered = vec![e.interval];
-            for p in &covered {
-                uncovered = uncovered
-                    .into_iter()
-                    .flat_map(|u| subtract(&u, p))
-                    .collect();
-            }
-            for gap in uncovered {
-                errors.push(ValidityError::DanglingEdge {
-                    eid: e.eid,
-                    endpoint,
-                    during: gap,
-                });
-            }
-        }
     }
     for (eid, periods) in edge_periods.iter_mut() {
         periods.sort_unstable();
@@ -159,6 +137,40 @@ pub fn validate(g: &TGraph) -> Vec<ValidityError> {
         }
     }
 
+    errors.extend(dangling_edges(&g.vertices, &g.edges));
+    errors
+}
+
+/// The referential condition of Definition 2.1 on its own: every stretch
+/// of a (non-empty) edge fact during which an endpoint has no vertex fact,
+/// as a [`ValidityError::DanglingEdge`]. Empty means every edge is covered
+/// by the union of its endpoints' facts.
+pub fn dangling_edges(vertices: &[VertexRecord], edges: &[EdgeRecord]) -> Vec<ValidityError> {
+    let mut periods: HashMap<VertexId, Vec<Interval>> = HashMap::new();
+    for v in vertices {
+        periods.entry(v.vid).or_default().push(v.interval);
+    }
+    for p in periods.values_mut() {
+        *p = merge_non_overlapping(std::mem::take(p));
+    }
+    let mut errors = Vec::new();
+    for e in edges.iter().filter(|e| !e.interval.is_empty()) {
+        for endpoint in [e.src, e.dst] {
+            let mut uncovered = vec![e.interval];
+            for p in periods.get(&endpoint).map_or(&[][..], Vec::as_slice) {
+                uncovered = uncovered.iter().flat_map(|u| subtract(u, p)).collect();
+            }
+            errors.extend(
+                uncovered
+                    .into_iter()
+                    .map(|during| ValidityError::DanglingEdge {
+                        eid: e.eid,
+                        endpoint,
+                        during,
+                    }),
+            );
+        }
+    }
     errors
 }
 
@@ -182,7 +194,7 @@ fn subtract(a: &Interval, b: &Interval) -> Vec<Interval> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{figure1_graph_stable_ids, EdgeRecord, VertexRecord};
+    use crate::graph::figure1_graph_stable_ids;
     use crate::props::Props;
 
     #[test]

@@ -5,7 +5,8 @@
 //! whole incremental-maintenance stack rests on — every fact starts at or
 //! after `since` — plus basic well-formedness (non-empty intervals, a
 //! `type` label on every fact, no conflicting overlaps for one entity, no
-//! property set wider than the record codec writes).
+//! property set wider than the record codec writes, no edge outliving an
+//! endpoint).
 //! Producers re-assert continuing entities: a vertex alive across the
 //! boundary appears in the delta with a fresh interval starting at `since`,
 //! which coalescing later merges back into one state; an entity that is
@@ -16,6 +17,7 @@ use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::spill::check_props;
 use tgraph_core::time::{Interval, Time};
+use tgraph_core::validate::{dangling_edges, ValidityError};
 use tgraph_dataflow::EncodeError;
 
 /// The facts of one ingest step, all at or after the `since` boundary.
@@ -88,6 +90,18 @@ pub enum DeltaError {
         /// Which width was exceeded.
         error: EncodeError,
     },
+    /// An edge fact covering time at which the delta asserts no fact for
+    /// one of its endpoints (Definition 2.1's referential condition). Every
+    /// committed fact ends by `since`, so only the delta's own vertex facts
+    /// can cover a delta edge.
+    DanglingEdge {
+        /// The offending edge id.
+        id: u64,
+        /// The endpoint with no fact.
+        endpoint: u64,
+        /// The stretch of the edge's interval the endpoint leaves uncovered.
+        during: Interval,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -119,6 +133,15 @@ impl std::fmt::Display for DeltaError {
                 write!(f, "{entity} {id}: lacks the required `type` property")
             }
             DeltaError::TooWide { entity, id, error } => write!(f, "{entity} {id}: {error}"),
+            DeltaError::DanglingEdge {
+                id,
+                endpoint,
+                during,
+            } => write!(
+                f,
+                "edge {id}: endpoint {endpoint} has no vertex fact during [{}, {})",
+                during.start, during.end
+            ),
         }
     }
 }
@@ -172,7 +195,21 @@ impl SnapshotDelta {
         for ((eid, _, _), facts) in e_facts {
             check_overlaps("edge", eid.0, facts)?;
         }
-        Ok(())
+        match dangling_edges(&self.vertices, &self.edges)
+            .into_iter()
+            .next()
+        {
+            Some(ValidityError::DanglingEdge {
+                eid,
+                endpoint,
+                during,
+            }) => Err(DeltaError::DanglingEdge {
+                id: eid.0,
+                endpoint: endpoint.0,
+                during,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// The delta's facts as a logical graph (lifespan derived from the
@@ -403,5 +440,44 @@ mod tests {
             edges: Vec::new(),
         };
         assert_eq!(d.validate(), Ok(()));
+    }
+
+    /// An edge needs both endpoints asserted by the delta over its whole
+    /// interval; a vertex fact that stops short leaves it dangling.
+    #[test]
+    fn dangling_edge_is_typed_error() {
+        let edge = |start, end| EdgeRecord {
+            eid: EdgeId(4),
+            src: VertexId(1),
+            dst: VertexId(2),
+            interval: Interval::new(start, end),
+            props: Props::typed("knows"),
+        };
+        let d = |vertices, e| SnapshotDelta {
+            since: 9,
+            vertices,
+            edges: vec![e],
+        };
+        assert_eq!(
+            d(vec![v(1, 9, 12), v(2, 9, 10), v(2, 10, 12)], edge(9, 12)).validate(),
+            Ok(())
+        );
+        let short = d(vec![v(1, 9, 12), v(2, 9, 11)], edge(9, 12)).validate();
+        assert_eq!(
+            short,
+            Err(DeltaError::DanglingEdge {
+                id: 4,
+                endpoint: 2,
+                during: Interval::new(11, 12),
+            })
+        );
+        assert_eq!(
+            short.map_err(|e| e.to_string()),
+            Err("edge 4: endpoint 2 has no vertex fact during [11, 12)".to_string())
+        );
+        assert!(matches!(
+            d(vec![v(2, 9, 12)], edge(9, 12)).validate(),
+            Err(DeltaError::DanglingEdge { endpoint: 1, .. })
+        ));
     }
 }

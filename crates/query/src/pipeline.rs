@@ -11,8 +11,8 @@
 //! collects.
 //!
 //! [`Pipeline`] is the one spelling of a zoom chain in the workspace: the
-//! serve protocol parses into it, the cost model and the maintenance planner
-//! read it, and [`Pipeline::execute`] is the one step loop. What a consumer
+//! serve protocol parses into it, the representation chooser and the
+//! maintenance planner read it, and [`Pipeline::execute`] is the one step loop. What a consumer
 //! needs to know about an operator is a method here, not a `match` there.
 
 use std::fmt::Write as _;
@@ -132,7 +132,7 @@ impl Pipeline {
     /// Every step paired with the representation it runs in when the
     /// pipeline starts in `first`: switches are tracked, so a step after
     /// `Switch(k)` sees `k`.
-    pub fn steps_with_repr(&self, first: ReprKind) -> impl Iterator<Item = (ReprKind, &Step)> {
+    fn steps_with_repr(&self, first: ReprKind) -> impl Iterator<Item = (ReprKind, &Step)> {
         self.steps.iter().scan(first, |repr, step| {
             let here = *repr;
             if let Step::Switch(k) = step {
@@ -311,7 +311,7 @@ mod tests {
 
     /// The per-operator facts consumers read instead of matching on steps.
     #[test]
-    fn pipeline_answers_what_the_cost_model_and_planner_ask() {
+    fn pipeline_answers_what_the_chooser_and_planner_ask() {
         let p = Pipeline::new()
             .wzoom(wspec())
             .switch_to(ReprKind::Ogc)

@@ -16,15 +16,16 @@
 //! stands for.
 
 use crate::common::{
-    aggregate_group_history, clip_history, existence, histories_of, resolve_edge_states,
-    resolve_vertex_states, rezoom_history, EdgeKey, GroupBases, Histories, State,
+    aggregate_group_history, clip_history, coalesce_states, existence, histories_of,
+    resolve_edge_states, resolve_vertex_states, rezoom_history, EdgeKey, GroupBases, Histories,
+    State,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use tgraph_core::coalesce::coalesce_group;
 use tgraph_core::graph::{EdgeId, TGraph, VertexId};
 use tgraph_core::props::Props;
-use tgraph_core::time::Interval;
+use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::AZoomSpec;
 use tgraph_core::zoom::wzoom::{window_relation, WZoomSpec};
 use tgraph_dataflow::{Dataset, KeyedDataset, Runtime};
@@ -166,6 +167,30 @@ impl OgGraph {
         .into_coalesced()
     }
 
+    /// The logical graph's change points ([`TGraph::change_points`]), read
+    /// off the history arrays where they lie, with no flattening or
+    /// collecting of the graph.
+    pub fn change_points(&self, rt: &Runtime) -> Vec<Time> {
+        let add = |mut points: BTreeSet<Time>, history: &[State]| {
+            for (iv, _) in coalesce_states(history).iter() {
+                points.insert(iv.start);
+                points.insert(iv.end);
+            }
+            points
+        };
+        let union = |mut a: BTreeSet<Time>, b: BTreeSet<Time>| {
+            a.extend(b);
+            a
+        };
+        let vertices =
+            self.vertices
+                .fold(rt, BTreeSet::new(), move |p, v| add(p, &v.history), union);
+        let edges = self
+            .edges
+            .fold(rt, BTreeSet::new(), move |p, e| add(p, &e.history), union);
+        union(vertices, edges).into_iter().collect()
+    }
+
     /// Number of vertex records (one per distinct vertex).
     pub fn vertex_count(&self, rt: &Runtime) -> usize {
         self.vertices.count(rt)
@@ -286,7 +311,7 @@ impl OgGraph {
     /// that intersect the edge history with the zoomed endpoint histories.
     pub fn wzoom(&self, rt: &Runtime, spec: &WZoomSpec) -> OgGraph {
         let change_points = match spec.window {
-            tgraph_core::zoom::wzoom::WindowSpec::Changes(_) => self.to_tgraph(rt).change_points(),
+            tgraph_core::zoom::wzoom::WindowSpec::Changes(_) => self.change_points(rt),
             _ => Vec::new(),
         };
         let windows = Arc::new(window_relation(self.lifespan, &change_points, spec.window));
@@ -498,6 +523,22 @@ mod tests {
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
         assert!(tgraph_core::validate::validate(&got).is_empty());
+    }
+
+    /// The change points read off the history arrays are the flattened,
+    /// coalesced graph's, before and after a zoom.
+    #[test]
+    fn change_points_agree_with_the_logical_graph() {
+        let rt = rt();
+        for g in [figure1_graph_stable_ids(), hub_graph()] {
+            let og = OgGraph::from_tgraph(&rt, &g);
+            assert_eq!(og.change_points(&rt), og.to_tgraph(&rt).change_points());
+            let zoomed = og.azoom(&rt, &school_spec());
+            assert_eq!(
+                zoomed.change_points(&rt),
+                zoomed.to_tgraph(&rt).change_points()
+            );
+        }
     }
 
     /// A hub vertex with three states and 60 incident edges in both

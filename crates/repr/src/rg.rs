@@ -229,7 +229,7 @@ impl RgGraph {
     /// dataflow shuffle — one record **per snapshot copy** of each entity,
     /// which is RG's cost — filtered by the quantifier, reduced with the
     /// resolve function, and reassembled into one snapshot per window with
-    /// dangling edges removed.
+    /// dangling edges removed (when the quantifiers can leave any).
     pub fn wzoom(&self, rt: &Runtime, spec: &WZoomSpec) -> RgGraph {
         let change_points: Vec<i64> = {
             let mut starts: Vec<i64> = self.snapshots.map(|s| s.interval.start).collect(rt);
@@ -294,16 +294,23 @@ impl RgGraph {
                 });
 
         // Dangling-edge removal against the retained vertex set (merge step
-        // of line 19): semijoin on source, then destination.
-        // Same key set drives both semijoins; partition it once so the
-        // second semijoin's key-side shuffle is elided.
-        let kept_keys: Dataset<((usize, VertexId), ())> =
-            tgraph_dataflow::shuffle(rt, &kept.map(|(k, _)| (*k, ())));
-        let edges_checked: Dataset<(usize, (EdgeId, VertexId, VertexId, Props))> = surviving
-            .semi_join(rt, &kept_keys)
-            .map(|((idx, _), e)| ((*idx, e.2), e.clone()))
-            .semi_join(rt, &kept_keys)
-            .map(|((idx, _), e)| (*idx, e.clone()));
+        // of line 19), only when `r_v` is more restrictive than `r_e` (§3.2):
+        // otherwise every kept edge window keeps both endpoints. Semijoin on
+        // source, then destination; the same key set drives both, so it is
+        // partitioned once and the second semijoin's key-side shuffle is
+        // elided.
+        let edges_checked: Dataset<(usize, (EdgeId, VertexId, VertexId, Props))> =
+            if spec.needs_dangling_check() {
+                let kept_keys: Dataset<((usize, VertexId), ())> =
+                    tgraph_dataflow::shuffle(rt, &kept.map(|(k, _)| (*k, ())));
+                surviving
+                    .semi_join(rt, &kept_keys)
+                    .map(|((idx, _), e)| ((*idx, e.2), e.clone()))
+                    .semi_join(rt, &kept_keys)
+                    .map(|((idx, _), e)| (*idx, e.clone()))
+            } else {
+                surviving.map(|((idx, _), e)| (*idx, e.clone()))
+            };
 
         // Recreate the RG representation: one snapshot per window.
         let ws = Arc::clone(&windows);

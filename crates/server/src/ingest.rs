@@ -247,6 +247,32 @@ mod tests {
         assert!(stats.contains("\"ingests\":0"), "{stats}");
     }
 
+    /// An edge whose endpoint the delta does not assert over the edge's
+    /// interval is refused before the epoch append: the manifest stays at
+    /// epoch 0 and the next valid ingest is epoch 1.
+    #[test]
+    fn a_dangling_edge_ingest_is_a_bad_delta_and_commits_nothing() {
+        let server = fresh_server("tgraph-serve-ingest-dangling", "ingd");
+        let epoch = || {
+            tgraph_storage::GraphLoader::new(&server.config.data_dir, "ingd")
+                .current_epoch()
+                .expect("manifest")
+        };
+        assert_eq!(epoch(), 0);
+        // Vertex 1 ended with Figure 1's history at 9; vertex 9 starts here.
+        let line = r#"{"op":"ingest","graph":"ingd","since":9,"vertices":[{"id":9,"interval":[9,12],"props":{"type":"person"}}],"edges":[{"id":77,"src":9,"dst":1,"interval":[9,11],"props":{"type":"knows"}}]}"#;
+        assert_eq!(
+            server.handle_line(line),
+            r#"{"ok":false,"kind":"bad_delta","error":"edge 77: endpoint 1 has no vertex fact during [9, 11)"}"#
+        );
+        assert_eq!(epoch(), 0);
+        let stats = server.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"ingests\":0"), "{stats}");
+        let ing = server.handle_line(&ingest_line("ingd"));
+        assert!(ing.contains("\"epoch\":1"), "{ing}");
+        assert_eq!(epoch(), 1);
+    }
+
     /// A vertex with one property more than the record codec's `u16` count
     /// is refused as a bad delta before anything is written: the next
     /// ingest is still epoch 1.

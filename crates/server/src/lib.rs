@@ -44,6 +44,7 @@
 
 pub mod admission;
 pub mod cache;
+mod chooser;
 pub mod eventloop;
 mod handoff;
 mod ingest;

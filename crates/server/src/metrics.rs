@@ -133,10 +133,10 @@ pub struct ServerMetrics {
     pub zoom_cancelled: AtomicU64,
     /// Malformed / unparseable request lines.
     pub bad_requests: AtomicU64,
-    /// Zoom requests whose representation the optimizer chose (`"auto"`).
+    /// Zoom requests whose representation the chooser picked (`"auto"`).
     pub auto_chosen: AtomicU64,
-    /// Auto choices driven by observed run times rather than the static
-    /// cost model alone.
+    /// Auto choices that compared observed run times rather than taking
+    /// the default.
     pub auto_by_observed: AtomicU64,
     /// Transient accept-loop failures retried with backoff (EMFILE, ENFILE,
     /// ECONNABORTED, EINTR, …). The loop no longer dies on these.

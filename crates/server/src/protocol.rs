@@ -1,7 +1,7 @@
 //! The serving protocol: newline-delimited JSON requests and the mapping
 //! from wire shape to a [`tgraph_query::Pipeline`] — the value the server
-//! executes, the optimizer costs and the maintenance planner reads; there is
-//! no protocol-side step type.
+//! executes, the representation chooser checks and the maintenance planner
+//! reads; there is no protocol-side step type.
 //!
 //! One request per line; one JSON response per line. Request kinds:
 //!
@@ -56,10 +56,10 @@ pub struct ZoomRequest {
     /// Dataset name under the server's data directory.
     pub graph: String,
     /// Initial physical representation. When [`ZoomRequest::auto_repr`] is
-    /// set this is a placeholder until the optimizer resolves it.
+    /// set this is a placeholder until the chooser resolves it.
     pub repr: ReprKind,
     /// The request omitted `repr` or said `"repr":"auto"`: the server's
-    /// cost-based optimizer picks the representation.
+    /// representation chooser picks the representation.
     pub auto_repr: bool,
     /// Optional date-range filter pushed into the load.
     pub range: Option<Interval>,
@@ -69,8 +69,8 @@ pub struct ZoomRequest {
     pub deadline_ms: Option<u64>,
     /// Bypass the result cache (for load-test cold runs).
     pub no_cache: bool,
-    /// Include the optimizer's full candidate table (`predicted` vs
-    /// `chosen` vs `observed`) in the response.
+    /// Include the chooser's candidate table (each candidate's observed
+    /// run time, and what auto would choose) in the response.
     pub explain: bool,
 }
 
@@ -434,7 +434,7 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
 
 fn parse_zoom_request(v: &Json) -> Result<ZoomRequest, BadRequest> {
     let graph = parse_graph_name(v)?;
-    // `repr` omitted or "auto" delegates the choice to the optimizer. The
+    // `repr` omitted or "auto" delegates the choice to the chooser. The
     // placeholder is VE (supports every step), so static validation below
     // still catches switch-introduced violations.
     let repr = optional(
@@ -655,7 +655,7 @@ mod tests {
     }
 
     /// Omitting `repr`, or spelling it `"auto"` in any case, marks the
-    /// request for the cost-based optimizer; an explicit representation
+    /// request for the representation chooser; an explicit representation
     /// does not. `explain` opts into the candidate table independently.
     #[test]
     fn parses_auto_repr_and_explain() {

@@ -3,6 +3,7 @@
 //! and property keys), because byte-identical replay is what the result
 //! cache and the patch path both compare.
 
+use crate::chooser::{CandidateRow, Decision};
 use crate::json::{counters, write_escaped, write_float, Json};
 use crate::protocol::ZoomRequest;
 use crate::server::Server;
@@ -13,7 +14,6 @@ use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::props::{Props, Value};
 use tgraph_core::time::Interval;
 use tgraph_dataflow::{fnv1a, EngineConfig};
-use tgraph_optimize::Decision;
 use tgraph_repr::ReprKind;
 
 /// Room for one record in a result body's buffer. WikiTalk's records are
@@ -232,15 +232,13 @@ fn repr_wire(kind: ReprKind) -> String {
 
 /// The `"optimizer"` response block: present for `"repr":"auto"` requests
 /// and for any request with `"explain":true`. Shows the requested vs
-/// chosen representation and the choice's provenance; under EXPLAIN the
-/// full candidate table rides along — each representation's predicted
-/// work, observed mean run time (null until the server has executed that
-/// candidate for this shape), and the effective score the decision ranked
-/// by.
+/// chosen representation and what decided the choice; under EXPLAIN the
+/// candidate table rides along, each representation's observed mean run
+/// time for this shape (null until the server has executed it cold).
 pub(crate) fn optimizer_json(
     req: &ZoomRequest,
     was_auto: bool,
-    decision: Option<&Decision>,
+    decision: &Decision,
 ) -> Option<Json> {
     if !was_auto && !req.explain {
         return None;
@@ -250,34 +248,25 @@ pub(crate) fn optimizer_json(
     } else {
         repr_wire(req.repr)
     };
-    // Auto with unreadable stats falls back to the default representation;
-    // EXPLAIN without a decision ditto.
-    let source = decision.map_or("fallback", |d| d.source.as_str());
     let mut fields = vec![
         ("requested", Json::str(requested)),
         ("chosen", Json::str(repr_wire(req.repr))),
-        ("source", Json::str(source)),
+        ("source", Json::str(decision.source.as_str())),
     ];
-    if let Some(d) = decision {
-        if d.chosen != req.repr {
-            // The request pinned a representation the optimizer disagrees
-            // with (only possible under EXPLAIN-on-explicit).
-            fields.push(("would_choose", Json::str(repr_wire(d.chosen))));
-        }
-        if req.explain {
-            let row = |c: &tgraph_optimize::CandidateRow| {
-                Json::obj(vec![
-                    ("repr", Json::str(repr_wire(c.repr))),
-                    ("predicted_work", Json::Float(c.predicted_work)),
-                    ("observed_us", c.observed_us.map_or(Json::Null, Json::Float)),
-                    ("effective", Json::Float(c.effective)),
-                ])
-            };
-            fields.push((
-                "candidates",
-                Json::Arr(d.candidates.iter().map(row).collect()),
-            ));
-        }
+    if decision.chosen != req.repr {
+        // The request pinned a representation the chooser would not pick
+        // (only possible under EXPLAIN-on-explicit).
+        fields.push(("would_choose", Json::str(repr_wire(decision.chosen))));
+    }
+    if req.explain {
+        let row = |c: &CandidateRow| {
+            Json::obj(vec![
+                ("repr", Json::str(repr_wire(c.repr))),
+                ("observed_us", c.observed_us.map_or(Json::Null, Json::Float)),
+            ])
+        };
+        let rows = decision.candidates.iter().map(row).collect();
+        fields.push(("candidates", Json::Arr(rows)));
     }
     Some(Json::obj(fields))
 }
@@ -337,7 +326,7 @@ pub(crate) fn stats_response(server: &Server) -> String {
     let cache = server.cache.stats();
     let admission = server.admission.stats();
     let pool = server.pool.stats();
-    let optimizer = server.chooser.optimizer_stats();
+    let optimizer = server.chooser.stats();
     let object = |fields: &[(&str, u64)]| Json::Obj(counters(fields));
     Json::obj(vec![
         ("ok", Json::Bool(true)),

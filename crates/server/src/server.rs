@@ -7,13 +7,13 @@
 
 use crate::admission::Admission;
 use crate::cache::ResultCache;
+use crate::chooser::ReprChooser;
 use crate::eventloop::Endpoint;
 use crate::ingest::IngestState;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{parse_request, Request};
 use crate::render::{error_response, stats_response, Reply};
-use crate::zoom::ReprChooser;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tgraph_dataflow::Runtime;

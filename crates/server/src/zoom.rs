@@ -7,12 +7,10 @@
 //! This is the one module that knows how a query names its cache entry:
 //! by its canonical text (`ZoomRequest::canonical`), with the dataset epoch
 //! carried in the entry.
-//!
-//! [`ReprChooser`] owns the optimizer and its per-graph feature cache (and
-//! that cache's lock); nothing outside this module touches them.
 
 use crate::admission::{AdmitError, Permit};
 use crate::cache::{Answer, Lookup};
+use crate::chooser::ChoiceSource;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ZoomRequest;
@@ -21,71 +19,13 @@ use crate::render::{
 };
 use crate::server::Server;
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tgraph_core::graph::TGraph;
-use tgraph_core::time::Interval;
-use tgraph_dataflow::{lock_unpoisoned, CancelToken, Runtime};
+use tgraph_dataflow::{CancelToken, Runtime};
 use tgraph_ingest::patch_from_storage;
-use tgraph_optimize::{ChoiceSource, Decision, GraphFeatures, Optimizer, OptimizerStats};
 use tgraph_repr::ReprKind;
 use tgraph_storage::{GraphLoader, SharedGraph};
-
-/// The cost-based representation optimizer — static model plus the
-/// per-shape observed-run-time table that cold executions feed — and the
-/// storage features it costs against.
-#[derive(Default)]
-pub(crate) struct ReprChooser {
-    optimizer: Optimizer,
-    /// Header-only storage features per graph, cached with the dataset
-    /// epoch they were read at (an ingest invalidates by epoch mismatch).
-    features: Mutex<HashMap<String, (u64, GraphFeatures)>>,
-}
-
-impl ReprChooser {
-    pub(crate) fn optimizer_stats(&self) -> OptimizerStats {
-        self.optimizer.stats()
-    }
-
-    /// The optimizer's decision for `req`: header-only storage features
-    /// feed the cost model, the per-shape observed table feeds adaptive
-    /// re-optimization. `None` when the dataset's statistics are unreadable
-    /// (the pool load will surface the real error) or no representation can
-    /// run the pipeline.
-    fn choose(&self, data_dir: &Path, req: &ZoomRequest, shape: &str) -> Option<Decision> {
-        let features = self.graph_features(data_dir, &req.graph, req.range)?;
-        self.optimizer.choose(shape, &features, &req.pipeline)
-    }
-
-    /// Free cardinality/evolution features of `graph`, read from `.tgc`
-    /// chunk headers (O(chunks), no row decode). Full-history features are
-    /// cached per dataset epoch; range-restricted requests recompute, since
-    /// the pushdown changes the row estimates.
-    fn graph_features(
-        &self,
-        data_dir: &Path,
-        graph: &str,
-        range: Option<Interval>,
-    ) -> Option<GraphFeatures> {
-        let loader = GraphLoader::new(data_dir, graph);
-        let epoch = loader.current_epoch().ok()?;
-        if range.is_none() {
-            if let Some((cached_epoch, f)) = lock_unpoisoned(&self.features).get(graph) {
-                if *cached_epoch == epoch {
-                    return Some(*f);
-                }
-            }
-        }
-        let stats = loader.flat_stats().ok()?;
-        let features = GraphFeatures::from_tgc_stats(&stats, range.as_ref());
-        if range.is_none() {
-            lock_unpoisoned(&self.features).insert(graph.to_string(), (epoch, features));
-        }
-        Some(features)
-    }
-}
 
 /// `req` with its representation fixed to `kind`.
 fn pinned(req: &ZoomRequest, kind: ReprKind) -> ZoomRequest {
@@ -174,10 +114,9 @@ impl Server {
 
     /// Stage 1: the request with a concrete representation, and the
     /// `optimizer` response block if the request earns one. An `"auto"`
-    /// request takes the optimizer's choice (or keeps the VE placeholder
-    /// when there is no decision); EXPLAIN on an explicit representation
-    /// still consults the optimizer so the response can show what it
-    /// *would* pick, without overriding the caller's pinned choice.
+    /// request takes the chooser's pick; EXPLAIN on an explicit
+    /// representation still consults the chooser so the response can show
+    /// what it *would* pick, without overriding the caller's pinned choice.
     fn resolve_repr<'r>(
         &self,
         req: &'r ZoomRequest,
@@ -186,20 +125,17 @@ impl Server {
         if !req.auto_repr && !req.explain {
             return (Cow::Borrowed(req), None);
         }
-        let decision = self.chooser.choose(&self.config.data_dir, req, shape);
+        let decision = self.chooser.choose(shape, &req.pipeline);
         let resolved = if req.auto_repr {
-            if let Some(d) = &decision {
-                ServerMetrics::bump(&self.metrics.auto_chosen);
-                if d.source == ChoiceSource::Observed {
-                    ServerMetrics::bump(&self.metrics.auto_by_observed);
-                }
+            ServerMetrics::bump(&self.metrics.auto_chosen);
+            if decision.source == ChoiceSource::Observed {
+                ServerMetrics::bump(&self.metrics.auto_by_observed);
             }
-            let chosen = decision.as_ref().map_or(req.repr, |d| d.chosen);
-            Cow::Owned(pinned(req, chosen))
+            Cow::Owned(pinned(req, decision.chosen))
         } else {
             Cow::Borrowed(req)
         };
-        let block = optimizer_json(&resolved, req.auto_repr, decision.as_ref());
+        let block = optimizer_json(&resolved, req.auto_repr, &decision);
         (resolved, block)
     }
 
@@ -342,18 +278,15 @@ impl Server {
         body
     }
 
-    /// Books a finished execution. Adaptive feedback: only cold executions
-    /// measure the representation itself (hits measure the cache and
-    /// patches measure the delta), so only they feed the optimizer's
-    /// observed-run-time table.
+    /// Books a finished execution. Only cold executions measure the
+    /// representation itself (hits measure the cache and patches measure
+    /// the delta), so only they feed the chooser's table.
     fn record_execution(&self, shape: &str, repr: ReprKind, patched: bool, exec: Duration) {
         ServerMetrics::bump(&self.metrics.zoom_executed);
         if patched {
             ServerMetrics::bump(&self.metrics.zoom_patched);
         } else {
-            self.chooser
-                .optimizer
-                .observe(shape, repr, exec.as_micros() as u64);
+            self.chooser.observe(shape, repr, exec.as_micros() as u64);
         }
         self.metrics.exec_latency.record(exec);
     }
@@ -494,7 +427,7 @@ mod tests {
         assert_ne!(result_of(&counted), result_of(&forged));
     }
 
-    /// The optimizer's observation rows are keyed by the query's shape; a
+    /// The chooser's observation rows are keyed by the query's shape; a
     /// group-by key that contains `;repr=` is part of that shape, not a
     /// field to strip, so two such pipelines keep one row each.
     #[test]
@@ -545,55 +478,62 @@ mod tests {
         }
     }
 
-    /// `"repr":"auto"` resolves to a concrete representation via the cost
-    /// model, reports the decision in the `optimizer` response block,
-    /// shares cache entries with the equivalent explicit request, and
-    /// EXPLAIN exposes the candidate table with predicted vs observed.
+    /// `"repr":"auto"` resolves to OG until a rival is measured faster,
+    /// reports the decision in the `optimizer` response block, shares cache
+    /// entries with the equivalent explicit request, and EXPLAIN exposes
+    /// the candidate table with each observed time.
     #[test]
     fn auto_repr_resolves_and_explains() {
         let server = server_over_figure1("unit-auto");
         let auto_line = r#"{"op":"zoom","graph":"unit-auto","explain":true,"steps":[]}"#;
         let first = server.handle_line(auto_line);
         assert!(first.contains("\"ok\":true"), "{first}");
-        assert!(first.contains("\"requested\":\"auto\""), "{first}");
-        assert!(first.contains("\"source\":\"predicted\""), "{first}");
-        assert!(first.contains("\"candidates\":["), "{first}");
-        assert!(first.contains("\"predicted_work\":"), "{first}");
-        // No candidate has run yet: all observed_us are null on the very
-        // first request (observation happens after execution).
-        assert!(first.contains("\"observed_us\":null"), "{first}");
-        let chosen_at = first.find("\"chosen\":\"").expect("chosen field") + 10;
-        let chosen = &first[chosen_at..first[chosen_at..].find('"').unwrap() + chosen_at];
-        // The auto request shares the cache entry of the explicit spelling.
-        let explicit = server.handle_line(&format!(
-            r#"{{"op":"zoom","graph":"unit-auto","repr":"{chosen}","steps":[]}}"#
-        ));
         assert!(
-            explicit.contains("\"cache\":\"hit\""),
-            "auto and explicit {chosen} must share a cache entry: {explicit}"
+            first.contains(r#""requested":"auto","chosen":"og","source":"default""#),
+            "{first}"
         );
-        // A later explained request sees the observation recorded by the
-        // first execution.
+        // Nothing has run yet (observation happens after execution), and
+        // OGC, whose answer drops attributes, is never a candidate.
+        assert!(
+            first.contains(r#""candidates":[{"repr":"rg","observed_us":null},{"repr":"ve","observed_us":null},{"repr":"og","observed_us":null}]"#),
+            "{first}"
+        );
+        // The auto request shares the cache entry of the explicit spelling.
+        let explicit =
+            server.handle_line(r#"{"op":"zoom","graph":"unit-auto","repr":"og","steps":[]}"#);
+        assert!(explicit.contains("\"cache\":\"hit\""), "{explicit}");
+        // A later explained request sees the observation the first
+        // execution recorded; with no rival measured, OG stays.
         let second = server.handle_line(auto_line);
         assert!(second.contains("\"cache\":\"hit\""), "{second}");
-        let with_obs = second
-            .find("\"observed_us\":")
-            .map(|at| !second[at + 14..].starts_with("null"))
-            .unwrap_or(false)
-            || second.matches("\"observed_us\":null").count() < 4;
+        assert!(second.contains("\"source\":\"default\""), "{second}");
         assert!(
-            with_obs,
-            "at least one candidate must carry an observation: {second}"
+            !second.contains(r#"{"repr":"og","observed_us":null}"#),
+            "{second}"
+        );
+        // A rival measured faster than OG takes the shape over.
+        server
+            .chooser
+            .observe(&zoom_request(auto_line).shape(), ReprKind::Ve, 0);
+        let third = server.handle_line(auto_line);
+        assert!(
+            third.contains(r#""chosen":"ve","source":"observed""#),
+            "{third}"
         );
         let stats = server.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"auto_chosen\":2"), "{stats}");
-        assert!(stats.contains("\"observed_pairs\":1"), "{stats}");
+        assert!(stats.contains("\"auto_chosen\":3"), "{stats}");
+        assert!(stats.contains("\"auto_by_observed\":1"), "{stats}");
+        assert!(stats.contains("\"observed_pairs\":2"), "{stats}");
         // EXPLAIN on an explicit representation reports the dissenting
         // choice without overriding it.
         let pinned = server.handle_line(
-            r#"{"op":"zoom","graph":"unit-auto","repr":"ogc","explain":true,"steps":[]}"#,
+            r#"{"op":"zoom","graph":"unit-auto","repr":"ogc","explain":true,"steps":[{"wzoom":{"window":{"points":2}}}]}"#,
         );
-        assert!(pinned.contains("\"requested\":\"ogc\""), "{pinned}");
-        assert!(pinned.contains("\"chosen\":\"ogc\""), "{pinned}");
+        assert!(
+            pinned.contains(
+                r#""requested":"ogc","chosen":"ogc","source":"default","would_choose":"og""#
+            ),
+            "{pinned}"
+        );
     }
 }

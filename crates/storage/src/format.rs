@@ -462,8 +462,8 @@ pub fn read_tgc(path: &Path, range: Option<Interval>) -> Result<(TGraph, ScanSta
 /// Header-only statistics of a `.tgc` file: every chunk's min/max interval
 /// bounds and row count, read without decoding any payload bytes.
 ///
-/// This is the input to pre-execution cardinality estimation: the
-/// optimizer's graph features start from these rows.
+/// This is the input to pre-execution cardinality estimation: a pushdown
+/// scan's row estimate ([`TgcStats::estimated_rows`]) reads these rows.
 #[derive(Clone, Debug)]
 pub struct TgcStats {
     /// Declared lifespan of the stored graph.

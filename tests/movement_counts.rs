@@ -44,10 +44,11 @@ const ZOOMS: [Zoom; 4] = [
     Zoom::W(All, All),
 ];
 
-/// The pinned movement of every cell, in [`measure`] order. OG, OGC and VE
-/// run their two dangling-edge joins only when `needs_dangling_check()`
-/// holds (all/exists here); otherwise OG and OGC rewrite each row where it
-/// lies and move nothing. VE `wZoom^T` moves each window copy once, keyed by
+/// The pinned movement of every cell, in [`measure`] order. Every
+/// representation runs its two dangling-edge joins only when
+/// `needs_dangling_check()` holds (all/exists here); otherwise OG and OGC
+/// rewrite each row where it lies and move nothing, and RG moves only its
+/// window copies. VE `wZoom^T` moves each window copy once, keyed by
 /// entity. RG `aZoom^T` partitions its vertex -> group mapping once, so the
 /// second of its two joins elides that shuffle.
 #[rustfmt::skip]
@@ -55,7 +56,7 @@ const PINNED: [(Graph, ReprKind, Zoom, Moved); 30] = [
     (Graph::Wiki, ReprKind::Rg, Zoom::A, (5, 2, 6652)),
     (Graph::Wiki, ReprKind::Ve, Zoom::A, (5, 2, 2814)),
     (Graph::Wiki, ReprKind::Og, Zoom::A, (1, 0, 300)),
-    (Graph::Wiki, ReprKind::Rg, Zoom::W(Exists, Exists), (6, 2, 6701)),
+    (Graph::Wiki, ReprKind::Rg, Zoom::W(Exists, Exists), (3, 0, 4377)),
     (Graph::Wiki, ReprKind::Ve, Zoom::W(Exists, Exists), (2, 0, 1537)),
     (Graph::Wiki, ReprKind::Og, Zoom::W(Exists, Exists), (0, 0, 0)),
     (Graph::Wiki, ReprKind::Ogc, Zoom::W(Exists, Exists), (0, 0, 0)),
@@ -63,14 +64,14 @@ const PINNED: [(Graph, ReprKind, Zoom, Moved); 30] = [
     (Graph::Wiki, ReprKind::Ve, Zoom::W(All, Exists), (4, 2, 2874)),
     (Graph::Wiki, ReprKind::Og, Zoom::W(All, Exists), (3, 2, 1582)),
     (Graph::Wiki, ReprKind::Ogc, Zoom::W(All, Exists), (3, 2, 1582)),
-    (Graph::Wiki, ReprKind::Rg, Zoom::W(All, All), (6, 2, 3955)),
+    (Graph::Wiki, ReprKind::Rg, Zoom::W(All, All), (3, 0, 3392)),
     (Graph::Wiki, ReprKind::Ve, Zoom::W(All, All), (2, 0, 1537)),
     (Graph::Wiki, ReprKind::Og, Zoom::W(All, All), (0, 0, 0)),
     (Graph::Wiki, ReprKind::Ogc, Zoom::W(All, All), (0, 0, 0)),
     (Graph::Snb, ReprKind::Rg, Zoom::A, (5, 2, 8116)),
     (Graph::Snb, ReprKind::Ve, Zoom::A, (5, 2, 2200)),
     (Graph::Snb, ReprKind::Og, Zoom::A, (1, 0, 200)),
-    (Graph::Snb, ReprKind::Rg, Zoom::W(Exists, Exists), (6, 2, 6618)),
+    (Graph::Snb, ReprKind::Rg, Zoom::W(Exists, Exists), (3, 0, 4448)),
     (Graph::Snb, ReprKind::Ve, Zoom::W(Exists, Exists), (2, 0, 1351)),
     (Graph::Snb, ReprKind::Og, Zoom::W(Exists, Exists), (0, 0, 0)),
     (Graph::Snb, ReprKind::Ogc, Zoom::W(Exists, Exists), (0, 0, 0)),
@@ -78,7 +79,7 @@ const PINNED: [(Graph, ReprKind, Zoom, Moved); 30] = [
     (Graph::Snb, ReprKind::Ve, Zoom::W(All, Exists), (4, 2, 2459)),
     (Graph::Snb, ReprKind::Og, Zoom::W(All, Exists), (3, 2, 1276)),
     (Graph::Snb, ReprKind::Ogc, Zoom::W(All, Exists), (3, 2, 1276)),
-    (Graph::Snb, ReprKind::Rg, Zoom::W(All, All), (6, 2, 4894)),
+    (Graph::Snb, ReprKind::Rg, Zoom::W(All, All), (3, 0, 3831)),
     (Graph::Snb, ReprKind::Ve, Zoom::W(All, All), (2, 0, 1351)),
     (Graph::Snb, ReprKind::Og, Zoom::W(All, All), (0, 0, 0)),
     (Graph::Snb, ReprKind::Ogc, Zoom::W(All, All), (0, 0, 0)),

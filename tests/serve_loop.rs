@@ -2,11 +2,12 @@
 //! socket against the serve loop and checks that what a client reads is
 //! byte-identical to `Server::handle_line` run in process on the same
 //! script. The in-process dispatch path is the oracle: the connection layer
-//! may move bytes, never change them. A second case ingests over the socket
-//! and checks the patched answer against a cold recompute; a third sends a
-//! hostile line and checks the server is still there afterwards; a fourth
-//! (in process) holds a server that ingested against one bound afterwards
-//! over the same directory.
+//! may move bytes, never change them; the same script holds `"repr":"auto"`
+//! answers to the bytes of the same zooms pinned to OG and to VE. A second
+//! case ingests over the socket and checks the patched answer against a
+//! cold recompute; a third sends a hostile line and checks the server is
+//! still there afterwards; a fourth (in process) holds a server that
+//! ingested against one bound afterwards over the same directory.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -104,11 +105,34 @@ impl Client {
 #[test]
 fn tcp_transcript_matches_in_process_dispatch() {
     let zoom = r#"{"op":"zoom","graph":"fig1","repr":"ve","steps":[{"azoom":{"by":"school","new_type":"school","aggs":[{"output":"students","fn":"count"}]}},{"switch":"og"},{"wzoom":{"window":{"points":3},"vq":"exists","eq":"exists"}}]}"#;
-    // ping, miss, hit replay, malformed line.
-    let script = [r#"{"op":"ping"}"#, zoom, zoom, "definitely not json"];
+    // One wZoom and one aZoom pipeline, each asked `"repr":"auto"` first
+    // (nothing measured yet, so the choice is the same on both servers)
+    // and then pinned to OG and to VE.
+    let reprs = ["auto", "og", "ve"];
+    let wzoom = reprs.map(|r| format!(r#"{{"op":"zoom","graph":"fig1","repr":"{r}","steps":[{{"wzoom":{{"window":{{"points":3}},"vq":"exists","eq":"exists"}}}}]}}"#));
+    let azoom = reprs.map(|r| format!(r#"{{"op":"zoom","graph":"fig1","repr":"{r}","steps":[{{"azoom":{{"by":"school","new_type":"school","aggs":[{{"output":"students","fn":"count"}}]}}}}]}}"#));
+    // ping, miss, hit replay, malformed line, then the auto/pinned triples.
+    let mut script = vec![r#"{"op":"ping"}"#, zoom, zoom, "definitely not json"];
+    script.extend(wzoom.iter().chain(&azoom).map(String::as_str));
 
     let oracle = bind_server("tgraph-tier1-serve-inproc");
     let in_process: Vec<String> = script.iter().map(|l| oracle.handle_line(l)).collect();
+    // Auto never changes an answer: OGC, which keeps no attributes, is not
+    // a candidate, so the auto bytes are the pinned OG and VE bytes.
+    let result_of = |response: &str| {
+        let at = response.find(",\"result\":").expect("result field");
+        response[at..].to_string()
+    };
+    for triple in in_process[4..].chunks(3) {
+        assert!(
+            triple[0].contains("\"requested\":\"auto\""),
+            "{}",
+            triple[0]
+        );
+        for pinned in &triple[1..] {
+            assert_eq!(result_of(&triple[0]), result_of(pinned), "{pinned}");
+        }
+    }
     assert!(
         in_process[1].contains("\"cache\":\"miss\""),
         "{}",

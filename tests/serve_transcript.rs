@@ -9,10 +9,9 @@
 //! to; this is the script earlier PRs rebuilt by hand, committed once.
 //!
 //! Before hashing, what legitimately differs between two runs of one binary
-//! is blanked: `*_us`/`*_ms` values (`observed_us` among them), `effective`,
-//! and the order of the optimizer's candidate table (sorted by measured
-//! latency). `fingerprint`s and every result byte stay in. `stats` carries
-//! counters that depend on timing, so it is pinned by key set, not values.
+//! is blanked: `*_us`/`*_ms` values (`observed_us` among them).
+//! `fingerprint`s and every result byte stay in. `stats` carries counters
+//! that depend on timing, so it is pinned by key set, not values.
 //!
 //! On a deliberate protocol change, run the test and paste the table it
 //! prints into `serve_transcript.golden`.
@@ -244,33 +243,15 @@ fn blank_values(text: &mut String, key_end: &str) {
 }
 
 /// Normalises one response into `(head, body)`: everything before
-/// `,"result":` has its timings blanked and its candidate table sorted; the
-/// result bytes are untouched.
+/// `,"result":` has its timings blanked; the result bytes are untouched.
 fn normalize(response: &str) -> (String, &str) {
     let (head, body) = match response.find(",\"result\":") {
         Some(at) => response.split_at(at),
         None => (response, ""),
     };
     let mut head = head.to_string();
-    for key_end in ["_us\":", "_ms\":", "\"effective\":"] {
+    for key_end in ["_us\":", "_ms\":"] {
         blank_values(&mut head, key_end);
-    }
-    const TABLE: &str = "\"candidates\":[";
-    if let Some(at) = head.find(TABLE) {
-        let start = at + TABLE.len();
-        let end = start + head[start..].find(']').expect("candidates close");
-        // Rows are flat objects: `{..},{..}`.
-        let mut rows: Vec<String> = head[start..end]
-            .split("},{")
-            .map(|r| r.trim_matches(['{', '}']).to_string())
-            .collect();
-        rows.sort();
-        let sorted = rows
-            .iter()
-            .map(|r| format!("{{{r}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        head.replace_range(start..end, &sorted);
     }
     (head, body)
 }
