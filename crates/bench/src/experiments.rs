@@ -493,61 +493,51 @@ pub fn fig17(cfg: &ExpConfig) -> Vec<Table> {
     tables
 }
 
-/// A1 — §4's loading-locality claim, nested half: OG loads fastest from the
-/// nested file. (The flat half, RG from a start-then-id copy, is retired:
-/// both orders loaded equally fast here, so one flat file is kept.)
+/// A1 — §4's loading-locality claims. The paper wrote a start-then-id copy
+/// for RG and a nested copy for OG, because regrouping flat rows by entity
+/// costs a shuffle on Parquet. Both copies are retired: RG loaded no faster
+/// from its copy, and the one entity-ordered flat file already holds each
+/// history in adjacent rows, which OG cuts into runs with no shuffle. The
+/// third row is the load that pays the shuffle the nesting avoided.
 pub fn load_locality(cfg: &ExpConfig) -> Vec<Table> {
     let rt = cfg.runtime();
     let g = wikitalk(cfg.scale);
     let dir = std::env::temp_dir().join("tgraph-bench-load");
     write_dataset(&dir, "wiki", &g).expect("write dataset");
     let loader = GraphLoader::new(&dir, "wiki");
+    let load = |kind| loader.load(&rt, kind, None).unwrap().0;
 
     let before = rt.stats();
-    let mut t = Table::new("A1: load locality — OG nested vs flat", vec!["time".into()]);
+    let mut t = Table::new(
+        "A1: load locality — OG from entity runs vs flat + shuffle",
+        vec!["time".into()],
+    );
     for (label, run) in [
         (
-            "VE <- temporal",
+            "VE <- flat",
             Box::new(|| {
-                let _ = loader.load_ve(&rt, None).unwrap();
+                let _ = load(ReprKind::Ve);
             }) as Box<dyn Fn()>,
         ),
         (
-            "OG <- nested",
+            "OG <- flat, entity runs",
             Box::new(|| {
-                let _ = loader.load_og(&rt, None).unwrap();
+                let _ = load(ReprKind::Og);
             }),
         ),
         (
-            "OG <- flat+shuffle",
+            "OG <- flat + shuffle (ve_to_og)",
             Box::new(|| {
-                let (ve, _) = loader.load_ve(&rt, None).unwrap();
-                let _ = tgraph_repr::convert::ve_to_og(&rt, &ve);
+                if let AnyGraph::Ve(ve) = load(ReprKind::Ve) {
+                    let _ = tgraph_repr::convert::ve_to_og(&rt, &ve);
+                }
             }),
         ),
     ] {
         let cell = measure(cfg.timeout, run);
         t.push_row(label, vec![cell]);
     }
-    let mut note = movement_note(&rt, &before);
-    // Header-only chunk statistics predict the rows a pushdown scan decodes;
-    // compare against the actual ScanStats of a ranged load (mid lifespan).
-    if let Ok(stats) = loader.flat_stats() {
-        let span = stats.lifespan;
-        let mid = span.start + (span.end - span.start) / 2;
-        let range = tgraph_core::Interval::new(span.start, mid.max(span.start + 1));
-        let (v_est, e_est) = stats.estimated_rows(Some(&range));
-        if let Ok((_, scan)) = loader.load_flat(Some(range)) {
-            note.push_str(&format!(
-                "\n  pushdown estimate (flat, {range}): predicted {} rows, scanned {} \
-                 ({} chunks skipped)",
-                v_est + e_est,
-                scan.rows_read,
-                scan.chunks_skipped
-            ));
-        }
-    }
-    t.set_note(note);
+    t.set_note(movement_note(&rt, &before));
     vec![t]
 }
 

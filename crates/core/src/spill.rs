@@ -3,7 +3,7 @@
 //!
 //! One codec serves every place a record becomes bytes: the dataflow
 //! engine's governed shuffles and spill runs, serialized shuffles, and the
-//! rows of `tgraph-storage`'s `.tgc`/`.tgo` files, whose bytes
+//! rows of `tgraph-storage`'s `.tgc` files, whose bytes
 //! `tests/storage_golden.rs` pins. Ids and interval bounds are 8
 //! little-endian bytes, a property value is a one-byte tag and its payload,
 //! a string is a `u32` byte length and its UTF-8 bytes, and a property set

@@ -13,7 +13,7 @@
 //! standard types dataflow programs shuffle. Domain crates implement it for
 //! their record types (`tgraph-core` for property-graph records,
 //! `tgraph-repr` for the physical-representation rows). It is also the row
-//! codec of `tgraph-storage`'s `.tgc`/`.tgo` files, which read their chunk
+//! codec of `tgraph-storage`'s `.tgc` files, which read their chunk
 //! payloads through the same [`SpillReader`] and report damage with the same
 //! [`DecodeError`]: integers are 8 little-endian bytes, a string is a `u32`
 //! byte length and its UTF-8 bytes, a sequence is a `u64` count and its
@@ -115,7 +115,7 @@ pub fn too_wide(what: impl std::fmt::Display) -> ! {
 
 /// Why a payload did not decode: the one error of every [`Spill::unspill`],
 /// whether the bytes came from a run file, a serialized shuffle or a
-/// `.tgc`/`.tgo` chunk.
+/// `.tgc` chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer ended before the announced payload.
@@ -300,7 +300,7 @@ const BLOCK: BlockStep = {
 };
 
 /// Bounds-checked little-endian cursor over one payload: a run bucket, a
-/// serialized shuffle's bucket or a `.tgc`/`.tgo` chunk.
+/// serialized shuffle's bucket or a `.tgc` chunk.
 ///
 /// The records of one payload repeat themselves: the same few labels on
 /// every record, the same type and group strings on most, and, sorted by

@@ -87,7 +87,7 @@ impl AnyGraph {
                     .union(&RgGraph::from_tgraph(rt, delta).snapshots),
             }),
             AnyGraph::Og(g) => {
-                let (delta_vertices, delta_edges) = histories_of(delta);
+                let (delta_vertices, delta_edges) = histories_of(delta.clone());
                 let mut vertices = g.vertices.map(|v| (v.vid, v.history.clone())).collect(rt);
                 fold_histories(&mut vertices, delta_vertices);
                 // Only an edge's own history: its endpoints are shared again
@@ -98,7 +98,7 @@ impl AnyGraph {
                 AnyGraph::Og(OgGraph::from_histories(rt, lifespan, vertices, edges))
             }
             AnyGraph::Ogc(g) => {
-                let (delta_vertices, delta_edges) = histories_of(delta);
+                let (delta_vertices, delta_edges) = histories_of(delta.clone());
                 let (mut vertices, mut edges) = g.histories(rt);
                 vertices.extend(delta_vertices);
                 edges.extend(delta_edges);

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
-use tgraph_core::coalesce::{coalesce_group, is_coalesced_run};
+use tgraph_core::coalesce::{coalesce_edges, coalesce_group, coalesce_vertices, is_coalesced_run};
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
@@ -32,34 +32,45 @@ pub fn coalesce_states(states: &[State]) -> Cow<'_, [State]> {
 pub type EdgeKey = (EdgeId, VertexId, VertexId);
 
 /// One relation as history arrays: one entry per entity, its states sorted
-/// by start and coalesced. What the OG constructor takes and what the nested
-/// `.tgo` file stores.
+/// by start and coalesced. What the OG and OGC constructors take.
 pub type Histories<K> = Vec<(K, Vec<State>)>;
 
 /// The grouper: the facts of a logical graph as per-entity histories in key
-/// order, the vertex relation and the edge relation.
-pub fn histories_of(g: &TGraph) -> (Histories<VertexId>, Histories<EdgeKey>) {
-    let vertices = g
-        .vertices
-        .iter()
-        .map(|v| (v.vid, (v.interval, v.props.clone())));
-    let edges = g
-        .edges
-        .iter()
-        .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())));
-    (group_histories(vertices), group_histories(edges))
+/// order, the vertex relation and the edge relation. Each relation is
+/// coalesced by one sort ([`coalesce_vertices`], [`coalesce_edges`]) and cut
+/// where the key changes, so a graph read from the entity-ordered `.tgc`
+/// groups with no map; the records move into the histories.
+pub fn histories_of(g: TGraph) -> (Histories<VertexId>, Histories<EdgeKey>) {
+    let vertices = runs(
+        coalesce_vertices(g.vertices),
+        |v| v.vid,
+        |v| (v.interval, v.props),
+    );
+    let edges = runs(
+        coalesce_edges(g.edges),
+        |e| (e.eid, e.src, e.dst),
+        |e| (e.interval, e.props),
+    );
+    (vertices, edges)
 }
 
-fn group_histories<K: Copy + Ord + Hash>(facts: impl Iterator<Item = (K, State)>) -> Histories<K> {
-    let mut by_key: HashMap<K, Vec<State>> = HashMap::new();
-    for (key, state) in facts {
-        by_key.entry(key).or_default().push(state);
-    }
-    let mut out: Histories<K> = by_key
-        .into_iter()
-        .map(|(key, states)| (key, coalesce_group(states)))
+/// Cuts `facts`, sorted by key, into one history per run of equal keys.
+fn runs<T, K: Copy + Eq>(
+    facts: Vec<T>,
+    key: impl Fn(&T) -> K,
+    state: impl Fn(T) -> State,
+) -> Histories<K> {
+    let lens: Vec<usize> = facts
+        .chunk_by(|a, b| key(a) == key(b))
+        .map(<[T]>::len)
         .collect();
-    out.sort_by_key(|(key, _)| *key);
+    let mut facts = facts.into_iter().peekable();
+    let mut out = Vec::with_capacity(lens.len());
+    for len in lens {
+        if let Some(k) = facts.peek().map(&key) {
+            out.push((k, facts.by_ref().take(len).map(&state).collect()));
+        }
+    }
     out
 }
 
@@ -443,6 +454,76 @@ mod tests {
             .filter_map(|(_, p)| p.get("members")?.as_int())
             .max();
         assert_eq!(peak, Some(2500));
+    }
+
+    /// The grouper `histories_of` replaced, kept as its reference: facts
+    /// hashed by key in input order, each group coalesced, groups sorted by
+    /// key.
+    fn group_histories<K: Copy + Ord + Hash>(
+        facts: impl Iterator<Item = (K, State)>,
+    ) -> Histories<K> {
+        let mut by_key: HashMap<K, Vec<State>> = HashMap::new();
+        for (key, state) in facts {
+            by_key.entry(key).or_default().push(state);
+        }
+        let mut out: Histories<K> = by_key
+            .into_iter()
+            .map(|(key, states)| (key, coalesce_group(states)))
+            .collect();
+        out.sort_by_key(|(key, _)| *key);
+        out
+    }
+
+    /// `facts` in an order drawn from `seed`, then the first `dup` of them
+    /// again.
+    fn shuffled<T: Clone>(mut facts: Vec<T>, seed: u64, dup: usize) -> Vec<T> {
+        let mut x = seed | 1;
+        for i in (1..facts.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            facts.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let again: Vec<T> = facts.iter().take(dup).cloned().collect();
+        facts.extend(again);
+        facts
+    }
+
+    proptest! {
+        #[test]
+        fn histories_of_equals_the_hash_grouping_reference(
+            raw_v in prop::collection::vec((0u64..6, 0i64..20, 1i64..7, 0u8..3), 0..40),
+            raw_e in prop::collection::vec((0u64..5, 0u64..3, 0u64..3, 0i64..20, 1i64..7, 0u8..3), 0..40),
+            seed in 0u64..u64::MAX,
+            dup in 0usize..12,
+        ) {
+            // Few ids, values and time points: states of one entity overlap
+            // and touch, with equal and with different values, and edges
+            // share an `eid` across endpoint pairs.
+            let props = |x: u8| Props::typed("t").with("x", i64::from(x));
+            let vertices = raw_v.iter().map(|&(id, start, len, x)| {
+                VertexRecord::new(id, Interval::new(start, start + len), props(x))
+            });
+            let edges = raw_e.iter().map(|&(id, src, dst, start, len, x)| EdgeRecord {
+                eid: EdgeId(id),
+                src: VertexId(src),
+                dst: VertexId(dst),
+                interval: Interval::new(start, start + len),
+                props: props(x),
+            });
+            let g = TGraph {
+                lifespan: Interval::new(0, 26),
+                vertices: shuffled(vertices.collect(), seed, dup),
+                edges: shuffled(edges.collect(), seed.rotate_left(17), dup),
+            };
+            let vertex_facts = g.vertices.iter().map(|v| (v.vid, (v.interval, v.props.clone())));
+            let edge_facts = g
+                .edges
+                .iter()
+                .map(|e| ((e.eid, e.src, e.dst), (e.interval, e.props.clone())));
+            let reference = (group_histories(vertex_facts), group_histories(edge_facts));
+            prop_assert_eq!(histories_of(g), reference);
+        }
     }
 
     #[test]

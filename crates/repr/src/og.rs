@@ -105,7 +105,7 @@ impl OgGraph {
     /// Builds OG from the logical graph: histories are grouped per entity,
     /// sorted, and coalesced; edges receive their endpoints.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        let (vertices, edges) = histories_of(g);
+        let (vertices, edges) = histories_of(g.clone());
         Self::from_histories(rt, g.lifespan, vertices, edges)
     }
 

@@ -64,7 +64,7 @@ impl OgcGraph {
     /// Builds OGC from the logical graph, discarding all attributes except
     /// the `type` label.
     pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        let (vertices, edges) = histories_of(g);
+        let (vertices, edges) = histories_of(g.clone());
         Self::from_histories(rt, g.lifespan, vertices, edges)
     }
 

@@ -1,11 +1,11 @@
 //! Append-path epochs: the on-disk layout that lets ingest extend a dataset
 //! without rewriting its history.
 //!
-//! A dataset directory starts as the base layout — `<name>.temporal.tgc` and
-//! `<name>.tgo` — which this module calls **epoch 0** (the base). Each
-//! ingested delta becomes a numbered **segment**: the same file pair under
-//! `<name>.e<N>.*`, carrying only that epoch's records
-//! with their own headers and chunk statistics (so `read_tgc_stats` over a
+//! A dataset directory starts as the base file, `<name>.temporal.tgc`,
+//! which this module calls **epoch 0** (the base). Each ingested delta
+//! becomes a numbered **segment**: the same file under
+//! `<name>.e<N>.temporal.tgc`, carrying only that epoch's records
+//! with their own header and chunk statistics (so `read_tgc_stats` over a
 //! segment is exactly as truthful as over the base, and a suffix load can
 //! push a time range down into every file independently).
 //!
@@ -19,15 +19,15 @@
 //! boundary every fact of the segment starts at or after — and `end` is the
 //! lifespan end afterwards. The manifest is replaced atomically
 //! (write-to-temp then rename), so readers see either the old epoch list or
-//! the new one, never a torn line; the segment files are fully written and
-//! synced to disk *before* the manifest names them, and the directory is
-//! synced after the rename, so a manifest entry implies readable segments,
+//! the new one, never a torn line; the segment file is fully written and
+//! synced to disk *before* the manifest names it, and the directory is
+//! synced after the rename, so a manifest entry implies a readable segment,
 //! a power loss included. There is one writer by design (the serve layer's
 //! ingest lock); this module adds crash-atomicity, not multi-writer
 //! coordination.
 
 use crate::format::StorageError;
-use crate::loader::{flat_path, stem_paths, write_stem};
+use crate::loader::{flat_path, write_stem};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -54,8 +54,7 @@ fn manifest_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.epochs"))
 }
 
-/// The file-name stem of an epoch's segment pair (`<stem>.temporal.tgc`,
-/// `<stem>.tgo`).
+/// The file-name stem of an epoch's segment (`<stem>.temporal.tgc`).
 pub fn segment_stem(name: &str, epoch: u64) -> String {
     format!("{name}.e{epoch}")
 }
@@ -130,7 +129,7 @@ fn atomic_write(path: &Path, contents: &str) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Commits `delta` as the dataset's next epoch: writes the segment file pair,
+/// Commits `delta` as the dataset's next epoch: writes the segment file,
 /// then atomically appends the manifest line. Returns the committed entry.
 ///
 /// Fails with [`StorageError::Epoch`] if any delta fact starts before the
@@ -160,15 +159,13 @@ pub fn append_epoch(dir: &Path, name: &str, delta: &TGraph) -> Result<EpochEntry
         since.max(delta.lifespan.end)
     };
 
-    // Segments first, manifest last: a crash between the two leaves orphan
-    // segment files the manifest never names — invisible to readers. The
-    // writers end in a flush to the page cache; the bytes are forced to disk
+    // Segment first, manifest last: a crash between the two leaves an orphan
+    // segment file the manifest never names — invisible to readers. The
+    // writer ends in a flush to the page cache; the bytes are forced to disk
     // here, before any manifest can name them.
     let stem = segment_stem(name, epoch);
     write_stem(dir, &stem, delta)?;
-    for path in stem_paths(dir, &stem) {
-        File::open(path)?.sync_all()?;
-    }
+    File::open(flat_path(dir, &stem))?.sync_all()?;
 
     let entry = EpochEntry {
         epoch,
@@ -230,7 +227,7 @@ mod tests {
         let entry = append_epoch(&dir, "e2", &delta_at(9)).unwrap();
         assert_eq!((entry.epoch, entry.since, entry.end), (1, 9, 11));
         assert_eq!(current_end(&dir, "e2").unwrap(), 11);
-        // The segment pair exists with truthful headers.
+        // The segment exists with truthful headers.
         let stats = crate::read_tgc_stats(&dir.join("e2.e1.temporal.tgc")).unwrap();
         assert_eq!(stats.lifespan, Interval::new(9, 11));
         let entry2 = append_epoch(&dir, "e2", &delta_at(11)).unwrap();

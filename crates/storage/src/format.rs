@@ -8,14 +8,14 @@
 //! predicate skips whole chunks — Parquet's filter pushdown. Rows are sorted
 //! by entity id, then start time: consecutive states of one entity are
 //! adjacent (the temporal-locality order of §4). The paper also wrote a
-//! start-then-id copy for RG; here RG loads as fast from this one
-//! (EXPERIMENTS.md, A1), so there is one order. The byte after the magic,
-//! once the order's tag, is written as 0 and must read 0.
+//! start-then-id copy for RG and a nested per-entity copy for OG/OGC; here
+//! both load as fast from this one (EXPERIMENTS.md, A1), so there is one
+//! file. The byte after the magic, once the order's tag, is written as 0 and
+//! must read 0.
 //!
-//! The nested `.tgo` format ([`crate::nested`]) is the same file with another
-//! row encoding (`Layout` lists the differences), so what both share lives
-//! here once: `create` and `write_chunks` write every file, and `Scan` —
-//! header parse, chunk walk, sizes checked against the file — reads them.
+//! `create` and `write_chunks` write the file; `Scan` — header parse, chunk
+//! walk, sizes checked against the file — reads it, for the rows
+//! (`read_tgc`) or for the chunk headers alone (`read_tgc_stats`).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -140,49 +140,31 @@ impl ScanStats {
     }
 }
 
-/// Which of the two file formats is being read or written. They are one
-/// format with three differences: the magic, a zero byte that only `.tgc`
-/// has after it, and the statistics columns that lead a chunk header
-/// — all four interval bounds in `.tgc` (a 48-byte header), only the outer
-/// two, first seen and last seen, in `.tgo` (32 bytes).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Layout {
-    /// `.tgc`: one row per fact.
-    Flat,
-    /// `.tgo`: one row per entity.
-    Nested,
-}
+/// The bytes a file opens with: the magic and a zero byte.
+const LEAD: &[u8] = b"TGC1\0";
 
-impl Layout {
-    /// The bytes a file opens with: the magic, and the zero byte of a
-    /// `.tgc`.
-    pub(crate) fn lead(self) -> &'static [u8] {
-        match self {
-            Layout::Flat => b"TGC1\0",
-            Layout::Nested => b"TGO1",
-        }
-    }
-}
+/// The bytes of a chunk header: the four interval bounds, the row count, the
+/// payload length and the checksum.
+const CHUNK_HEADER: usize = 48;
 
 /// What a file says about itself before its first chunk.
-pub(crate) struct FileHeader {
+struct FileHeader {
     /// Declared lifespan of the stored graph.
-    pub lifespan: Interval,
+    lifespan: Interval,
     /// Chunks in the vertex section and in the edge section after it.
-    pub chunks: [u32; 2],
+    chunks: [u32; 2],
 }
 
-/// Creates `path` and writes its file header: the layout's lead bytes, the
-/// lifespan, and the chunk counts of the vertex and edge sections, which
-/// will hold `rows` rows.
-pub(crate) fn create(
+/// Creates `path` and writes its file header: the lead bytes, the lifespan,
+/// and the chunk counts of the vertex and edge sections, which will hold
+/// `rows` rows.
+fn create(
     path: &Path,
-    layout: Layout,
     lifespan: &Interval,
     rows: [usize; 2],
     chunk_rows: usize,
 ) -> Result<BufWriter<File>, StorageError> {
-    let mut bytes = layout.lead().to_vec();
+    let mut bytes = LEAD.to_vec();
     lifespan.spill(&mut bytes);
     for section in rows {
         let chunks = checked_count(section.div_ceil(chunk_rows))?;
@@ -196,9 +178,8 @@ pub(crate) fn create(
 /// Writes one section: `rows` cut into chunks of `chunk_rows`, each chunk its
 /// statistics over the rows' `span`s (start, end), row count, payload length
 /// and checksum, then the payload `encode` produced.
-pub(crate) fn write_chunks<R>(
+fn write_chunks<R>(
     out: &mut impl Write,
-    layout: Layout,
     rows: &[R],
     chunk_rows: usize,
     span: impl Fn(&R) -> (Time, Time),
@@ -216,12 +197,8 @@ pub(crate) fn write_chunks<R>(
             max_end = max_end.max(end);
             encode(&mut payload, r)?;
         }
-        let mut head = Vec::with_capacity(48);
-        let stats: &[i64] = match layout {
-            Layout::Flat => &[min_start, max_start, min_end, max_end],
-            Layout::Nested => &[min_start, max_end],
-        };
-        for column in stats {
+        let mut head = Vec::with_capacity(CHUNK_HEADER);
+        for column in [min_start, max_start, min_end, max_end] {
             head.extend_from_slice(&column.to_le_bytes());
         }
         head.extend_from_slice(&checked_count(chunk.len())?.to_le_bytes());
@@ -238,34 +215,29 @@ pub(crate) fn write_chunks<R>(
 /// length — is claimed against `left` before anything is read, skipped or
 /// reserved for it, so a file that lies about its sizes (or was cut short)
 /// is `DecodeError::UnexpectedEof` and never an allocation.
-pub(crate) struct Scan {
+struct Scan {
     input: BufReader<File>,
     left: u64,
-    layout: Layout,
 }
 
 /// Decodes one row at the cursor of a chunk payload: `None` when the row lies
 /// outside the range the scan is filtered to.
-pub(crate) type RowDecoder<T> =
-    fn(&mut SpillReader<'_>, Option<&Interval>) -> Result<Option<T>, DecodeError>;
+type RowDecoder<T> = fn(&mut SpillReader<'_>, Option<&Interval>) -> Result<Option<T>, DecodeError>;
 
 impl Scan {
     /// Opens `path` and reads and validates its file header.
-    pub(crate) fn open(path: &Path, layout: Layout) -> Result<(Scan, FileHeader), StorageError> {
+    fn open(path: &Path) -> Result<(Scan, FileHeader), StorageError> {
         let file = File::open(path)?;
         let left = file.metadata()?.len();
         let mut scan = Scan {
             input: BufReader::new(file),
             left,
-            layout,
         };
-        let lead = layout.lead();
-        let mut bytes = [0u8; 29];
         // The lead, the lifespan's two bounds and the two chunk counts.
-        let bytes = &mut bytes[..lead.len() + 16 + 8];
-        scan.fill(bytes)?;
-        let mut r = SpillReader::new(bytes);
-        if r.bytes(lead.len())? != lead {
+        let mut bytes = [0u8; LEAD.len() + 16 + 8];
+        scan.fill(&mut bytes)?;
+        let mut r = SpillReader::new(&bytes);
+        if r.bytes(LEAD.len())? != LEAD {
             return Err(DecodeError::BadMagic.into());
         }
         let lifespan = Interval::unspill(&mut r)?;
@@ -290,41 +262,27 @@ impl Scan {
     /// if `keep` turns its statistics down, seek past the payload
     /// (pushdown), else read the payload, verify its checksum and hand it,
     /// with the header's row count, to `decode`.
-    pub(crate) fn walk(
+    fn walk(
         &mut self,
         chunks: u32,
         scanned: &mut ScanStats,
         mut keep: impl FnMut(&ChunkStats) -> bool,
         mut decode: impl FnMut(u32, &[u8]) -> Result<(), DecodeError>,
     ) -> Result<(), StorageError> {
-        let mut head = [0u8; 48];
-        let head = match self.layout {
-            Layout::Flat => &mut head[..],
-            Layout::Nested => &mut head[..32],
-        };
+        let mut head = [0u8; CHUNK_HEADER];
         // A count the file has no room for the headers of is a lie: say so
         // before looping on it.
-        if u64::from(chunks) * head.len() as u64 > self.left {
+        if u64::from(chunks) * CHUNK_HEADER as u64 > self.left {
             return Err(DecodeError::UnexpectedEof.into());
         }
         for _ in 0..chunks {
-            self.fill(head)?;
-            let mut r = SpillReader::new(head);
-            let min_start = r.i64()?;
-            // `.tgo` keeps the outer two bounds only; they are also the
-            // loosest true values of the inner two.
-            let (max_start, min_end, max_end) = match self.layout {
-                Layout::Flat => (r.i64()?, r.i64()?, r.i64()?),
-                Layout::Nested => {
-                    let max_end = r.i64()?;
-                    (max_end, min_start, max_end)
-                }
-            };
+            self.fill(&mut head)?;
+            let mut r = SpillReader::new(&head);
             let stats = ChunkStats {
-                min_start,
-                max_start,
-                min_end,
-                max_end,
+                min_start: r.i64()?,
+                max_start: r.i64()?,
+                min_end: r.i64()?,
+                max_end: r.i64()?,
                 rows: r.u32()?,
             };
             let len = r.u32()?;
@@ -350,7 +308,7 @@ impl Scan {
     /// Reads one section's rows through the walk: chunks that cannot overlap
     /// `range` are skipped on their statistics, every other payload is
     /// decoded row by row with `row`.
-    pub(crate) fn rows<T>(
+    fn rows<T>(
         &mut self,
         chunks: u32,
         range: Option<&Interval>,
@@ -375,7 +333,7 @@ impl Scan {
 }
 
 /// `iv` cut down to `range`: `None` when nothing of it is left.
-pub(crate) fn clip(iv: Interval, range: Option<&Interval>) -> Option<Interval> {
+fn clip(iv: Interval, range: Option<&Interval>) -> Option<Interval> {
     match range {
         Some(r) => iv.intersect(r),
         None => Some(iv),
@@ -391,10 +349,9 @@ pub fn write_tgc(path: &Path, g: &TGraph, chunk_rows: usize) -> Result<(), Stora
     vertices.sort_by_key(|v| (v.vid, v.interval.start));
     edges.sort_by_key(|e| (e.eid, e.src, e.dst, e.interval.start));
     let rows = [vertices.len(), edges.len()];
-    let mut out = create(path, Layout::Flat, &g.lifespan, rows, chunk_rows)?;
+    let mut out = create(path, &g.lifespan, rows, chunk_rows)?;
     write_chunks(
         &mut out,
-        Layout::Flat,
         &vertices,
         chunk_rows,
         |v| (v.interval.start, v.interval.end),
@@ -406,7 +363,6 @@ pub fn write_tgc(path: &Path, g: &TGraph, chunk_rows: usize) -> Result<(), Stora
     )?;
     write_chunks(
         &mut out,
-        Layout::Flat,
         &edges,
         chunk_rows,
         |e| (e.interval.start, e.interval.end),
@@ -443,7 +399,7 @@ fn edge_row(
 /// are residual-filtered, and intervals are clipped to the range (matching
 /// the `GraphLoader` date-range semantics of §4).
 pub fn read_tgc(path: &Path, range: Option<Interval>) -> Result<(TGraph, ScanStats), StorageError> {
-    let (mut scan, head) = Scan::open(path, Layout::Flat)?;
+    let (mut scan, head) = Scan::open(path)?;
     let range = range.as_ref();
     let mut scanned = ScanStats::default();
     let vertices = scan.rows(head.chunks[0], range, &mut scanned, vertex_row)?;
@@ -461,9 +417,6 @@ pub fn read_tgc(path: &Path, range: Option<Interval>) -> Result<(TGraph, ScanSta
 
 /// Header-only statistics of a `.tgc` file: every chunk's min/max interval
 /// bounds and row count, read without decoding any payload bytes.
-///
-/// This is the input to pre-execution cardinality estimation: a pushdown
-/// scan's row estimate ([`TgcStats::estimated_rows`]) reads these rows.
 #[derive(Clone, Debug)]
 pub struct TgcStats {
     /// Declared lifespan of the stored graph.
@@ -474,32 +427,10 @@ pub struct TgcStats {
     pub edge_chunks: Vec<ChunkStats>,
 }
 
-impl TgcStats {
-    /// Upper-bound row estimate for a scan with the given time-range
-    /// pushdown: vertex and edge rows of every chunk that `may_overlap`.
-    pub fn estimated_rows(&self, range: Option<&Interval>) -> (u64, u64) {
-        (
-            estimate_rows(&self.vertex_chunks, range),
-            estimate_rows(&self.edge_chunks, range),
-        )
-    }
-}
-
-/// Upper-bound rows a pushdown scan over `chunks` decodes: the sum of rows
-/// in chunks whose statistics cannot rule out overlap with `range`
-/// (`None` = full scan, every chunk counts).
-pub fn estimate_rows(chunks: &[ChunkStats], range: Option<&Interval>) -> u64 {
-    chunks
-        .iter()
-        .filter(|c| c.in_scan(range))
-        .map(|c| u64::from(c.rows))
-        .sum()
-}
-
 /// Reads only the file header and chunk headers of a `.tgc` file, seeking
 /// past every payload — O(chunks), not O(rows).
 pub fn read_tgc_stats(path: &Path) -> Result<TgcStats, StorageError> {
-    let (mut scan, head) = Scan::open(path, Layout::Flat)?;
+    let (mut scan, head) = Scan::open(path)?;
     let mut headers = |chunks: u32| -> Result<Vec<ChunkStats>, StorageError> {
         let mut out = Vec::new();
         let keep_none = |stats: &ChunkStats| {
@@ -615,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn header_stats_predict_pushdown_scan() {
+    fn header_stats_match_the_pushdown_scan() {
         // Same era layout as pushdown_skips_chunks: disjoint chunk ranges.
         let mut vertices = Vec::new();
         for era in 0..8i64 {
@@ -634,14 +565,22 @@ mod tests {
         let stats = read_tgc_stats(&path).unwrap();
         assert_eq!(stats.lifespan, g.lifespan);
         assert_eq!(stats.vertex_chunks.len(), 8);
-        assert_eq!(estimate_rows(&stats.vertex_chunks, None), 128);
+        assert!(stats.edge_chunks.is_empty());
+        let rows: u32 = stats.vertex_chunks.iter().map(|c| c.rows).sum();
+        assert_eq!(rows, 128);
 
-        // Header-only estimate equals the rows the real scan decodes.
+        // The chunks whose header statistics may overlap a range are the
+        // chunks the ranged scan decodes.
         let range = Interval::new(3000, 3010);
-        let (v_est, e_est) = stats.estimated_rows(Some(&range));
+        let kept: Vec<&ChunkStats> = stats
+            .vertex_chunks
+            .iter()
+            .filter(|c| c.may_overlap(&range))
+            .collect();
         let (_, scan) = read_tgc(&path, Some(range)).unwrap();
-        assert_eq!(v_est + e_est, scan.rows_read as u64);
-        assert_eq!(v_est, 16);
+        assert_eq!(kept.len(), scan.chunks_read);
+        assert_eq!(kept.iter().map(|c| c.rows as usize).sum::<usize>(), 16);
+        assert_eq!(scan.rows_read, 16);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //!
 //! * [`format`](mod@format) — the flat `.tgc` format: chunked rows, sorted by
 //!   entity id then start, with min/max time statistics and **time-range
-//!   predicate pushdown**.
-//! * [`nested`] — the nested `.tgo` format: pre-grouped history arrays for
-//!   fast OG/OGC loading, with first/last-seen pushdown columns compensating
-//!   for the nested interval data (the paper's workaround).
+//!   predicate pushdown**. It is the one file of a dataset (and of each
+//!   epoch segment): the entity order keeps every history in adjacent rows,
+//!   so the paper's nested copy for OG/OGC is not written.
 //! * [`loader`] — the `GraphLoader` that initializes any of the four
-//!   physical representations from disk with an optional date-range filter.
+//!   physical representations from that file with an optional date-range
+//!   filter.
 //! * [`pool`] — the load-once [`GraphPool`]: `Arc`-shared graph handles for
 //!   long-lived processes (the serving layer) with single-flight loading.
 //!
@@ -26,15 +26,12 @@
 pub mod epochs;
 pub mod format;
 pub mod loader;
-pub mod nested;
 pub mod pool;
 
 pub use epochs::{append_epoch, current_end, read_epochs, EpochEntry};
 pub use format::{
-    estimate_rows, read_tgc, read_tgc_stats, write_tgc, ChunkStats, ScanStats, StorageError,
-    TgcStats,
+    read_tgc, read_tgc_stats, write_tgc, ChunkStats, ScanStats, StorageError, TgcStats,
 };
 pub use loader::{write_dataset, GraphLoader};
-pub use nested::{read_tgo, write_tgo};
 pub use pool::{GraphPool, PoolStats, SharedGraph};
 pub use tgraph_dataflow::{DecodeError, EncodeError};

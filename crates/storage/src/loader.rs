@@ -1,51 +1,38 @@
 //! The `GraphLoader` utility of §4: initializes any physical representation
-//! from files on disk, applying a date-range filter through the formats'
+//! from files on disk, applying a date-range filter through the format's
 //! predicate pushdown.
 //!
-//! Layout conventions per dataset directory:
-//!
-//! * `<name>.temporal.tgc` — flat rows sorted by entity id, then start (VE
-//!   and RG). §4 also wrote a start-then-id copy for RG, ~30% faster on
-//!   HDFS; here RG loads as fast from this one (EXPERIMENTS.md, A1), so
-//!   there is one flat file, and a `.structural.tgc` an older build left
-//!   beside it is never opened.
-//! * `<name>.tgo` — nested history rows (OG and OGC; §4 reports nested
-//!   loading is significantly faster for these).
+//! A dataset directory holds one file per stem, `<name>.temporal.tgc`: flat
+//! rows sorted by entity id, then start. Every representation loads from
+//! it. §4 also wrote a start-then-id copy for RG and a nested copy for
+//! OG/OGC, because on Parquet regrouping the flat rows by entity costs a
+//! shuffle; here the entity order already keeps each history in adjacent
+//! rows, so OG and OGC cut the decoded rows into histories with one sort
+//! and no shuffle (EXPERIMENTS.md, A1). A `.structural.tgc` or `.tgo` an
+//! older build left beside the file is never opened.
 
 use crate::epochs::{read_epochs, segment_stem, EpochEntry};
 use crate::format::{read_tgc, write_tgc, ScanStats, StorageError, DEFAULT_CHUNK_ROWS};
-use crate::nested::{read_tgo, write_tgo, NestedRow};
 use std::path::{Path, PathBuf};
-use tgraph_core::graph::{EdgeId, TGraph, VertexId};
+use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
 use tgraph_dataflow::Runtime;
-use tgraph_repr::common::{fold_histories, EdgeKey, Histories};
+use tgraph_repr::common::histories_of;
 use tgraph_repr::og::OgGraph;
 use tgraph_repr::{AnyGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
 
-/// `<stem>.temporal.tgc` under `dir`.
+/// `<stem>.temporal.tgc` under `dir`: the one file of a file-name stem.
 pub(crate) fn flat_path(dir: &Path, stem: &str) -> PathBuf {
     dir.join(format!("{stem}.temporal.tgc"))
 }
 
-fn nested_path(dir: &Path, stem: &str) -> PathBuf {
-    dir.join(format!("{stem}.tgo"))
-}
-
-/// The two files of one file-name stem: the flat file and the nested file.
-pub(crate) fn stem_paths(dir: &Path, stem: &str) -> [PathBuf; 2] {
-    [flat_path(dir, stem), nested_path(dir, stem)]
-}
-
-/// Writes the two encodings of `g` under one file-name stem: the dataset's
-/// name for the base, [`segment_stem`] for an epoch's segment.
+/// Writes `g` under one file-name stem: the dataset's name for the base,
+/// [`segment_stem`] for an epoch's segment.
 pub(crate) fn write_stem(dir: &Path, stem: &str, g: &TGraph) -> Result<(), StorageError> {
-    let [flat, nested] = stem_paths(dir, stem);
-    write_tgc(&flat, g, DEFAULT_CHUNK_ROWS)?;
-    write_tgo(&nested, g, DEFAULT_CHUNK_ROWS)
+    write_tgc(&flat_path(dir, stem), g, DEFAULT_CHUNK_ROWS)
 }
 
-/// Writes a dataset directory holding all on-disk encodings of a graph.
+/// Writes a dataset directory holding the on-disk encoding of a graph.
 pub fn write_dataset(dir: &Path, name: &str, g: &TGraph) -> Result<(), StorageError> {
     std::fs::create_dir_all(dir)?;
     write_stem(dir, name, g)
@@ -56,25 +43,6 @@ pub fn write_dataset(dir: &Path, name: &str, g: &TGraph) -> Result<(), StorageEr
 pub struct GraphLoader {
     dir: PathBuf,
     name: String,
-}
-
-/// The nested files of a dataset read and merged: base histories with every
-/// epoch segment folded in.
-struct Nested {
-    lifespan: Interval,
-    vertices: Histories<VertexId>,
-    edges: Histories<EdgeKey>,
-    scan: ScanStats,
-}
-
-fn vertex_histories(rows: Vec<NestedRow>) -> Histories<VertexId> {
-    let keyed = rows.into_iter().map(|r| (VertexId(r.id), r.history));
-    keyed.collect()
-}
-
-fn edge_histories(rows: Vec<NestedRow>) -> Histories<EdgeKey> {
-    let key = |r: &NestedRow| (EdgeId(r.id), VertexId(r.src), VertexId(r.dst));
-    rows.into_iter().map(|r| (key(&r), r.history)).collect()
 }
 
 /// The epoch a dataset whose manifest lists `epochs` is at (0 for a
@@ -100,23 +68,6 @@ impl GraphLoader {
     /// The dataset's current epoch number (0 for a base-only dataset).
     pub fn current_epoch(&self) -> Result<u64, StorageError> {
         Ok(last_epoch(&self.epochs()?))
-    }
-
-    /// Header-only chunk statistics of the flat file — the input to pre-scan
-    /// cardinality estimates
-    /// ([`TgcStats::estimated_rows`](crate::TgcStats::estimated_rows)).
-    /// Aggregates the base file with every committed epoch segment, so the
-    /// estimate stays truthful after ingest.
-    pub fn flat_stats(&self) -> Result<crate::TgcStats, StorageError> {
-        let mut stats = crate::read_tgc_stats(&flat_path(&self.dir, &self.name))?;
-        for entry in self.epochs()? {
-            let stem = segment_stem(&self.name, entry.epoch);
-            let s = crate::read_tgc_stats(&flat_path(&self.dir, &stem))?;
-            stats.lifespan = stats.lifespan.hull(&s.lifespan);
-            stats.vertex_chunks.extend(s.vertex_chunks);
-            stats.edge_chunks.extend(s.edge_chunks);
-        }
-        Ok(stats)
     }
 
     /// Loads the flat file as a logical graph, merged with every committed
@@ -145,75 +96,7 @@ impl GraphLoader {
         Ok((g, stats))
     }
 
-    /// Reads the base nested file and folds in every epoch segment `epochs`
-    /// lists ([`fold_histories`]: a state continuing across an epoch
-    /// boundary merges back into one interval, brand-new entities join).
-    fn nested_at(
-        &self,
-        range: Option<Interval>,
-        epochs: &[EpochEntry],
-    ) -> Result<Nested, StorageError> {
-        let (lifespan, vertices, edges, scan) =
-            read_tgo(&nested_path(&self.dir, &self.name), range)?;
-        let mut n = Nested {
-            lifespan,
-            vertices: vertex_histories(vertices),
-            edges: edge_histories(edges),
-            scan,
-        };
-        for entry in epochs {
-            let stem = segment_stem(&self.name, entry.epoch);
-            let (ls, dv, de, s) = read_tgo(&nested_path(&self.dir, &stem), range)?;
-            n.lifespan = n.lifespan.hull(&ls);
-            n.scan.add(s);
-            fold_histories(&mut n.vertices, vertex_histories(dv));
-            fold_histories(&mut n.edges, edge_histories(de));
-        }
-        Ok(n)
-    }
-
-    /// Loads VE from the flat file (the §4 choice: the id-then-start sort
-    /// keeps each entity's history together).
-    pub fn load_ve(
-        &self,
-        rt: &Runtime,
-        range: Option<Interval>,
-    ) -> Result<(VeGraph, ScanStats), StorageError> {
-        self.ve_at(rt, range, &self.epochs()?)
-    }
-
-    fn ve_at(
-        &self,
-        rt: &Runtime,
-        range: Option<Interval>,
-        epochs: &[EpochEntry],
-    ) -> Result<(VeGraph, ScanStats), StorageError> {
-        let (g, scan) = self.flat_at(range, epochs)?;
-        Ok((VeGraph::from_tgraph(rt, &g), scan))
-    }
-
-    /// Loads OG from the nested file: history arrays come pre-grouped, so no
-    /// shuffle is needed — the load-time conversion of §4.
-    pub fn load_og(
-        &self,
-        rt: &Runtime,
-        range: Option<Interval>,
-    ) -> Result<(OgGraph, ScanStats), StorageError> {
-        self.og_at(rt, range, &self.epochs()?)
-    }
-
-    fn og_at(
-        &self,
-        rt: &Runtime,
-        range: Option<Interval>,
-        epochs: &[EpochEntry],
-    ) -> Result<(OgGraph, ScanStats), StorageError> {
-        let n = self.nested_at(range, epochs)?;
-        let og = OgGraph::from_histories(rt, n.lifespan, n.vertices, n.edges);
-        Ok((og, n.scan))
-    }
-
-    /// Loads any representation, using the file layout best suited to it.
+    /// Loads any representation from the flat file and every epoch segment.
     pub fn load(
         &self,
         rt: &Runtime,
@@ -234,29 +117,29 @@ impl GraphLoader {
         range: Option<Interval>,
         epochs: &[EpochEntry],
     ) -> Result<(AnyGraph, ScanStats), StorageError> {
-        Ok(match kind {
-            ReprKind::Ve => {
-                let (g, s) = self.ve_at(rt, range, epochs)?;
-                (AnyGraph::Ve(g), s)
-            }
-            // RG reads the flat file too; its build places each fact in
-            // its snapshots by position, whatever the row order.
-            ReprKind::Rg => {
-                let (g, s) = self.flat_at(range, epochs)?;
-                (AnyGraph::Rg(RgGraph::from_tgraph(rt, &g)), s)
-            }
+        let (g, scan) = self.flat_at(range, epochs)?;
+        let lifespan = g.lifespan;
+        let graph = match kind {
+            ReprKind::Ve => AnyGraph::Ve(VeGraph::from_tgraph(rt, &g)),
+            // RG places each fact in its snapshots by position, whatever the
+            // row order.
+            ReprKind::Rg => AnyGraph::Rg(RgGraph::from_tgraph(rt, &g)),
+            // The decoded rows move into the histories: a base and its
+            // segments hold each entity's rows in runs, and one sort joins
+            // them (a state continuing across an epoch boundary merges back
+            // into one interval).
             ReprKind::Og => {
-                let (g, s) = self.og_at(rt, range, epochs)?;
-                (AnyGraph::Og(g), s)
+                let (vertices, edges) = histories_of(g);
+                AnyGraph::Og(OgGraph::from_histories(rt, lifespan, vertices, edges))
             }
-            // OGC reads the nested file too. The load decodes every
-            // property; the build keeps only the `type` label.
+            // The load decodes every property; the build keeps only the
+            // `type` label.
             ReprKind::Ogc => {
-                let n = self.nested_at(range, epochs)?;
-                let g = OgcGraph::from_histories(rt, n.lifespan, n.vertices, n.edges);
-                (AnyGraph::Ogc(g), n.scan)
+                let (vertices, edges) = histories_of(g);
+                AnyGraph::Ogc(OgcGraph::from_histories(rt, lifespan, vertices, edges))
             }
-        })
+        };
+        Ok((graph, scan))
     }
 }
 
@@ -298,7 +181,9 @@ mod tests {
     fn og_edges_carry_endpoint_copies() {
         let rt = rt();
         let loader = setup("fig1b");
-        let (og, _) = loader.load_og(&rt, None).unwrap();
+        let Ok((AnyGraph::Og(og), _)) = loader.load(&rt, ReprKind::Og, None) else {
+            panic!("an OG load answers OG");
+        };
         let e1 = og
             .edges
             .collect(&rt)
@@ -312,7 +197,9 @@ mod tests {
     fn date_range_filter_applies() {
         let rt = rt();
         let loader = setup("fig1c");
-        let (ve, _) = loader.load_ve(&rt, Some(Interval::new(1, 3))).unwrap();
+        let (ve, _) = loader
+            .load(&rt, ReprKind::Ve, Some(Interval::new(1, 3)))
+            .unwrap();
         let g = ve.to_tgraph(&rt);
         assert_eq!(g.lifespan, Interval::new(1, 3));
         assert!(g.vertices.iter().all(|v| v.interval.end <= 3));
@@ -390,17 +277,45 @@ mod tests {
         assert_eq!(scan.chunks_read, chunks("fig1e.e1"));
         assert_eq!(scan.rows_read, delta.vertices.len() + delta.edges.len());
 
-        // Aggregated header stats stay truthful about the appended rows.
-        let stats = loader.flat_stats().unwrap();
-        assert_eq!(stats.lifespan, Interval::new(1, 13));
-        let (v_est, e_est) = stats.estimated_rows(None);
-        assert_eq!(v_est, (base.vertices.len() + 2) as u64);
-        assert_eq!(e_est, (base.edges.len() + 1) as u64);
+        // The later half of the lifespan [1, 13) crosses the epoch
+        // boundary: the load clips base and segment alike and joins Alice's
+        // two runs, and OG and OGC built from the files equal a build from
+        // the ranged flat graph.
+        let half = Some(Interval::new(7, 13));
+        let (ranged, _) = loader.load_flat(half).unwrap();
+        let clip = |iv: Interval| iv.intersect(&Interval::new(7, 13));
+        let vertices = expected.vertices.iter().filter_map(|v| {
+            let interval = clip(v.interval)?;
+            Some(VertexRecord {
+                interval,
+                ..v.clone()
+            })
+        });
+        let edges = expected.edges.iter().filter_map(|e| {
+            let interval = clip(e.interval)?;
+            Some(EdgeRecord {
+                interval,
+                ..e.clone()
+            })
+        });
+        let clipped = coalesce_graph(&ranged);
+        assert_eq!(clipped.vertices, vertices.collect::<Vec<_>>());
+        assert_eq!(clipped.edges, edges.collect::<Vec<_>>());
+        let og = OgGraph::from_tgraph(&rt, &ranged).to_tgraph(&rt);
+        let ogc = OgcGraph::from_tgraph(&rt, &ranged).to_tgraph(&rt);
+        for (kind, built) in [(ReprKind::Og, og), (ReprKind::Ogc, ogc)] {
+            let (any, _) = loader.load(&rt, kind, half).unwrap();
+            let back = any.to_tgraph(&rt);
+            assert_eq!(back.lifespan, built.lifespan, "{kind}");
+            assert_eq!(back.vertices, built.vertices, "{kind}");
+            assert_eq!(back.edges, built.edges, "{kind}");
+        }
     }
 
-    /// An older build also wrote `<name>.structural.tgc` (order byte 1). The
-    /// loader never opens it: every representation loads as before, and an
-    /// append still commits beside it.
+    /// An older build also wrote `<name>.structural.tgc` (order byte 1) and
+    /// the nested `<name>.tgo`. The loader never opens either: every
+    /// representation loads as before, and an append still commits beside
+    /// them.
     #[test]
     fn a_leftover_structural_file_is_never_read() {
         let rt = rt();
@@ -411,6 +326,7 @@ mod tests {
         let mut old = std::fs::read(flat_path(&dir, "fig1s")).unwrap();
         old[4] = 1;
         std::fs::write(dir.join("fig1s.structural.tgc"), old).unwrap();
+        std::fs::write(dir.join("fig1s.tgo"), b"TGO1 not a nested file").unwrap();
 
         let loader = GraphLoader::new(&dir, "fig1s");
         let expected = coalesce_graph(&base);
@@ -433,7 +349,7 @@ mod tests {
     fn missing_file_is_io_error() {
         let rt = rt();
         let loader = GraphLoader::new(std::env::temp_dir(), "does-not-exist");
-        match loader.load_ve(&rt, None) {
+        match loader.load(&rt, ReprKind::Ve, None) {
             Err(StorageError::Io(_)) => {}
             other => panic!("expected io error, got {:?}", other.map(|_| ())),
         }

@@ -107,7 +107,8 @@ pub struct GraphPool {
 impl GraphPool {
     /// A pool over dataset directory `dir`. Graphs are identified by the
     /// dataset name passed to [`GraphPool::get`] (the `GraphLoader` naming
-    /// convention: `<name>.temporal.tgc` and `<name>.tgo` under `dir`).
+    /// convention: `<name>.temporal.tgc` and its epoch segments under
+    /// `dir`).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         GraphPool {
             dir: dir.into(),

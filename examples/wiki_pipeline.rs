@@ -1,5 +1,5 @@
 //! End-to-end pipeline (§4–5.3): generate a WikiTalk-shaped dataset, persist
-//! it to the columnar `.tgc`/`.tgo` formats, load a time slice back through
+//! it to the columnar `.tgc` format, load a time slice back through
 //! predicate pushdown, and run a chained `aZoom^T` · `wZoom^T` query with a
 //! representation switch in the middle — the full system in one program.
 //!
@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.vertices, stats.edges, stats.snapshots, stats.evolution_rate
     );
 
-    // 2. Persist to disk in both on-disk encodings (flat, nested) — the
-    //    dataset directory a cluster would share.
+    // 2. Persist to disk — the dataset directory a cluster would share: one
+    //    file, rows sorted by entity id, then start.
     let dir = std::env::temp_dir().join("tgraph-wiki-pipeline");
     write_dataset(&dir, "wiki", &g)?;
     println!("wrote dataset to {}", dir.display());
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Load only the last year through predicate pushdown.
     let loader = GraphLoader::new(&dir, "wiki");
     let range = Interval::new(36, 48);
-    let (og, scan) = loader.load_og(&rt, Some(range))?;
+    let (og, scan) = loader.load(&rt, ReprKind::Og, Some(range))?;
     println!(
         "loaded [{range}] as OG: {} chunks read, {} skipped by pushdown, {} rows",
         scan.chunks_read, scan.chunks_skipped, scan.rows_read
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .azoom(bucket)
         .switch_to(ReprKind::Ve)
         .wzoom(wspec)
-        .collect(&rt, AnyGraph::Og(og));
+        .collect(&rt, og);
 
     println!(
         "\ncohort-level quarterly graph: {} cohort states, {} interaction states",

@@ -8,9 +8,10 @@
 //! tgraph azoom data wiki --by editCount --out data --save zoomed
 //! ```
 //!
-//! Datasets live in a directory as the two on-disk encodings written by
-//! `tgraph_storage::write_dataset` (`NAME.temporal.tgc`, `NAME.tgo`). Operators load the representation best suited to them,
-//! execute, and either print a summary or save the result as a new dataset.
+//! A dataset lives in a directory as the one file `tgraph_storage::write_dataset`
+//! writes (`NAME.temporal.tgc`). Operators load the representation they run
+//! on from it, execute, and either print a summary or save the result as a
+//! new dataset.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;

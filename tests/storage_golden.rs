@@ -1,7 +1,7 @@
 //! The storage layer's format golden: `write_dataset` plus two
-//! `append_epoch`s over a fixed generated graph, every file produced (base
-//! and both segments in both encodings, and the manifest) pinned as
-//! `len:checksum` in `storage_golden.golden`. Bytes on disk are the contract
+//! `append_epoch`s over a fixed generated graph, every file produced (the
+//! base, both segments and the manifest) pinned as `len:checksum` in
+//! `storage_golden.golden`. Bytes on disk are the contract
 //! every storage refactor is held to: older datasets must keep loading.
 //!
 //! On a deliberate format change, run the test and paste the table it
