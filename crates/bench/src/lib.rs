@@ -3,11 +3,9 @@
 //! The benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§5). See the experiment index in `DESIGN.md`.
 //!
-//! The crate's three binaries (`cargo run --release -p tgraph-bench --bin …`):
+//! The crate's two binaries (`cargo run --release -p tgraph-bench --bin …`):
 //!
 //! * `experiments -- all` prints the paper-shaped series for every figure;
-//! * `ingestbench` times O(delta) incremental maintenance against a cold
-//!   recompute;
 //! * `tgraph-loadgen` drives a running `tgraph-serve` closed loop and
 //!   reports its latency under load.
 

@@ -24,4 +24,4 @@ pub mod transform;
 
 pub use generators::{NGrams, Snb, WikiTalk};
 pub use stats::{graph_stats, GraphStats};
-pub use transform::{coarsen_time, inject_attribute_changes, last_points, project_random_groups};
+pub use transform::{coarsen_time, inject_attribute_changes, project_random_groups};

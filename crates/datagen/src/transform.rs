@@ -152,13 +152,6 @@ pub fn inject_attribute_changes(g: &TGraph, period: u32) -> TGraph {
     }
 }
 
-/// Restricts a graph to its last `points` time points (the paper's
-/// "we select the last 160 months of history" style slicing for Fig. 11).
-pub fn last_points(g: &TGraph, points: u64) -> TGraph {
-    let start = (g.lifespan.end - points as i64).max(g.lifespan.start);
-    g.slice(Interval::new(start, g.lifespan.end))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,18 +249,5 @@ mod tests {
         let m = inject_attribute_changes(&g, 2);
         let c = tgraph_core::coalesce::coalesce_graph(&m);
         assert_eq!(c.vertex_tuple_count(), m.vertex_tuple_count());
-    }
-
-    #[test]
-    fn last_points_slices() {
-        let g = WikiTalk {
-            vertices: 100,
-            months: 24,
-            ..WikiTalk::default()
-        }
-        .generate();
-        let s = last_points(&g, 6);
-        assert_eq!(s.lifespan.len(), 6);
-        assert!(validate(&s).is_empty());
     }
 }

@@ -137,7 +137,7 @@ pub fn patch_from_storage(
         .load_flat(Some(Interval::new(cut, Time::MAX)))
         .map_err(NoPatch::Storage)?;
     suffix.lifespan = Interval::new(cut, lifespan.end);
-    let out = pipeline.collect(rt, AnyGraph::load(rt, &suffix, repr));
+    let out = pipeline.collect(rt, AnyGraph::from_tgraph(rt, suffix, repr));
     Ok(Patched {
         result: stitch(cached, &out, cut),
         cut,

@@ -15,26 +15,24 @@
 //!   after the boundary), unions onto the resident sequence. A fresh full
 //!   build may also materialize empty gap snapshots between the epochs;
 //!   those emit no facts, so the logical graph is unaffected.
-//! * **OG** — the resident's history arrays are collected, the delta's are
-//!   folded in ([`fold_histories`]) and [`OgGraph::from_histories`] builds
-//!   the graph again, shared endpoints included.
-//! * **OGC** — the resident's rows as histories, followed by the delta's
-//!   ([`histories_of`]), go through [`OgcGraph::from_histories`], which
-//!   lays out the interval table and every bitset.
+//! * **OG**, **OGC** — the resident's rows laid flat as they are held (one
+//!   fact per state of an OG history, per set bit of an OGC row; no sort),
+//!   followed by the delta's, go through [`AnyGraph::from_tgraph`] with
+//!   the hull lifespan: the constructor a load uses groups and coalesces
+//!   them in its one sort (a state continuing across the boundary merges
+//!   back into one interval) and builds the graph again, OG's shared
+//!   endpoints and OGC's interval table included.
 //!
 //! An OG or OGC resident therefore stays what a load produces, a
 //! materialized source: its lineage does not deepen with the number of
-//! epochs and a later zoom re-executes no earlier append. The cost is one
-//! pass over the resident, like the collect the rebuild starts with. In
+//! epochs and a later zoom re-executes no earlier append. The cost is a
+//! collect of the resident's rows and the constructor's sort over them. In
 //! every case `append(load(base), delta) ≡
 //! load(base ∪ delta)` *as a logical TGraph* — physical layouts (partition
 //! boundaries, gap snapshots) may differ, which downstream coalescing and
 //! the deterministic result serialization wash out; `tests/append_epochs.rs`
 //! pins this per representation, epoch after epoch.
 
-use crate::common::{fold_histories, histories_of};
-use crate::og::{OgEdge, OgGraph};
-use crate::ogc::OgcGraph;
 use crate::rg::RgGraph;
 use crate::ve::VeGraph;
 use crate::AnyGraph;
@@ -72,38 +70,30 @@ impl AnyGraph {
             "append invariant violated: delta fact starts before the boundary"
         );
         let lifespan = self.lifespan().hull(&delta.lifespan);
-        match self {
-            AnyGraph::Ve(g) => AnyGraph::Ve(VeGraph {
-                lifespan,
-                vertices: g
-                    .vertices
-                    .union(&Dataset::from_vec(rt, delta.vertices.clone())),
-                edges: g.edges.union(&Dataset::from_vec(rt, delta.edges.clone())),
-            }),
-            AnyGraph::Rg(g) => AnyGraph::Rg(RgGraph {
-                lifespan,
-                snapshots: g
-                    .snapshots
-                    .union(&RgGraph::from_tgraph(rt, delta).snapshots),
-            }),
-            AnyGraph::Og(g) => {
-                let (delta_vertices, delta_edges) = histories_of(delta.clone());
-                let mut vertices = g.vertices.map(|v| (v.vid, v.history.clone())).collect(rt);
-                fold_histories(&mut vertices, delta_vertices);
-                // Only an edge's own history: its endpoints are shared again
-                // from the folded vertex histories.
-                let keyed = |e: &OgEdge| ((e.eid, e.src.vid, e.dst.vid), e.history.clone());
-                let mut edges = g.edges.map(keyed).collect(rt);
-                fold_histories(&mut edges, delta_edges);
-                AnyGraph::Og(OgGraph::from_histories(rt, lifespan, vertices, edges))
+        let mut rows = match self {
+            AnyGraph::Ve(g) => {
+                return AnyGraph::Ve(VeGraph {
+                    lifespan,
+                    vertices: g
+                        .vertices
+                        .union(&Dataset::from_vec(rt, delta.vertices.clone())),
+                    edges: g.edges.union(&Dataset::from_vec(rt, delta.edges.clone())),
+                })
             }
-            AnyGraph::Ogc(g) => {
-                let (delta_vertices, delta_edges) = histories_of(delta.clone());
-                let (mut vertices, mut edges) = g.histories(rt);
-                vertices.extend(delta_vertices);
-                edges.extend(delta_edges);
-                AnyGraph::Ogc(OgcGraph::from_histories(rt, lifespan, vertices, edges))
+            AnyGraph::Rg(g) => {
+                return AnyGraph::Rg(RgGraph {
+                    lifespan,
+                    snapshots: g
+                        .snapshots
+                        .union(&RgGraph::from_tgraph(rt, delta.clone()).snapshots),
+                })
             }
-        }
+            AnyGraph::Og(g) => g.rows(rt),
+            AnyGraph::Ogc(g) => g.rows(rt),
+        };
+        rows.lifespan = lifespan;
+        rows.vertices.extend(delta.vertices.iter().cloned());
+        rows.edges.extend(delta.edges.iter().cloned());
+        AnyGraph::from_tgraph(rt, rows, self.kind())
     }
 }

@@ -2,14 +2,13 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 use tgraph_core::coalesce::{coalesce_edges, coalesce_group, coalesce_vertices, is_coalesced_run};
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::azoom::{AZoomSpec, AggAccumulator};
-use tgraph_core::zoom::wzoom::{Quantifier, WZoomSpec};
+use tgraph_core::zoom::wzoom::Quantifier;
 use tgraph_dataflow::lock_unpoisoned;
 
 /// A temporal state: a validity interval plus the property assignment held
@@ -32,7 +31,7 @@ pub fn coalesce_states(states: &[State]) -> Cow<'_, [State]> {
 pub type EdgeKey = (EdgeId, VertexId, VertexId);
 
 /// One relation as history arrays: one entry per entity, its states sorted
-/// by start and coalesced. What the OG and OGC constructors take.
+/// by start and coalesced. What the OG and OGC constructors build from.
 pub type Histories<K> = Vec<(K, Vec<State>)>;
 
 /// The grouper: the facts of a logical graph as per-entity histories in key
@@ -72,29 +71,6 @@ fn runs<T, K: Copy + Eq>(
         }
     }
     out
-}
-
-/// The fold: extends `resident` with the histories of a later epoch. An
-/// entity present in both gets the epoch's states appended and is coalesced
-/// again (a state continuing across the epoch boundary merges back into one
-/// interval); untouched histories are not visited; new entities join at the
-/// end.
-pub fn fold_histories<K: Copy + Eq + Hash>(resident: &mut Histories<K>, epoch: Histories<K>) {
-    let index: HashMap<K, usize> = resident
-        .iter()
-        .enumerate()
-        .map(|(i, (key, _))| (*key, i))
-        .collect();
-    for (key, states) in epoch {
-        match index.get(&key) {
-            Some(&i) => {
-                let mut all = std::mem::take(&mut resident[i].1);
-                all.extend(states);
-                resident[i].1 = coalesce_group(all);
-            }
-            None => resident.push((key, states)),
-        }
-    }
 }
 
 /// The base properties of `aZoom^T` group nodes where one group is met many
@@ -311,20 +287,11 @@ pub fn clip_history(history: &[State], mask: &[Interval]) -> Vec<State> {
     coalesce_group(out)
 }
 
-/// Vertex-side resolve honoring per-attribute overrides of the spec.
-pub fn resolve_vertex_states(spec: &WZoomSpec, states: &[State]) -> Props {
-    spec.resolve_vertex(states)
-}
-
-/// Edge-side resolve.
-pub fn resolve_edge_states(spec: &WZoomSpec, states: &[State]) -> Props {
-    spec.resolve_edge(states)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::hash::Hash;
     use std::sync::Arc;
     use tgraph_core::splitter::splitter;
     use tgraph_core::zoom::azoom::{AggFn, AggSpec};

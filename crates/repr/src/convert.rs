@@ -110,14 +110,22 @@ impl AnyGraph {
         }
     }
 
-    /// Loads a logical graph into the requested representation.
-    pub fn load(rt: &Runtime, g: &tgraph_core::TGraph, kind: ReprKind) -> AnyGraph {
+    /// Builds the requested representation from a logical graph, whose rows
+    /// move into it: the one way rows become a representation, whether they
+    /// were decoded from files, converted, or appended to a resident.
+    pub fn from_tgraph(rt: &Runtime, g: tgraph_core::TGraph, kind: ReprKind) -> AnyGraph {
         match kind {
             ReprKind::Rg => AnyGraph::Rg(RgGraph::from_tgraph(rt, g)),
             ReprKind::Ve => AnyGraph::Ve(VeGraph::from_tgraph(rt, g)),
             ReprKind::Og => AnyGraph::Og(OgGraph::from_tgraph(rt, g)),
             ReprKind::Ogc => AnyGraph::Ogc(OgcGraph::from_tgraph(rt, g)),
         }
+    }
+
+    /// [`AnyGraph::from_tgraph`] of a copy of `g`, for a caller that keeps
+    /// its graph.
+    pub fn load(rt: &Runtime, g: &tgraph_core::TGraph, kind: ReprKind) -> AnyGraph {
+        Self::from_tgraph(rt, g.clone(), kind)
     }
 
     /// Switches to another representation (identity if already there).
@@ -139,7 +147,7 @@ impl AnyGraph {
             (AnyGraph::Ve(ve), ReprKind::Og) => AnyGraph::Og(ve_to_og(rt, ve)),
             (AnyGraph::Og(og), ReprKind::Ve) => AnyGraph::Ve(og_to_ve(rt, og)),
             // Everything else goes through the logical graph.
-            (g, kind) => AnyGraph::load(rt, &g.to_tgraph(rt), kind),
+            (g, kind) => AnyGraph::from_tgraph(rt, g.to_tgraph(rt), kind),
         };
         if rt.checked() {
             // Validate the canonical (coalesced) logical form: physical
@@ -239,7 +247,7 @@ mod tests {
     fn ve_og_roundtrip() {
         let rt = rt();
         let g = canonical(&figure1_graph_stable_ids());
-        let ve = VeGraph::from_tgraph(&rt, &g);
+        let ve = VeGraph::from_tgraph(&rt, g.clone());
         let og = ve_to_og(&rt, &ve);
         assert_eq!(og.vertex_count(&rt), 3);
         assert_eq!(og.edge_count(&rt), 2);

@@ -22,7 +22,7 @@
 #![allow(clippy::type_complexity)]
 
 pub mod append;
-pub mod common;
+mod common;
 pub mod convert;
 pub mod og;
 pub mod ogc;

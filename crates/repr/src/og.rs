@@ -17,8 +17,7 @@
 
 use crate::common::{
     aggregate_group_history, clip_history, coalesce_states, existence, histories_of,
-    resolve_edge_states, resolve_vertex_states, rezoom_history, EdgeKey, GroupBases, Histories,
-    State,
+    rezoom_history, GroupBases, State,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -102,43 +101,27 @@ pub struct OgGraph {
 }
 
 impl OgGraph {
-    /// Builds OG from the logical graph: histories are grouped per entity,
-    /// sorted, and coalesced; edges receive their endpoints.
-    pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        let (vertices, edges) = histories_of(g.clone());
-        Self::from_histories(rt, g.lifespan, vertices, edges)
-    }
-
-    /// Builds OG from per-entity histories, each sorted by start and
-    /// coalesced: every vertex that is an endpoint is copied once into an
-    /// `Arc` that all its edges share, and rows are put in id order. An
-    /// endpoint without a vertex row — a date-range load can leave one
-    /// outside the range — gets an empty history.
-    pub fn from_histories(
-        rt: &Runtime,
-        lifespan: Interval,
-        vertices: Histories<VertexId>,
-        edges: Histories<EdgeKey>,
-    ) -> Self {
-        let mut vertices: Vec<OgVertex> = vertices
+    /// Builds OG from the logical graph: its rows move into per-entity
+    /// histories in id order, each sorted by start and coalesced; every
+    /// vertex that is an endpoint is copied once into an `Arc` that all its
+    /// edges share. An endpoint without a vertex row — a date-range load can
+    /// leave one outside the range — gets an empty history.
+    pub fn from_tgraph(rt: &Runtime, g: TGraph) -> Self {
+        let lifespan = g.lifespan;
+        let (vertices, edges) = histories_of(g);
+        let vertices: Vec<OgVertex> = vertices
             .into_iter()
             .map(|(vid, history)| OgVertex { vid, history })
             .collect();
-        vertices.sort_by_key(|v| v.vid);
-        let index: HashMap<VertexId, usize> = vertices
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.vid, i))
-            .collect();
         let mut shared: Vec<Option<Arc<OgVertex>>> = vec![None; vertices.len()];
-        let mut endpoint = |vid: VertexId| match index.get(&vid) {
-            Some(&i) => Arc::clone(shared[i].get_or_insert_with(|| Arc::new(vertices[i].clone()))),
-            None => Arc::new(OgVertex {
+        let mut endpoint = |vid: VertexId| match vertices.binary_search_by_key(&vid, |v| v.vid) {
+            Ok(i) => Arc::clone(shared[i].get_or_insert_with(|| Arc::new(vertices[i].clone()))),
+            Err(_) => Arc::new(OgVertex {
                 vid,
                 history: Vec::new(),
             }),
         };
-        let mut edges: Vec<OgEdge> = edges
+        let edges: Vec<OgEdge> = edges
             .into_iter()
             .map(|((eid, src, dst), history)| OgEdge {
                 eid,
@@ -147,7 +130,6 @@ impl OgGraph {
                 history,
             })
             .collect();
-        edges.sort_by_key(|e| (e.eid, e.src.vid, e.dst.vid));
         OgGraph {
             lifespan,
             vertices: Dataset::from_vec(rt, vertices),
@@ -157,14 +139,18 @@ impl OgGraph {
 
     /// Materializes the logical graph (coalesced, deterministically sorted).
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
-        // History arrays laid flat are the OG → VE conversion.
+        self.rows(rt).into_coalesced()
+    }
+
+    /// The history arrays laid flat (the OG → VE conversion) and collected
+    /// as they lie, in no particular order.
+    pub(crate) fn rows(&self, rt: &Runtime) -> TGraph {
         let flat = crate::convert::og_to_ve(rt, self);
         TGraph {
             lifespan: self.lifespan,
             vertices: flat.vertices.collect(rt),
             edges: flat.edges.collect(rt),
         }
-        .into_coalesced()
     }
 
     /// The logical graph's change points ([`TGraph::change_points`]), read
@@ -331,7 +317,7 @@ impl OgGraph {
         let spec_v = Arc::clone(&spec);
         let rezoom_vertex = move |history: &[State]| {
             rezoom_history(history, &ws, &spec_v.vertex_quantifier, |s| {
-                resolve_vertex_states(&spec_v, s)
+                spec_v.resolve_vertex(s)
             })
         };
 
@@ -351,7 +337,7 @@ impl OgGraph {
             self.edges
                 .flat_map_with(move |zoomed: &mut ZoomedEndpoints, e, emit| {
                     let history = rezoom_history(&e.history, &ws, &spec_e.edge_quantifier, |s| {
-                        resolve_edge_states(&spec_e, s)
+                        spec_e.resolve_edge(s)
                     });
                     // Refresh the endpoints by zooming them locally with the
                     // same (pure) per-vertex computation the vertex relation
@@ -439,7 +425,7 @@ mod tests {
     fn figure6_structure() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let og = OgGraph::from_tgraph(&rt, &g);
+        let og = OgGraph::from_tgraph(&rt, g);
         assert_eq!(og.vertex_count(&rt), 3, "one record per vertex");
         assert_eq!(og.edge_count(&rt), 2);
         let bob = og
@@ -466,7 +452,7 @@ mod tests {
     fn roundtrip_through_tgraph() {
         let rt = rt();
         let g = coalesce_graph(&figure1_graph_stable_ids());
-        let og = OgGraph::from_tgraph(&rt, &g);
+        let og = OgGraph::from_tgraph(&rt, g.clone());
         let back = og.to_tgraph(&rt);
         assert_eq!(back.vertices, g.vertices);
         assert_eq!(back.edges, g.edges);
@@ -477,7 +463,7 @@ mod tests {
         let rt = rt();
         let g = figure1_graph_stable_ids();
         let expected = azoom_reference(&g, &school_spec());
-        let got = OgGraph::from_tgraph(&rt, &g)
+        let got = OgGraph::from_tgraph(&rt, g)
             .azoom(&rt, &school_spec())
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -491,7 +477,7 @@ mod tests {
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::All)
             .with_vertex_override("school", ResolveFn::Last);
         let expected = wzoom_reference(&g, &spec);
-        let got = OgGraph::from_tgraph(&rt, &g)
+        let got = OgGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -504,7 +490,7 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let spec = WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists);
         let expected = wzoom_reference(&g, &spec);
-        let got = OgGraph::from_tgraph(&rt, &g)
+        let got = OgGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -517,7 +503,7 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::Exists);
         let expected = wzoom_reference(&g, &spec);
-        let got = OgGraph::from_tgraph(&rt, &g)
+        let got = OgGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -531,7 +517,7 @@ mod tests {
     fn change_points_agree_with_the_logical_graph() {
         let rt = rt();
         for g in [figure1_graph_stable_ids(), hub_graph()] {
-            let og = OgGraph::from_tgraph(&rt, &g);
+            let og = OgGraph::from_tgraph(&rt, g.clone());
             assert_eq!(og.change_points(&rt), og.to_tgraph(&rt).change_points());
             let zoomed = og.azoom(&rt, &school_spec());
             assert_eq!(
@@ -582,7 +568,7 @@ mod tests {
     #[test]
     fn edges_share_their_endpoints_before_and_after_wzoom() {
         let rt = rt();
-        let og = OgGraph::from_tgraph(&rt, &hub_graph());
+        let og = OgGraph::from_tgraph(&rt, hub_graph());
         let edges = og.edges.collect(&rt);
         assert_eq!(edges.len(), 60);
         assert!(
@@ -611,7 +597,7 @@ mod tests {
     fn wzoom_on_a_shared_hub_matches_reference() {
         let rt = rt();
         let g = hub_graph();
-        let og = OgGraph::from_tgraph(&rt, &g);
+        let og = OgGraph::from_tgraph(&rt, g.clone());
         // all/exists reaches the dangling-edge join; exists/exists does not.
         // The 4 KiB budget sends the joins' shared endpoints through runs.
         for budget in [0, 4 << 10] {
@@ -647,7 +633,7 @@ mod tests {
             )],
         );
         let spec = AZoomSpec::by_property("g", "group", vec![AggSpec::count("n")]);
-        let og = OgGraph::from_tgraph(&rt, &g).azoom(&rt, &spec);
+        let og = OgGraph::from_tgraph(&rt, g.clone()).azoom(&rt, &spec);
         let edges = og.edges.collect(&rt);
         assert_eq!(edges.len(), 2, "edge splits into (a→a) and (a→b)");
         let expected = azoom_reference(&g, &spec);

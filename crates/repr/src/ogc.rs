@@ -9,7 +9,7 @@
 //! removal, which §3.2 needs only when `r_v` is more restrictive than `r_e`,
 //! is a bitwise AND with the endpoints' bits.
 
-use crate::common::{histories_of, EdgeKey, Histories, State};
+use crate::common::{histories_of, Histories};
 use std::collections::HashSet;
 use std::sync::Arc;
 use tgraph_core::bitset::Bitset;
@@ -62,30 +62,17 @@ pub struct OgcGraph {
 
 impl OgcGraph {
     /// Builds OGC from the logical graph, discarding all attributes except
-    /// the `type` label.
-    pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
-        let (vertices, edges) = histories_of(g.clone());
-        Self::from_histories(rt, g.lifespan, vertices, edges)
-    }
-
-    /// Builds OGC from per-entity histories: the interval table is the
-    /// splitter of every state's interval, a row's bits are the table
-    /// entries its states cover, its label is its first state's `type` (one
-    /// shared string per distinct label), and rows are put in id order.
-    /// States need not be coalesced, and an entity listed more than once
-    /// gets one row over all of its entries: the in-memory append lists the
-    /// resident's rows, then the epoch's.
-    pub fn from_histories(
-        rt: &Runtime,
-        lifespan: Interval,
-        vertices: Histories<VertexId>,
-        edges: Histories<EdgeKey>,
-    ) -> Self {
-        fn spans<K>(histories: &Histories<K>) -> impl Iterator<Item = &Interval> {
-            let states = histories.iter().flat_map(|(_, history)| history);
-            states.map(|(iv, _)| iv)
-        }
-        let elems = Arc::new(splitter(spans(&vertices).chain(spans(&edges))));
+    /// the `type` label. The interval table is the splitter of every row's
+    /// interval as given, so a graph rebuilt from its own rows (one per set
+    /// bit) keeps every entry. The rows then move into per-entity histories
+    /// in id order: a row's bits are the table entries its states cover, and
+    /// its label is its first state's `type` (one shared string per distinct
+    /// label).
+    pub fn from_tgraph(rt: &Runtime, g: TGraph) -> Self {
+        let spans = g.vertices.iter().map(|v| &v.interval);
+        let elems = Arc::new(splitter(spans.chain(g.edges.iter().map(|e| &e.interval))));
+        let lifespan = g.lifespan;
+        let (vertices, edges) = histories_of(g);
         let mut labels = HashSet::new();
         let vertices = rows(vertices, &elems, &mut labels)
             .map(|(vid, vtype, intervals)| OgcVertex {
@@ -112,10 +99,15 @@ impl OgcGraph {
     }
 
     /// Materializes the topology as a logical TGraph (entities carry only
-    /// their `type` property), coalesced and deterministically sorted. The
-    /// workers emit one fact per set bit straight into the record lists:
-    /// going through [`OgcGraph::histories`] would hold every fact twice.
+    /// their `type` property), coalesced and deterministically sorted.
     pub fn to_tgraph(&self, rt: &Runtime) -> TGraph {
+        self.rows(rt).into_coalesced()
+    }
+
+    /// The rows as they are held, collected in no particular order: the
+    /// workers emit one fact per set bit, so every boundary of the interval
+    /// table is the start or end of some fact.
+    pub(crate) fn rows(&self, rt: &Runtime) -> TGraph {
         let elems = Arc::clone(&self.intervals);
         let vertices: Vec<VertexRecord> = self
             .vertices
@@ -151,28 +143,6 @@ impl OgcGraph {
             vertices,
             edges,
         }
-        .into_coalesced()
-    }
-
-    /// The rows as they are held: one state per set bit, so every boundary of
-    /// the interval table is the start or end of some state.
-    pub(crate) fn histories(&self, rt: &Runtime) -> (Histories<VertexId>, Histories<EdgeKey>) {
-        fn states(elems: &[Interval], label: &str, bits: &Bitset) -> Vec<State> {
-            let props = Props::typed(label);
-            bits.iter_ones()
-                .map(|i| (elems[i], props.clone()))
-                .collect()
-        }
-        let elems = Arc::clone(&self.intervals);
-        let vertices = self
-            .vertices
-            .map(move |v| (v.vid, states(&elems, &v.vtype, &v.intervals)));
-        let elems = Arc::clone(&self.intervals);
-        let edges = self.edges.map(move |e| {
-            let key = (e.eid, e.src, e.dst);
-            (key, states(&elems, &e.etype, &e.intervals))
-        });
-        (vertices.collect(rt), edges.collect(rt))
     }
 
     /// Number of vertex records.
@@ -308,46 +278,35 @@ impl OgcGraph {
     }
 }
 
-/// One `(key, type label, presence bits)` per entity of `histories`, in key
-/// order: the row layout [`OgcGraph::from_histories`] documents. `elems` is
-/// the splitter of every state, sorted and gap-free, so a state covers the
-/// run of entries from the one that starts where it starts; `labels` holds
-/// the label strings handed out so far, shared by every row that repeats one.
-fn rows<K: Copy + Ord>(
-    mut histories: Histories<K>,
-    elems: &[Interval],
-    labels: &mut HashSet<Arc<str>>,
-) -> impl Iterator<Item = (K, Arc<str>, Bitset)> {
-    // Stable, so of an entity listed twice the first entry's label wins.
-    histories.sort_by_key(|(key, _)| *key);
-    let mut rows: Vec<(K, Arc<str>, Bitset)> = Vec::with_capacity(histories.len());
-    for (key, history) in histories {
-        let fill = |bits: &mut Bitset| {
-            for (iv, _) in &history {
-                let mut i = elems.partition_point(|e| e.start < iv.start);
-                while i < elems.len() && elems[i].start < iv.end {
-                    bits.set(i);
-                    i += 1;
-                }
-            }
-        };
-        match rows.last_mut() {
-            Some((listed, _, bits)) if *listed == key => fill(bits),
-            _ => {
-                let label = history.first().and_then(|(_, props)| props.type_label());
-                let label = label.unwrap_or("");
-                let label = labels.get(label).cloned().unwrap_or_else(|| {
-                    let shared: Arc<str> = Arc::from(label);
-                    labels.insert(Arc::clone(&shared));
-                    shared
-                });
-                let mut bits = Bitset::new(elems.len());
-                fill(&mut bits);
-                rows.push((key, label, bits));
+/// One `(key, type label, presence bits)` per entity of `histories`, in
+/// their order: the row layout [`OgcGraph::from_tgraph`] documents. `elems`
+/// is sorted and gap-free and every state starts on one of its entries, so a
+/// state covers the run of entries from the one that starts where it starts;
+/// `labels` holds the label strings handed out so far, shared by every row
+/// that repeats one.
+fn rows<'a, K: 'a>(
+    histories: Histories<K>,
+    elems: &'a [Interval],
+    labels: &'a mut HashSet<Arc<str>>,
+) -> impl Iterator<Item = (K, Arc<str>, Bitset)> + 'a {
+    histories.into_iter().map(move |(key, history)| {
+        let label = history.first().and_then(|(_, props)| props.type_label());
+        let label = label.unwrap_or("");
+        let label = labels.get(label).cloned().unwrap_or_else(|| {
+            let shared: Arc<str> = Arc::from(label);
+            labels.insert(Arc::clone(&shared));
+            shared
+        });
+        let mut bits = Bitset::new(elems.len());
+        for (iv, _) in &history {
+            let mut i = elems.partition_point(|e| e.start < iv.start);
+            while i < elems.len() && elems[i].start < iv.end {
+                bits.set(i);
+                i += 1;
             }
         }
-    }
-    rows.into_iter()
+        (key, label, bits)
+    })
 }
 
 #[cfg(test)]
@@ -395,7 +354,7 @@ mod tests {
     fn figure7_structure() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let ogc = OgcGraph::from_tgraph(&rt, &g);
+        let ogc = OgcGraph::from_tgraph(&rt, g);
         // Splitter: [1,2), [2,5), [5,7), [7,9).
         assert_eq!(ogc.intervals.len(), 4);
         let ann = ogc
@@ -420,7 +379,7 @@ mod tests {
         let rt = rt();
         let g = figure1_graph_stable_ids();
         let expected = topology_only(&g);
-        let back = OgcGraph::from_tgraph(&rt, &g).to_tgraph(&rt);
+        let back = OgcGraph::from_tgraph(&rt, g).to_tgraph(&rt);
         assert_eq!(back.vertices, expected.vertices);
         assert_eq!(back.edges, expected.edges);
     }
@@ -438,7 +397,7 @@ mod tests {
         ] {
             let spec = WZoomSpec::points(3, vq, eq);
             let expected = wzoom_reference(&g, &spec);
-            let got = OgcGraph::from_tgraph(&rt, &g)
+            let got = OgcGraph::from_tgraph(&rt, g.clone())
                 .wzoom(&rt, &spec)
                 .to_tgraph(&rt);
             assert_eq!(got.vertices, expected.vertices, "vq={vq:?} eq={eq:?}");
@@ -451,7 +410,7 @@ mod tests {
         let rt = rt();
         let g = topology_only(&figure1_graph_stable_ids());
         let spec = WZoomSpec::points(2, Quantifier::Exists, Quantifier::Exists);
-        let out = OgcGraph::from_tgraph(&rt, &g)
+        let out = OgcGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert!(tgraph_core::validate::validate(&out).is_empty());
@@ -460,7 +419,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let rt = rt();
-        let ogc = OgcGraph::from_tgraph(&rt, &TGraph::new());
+        let ogc = OgcGraph::from_tgraph(&rt, TGraph::new());
         assert_eq!(ogc.vertex_count(&rt), 0);
         let out = ogc.wzoom(&rt, &WZoomSpec::points(3, Quantifier::All, Quantifier::All));
         assert_eq!(out.vertex_count(&rt), 0);

@@ -9,7 +9,7 @@
 //! why the paper finds RG to be the slowest representation on every workload
 //! (§5) — behaviour this implementation reproduces by construction.
 
-use crate::common::{resolve_edge_states, resolve_vertex_states, window_reduce, GroupBases, State};
+use crate::common::{window_reduce, GroupBases, State};
 use std::sync::Arc;
 use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use tgraph_core::props::Props;
@@ -54,7 +54,7 @@ fn covering(snapshots: &mut [RgSnapshot], iv: Interval) -> impl Iterator<Item = 
 impl RgGraph {
     /// Materializes the snapshot sequence of a logical TGraph: one snapshot
     /// per elementary no-change interval.
-    pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
+    pub fn from_tgraph(rt: &Runtime, g: TGraph) -> Self {
         let mut snapshots: Vec<RgSnapshot> = elementary_intervals(&g.change_points())
             .into_iter()
             .map(|interval| RgSnapshot {
@@ -267,7 +267,7 @@ impl RgGraph {
                 .group_by_key(rt)
                 .flat_map(move |((idx, vid), states)| {
                     window_reduce(ws[*idx], states, &spec_v.vertex_quantifier, |s| {
-                        resolve_vertex_states(&spec_v, s)
+                        spec_v.resolve_vertex(s)
                     })
                     .map(|props| ((*idx, *vid), props))
                 });
@@ -288,7 +288,7 @@ impl RgGraph {
                 .group_by_key(rt)
                 .flat_map(move |((idx, eid, src, dst), states)| {
                     window_reduce(ws[*idx], states, &spec_e.edge_quantifier, |s| {
-                        resolve_edge_states(&spec_e, s)
+                        spec_e.resolve_edge(s)
                     })
                     .map(|props| ((*idx, *src), (*eid, *src, *dst, props)))
                 });
@@ -451,7 +451,7 @@ mod tests {
     fn snapshot_sequence_matches_figure4() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let rg = RgGraph::from_tgraph(&rt, &g);
+        let rg = RgGraph::from_tgraph(&rt, g);
         let mut snaps = rg.snapshots.collect(&rt);
         snaps.sort_by_key(|s| s.interval.start);
         // Elementary intervals: [1,2), [2,5), [5,7), [7,9).
@@ -470,7 +470,7 @@ mod tests {
     fn roundtrip_through_tgraph() {
         let rt = rt();
         let g = coalesce_graph(&figure1_graph_stable_ids());
-        let rg = RgGraph::from_tgraph(&rt, &g);
+        let rg = RgGraph::from_tgraph(&rt, g.clone());
         let back = rg.to_tgraph(&rt);
         assert_eq!(back.vertices, g.vertices);
         assert_eq!(back.edges, g.edges);
@@ -480,7 +480,7 @@ mod tests {
     fn rg_replication_footprint() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let rg = RgGraph::from_tgraph(&rt, &g);
+        let rg = RgGraph::from_tgraph(&rt, g);
         // Ann appears in 3 snapshots, Bob in 3, Cat in 4 → 10 vertex tuples
         // versus VE's 4: the compactness loss the paper describes.
         assert_eq!(rg.total_vertex_tuples(&rt), 10);
@@ -492,7 +492,7 @@ mod tests {
         let rt = rt();
         let g = figure1_graph_stable_ids();
         let expected = azoom_reference(&g, &school_spec());
-        let got = RgGraph::from_tgraph(&rt, &g)
+        let got = RgGraph::from_tgraph(&rt, g)
             .azoom(&rt, &school_spec())
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -506,7 +506,7 @@ mod tests {
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::All)
             .with_vertex_override("school", ResolveFn::Last);
         let expected = wzoom_reference(&g, &spec);
-        let got = RgGraph::from_tgraph(&rt, &g)
+        let got = RgGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -519,7 +519,7 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let spec = WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists);
         let expected = wzoom_reference(&g, &spec);
-        let got = RgGraph::from_tgraph(&rt, &g)
+        let got = RgGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert_eq!(got.vertices, expected.vertices);
@@ -532,7 +532,7 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::Exists);
         let expected = wzoom_reference(&g, &spec);
-        let got = RgGraph::from_tgraph(&rt, &g)
+        let got = RgGraph::from_tgraph(&rt, g)
             .wzoom(&rt, &spec)
             .to_tgraph(&rt);
         assert_eq!(got.edges, expected.edges);
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn azoom_empty_graph() {
         let rt = rt();
-        let rg = RgGraph::from_tgraph(&rt, &TGraph::new());
+        let rg = RgGraph::from_tgraph(&rt, TGraph::new());
         let out = rg.azoom(&rt, &school_spec());
         assert_eq!(out.snapshots.count(&rt), 0);
     }

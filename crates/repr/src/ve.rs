@@ -10,8 +10,8 @@
 //! operators below re-establish co-location at runtime via shuffles.
 
 use crate::common::{
-    aggregate_group_history, clip_history, coalesce_states, edge_tuples, existence,
-    resolve_edge_states, resolve_vertex_states, rezoom_history, vertex_tuples, EdgeKey, State,
+    aggregate_group_history, clip_history, coalesce_states, edge_tuples, existence, rezoom_history,
+    vertex_tuples, EdgeKey, State,
 };
 use std::sync::Arc;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexId, VertexRecord};
@@ -33,13 +33,13 @@ pub struct VeGraph {
 }
 
 impl VeGraph {
-    /// Loads a VE graph from the logical representation, partitioning both
-    /// relations across the runtime.
-    pub fn from_tgraph(rt: &Runtime, g: &TGraph) -> Self {
+    /// Loads a VE graph from the logical representation: both relations move
+    /// into partitions across the runtime.
+    pub fn from_tgraph(rt: &Runtime, g: TGraph) -> Self {
         VeGraph {
             lifespan: g.lifespan,
-            vertices: Dataset::from_vec(rt, g.vertices.clone()),
-            edges: Dataset::from_vec(rt, g.edges.clone()),
+            vertices: Dataset::from_vec(rt, g.vertices),
+            edges: Dataset::from_vec(rt, g.edges),
         }
     }
 
@@ -185,7 +185,7 @@ impl VeGraph {
                     &coalesce_states(copies),
                     &ws,
                     &spec_v.vertex_quantifier,
-                    |s| resolve_vertex_states(&spec_v, s),
+                    |s| spec_v.resolve_vertex(s),
                 )
             });
 
@@ -204,7 +204,7 @@ impl VeGraph {
                     &coalesce_states(copies),
                     &ws,
                     &spec_e.edge_quantifier,
-                    |s| resolve_edge_states(&spec_e, s),
+                    |s| spec_e.resolve_edge(s),
                 );
                 (!history.is_empty()).then_some((*key, history))
             });
@@ -282,7 +282,7 @@ mod tests {
     fn roundtrip_tgraph() {
         let rt = rt();
         let g = figure1_graph_stable_ids();
-        let ve = VeGraph::from_tgraph(&rt, &g);
+        let ve = VeGraph::from_tgraph(&rt, g.clone());
         let mut back = ve.to_tgraph(&rt);
         let mut orig = g.clone();
         orig.vertices.sort_by_key(|v| (v.vid, v.interval.start));
@@ -302,7 +302,7 @@ mod tests {
         let expected = azoom_reference(&g, &school_spec());
         let got = coalesce_collected(
             &rt,
-            &VeGraph::from_tgraph(&rt, &g).azoom(&rt, &school_spec()),
+            &VeGraph::from_tgraph(&rt, g).azoom(&rt, &school_spec()),
         );
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
@@ -315,7 +315,7 @@ mod tests {
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::All)
             .with_vertex_override("school", ResolveFn::Last);
         let expected = wzoom_reference(&g, &spec);
-        let got = coalesce_collected(&rt, &VeGraph::from_tgraph(&rt, &g).wzoom(&rt, &spec));
+        let got = coalesce_collected(&rt, &VeGraph::from_tgraph(&rt, g).wzoom(&rt, &spec));
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
     }
@@ -326,7 +326,7 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let spec = WZoomSpec::points(3, Quantifier::Exists, Quantifier::Exists);
         let expected = wzoom_reference(&g, &spec);
-        let got = coalesce_collected(&rt, &VeGraph::from_tgraph(&rt, &g).wzoom(&rt, &spec));
+        let got = coalesce_collected(&rt, &VeGraph::from_tgraph(&rt, g).wzoom(&rt, &spec));
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
     }
@@ -337,7 +337,7 @@ mod tests {
         let g = figure1_graph_stable_ids();
         let spec = WZoomSpec::points(3, Quantifier::All, Quantifier::Exists);
         let expected = wzoom_reference(&g, &spec);
-        let got = coalesce_collected(&rt, &VeGraph::from_tgraph(&rt, &g).wzoom(&rt, &spec));
+        let got = coalesce_collected(&rt, &VeGraph::from_tgraph(&rt, g).wzoom(&rt, &spec));
         assert_eq!(got.vertices, expected.vertices);
         assert_eq!(got.edges, expected.edges);
         assert!(tgraph_core::validate::validate(&got).is_empty());
@@ -367,7 +367,7 @@ mod tests {
             g.edges.push(piece);
         }
         assert!(!graph_is_coalesced(&g), "the fixture must start fragmented");
-        let ve = VeGraph::from_tgraph(&rt, &g);
+        let ve = VeGraph::from_tgraph(&rt, g.clone());
         for (vq, eq) in [
             (Quantifier::Exists, Quantifier::Exists),
             (Quantifier::All, Quantifier::Exists),

@@ -4,7 +4,10 @@
 //!
 //! A dataset directory holds one file per stem, `<name>.temporal.tgc`: flat
 //! rows sorted by entity id, then start. Every representation loads from
-//! it. §4 also wrote a start-then-id copy for RG and a nested copy for
+//! it: the decoded rows of the file and its epoch segments move into
+//! `AnyGraph::from_tgraph`, the constructor every other caller uses too, so
+//! how a representation lays out its rows is decided in `tgraph-repr`
+//! alone. §4 also wrote a start-then-id copy for RG and a nested copy for
 //! OG/OGC, because on Parquet regrouping the flat rows by entity costs a
 //! shuffle; here the entity order already keeps each history in adjacent
 //! rows, so OG and OGC cut the decoded rows into histories with one sort
@@ -17,9 +20,7 @@ use std::path::{Path, PathBuf};
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Interval;
 use tgraph_dataflow::Runtime;
-use tgraph_repr::common::histories_of;
-use tgraph_repr::og::OgGraph;
-use tgraph_repr::{AnyGraph, OgcGraph, ReprKind, RgGraph, VeGraph};
+use tgraph_repr::{AnyGraph, ReprKind};
 
 /// `<stem>.temporal.tgc` under `dir`: the one file of a file-name stem.
 pub(crate) fn flat_path(dir: &Path, stem: &str) -> PathBuf {
@@ -118,28 +119,7 @@ impl GraphLoader {
         epochs: &[EpochEntry],
     ) -> Result<(AnyGraph, ScanStats), StorageError> {
         let (g, scan) = self.flat_at(range, epochs)?;
-        let lifespan = g.lifespan;
-        let graph = match kind {
-            ReprKind::Ve => AnyGraph::Ve(VeGraph::from_tgraph(rt, &g)),
-            // RG places each fact in its snapshots by position, whatever the
-            // row order.
-            ReprKind::Rg => AnyGraph::Rg(RgGraph::from_tgraph(rt, &g)),
-            // The decoded rows move into the histories: a base and its
-            // segments hold each entity's rows in runs, and one sort joins
-            // them (a state continuing across an epoch boundary merges back
-            // into one interval).
-            ReprKind::Og => {
-                let (vertices, edges) = histories_of(g);
-                AnyGraph::Og(OgGraph::from_histories(rt, lifespan, vertices, edges))
-            }
-            // The load decodes every property; the build keeps only the
-            // `type` label.
-            ReprKind::Ogc => {
-                let (vertices, edges) = histories_of(g);
-                AnyGraph::Ogc(OgcGraph::from_histories(rt, lifespan, vertices, edges))
-            }
-        };
-        Ok((graph, scan))
+        Ok((AnyGraph::from_tgraph(rt, g, kind), scan))
     }
 }
 
@@ -279,8 +259,8 @@ mod tests {
 
         // The later half of the lifespan [1, 13) crosses the epoch
         // boundary: the load clips base and segment alike and joins Alice's
-        // two runs, and OG and OGC built from the files equal a build from
-        // the ranged flat graph.
+        // two runs, and every representation built from the files equals a
+        // build from the ranged flat graph.
         let half = Some(Interval::new(7, 13));
         let (ranged, _) = loader.load_flat(half).unwrap();
         let clip = |iv: Interval| iv.intersect(&Interval::new(7, 13));
@@ -301,9 +281,8 @@ mod tests {
         let clipped = coalesce_graph(&ranged);
         assert_eq!(clipped.vertices, vertices.collect::<Vec<_>>());
         assert_eq!(clipped.edges, edges.collect::<Vec<_>>());
-        let og = OgGraph::from_tgraph(&rt, &ranged).to_tgraph(&rt);
-        let ogc = OgcGraph::from_tgraph(&rt, &ranged).to_tgraph(&rt);
-        for (kind, built) in [(ReprKind::Og, og), (ReprKind::Ogc, ogc)] {
+        for kind in ReprKind::all() {
+            let built = AnyGraph::from_tgraph(&rt, ranged.clone(), kind).to_tgraph(&rt);
             let (any, _) = loader.load(&rt, kind, half).unwrap();
             let back = any.to_tgraph(&rt);
             assert_eq!(back.lifespan, built.lifespan, "{kind}");
