@@ -158,20 +158,39 @@ impl PlanNode {
         )
     }
 
+    /// The distinct nodes of the DAGs rooted at `roots`, each once however
+    /// many parents or roots share it: the one traversal behind
+    /// [`node_count`](PlanNode::node_count) and
+    /// [`counted_rows`](PlanNode::counted_rows).
+    fn distinct<'a>(roots: impl IntoIterator<Item = &'a Arc<PlanNode>>) -> Vec<&'a PlanNode> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        let mut stack: Vec<&PlanNode> = roots.into_iter().map(|r| &**r).collect();
+        while let Some(node) = stack.pop() {
+            if seen.insert(std::ptr::from_ref(node)) {
+                out.push(node);
+                stack.extend(node.inputs.iter().map(|i| &**i));
+            }
+        }
+        out
+    }
+
     /// Number of distinct nodes in the DAG rooted here (shared nodes counted
     /// once).
     pub fn node_count(self: &Arc<Self>) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        fn walk(n: &Arc<PlanNode>, seen: &mut std::collections::HashSet<usize>) {
-            if !seen.insert(Arc::as_ptr(n) as usize) {
-                return;
-            }
-            for i in &n.inputs {
-                walk(i, seen);
-            }
-        }
-        walk(self, &mut seen);
-        seen.len()
+        PlanNode::distinct([self]).len()
+    }
+
+    /// The records the DAGs rooted at `roots` counted: the sum of
+    /// [`rows`](PlanNode::rows) over their distinct nodes (the sources,
+    /// exchanges, joins and materializations EXPLAIN shows as `rows=`). A
+    /// node two roots share, as a VE graph's vertex and edge plans do, is
+    /// counted once. Deterministic for a given input and plan.
+    pub fn counted_rows<'a>(roots: impl IntoIterator<Item = &'a Arc<PlanNode>>) -> u64 {
+        PlanNode::distinct(roots)
+            .iter()
+            .filter_map(|n| n.rows)
+            .sum()
     }
 }
 
@@ -289,6 +308,17 @@ mod tests {
         );
         // Diamond: src shared by both sides, counted once.
         assert_eq!(join.node_count(), 4);
+        assert_eq!(PlanNode::counted_rows([&join]), 20);
+        // A second root over the same source adds only its own rows.
+        let shuffled = PlanNode::new(
+            "shuffle",
+            OpKind::Shuffle { parts: 2 },
+            Partitioning::HashByKey { parts: 2 },
+            Some(7),
+            vec![src.clone()],
+        );
+        assert_eq!(PlanNode::counted_rows([&join, &shuffled]), 27);
+        assert_eq!(PlanNode::distinct([&join, &shuffled, &join]).len(), 5);
         assert!(OpKind::Filter.preserves_partitioning());
         assert!(!OpKind::Map.preserves_partitioning());
         assert!(OpKind::Map.is_narrow());

@@ -1,16 +1,30 @@
-//! The result cache: the server's one store of past answers, a
-//! byte-bounded, thread-safe LRU.
+//! The result cache: the server's one store of past answers, byte-bounded
+//! and thread-safe, keeping the answers worth most per byte.
 //!
 //! An answer is named by what was asked: the map is keyed by the request's
 //! canonical query text (`graph=..;repr=..;range=..;<pipeline>`, built by the
-//! zoom path), so two distinct queries can never share an entry; each
-//! entry's text is one shared `Arc<str>`, held by the map and by the recency
-//! index. When it was asked is in the entry: the dataset epoch the answer
-//! was computed at. A lookup hits only at that epoch. An entry from an
-//! earlier epoch is a miss that hands the old answer back, and when that
-//! answer kept its result graph (range-free queries do) the patch path
-//! stitches the new epoch onto it; the new answer then replaces the entry.
-//! An ingest therefore has nothing to drop here.
+//! zoom path), so two distinct queries can never share an entry. When it was
+//! asked is in the entry: the dataset epoch the answer was computed at. A
+//! lookup hits only at that epoch. An entry from an earlier epoch is a miss
+//! that hands the old answer back, and when that answer kept its result
+//! graph (range-free queries do) the patch path stitches the new epoch onto
+//! it; the new answer then replaces the entry. An ingest therefore has
+//! nothing to drop here.
+//!
+//! What stays under the budget is decided by value per charged byte, after
+//! GreedyDual-Size (Cao & Irani, 1997) with TinyLFU's aged frequency
+//! (Einziger et al., 2017). An answer's value is its query's request count
+//! times the work its plan counted ([`Answer::work`]). Every lookup counts a
+//! request; every ten lookups per resident (at least ten) all counts halve
+//! and zeros are dropped, so an answer nobody asks for any more ages out.
+//! An insert that needs room ranks the residents by value per byte,
+//! cheapest first (equal values least recently used first), and takes them
+//! in order until their bytes cover the need. If those victims are together
+//! worth at least the newcomer, the newcomer is declined and nothing moves;
+//! otherwise they go and it stays. So a cyclic scan over more answers than
+//! fit, where LRU never hits, leaves the dear, small answers resident. Work
+//! is counted records, not time, so which answers stay is the same on
+//! every run.
 //!
 //! Bodies are the serialized result texts, shared out as `Arc<str>` — a hit
 //! replays the exact bytes of the first execution (byte-identical responses,
@@ -20,12 +34,12 @@
 //! the bytes are never copied (nor re-checked as UTF-8, which the type
 //! already guarantees). An entry evicted meanwhile lives until written.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tgraph_core::graph::TGraph;
 use tgraph_core::time::Time;
-use tgraph_dataflow::{charged_size, lock_unpoisoned};
+use tgraph_dataflow::{charged_size, fnv1a, lock_unpoisoned};
 
 /// One query's answer at one dataset epoch.
 #[derive(Clone, Debug)]
@@ -40,6 +54,10 @@ pub struct Answer {
     /// The collected result graph, kept for range-free queries only: the
     /// seed the patch path brings up to a later epoch.
     pub seed: Option<Arc<TGraph>>,
+    /// What a cold run of the query cost: the records its executed plan
+    /// counted (`PlanNode::counted_rows`). A patched answer keeps the work
+    /// of the answer it was patched from.
+    pub work: u64,
 }
 
 /// What [`ResultCache::get`] found.
@@ -56,16 +74,20 @@ struct Entry {
     answer: Answer,
     /// The entry's charge against the budget, fixed when it was stored.
     cost: u64,
+    /// When the entry was stored or last hit: the order among equal values.
     tick: u64,
 }
 
+/// Lookups per resident between two halvings of every request count.
+const AGING_PERIOD: u64 = 10;
+
 /// Fixed bookkeeping retained per resident entry beyond the key text,
-/// body and seed: the map's `(key, Entry)` slot, the recency-index node
-/// payload (`tick → key`), and the reference counters of the two `Arc`s.
-/// Derived from the actual layouts so the charge tracks the code.
-pub(crate) const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<(Arc<str>, Entry)>()
-    + std::mem::size_of::<(u64, Arc<str>)>()
-    + 4 * std::mem::size_of::<usize>()) as u64;
+/// body and seed: the map's `(key, Entry)` slot, the query's request-count
+/// slot, and the body `Arc`'s two reference counters. Derived from the
+/// actual layouts so the charge tracks the code.
+pub(crate) const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<(Box<str>, Entry)>()
+    + std::mem::size_of::<(u64, u32)>()
+    + 2 * std::mem::size_of::<usize>()) as u64;
 
 /// Budget charge of one entry: what residency actually retains — the key
 /// text, the body, the seed's vertex and edge lists, and the bookkeeping.
@@ -79,11 +101,18 @@ fn entry_cost(key: &str, answer: &Answer) -> u64 {
     (key.len() + answer.body.len() + seed) as u64 + ENTRY_OVERHEAD
 }
 
+/// An answer's value: its query's request count times its work.
+fn value(count: u32, work: u64) -> u128 {
+    u128::from(count) * u128::from(work)
+}
+
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Arc<str>, Entry>,
-    /// Recency order: tick → key, oldest first.
-    recency: BTreeMap<u64, Arc<str>>,
+    map: HashMap<Box<str>, Entry>,
+    /// Aged request counts by the `fnv1a` of the key, resident or not.
+    counts: HashMap<u64, u32>,
+    /// Lookups since the counts last halved.
+    lookups: u64,
     bytes_used: u64,
     next_tick: u64,
 }
@@ -94,11 +123,56 @@ impl Inner {
         self.next_tick - 1
     }
 
-    /// Takes `key`'s entry out of the map, the recency index and the
-    /// byte count.
+    /// Counts one request for `key`, halving every count once per aging
+    /// period.
+    fn count_request(&mut self, key: &str) {
+        let count = self.counts.entry(fnv1a(key.as_bytes())).or_insert(0);
+        *count = count.saturating_add(1);
+        self.lookups += 1;
+        if self.lookups >= AGING_PERIOD * (self.map.len() as u64).max(1) {
+            self.lookups = 0;
+            self.counts.retain(|_, count| {
+                *count /= 2;
+                *count > 0
+            });
+        }
+    }
+
+    /// `key`'s aged request count.
+    fn count(&self, key: &str) -> u32 {
+        let hash = fnv1a(key.as_bytes());
+        self.counts.get(&hash).copied().unwrap_or(0)
+    }
+
+    /// The residents whose eviction frees at least `need` bytes, cheapest
+    /// value per byte first and equal values least recently used first,
+    /// with their total value.
+    fn victims(&self, need: u64) -> (Vec<Box<str>>, u128) {
+        let mut ranked: Vec<(f64, u64, u128, u64, &Box<str>)> = self
+            .map
+            .iter()
+            .map(|(key, entry)| {
+                let worth = value(self.count(key), entry.answer.work);
+                let per_byte = worth as f64 / entry.cost as f64;
+                (per_byte, entry.tick, worth, entry.cost, key)
+            })
+            .collect();
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut freed, mut total, mut victims) = (0, 0, Vec::new());
+        for (_, _, worth, cost, key) in ranked {
+            if freed >= need {
+                break;
+            }
+            freed += cost;
+            total += worth;
+            victims.push(key.clone());
+        }
+        (victims, total)
+    }
+
+    /// Takes `key`'s entry out of the map and the byte count.
     fn remove(&mut self, key: &str) -> Option<Entry> {
         let entry = self.map.remove(key)?;
-        self.recency.remove(&entry.tick);
         self.bytes_used -= entry.cost;
         Some(entry)
     }
@@ -113,16 +187,20 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Entries evicted to fit the byte budget.
+    /// Entries evicted to make room for a more valuable answer.
     pub evictions: u64,
+    /// Answers not stored because what they would have displaced was worth
+    /// at least as much: the misses to come for them are declines, not
+    /// evictions.
+    pub declined: u64,
     /// Bytes currently charged against the budget.
     pub bytes_used: u64,
     /// The configured budget.
     pub byte_budget: u64,
 }
 
-/// A byte-bounded LRU over answers. All methods are `&self` and
-/// thread-safe.
+/// A byte-bounded store of answers that keeps the most valuable per byte
+/// (see the module docs). All methods are `&self` and thread-safe.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     byte_budget: u64,
@@ -130,6 +208,7 @@ pub struct ResultCache {
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
+    declined: AtomicU64,
 }
 
 impl ResultCache {
@@ -143,39 +222,40 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            declined: AtomicU64::new(0),
         }
     }
 
-    /// Looks up `key` at dataset `epoch`, refreshing its recency on a hit.
-    /// An entry from an earlier epoch counts as a miss and comes back
-    /// whole; one from a later epoch counts as a miss and stays put.
+    /// Looks up `key` at dataset `epoch`, counting a request for it and, on
+    /// a hit, refreshing its recency. An entry from an earlier epoch counts
+    /// as a miss and comes back whole; one from a later epoch counts as a
+    /// miss and stays put.
     pub fn get(&self, key: &str, epoch: u64) -> Lookup {
         let mut inner = lock_unpoisoned(&self.inner);
+        inner.count_request(key);
         let fresh = inner.tick();
-        let Inner { map, recency, .. } = &mut *inner;
-        let entry = match map.get_mut(key) {
-            Some(entry) if entry.answer.epoch == epoch => entry,
+        match inner.map.get_mut(key) {
+            Some(entry) if entry.answer.epoch == epoch => {
+                entry.tick = fresh;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Lookup::Hit(Arc::clone(&entry.answer.body))
+            }
             other => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let earlier = other.filter(|entry| entry.answer.epoch < epoch);
-                return Lookup::Miss(earlier.map(|entry| entry.answer.clone()));
+                Lookup::Miss(earlier.map(|entry| entry.answer.clone()))
             }
-        };
-        if let Some(shared) = recency.remove(&entry.tick) {
-            recency.insert(fresh, shared);
         }
-        entry.tick = fresh;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Lookup::Hit(Arc::clone(&entry.answer.body))
     }
 
-    /// Stores `answer` as `key`'s entry, evicting least-recently-used
-    /// entries until the budget holds. An entry from a later epoch than
-    /// `answer`'s stays: a result that finishes after an ingest never
-    /// replaces the answer computed since. An answer larger than the whole
-    /// budget is never stored — whether it arrives fresh or replaces an
-    /// older entry, which it then takes with it instead of flushing every
-    /// other entry.
+    /// Stores `answer` as `key`'s entry if it is worth more than what it
+    /// would displace (see the module docs); a stored answer counts at
+    /// least the one request that computed it. An entry from a later epoch
+    /// than `answer`'s stays: a result that finishes after an ingest never
+    /// replaces the answer computed since. Any other entry for `key` is
+    /// taken out first, whether or not `answer` is then stored. An answer
+    /// larger than the whole budget is never stored, and takes the older
+    /// entry with it instead of flushing every other one.
     pub fn insert(&self, key: &str, answer: Answer) {
         let cost = entry_cost(key, &answer);
         let mut inner = lock_unpoisoned(&self.inner);
@@ -190,21 +270,26 @@ impl ResultCache {
         if cost > self.byte_budget {
             return; // would evict everything and still not fit
         }
+        let count = inner.count(key).max(1);
+        let need = (inner.bytes_used + cost).saturating_sub(self.byte_budget);
+        if need > 0 {
+            let (victims, worth) = inner.victims(need);
+            if worth >= value(count, answer.work) {
+                self.declined.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            for victim in &victims {
+                inner.remove(victim);
+            }
+            self.evictions
+                .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        }
+        inner.counts.insert(fnv1a(key.as_bytes()), count);
         let tick = inner.tick();
-        let key: Arc<str> = Arc::from(key);
-        inner.recency.insert(tick, Arc::clone(&key));
-        inner.map.insert(key, Entry { answer, cost, tick });
+        inner.map.insert(key.into(), Entry { answer, cost, tick });
         inner.bytes_used += cost;
         if !refreshed {
             self.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-        while inner.bytes_used > self.byte_budget {
-            let Some((_, oldest)) = inner.recency.pop_first() else {
-                break;
-            };
-            if inner.remove(&oldest).is_some() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -219,14 +304,15 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            declined: self.declined.load(Ordering::Relaxed),
             bytes_used,
             byte_budget: self.byte_budget,
         }
     }
 
-    /// Whether `key` is resident, **without** refreshing its recency — a
-    /// pure probe for tests and metrics, unlike [`get`](ResultCache::get)
-    /// which promotes the entry to most-recently-used.
+    /// Whether `key` is resident, **without** counting a request or
+    /// refreshing its recency — a pure probe for tests and metrics, unlike
+    /// [`get`](ResultCache::get).
     pub fn contains(&self, key: &str) -> bool {
         lock_unpoisoned(&self.inner).map.contains_key(key)
     }
@@ -256,9 +342,17 @@ mod tests {
     use tgraph_core::graph::figure1_graph_stable_ids;
 
     /// An epoch-0 answer of `n` copies of the ASCII character `fill % 128`,
-    /// with no seed.
+    /// with no seed and one unit of work.
     fn payload(n: usize, fill: u8) -> Answer {
-        at_epoch(0, n, fill)
+        worth(n, fill, 1)
+    }
+
+    /// An epoch-0 `payload` whose cold run counted `work` records.
+    fn worth(n: usize, fill: u8, work: u64) -> Answer {
+        Answer {
+            work,
+            ..at_epoch(0, n, fill)
+        }
     }
 
     fn at_epoch(epoch: u64, n: usize, fill: u8) -> Answer {
@@ -267,6 +361,7 @@ mod tests {
             boundary: 9,
             body: char::from(fill % 128).to_string().repeat(n).into(),
             seed: None,
+            work: 1,
         }
     }
 
@@ -299,31 +394,49 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
     }
 
+    /// The budget evicts the cheapest value per byte first; among equal
+    /// values, the least recently used; and a newcomer worth no more than
+    /// its victims is declined.
     #[test]
-    fn byte_budget_evicts_in_lru_order() {
+    fn byte_budget_evicts_in_value_order() {
         // Budget fits three entries but not four.
         let unit = cost("k1", 100);
         let budget = 3 * unit + unit / 2;
         let c = ResultCache::new(budget);
-        for (fill, name) in [(1, "k1"), (2, "k2"), (3, "k3")] {
-            c.insert(name, payload(100, fill));
+        for (fill, name, work) in [(1, "k1", 3), (2, "k2", 1), (3, "k3", 2)] {
+            c.insert(name, worth(100, fill, work));
         }
         assert_eq!(c.len(), 3);
-        // Touch k1 so k2 becomes the LRU entry.
-        assert!(body(&c, "k1").is_some());
-        // Inserting k4 exceeds the budget → evict k2 (oldest untouched).
-        c.insert("k4", payload(100, 4));
-        assert!(body(&c, "k2").is_none(), "k2 evicted");
-        assert!(body(&c, "k1").is_some(), "k1 survived (recently used)");
-        assert!(body(&c, "k3").is_some());
-        assert!(body(&c, "k4").is_some());
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.stats().bytes_used <= budget);
+        // k4 (worth 5) takes the place of k2 (worth 1), the cheapest.
+        c.insert("k4", worth(100, 4, 5));
+        assert!(!c.contains("k2"), "k2 evicted");
+        assert!(["k1", "k3", "k4"].iter().all(|k| c.contains(k)));
+        // k5 is worth 2, no more than k3: declined, and nothing moves.
+        c.insert("k5", worth(100, 5, 2));
+        assert!(!c.contains("k5"));
+        assert!(["k1", "k3", "k4"].iter().all(|k| c.contains(k)));
+        let s = c.stats();
+        assert_eq!((s.evictions, s.declined, s.insertions), (1, 1, 4));
+        assert!(s.bytes_used <= budget);
+
+        // Equal values keep LRU order: a and c are worth 2 by work, b by a
+        // second request, which also makes it the most recently used.
+        let c = ResultCache::new(budget);
+        for (fill, name, work) in [(1, "a", 2), (2, "b", 1), (3, "c", 2)] {
+            c.insert(name, worth(100, fill, work));
+        }
+        assert!(body(&c, "b").is_some());
+        c.insert("d", worth(100, 4, 3));
+        assert!(!c.contains("a"), "a was the least recently used");
+        c.insert("e", worth(100, 5, 3));
+        assert!(!c.contains("c"), "then c");
+        assert!(c.contains("b"), "b survived (recently used)");
+        assert_eq!(c.stats().evictions, 2);
     }
 
     /// The budget charge reflects what residency retains: the body, the
-    /// one shared copy of the key text, the seed's records, and
-    /// layout-derived bookkeeping.
+    /// one copy of the key text, the seed's records, and layout-derived
+    /// bookkeeping.
     #[test]
     fn entry_cost_covers_body_key_seed_and_bookkeeping() {
         let key = "x".repeat(1000);
@@ -333,15 +446,9 @@ mod tests {
         assert_eq!(used, cost(&key, 100));
         assert!(used >= 100 + 1000, "body and key text, got {used}");
         // The overhead term is layout-derived, not a guess: it covers at
-        // least the Entry struct and the recency node it models.
-        assert!(ENTRY_OVERHEAD >= std::mem::size_of::<Entry>() as u64);
-        {
-            // One allocation of the text serves the map and the recency
-            // index.
-            let inner = lock_unpoisoned(&c.inner);
-            let (held, _) = inner.map.get_key_value(key.as_str()).expect("resident");
-            assert_eq!(Arc::strong_count(held), 2);
-        }
+        // least the Entry struct and the request-count slot.
+        let count_slot = std::mem::size_of::<(u64, u32)>();
+        assert!(ENTRY_OVERHEAD >= (std::mem::size_of::<Entry>() + count_slot) as u64);
         // A seed is charged its vertex and edge lists on top.
         let g = figure1_graph_stable_ids();
         let records = (charged_size(&g.vertices) + charged_size(&g.edges)) as u64;
@@ -438,28 +545,97 @@ mod tests {
         assert_eq!(c.len(), 1);
     }
 
+    /// `contains` is a pure probe: had it counted a request for k1 or
+    /// refreshed it, k2 would have gone instead.
     #[test]
-    fn contains_does_not_refresh_recency() {
+    fn contains_neither_counts_nor_refreshes() {
         // Budget for exactly two entries.
         let c = ResultCache::new(2 * cost("k1", 100) + 10);
         c.insert("k1", payload(100, 1));
         c.insert("k2", payload(100, 2));
-        // Probe k1 with contains(): unlike get(), this must NOT promote it.
         assert!(c.contains("k1"));
-        c.insert("k3", payload(100, 3));
-        assert!(!c.contains("k1"), "k1 was still the LRU entry");
+        c.insert("k3", worth(100, 3, 2));
+        assert!(!c.contains("k1"), "k1 was still the least recently used");
         assert!(c.contains("k2"));
         assert!(c.contains("k3"));
     }
 
-    /// A shadow model of the cache: entries kept in recency order (front =
-    /// least recently used), with the same cost formula. Used by the
-    /// property test to predict residency, eviction order, and byte
-    /// accounting after every operation.
+    /// A replay of `keys` in order, `rounds` times, as the server does it:
+    /// a lookup, then on a miss the insert of the answer the run computed.
+    /// Returns the hits.
+    fn replay(c: &ResultCache, keys: &[(String, Answer)], rounds: usize) -> u64 {
+        let before = c.stats().hits;
+        for _ in 0..rounds {
+            for (key, answer) in keys {
+                if body(c, key).is_none() {
+                    c.insert(key, answer.clone());
+                }
+            }
+        }
+        c.stats().hits - before
+    }
+
+    /// Twenty answers of one size, of which the budget holds five, asked
+    /// in a cycle: LRU evicts each answer just before it is asked again and
+    /// scores no hit. Here the five dearest stay and hit on every round
+    /// after the first, and the others are declined rather than churned.
+    #[test]
+    fn a_cyclic_scan_larger_than_the_budget_keeps_the_most_valuable_answers() {
+        let keys: Vec<(String, Answer)> = (0..20u8)
+            .map(|i| {
+                let work = if i % 4 == 3 { 1_000 } else { 10 };
+                (format!("q{i:02}"), worth(100, i, work))
+            })
+            .collect();
+        let c = ResultCache::new(5 * cost("q00", 100) + 10);
+        let hits = replay(&c, &keys, 10);
+        let dear: Vec<&str> = keys
+            .iter()
+            .filter(|(_, a)| a.work == 1_000)
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert!(dear.iter().all(|k| c.contains(k)), "the dear answers stay");
+        assert!(hits >= 9 * 5, "{hits} hits in 10 rounds");
+        let s = c.stats();
+        assert!(s.declined > s.evictions, "{s:?}");
+    }
+
+    /// Once the queries change, the old residents' counts halve to nothing
+    /// and the new answers take their place, within a bounded number of
+    /// lookups, however often the old ones were asked before.
+    #[test]
+    fn answers_nobody_asks_for_age_out() {
+        let set = |prefix: &str| -> Vec<(String, Answer)> {
+            (0..5u8)
+                .map(|i| (format!("{prefix}{i}"), worth(100, i, 10)))
+                .collect()
+        };
+        let (old, new) = (set("old"), set("new"));
+        let c = ResultCache::new(5 * cost("old0", 100) + 10);
+        assert_eq!(replay(&c, &old, 200), 5 * 199, "the old set fits");
+        // Each halving period is 10 lookups per resident: 10 rounds of the
+        // five new keys. A count of n is gone after log2(n) + 1 halvings,
+        // and no count exceeds the lookups of two periods.
+        let periods = (2 * AGING_PERIOD * 5).ilog2() as usize + 2;
+        replay(&c, &new, 10 * periods);
+        assert!(new.iter().all(|(k, _)| c.contains(k)), "{:?}", c.stats());
+        assert!(old.iter().all(|(k, _)| !c.contains(k)));
+        // And the new set hits from then on.
+        assert_eq!(replay(&c, &new, 3), 15);
+    }
+
+    /// A naive model of the cache: residents in a `Vec`, request counts by
+    /// key with the same halving, and victims found by repeatedly taking
+    /// the minimum. Used by the property test to predict residency, what is
+    /// evicted or declined, and byte accounting after every operation.
     struct Shadow {
         budget: u64,
-        /// (key, payload_len), LRU first.
-        entries: Vec<(String, usize)>,
+        /// (key, payload_len, work, tick).
+        entries: Vec<(String, usize, u64, u64)>,
+        counts: HashMap<String, u32>,
+        lookups: u64,
+        tick: u64,
+        declined: u64,
     }
 
     impl Shadow {
@@ -467,41 +643,77 @@ mod tests {
             // The implementation's own formula: the model predicts *exact*
             // byte accounting, so any drift in `entry_cost` (or a call site
             // forgetting a component) fails the property test.
-            self.entries.iter().map(|(k, l)| cost(k, *l)).sum()
+            self.entries.iter().map(|(k, l, ..)| cost(k, *l)).sum()
         }
 
         fn position(&self, key: &str) -> Option<usize> {
-            self.entries.iter().position(|(k, _)| k == key)
+            self.entries.iter().position(|(k, ..)| k == key)
         }
 
-        /// Mirrors `ResultCache::get`: promote to most-recently-used.
+        fn value(&self, key: &str, work: u64) -> u128 {
+            value(self.counts.get(key).copied().unwrap_or(0), work)
+        }
+
+        /// Mirrors `ResultCache::get`: count, maybe halve, refresh.
         fn get(&mut self, key: &str) -> Option<usize> {
+            *self.counts.entry(key.to_string()).or_insert(0) += 1;
+            self.lookups += 1;
+            if self.lookups >= AGING_PERIOD * self.entries.len().max(1) as u64 {
+                self.lookups = 0;
+                self.counts.values_mut().for_each(|c| *c /= 2);
+                self.counts.retain(|_, c| *c > 0);
+            }
+            self.tick += 1;
             let idx = self.position(key)?;
-            let e = self.entries.remove(idx);
-            let len = e.1;
-            self.entries.push(e);
-            Some(len)
+            self.entries[idx].3 = self.tick;
+            Some(self.entries[idx].1)
         }
 
         /// Mirrors `ResultCache::insert`, including the oversized rules.
-        fn insert(&mut self, key: &str, len: usize) {
+        fn insert(&mut self, key: &str, len: usize, work: u64) {
             if let Some(idx) = self.position(key) {
                 self.entries.remove(idx);
             }
             if cost(key, len) > self.budget {
                 return; // oversized: never cached, nothing else evicted
             }
-            self.entries.push((key.to_string(), len));
-            while self.used() > self.budget {
-                self.entries.remove(0); // evict LRU-first
+            let count = self.counts.get(key).copied().unwrap_or(0).max(1);
+            let mut rest = self.entries.clone();
+            let mut victims = Vec::new();
+            let mut worth = 0;
+            while rest.iter().map(|(k, l, ..)| cost(k, *l)).sum::<u64>() + cost(key, len)
+                > self.budget
+            {
+                let per_byte = |(k, l, w, t): &(String, usize, u64, u64)| {
+                    (self.value(k, *w) as f64 / cost(k, *l) as f64, *t)
+                };
+                let cheapest = (0..rest.len())
+                    .min_by(|&a, &b| {
+                        let (va, ta) = per_byte(&rest[a]);
+                        let (vb, tb) = per_byte(&rest[b]);
+                        va.total_cmp(&vb).then(ta.cmp(&tb))
+                    })
+                    .expect("a resident to evict");
+                let victim = rest.remove(cheapest);
+                worth += self.value(&victim.0, victim.2);
+                victims.push(victim);
             }
+            if !victims.is_empty() && worth >= value(count, work) {
+                self.declined += 1;
+                return;
+            }
+            self.entries = rest;
+            self.counts.insert(key.to_string(), count);
+            self.tick += 1;
+            self.entries.push((key.to_string(), len, work, self.tick));
         }
     }
 
     /// Property test: under a long random interleaving of gets, inserts,
     /// refreshes and oversized values, the cache agrees with the shadow
-    /// model on residency (via the non-refreshing `contains`), payload
-    /// identity, and exact byte accounting — and never exceeds its budget.
+    /// model on residency (via the non-counting `contains`), payload
+    /// identity, declines and exact byte accounting — and never exceeds
+    /// its budget.
     #[test]
     fn random_ops_agree_with_shadow_model() {
         // Deterministic LCG so failures replay exactly.
@@ -518,6 +730,10 @@ mod tests {
         let mut shadow = Shadow {
             budget: BUDGET,
             entries: Vec::new(),
+            counts: HashMap::new(),
+            lookups: 0,
+            tick: 0,
+            declined: 0,
         };
 
         // A small key universe with key lengths from 2 to ~80 characters,
@@ -527,7 +743,9 @@ mod tests {
             .collect();
 
         for step in 0..4000 {
-            let k = &keyspace[(next() % 16) as usize];
+            // The asked keys are a window of 8 that slides one key every
+            // 250 steps, so answers fall out of use and aging decides.
+            let k = &keyspace[((step / 250 + next() % 8) % 16) as usize];
             match next() % 3 {
                 0 => {
                     // get: cache hit iff the shadow says resident, and the
@@ -541,17 +759,18 @@ mod tests {
                 }
                 1 => {
                     // insert / refresh with a size that is usually small but
-                    // occasionally oversized (> budget).
+                    // occasionally oversized (> budget), and a work from 0.
                     let len = if next() % 8 == 0 {
                         (BUDGET as usize) + 100
                     } else {
                         (next() % 300) as usize
                     };
-                    c.insert(k, payload(len, k.len() as u8));
-                    shadow.insert(k, len);
+                    let work = next() % 50;
+                    c.insert(k, worth(len, k.len() as u8, work));
+                    shadow.insert(k, len, work);
                 }
                 _ => {
-                    // Pure probe: must not perturb recency in either model.
+                    // Pure probe: must not count a request in either model.
                     assert_eq!(
                         c.contains(k),
                         shadow.position(k).is_some(),
@@ -571,18 +790,21 @@ mod tests {
                 shadow.used(),
                 "step {step}: byte accounting drifted from the model"
             );
+            assert_eq!(s.declined, shadow.declined, "step {step}: declines");
             assert_eq!(
                 c.len(),
                 shadow.entries.len(),
                 "step {step}: resident count drifted from the model"
             );
-            for (key, _) in &shadow.entries {
+            for (key, ..) in &shadow.entries {
                 assert!(c.contains(key), "step {step}: model says {key} is resident");
             }
         }
-        // The run must have actually exercised eviction.
-        assert!(c.stats().evictions > 0, "run never evicted — weak test");
-        assert!(c.stats().hits > 0 && c.stats().misses > 0);
+        // The run must have actually exercised eviction and admission.
+        let s = c.stats();
+        assert!(s.evictions > 0, "run never evicted — weak test");
+        assert!(s.declined > 0, "run never declined — weak test");
+        assert!(s.hits > 0 && s.misses > 0);
     }
 
     #[test]

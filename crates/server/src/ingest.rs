@@ -170,7 +170,8 @@ mod tests {
         let line = zoom_line("ing5", "");
         let first = server.handle_line(&line);
         assert!(first.contains("\"cache\":\"miss\""), "{first}");
-        // Another answer the size of the whole budget evicts the zoom's.
+        // Another answer the size of the whole budget, and worth more than
+        // any other, evicts the zoom's.
         let filler = "filler";
         let budget = server.cache.stats().byte_budget as usize;
         let body = "x".repeat(budget - ENTRY_OVERHEAD as usize - filler.len());
@@ -179,6 +180,7 @@ mod tests {
             boundary: 9,
             body: body.into(),
             seed: None,
+            work: u64::MAX,
         };
         server.cache.insert(filler, answer);
         assert!(!server.cache.contains(&canonical(&line)), "evicted");

@@ -20,9 +20,11 @@
 //!    and when. Each query's cache key is the request's canonical form and
 //!    its entry carries the dataset epoch it answers (the response's
 //!    `fingerprint` is the FNV-1a of `epoch=N;` + that text); answers are
-//!    memoized as serialized bytes in a byte-bounded LRU, so a repeated zoom
-//!    replays byte-identical output without touching the worker pool, and
-//!    after an ingest the older answer is the seed the patch path stitches.
+//!    memoized as serialized bytes under a byte budget that keeps the
+//!    answers worth most per byte (aged request count times the work the
+//!    plan counted), so a repeated zoom replays byte-identical output
+//!    without touching the worker pool, and after an ingest the older
+//!    answer is the seed the patch path stitches.
 //! 2. **Admission control and deadlines** ([`admission`]): a bounded
 //!    in-flight semaphore with a bounded waiting queue; per-request
 //!    deadlines propagate into the dataflow runtime as a
@@ -30,9 +32,9 @@
 //!    token between partitions and an expired query stops consuming workers
 //!    mid-wave.
 //! 3. **Observability** ([`metrics`]): a `stats` request returns request
-//!    counters, cache hit/miss/eviction accounting, admission queue depths,
-//!    log2 latency histograms (p50/p95/p99), and the runtime's data-movement
-//!    counters.
+//!    counters, cache hit/miss/eviction/declined accounting, admission
+//!    queue depths, log2 latency histograms (p50/p95/p99), and the runtime's
+//!    data-movement counters.
 //!
 //! The closed-loop load generator `tgraph-loadgen` (in `crates/bench`)
 //! drives this protocol for throughput/latency benchmarking, in CI too.

@@ -339,6 +339,7 @@ pub(crate) fn stats_response(server: &Server) -> String {
                 ("misses", cache.misses),
                 ("insertions", cache.insertions),
                 ("evictions", cache.evictions),
+                ("declined", cache.declined),
                 ("bytes_used", cache.bytes_used),
                 ("byte_budget", cache.byte_budget),
             ]),

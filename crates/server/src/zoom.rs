@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tgraph_core::graph::TGraph;
-use tgraph_dataflow::{CancelToken, Runtime};
+use tgraph_dataflow::{CancelToken, PlanNode, Runtime};
 use tgraph_ingest::patch_from_storage;
 use tgraph_repr::ReprKind;
 use tgraph_storage::{GraphLoader, SharedGraph};
@@ -38,9 +38,17 @@ fn pinned(req: &ZoomRequest, kind: ReprKind) -> ZoomRequest {
 /// The one executor every path shares: cold runs here, suffix re-runs
 /// inside `patch_from_storage`, both through `tgraph_query`'s
 /// `Pipeline::execute` — which is what makes a patched result
-/// byte-identical to a recompute.
-pub(crate) fn execute_steps(rt: &Runtime, shared: &SharedGraph, req: &ZoomRequest) -> TGraph {
-    req.pipeline.collect(rt, (*shared.graph).clone())
+/// byte-identical to a recompute. Also returns the work the executed plan
+/// counted (`PlanNode::counted_rows` over its lineage roots): what the
+/// result cache weighs an answer by.
+pub(crate) fn execute_steps(
+    rt: &Runtime,
+    shared: &SharedGraph,
+    req: &ZoomRequest,
+) -> (TGraph, u64) {
+    let executed = req.pipeline.execute(rt, (*shared.graph).clone());
+    let work = PlanNode::counted_rows(executed.lineages().iter().map(|(_, root)| root));
+    (executed.to_tgraph(rt), work)
 }
 
 /// What the execute stage hands to the serialize stage.
@@ -48,6 +56,9 @@ struct Executed {
     /// Kept by the cache entry as the next epoch's patch seed when the
     /// query is range-free.
     result: Arc<TGraph>,
+    /// The counted work of the cold run behind the result: this one's, or
+    /// for a patch the answer's it was patched from.
+    work: u64,
     patched: bool,
 }
 
@@ -194,11 +205,15 @@ impl Server {
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             token.scope(|| {
-                let patch = earlier.and_then(|answer| self.patch(shared, req, answer));
+                let patch = earlier.and_then(|answer| {
+                    let result = self.patch(shared, req, answer);
+                    result.map(|result| (result, answer.work))
+                });
                 let patched = patch.is_some();
-                let result = patch.unwrap_or_else(|| execute_steps(&self.rt, shared, req));
+                let (result, work) = patch.unwrap_or_else(|| execute_steps(&self.rt, shared, req));
                 Executed {
                     result: Arc::new(result),
+                    work,
                     patched,
                 }
             })
@@ -239,7 +254,7 @@ impl Server {
         )
         .ok()?;
         if self.rt.checked() {
-            let cold = execute_steps(&self.rt, shared, req);
+            let (cold, _) = execute_steps(&self.rt, shared, req);
             assert_eq!(
                 serialize_tgraph(&patched.result),
                 serialize_tgraph(&cold),
@@ -272,6 +287,7 @@ impl Server {
                 boundary: shared.graph.lifespan().end,
                 body: Arc::clone(&body),
                 seed: req.range.is_none().then_some(done.result),
+                work: done.work,
             };
             self.cache.insert(canonical, answer);
         }

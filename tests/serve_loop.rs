@@ -7,7 +7,9 @@
 //! case ingests over the socket and checks the patched answer against a
 //! cold recompute; a third sends a hostile line and checks the server is
 //! still there afterwards; a fourth (in process) holds a server that
-//! ingested against one bound afterwards over the same directory.
+//! ingested against one bound afterwards over the same directory; a fifth
+//! replays more zooms than the result cache holds and checks every answer,
+//! hit, evicted or declined, against a cache-bypassing recompute.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -15,25 +17,26 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use tgraph_core::graph::figure1_graph_stable_ids;
-use tgraph_serve::{Server, ServerConfig};
+use tgraph_serve::{json, Json, Server, ServerConfig};
 use tgraph_storage::write_dataset;
 
 fn bind_server(dirname: &str) -> Arc<Server> {
     let dir = std::env::temp_dir().join(dirname);
     let _ = std::fs::remove_dir_all(&dir);
     write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
-    bind_over(dir)
+    bind_over(dir, 4 << 20)
 }
 
-/// A server over whatever `dir` already holds.
-fn bind_over(dir: PathBuf) -> Arc<Server> {
+/// A server over whatever `dir` already holds, with a result cache of
+/// `cache_bytes`.
+fn bind_over(dir: PathBuf, cache_bytes: u64) -> Arc<Server> {
     Arc::new(
         Server::bind(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             data_dir: dir,
             workers: 2,
             partitions: 2,
-            cache_bytes: 4 << 20,
+            cache_bytes,
             ..ServerConfig::default()
         })
         .expect("bind"),
@@ -247,7 +250,7 @@ fn a_server_bound_after_an_ingest_answers_like_the_one_that_took_it() {
             "{repr}"
         );
 
-        let b = bind_over(std::env::temp_dir().join(dirname));
+        let b = bind_over(std::env::temp_dir().join(dirname), 4 << 20);
         let fresh = b.handle_line(&zoom);
         assert!(fresh.contains("\"cache\":\"miss\""), "{repr}: {fresh}");
         assert_eq!(
@@ -257,4 +260,70 @@ fn a_server_bound_after_an_ingest_answers_like_the_one_that_took_it() {
         );
         assert_eq!(field(&after, "result"), field(&fresh, "result"), "{repr}");
     }
+}
+
+/// The counter `name` of a `stats` response's `cache` object.
+fn cache_stat(stats: &str, name: &str) -> i64 {
+    let stats = json::parse(stats).expect("stats json");
+    let count = stats.get("cache").and_then(|cache| cache.get(name));
+    count.and_then(Json::as_i64).expect(name)
+}
+
+/// Eight zooms, two window pipelines in every representation, replayed for
+/// four rounds over the socket against a result cache that holds half
+/// their answers: some answers hit, some are declined, and every `result`
+/// equals the same zoom's `"no_cache":true` recompute byte for byte.
+#[test]
+fn answers_under_cache_pressure_equal_their_recomputes() {
+    let zoom = |repr: &str, points: u32, extra: &str| {
+        format!(
+            r#"{{"op":"zoom","graph":"fig1","repr":"{repr}",{extra}"steps":[{{"wzoom":{{"window":{{"points":{points}}},"vq":"exists","eq":"exists"}}}}]}}"#
+        )
+    };
+    let cases: Vec<(&str, u32)> = ["rg", "ve", "og", "ogc"]
+        .into_iter()
+        .flat_map(|repr| [(repr, 2), (repr, 3)])
+        .collect();
+    let result_of = |response: &str| {
+        let at = response.find(",\"result\":").expect("result field");
+        response[at..].to_string()
+    };
+    // What the eight answers are charged together, on a server that keeps
+    // them all.
+    let roomy = bind_server("tgraph-tier1-serve-roomy");
+    for (repr, points) in &cases {
+        roomy.handle_line(&zoom(repr, *points, ""));
+    }
+    let stats = roomy.handle_line(r#"{"op":"stats"}"#);
+    assert_eq!(cache_stat(&stats, "insertions"), 8, "{stats}");
+    let all = cache_stat(&stats, "bytes_used") as u64;
+
+    let dir = std::env::temp_dir().join("tgraph-tier1-serve-pressure");
+    let _ = std::fs::remove_dir_all(&dir);
+    write_dataset(&dir, "fig1", &figure1_graph_stable_ids()).expect("write dataset");
+    let (mut client, serve_thread) = serve_and_connect(bind_over(dir, all / 2));
+    let cold: Vec<String> = cases
+        .iter()
+        .map(|(repr, points)| {
+            result_of(&client.roundtrip(&zoom(repr, *points, r#""no_cache":true,"#)))
+        })
+        .collect();
+    for round in 0..4 {
+        for ((repr, points), cold) in cases.iter().zip(&cold) {
+            let response = client.roundtrip(&zoom(repr, *points, ""));
+            assert_eq!(
+                &result_of(&response),
+                cold,
+                "round {round}: {repr} points {points}"
+            );
+        }
+    }
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert!(cache_stat(&stats, "hits") > 0, "{stats}");
+    assert!(cache_stat(&stats, "declined") > 0, "{stats}");
+    assert!(
+        cache_stat(&stats, "bytes_used") as u64 <= all / 2,
+        "{stats}"
+    );
+    client.shutdown(serve_thread);
 }
