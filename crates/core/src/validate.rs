@@ -14,7 +14,7 @@
 
 use crate::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
 use crate::time::{merge_non_overlapping, Interval};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A violation of TGraph validity.
@@ -86,12 +86,14 @@ impl fmt::Display for ValidityError {
 impl std::error::Error for ValidityError {}
 
 /// Validates a TGraph against Definition 2.1. Returns all violations found
-/// (empty means valid).
+/// (empty means valid), in an order fixed by the input: overlaps come by
+/// entity id, so the first error, which ingest reports, is the same in
+/// every process.
 pub fn validate(g: &TGraph) -> Vec<ValidityError> {
     let mut errors = Vec::new();
 
     // Uniqueness needs each vertex's facts side by side.
-    let mut vertex_periods: HashMap<VertexId, Vec<Interval>> = HashMap::new();
+    let mut vertex_periods: BTreeMap<VertexId, Vec<Interval>> = BTreeMap::new();
     for v in &g.vertices {
         if v.interval.is_empty() {
             errors.push(ValidityError::EmptyVertexInterval(v.vid));
@@ -114,7 +116,7 @@ pub fn validate(g: &TGraph) -> Vec<ValidityError> {
         }
     }
 
-    let mut edge_periods: HashMap<EdgeId, Vec<Interval>> = HashMap::new();
+    let mut edge_periods: BTreeMap<EdgeId, Vec<Interval>> = BTreeMap::new();
     for e in &g.edges {
         if e.interval.is_empty() {
             errors.push(ValidityError::EmptyEdgeInterval(e.eid));
@@ -141,11 +143,11 @@ pub fn validate(g: &TGraph) -> Vec<ValidityError> {
     errors
 }
 
-/// The referential condition of Definition 2.1 on its own: every stretch
-/// of a (non-empty) edge fact during which an endpoint has no vertex fact,
-/// as a [`ValidityError::DanglingEdge`]. Empty means every edge is covered
-/// by the union of its endpoints' facts.
-pub fn dangling_edges(vertices: &[VertexRecord], edges: &[EdgeRecord]) -> Vec<ValidityError> {
+/// The referential condition of Definition 2.1: every stretch of a
+/// (non-empty) edge fact during which an endpoint has no vertex fact, as a
+/// [`ValidityError::DanglingEdge`]. Empty means every edge is covered by
+/// the union of its endpoints' facts.
+fn dangling_edges(vertices: &[VertexRecord], edges: &[EdgeRecord]) -> Vec<ValidityError> {
     let mut periods: HashMap<VertexId, Vec<Interval>> = HashMap::new();
     for v in vertices {
         periods.entry(v.vid).or_default().push(v.interval);

@@ -326,36 +326,16 @@ where
         let parts = rt.partitions();
         let f = Arc::new(f);
         let gov = rt.governor();
-        if hashed_by_key(self.partitioning(), parts) {
-            // Already co-located by key: a single local combine pass, no
-            // map-side stage, no shuffle.
-            rt.note_shuffle_elided();
-            audit_elision(rt, self, parts);
-            return self
-                .clone()
-                .wrap_op(
-                    "shuffle(elided)",
-                    OpKind::ElidedShuffle { parts },
-                    Partitioning::HashByKey { parts },
-                )
-                .map_partitions(move |part| {
-                    let out = combine_partition(part, f.as_ref());
-                    crate::governor::note_state(&gov, &out);
-                    out
-                })
-                .relabel_op(
-                    "reduce_by_key",
-                    OpKind::LocalCombine,
-                    Partitioning::HashByKey { parts },
-                );
-        }
         // Map-side combine shrinks the shuffle, as in Spark. The combine is a
         // deferred narrow stage, so it fuses with both the upstream chain and
-        // the shuffle's map side: one pass over the input.
-        let f1 = Arc::clone(&f);
-        let gov1 = Arc::clone(&gov);
-        let combined = self
-            .map_partitions(move |part| {
+        // the shuffle's map side: one pass over the input. An input already
+        // co-located by key skips it: its shuffle is elided, and the local
+        // combine below is the only pass.
+        let input = if hashed_by_key(self.partitioning(), parts) {
+            self.clone()
+        } else {
+            let (f1, gov1) = (Arc::clone(&f), Arc::clone(&gov));
+            self.map_partitions(move |part| {
                 let out = combine_partition(part, f1.as_ref());
                 crate::governor::note_state(&gov1, &out);
                 out
@@ -364,11 +344,11 @@ where
                 "combine(map-side)",
                 OpKind::LocalCombine,
                 self.partitioning(),
-            );
-        let f2 = Arc::clone(&f);
-        shuffle(rt, &combined)
+            )
+        };
+        shuffle(rt, &input)
             .map_partitions(move |part| {
-                let out = combine_partition(part, f2.as_ref());
+                let out = combine_partition(part, f.as_ref());
                 crate::governor::note_state(&gov, &out);
                 out
             })
@@ -385,18 +365,11 @@ where
         V: Spill,
         W: Clone + Send + Sync + Spill + 'static,
     {
-        let parts = rt.partitions();
-        let left = shuffle(rt, self);
-        let right = shuffle(rt, other);
-        let (lin_l, lin_r) = (left.lineage(), right.lineage());
-        let left_parts = left.parts(rt);
-        let right_parts = right.parts(rt);
-        let out = rt.run_indexed(parts, move |p| {
-            // Build on the right, probe with the left (co-partitioned). The
-            // right rows of one key form a chain in arrival order — `chains`
-            // holds each key's first and last row, `next` the links — so the
-            // build allocates twice per partition, not once per key.
-            let right = &right_parts[p];
+        co_partitioned(rt, self, other, "join", |left, right| {
+            // Build on the right, probe with the left. The right rows of one
+            // key form a chain in arrival order — `chains` holds each key's
+            // first and last row, `next` the links — so the build allocates
+            // twice per partition, not once per key.
             let mut chains: HashMap<&K, (usize, usize)> = HashMap::with_capacity(right.len());
             let mut next: Vec<Option<usize>> = vec![None; right.len()];
             for (i, (k, _)) in right.iter().enumerate() {
@@ -411,24 +384,15 @@ where
                 }
             }
             let mut out = Vec::new();
-            for (k, v) in left_parts[p].iter() {
+            for (k, v) in left {
                 let mut row = chains.get(k).map(|(first, _)| *first);
                 while let Some(i) = row {
                     out.push((k.clone(), (v.clone(), right[i].1.clone())));
                     row = next[i];
                 }
             }
-            Arc::new(out)
-        });
-        let rows: u64 = out.iter().map(|p| p.len() as u64).sum();
-        let node = crate::lineage::PlanNode::new(
-            "join",
-            OpKind::Join { parts },
-            Partitioning::HashByKey { parts },
-            Some(rows),
-            vec![lin_l, lin_r],
-        );
-        Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
+            out
+        })
     }
 
     fn semi_join<W>(&self, rt: &Runtime, keys: &Dataset<(K, W)>) -> Dataset<(K, V)>
@@ -437,33 +401,49 @@ where
         V: Spill,
         W: Clone + Send + Sync + Spill + 'static,
     {
-        let parts = rt.partitions();
-        let left = shuffle(rt, self);
-        let right = shuffle(rt, keys);
-        let (lin_l, lin_r) = (left.lineage(), right.lineage());
-        let left_parts = left.parts(rt);
-        let right_parts = right.parts(rt);
-        let out = rt.run_indexed(parts, move |p| {
-            let keyset: std::collections::HashSet<&K> =
-                right_parts[p].iter().map(|(k, _)| k).collect();
-            Arc::new(
-                left_parts[p]
-                    .iter()
-                    .filter(|(k, _)| keyset.contains(k))
-                    .cloned()
-                    .collect::<Vec<_>>(),
-            )
-        });
-        let rows: u64 = out.iter().map(|p| p.len() as u64).sum();
-        let node = crate::lineage::PlanNode::new(
-            "semi_join",
-            OpKind::Join { parts },
-            Partitioning::HashByKey { parts },
-            Some(rows),
-            vec![lin_l, lin_r],
-        );
-        Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
+        co_partitioned(rt, self, keys, "semi_join", |left, right| {
+            let keyset: std::collections::HashSet<&K> = right.iter().map(|(k, _)| k).collect();
+            left.iter()
+                .filter(|(k, _)| keyset.contains(k))
+                .cloned()
+                .collect()
+        })
     }
+}
+
+/// The reduce side both joins share: shuffle both inputs by key, then run
+/// `probe` on each co-partitioned pair of partitions. The output keeps the
+/// key partitioning, and its `Join` lineage node counts the rows produced.
+fn co_partitioned<K, V, W, T, P>(
+    rt: &Runtime,
+    left: &Dataset<(K, V)>,
+    right: &Dataset<(K, W)>,
+    label: &'static str,
+    probe: P,
+) -> Dataset<T>
+where
+    K: Hash + Eq + Clone + Send + Sync + Spill + 'static,
+    V: Clone + Send + Sync + Spill + 'static,
+    W: Clone + Send + Sync + Spill + 'static,
+    T: Clone + Send + Sync + 'static,
+    P: Fn(&[(K, V)], &[(K, W)]) -> Vec<T> + Send + Sync + 'static,
+{
+    let parts = rt.partitions();
+    let (left, right) = (shuffle(rt, left), shuffle(rt, right));
+    let inputs = vec![left.lineage(), right.lineage()];
+    let (left_parts, right_parts) = (left.parts(rt), right.parts(rt));
+    let out = rt.run_indexed(parts, move |p| {
+        Arc::new(probe(&left_parts[p], &right_parts[p]))
+    });
+    let rows: u64 = out.iter().map(|p| p.len() as u64).sum();
+    let node = crate::lineage::PlanNode::new(
+        label,
+        OpKind::Join { parts },
+        Partitioning::HashByKey { parts },
+        Some(rows),
+        inputs,
+    );
+    Dataset::from_arc_partitions_lineage(out, Partitioning::HashByKey { parts }, node)
 }
 
 #[cfg(test)]

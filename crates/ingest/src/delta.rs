@@ -3,21 +3,20 @@
 //! A [`SnapshotDelta`] carries the facts observed since a dataset's current
 //! lifespan end (`since`). Validation enforces the **append invariant** the
 //! whole incremental-maintenance stack rests on — every fact starts at or
-//! after `since` — plus basic well-formedness (non-empty intervals, a
-//! `type` label on every fact, no conflicting overlaps for one entity, no
-//! property set wider than the record codec writes, no edge outliving an
-//! endpoint).
+//! after `since` — and the record codec's width limits; everything else is
+//! Definition 2.1 as [`tgraph_core::validate`] states it, applied to the
+//! delta's own facts (every committed fact ends by `since`, so no stored
+//! fact can overlap or cover a delta fact).
 //! Producers re-assert continuing entities: a vertex alive across the
 //! boundary appears in the delta with a fresh interval starting at `since`,
 //! which coalescing later merges back into one state; an entity that is
 //! *not* re-asserted has simply ended.
 
-use std::collections::HashMap;
-use tgraph_core::graph::{EdgeId, EdgeRecord, TGraph, VertexId, VertexRecord};
+use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::props::Props;
 use tgraph_core::spill::check_props;
-use tgraph_core::time::{Interval, Time};
-use tgraph_core::validate::{dangling_edges, ValidityError};
+use tgraph_core::time::Time;
+use tgraph_core::validate::{validate, ValidityError};
 use tgraph_dataflow::EncodeError;
 
 /// The facts of one ingest step, all at or after the `since` boundary.
@@ -36,17 +35,6 @@ pub struct SnapshotDelta {
 /// ingest never panics on user data.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeltaError {
-    /// A fact interval with `end <= start` — empty under the closed-open
-    /// convention, so it asserts nothing and is almost certainly a producer
-    /// bug.
-    EmptyInterval {
-        /// `"vertex"` or `"edge"`.
-        entity: &'static str,
-        /// The offending entity id.
-        id: u64,
-        /// The degenerate interval.
-        interval: Interval,
-    },
     /// A fact starting before the `since` boundary — accepting it would let
     /// the delta rewrite committed history out from under cached results.
     OutOfOrder {
@@ -59,26 +47,6 @@ pub enum DeltaError {
         /// The boundary it violates.
         since: Time,
     },
-    /// Two facts for the same entity overlap in time with different
-    /// properties — the entity would have two property sets at once.
-    /// (Overlapping facts with *equal* properties are fine; they coalesce.)
-    Conflict {
-        /// `"vertex"` or `"edge"`.
-        entity: &'static str,
-        /// The id asserted twice.
-        id: u64,
-        /// The instant both facts cover.
-        at: Time,
-    },
-    /// A fact without the `type` label Definition 2.1 requires of every
-    /// vertex and edge — committed, it would fail the first checked-mode
-    /// validation of the graph it joined.
-    MissingType {
-        /// `"vertex"` or `"edge"`.
-        entity: &'static str,
-        /// The offending entity id.
-        id: u64,
-    },
     /// A fact whose property set the record codec cannot write (more than
     /// `u16::MAX` pairs, or a string over `u32::MAX` bytes): refused here,
     /// not inside the epoch append.
@@ -90,32 +58,14 @@ pub enum DeltaError {
         /// Which width was exceeded.
         error: EncodeError,
     },
-    /// An edge fact covering time at which the delta asserts no fact for
-    /// one of its endpoints (Definition 2.1's referential condition). Every
-    /// committed fact ends by `since`, so only the delta's own vertex facts
-    /// can cover a delta edge.
-    DanglingEdge {
-        /// The offending edge id.
-        id: u64,
-        /// The endpoint with no fact.
-        endpoint: u64,
-        /// The stretch of the edge's interval the endpoint leaves uncovered.
-        during: Interval,
-    },
+    /// The delta's facts do not form a valid TGraph (Definition 2.1): the
+    /// first violation [`tgraph_core::validate::validate`] reports.
+    Invalid(ValidityError),
 }
 
 impl std::fmt::Display for DeltaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeltaError::EmptyInterval {
-                entity,
-                id,
-                interval,
-            } => write!(
-                f,
-                "{entity} {id}: empty interval [{}, {})",
-                interval.start, interval.end
-            ),
             DeltaError::OutOfOrder {
                 entity,
                 id,
@@ -125,23 +75,8 @@ impl std::fmt::Display for DeltaError {
                 f,
                 "{entity} {id}: starts at {start}, before the delta boundary {since}"
             ),
-            DeltaError::Conflict { entity, id, at } => write!(
-                f,
-                "{entity} {id}: conflicting property sets overlap at time {at}"
-            ),
-            DeltaError::MissingType { entity, id } => {
-                write!(f, "{entity} {id}: lacks the required `type` property")
-            }
             DeltaError::TooWide { entity, id, error } => write!(f, "{entity} {id}: {error}"),
-            DeltaError::DanglingEdge {
-                id,
-                endpoint,
-                during,
-            } => write!(
-                f,
-                "edge {id}: endpoint {endpoint} has no vertex fact during [{}, {})",
-                during.start, during.end
-            ),
+            DeltaError::Invalid(error) => error.fmt(f),
         }
     }
 }
@@ -169,46 +104,19 @@ impl SnapshotDelta {
         self.vertices.is_empty() && self.edges.is_empty()
     }
 
-    /// Checks the append invariant and well-formedness. Returns the first
-    /// violation found; a valid delta returns `Ok(())`.
+    /// Checks the append invariant and the codec width of every fact, then
+    /// Definition 2.1 on the delta as a graph. Returns the first violation
+    /// found; a valid delta returns `Ok(())`.
     pub fn validate(&self) -> Result<(), DeltaError> {
-        let mut v_facts: HashMap<VertexId, Vec<(Interval, &Props)>> = HashMap::new();
         for v in &self.vertices {
-            check_fact("vertex", v.vid.0, v.interval, &v.props, self.since)?;
-            v_facts
-                .entry(v.vid)
-                .or_default()
-                .push((v.interval, &v.props));
+            check_fact("vertex", v.vid.0, v.interval.start, &v.props, self.since)?;
         }
-        for (vid, facts) in v_facts {
-            check_overlaps("vertex", vid.0, facts)?;
-        }
-        type EdgeKey = (EdgeId, VertexId, VertexId);
-        let mut e_facts: HashMap<EdgeKey, Vec<(Interval, &Props)>> = HashMap::new();
         for e in &self.edges {
-            check_fact("edge", e.eid.0, e.interval, &e.props, self.since)?;
-            e_facts
-                .entry((e.eid, e.src, e.dst))
-                .or_default()
-                .push((e.interval, &e.props));
+            check_fact("edge", e.eid.0, e.interval.start, &e.props, self.since)?;
         }
-        for ((eid, _, _), facts) in e_facts {
-            check_overlaps("edge", eid.0, facts)?;
-        }
-        match dangling_edges(&self.vertices, &self.edges)
-            .into_iter()
-            .next()
-        {
-            Some(ValidityError::DanglingEdge {
-                eid,
-                endpoint,
-                during,
-            }) => Err(DeltaError::DanglingEdge {
-                id: eid.0,
-                endpoint: endpoint.0,
-                during,
-            }),
-            _ => Ok(()),
+        match validate(&self.to_tgraph()).into_iter().next() {
+            Some(error) => Err(DeltaError::Invalid(error)),
+            None => Ok(()),
         }
     }
 
@@ -220,58 +128,33 @@ impl SnapshotDelta {
     }
 }
 
+/// The two rules that exist for deltas alone: the append invariant and the
+/// record codec's widths.
 fn check_fact(
     entity: &'static str,
     id: u64,
-    interval: Interval,
+    start: Time,
     props: &Props,
     since: Time,
 ) -> Result<(), DeltaError> {
-    if interval.is_empty() {
-        return Err(DeltaError::EmptyInterval {
-            entity,
-            id,
-            interval,
-        });
-    }
-    if interval.start < since {
+    if start < since {
         return Err(DeltaError::OutOfOrder {
             entity,
             id,
-            start: interval.start,
+            start,
             since,
         });
     }
-    if props.type_label().is_none() {
-        return Err(DeltaError::MissingType { entity, id });
-    }
     check_props(props).map_err(|error| DeltaError::TooWide { entity, id, error })?;
-    Ok(())
-}
-
-fn check_overlaps(
-    entity: &'static str,
-    id: u64,
-    mut facts: Vec<(Interval, &Props)>,
-) -> Result<(), DeltaError> {
-    facts.sort_by_key(|(iv, _)| (iv.start, iv.end));
-    for pair in facts.windows(2) {
-        let ((a, pa), (b, pb)) = (&pair[0], &pair[1]);
-        if b.start < a.end && pa != pb {
-            return Err(DeltaError::Conflict {
-                entity,
-                id,
-                at: b.start,
-            });
-        }
-    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph_core::graph::{EdgeId, VertexId};
     use tgraph_core::props::Value;
+    use tgraph_core::time::Interval;
 
     fn v(id: u64, start: Time, end: Time) -> VertexRecord {
         VertexRecord {
@@ -338,14 +221,12 @@ mod tests {
             vertices: vec![v(1, 10, 10)],
             edges: Vec::new(),
         };
-        assert!(matches!(
+        assert_eq!(
             d.validate(),
-            Err(DeltaError::EmptyInterval {
-                entity: "vertex",
-                id: 1,
-                ..
-            })
-        ));
+            Err(DeltaError::Invalid(ValidityError::EmptyVertexInterval(
+                VertexId(1)
+            )))
+        );
     }
 
     #[test]
@@ -366,7 +247,7 @@ mod tests {
     }
 
     /// Definition 2.1 (condition 3): every fact carries a `type` label. The
-    /// interval and boundary checks still answer first.
+    /// boundary check still answers first.
     #[test]
     fn untyped_fact_is_typed_error() {
         let mut untyped = v(8, 9, 12);
@@ -378,10 +259,9 @@ mod tests {
         };
         assert_eq!(
             d.validate(),
-            Err(DeltaError::MissingType {
-                entity: "vertex",
-                id: 8
-            })
+            Err(DeltaError::Invalid(ValidityError::MissingVertexType(
+                VertexId(8)
+            )))
         );
         let edge = EdgeRecord {
             eid: EdgeId(4),
@@ -397,7 +277,7 @@ mod tests {
         };
         assert_eq!(
             d.validate().map_err(|e| e.to_string()),
-            Err("edge 4: lacks the required `type` property".to_string())
+            Err("edge e4 lacks the required `type` property".to_string())
         );
         untyped.interval = Interval::new(5, 12);
         let early = SnapshotDelta {
@@ -422,24 +302,104 @@ mod tests {
             vertices: vec![a, b],
             edges: Vec::new(),
         };
-        assert!(matches!(
+        assert_eq!(
             d.validate(),
-            Err(DeltaError::Conflict {
-                entity: "vertex",
-                id: 1,
-                at: 10
-            })
+            Err(DeltaError::Invalid(ValidityError::OverlappingVertexFacts(
+                VertexId(1),
+                Interval::new(9, 12),
+                Interval::new(10, 13)
+            )))
+        );
+    }
+
+    /// One vertex may carry several facts with equal properties only when
+    /// they do not overlap: adjacent facts coalesce, overlapping ones would
+    /// make the vertex exist twice at one time point.
+    #[test]
+    fn duplicate_id_with_equal_props_is_fine_only_when_disjoint() {
+        let d = |later: VertexRecord| SnapshotDelta {
+            since: 9,
+            vertices: vec![v(1, 9, 12), later],
+            edges: Vec::new(),
+        };
+        assert_eq!(d(v(1, 12, 13)).validate(), Ok(()));
+        assert!(matches!(
+            d(v(1, 10, 13)).validate(),
+            Err(DeltaError::Invalid(ValidityError::OverlappingVertexFacts(
+                VertexId(1),
+                ..
+            )))
         ));
     }
 
+    /// Equal properties do not make an overlap harmless. Accepted, this
+    /// delta counted `v1` twice over `[9, 11)` in VE and RG (an `aZoom` by
+    /// `school` with `count` gave `n=3` there, where OG and the reference
+    /// give `n=2` over all of `[8, 12)`).
     #[test]
-    fn duplicate_id_with_equal_props_is_fine() {
+    fn an_overlapping_duplicate_is_refused_whatever_its_props() {
+        let mit = |id, start, end| VertexRecord {
+            props: Props::typed("person").with("school", "MIT"),
+            ..v(id, start, end)
+        };
         let d = SnapshotDelta {
-            since: 9,
-            vertices: vec![v(1, 9, 12), v(1, 10, 13)],
+            since: 8,
+            vertices: vec![mit(1, 8, 12), mit(1, 9, 11), mit(2, 8, 12)],
             edges: Vec::new(),
         };
-        assert_eq!(d.validate(), Ok(()));
+        assert_eq!(
+            d.validate(),
+            Err(DeltaError::Invalid(ValidityError::OverlappingVertexFacts(
+                VertexId(1),
+                Interval::new(8, 12),
+                Interval::new(9, 11)
+            )))
+        );
+    }
+
+    /// With several entities at fault the error names the lowest id, so
+    /// the `bad_delta` a client reads does not depend on hash order.
+    #[test]
+    fn the_first_overlap_reported_is_the_lowest_id() {
+        let vertices = (1..=8)
+            .rev()
+            .flat_map(|id| [v(id, 9, 12), v(id, 10, 11)])
+            .collect();
+        let d = SnapshotDelta {
+            since: 9,
+            vertices,
+            edges: Vec::new(),
+        };
+        assert_eq!(
+            d.validate().map_err(|e| e.to_string()),
+            Err("vertex v1 has overlapping facts [9, 12) and [10, 11)".to_string())
+        );
+    }
+
+    /// An edge id names one edge (Definition 2.1 keys uniqueness by id), so
+    /// it cannot join two endpoint pairs at the same time point.
+    #[test]
+    fn an_edge_id_on_two_endpoint_pairs_at_once_is_refused() {
+        let knows = |src, dst| EdgeRecord {
+            eid: EdgeId(5),
+            src: VertexId(src),
+            dst: VertexId(dst),
+            interval: Interval::new(9, 12),
+            props: Props::typed("knows"),
+        };
+        let d = SnapshotDelta {
+            since: 9,
+            vertices: vec![v(1, 9, 12), v(2, 9, 12), v(3, 9, 12)],
+            edges: vec![knows(1, 2), knows(1, 3)],
+        };
+        assert_eq!(
+            d.validate(),
+            Err(DeltaError::Invalid(ValidityError::OverlappingEdgeFacts(
+                EdgeId(5),
+                Interval::new(9, 12),
+                Interval::new(9, 12)
+            )))
+        );
     }
 
     /// An edge needs both endpoints asserted by the delta over its whole
@@ -465,19 +425,22 @@ mod tests {
         let short = d(vec![v(1, 9, 12), v(2, 9, 11)], edge(9, 12)).validate();
         assert_eq!(
             short,
-            Err(DeltaError::DanglingEdge {
-                id: 4,
-                endpoint: 2,
+            Err(DeltaError::Invalid(ValidityError::DanglingEdge {
+                eid: EdgeId(4),
+                endpoint: VertexId(2),
                 during: Interval::new(11, 12),
-            })
+            }))
         );
         assert_eq!(
             short.map_err(|e| e.to_string()),
-            Err("edge 4: endpoint 2 has no vertex fact during [11, 12)".to_string())
+            Err("edge e4 dangles: endpoint v2 absent during [11, 12)".to_string())
         );
         assert!(matches!(
             d(vec![v(2, 9, 12)], edge(9, 12)).validate(),
-            Err(DeltaError::DanglingEdge { endpoint: 1, .. })
+            Err(DeltaError::Invalid(ValidityError::DanglingEdge {
+                endpoint: VertexId(1),
+                ..
+            }))
         ));
     }
 }

@@ -6,8 +6,10 @@
 //!
 //! * [`SnapshotDelta`] — the validated unit of ingest: facts at or after
 //!   the dataset's current lifespan end, with typed rejection
-//!   ([`DeltaError`]) for empty intervals, out-of-order facts, untyped
-//!   facts, and conflicting duplicates.
+//!   ([`DeltaError`]) of three kinds: a fact before the boundary
+//!   (`OutOfOrder`), a property set wider than the record codec
+//!   (`TooWide`), and a delta that is not a valid TGraph under
+//!   [`tgraph_core::validate`] (`Invalid`).
 //! * [`AnyGraph::append_epoch`](tgraph_repr::AnyGraph::append_epoch) — how
 //!   a resident representation reaches the next epoch without a reload
 //!   (VE and RG extend, OG and OGC are rebuilt through their constructors),

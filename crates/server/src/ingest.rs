@@ -241,7 +241,7 @@ mod tests {
         );
         assert_eq!(
             untyped,
-            r#"{"ok":false,"kind":"bad_delta","error":"vertex 8: lacks the required `type` property"}"#
+            r#"{"ok":false,"kind":"bad_delta","error":"vertex v8 lacks the required `type` property"}"#
         );
         let missing = server.handle_line(r#"{"op":"ingest","graph":"nope"}"#);
         assert!(missing.contains("\"kind\":\"not_found\""), "{missing}");
@@ -265,7 +265,7 @@ mod tests {
         let line = r#"{"op":"ingest","graph":"ingd","since":9,"vertices":[{"id":9,"interval":[9,12],"props":{"type":"person"}}],"edges":[{"id":77,"src":9,"dst":1,"interval":[9,11],"props":{"type":"knows"}}]}"#;
         assert_eq!(
             server.handle_line(line),
-            r#"{"ok":false,"kind":"bad_delta","error":"edge 77: endpoint 1 has no vertex fact during [9, 11)"}"#
+            r#"{"ok":false,"kind":"bad_delta","error":"edge e77 dangles: endpoint v1 absent during [9, 11)"}"#
         );
         assert_eq!(epoch(), 0);
         let stats = server.handle_line(r#"{"op":"stats"}"#);

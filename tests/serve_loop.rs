@@ -9,7 +9,9 @@
 //! still there afterwards; a fourth (in process) holds a server that
 //! ingested against one bound afterwards over the same directory; a fifth
 //! replays more zooms than the result cache holds and checks every answer,
-//! hit, evicted or declined, against a cache-bypassing recompute.
+//! hit, evicted or declined, against a cache-bypassing recompute; a sixth
+//! sends a delta that asserts one vertex twice at once and checks it is
+//! refused without committing an epoch.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -209,6 +211,42 @@ fn ingest_over_the_socket_patches_byte_identically_to_a_recompute() {
     let recomputed = client.roundtrip(&zoom(r#""no_cache":true,"#));
     assert!(recomputed.contains("\"cache\":\"miss\""), "{recomputed}");
     assert_eq!(result_of(&patched), result_of(&recomputed));
+    client.shutdown(serve_thread);
+}
+
+/// A delta that asserts one vertex twice over overlapping intervals breaks
+/// Definition 2.1 even when both facts carry the same properties: VE and RG
+/// would count the vertex twice where OG counts it once. It is a
+/// `bad_delta`, no epoch is committed, and the zoom asked before it is
+/// still answered from the cache afterwards.
+#[test]
+fn an_overlapping_duplicate_over_the_socket_is_a_bad_delta_and_commits_nothing() {
+    let zoom = r#"{"op":"zoom","graph":"fig1","repr":"ve","steps":[{"azoom":{"by":"school","new_type":"school","aggs":[{"output":"students","fn":"count"}]}}]}"#;
+    let cat = |interval: &str| {
+        format!(
+            r#"{{"id":3,"interval":{interval},"props":{{"type":"person","school":"MIT","name":"Cat"}}}}"#
+        )
+    };
+    let ingest = format!(
+        r#"{{"op":"ingest","graph":"fig1","since":9,"vertices":[{},{}]}}"#,
+        cat("[9,12]"),
+        cat("[10,11]")
+    );
+
+    let (mut client, serve_thread) = serve_and_connect(bind_server("tgraph-tier1-serve-overlap"));
+    let first = client.roundtrip(zoom);
+    assert!(first.contains("\"cache\":\"miss\""), "{first}");
+    let before = client.roundtrip(zoom);
+    assert!(before.contains("\"cache\":\"hit\""), "{before}");
+    let refused = client.roundtrip(&ingest);
+    assert_eq!(
+        refused,
+        r#"{"ok":false,"kind":"bad_delta","error":"vertex v3 has overlapping facts [9, 12) and [10, 11)"}"#
+    );
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"ingests\":0"), "{stats}");
+    let after = client.roundtrip(zoom);
+    assert!(after.contains("\"cache\":\"hit\""), "{after}");
     client.shutdown(serve_thread);
 }
 
