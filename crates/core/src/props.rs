@@ -212,6 +212,15 @@ impl Props {
         Props(Arc::from(v))
     }
 
+    /// A property set from pairs already in strictly ascending key order, in
+    /// one allocation and without a sort; `None` if they are not in that
+    /// order (a key out of place or repeated).
+    pub fn from_sorted(pairs: impl IntoIterator<Item = (Key, Value)>) -> Option<Self> {
+        let pairs: Arc<[(Key, Value)]> = pairs.into_iter().collect();
+        let ascending = pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        ascending.then_some(Props(pairs))
+    }
+
     /// Convenience constructor for an entity that only carries a type label.
     pub fn typed(type_label: &str) -> Self {
         Props(Arc::from([(type_key(), Value::from(type_label))]))
@@ -324,6 +333,16 @@ mod tests {
         assert_eq!(p.get("b"), Some(&Value::Int(3)));
         let keys: Vec<&str> = p.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(keys, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn from_sorted_keeps_ascending_keys_and_refuses_others() {
+        let pair = |k: &str, v: i64| (Key::from(k), Value::Int(v));
+        let p = Props::from_sorted([pair("a", 1), pair("b", 2)]);
+        assert_eq!(p, Some(Props::from_pairs([("b", 2i64), ("a", 1i64)])));
+        assert_eq!(Props::from_sorted([]), Some(Props::new()));
+        assert_eq!(Props::from_sorted([pair("b", 1), pair("a", 2)]), None);
+        assert_eq!(Props::from_sorted([pair("a", 1), pair("a", 2)]), None);
     }
 
     #[test]

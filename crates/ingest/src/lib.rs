@@ -20,7 +20,9 @@
 //!   grids constrain the cut and [`Pipeline::execute`](tgraph_query::Pipeline::execute)
 //!   runs both the cold and the suffix side; the property suite in `tests/`
 //!   (all four representations, with and without spilling) calls
-//!   [`patch_from_storage`], the function `tgraph-serve` calls.
+//!   [`patch_from_storage`], the function `tgraph-serve` calls. The cached
+//!   result comes in as a [`Seed`], asked for its graph only once the
+//!   planner has decided to patch.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -28,5 +30,5 @@ pub mod delta;
 pub mod patch;
 
 pub use delta::{DeltaError, SnapshotDelta};
-pub use patch::{patch_from_storage, stitch, NoPatch, Patched};
+pub use patch::{patch_from_storage, stitch, NoPatch, Patched, Seed};
 pub use tgraph_core::zoom::maintenance::MaintenanceDecision;

@@ -28,6 +28,7 @@
 //! O(history): the suffix read pushes `[c, ∞)` into the chunk statistics of
 //! the base file and every epoch segment.
 
+use std::borrow::Cow;
 use tgraph_core::graph::{EdgeRecord, TGraph, VertexRecord};
 use tgraph_core::time::{Interval, Time};
 use tgraph_core::zoom::maintenance::{decide, MaintenanceDecision};
@@ -76,6 +77,22 @@ pub fn stitch(cached: &TGraph, suffix: &TGraph, cut: Time) -> TGraph {
     }
 }
 
+/// The cached result a patch starts from. [`patch_from_storage`] asks for
+/// the graph only once the planner has decided to patch, so a seed kept in
+/// another form (the server keeps the serialized answer) is rebuilt only
+/// for a patch.
+pub trait Seed {
+    /// The result graph, or `None` if it cannot be had: then there is no
+    /// patch, and the caller runs cold.
+    fn graph(&self) -> Option<Cow<'_, TGraph>>;
+}
+
+impl Seed for TGraph {
+    fn graph(&self) -> Option<Cow<'_, TGraph>> {
+        Some(Cow::Borrowed(self))
+    }
+}
+
 /// A result [`patch_from_storage`] brought up to date.
 #[derive(Clone, Debug)]
 pub struct Patched {
@@ -97,6 +114,8 @@ pub enum NoPatch {
     },
     /// The suffix could not be read.
     Storage(StorageError),
+    /// The seed could not be read back.
+    Seed,
 }
 
 impl std::fmt::Display for NoPatch {
@@ -104,6 +123,7 @@ impl std::fmt::Display for NoPatch {
         match self {
             NoPatch::Recompute { reason } => write!(f, "planner refused to patch: {reason}"),
             NoPatch::Storage(e) => write!(f, "suffix load: {e}"),
+            NoPatch::Seed => write!(f, "the cached result could not be read back"),
         }
     }
 }
@@ -111,7 +131,9 @@ impl std::fmt::Display for NoPatch {
 /// Maintenance against a stored dataset, the whole `plan → suffix → execute
 /// → stitch` sequence: `cached` is the pipeline's result as of `boundary`
 /// (the lifespan end it was computed at) and `lifespan` the dataset's
-/// lifespan now.
+/// lifespan now. The seed is read after the planner has ruled and before
+/// the suffix is loaded, so a refused or unreadable seed costs no suffix
+/// read.
 ///
 /// The suffix `[cut, ∞)` is read from the flat base file plus every epoch
 /// segment, with the range pushed into each file's chunk statistics — a
@@ -126,20 +148,21 @@ pub fn patch_from_storage(
     lifespan: Interval,
     repr: ReprKind,
     pipeline: &Pipeline,
-    cached: &TGraph,
+    cached: &(impl Seed + ?Sized),
     boundary: Time,
 ) -> Result<Patched, NoPatch> {
     let cut = match decide(lifespan, boundary, &pipeline.window_grids()) {
         MaintenanceDecision::Patch { cut } => cut,
         MaintenanceDecision::Recompute { reason } => return Err(NoPatch::Recompute { reason }),
     };
+    let cached = cached.graph().ok_or(NoPatch::Seed)?;
     let (mut suffix, scan) = loader
         .load_flat(Some(Interval::new(cut, Time::MAX)))
         .map_err(NoPatch::Storage)?;
     suffix.lifespan = Interval::new(cut, lifespan.end);
     let out = pipeline.collect(rt, AnyGraph::from_tgraph(rt, suffix, repr));
     Ok(Patched {
-        result: stitch(cached, &out, cut),
+        result: stitch(&cached, &out, cut),
         cut,
         scan,
     })

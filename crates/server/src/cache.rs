@@ -6,10 +6,16 @@
 //! zoom path), so two distinct queries can never share an entry. When it was
 //! asked is in the entry: the dataset epoch the answer was computed at. A
 //! lookup hits only at that epoch. An entry from an earlier epoch is a miss
-//! that hands the old answer back, and when that answer kept its result
-//! graph (range-free queries do) the patch path stitches the new epoch onto
-//! it; the new answer then replaces the entry. An ingest therefore has
+//! that hands the old answer back, and for a range-free query the patch path
+//! reads the old result graph back from its body and stitches the new epoch
+//! onto it; the new answer then replaces the entry. An ingest therefore has
 //! nothing to drop here.
+//!
+//! An answer is kept once, as its bytes: an entry holds its key, its body
+//! and its bookkeeping, and is charged exactly those. No result graph is
+//! kept beside the body: only a patch after an ingest would read one, and
+//! the patch rebuilds it from the body (`render::read_tgraph`) when the
+//! planner has decided to patch.
 //!
 //! What stays under the budget is decided by value per charged byte, after
 //! GreedyDual-Size (Cao & Irani, 1997) with TinyLFU's aged frequency
@@ -37,9 +43,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tgraph_core::graph::TGraph;
 use tgraph_core::time::Time;
-use tgraph_dataflow::{charged_size, fnv1a, lock_unpoisoned};
+use tgraph_dataflow::{fnv1a, lock_unpoisoned};
 
 /// One query's answer at one dataset epoch.
 #[derive(Clone, Debug)]
@@ -49,11 +54,9 @@ pub struct Answer {
     /// The lifespan end of the graph it was computed over: where a patch
     /// from this answer starts.
     pub boundary: Time,
-    /// The serialized result.
+    /// The serialized result. For a range-free query it is also the patch
+    /// seed: the patch path reads the result graph back from it.
     pub body: Arc<str>,
-    /// The collected result graph, kept for range-free queries only: the
-    /// seed the patch path brings up to a later epoch.
-    pub seed: Option<Arc<TGraph>>,
     /// What a cold run of the query cost: the records its executed plan
     /// counted (`PlanNode::counted_rows`). A patched answer keeps the work
     /// of the answer it was patched from.
@@ -81,8 +84,8 @@ struct Entry {
 /// Lookups per resident between two halvings of every request count.
 const AGING_PERIOD: u64 = 10;
 
-/// Fixed bookkeeping retained per resident entry beyond the key text,
-/// body and seed: the map's `(key, Entry)` slot, the query's request-count
+/// Fixed bookkeeping retained per resident entry beyond the key text and
+/// body: the map's `(key, Entry)` slot, the query's request-count
 /// slot, and the body `Arc`'s two reference counters. Derived from the
 /// actual layouts so the charge tracks the code.
 pub(crate) const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<(Box<str>, Entry)>()
@@ -90,15 +93,11 @@ pub(crate) const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<(Box<str>, Entry)>()
     + 2 * std::mem::size_of::<usize>()) as u64;
 
 /// Budget charge of one entry: what residency actually retains — the key
-/// text, the body, the seed's vertex and edge lists, and the bookkeeping.
-/// Shared with the shadow-model property test so any accounting drift
-/// between model and implementation is a test failure.
+/// text, the body and the bookkeeping. Shared with the shadow-model
+/// property test so any accounting drift between model and implementation
+/// is a test failure.
 fn entry_cost(key: &str, answer: &Answer) -> u64 {
-    let seed = answer
-        .seed
-        .as_deref()
-        .map_or(0, |g| charged_size(&g.vertices) + charged_size(&g.edges));
-    (key.len() + answer.body.len() + seed) as u64 + ENTRY_OVERHEAD
+    (key.len() + answer.body.len()) as u64 + ENTRY_OVERHEAD
 }
 
 /// An answer's value: its query's request count times its work.
@@ -193,6 +192,8 @@ pub struct CacheStats {
     /// at least as much: the misses to come for them are declines, not
     /// evictions.
     pub declined: u64,
+    /// Answers currently held.
+    pub resident: u64,
     /// Bytes currently charged against the budget.
     pub bytes_used: u64,
     /// The configured budget.
@@ -212,8 +213,7 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// A cache bounded to `byte_budget` bytes of (key + body + seed +
-    /// overhead).
+    /// A cache bounded to `byte_budget` bytes of (key + body + overhead).
     pub fn new(byte_budget: u64) -> Self {
         ResultCache {
             inner: Mutex::new(Inner::default()),
@@ -295,9 +295,9 @@ impl ResultCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let bytes_used = {
+        let (bytes_used, resident) = {
             let inner = lock_unpoisoned(&self.inner);
-            inner.bytes_used
+            (inner.bytes_used, inner.map.len() as u64)
         };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -305,6 +305,7 @@ impl ResultCache {
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             declined: self.declined.load(Ordering::Relaxed),
+            resident,
             bytes_used,
             byte_budget: self.byte_budget,
         }
@@ -339,10 +340,9 @@ impl std::fmt::Debug for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgraph_core::graph::figure1_graph_stable_ids;
 
     /// An epoch-0 answer of `n` copies of the ASCII character `fill % 128`,
-    /// with no seed and one unit of work.
+    /// with one unit of work.
     fn payload(n: usize, fill: u8) -> Answer {
         worth(n, fill, 1)
     }
@@ -360,12 +360,11 @@ mod tests {
             epoch,
             boundary: 9,
             body: char::from(fill % 128).to_string().repeat(n).into(),
-            seed: None,
             work: 1,
         }
     }
 
-    /// The charge of a seedless `len`-byte body under `key`.
+    /// The charge of a `len`-byte body under `key`.
     fn cost(key: &str, len: usize) -> u64 {
         entry_cost(key, &payload(len, 0))
     }
@@ -435,29 +434,29 @@ mod tests {
     }
 
     /// The budget charge reflects what residency retains: the body, the
-    /// one copy of the key text, the seed's records, and layout-derived
-    /// bookkeeping.
+    /// one copy of the key text, and layout-derived bookkeeping; nothing
+    /// else, whatever the answer's epoch, boundary or work.
     #[test]
-    fn entry_cost_covers_body_key_seed_and_bookkeeping() {
+    fn entry_cost_covers_body_key_and_bookkeeping() {
         let key = "x".repeat(1000);
         let c = ResultCache::new(1 << 20);
         c.insert(&key, payload(100, 1));
         let used = c.stats().bytes_used;
         assert_eq!(used, cost(&key, 100));
-        assert!(used >= 100 + 1000, "body and key text, got {used}");
+        assert_eq!(used, 100 + 1000 + ENTRY_OVERHEAD, "body, key, bookkeeping");
         // The overhead term is layout-derived, not a guess: it covers at
         // least the Entry struct and the request-count slot.
         let count_slot = std::mem::size_of::<(u64, u32)>();
         assert!(ENTRY_OVERHEAD >= (std::mem::size_of::<Entry>() + count_slot) as u64);
-        // A seed is charged its vertex and edge lists on top.
-        let g = figure1_graph_stable_ids();
-        let records = (charged_size(&g.vertices) + charged_size(&g.edges)) as u64;
-        let seeded = Answer {
-            seed: Some(Arc::new(g)),
-            ..payload(100, 1)
+        c.insert(&key, at_epoch(7, 100, 1));
+        assert_eq!(c.stats().bytes_used, used, "the epoch is not charged");
+        let dear = Answer {
+            work: u64::MAX,
+            ..at_epoch(8, 100, 1)
         };
-        c.insert(&key, seeded);
-        assert_eq!(c.stats().bytes_used, used + records);
+        c.insert(&key, dear);
+        assert_eq!(c.stats().bytes_used, used, "nor is the work");
+        assert_eq!(c.stats().resident, 1);
     }
 
     #[test]

@@ -160,9 +160,9 @@ mod tests {
         );
     }
 
-    /// The seed is the cache entry: once the byte budget evicts it, the
-    /// zoom after an ingest recomputes cold, and answers what `no_cache`
-    /// does.
+    /// The seed is the cache entry's body: once the byte budget evicts it,
+    /// the zoom after an ingest recomputes cold, and answers what
+    /// `no_cache` does.
     #[test]
     fn an_evicted_seed_leaves_the_next_zoom_a_cold_miss() {
         let server = fresh_server("tgraph-serve-ingest5", "ing5");
@@ -179,7 +179,6 @@ mod tests {
             epoch: 0,
             boundary: 9,
             body: body.into(),
-            seed: None,
             work: u64::MAX,
         };
         server.cache.insert(filler, answer);

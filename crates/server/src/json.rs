@@ -7,6 +7,7 @@
 //! identical results serialize to identical bytes (the property the result
 //! cache's byte-identical replay depends on).
 
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 
 /// A parsed JSON value. Objects preserve insertion order (`Vec`, not a map):
@@ -221,21 +222,21 @@ pub const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if !p.at_end() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
 }
 
-struct Parser<'a> {
+/// A cursor over one JSON text. [`parse`] reads any document with it; the
+/// result-body reader (`render::read_tgraph`) drives its string and number
+/// scanning directly over the one layout the body writer produces.
+pub(crate) struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -243,6 +244,16 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// A cursor at the start of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_string(),
@@ -250,8 +261,34 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The next byte, not consumed.
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Whether every byte has been consumed.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+
+    /// The text not yet consumed.
+    pub(crate) fn rest(&self) -> &'a str {
+        self.input.get(self.pos..).unwrap_or_default()
+    }
+
+    /// Consumes the next `n` bytes, which the caller has matched in
+    /// [`rest`](Self::rest).
+    pub(crate) fn advance(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.bytes.len());
+    }
+
+    /// Consumes `token` if the input continues with it exactly.
+    pub(crate) fn token(&mut self, token: &str) -> bool {
+        let found = self.bytes[self.pos..].starts_with(token.as_bytes());
+        if found {
+            self.pos += token.len();
+        }
+        found
     }
 
     fn skip_ws(&mut self) {
@@ -270,8 +307,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
+        if self.token(lit) {
             Ok(v)
         } else {
             Err(self.err(&format!("expected '{lit}'")))
@@ -295,7 +331,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -314,7 +350,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.into_owned();
             self.skip_ws();
             self.consume(b':')?;
             self.skip_ws();
@@ -355,53 +391,51 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// One string literal, unescaped. Borrowed from the input when it
+    /// holds no escape, the common case: the text between two escapes goes
+    /// over as one run, found by a scan for the two ASCII bytes that end it.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.consume(b'"')?;
-        let mut s = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let cp = self.unicode_escape()?;
-                            s.push(cp);
-                            continue; // unicode_escape advanced past the digits
-                        }
-                        _ => return Err(self.err("bad escape")),
+            let Some(len) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            // Both delimiters are ASCII, so the run is whole scalars.
+            let run = self.input.get(self.pos..self.pos + len).unwrap_or_default();
+            self.pos += len + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance over one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let step = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xf0 => 4,
-                        b if b >= 0xe0 => 3,
-                        _ => 2,
-                    }
-                    .min(rest.len());
-                    let chunk = std::str::from_utf8(&rest[..step])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    s.push_str(chunk);
-                    self.pos += step;
-                }
+                });
             }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(run);
+            match self.peek() {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'b') => s.push('\u{8}'),
+                Some(b'f') => s.push('\u{c}'),
+                Some(b'u') => {
+                    let cp = self.unicode_escape()?;
+                    s.push(cp);
+                    continue; // unicode_escape advanced past the digits
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -438,7 +472,9 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| self.err("bad \\u escape"))
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    /// One number: `Int` when it has no fraction or exponent and fits an
+    /// `i64`, `Float` otherwise.
+    pub(crate) fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -464,8 +500,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self.input.get(start..self.pos).unwrap_or_default();
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Json::Int(v));

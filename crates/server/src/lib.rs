@@ -24,7 +24,8 @@
 //!    answers worth most per byte (aged request count times the work the
 //!    plan counted), so a repeated zoom replays byte-identical output
 //!    without touching the worker pool, and after an ingest the older
-//!    answer is the seed the patch path stitches.
+//!    answer's bytes, read back into its result graph, are the seed the
+//!    patch path stitches.
 //! 2. **Admission control and deadlines** ([`admission`]): a bounded
 //!    in-flight semaphore with a bounded waiting queue; per-request
 //!    deadlines propagate into the dataflow runtime as a
@@ -63,7 +64,7 @@ pub use cache::{CacheStats, ResultCache};
 pub use json::Json;
 pub use metrics::{Histogram, ServerMetrics};
 pub use protocol::{parse_request, BadRequest, Request, ZoomRequest};
-pub use render::serialize_tgraph;
+pub use render::{read_tgraph, serialize_tgraph};
 pub use server::{Server, ServerConfig, MAX_LINE_BYTES};
 
 #[doc(no_inline)]

@@ -44,8 +44,8 @@ pub struct ServerConfig {
     /// layer runs `max_inflight + 2` dispatchers, so a value of 2 or more
     /// refuses nothing there.
     pub max_queue: usize,
-    /// Result-cache byte budget: answer bodies and the patch seeds of
-    /// range-free answers both count against it.
+    /// Result-cache byte budget: each answer is charged its key, its body
+    /// and its fixed bookkeeping.
     pub cache_bytes: u64,
 }
 

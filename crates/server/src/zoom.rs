@@ -15,7 +15,8 @@ use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ZoomRequest;
 use crate::render::{
-    error_response, optimizer_json, panic_detail, serialize_tgraph, zoom_response, Reply,
+    error_response, optimizer_json, panic_detail, read_tgraph, serialize_tgraph, zoom_response,
+    Reply,
 };
 use crate::server::Server;
 use std::borrow::Cow;
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tgraph_core::graph::TGraph;
 use tgraph_dataflow::{CancelToken, PlanNode, Runtime};
-use tgraph_ingest::patch_from_storage;
+use tgraph_ingest::{patch_from_storage, Seed};
 use tgraph_repr::ReprKind;
 use tgraph_storage::{GraphLoader, SharedGraph};
 
@@ -53,9 +54,8 @@ pub(crate) fn execute_steps(
 
 /// What the execute stage hands to the serialize stage.
 struct Executed {
-    /// Kept by the cache entry as the next epoch's patch seed when the
-    /// query is range-free.
-    result: Arc<TGraph>,
+    /// The result graph, serialized into the answer.
+    result: TGraph,
     /// The counted work of the cold run behind the result: this one's, or
     /// for a patch the answer's it was patched from.
     work: u64,
@@ -212,7 +212,7 @@ impl Server {
                 let patched = patch.is_some();
                 let (result, work) = patch.unwrap_or_else(|| execute_steps(&self.rt, shared, req));
                 Executed {
-                    result: Arc::new(result),
+                    result,
                     work,
                     patched,
                 }
@@ -235,21 +235,25 @@ impl Server {
     }
 
     /// The O(delta) path: re-runs the pipeline over the disk suffix
-    /// `[cut, ∞)` only and stitches it onto `earlier`'s result graph —
-    /// O(delta + live-at-cut) instead of O(history). `None` when `earlier`
-    /// kept no graph (ranged queries never do), the planner says recompute,
-    /// or the suffix is unreadable: the caller runs cold. In checked mode
-    /// (`TGRAPH_CHECKED=1`) the patched bytes are held against a full cold
-    /// recompute and any divergence fails the query loudly.
+    /// `[cut, ∞)` only and stitches it onto `earlier`'s result graph, read
+    /// back from its body once the planner has decided to patch —
+    /// O(delta + live-at-cut + the body) instead of O(history). `None` when
+    /// the query is ranged (a ranged answer is not the full history a
+    /// stitch needs), the planner says recompute, the body does not read
+    /// back, or the suffix is unreadable: the caller runs cold. In checked
+    /// mode (`TGRAPH_CHECKED=1`) the patched bytes are held against a full
+    /// cold recompute and any divergence fails the query loudly.
     fn patch(&self, shared: &SharedGraph, req: &ZoomRequest, earlier: &Answer) -> Option<TGraph> {
-        let seed = earlier.seed.as_deref()?;
+        if req.range.is_some() {
+            return None;
+        }
         let patched = patch_from_storage(
             &self.rt,
             &GraphLoader::new(&self.config.data_dir, &req.graph),
             shared.graph.lifespan(),
             req.repr,
             &req.pipeline,
-            seed,
+            earlier,
             earlier.boundary,
         )
         .ok()?;
@@ -270,9 +274,8 @@ impl Server {
     }
 
     /// Stage 6: the result's text, stored as the query's answer at the
-    /// resident epoch. A range-free answer keeps its result graph as the
-    /// seed the next epoch patches from; a ranged resident is not the full
-    /// history a stitch needs, so a ranged answer keeps none.
+    /// resident epoch. The text is all the answer keeps: a later epoch's
+    /// patch of a range-free query reads the result graph back from it.
     fn serialize(
         &self,
         done: Executed,
@@ -286,7 +289,6 @@ impl Server {
                 epoch: shared.epoch,
                 boundary: shared.graph.lifespan().end,
                 body: Arc::clone(&body),
-                seed: req.range.is_none().then_some(done.result),
                 work: done.work,
             };
             self.cache.insert(canonical, answer);
@@ -308,14 +310,22 @@ impl Server {
     }
 }
 
+/// A cached answer seeds a patch with the result graph read back from its
+/// body.
+impl Seed for Answer {
+    fn graph(&self) -> Option<Cow<'_, TGraph>> {
+        read_tgraph(&self.body).map(Cow::Owned)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::execute_steps;
     use crate::cache::{Lookup, ENTRY_OVERHEAD};
     use crate::protocol::{parse_request, Request, ZoomRequest};
-    use crate::render::Reply;
+    use crate::render::{read_tgraph, Reply};
     use crate::server::testutil::{fresh_server, result_of, server_over_figure1, zoom_line};
     use std::sync::Arc;
-    use tgraph_dataflow::charged_size;
     use tgraph_repr::ReprKind;
 
     fn zoom_request(line: &str) -> ZoomRequest {
@@ -348,31 +358,26 @@ mod tests {
         assert!(Arc::ptr_eq(&replay, &entry), "a hit answers with the entry");
     }
 
-    /// A range-free answer is charged its key, its body and its seed's
-    /// vertex and edge lists (plus the fixed per-entry bookkeeping); a
-    /// ranged answer keeps no seed and is charged none.
+    /// Every answer, range-free or ranged, is charged its key, its body and
+    /// the fixed per-entry bookkeeping, and nothing more; the body reads
+    /// back to the very graph the zoom computed.
     #[test]
-    fn an_entry_is_charged_its_key_body_and_seed_records() {
+    fn an_entry_is_charged_its_key_and_body() {
         let server = server_over_figure1("unit-charge");
         let mut used = 0;
-        for (extra, seeded) in [("", true), ("\"range\":[2,8],", false)] {
+        for extra in ["", "\"range\":[2,8],"] {
             let req = zoom_request(&zoom_line("unit-charge", extra));
             let Reply::Zoom { body, .. } = server.handle_zoom(&req) else {
                 panic!("not a zoom result");
             };
             let key = req.canonical();
-            let epoch = server.load_graph(&req).expect("load").epoch;
-            // One epoch on, the entry is a miss that hands its answer back.
-            let Lookup::Miss(Some(answer)) = server.cache.get(&key, epoch + 1) else {
-                panic!("{key} was not stored");
-            };
-            let seed = answer
-                .seed
-                .map_or(0, |g| charged_size(&g.vertices) + charged_size(&g.edges));
-            assert_eq!(seed > 0, seeded, "{key}");
-            used += (key.len() + body.len() + seed) as u64 + ENTRY_OVERHEAD;
+            used += (key.len() + body.len()) as u64 + ENTRY_OVERHEAD;
             assert_eq!(server.cache.stats().bytes_used, used, "{key}");
+            let shared = server.load_graph(&req).expect("load");
+            let (cold, _) = execute_steps(server.runtime(), &shared, &req);
+            assert_eq!(read_tgraph(&body), Some(cold), "{key}");
         }
+        assert_eq!(server.cache.stats().resident, 2);
     }
 
     #[test]

@@ -11,14 +11,17 @@
 //! replays more zooms than the result cache holds and checks every answer,
 //! hit, evicted or declined, against a cache-bypassing recompute; a sixth
 //! sends a delta that asserts one vertex twice at once and checks it is
-//! refused without committing an epoch.
+//! refused without committing an epoch; a seventh patches answers whose
+//! result graph is read back from the cached body, over hostile properties.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use tgraph_core::graph::figure1_graph_stable_ids;
+use tgraph_core::graph::{figure1_graph_stable_ids, VertexRecord};
+use tgraph_core::props::Props;
+use tgraph_core::time::Interval;
 use tgraph_serve::{json, Json, Server, ServerConfig};
 use tgraph_storage::write_dataset;
 
@@ -363,5 +366,60 @@ fn answers_under_cache_pressure_equal_their_recomputes() {
         cache_stat(&stats, "bytes_used") as u64 <= all / 2,
         "{stats}"
     );
+    client.shutdown(serve_thread);
+}
+
+/// A patch reads its seed back from the cached body, so the body must carry
+/// every property the result graph did. Figure 1 gains a vertex whose id is
+/// above `i64::MAX` and whose properties hold an escaped string, non-ASCII
+/// text and an integral float. After an ingest, the identity zoom in VE, OG
+/// and RG is answered by a patch equal to its cold recompute byte for byte;
+/// a ranged zoom, whose answer seeds nothing, is a miss.
+#[test]
+fn a_patch_from_a_body_read_back_equals_the_recompute() {
+    let mut fixture = figure1_graph_stable_ids();
+    let props = Props::typed("person")
+        .with("name", "Zo\u{eb} \"Z\" \\ \u{4e2d}\t")
+        .with("school", "ETH")
+        .with("score", 3.0);
+    fixture
+        .vertices
+        .push(VertexRecord::new((1 << 63) + 5, Interval::new(2, 7), props));
+    let dir = std::env::temp_dir().join("tgraph-tier1-serve-readback");
+    let _ = std::fs::remove_dir_all(&dir);
+    write_dataset(&dir, "fig1", &fixture).expect("write dataset");
+    let zoom = |repr: &str, extra: &str| {
+        format!(r#"{{"op":"zoom","graph":"fig1","repr":"{repr}",{extra}"steps":[]}}"#)
+    };
+    let ingest = r#"{"op":"ingest","graph":"fig1","since":9,"vertices":[{"id":3,"interval":[9,12],"props":{"type":"person","school":"MIT","name":"Cat"}}]}"#;
+    let result_of = |response: &str| {
+        let at = response.find(",\"result\":").expect("result field");
+        response[at..].to_string()
+    };
+
+    let (mut client, serve_thread) = serve_and_connect(bind_over(dir, 4 << 20));
+    let ranged = zoom("ve", r#""range":[2,8],"#);
+    for line in [
+        zoom("ve", ""),
+        zoom("og", ""),
+        zoom("rg", ""),
+        ranged.clone(),
+    ] {
+        let first = client.roundtrip(&line);
+        assert!(first.contains("\"cache\":\"miss\""), "{first}");
+        // The writer spells ids as their `i64` bits.
+        assert!(first.contains("\"id\":-9223372036854775803"), "{first}");
+        assert!(first.contains("\"score\":3.0"), "{first}");
+    }
+    let committed = client.roundtrip(ingest);
+    assert!(committed.contains("\"epoch\":1"), "{committed}");
+    for repr in ["ve", "og", "rg"] {
+        let patched = client.roundtrip(&zoom(repr, ""));
+        assert!(patched.contains("\"cache\":\"patch\""), "{repr}: {patched}");
+        let cold = client.roundtrip(&zoom(repr, r#""no_cache":true,"#));
+        assert_eq!(result_of(&patched), result_of(&cold), "{repr}");
+    }
+    let after = client.roundtrip(&ranged);
+    assert!(after.contains("\"cache\":\"miss\""), "{after}");
     client.shutdown(serve_thread);
 }
